@@ -1,10 +1,10 @@
 // Command mcbench runs the repository's tracked performance benchmarks —
 // the admission hot path (single admits warm/cold, 64-task batches), probe
-// traffic and the offline partitioning strategies — and writes the results
-// as JSON: ns/op, bytes/op, allocs/op per benchmark plus the analyzer
-// fast-path counters (fast accepts/rejects, incremental decisions,
-// warm-started fixed points) and verdict-cache hit rates observed while the
-// benchmark ran.
+// traffic, the offline partitioning strategies, task-set generation and a
+// Figure 3 sweep — and writes the results as JSON: ns/op, bytes/op,
+// allocs/op per benchmark plus the analyzer fast-path counters (fast
+// accepts/rejects, incremental decisions, warm-started fixed points) and
+// verdict-cache hit rates observed while the benchmark ran.
 //
 //	mcbench -short -out BENCH_4.json
 //	mcbench -baseline BENCH_4.json -max-regress 2
@@ -37,6 +37,7 @@ import (
 	"mcsched"
 	"mcsched/internal/mcsio"
 	"mcsched/internal/replication"
+	"mcsched/internal/taskgen"
 )
 
 // reference holds the PR 3 hot-path numbers (commit 2a5a637, `go test
@@ -474,6 +475,38 @@ func partition(strategy mcsched.Strategy, test mcsched.Test) func(*testing.B, *C
 	}
 }
 
+// generate is one task-set draw at m = 8 per op through the facade, the
+// ops cycling through the paper's utilization grid so the figure is the
+// sweeps' per-set generation cost, not one combo's.
+func generate(constrained bool) func(*testing.B, *Counters) {
+	return func(b *testing.B, _ *Counters) {
+		rng := rand.New(rand.NewSource(77))
+		grid := taskgen.DefaultGrid()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			combo := grid[i%len(grid)]
+			cfg := mcsched.DefaultGenConfig(8, combo.UHH, combo.ULH, combo.ULL)
+			cfg.Constrained = constrained
+			if _, err := mcsched.Generate(rng, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// sweepFig3 is one Figure 3 panel (m = 8, EDF-VD, three algorithms) at 100
+// task sets per UB bucket: generation, partitioning and the parallel map at
+// a tenth of the paper's scale.
+func sweepFig3(b *testing.B, _ *Counters) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := mcsched.Figure3(8, 100, 2017); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // simulateSystem is one whole-tenant runtime simulation over exactly one
 // hyperperiod of a low-utilization partition (periods drawn from a divisor
 // chain with hyperperiod 2000), mirroring BenchmarkSimulateHyperperiod* in
@@ -704,6 +737,9 @@ func benches() []bench {
 		{"admit/batch64/amc-cold-par4", admitBatch64(mcsched.AMC(), false, 4)},
 		{"partition/cuudp-amc", partition(strategyByName("CU-UDP"), mcsched.AMC())},
 		{"partition/cuudp-edfvd", partition(strategyByName("CU-UDP"), mcsched.EDFVD())},
+		{"taskgen/generate-m8", generate(false)},
+		{"taskgen/generate-m8-constrained", generate(true)},
+		{"sweep/fig3-m8-100", sweepFig3},
 		{"simulate/hyperperiod-small", simulateSystem(2, 5)},
 		{"simulate/hyperperiod-1k", simulateSystem(64, 16)},
 		{"journal/admit-fsync-serial-64w", journalAdmitWriters(64, false)},

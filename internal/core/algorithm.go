@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"mcsched/internal/mcs"
 )
@@ -30,11 +31,27 @@ func (a Algorithm) Partition(ts mcs.TaskSet, m int) (Partition, error) {
 	return a.Strategy.Partition(ts, m, a.Test)
 }
 
+// scratchAssigners recycles the Assigners Schedulable runs on.
+var scratchAssigners = sync.Pool{New: func() any { return new(Assigner) }}
+
 // Schedulable reports whether the task set can be partitioned on m
-// processors.
+// processors. It keeps no Partition, so the built-in strategies run on a
+// recycled Assigner (buffers, and analyzers when the test is the same as
+// last time) — the verdict is the one Partition gives.
 func (a Algorithm) Schedulable(ts mcs.TaskSet, m int) bool {
-	_, err := a.Partition(ts, m)
-	return err == nil
+	s, ok := a.Strategy.(builtin)
+	if !ok {
+		_, err := a.Partition(ts, m)
+		return err == nil
+	}
+	if validateInput(ts, m) != nil {
+		return false
+	}
+	st := scratchAssigners.Get().(*Assigner)
+	defer scratchAssigners.Put(st)
+	st.reset(m, a.Test)
+	s.configure(st)
+	return s.allocate(st, ts) == nil
 }
 
 // Verify re-checks a finished partition: every task placed exactly once and

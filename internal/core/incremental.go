@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sort"
 	"time"
 
@@ -77,7 +78,32 @@ type Assigner struct {
 
 // NewAssigner returns an empty assignment over m cores gated by test.
 func NewAssigner(m int, test Test) *Assigner {
-	a := &Assigner{
+	a := new(Assigner)
+	a.reset(m, test)
+	return a
+}
+
+// reset empties the assigner for a new run over m cores gated by test. An
+// assigner that last ran the same shape keeps its buffers and its per-core
+// analyzers, invalidated — an analyzer's verdicts do not depend on what it
+// has memoized, so a recycled assigner decides like a new one. Anything
+// else (including the zero value) is built from scratch. The caller must
+// hold no Partition of the previous run: the core slices are reused.
+func (a *Assigner) reset(m int, test Test) {
+	if len(a.cores) == m && sameTest(a.test, test) {
+		for k := range a.cores {
+			a.cores[k] = a.cores[k][:0]
+			a.ulh[k], a.uhh[k], a.ull[k] = 0, 0, 0
+			if an := a.analyzers[k]; an != nil {
+				an.Invalidate()
+			}
+		}
+		clear(a.coreKeys)
+		a.SetProber(nil)
+		a.lastCore = -1
+		return
+	}
+	*a = Assigner{
 		cores:      make([]mcs.TaskSet, m),
 		ulh:        make([]float64, m),
 		uhh:        make([]float64, m),
@@ -96,7 +122,17 @@ func NewAssigner(m int, test Test) *Assigner {
 		a.buildFns = make([]func() mcs.TaskSet, m)
 		a.pending = make([]mcs.Task, m)
 	}
-	return a
+}
+
+// sameTest reports whether two tests are the same configuration of the
+// same family, so analyzers built for one serve the other. Tests that
+// cannot be compared (a field holding a slice, say) are never the same.
+func sameTest(x, y Test) bool {
+	if x == nil || y == nil {
+		return false
+	}
+	vx, vy := reflect.ValueOf(x), reflect.ValueOf(y)
+	return vx.Type() == vy.Type() && vx.Comparable() && vy.Comparable() && x == y
 }
 
 // SetProber routes the assigner's candidate-core scans (FirstFit,

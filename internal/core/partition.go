@@ -193,6 +193,33 @@ type Strategy interface {
 	Partition(ts mcs.TaskSet, m int, test Test) (Partition, error)
 }
 
+// builtin is what this package's strategies are underneath Strategy: an
+// allocation sequence over an Assigner somebody else prepared. The split
+// lets one preamble serve all of them (partition) and lets
+// Algorithm.Schedulable, which keeps no Partition, run the same sequence on
+// a recycled Assigner.
+type builtin interface {
+	// configure installs the strategy's prober (promoted from Par).
+	configure(*Assigner)
+	// allocate places every task of ts on st, or returns the FailError of
+	// the first task that fits nowhere.
+	allocate(st *Assigner, ts mcs.TaskSet) error
+}
+
+// partition is the built-in strategies' Partition: validate, allocate on a
+// fresh Assigner, hand its cores over.
+func partition(s builtin, ts mcs.TaskSet, m int, test Test) (Partition, error) {
+	if err := validateInput(ts, m); err != nil {
+		return Partition{}, err
+	}
+	st := NewAssigner(m, test)
+	s.configure(st)
+	if err := s.allocate(st, ts); err != nil {
+		return Partition{}, err
+	}
+	return st.Partition(), nil
+}
+
 // sortedByLevelUtil returns a copy sorted in decreasing order of each
 // task's utilization at its own criticality level.
 func sortedByLevelUtil(ts mcs.TaskSet) mcs.TaskSet {

@@ -39,12 +39,10 @@ func (u UDP) Name() string {
 
 // Partition implements Strategy.
 func (u UDP) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	if err := validateInput(ts, m); err != nil {
-		return Partition{}, err
-	}
-	st := NewAssigner(m, test)
-	u.configure(st)
+	return partition(u, ts, m, test)
+}
 
+func (u UDP) allocate(st *Assigner, ts mcs.TaskSet) error {
 	var seq mcs.TaskSet
 	if u.CriticalityAware {
 		hc, lc := ts.HC(), ts.LC()
@@ -67,10 +65,10 @@ func (u UDP) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
 			ok = st.FirstFit(task)
 		}
 		if !ok {
-			return Partition{}, FailError{Task: task}
+			return FailError{Task: task}
 		}
 	}
-	return st.Partition(), nil
+	return nil
 }
 
 // CANoSortFF is the baseline CA(nosort)-F-F of Baruah et al. (RTS 2014):
@@ -84,17 +82,16 @@ func (CANoSortFF) Name() string { return "CA(nosort)-F-F" }
 
 // Partition implements Strategy.
 func (s CANoSortFF) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	if err := validateInput(ts, m); err != nil {
-		return Partition{}, err
-	}
-	st := NewAssigner(m, test)
-	s.configure(st)
+	return partition(s, ts, m, test)
+}
+
+func (s CANoSortFF) allocate(st *Assigner, ts mcs.TaskSet) error {
 	for _, task := range append(ts.HC(), ts.LC()...) {
 		if !st.FirstFit(task) {
-			return Partition{}, FailError{Task: task}
+			return FailError{Task: task}
 		}
 	}
-	return st.Partition(), nil
+	return nil
 }
 
 // CAFF is the baseline CA-F-F of Rodriguez et al. (WMC 2013):
@@ -107,18 +104,17 @@ func (CAFF) Name() string { return "CA-F-F" }
 
 // Partition implements Strategy.
 func (s CAFF) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	if err := validateInput(ts, m); err != nil {
-		return Partition{}, err
-	}
-	st := NewAssigner(m, test)
-	s.configure(st)
+	return partition(s, ts, m, test)
+}
+
+func (s CAFF) allocate(st *Assigner, ts mcs.TaskSet) error {
 	seq := append(sortedByLevelUtil(ts.HC()), sortedByLevelUtil(ts.LC())...)
 	for _, task := range seq {
 		if !st.FirstFit(task) {
-			return Partition{}, FailError{Task: task}
+			return FailError{Task: task}
 		}
 	}
-	return st.Partition(), nil
+	return nil
 }
 
 // CAWuF is the criticality-aware worst-fit-by-HC-utilization strategy used
@@ -132,22 +128,21 @@ func (CAWuF) Name() string { return "CA-Wu-F" }
 
 // Partition implements Strategy.
 func (s CAWuF) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	if err := validateInput(ts, m); err != nil {
-		return Partition{}, err
-	}
-	st := NewAssigner(m, test)
-	s.configure(st)
+	return partition(s, ts, m, test)
+}
+
+func (s CAWuF) allocate(st *Assigner, ts mcs.TaskSet) error {
 	for _, task := range sortedByLevelUtil(ts.HC()) {
 		if !st.WorstFitBy(task, func(k int) float64 { return st.UHH(k) }) {
-			return Partition{}, FailError{Task: task}
+			return FailError{Task: task}
 		}
 	}
 	for _, task := range sortedByLevelUtil(ts.LC()) {
 		if !st.FirstFit(task) {
-			return Partition{}, FailError{Task: task}
+			return FailError{Task: task}
 		}
 	}
-	return st.Partition(), nil
+	return nil
 }
 
 // ECAWuF is the enhanced criticality-aware strategy of Gu et al.
@@ -162,12 +157,10 @@ func (ECAWuF) Name() string { return "ECA-Wu-F" }
 
 // Partition implements Strategy.
 func (s ECAWuF) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	if err := validateInput(ts, m); err != nil {
-		return Partition{}, err
-	}
-	st := NewAssigner(m, test)
-	s.configure(st)
+	return partition(s, ts, m, test)
+}
 
+func (s ECAWuF) allocate(st *Assigner, ts mcs.TaskSet) error {
 	hc := sortedByLevelUtil(ts.HC())
 	lc := sortedByLevelUtil(ts.LC())
 	var maxHC float64
@@ -185,20 +178,20 @@ func (s ECAWuF) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
 
 	for _, task := range heavy {
 		if !st.FirstFit(task) {
-			return Partition{}, FailError{Task: task}
+			return FailError{Task: task}
 		}
 	}
 	for _, task := range hc {
 		if !st.WorstFitBy(task, func(k int) float64 { return st.UHH(k) }) {
-			return Partition{}, FailError{Task: task}
+			return FailError{Task: task}
 		}
 	}
 	for _, task := range rest {
 		if !st.FirstFit(task) {
-			return Partition{}, FailError{Task: task}
+			return FailError{Task: task}
 		}
 	}
-	return st.Partition(), nil
+	return nil
 }
 
 // FFD is the classic criticality-unaware first-fit decreasing strategy —
@@ -211,17 +204,16 @@ func (FFD) Name() string { return "FFD" }
 
 // Partition implements Strategy.
 func (s FFD) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	if err := validateInput(ts, m); err != nil {
-		return Partition{}, err
-	}
-	st := NewAssigner(m, test)
-	s.configure(st)
+	return partition(s, ts, m, test)
+}
+
+func (s FFD) allocate(st *Assigner, ts mcs.TaskSet) error {
 	for _, task := range sortedByLevelUtil(ts) {
 		if !st.FirstFit(task) {
-			return Partition{}, FailError{Task: task}
+			return FailError{Task: task}
 		}
 	}
-	return st.Partition(), nil
+	return nil
 }
 
 // WFD is criticality-unaware worst-fit decreasing by level utilization —
@@ -234,19 +226,18 @@ func (WFD) Name() string { return "WFD" }
 
 // Partition implements Strategy.
 func (s WFD) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	if err := validateInput(ts, m); err != nil {
-		return Partition{}, err
-	}
-	st := NewAssigner(m, test)
-	s.configure(st)
-	load := make([]float64, m)
+	return partition(s, ts, m, test)
+}
+
+func (s WFD) allocate(st *Assigner, ts mcs.TaskSet) error {
+	load := make([]float64, st.NumCores())
 	for _, task := range sortedByLevelUtil(ts) {
 		if !st.WorstFitBy(task, func(i int) float64 { return load[i] }) {
-			return Partition{}, FailError{Task: task}
+			return FailError{Task: task}
 		}
 		load[st.LastCore()] += task.LevelUtil()
 	}
-	return st.Partition(), nil
+	return nil
 }
 
 // Strategies returns every named strategy in a stable order: the paper's

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"time"
 
 	"mcsched/internal/analysis/parallel"
@@ -166,16 +167,34 @@ func deriveSeed(base int64, bucket, set int) int64 {
 // the draw is counted as a generation failure.
 const genRetries = 16
 
+// sampler is one worker's generation state: an RNG reseeded per draw —
+// Seed leaves the source where rand.NewSource(seed) would start it, without
+// allocating a new one — and a Generator whose buffers every draw reuses.
+type sampler struct {
+	rng *rand.Rand
+	gen taskgen.Generator
+}
+
+// samplers hands each sweep job a sampler; a worker gets the one it put
+// back, so a sweep builds about one per worker.
+var samplers = sync.Pool{New: func() any { return &sampler{rng: rand.New(rand.NewSource(0))} }}
+
+// draw generates the task set of configuration gc that belongs to seed.
+// The set is the sampler's buffer: valid until its next draw.
+func (s *sampler) draw(seed int64, gc taskgen.Config) (mcs.TaskSet, error) {
+	s.rng.Seed(seed)
+	return s.gen.Generate(s.rng, gc)
+}
+
 // drawSet generates one task set for a bucket, cycling through the bucket's
 // grid combos and retrying infeasible draws with perturbed seeds.
-func drawSet(cfg Config, b taskgen.Bucket, bucketIdx, setIdx int) (mcs.TaskSet, bool) {
+func (s *sampler) drawSet(cfg Config, b taskgen.Bucket, bucketIdx, setIdx int) (mcs.TaskSet, bool) {
 	combo := b.Combos[setIdx%len(b.Combos)]
 	for try := 0; try < genRetries; try++ {
-		rng := rand.New(rand.NewSource(deriveSeed(cfg.Seed, bucketIdx, setIdx*genRetries+try)))
 		gc := taskgen.DefaultConfig(cfg.M, combo.UHH, combo.ULH, combo.ULL)
 		gc.PH = cfg.PH
 		gc.Constrained = cfg.Constrained
-		ts, err := taskgen.Generate(rng, gc)
+		ts, err := s.draw(deriveSeed(cfg.Seed, bucketIdx, setIdx*genRetries+try), gc)
 		if err == nil {
 			return ts, true
 		}
@@ -215,7 +234,9 @@ func Run(cfg Config) (Result, error) {
 	eng := parallel.New(cfg.workers())
 	cells := parallel.Map(eng, len(buckets)*cfg.SetsPerUB, func(j int) cell {
 		bi, si := j/cfg.SetsPerUB, j%cfg.SetsPerUB
-		ts, ok := drawSet(cfg, buckets[bi], bi, si)
+		smp := samplers.Get().(*sampler)
+		defer samplers.Put(smp)
+		ts, ok := smp.drawSet(cfg, buckets[bi], bi, si)
 		if !ok {
 			return cell{}
 		}

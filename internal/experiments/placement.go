@@ -277,7 +277,9 @@ func RunPlacement(cfg PlacementConfig) (PlacementResult, error) {
 	eng := parallel.New(workers)
 	cells := parallel.Map(eng, len(buckets)*cfg.SetsPerUB, func(j int) placementCell {
 		bi, si := j/cfg.SetsPerUB, j%cfg.SetsPerUB
-		ts, ok := drawSet(genCfg, buckets[bi], bi, si)
+		smp := samplers.Get().(*sampler)
+		defer samplers.Put(smp)
+		ts, ok := smp.drawSet(genCfg, buckets[bi], bi, si)
 		if !ok {
 			return placementCell{}
 		}

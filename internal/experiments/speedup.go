@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"mcsched/internal/core"
 	"mcsched/internal/mcs"
@@ -135,12 +134,12 @@ func RunSpeedupSurvey(algo core.Algorithm, m, sets int, ubCap float64, seed int6
 	if len(buckets) == 0 {
 		return SpeedupSurvey{}, fmt.Errorf("experiments: ubCap %g selects no buckets", ubCap)
 	}
+	smp := samplers.Get().(*sampler)
+	defer samplers.Put(smp)
 	for i := 0; i < sets; i++ {
 		b := buckets[i%len(buckets)]
 		combo := b.Combos[(i/len(buckets))%len(b.Combos)]
-		rng := rand.New(rand.NewSource(deriveSeed(seed, i, 0)))
-		cfg := taskgen.DefaultConfig(m, combo.UHH, combo.ULH, combo.ULL)
-		ts, err := taskgen.Generate(rng, cfg)
+		ts, err := smp.draw(deriveSeed(seed, i, 0), taskgen.DefaultConfig(m, combo.UHH, combo.ULH, combo.ULL))
 		if err != nil {
 			continue
 		}

@@ -1,8 +1,9 @@
 package mcs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -44,7 +45,16 @@ func (ts TaskSet) HC() TaskSet { return ts.filter(func(t Task) bool { return t.I
 func (ts TaskSet) LC() TaskSet { return ts.filter(func(t Task) bool { return !t.IsHC() }) }
 
 func (ts TaskSet) filter(keep func(Task) bool) TaskSet {
-	var out TaskSet
+	n := 0
+	for _, t := range ts {
+		if keep(t) {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make(TaskSet, 0, n)
 	for _, t := range ts {
 		if keep(t) {
 			out = append(out, t)
@@ -157,15 +167,18 @@ func lcm(a, b Ticks) Ticks {
 
 // SortByLevelUtil sorts the set in decreasing order of each task's
 // utilization at its own criticality level (u^H for HC, u^L for LC), which
-// is the paper's sorting rule. Ties break by ascending ID so the order is
-// deterministic.
+// is the paper's sorting rule. Ties break by ascending ID; IDs are unique in
+// a valid set, so the order is total and does not depend on the sorting
+// algorithm.
 func (ts TaskSet) SortByLevelUtil() {
-	sort.SliceStable(ts, func(i, j int) bool {
-		ui, uj := ts[i].LevelUtil(), ts[j].LevelUtil()
-		if ui != uj {
-			return ui > uj
+	slices.SortFunc(ts, func(a, b Task) int {
+		if ua, ub := a.LevelUtil(), b.LevelUtil(); ua != ub {
+			if ua > ub {
+				return -1
+			}
+			return 1
 		}
-		return ts[i].ID < ts[j].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 }
 

@@ -2,6 +2,8 @@ package mcs
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -83,6 +85,39 @@ func TestSortByLevelUtil(t *testing.T) {
 	for i, want := range wantIDs {
 		if ts[i].ID != want {
 			t.Fatalf("sorted order = %v at %d, want %v", ts[i].ID, i, wantIDs)
+		}
+	}
+}
+
+// TestSortByLevelUtilTies holds the sort to the permutation a stable sort
+// by (level utilization desc, ID asc) gives, on sets large enough to leave
+// the insertion-sort regime and with most utilizations tied — including
+// HC/LC ties, where the two classes read different fields.
+func TestSortByLevelUtilTies(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for round := 0; round < 200; round++ {
+		n := 2 + rng.Intn(60)
+		ts := make(TaskSet, n)
+		for i, id := range rng.Perm(n) {
+			c := Ticks(1 + rng.Intn(3)) // three distinct utilizations at most
+			if rng.Intn(2) == 0 {
+				ts[i] = NewHC(id, 1, c, 10)
+			} else {
+				ts[i] = NewLC(id, c, 10)
+			}
+		}
+		want := ts.Clone()
+		sort.SliceStable(want, func(i, j int) bool {
+			if ui, uj := want[i].LevelUtil(), want[j].LevelUtil(); ui != uj {
+				return ui > uj
+			}
+			return want[i].ID < want[j].ID
+		})
+		ts.SortByLevelUtil()
+		for i := range want {
+			if ts[i] != want[i] {
+				t.Fatalf("round %d: position %d holds task %d, stable order has task %d", round, i, ts[i].ID, want[i].ID)
+			}
 		}
 	}
 }

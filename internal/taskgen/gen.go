@@ -147,6 +147,16 @@ func (c Config) splitCounts(rng *rand.Rand) (n, nH int, err error) {
 	return 0, 0, ErrInfeasible{Cfg: c}
 }
 
+// Generator draws task sets into buffers it reuses from one call to the
+// next: the three utilization vectors, RandFixedSum's tables and the
+// returned task set. A sweep keeps one per worker. The zero value is ready;
+// a Generator is not safe for concurrent use.
+type Generator struct {
+	uHH, uLH, uLL []float64
+	rfs           rfsTables
+	out           mcs.TaskSet
+}
+
 // Generate draws one task set according to the configuration. Integer
 // parameters are derived as C = ⌈u·T⌉ with T log-uniform in [TMin, TMax];
 // the ULo/UHi fields carry the *realized* utilizations C/T, so analyses,
@@ -155,7 +165,10 @@ func (c Config) splitCounts(rng *rand.Rand) (n, nH int, err error) {
 // exceed them by at most Σ 1/T_i due to the ceiling). Task order is
 // randomized (criticality-unaware), which is what "no sort" baseline
 // strategies consume.
-func Generate(rng *rand.Rand, c Config) (mcs.TaskSet, error) {
+//
+// The returned set is the generator's buffer: it is valid until the next
+// call on g, and callers that keep it longer Clone it.
+func (g *Generator) Generate(rng *rand.Rand, c Config) (mcs.TaskSet, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
@@ -169,40 +182,56 @@ func Generate(rng *rand.Rand, c Config) (mcs.TaskSet, error) {
 	totLH := c.ULH * float64(c.M)
 	totLL := c.ULL * float64(c.M)
 
-	var uHH, uLH, uLL []float64
 	if nH > 0 {
-		uHH, err = c.Method.draw(rng, nH, totHH, c.UMin, c.UMax)
+		g.uHH, err = g.draw(rng, c.Method, g.uHH, nH, totHH, c.UMin, c.UMax)
 		if err != nil {
 			return nil, err
 		}
-		uLH, err = BoundedSumCapped(rng, nH, totLH, c.UMin, uHH)
+		g.uLH, err = boundedSumCapped(rng, g.uLH, nH, totLH, c.UMin, g.uHH)
 		if err != nil {
 			return nil, err
 		}
 	}
 	if nL > 0 {
-		uLL, err = c.Method.draw(rng, nL, totLL, c.UMin, c.UMax)
+		g.uLL, err = g.draw(rng, c.Method, g.uLL, nL, totLL, c.UMin, c.UMax)
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	ts := make(mcs.TaskSet, 0, n)
+	ts := g.out[:0]
 	id := 0
 	for i := 0; i < nH; i++ {
-		ts = append(ts, c.buildTask(rng, id, mcs.HI, uLH[i], uHH[i]))
+		ts = append(ts, c.buildTask(rng, id, mcs.HI, g.uLH[i], g.uHH[i]))
 		id++
 	}
 	for i := 0; i < nL; i++ {
-		ts = append(ts, c.buildTask(rng, id, mcs.LO, uLL[i], uLL[i]))
+		ts = append(ts, c.buildTask(rng, id, mcs.LO, g.uLL[i], g.uLL[i]))
 		id++
 	}
+	g.out = ts
 	// Criticality-unaware generation order.
 	rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
 	if err := ts.Validate(); err != nil {
 		return nil, fmt.Errorf("taskgen: generated invalid set: %w", err)
 	}
 	return ts, nil
+}
+
+// draw dispatches to the selected utilization-vector method, into buf.
+func (g *Generator) draw(rng *rand.Rand, m Method, buf []float64, n int, total, lo, hi float64) ([]float64, error) {
+	switch m {
+	case MethodUUniFastDiscard:
+		return boundedSum(rng, buf, n, total, lo, hi)
+	default:
+		return g.rfs.draw(rng, buf, n, total, lo, hi)
+	}
+}
+
+// Generate draws one task set with a Generator of its own, so the caller
+// owns the result.
+func Generate(rng *rand.Rand, c Config) (mcs.TaskSet, error) {
+	return new(Generator).Generate(rng, c)
 }
 
 // buildTask realizes one task from its drawn utilizations.

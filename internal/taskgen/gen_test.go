@@ -432,6 +432,34 @@ func TestGenerateDeterminism(t *testing.T) {
 	}
 }
 
+// TestGeneratorReuseMatchesFresh holds a long-lived Generator — dirty
+// vectors, dirty RandFixedSum tables, a recycled output buffer — to the
+// stream of fresh ones, across task counts that grow and shrink, both
+// methods and both deadline models.
+func TestGeneratorReuseMatchesFresh(t *testing.T) {
+	var g Generator
+	grid := DefaultGrid()
+	for i := 0; i < 600; i++ {
+		combo := grid[(i*37)%len(grid)]
+		cfg := DefaultConfig([]int{8, 2, 4}[i%3], combo.UHH, combo.ULH, combo.ULL)
+		cfg.Method = Method(i % 2)
+		cfg.Constrained = i%4 >= 2
+		want, wantErr := Generate(rand.New(rand.NewSource(int64(i))), cfg)
+		got, gotErr := g.Generate(rand.New(rand.NewSource(int64(i))), cfg)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("draw %d: fresh err %v, reused err %v", i, wantErr, gotErr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("draw %d: %d tasks reused, %d fresh", i, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("draw %d task %d: reused %v, fresh %v", i, k, got[k], want[k])
+			}
+		}
+	}
+}
+
 func BenchmarkGenerate(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	cfg := DefaultConfig(8, 0.6, 0.3, 0.3)

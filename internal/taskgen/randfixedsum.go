@@ -16,6 +16,18 @@ import (
 // probability table decides, per coordinate, which sub-simplex branch to
 // take, and uniform order statistics place the point inside it.
 func RandFixedSum(rng *rand.Rand, n int, s, a, b float64) ([]float64, error) {
+	return new(rfsTables).draw(rng, nil, n, s, a, b)
+}
+
+// rfsTables is RandFixedSum's scratch: the s1/s2 offsets and the n×(n+1)
+// weight and (n−1)×n probability tables, flat and row-major, reused by a
+// Generator from one draw to the next.
+type rfsTables struct {
+	s1, s2, w, t []float64
+}
+
+// draw is RandFixedSum into buf (see vec).
+func (tb *rfsTables) draw(rng *rand.Rand, buf []float64, n int, s, a, b float64) ([]float64, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("taskgen: n=%d must be positive", n)
 	}
@@ -26,15 +38,16 @@ func RandFixedSum(rng *rand.Rand, n int, s, a, b float64) ([]float64, error) {
 	if s < float64(n)*a-eps || s > float64(n)*b+eps {
 		return nil, fmt.Errorf("taskgen: sum %g infeasible for %d values in [%g,%g]", s, n, a, b)
 	}
+	x := vec(buf, n)
 	if n == 1 {
-		return []float64{s}, nil
+		x[0] = s
+		return x, nil
 	}
 	if b == a {
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = a
+		for i := range x {
+			x[i] = a
 		}
-		return out, nil
+		return x, nil
 	}
 
 	// Rescale to the unit cube: want n values in [0,1] summing to sc.
@@ -50,8 +63,8 @@ func RandFixedSum(rng *rand.Rand, n int, s, a, b float64) ([]float64, error) {
 	}
 
 	// s1[j] = sc − (k − j), s2[j] = (k + n − j) − sc for 0-based j.
-	s1 := make([]float64, n)
-	s2 := make([]float64, n)
+	tb.s1, tb.s2 = vec(tb.s1, n), vec(tb.s2, n)
+	s1, s2 := tb.s1, tb.s2
 	for j := 0; j < n; j++ {
 		s1[j] = sc - float64(k-j)
 		s2[j] = float64(k+n-j) - sc
@@ -60,40 +73,40 @@ func RandFixedSum(rng *rand.Rand, n int, s, a, b float64) ([]float64, error) {
 	const huge = 1e100
 	const tiny = 1e-300
 
-	// w[i][j]: transition weights; t[i][j]: branch probabilities.
-	w := make([][]float64, n)
-	for i := range w {
-		w[i] = make([]float64, n+1)
-	}
-	t := make([][]float64, n-1)
-	for i := range t {
-		t[i] = make([]float64, n)
-	}
-	w[0][1] = huge
+	// w[i·wn+j]: transition weights; t[i·n+j]: branch probabilities. The
+	// recurrence reads cells of w's previous row it never wrote, and the
+	// backward walk can land on a cell of t no row wrote, so reused tables
+	// start from zero like fresh ones.
+	wn := n + 1
+	tb.w, tb.t = vec(tb.w, n*wn), vec(tb.t, (n-1)*n)
+	w, t := tb.w, tb.t
+	clear(w)
+	clear(t)
+	w[1] = huge
 	for i := 1; i < n; i++ {
 		ii := float64(i + 1)
+		prev, row := w[(i-1)*wn:i*wn], w[i*wn:(i+1)*wn]
 		for j := 0; j <= i; j++ {
-			tmp1 := w[i-1][j+1] * s1[j] / ii
-			tmp2 := w[i-1][j] * s2[n-1-i+j] / ii
-			w[i][j+1] = tmp1 + tmp2
-			tmp3 := w[i][j+1] + tiny
+			tmp1 := prev[j+1] * s1[j] / ii
+			tmp2 := prev[j] * s2[n-1-i+j] / ii
+			row[j+1] = tmp1 + tmp2
+			tmp3 := row[j+1] + tiny
 			if s2[n-1-i+j] > s1[j] {
-				t[i-1][j] = tmp2 / tmp3
+				t[(i-1)*n+j] = tmp2 / tmp3
 			} else {
-				t[i-1][j] = 1 - tmp1/tmp3
+				t[(i-1)*n+j] = 1 - tmp1/tmp3
 			}
 		}
 	}
 
 	// Walk the table backwards, placing one coordinate per step.
-	x := make([]float64, n)
 	srem := sc
 	j := k + 1 // 1-based column into t
 	sm := 0.0
 	pr := 1.0
 	for i := n - 1; i >= 1; i-- {
 		var e float64
-		if rng.Float64() <= t[i-1][j-1] {
+		if rng.Float64() <= t[(i-1)*n+j-1] {
 			e = 1
 		}
 		sx := math.Pow(rng.Float64(), 1/float64(i))
@@ -142,15 +155,5 @@ func (m Method) String() string {
 		return "uunifast-discard"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
-// draw dispatches to the selected method.
-func (m Method) draw(rng *rand.Rand, n int, total, lo, hi float64) ([]float64, error) {
-	switch m {
-	case MethodUUniFastDiscard:
-		return BoundedSum(rng, n, total, lo, hi)
-	default:
-		return RandFixedSum(rng, n, total, lo, hi)
 	}
 }

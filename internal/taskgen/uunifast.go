@@ -32,6 +32,66 @@ func UUniFast(rng *rand.Rand, n int, total float64) []float64 {
 // guards degenerate corner cases, which then fall back to Rescale.
 const maxDiscardTries = 1000
 
+// vec returns buf resliced to n values, replacing it when it is too small.
+// Every internal draw takes its destination this way: nil asks for a fresh
+// vector the caller owns, a Generator passes its scratch.
+func vec(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
+}
+
+// discard is the one UUniFast-with-discard loop: up to maxDiscardTries
+// UUniFast draws into u, each value checked against [lo, hi] — or against
+// [lo, caps[i]] when caps is non-nil — as it is produced. It reports whether
+// a try was accepted; u then holds it.
+//
+// A try stops computing at its first violation but still consumes the
+// draws the full vector would have taken, so the source is left exactly
+// where a draw-then-check loop leaves it, and the surviving prefix of an
+// accepted try is the same floating-point operations in the same order as
+// UUniFast. With keepLast the last try is computed in full whatever it
+// violates, so that when no try was accepted u holds it, for the caller's
+// fallback.
+func discard(rng *rand.Rand, u []float64, total, lo, hi float64, caps []float64, keepLast bool) bool {
+	n := len(u)
+	for try := 0; try < maxDiscardTries; try++ {
+		full := keepLast && try == maxDiscardTries-1
+		sum := total
+		ok := true
+		i := 0
+		for ; i < n-1; i++ {
+			next := sum * math.Pow(rng.Float64(), 1/float64(n-1-i))
+			u[i] = sum - next
+			sum = next
+			if caps != nil {
+				hi = caps[i]
+			}
+			if u[i] < lo || u[i] > hi {
+				ok = false
+				if !full {
+					break
+				}
+			}
+		}
+		if i < n-1 {
+			for i++; i < n-1; i++ {
+				rng.Float64()
+			}
+			continue
+		}
+		u[n-1] = sum
+		if caps != nil {
+			hi = caps[n-1]
+		}
+		if ok && sum >= lo && sum <= hi {
+			return true
+		}
+	}
+	return false
+}
+
 // BoundedSum draws n utilizations summing to total with every value in
 // [lo, hi]. It uses UUniFast with discard — the standard unbiased method in
 // the MC scheduling literature — and falls back to a deterministic rescale
@@ -41,6 +101,11 @@ const maxDiscardTries = 1000
 // It returns an error if the request is infeasible (total outside
 // [n·lo, n·hi]).
 func BoundedSum(rng *rand.Rand, n int, total, lo, hi float64) ([]float64, error) {
+	return boundedSum(rng, nil, n, total, lo, hi)
+}
+
+// boundedSum is BoundedSum into buf (see vec).
+func boundedSum(rng *rand.Rand, buf []float64, n int, total, lo, hi float64) ([]float64, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("taskgen: n=%d must be positive", n)
 	}
@@ -51,27 +116,15 @@ func BoundedSum(rng *rand.Rand, n int, total, lo, hi float64) ([]float64, error)
 	if total < float64(n)*lo-eps || total > float64(n)*hi+eps {
 		return nil, fmt.Errorf("taskgen: sum %g infeasible for %d values in [%g,%g]", total, n, lo, hi)
 	}
+	u := vec(buf, n)
 	if n == 1 {
-		return []float64{total}, nil
+		u[0] = total
+		return u, nil
 	}
-	var last []float64
-	for try := 0; try < maxDiscardTries; try++ {
-		u := UUniFast(rng, n, total)
-		if within(u, lo, hi) {
-			return u, nil
-		}
-		last = u
+	if discard(rng, u, total, lo, hi, nil, true) {
+		return u, nil
 	}
-	return Rescale(last, total, lo, hi), nil
-}
-
-func within(u []float64, lo, hi float64) bool {
-	for _, v := range u {
-		if v < lo || v > hi {
-			return false
-		}
-	}
-	return true
+	return Rescale(u, total, lo, hi), nil
 }
 
 // Rescale clamps the values of u into [lo, hi] and redistributes the
@@ -154,11 +207,16 @@ func Rescale(u []float64, total, lo, hi float64) []float64 {
 // back to a proportional split (u[i] = total·cap[i]/Σcap, then repaired to
 // respect lo) when the discard loop fails.
 func BoundedSumCapped(rng *rand.Rand, n int, total, lo float64, cap []float64) ([]float64, error) {
-	if len(cap) != n {
-		return nil, fmt.Errorf("taskgen: cap length %d != n %d", len(cap), n)
+	return boundedSumCapped(rng, nil, n, total, lo, cap)
+}
+
+// boundedSumCapped is BoundedSumCapped into buf (see vec).
+func boundedSumCapped(rng *rand.Rand, buf []float64, n int, total, lo float64, caps []float64) ([]float64, error) {
+	if len(caps) != n {
+		return nil, fmt.Errorf("taskgen: cap length %d != n %d", len(caps), n)
 	}
 	var capSum float64
-	for _, c := range cap {
+	for _, c := range caps {
 		if c < lo {
 			return nil, fmt.Errorf("taskgen: cap %g below lo %g", c, lo)
 		}
@@ -168,27 +226,18 @@ func BoundedSumCapped(rng *rand.Rand, n int, total, lo float64, cap []float64) (
 	if total < float64(n)*lo-eps || total > capSum+eps {
 		return nil, fmt.Errorf("taskgen: sum %g infeasible for caps (Σcap=%g, n·lo=%g)", total, capSum, float64(n)*lo)
 	}
+	out := vec(buf, n)
 	if n == 1 {
-		return []float64{total}, nil
+		out[0] = total
+		return out, nil
 	}
-	for try := 0; try < maxDiscardTries; try++ {
-		u := UUniFast(rng, n, total)
-		ok := true
-		for i, v := range u {
-			if v < lo || v > cap[i] {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return u, nil
-		}
+	if discard(rng, out, total, lo, 0, caps, false) {
+		return out, nil
 	}
 	// Proportional fallback: exact sum, respects caps by construction;
 	// repair entries below lo by stealing from the roomiest entries.
-	out := make([]float64, n)
 	for i := range out {
-		out[i] = total * cap[i] / capSum
+		out[i] = total * caps[i] / capSum
 	}
 	for i := range out {
 		if out[i] >= lo {
