@@ -146,7 +146,7 @@ func ablationSweep(b *testing.B, m int, algos []Algorithm) {
 func BenchmarkAblationFitKey(b *testing.B) {
 	t := EDFVD()
 	ablationSweep(b, 4, []Algorithm{
-		{Strategy: CAUDP(), Test: t},
+		{Strategy: mustStrategy("CA-UDP"), Test: t},
 		{Strategy: CAWuF(), Test: t},
 		{Strategy: CAFF(), Test: t},
 	})
@@ -168,8 +168,8 @@ func BenchmarkAblationSort(b *testing.B) {
 func BenchmarkAblationOrdering(b *testing.B) {
 	t := EDFVD()
 	algos := []Algorithm{
-		{Strategy: CAUDP(), Test: t},
-		{Strategy: CUUDP(), Test: t},
+		{Strategy: mustStrategy("CA-UDP"), Test: t},
+		{Strategy: mustStrategy("CU-UDP"), Test: t},
 	}
 	b.ReportAllocs()
 	var last ExperimentResult
@@ -190,8 +190,8 @@ func BenchmarkAblationOrdering(b *testing.B) {
 // AMC-max under the same CU-UDP strategy.
 func BenchmarkAblationAMCVariant(b *testing.B) {
 	ablationSweep(b, 2, []Algorithm{
-		{Strategy: CUUDP(), Test: AMCWith(AMCMax)},
-		{Strategy: CUUDP(), Test: AMCWith(AMCRtb)},
+		{Strategy: mustStrategy("CU-UDP"), Test: AMCWith(AMCMax)},
+		{Strategy: mustStrategy("CU-UDP"), Test: AMCWith(AMCRtb)},
 	})
 }
 
@@ -200,10 +200,10 @@ func BenchmarkAblationAMCVariant(b *testing.B) {
 // algorithm choices rely on.
 func BenchmarkAblationTestStrength(b *testing.B) {
 	ablationSweep(b, 2, []Algorithm{
-		{Strategy: CUUDP(), Test: ECDF()},
-		{Strategy: CUUDP(), Test: EY()},
-		{Strategy: CUUDP(), Test: EDFVD()},
-		{Strategy: CUUDP(), Test: AMC()},
+		{Strategy: mustStrategy("CU-UDP"), Test: ECDF()},
+		{Strategy: mustStrategy("CU-UDP"), Test: EY()},
+		{Strategy: mustStrategy("CU-UDP"), Test: EDFVD()},
+		{Strategy: mustStrategy("CU-UDP"), Test: AMC()},
 	})
 }
 
@@ -214,8 +214,8 @@ func BenchmarkAblationPriorityPolicy(b *testing.B) {
 	audsley := AMC()
 	dm := AMCDeadlineMonotonic()
 	ablationSweep(b, 2, []Algorithm{
-		{Strategy: CUUDP(), Test: audsley, Label: "CU-UDP-AMC-audsley"},
-		{Strategy: CUUDP(), Test: dm, Label: "CU-UDP-AMC-dm"},
+		{Strategy: mustStrategy("CU-UDP"), Test: audsley, Label: "CU-UDP-AMC-audsley"},
+		{Strategy: mustStrategy("CU-UDP"), Test: dm, Label: "CU-UDP-AMC-dm"},
 	})
 }
 
@@ -351,16 +351,11 @@ func admitTasks(b *testing.B, n int) TaskSet {
 }
 
 // benchAdmitSingle measures one admit+release cycle against a loaded
-// tenant. The admit/release pair makes every iteration revisit the same
-// candidate multisets, so with the verdict cache enabled (warm) the steady
-// state answers all analyses from the cache; cold disables the cache, so
-// every decision pays for fresh analyses.
+// tenant. warm runs the measured cycle once before the timer starts, so the
+// per-core analyzers have seen every candidate set already; cold starts the
+// timer on the freshly loaded tenant.
 func benchAdmitSingle(b *testing.B, warm bool) {
-	cfg := DefaultAdmissionConfig()
-	if !warm {
-		cfg.CacheCapacity = -1
-	}
-	ctrl := NewAdmissionController(cfg)
+	ctrl := NewAdmissionController(DefaultAdmissionConfig())
 	sys, err := ctrl.CreateSystem("bench", 8, EDFVD())
 	if err != nil {
 		b.Fatal(err)
@@ -395,92 +390,50 @@ func benchAdmitSingle(b *testing.B, warm bool) {
 	}
 }
 
-// BenchmarkAdmitSingleCold measures the admit hot path with every decision
-// paying for a fresh schedulability analysis.
+// BenchmarkAdmitSingleCold measures the admit hot path from a freshly loaded
+// tenant.
 func BenchmarkAdmitSingleCold(b *testing.B) { benchAdmitSingle(b, false) }
 
-// BenchmarkAdmitSingleWarm measures the same hot path answered by the
-// verdict cache — the steady state of probe-then-admit service traffic.
+// BenchmarkAdmitSingleWarm measures the same hot path with the analyzers'
+// memoized state in place — the steady state of service traffic.
 func BenchmarkAdmitSingleWarm(b *testing.B) { benchAdmitSingle(b, true) }
 
 // BenchmarkAdmitBatch64 measures an all-or-nothing 64-task batch admit
-// (plus the release that resets the tenant between iterations).
+// (plus the release that resets the tenant between iterations) under a
+// cheap closed-form test and an iterative one.
 func BenchmarkAdmitBatch64(b *testing.B) {
-	ctrl := NewAdmissionController(DefaultAdmissionConfig())
-	sys, err := ctrl.CreateSystem("bench", 8, EDFVD())
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := admitTasks(b, 64)
-	ids := make([]int, len(batch))
-	for i, t := range batch {
-		ids[i] = t.ID
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sys.AdmitBatch(batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Admitted {
-			if _, err := sys.Release(ids...); err != nil {
+	for _, test := range []Test{EDFVD(), AMC()} {
+		b.Run(test.Name(), func(b *testing.B) {
+			ctrl := NewAdmissionController(DefaultAdmissionConfig())
+			sys, err := ctrl.CreateSystem("bench", 8, test)
+			if err != nil {
 				b.Fatal(err)
 			}
-		}
+			batch := admitTasks(b, 64)
+			ids := make([]int, len(batch))
+			for i, t := range batch {
+				ids[i] = t.ID
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := sys.AdmitBatch(batch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Admitted {
+					if _, err := sys.Release(ids...); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 
 // ---------------------------------------------------------------------------
-// Batch-parallel analysis engine: parallel vs serial
+// Task-set-level parallelism of the experiment sweeps
 // ---------------------------------------------------------------------------
-
-// benchAdmitBatch64Analysis measures an all-or-nothing 64-task batch admit
-// with the verdict cache disabled, so every candidate-core probe pays for a
-// fresh analysis — the workload the parallel probe engine exists for. The
-// serial/parallel pair under the same test isolates the engine's effect;
-// decisions are bit-identical by construction, so only wall-clock differs.
-func benchAdmitBatch64Analysis(b *testing.B, test Test, workers int) {
-	ctrl := NewAdmissionController(AdmissionConfig{CacheCapacity: -1, Workers: workers})
-	sys, err := ctrl.CreateSystem("bench", 8, test)
-	if err != nil {
-		b.Fatal(err)
-	}
-	batch := admitTasks(b, 64)
-	ids := make([]int, len(batch))
-	for i, t := range batch {
-		ids[i] = t.ID
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sys.AdmitBatch(batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Admitted {
-			if _, err := sys.Release(ids...); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkAdmitBatch64Serial is the serial baseline of the admit hot path:
-// one goroutine scans the candidate cores of every placement.
-func BenchmarkAdmitBatch64Serial(b *testing.B) {
-	b.Run("EDF-VD", func(b *testing.B) { benchAdmitBatch64Analysis(b, EDFVD(), 1) })
-	b.Run("AMC", func(b *testing.B) { benchAdmitBatch64Analysis(b, AMC(), 1) })
-}
-
-// BenchmarkAdmitBatch64Parallel fans each placement's candidate probes
-// across GOMAXPROCS workers. The win scales with per-probe analysis cost
-// (AMC ≫ EDF-VD) and with GOMAXPROCS; on a single-CPU host it degenerates
-// to the serial scan plus scheduling overhead.
-func BenchmarkAdmitBatch64Parallel(b *testing.B) {
-	b.Run("EDF-VD", func(b *testing.B) { benchAdmitBatch64Analysis(b, EDFVD(), -1) })
-	b.Run("AMC", func(b *testing.B) { benchAdmitBatch64Analysis(b, AMC(), -1) })
-}
 
 // benchSweep runs one reduced acceptance-ratio sweep (the paper's Fig. 3
 // shape) with the given task-set parallelism.
@@ -491,7 +444,7 @@ func benchSweep(b *testing.B, workers int) {
 		_, err := RunExperiment(ExperimentConfig{
 			M: 4, PH: 0.5, SetsPerUB: benchSets, Seed: 2017,
 			UBMin: 0.5, UBMax: 0.99, Workers: workers,
-			Algorithms: []Algorithm{{Strategy: CUUDP(), Test: EDFVD()}},
+			Algorithms: []Algorithm{{Strategy: mustStrategy("CU-UDP"), Test: EDFVD()}},
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -503,35 +456,26 @@ func benchSweep(b *testing.B, workers int) {
 func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, 1) }
 
 // BenchmarkSweepParallel measures the same sweep fanned over GOMAXPROCS
-// workers via the batch-parallel engine; curves are identical to serial.
+// workers via parallel.Map; curves are identical to serial.
 func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
 
-// BenchmarkPartitionParallelAMC compares one full offline partitioning run
-// of CU-UDP-AMC on 8 cores with serial versus parallel candidate probing —
-// the offline counterpart of the admit-path benchmarks.
-func BenchmarkPartitionParallelAMC(b *testing.B) {
+// BenchmarkPartitionAMC measures one full offline partitioning run of
+// CU-UDP-AMC on 8 cores — the offline counterpart of the admit-path
+// benchmarks.
+func BenchmarkPartitionAMC(b *testing.B) {
 	ts := benchSet(b, 8, true)
-	test := AMC()
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, _ = CUUDP().Partition(ts, 8, test)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		s := Parallelize(CUUDP(), 0)
-		for i := 0; i < b.N; i++ {
-			_, _ = s.Partition(ts, 8, test)
-		}
-	})
+	strategy, test := mustStrategy("CU-UDP"), AMC()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, _ = strategy.Partition(ts, 8, test)
+	}
 }
 
 // BenchmarkSpeedupSurvey measures the empirical speed-up sweep that
 // accompanies the 8/3 theorem, and reports the observed mean and max
 // speeds for CU-UDP-EDF-VD.
 func BenchmarkSpeedupSurvey(b *testing.B) {
-	algo := Algorithm{Strategy: CUUDP(), Test: EDFVD()}
+	algo := Algorithm{Strategy: mustStrategy("CU-UDP"), Test: EDFVD()}
 	b.ReportAllocs()
 	var last SpeedupSurvey
 	for i := 0; i < b.N; i++ {

@@ -6,10 +6,7 @@
 // default the paper's utilization-difference order, or any registry name
 // from GET /v1/strategies per tenant ("placement" in the create request)
 // or daemon-wide (-placement) — with only the affected core re-analyzed
-// per decision.
-// Candidate-core probes fan out across the batch-parallel analysis engine
-// (-workers goroutines per decision, default GOMAXPROCS, 1 = serial);
-// decisions are bit-identical to the serial scan either way.
+// per decision, by that core's incremental analyzer.
 //
 // With -data-dir the daemon is durable: every committed transition is
 // appended to a per-tenant write-ahead journal before it is applied, the
@@ -33,7 +30,7 @@
 // daemon is such a follower: it applies replicated frames through the
 // verified replay path, rejects writes with 409, and becomes a fully
 // writable leader on POST /v1/promote — holding bit-identical partitions,
-// stats and a warm verdict cache. Replication lag is visible per follower
+// stats and warm per-core analyzers. Replication lag is visible per follower
 // and tenant in /v1/replication, /v1/stats and /metrics:
 //
 //	mcschedd -addr :8081 -data-dir /var/lib/mcschedd-standby -follow
@@ -43,8 +40,8 @@
 //
 // With -ops-addr the daemon serves an operational listener on a separate
 // address (opt-in, own port, never on the service address) carrying
-// Prometheus metrics, health/readiness probes and net/http/pprof; -pprof
-// is a deprecated alias. Readiness is role-aware: a follower answers 503
+// Prometheus metrics, health/readiness probes and net/http/pprof.
+// Readiness is role-aware: a follower answers 503
 // until promoted. Logs are structured (log/slog); -log-format json emits
 // machine-parseable lines, and every request carries a propagated
 // X-Request-Id that also appears in error logs:
@@ -77,7 +74,7 @@
 //	POST   /v1/systems/{id}/probe     same shapes, no commit
 //	POST   /v1/systems/{id}/release   release {"task_id":…} or {"task_ids":[…]}
 //	POST   /v1/systems/{id}/snapshot  force a journal snapshot + truncation
-//	GET    /v1/stats                  controller counters (admits, cache hits, journal, replication, …)
+//	GET    /v1/stats                  controller counters (admits, analyses, journal, replication, …)
 //	GET    /v1/replication            replication role + per-tenant positions / per-follower lag
 //	POST   /v1/replication/frame      apply one leader frame (follower mode only)
 //	POST   /v1/replication/stream     persistent leader frame stream (follower mode only)
@@ -104,7 +101,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -119,9 +115,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.Int("shards", 16, "tenant-map stripes")
-	cacheCap := flag.Int("cache", 4096, "verdict-cache capacity (0 = default, negative disables)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0),
-		"goroutines per decision for parallel candidate-core probing (1 = serial)")
 	placement := flag.String("placement", "",
 		`default placement heuristic for tenants created without an explicit one (see GET /v1/strategies; empty selects "`+mcsched.DefaultPlacement+`")`)
 	dataDir := flag.String("data-dir", "",
@@ -138,8 +131,6 @@ func main() {
 		"journaled events per tenant between automatic snapshots (negative disables; requires -data-dir)")
 	opsAddr := flag.String("ops-addr", "",
 		"serve /metrics, /healthz, /readyz and /debug/pprof on this address (e.g. localhost:6060); empty disables the ops listener")
-	pprofAddr := flag.String("pprof", "",
-		"deprecated alias for -ops-addr")
 	logFormat := flag.String("log-format", "text",
 		`structured log output format: "text" or "json"`)
 	replicateTo := flag.String("replicate-to", "",
@@ -195,18 +186,9 @@ func main() {
 	if *replicateTo != "" && *follow {
 		fatal("-replicate-to and -follow are mutually exclusive (chained replication is not supported)")
 	}
-	if *pprofAddr != "" {
-		if *opsAddr != "" && *opsAddr != *pprofAddr {
-			fatal("-pprof is a deprecated alias for -ops-addr; set only -ops-addr")
-		}
-		logger.Warn("-pprof is deprecated; use -ops-addr", "addr", *pprofAddr)
-		*opsAddr = *pprofAddr
-	}
 
 	ctrl := admission.NewController(admission.Config{
 		Shards:           *shards,
-		CacheCapacity:    *cacheCap,
-		Workers:          *workers,
 		Placement:        *placement,
 		DataDir:          *dataDir,
 		Fsync:            *fsync,

@@ -21,7 +21,6 @@ import (
 func newInstrumentedDaemon(t *testing.T, follower bool) (*httptest.Server, *httptest.Server, *admission.Controller) {
 	t.Helper()
 	cfg := admission.DefaultConfig()
-	cfg.Workers = -1
 	cfg.Follower = follower
 	ctrl := admission.NewController(cfg)
 	reg := obs.NewRegistry()

@@ -18,7 +18,6 @@ import (
 
 func journaledConfig(dir string) admission.Config {
 	cfg := admission.DefaultConfig()
-	cfg.Workers = -1
 	cfg.DataDir = dir
 	cfg.SnapshotEvery = 5 // small, so the test crosses snapshot boundaries
 	cfg.Tests = mcsched.TestByName

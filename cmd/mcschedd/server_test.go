@@ -16,11 +16,7 @@ import (
 
 func newTestDaemon(t *testing.T) *httptest.Server {
 	t.Helper()
-	// Workers mirrors the daemon's production default (parallel candidate
-	// probing), so the HTTP tests cover the engine path under -race.
-	cfg := admission.DefaultConfig()
-	cfg.Workers = -1
-	ts := httptest.NewServer(newServer(admission.NewController(cfg)))
+	ts := httptest.NewServer(newServer(admission.NewController(admission.DefaultConfig())))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -78,8 +74,8 @@ func TestDaemonLifecycle(t *testing.T) {
 	if st := call(t, "POST", d.URL+"/v1/systems/acme/admit", body, &admit); st != http.StatusOK {
 		t.Fatalf("admit: status %d", st)
 	}
-	if !admit.Admitted || admit.Core != 0 || admit.CacheHits == 0 {
-		t.Fatalf("admit after probe: %+v", admit)
+	if !admit.Admitted || admit.Core != 0 || admit.Tests == 0 || admit.Tests != probe.Tests {
+		t.Fatalf("admit after probe: %+v, probe %+v", admit, probe)
 	}
 
 	// Batch admit on the same tenant.
@@ -197,6 +193,53 @@ func TestDaemonDecodingErrors(t *testing.T) {
 	}
 	if st := call(t, "POST", d.URL+"/v1/systems/x/admit", ok, nil); st != http.StatusConflict {
 		t.Fatalf("resident duplicate: %d", st)
+	}
+}
+
+// TestTestsRunMatchesResponses is the handler-level half of the accounting
+// contract: the "tests" fields of every admit and probe response a client
+// saw — single, explained, batch — add up to /v1/stats' tests_run, and an
+// explained decision ran exactly one test per core in its trace.
+func TestTestsRunMatchesResponses(t *testing.T) {
+	d := newTestDaemon(t)
+	sum := 0
+	for i, test := range []string{"EDF-VD", "EY", "AMC-max"} {
+		base := fmt.Sprintf("%s/v1/systems/t%d", d.URL, i)
+		call(t, "POST", d.URL+"/v1/systems", fmt.Sprintf(`{"id":"t%d","processors":2,"test":%q}`, i, test), nil)
+		// Five u^H = 0.2 tasks per core fill both cores at the HI level; the
+		// rest of the stream is rejected after a scan of every core.
+		for id := 1; id <= 14; id++ {
+			body := fmt.Sprintf(`{"task":`+hcTask+`}`, id)
+			var probe admission.AdmitResult
+			if st := call(t, "POST", base+"/probe", body, &probe); st != http.StatusOK {
+				t.Fatalf("probe: status %d", st)
+			}
+			var admit explainResponse
+			if st := call(t, "POST", base+"/admit?explain=1", body, &admit); st != http.StatusOK {
+				t.Fatalf("admit: status %d", st)
+			}
+			if admit.Tests != len(admit.Trace.Cores) || probe.Tests != admit.Tests {
+				t.Fatalf("%s task %d: probe ran %d tests, admit %d, over a scan of %d cores",
+					test, id, probe.Tests, admit.Tests, len(admit.Trace.Cores))
+			}
+			sum += probe.Tests + admit.Tests
+		}
+		var batch admission.BatchResult
+		bb := fmt.Sprintf(`{"tasks":[`+hcTask+`,`+hcTask+`]}`, 101, 102)
+		if st := call(t, "POST", base+"/probe", bb, &batch); st != http.StatusOK {
+			t.Fatalf("batch probe: status %d", st)
+		}
+		sum += batch.Tests
+	}
+	var stats admission.Stats
+	if st := call(t, "GET", d.URL+"/v1/stats", "", &stats); st != http.StatusOK {
+		t.Fatalf("stats: status %d", st)
+	}
+	if stats.Rejects == 0 {
+		t.Error("stream rejected nothing; full-scan decisions not covered")
+	}
+	if sum == 0 || stats.TestsRun != uint64(sum) {
+		t.Errorf("tests_run = %d, responses sum to %d", stats.TestsRun, sum)
 	}
 }
 

@@ -27,13 +27,8 @@
 //   - an online admission-control subsystem (AdmissionController) that
 //     keeps live per-core partitions for many tenants and admits, probes
 //     and releases tasks at runtime using the paper's utilization-
-//     difference placement order, re-analyzing only the affected core and
-//     memoizing verdicts in a task-multiset-keyed cache;
-//   - a batch-parallel analysis engine that fans candidate-core
-//     schedulability probes across worker goroutines — offline via
-//     Parallelize, online via AdmissionConfig.Workers, and across task
-//     sets in the experiment runners — with results bit-identical to the
-//     serial path.
+//     difference placement order, re-analyzing only the affected core
+//     with that core's incremental analyzer.
 //
 // This root package is a stable facade: it re-exports the types and
 // functions a downstream user needs, while the implementation lives in
@@ -61,8 +56,8 @@
 // heuristics are all resolved by name: StrategyByName/Strategies,
 // TestByName/Tests and PlacementByName/Placements. Names are stable wire
 // strings — they appear in journals, replication frames and the HTTP API —
-// so prefer them over the loose constructors. The CAUDP and CUUDP
-// constructor pairs are deprecated: replace
+// so prefer them over the loose constructors. The deprecated CAUDP and
+// CUUDP constructors have been removed; replace
 //
 //	mcsched.CAUDP()   →  s, _ := mcsched.StrategyByName("CA-UDP")
 //	mcsched.CUUDP()   →  s, _ := mcsched.StrategyByName("CU-UDP")

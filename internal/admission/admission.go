@@ -11,22 +11,15 @@
 // leaves all state untouched; a released task frees its core with no
 // re-analysis, because all four tests are sustainable under task removal.
 //
-// Verdicts are memoized in a sharded LRU keyed by a task-multiset hash, so
-// repeated admit/probe traffic over the same candidate sets (the common
-// probe-then-admit pattern, and churn that revisits recent states) skips
-// re-analysis entirely. Tenant state is striped across mutex-guarded
-// shards; the controller is safe for heavy concurrent use and is the
-// engine behind the cmd/mcschedd daemon.
-//
-// With Config.Workers > 1 the candidate-core probes of each decision fan
-// out across the batch-parallel analysis engine
-// (internal/analysis/parallel): the cores of one placement are analyzed
-// concurrently in scan-order chunks, so decisions — single admits and every
-// step of a batch — remain bit-identical to the serial scan while the
-// expensive analyses (AMC response-time iteration in particular) overlap.
-// Concurrent identical analyses, whether from one parallel scan or from
-// independent tenants, are deduplicated single-flight through the verdict
-// cache: one goroutine runs the analysis, the rest wait for its verdict.
+// There is one probe path. A decision takes the tenant lock, asks the
+// tenant's placer for the candidate order and walks it serially; each probe
+// builds the candidate set of one core and hands it to that core's
+// incremental analyzer (internal/analysis/kernel), which keeps whatever it
+// can reuse from the core's previous analyses. The only thing between the
+// two is a counting decorator, so Stats.TestsRun, the sum of the responses'
+// Tests fields and the number of analyses run are the same number. Tenant
+// state is striped across mutex-guarded shards; the controller is safe for
+// heavy concurrent use and is the engine behind the cmd/mcschedd daemon.
 //
 // With Config.DataDir the controller is event-sourced and durable: every
 // committed transition (create-system, admit, admit-batch, release) is
@@ -35,7 +28,7 @@
 // Periodic snapshots truncate the journals; Recover rebuilds all tenants
 // after a restart by restoring the latest snapshot and replaying the
 // remaining events through the live placement path, verifying every
-// recorded decision and warming the verdict cache as it goes.
+// recorded decision as it goes.
 package admission
 
 import (
@@ -48,7 +41,6 @@ import (
 	"time"
 
 	"mcsched/internal/analysis/kernel"
-	"mcsched/internal/analysis/parallel"
 	"mcsched/internal/core"
 	"mcsched/internal/journal"
 	"mcsched/internal/mcsio"
@@ -60,10 +52,6 @@ type Config struct {
 	// Shards is the number of stripes of the tenant map; more stripes,
 	// less create/lookup contention. Defaults to 16.
 	Shards int
-	// CacheCapacity is the total number of memoized schedulability
-	// verdicts kept across all cache stripes. 0 selects the default
-	// (4096); negative disables caching.
-	CacheCapacity int
 	// Placement names the default placement heuristic of tenants created
 	// without an explicit one (CreateSystem, and create requests with an
 	// empty placement field). Empty selects core.DefaultPlacement, the
@@ -71,14 +59,11 @@ type Config struct {
 	// (core.PlacerByName) is valid, including "<name>@<limit>" per-core
 	// utilization caps. CreateSystem fails closed on unknown names.
 	Placement string
-	// Workers is the number of goroutines the candidate-core probes of one
-	// admit/probe decision fan out across. 0 or 1 scans serially; negative
-	// selects GOMAXPROCS. Parallel probing returns bit-identical decisions
-	// (the worst-fit/first-fit scan order is preserved and identical
-	// concurrent analyses are deduplicated single-flight); it pays off when
-	// the per-core analyses are expensive — AMC and ECDF in particular —
-	// or core counts are large, and costs goroutine overhead when they are
-	// cheap (EDF-VD).
+	// Workers selected the parallel probe engine's width until that engine
+	// was deleted; the field remains only because cmd/mcload still assigns
+	// it.
+	//
+	// Deprecated: ignored.
 	Workers int
 
 	// DataDir turns on event-sourced durability: every committed state
@@ -149,16 +134,12 @@ type Hooks struct {
 	Removed func(tenant string)
 }
 
-// DefaultConfig returns the production defaults. Probing stays serial by
-// default; the mcschedd daemon turns parallel probing on explicitly.
-func DefaultConfig() Config { return Config{Shards: 16, CacheCapacity: 4096} }
+// DefaultConfig returns the production defaults.
+func DefaultConfig() Config { return Config{Shards: 16} }
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 16
-	}
-	if c.CacheCapacity == 0 {
-		c.CacheCapacity = 4096
 	}
 	return c
 }
@@ -171,26 +152,12 @@ func (c Config) codec() mcsio.Codec {
 	return c.JournalCodec
 }
 
-// engine returns the probe engine the configuration selects, or nil for the
-// serial scan.
-func (c Config) engine() *parallel.Engine {
-	switch {
-	case c.Workers == 0 || c.Workers == 1:
-		return nil
-	case c.Workers < 0:
-		return parallel.New(0) // GOMAXPROCS
-	default:
-		return parallel.New(c.Workers)
-	}
-}
-
 // counters holds the controller-wide counters as obs instruments. Systems
 // bump them directly; Stats() and the metrics registry (EnableMetrics) read
 // the very same instruments, so /v1/stats and /metrics cannot drift.
 type counters struct {
 	admits, rejects, probes, releases obs.Counter
-	testsRun, cacheHits, dedups       obs.Counter
-	simulations                       obs.Counter
+	testsRun, simulations             obs.Counter
 }
 
 // tenantShard is one stripe of the tenant map.
@@ -199,15 +166,13 @@ type tenantShard struct {
 	m  map[string]*System
 }
 
-// Controller owns the tenant systems, the shared verdict cache and the
-// shared probe engine. With Config.DataDir it also owns the per-tenant
-// write-ahead journals: mutations commit through them and Recover rebuilds
-// every tenant after a restart.
+// Controller owns the tenant systems and their shared counters. With
+// Config.DataDir it also owns the per-tenant write-ahead journals:
+// mutations commit through them and Recover rebuilds every tenant after a
+// restart.
 type Controller struct {
 	cfg    Config
 	shards []tenantShard
-	cache  *verdictCache
-	engine *parallel.Engine // nil = serial candidate probing
 	stats  counters
 	nextID uint64
 
@@ -248,8 +213,6 @@ func NewController(cfg Config) *Controller {
 	c := &Controller{
 		cfg:    cfg,
 		shards: make([]tenantShard, cfg.Shards),
-		cache:  newVerdictCache(cfg.CacheCapacity, cfg.Shards),
-		engine: cfg.engine(),
 	}
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*System)
@@ -355,10 +318,10 @@ func resolvePlacement(name string) (core.Placer, error) {
 	return p, nil
 }
 
-// newTenant builds a System wired to the controller's shared cache, probe
-// engine, role flag and replication hooks.
+// newTenant builds a System wired to the controller's counters, role flag
+// and replication hooks.
 func (c *Controller) newTenant(id string, m int, test core.Test, placer core.Placer) *System {
-	sys := newSystem(id, m, test, placer, c.cache, &c.stats, proberOrNil(c.engine))
+	sys := newSystem(id, m, test, placer, &c.stats)
 	sys.follower = &c.follower
 	sys.hooks = &c.hooks
 	sys.metrics = &c.metrics
@@ -524,9 +487,6 @@ func (c *Controller) Stats() Stats {
 		Probes:      c.stats.probes.Value(),
 		Releases:    c.stats.releases.Value(),
 		TestsRun:    c.stats.testsRun.Value(),
-		CacheHits:   c.stats.cacheHits.Value(),
-		Dedups:      c.stats.dedups.Value(),
-		CacheSize:   c.cache.len(),
 		Simulations: c.stats.simulations.Value(),
 	}
 	systems := c.allSystems()
@@ -570,13 +530,4 @@ func RoleName(follower bool) string {
 		return "follower"
 	}
 	return "leader"
-}
-
-// proberOrNil converts a possibly-nil *parallel.Engine into a core.Prober
-// without producing a typed-nil interface.
-func proberOrNil(e *parallel.Engine) core.Prober {
-	if e == nil {
-		return nil
-	}
-	return e
 }

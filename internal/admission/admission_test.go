@@ -3,12 +3,14 @@ package admission
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"mcsched/internal/analysis/edfvd"
 	"mcsched/internal/core"
 	"mcsched/internal/mcs"
+	"mcsched/internal/taskgen"
 )
 
 // lc and hc build small tasks with round utilizations.
@@ -156,14 +158,11 @@ func TestProbeDoesNotCommit(t *testing.T) {
 	if n := sys.NumTasks(); n != 0 {
 		t.Fatalf("probe committed: %d tasks", n)
 	}
-	// Probe then admit of the same task hits the cache: the admit decision
-	// re-judges the identical candidate multiset.
+	// The admit that follows re-judges the identical candidate set and must
+	// agree with the probe, core included.
 	ra, err := sys.Admit(hc(1, 2, 5, 10))
-	if err != nil || !ra.Admitted {
-		t.Fatalf("admit after probe: %+v %v", ra, err)
-	}
-	if ra.CacheHits == 0 {
-		t.Errorf("admit after probe missed the cache: %+v", ra)
+	if err != nil || !ra.Admitted || ra.Core != r.Core {
+		t.Fatalf("admit after probe: %+v %v, probe said %+v", ra, err, r)
 	}
 }
 
@@ -244,79 +243,67 @@ func TestProbeBatchDoesNotCommit(t *testing.T) {
 	}
 }
 
-func TestVerdictCacheWarmsAndCounts(t *testing.T) {
+// TestTestsRunMatchesResponses holds the analysis accounting to one number:
+// every response's Tests is the number of probes its decision made (an
+// explained decision shows them), a batch's Tests is the sum of its
+// entries', and Stats.TestsRun is exactly the sum over all responses.
+func TestTestsRunMatchesResponses(t *testing.T) {
 	c := newTestController()
-	sys := mustSystem(t, c, "a", 2)
-	task := hc(1, 2, 4, 10)
-	r1, _ := sys.Probe(task)
-	if r1.Tests == 0 || r1.CacheHits != 0 {
-		t.Fatalf("cold probe: %+v", r1)
+	rng := rand.New(rand.NewSource(15))
+	sum := 0
+	for i, test := range allTests() {
+		sys, err := c.CreateSystem(fmt.Sprintf("t%d", i), 4, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := taskgen.DefaultConfig(4, 0.5, 0.3, 0.4)
+		gen.Constrained = test.Name() != "EDF-VD"
+		nextID := 0
+		for round := 0; round < 4; round++ {
+			ts, err := taskgen.Generate(rng, gen)
+			if err != nil {
+				continue
+			}
+			for j := range ts {
+				ts[j].ID = nextID
+				nextID++
+			}
+			for _, f := range []func(mcs.TaskSet) (BatchResult, error){sys.ProbeBatch, sys.AdmitBatch} {
+				br, err := f(ts[:3])
+				if err != nil {
+					t.Fatal(err)
+				}
+				entries := 0
+				for _, r := range br.Results {
+					entries += r.Tests
+				}
+				if br.Tests != entries {
+					t.Fatalf("%s: batch tests %d, entries sum to %d", test.Name(), br.Tests, entries)
+				}
+				sum += br.Tests
+			}
+			for _, task := range ts[3:] {
+				probe, err := sys.Probe(task)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, trace, err := sys.AdmitExplain(task)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Tests != len(trace.Cores) || probe.Tests != res.Tests {
+					t.Fatalf("%s: probe ran %d tests, admit %d, over a scan of %d cores",
+						test.Name(), probe.Tests, res.Tests, len(trace.Cores))
+				}
+				sum += probe.Tests + res.Tests
+			}
+		}
 	}
-	r2, _ := sys.Probe(task)
-	if r2.CacheHits == 0 || r2.Tests != 0 {
-		t.Fatalf("warm probe: %+v", r2)
+	if sum == 0 {
+		t.Fatal("churn ran no analyses")
 	}
-	// A second tenant with the same test shares the cache.
-	sys2 := mustSystem(t, c, "b", 2)
-	r3, _ := sys2.Probe(task)
-	if r3.CacheHits == 0 {
-		t.Fatalf("cross-tenant probe missed: %+v", r3)
-	}
-	st := c.Stats()
-	if st.CacheHits == 0 || st.TestsRun == 0 || st.CacheSize == 0 {
-		t.Errorf("stats: %+v", st)
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	c := NewController(Config{CacheCapacity: -1})
-	sys := mustSystem(t, c, "a", 1)
-	task := lc(1, 1, 10)
-	sys.Probe(task)
-	r, _ := sys.Probe(task)
-	if r.CacheHits != 0 || r.Tests == 0 {
-		t.Fatalf("disabled cache produced hits: %+v", r)
-	}
-	if st := c.Stats(); st.CacheSize != 0 {
-		t.Errorf("disabled cache has size %d", st.CacheSize)
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	cache := newVerdictCache(8, 2)
-	for i := 0; i < 100; i++ {
-		k := cacheKey{test: "T", set: setKey{sum: uint64(i), xor: uint64(i), n: 1}}
-		cache.store(k, true)
-	}
-	if n := cache.len(); n > 8 {
-		t.Errorf("cache grew past capacity: %d", n)
-	}
-}
-
-func TestSetKeyOrderIndependent(t *testing.T) {
-	cache := newVerdictCache(8, 1)
-	a := mcs.TaskSet{hc(1, 2, 4, 10), lc(2, 3, 12), hc(3, 1, 1, 7)}
-	b := mcs.TaskSet{a[2], a[0], a[1]}
-	if cache.keyOf(a) != cache.keyOf(b) {
-		t.Error("permutation changed the multiset key")
-	}
-	// IDs do not affect the key; parameters do.
-	c := a.Clone()
-	c[0].ID = 99
-	if cache.keyOf(a) != cache.keyOf(c) {
-		t.Error("task ID leaked into the multiset key")
-	}
-	d := a.Clone()
-	d[0].Period = 11
-	d[0].Deadline = 11
-	if cache.keyOf(a) == cache.keyOf(d) {
-		t.Error("parameter change kept the multiset key")
-	}
-	// Keys are salted per cache: another cache derives different keys, so
-	// clients cannot precompute cross-controller collisions.
-	other := newVerdictCache(8, 1)
-	if other.seed != cache.seed && other.keyOf(a) == cache.keyOf(a) {
-		t.Error("distinct seeds produced identical keys")
+	if got := c.Stats().TestsRun; got != uint64(sum) {
+		t.Errorf("Stats.TestsRun = %d, responses sum to %d", got, sum)
 	}
 }
 
@@ -391,4 +378,60 @@ func TestConcurrentTenants(t *testing.T) {
 	}
 }
 
-var _ core.Test = (*cachedTest)(nil)
+// TestParallelConcurrentTenants hammers one controller from many goroutines
+// across several tenants with generated task sets — the daemon's traffic
+// shape — to give the race detector surface over the tenant locks, the
+// per-core analyzers and the shared counters.
+func TestParallelConcurrentTenants(t *testing.T) {
+	ctrl := newTestController()
+	const tenants = 4
+	for i := 0; i < tenants; i++ {
+		if _, err := ctrl.CreateSystem(fmt.Sprintf("t%d", i), 4, allTests()[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			cfg := taskgen.DefaultConfig(4, 0.4, 0.3, 0.3)
+			sys, err := ctrl.System(fmt.Sprintf("t%d", g%tenants))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for round := 0; round < 3; round++ {
+				ts, err := taskgen.Generate(rng, cfg)
+				if err != nil {
+					continue
+				}
+				for i := range ts {
+					ts[i].ID = g*100000 + round*1000 + i
+				}
+				for _, task := range ts {
+					sys.Probe(task)
+					res, err := sys.Admit(task)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if res.Admitted && task.ID%2 == 0 {
+						if _, err := sys.Release(task.ID); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := ctrl.Stats()
+	if st.TestsRun == 0 {
+		t.Errorf("no analyses ran: %+v", st)
+	}
+}
+
+var _ core.Test = (*countedTest)(nil)

@@ -5,8 +5,8 @@ package admission
 // tenants: replicated journal records append to the local per-tenant
 // write-ahead logs (so the follower is durable in its own right) and apply
 // through the same verified replay path recovery uses — every recorded
-// decision is re-placed and checked against the leader's, and the analyses
-// warm the local verdict cache. Writes are rejected with ErrFollower until
+// decision is re-placed and checked against the leader's, which also warms
+// the replica's per-core analyzers. Writes are rejected with ErrFollower until
 // Promote, after which the controller serves exactly as if it had
 // Recovered from the leader's journal.
 //

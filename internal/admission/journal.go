@@ -6,7 +6,7 @@ package admission
 // as a typed versioned event (internal/mcsio), appended to the tenant's
 // write-ahead journal (internal/journal), and only then applied. Recovery
 // replays the journal through the same placement code path the live
-// controller uses, which both warms the shared verdict cache and lets
+// controller uses, which both warms the per-core analyzers and lets
 // replay verify that every recorded decision is reproduced bit-for-bit;
 // any divergence fails recovery closed instead of serving a partition the
 // journal does not describe.
@@ -378,9 +378,8 @@ type RecoveryStats struct {
 
 // Recover reconstructs every tenant found under Config.DataDir: the latest
 // snapshot (if any) restores the partition directly, and the remaining
-// journal events replay through the live placement path — warming the
-// shared verdict cache — with every recorded decision verified against the
-// re-computed one. Call it once, after NewController and before serving
+// journal events replay through the live placement path with every
+// recorded decision verified against the re-computed one. Call it once, after NewController and before serving
 // traffic. Without a data directory it is a no-op.
 func (c *Controller) Recover() (RecoveryStats, error) {
 	var rs RecoveryStats
@@ -606,8 +605,8 @@ func (s *System) applyEvent(e mcsio.EventJSON) error {
 
 // verifyReplayedAdmit re-runs the UDP placement for a recorded admit and
 // checks the decision matches the recorded core, committing nothing. The
-// analyses it runs go through the shared verdict cache, so replay leaves
-// the cache warm for post-recovery (or post-promotion) traffic.
+// analyses it runs are counted in TestsRun like any other and leave the
+// per-core analyzers warm for post-recovery (or post-promotion) traffic.
 func (s *System) verifyReplayedAdmit(t mcs.Task, core int) error {
 	if err := s.validateIncoming(t); err != nil {
 		return fmt.Errorf("%w: %v", ErrReplayDivergence, err)

@@ -32,10 +32,6 @@ func (c *Controller) EnableMetrics(r *obs.Registry) {
 		"Tasks released.")
 	r.AttachCounter(&c.stats.testsRun, "mcsched_admission_tests_run_total",
 		"Uniprocessor schedulability analyses actually executed.")
-	r.AttachCounter(&c.stats.cacheHits, "mcsched_admission_verdict_cache_hits_total",
-		"Analyses answered from the shared verdict cache.")
-	r.AttachCounter(&c.stats.dedups, "mcsched_admission_verdict_cache_dedups_total",
-		"Analyses answered by waiting on an identical in-flight analysis.")
 	r.AttachCounter(&c.stats.simulations, "mcsched_admission_simulations_total",
 		"Read-only what-if simulations executed against live tenants.")
 
@@ -52,9 +48,6 @@ func (c *Controller) EnableMetrics(r *obs.Registry) {
 			}
 			return float64(n)
 		})
-	r.GaugeFunc("mcsched_admission_verdict_cache_size",
-		"Memoized schedulability verdicts currently cached.",
-		func() float64 { return float64(c.cache.len()) })
 	r.GaugeFunc("mcsched_admission_follower",
 		"1 while the controller is a warm-standby follower rejecting writes, 0 as leader.",
 		func() float64 {

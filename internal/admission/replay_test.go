@@ -5,8 +5,7 @@ package admission
 // These tests drive random admit/probe/release/batch sequences across all
 // four schedulability tests, recover a second controller from the same
 // data directory, and require partitions, per-core float aggregates,
-// committed-transition stats and all future verdicts to be bit-identical —
-// the durability analogue of TestSerialParallelEquivalence*.
+// committed-transition stats and all future verdicts to be bit-identical.
 
 import (
 	"fmt"
@@ -144,11 +143,11 @@ func TestReplayEquivalenceRandomSequences(t *testing.T) {
 					recStats.Systems != liveStats.Systems || recStats.Tasks != liveStats.Tasks {
 					t.Fatalf("stats diverged:\nlive      %+v\nrecovered %+v", liveStats, recStats)
 				}
-				// Replay went through the live analysis path: the verdict
-				// cache is warm (snapshot-only recovery may skip analyses,
-				// so only require it when events were replayed).
-				if rs.Events > 1 && recStats.TestsRun+recStats.CacheHits == 0 {
-					t.Errorf("replay of %d events ran no analyses — cache cannot be warm", rs.Events)
+				// Replay went through the live analysis path (snapshot-only
+				// recovery may skip analyses, so only require it when
+				// events were replayed).
+				if rs.Events > 1 && recStats.TestsRun == 0 {
+					t.Errorf("replay of %d events ran no analyses — recorded decisions were not verified", rs.Events)
 				}
 				// Every future verdict identical: probe a fresh battery on
 				// both controllers.
@@ -220,8 +219,7 @@ func TestReplayEquivalenceJournalingTransparent(t *testing.T) {
 					if (errA == nil) != (errB == nil) {
 						t.Fatalf("error divergence: %v vs %v", errA, errB)
 					}
-					if ra.Admitted != rb.Admitted || ra.Core != rb.Core ||
-						ra.Tests != rb.Tests || ra.CacheHits != rb.CacheHits {
+					if ra.Admitted != rb.Admitted || ra.Core != rb.Core || ra.Tests != rb.Tests {
 						t.Fatalf("journaling changed a decision on %v:\njournaled %+v\nplain     %+v", task, ra, rb)
 					}
 					if task.ID%4 == 0 && ra.Admitted {

@@ -32,15 +32,9 @@ type AdmitResult struct {
 	Core int `json:"core"`
 	// Probed is true when the decision did not commit state.
 	Probed bool `json:"probed,omitempty"`
-	// Tests is the number of uniprocessor analyses this decision ran.
+	// Tests is the number of uniprocessor analyses this decision ran: one
+	// per candidate core it probed.
 	Tests int `json:"tests"`
-	// CacheHits is the number of analyses answered from the verdict cache
-	// instead of being run.
-	CacheHits int `json:"cache_hits"`
-	// Shared is the number of analyses answered by waiting on an identical
-	// analysis already in flight (single-flight dedup); only parallel
-	// probing (Config.Workers > 1) or concurrent tenants produce them.
-	Shared int `json:"shared,omitempty"`
 	// Reason explains a rejection in human terms; empty when admitted.
 	Reason string `json:"reason,omitempty"`
 }
@@ -54,11 +48,8 @@ type BatchResult struct {
 	// (decreasing level utilization, the paper's sorting rule). On a
 	// rejected batch, entries after the first misfit are absent.
 	Results []AdmitResult `json:"results"`
-	// Tests, CacheHits and Shared aggregate the analysis accounting over
-	// the batch.
-	Tests     int `json:"tests"`
-	CacheHits int `json:"cache_hits"`
-	Shared    int `json:"shared,omitempty"`
+	// Tests is the sum of the entries' Tests.
+	Tests int `json:"tests"`
 }
 
 // Stats is a point-in-time snapshot of the controller's counters.
@@ -76,13 +67,11 @@ type Stats struct {
 	Rejects  uint64 `json:"rejects"`
 	Probes   uint64 `json:"probes"`
 	Releases uint64 `json:"releases"`
-	// TestsRun counts uniprocessor analyses actually executed; CacheHits
-	// counts analyses answered by the verdict cache; Dedups counts analyses
-	// answered by waiting on an identical in-flight analysis (single-flight
-	// dedup under parallel probing). Their sum is the total analysis demand.
-	TestsRun  uint64 `json:"tests_run"`
-	CacheHits uint64 `json:"cache_hits"`
-	Dedups    uint64 `json:"dedups"`
+	// TestsRun counts uniprocessor analyses executed: exactly the sum of
+	// the Tests fields of every admit and probe response so far, plus the
+	// analyses journal replay ran to verify recorded decisions (recovery
+	// and follower apply answer no request).
+	TestsRun uint64 `json:"tests_run"`
 	// The analyzer fast-path counters break TestsRun down by how the
 	// per-core analysis engines resolved the analyses that did run,
 	// aggregated over the live tenants (a removed tenant takes its tallies
@@ -112,8 +101,6 @@ type Stats struct {
 	// Simulations counts read-only what-if simulations executed against
 	// live tenants.
 	Simulations uint64 `json:"simulations"`
-	// CacheSize is the current number of cached verdicts.
-	CacheSize int `json:"cache_size"`
 	// Journal aggregates the per-tenant write-ahead-journal counters;
 	// zero-valued (Enabled false) when the controller runs without a data
 	// directory.

@@ -34,7 +34,7 @@ type System struct {
 
 	mu       sync.Mutex
 	asn      *core.Assigner
-	ct       *cachedTest
+	ct       *countedTest
 	resident map[int]bool // task IDs currently placed
 	// placer is the tenant's placement heuristic (immutable after
 	// creation): it ranks the candidate cores of every decision. The
@@ -81,125 +81,55 @@ type System struct {
 	relScratch []int
 }
 
-// cachedTest adapts a core.Test with the controller's shared verdict cache
-// and single-flight dedup. The per-request tally fields are atomics because
-// a parallel prober invokes Schedulable from several goroutines within one
-// decision; the global counters are atomics on the controller.
-type cachedTest struct {
+// countedTest is the one thing between a tenant's assigner and its per-core
+// analyzers: a decorator that counts every analysis, once into the
+// controller-wide TestsRun and once into the tally of the decision in
+// progress. All probes of a decision run serially under the tenant lock, so
+// the tally is a plain int guarded by System.mu.
+type countedTest struct {
 	inner core.Test
-	// name caches inner.Name() — some tests build their name, and the probe
-	// hot path keys the cache on it per call.
-	name    string
-	innerFn func(mcs.TaskSet) bool // bound inner.Schedulable
-	cache   *verdictCache
-	stats   *counters
-	// tallyTests, tallyHits and tallyShared accumulate per-request
-	// accounting between resetTally/readTally calls.
-	tallyTests, tallyHits, tallyShared atomic.Int64
+	// name caches inner.Name() — some tests build their name, and every
+	// journal append and rejection names the test.
+	name  string
+	stats *counters
+	// tests counts analyses since the decision in progress zeroed it.
+	tests int
 }
 
 // Name implements core.Test.
-func (t *cachedTest) Name() string { return t.name }
+func (t *countedTest) Name() string { return t.name }
 
 // Unwrap implements core.Unwrapper, exposing the analysis family to the
 // assigner so it can build incremental per-core analyzers beneath the
-// cache.
-func (t *cachedTest) Unwrap() core.Test { return t.inner }
+// counter.
+func (t *countedTest) Unwrap() core.Test { return t.inner }
 
-// Schedulable implements core.Test with the stateless analysis as the
-// cache-miss path. The assigner's probes use Memoize instead, with the
-// candidate core's analyzer as the miss path.
-func (t *cachedTest) Schedulable(ts mcs.TaskSet) bool {
-	return t.Memoize(ts, t.innerFn)
+// Schedulable implements core.Test with the stateless analysis. The
+// assigner's probes use Memoize instead, with the candidate core's analyzer
+// as compute.
+func (t *countedTest) Schedulable(ts mcs.TaskSet) bool {
+	return t.Memoize(ts, t.inner.Schedulable)
 }
 
-// Memoize implements core.Memoizer. With a cache, the decision goes through
-// the single-flight path: a cached verdict is a hit, a concurrent identical
-// analysis is waited on (shared), and otherwise compute runs here. It is
-// safe for concurrent invocation, which parallel candidate probing relies
-// on.
-func (t *cachedTest) Memoize(ts mcs.TaskSet, compute func(mcs.TaskSet) bool) bool {
-	if t.cache == nil {
-		t.tallyTests.Add(1)
-		t.stats.testsRun.Inc()
-		return compute(ts)
-	}
-	k := cacheKey{test: t.name, set: t.cache.keyOf(ts)}
-	ok, outcome := t.cache.doTask(k, ts, compute)
-	t.tallyOutcome(outcome)
-	return ok
-}
-
-// TaskKey implements core.KeyedMemoizer: one task's contribution to the
-// multiset fingerprint, under the shared cache's seed.
-func (t *cachedTest) TaskKey(task mcs.Task) uint64 {
-	if t.cache == nil {
-		return 0
-	}
-	return taskHash(t.cache.seed, task)
-}
-
-// MemoizeKeyed implements core.KeyedMemoizer: the caller folded the
-// candidate multiset's fingerprint incrementally (per-core key plus the
-// incoming task), so a cache hit involves no per-task hashing and no
-// candidate materialization at all; build and compute run only for flight
-// leaders. The fold is exactly keyOf's (same per-task hashes, same
-// commutative combiners), so keyed and unkeyed probes address the same
-// cache entries.
-func (t *cachedTest) MemoizeKeyed(key core.MultisetKey, build func() mcs.TaskSet, compute func(mcs.TaskSet) bool) bool {
-	if t.cache == nil {
-		t.tallyTests.Add(1)
-		t.stats.testsRun.Inc()
-		return compute(build())
-	}
-	k := cacheKey{test: t.name, set: setKey{sum: key.Sum, xor: key.Xor, n: key.N}}
-	ok, outcome := t.cache.doBuild(k, build, compute)
-	t.tallyOutcome(outcome)
-	return ok
-}
-
-// tallyOutcome books one single-flight outcome into the per-request tally
-// and the controller counters.
-func (t *cachedTest) tallyOutcome(outcome int) {
-	switch outcome {
-	case flightRan:
-		t.tallyTests.Add(1)
-		t.stats.testsRun.Inc()
-	case flightHit:
-		t.tallyHits.Add(1)
-		t.stats.cacheHits.Inc()
-	case flightShared:
-		t.tallyShared.Add(1)
-		t.stats.dedups.Inc()
-	}
-}
-
-func (t *cachedTest) resetTally() {
-	t.tallyTests.Store(0)
-	t.tallyHits.Store(0)
-	t.tallyShared.Store(0)
-}
-
-func (t *cachedTest) readTally() (tests, hits, shared int) {
-	return int(t.tallyTests.Load()), int(t.tallyHits.Load()), int(t.tallyShared.Load())
+// Memoize implements core.Memoizer: count, then run the analysis.
+func (t *countedTest) Memoize(ts mcs.TaskSet, compute func(mcs.TaskSet) bool) bool {
+	t.tests++
+	t.stats.testsRun.Inc()
+	return compute(ts)
 }
 
 // newSystem wires a tenant over m cores judged by test and packed by
-// placer (nil selects the default UDP heuristic), sharing the controller's
-// verdict cache, counters and probe engine.
-func newSystem(id string, m int, test core.Test, placer core.Placer, cache *verdictCache, stats *counters, prober core.Prober) *System {
-	ct := &cachedTest{inner: test, name: test.Name(), innerFn: test.Schedulable, cache: cache, stats: stats}
-	asn := core.NewAssigner(m, ct)
-	if prober != nil {
-		asn.SetProber(prober)
-	}
+// placer (nil selects the default UDP heuristic), counting into the
+// controller's stats.
+func newSystem(id string, m int, test core.Test, placer core.Placer, stats *counters) *System {
+	ct := &countedTest{inner: test, name: test.Name(), stats: stats}
 	if placer == nil {
 		placer, _ = core.PlacerByName(core.DefaultPlacement)
 	}
 	return &System{
 		id:           id,
 		rejectReason: "task fits on no core under " + ct.name,
-		asn:          asn,
+		asn:          core.NewAssigner(m, ct),
 		ct:           ct,
 		placer:       placer,
 		resident:     make(map[int]bool),
@@ -316,10 +246,7 @@ func (s *System) validateIncoming(t mcs.Task) error {
 // committing anything: the tenant's placer ranks (and may prune) the
 // candidate cores — worst-fit by utilization difference for HC tasks and
 // first-fit for LC tasks under the default UDP heuristic — and only the
-// candidate core's task set is re-analyzed. The candidate probes go
-// through the assigner's prober, so with a parallel engine configured they
-// fan out across worker goroutines — the chosen core is identical to a
-// serial scan either way. Caller holds s.mu.
+// candidate core's task set is re-analyzed. Caller holds s.mu.
 func (s *System) place(t mcs.Task) AdmitResult {
 	res := AdmitResult{TaskID: t.ID, Core: -1}
 	if k := s.asn.FirstFitting(t, s.placer.Order(s.asn, t)); k >= 0 {
@@ -378,7 +305,7 @@ func (s *System) decide(t mcs.Task, commit bool, rec probeRecorder) (AdmitResult
 		s.mu.Unlock()
 		return AdmitResult{TaskID: t.ID, Core: -1, Probed: !commit}, err
 	}
-	s.ct.resetTally()
+	s.ct.tests = 0
 	res := s.placeTraced(t, rec)
 	res.Probed = !commit
 	var wait func() error
@@ -398,7 +325,7 @@ func (s *System) decide(t mcs.Task, commit bool, rec probeRecorder) (AdmitResult
 		s.admits++
 		s.maybeSnapshotLocked()
 	}
-	res.Tests, res.CacheHits, res.Shared = s.ct.readTally()
+	res.Tests = s.ct.tests
 	s.mu.Unlock()
 	if err := waitCommitted(wait); err != nil {
 		// The placement was applied optimistically but its durability
@@ -469,21 +396,18 @@ func (s *System) decideBatch(ts mcs.TaskSet, commit bool) (BatchResult, error) {
 	ordered := ts.Clone()
 	ordered.SortByLevelUtil()
 
-	s.ct.resetTally()
+	s.ct.tests = 0
 	out := BatchResult{Admitted: true, Results: make([]AdmitResult, 0, len(ordered))}
 	placed := make([]int, 0, len(ordered))
 	for _, t := range ordered {
 		// Batch placement always commits tentatively so later tasks see
 		// earlier ones; a probe (or a misfit) rolls the placements back.
-		beforeTests, beforeHits, beforeShared := s.ct.readTally()
+		before := s.ct.tests
 		res := s.place(t)
 		if res.Admitted {
 			s.commitPlaced(t, res.Core)
 		}
-		afterTests, afterHits, afterShared := s.ct.readTally()
-		res.Tests = afterTests - beforeTests
-		res.CacheHits = afterHits - beforeHits
-		res.Shared = afterShared - beforeShared
+		res.Tests = s.ct.tests - before
 		out.Results = append(out.Results, res)
 		if !res.Admitted {
 			out.Admitted = false
@@ -520,7 +444,7 @@ func (s *System) decideBatch(ts mcs.TaskSet, commit bool) (BatchResult, error) {
 			out.Results[i].Probed = true
 		}
 	}
-	out.Tests, out.CacheHits, out.Shared = s.ct.readTally()
+	out.Tests = s.ct.tests
 	s.mu.Unlock()
 	if err := waitCommitted(wait); err != nil {
 		// Applied optimistically, durability failed: the journal is

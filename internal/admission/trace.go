@@ -2,10 +2,10 @@ package admission
 
 // Decision tracing: the ?explain=1 path. An explained admit or probe runs
 // the exact same decision as the plain one — same placement order, same
-// cache, same commit point — but records every candidate-core probe into a
-// trace that tells the operator which cores were tried, in what order, how
-// each probe was resolved (verdict cache, fast path, incremental state,
-// exact analysis) and why the task was ultimately rejected.
+// analyzers, same commit point — but records every candidate-core probe
+// into a trace that tells the operator which cores were tried, in what
+// order, how each probe was resolved (fast path, incremental state, exact
+// analysis) and why the task was ultimately rejected.
 //
 // The recorder is a nil-able interface: the hot path passes nil and pays a
 // single pointer comparison, so tracing costs nothing unless asked for.
@@ -18,10 +18,6 @@ import (
 // Via values classify how one candidate-core probe was resolved, from
 // cheapest to most expensive.
 const (
-	// ViaCacheHit: answered from the shared verdict cache, no analysis ran.
-	ViaCacheHit = "cache_hit"
-	// ViaShared: answered by waiting on an identical in-flight analysis.
-	ViaShared = "shared"
 	// ViaFastReject: a necessary condition failed (per-level utilization
 	// above 1) before any exact analysis.
 	ViaFastReject = "fast_reject"
@@ -33,8 +29,8 @@ const (
 	ViaIncremental = "incremental"
 	// ViaExact: a full exact kernel run decided the probe.
 	ViaExact = "exact"
-	// ViaUnknown: the probe resolved outside the classified paths (e.g. a
-	// cache-less system whose test bypasses the analyzer counters).
+	// ViaUnknown: the probe resolved outside the classified paths (a test
+	// family whose analyzer keeps no counters).
 	ViaUnknown = "unknown"
 )
 
@@ -93,10 +89,10 @@ type traceRecorder struct {
 
 func (tr *traceRecorder) recordProbe(ct CoreTrace) { tr.cores = append(tr.cores, ct) }
 
-// placeTraced is place with per-probe recording: a serial scan over the
+// placeTraced is place with per-probe recording: the same scan over the
 // same placement order, recording each probe's outcome. With rec == nil it
-// delegates to the plain (possibly parallel) placement path — the single
-// branch is all the hot path pays for explainability. Caller holds s.mu.
+// delegates to the plain placement path — the single branch is all the hot
+// path pays for explainability. Caller holds s.mu.
 func (s *System) placeTraced(t mcs.Task, rec probeRecorder) AdmitResult {
 	if rec == nil {
 		return s.place(t)
@@ -105,13 +101,9 @@ func (s *System) placeTraced(t mcs.Task, rec probeRecorder) AdmitResult {
 	for _, k := range s.placer.Order(s.asn, t) {
 		ct := CoreTrace{Core: k, Tasks: len(s.asn.Core(k)),
 			UtilDiff: s.asn.UtilDiff(k), Score: s.placer.Score(s.asn, t, k)}
-		_, beforeHits, beforeShared := s.ct.readTally()
 		before := s.asn.CoreCounters(k)
 		ct.Fits = s.asn.Fits(t, k)
-		after := s.asn.CoreCounters(k)
-		_, afterHits, afterShared := s.ct.readTally()
-		ct.Via, ct.WarmStart = classifyProbe(
-			afterHits-beforeHits, afterShared-beforeShared, before, after)
+		ct.Via, ct.WarmStart = classifyProbe(before, s.asn.CoreCounters(k))
 		rec.recordProbe(ct)
 		if ct.Fits {
 			res.Admitted = true
@@ -124,17 +116,12 @@ func (s *System) placeTraced(t mcs.Task, rec probeRecorder) AdmitResult {
 }
 
 // classifyProbe names the mechanism that resolved one probe from the
-// per-request tally delta (cache accounting) and the candidate core's
-// analyzer counter delta (how an analysis that did run was resolved).
-// Exact runs outrank fast accepts because AMC's per-task dominance
-// shortcuts tick FastAccepts within a single exact run.
-func classifyProbe(hits, shared int, before, after kernel.Counters) (via string, warm bool) {
+// candidate core's analyzer counter delta. Exact runs outrank fast accepts
+// because AMC's per-task dominance shortcuts tick FastAccepts within a
+// single exact run.
+func classifyProbe(before, after kernel.Counters) (via string, warm bool) {
 	warm = after.WarmStarts > before.WarmStarts
 	switch {
-	case hits > 0:
-		return ViaCacheHit, warm
-	case shared > 0:
-		return ViaShared, warm
 	case after.FastRejects > before.FastRejects:
 		return ViaFastReject, warm
 	case after.ExactRuns > before.ExactRuns:
@@ -149,7 +136,7 @@ func classifyProbe(hits, shared int, before, after kernel.Counters) (via string,
 }
 
 // AdmitExplain is Admit plus a per-core decision trace. The decision is
-// identical to Admit (same order, same cache, same commit point); the trace
+// identical to Admit (same order, same analyzers, same commit point); the trace
 // additionally records every candidate probe. On a validation or journal
 // error the trace is nil, like the zero result.
 func (s *System) AdmitExplain(t mcs.Task) (AdmitResult, *DecisionTrace, error) {

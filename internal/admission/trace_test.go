@@ -11,8 +11,7 @@ import (
 
 // validVias is the closed set of classifications a trace may carry.
 var validVias = map[string]bool{
-	ViaCacheHit: true, ViaShared: true, ViaFastReject: true,
-	ViaFastAccept: true, ViaIncremental: true, ViaExact: true, ViaUnknown: true,
+	ViaFastReject: true, ViaFastAccept: true, ViaIncremental: true, ViaExact: true, ViaUnknown: true,
 }
 
 func TestAdmitExplainTracesAcceptedDecision(t *testing.T) {
@@ -62,27 +61,34 @@ func TestAdmitExplainTracesAcceptedDecision(t *testing.T) {
 	}
 }
 
-func TestProbeExplainDoesNotCommitAndHitsCache(t *testing.T) {
+func TestProbeExplainDoesNotCommit(t *testing.T) {
 	c := newTestController()
 	sys := mustSystem(t, c, "t", 2)
 	task := hc(1, 1, 4, 10)
 
-	if _, _, err := sys.ProbeExplain(task); err != nil {
+	first, trace1, err := sys.ProbeExplain(task)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if sys.NumTasks() != 0 {
 		t.Fatal("explained probe committed")
 	}
-	// The repeat probe re-asks the identical (core signature, task)
-	// questions: every probe answers from the shared verdict cache.
-	_, trace, err := sys.ProbeExplain(task)
+	// The repeat probe asks the identical questions of unchanged cores and
+	// gets the identical scan; each recorded probe is one analysis.
+	second, trace2, err := sys.ProbeExplain(task)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ct := range trace.Cores {
-		if ct.Via != ViaCacheHit {
-			t.Errorf("core %d: via %q, want %q on repeat probe", ct.Core, ct.Via, ViaCacheHit)
+	if first.Core != second.Core || len(trace1.Cores) != len(trace2.Cores) {
+		t.Fatalf("repeat probe diverged: %+v then %+v", first, second)
+	}
+	for i, ct := range trace2.Cores {
+		if prev := trace1.Cores[i]; ct.Core != prev.Core || ct.Fits != prev.Fits {
+			t.Errorf("probe %d: %+v, first time %+v", i, ct, prev)
 		}
+	}
+	if second.Tests != len(trace2.Cores) {
+		t.Errorf("tests = %d for a scan of %d probes", second.Tests, len(trace2.Cores))
 	}
 }
 

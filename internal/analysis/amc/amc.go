@@ -383,8 +383,8 @@ type Test struct {
 }
 
 // Name implements the test interface. The priority policy is part of the
-// name so that two AMC configurations never alias: verdict caches and
-// by-name registries key on the name, and Audsley versus deadline-monotonic
+// name so that two AMC configurations never alias: journals and by-name
+// registries key on the name, and Audsley versus deadline-monotonic
 // genuinely disagree on some task sets.
 func (t Test) Name() string {
 	if t.Opts.Policy == DeadlineMonotonic {

@@ -242,7 +242,7 @@ func TestAnalyzerForgetUnknownID(t *testing.T) {
 }
 
 // TestAnalyzerNamesMatch: an analyzer must report its family's name, since
-// verdict caches and registries key on it.
+// journals and registries key on it.
 func TestAnalyzerNamesMatch(t *testing.T) {
 	for _, test := range analyzerFamilies() {
 		if got := test.NewAnalyzer().Name(); got != test.Name() {

@@ -32,7 +32,15 @@ type Sawtooth struct {
 func (s Sawtooth) offset() mcs.Ticks { return s.D - s.VD }
 
 // Value implements Curve.
-func (s Sawtooth) Value(l mcs.Ticks) mcs.Ticks {
+func (s Sawtooth) Value(l mcs.Ticks) mcs.Ticks { return s.value(l) }
+
+// value is Value on the curve in place. SawSum walks its elements through
+// value and prevKink instead of ranging over copies: a copy is five words
+// per curve per QPA step, stored to the stack and reloaded at once, and how
+// fast that runs depends on where the goroutine's stack happens to sit —
+// one call frame more or less between the Assigner and the analyzer moved
+// an EY/ECDF admit by a third.
+func (s *Sawtooth) value(l mcs.Ticks) mcs.Ticks {
 	q := l - s.offset()
 	if q < 0 {
 		return 0
@@ -48,7 +56,10 @@ func (s Sawtooth) Value(l mcs.Ticks) mcs.Ticks {
 
 // PrevKink implements Curve. Kinks sit at offset + m·T (jumps) and
 // offset + m·T + C^L (ramp→flat boundaries).
-func (s Sawtooth) PrevKink(l mcs.Ticks) mcs.Ticks {
+func (s Sawtooth) PrevKink(l mcs.Ticks) mcs.Ticks { return s.prevKink(l) }
+
+// prevKink is PrevKink on the curve in place (see value).
+func (s *Sawtooth) prevKink(l mcs.Ticks) mcs.Ticks {
 	q := l - s.offset()
 	if q <= 0 {
 		return -1

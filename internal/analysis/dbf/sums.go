@@ -34,8 +34,8 @@ type SawSum []Sawtooth
 // Value implements Curve.
 func (s SawSum) Value(l mcs.Ticks) mcs.Ticks {
 	var v mcs.Ticks
-	for _, c := range s {
-		v += c.Value(l)
+	for i := range s {
+		v += s[i].value(l)
 	}
 	return v
 }
@@ -43,8 +43,8 @@ func (s SawSum) Value(l mcs.Ticks) mcs.Ticks {
 // PrevKink implements Curve.
 func (s SawSum) PrevKink(l mcs.Ticks) mcs.Ticks {
 	best := mcs.Ticks(-1)
-	for _, c := range s {
-		if k := c.PrevKink(l); k > best {
+	for i := range s {
+		if k := s[i].prevKink(l); k > best {
 			best = k
 		}
 	}

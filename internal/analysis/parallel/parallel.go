@@ -1,37 +1,23 @@
-// Package parallel is the batch-parallel analysis engine: a small
-// worker-pool layer that fans independent schedulability probes out across
-// goroutines while preserving the exact semantics of a serial scan.
+// Package parallel is a small worker-pool layer that fans independent
+// function evaluations out across goroutines and hands the results back in
+// index order.
 //
 // The package is deliberately generic — it knows nothing about tasks, cores
-// or tests. Two primitives cover every use in the repository:
+// or tests. Its one primitive, Map, evaluates an index-addressed function
+// over [0, n) with bounded concurrency and returns the results in index
+// order. The experiment driver in internal/experiments uses it for
+// task-set-level parallelism of acceptance-ratio sweeps; nothing on the
+// admission path does (a placement's candidate probes are a serial loop in
+// internal/core).
 //
-//   - Engine.First evaluates an ordered sequence of predicates ("does core k
-//     accept this task?") and returns the first index that holds, exactly as
-//     a serial loop would, but evaluating up to Workers candidates
-//     concurrently in chunks. FirstWidth is the same scan with a
-//     caller-chosen chunk width, so cheap predicates can amortize the
-//     per-chunk fan-out over wider chunks. The partitioning strategies in
-//     internal/core and the admission hot path in internal/admission route
-//     their candidate-core scans through it, with an adaptive width
-//     controller on the Assigner picking the chunking per test family.
-//   - Map evaluates an index-addressed function over [0, n) with bounded
-//     concurrency and returns the results in index order. The experiment
-//     driver in internal/experiments uses it for task-set-level parallelism
-//     of acceptance-ratio sweeps.
-//
-// Both primitives are deterministic for deterministic inputs: First returns
-// the same index a serial scan would, and Map's result slice is ordered by
-// index regardless of completion order. Speculative work (candidates probed
-// beyond the first hit within a chunk) affects only wall-clock time, never
-// results. Callers must supply functions that are safe for concurrent
-// invocation; the schedulability tests in internal/analysis/... are
-// stateless values and qualify.
+// Map is deterministic for deterministic inputs: the result slice is
+// ordered by index regardless of completion order. Callers must supply
+// functions that are safe for concurrent invocation.
 //
 // A panic inside a worker is captured and re-raised on the calling
-// goroutine after the in-flight chunk drains, so parallel execution panics
-// exactly where a serial loop would — in particular, an analysis panic in
-// the mcschedd daemon stays a per-request failure handled by net/http's
-// recover instead of killing the process from a bare goroutine.
+// goroutine once the workers have drained, so a parallel sweep panics on
+// the goroutine that started it instead of killing the process from a bare
+// goroutine.
 package parallel
 
 import (
@@ -86,77 +72,6 @@ func Serial() *Engine { return &Engine{workers: 1} }
 
 // Workers reports the engine's concurrency.
 func (e *Engine) Workers() int { return e.workers }
-
-// First returns the smallest i in [0, n) for which pred(i) is true, or -1
-// when none holds — bit-identical to the serial scan
-//
-//	for i := 0; i < n; i++ { if pred(i) { return i } }
-//
-// but evaluating up to Workers predicates concurrently, in chunks of
-// Workers indices. It is FirstWidth at the default chunk width.
-func (e *Engine) First(n int, pred func(i int) bool) int {
-	return e.FirstWidth(n, e.workers, pred)
-}
-
-// FirstWidth is First with an explicit chunk width: evaluation proceeds in
-// chunks of width indices, each chunk fanned across min(Workers, width)
-// goroutines in a strided assignment (goroutine j takes chunk indices j,
-// j+g, j+2g, …), then the chunk's hits are scanned in order. The returned
-// index is the serial answer for every width — width trades goroutine
-// fan-out overhead against speculative evaluations past the winning index
-// (at most width−1 of them, all inside the winning chunk; no index beyond
-// the winning chunk is ever evaluated). Callers with cheap predicates pick
-// wide chunks to amortize the per-chunk synchronization, callers with
-// expensive ones narrow chunks to bound wasted work; see the adaptive
-// controller in internal/core. pred must be safe for concurrent
-// invocation, as for First.
-func (e *Engine) FirstWidth(n, width int, pred func(i int) bool) int {
-	if width < 1 {
-		width = 1
-	}
-	g := min(e.workers, width)
-	if g == 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			if pred(i) {
-				return i
-			}
-		}
-		return -1
-	}
-	hits := make([]bool, min(width, n))
-	var first atomic.Pointer[capturedPanic]
-	for base := 0; base < n; base += len(hits) {
-		c := min(len(hits), n-base)
-		gc := min(g, c)
-		var wg sync.WaitGroup
-		for j := 1; j < gc; j++ {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				guard(&first, func() {
-					for i := j; i < c; i += gc {
-						hits[i] = pred(base + i)
-					}
-				})
-			}(j)
-		}
-		// The calling goroutine takes stride 0 itself, so a serial engine
-		// path is never slower than the plain loop.
-		guard(&first, func() {
-			for i := 0; i < c; i += gc {
-				hits[i] = pred(base + i)
-			}
-		})
-		wg.Wait()
-		rethrow(&first)
-		for i := 0; i < c; i++ {
-			if hits[i] {
-				return base + i
-			}
-		}
-	}
-	return -1
-}
 
 // Map evaluates fn(i) for every i in [0, n) across the engine's workers and
 // returns the results in index order. Work is handed out dynamically, so

@@ -2,68 +2,10 @@ package parallel
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
 )
-
-// serialFirst is the reference semantics First must reproduce.
-func serialFirst(n int, pred func(int) bool) int {
-	for i := 0; i < n; i++ {
-		if pred(i) {
-			return i
-		}
-	}
-	return -1
-}
-
-// TestFirstMatchesSerial fuzzes random predicate vectors across worker
-// counts and requires the parallel scan to return exactly the serial answer.
-func TestFirstMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(2017))
-	workers := []int{1, 2, 3, 7, runtime.GOMAXPROCS(0)}
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(20)
-		truth := make([]bool, n)
-		for i := range truth {
-			truth[i] = rng.Intn(4) == 0
-		}
-		pred := func(i int) bool { return truth[i] }
-		want := serialFirst(n, pred)
-		for _, w := range workers {
-			if got := New(w).First(n, pred); got != want {
-				t.Fatalf("trial %d workers %d: First=%d want %d (truth %v)",
-					trial, w, got, want, truth)
-			}
-		}
-	}
-}
-
-// TestFirstBoundsSpeculation verifies the chunking contract: no index beyond
-// the winning chunk is ever evaluated.
-func TestFirstBoundsSpeculation(t *testing.T) {
-	const n, w, hit = 64, 4, 5 // hit inside the second chunk [4,8)
-	var calls [n]atomic.Int32
-	e := New(w)
-	got := e.First(n, func(i int) bool {
-		calls[i].Add(1)
-		return i == hit
-	})
-	if got != hit {
-		t.Fatalf("First=%d want %d", got, hit)
-	}
-	limit := (hit/w + 1) * w // end of the winning chunk
-	for i := range calls {
-		c := calls[i].Load()
-		if i < limit && c != 1 {
-			t.Errorf("index %d evaluated %d times, want 1", i, c)
-		}
-		if i >= limit && c != 0 {
-			t.Errorf("index %d beyond winning chunk evaluated %d times", i, c)
-		}
-	}
-}
 
 // TestMapOrderAndCoverage checks Map evaluates every index exactly once and
 // returns results in index order for every worker count.
@@ -88,7 +30,7 @@ func TestMapOrderAndCoverage(t *testing.T) {
 
 // TestPanicPropagation verifies a worker panic surfaces on the calling
 // goroutine — never on a bare goroutine, which would kill the process — for
-// both primitives and for serial and parallel engines.
+// serial and parallel engines.
 func TestPanicPropagation(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		defer func() {
@@ -100,14 +42,6 @@ func TestPanicPropagation(t *testing.T) {
 	}
 	for _, w := range []int{1, 4} {
 		e := New(w)
-		mustPanic(fmt.Sprintf("First workers=%d", w), func() {
-			e.First(8, func(i int) bool {
-				if i == 2 {
-					panic("boom")
-				}
-				return false
-			})
-		})
 		mustPanic(fmt.Sprintf("Map workers=%d", w), func() {
 			Map(e, 8, func(i int) int {
 				if i == 2 {
@@ -132,106 +66,7 @@ func TestDefaultsAndEdges(t *testing.T) {
 		t.Errorf("Serial().Workers()=%d want 1", got)
 	}
 	e := New(4)
-	if got := e.First(0, func(int) bool { return true }); got != -1 {
-		t.Errorf("First over empty domain = %d want -1", got)
-	}
 	if out := Map(e, 0, func(i int) int { return i }); len(out) != 0 {
 		t.Errorf("Map over empty domain returned %v", out)
-	}
-}
-
-// TestFirstWidthMatchesSerial fuzzes random predicate vectors across worker
-// counts AND chunk widths: the returned index must be the serial answer at
-// every (workers, width) combination, including widths below, equal to and
-// above the worker count.
-func TestFirstWidthMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(2026))
-	workers := []int{1, 2, 3, 7, runtime.GOMAXPROCS(0)}
-	widths := []int{0, 1, 2, 3, 5, 8, 16, 40}
-	for trial := 0; trial < 150; trial++ {
-		n := rng.Intn(30)
-		truth := make([]bool, n)
-		for i := range truth {
-			truth[i] = rng.Intn(5) == 0
-		}
-		pred := func(i int) bool { return truth[i] }
-		want := serialFirst(n, pred)
-		for _, w := range workers {
-			e := New(w)
-			for _, width := range widths {
-				if got := e.FirstWidth(n, width, pred); got != want {
-					t.Fatalf("trial %d workers %d width %d: FirstWidth=%d want %d (truth %v)",
-						trial, w, width, got, want, truth)
-				}
-			}
-		}
-	}
-}
-
-// TestFirstWidthBoundsSpeculation verifies the width-controlled chunking
-// contract at every width: each index up to the end of the winning chunk is
-// evaluated exactly once, and no index beyond the winning chunk is ever
-// evaluated — the property the adaptive controller in internal/core leans
-// on to bound wasted work.
-func TestFirstWidthBoundsSpeculation(t *testing.T) {
-	const n = 64
-	for _, w := range []int{1, 2, 4, 8} {
-		e := New(w)
-		for _, width := range []int{1, 2, 3, 4, 7, 8, 16, 64} {
-			for _, hit := range []int{0, 1, 5, 17, 40, 63} {
-				var calls [n]atomic.Int32
-				got := e.FirstWidth(n, width, func(i int) bool {
-					calls[i].Add(1)
-					return i == hit
-				})
-				if got != hit {
-					t.Fatalf("workers %d width %d: FirstWidth=%d want %d", w, width, got, hit)
-				}
-				limit := (hit/width + 1) * width // end of the winning chunk
-				if limit > n {
-					limit = n
-				}
-				for i := range calls {
-					c := calls[i].Load()
-					switch {
-					case i <= hit && c != 1:
-						// Everything up to the hit is evaluated exactly once.
-						t.Errorf("workers %d width %d hit %d: index %d evaluated %d times, want 1",
-							w, width, hit, i, c)
-					case i < limit && c > 1:
-						// Within the winning chunk, speculation runs at most
-						// once (the serial path legitimately skips these).
-						t.Errorf("workers %d width %d hit %d: index %d evaluated %d times, want <=1",
-							w, width, hit, i, c)
-					case i >= limit && c != 0:
-						t.Errorf("workers %d width %d hit %d: index %d beyond winning chunk evaluated %d times",
-							w, width, hit, i, c)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestFirstWidthDefaultEqualsFirst pins the delegation contract: First is
-// FirstWidth at width = Workers, so both see identical evaluation sets.
-func TestFirstWidthDefaultEqualsFirst(t *testing.T) {
-	e := New(4)
-	for hit := 0; hit < 20; hit++ {
-		var a, b [20]atomic.Int32
-		pred := func(calls *[20]atomic.Int32) func(int) bool {
-			return func(i int) bool {
-				calls[i].Add(1)
-				return i == hit
-			}
-		}
-		if x, y := e.First(20, pred(&a)), e.FirstWidth(20, e.Workers(), pred(&b)); x != y {
-			t.Fatalf("hit %d: First=%d FirstWidth=%d", hit, x, y)
-		}
-		for i := range a {
-			if a[i].Load() != b[i].Load() {
-				t.Fatalf("hit %d: index %d evaluated %d vs %d times", hit, i, a[i].Load(), b[i].Load())
-			}
-		}
 	}
 }

@@ -50,7 +50,6 @@ func (a Algorithm) Schedulable(ts mcs.TaskSet, m int) bool {
 	st := scratchAssigners.Get().(*Assigner)
 	defer scratchAssigners.Put(st)
 	st.reset(m, a.Test)
-	s.configure(st)
 	return s.allocate(st, ts) == nil
 }
 

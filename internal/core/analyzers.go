@@ -5,64 +5,24 @@ import (
 	"mcsched/internal/mcs"
 )
 
-// Memoizer is an optional capability of a Test: a decorator that can answer
-// from a verdict cache and runs compute only on misses. The admission
-// layer's caching wrapper implements it; when the Assigner detects it, each
-// candidate probe becomes "cache lookup, else per-core analyzer" instead of
-// "cache lookup, else stateless analysis", so cache hits stay as cheap as
-// before and misses get the incremental kernels.
+// Memoizer is an optional capability of a Test: a decorator that wants to
+// stand around every analysis the Assigner runs — to count it (the
+// admission layer) or time it (the load harness). When the Assigner detects
+// it, each candidate probe becomes Memoize(candidate, that core's analyzer)
+// instead of a direct analyzer call; the analyzer stays the thing that
+// decides.
 type Memoizer interface {
-	// Memoize returns the verdict for ts, consulting the cache first and
-	// calling compute(ts) at most once on a miss. compute must be invoked
-	// synchronously (ts is caller-owned scratch, invalid after return).
+	// Memoize returns the verdict for ts, calling compute(ts) at most
+	// once. compute must be invoked synchronously (ts is caller-owned
+	// scratch, invalid after return).
 	Memoize(ts mcs.TaskSet, compute func(mcs.TaskSet) bool) bool
 }
 
 // Unwrapper exposes the Test a decorator wraps, so the Assigner can find
-// the analysis family underneath (e.g. the admission cache wrapper around
-// an AMC test) and build its incremental per-core analyzers.
+// the analysis family underneath (e.g. the admission layer's counting
+// wrapper around an AMC test) and build its incremental per-core analyzers.
 type Unwrapper interface {
 	Unwrap() Test
-}
-
-// MultisetKey is an order-independent task-multiset fingerprint maintained
-// incrementally: per-task hashes folded with two commutative combiners plus
-// the cardinality. The Assigner keeps one per core, updated on commit and
-// removal, so a steady-state probe fingerprints only the incoming task
-// instead of re-hashing the whole candidate set.
-type MultisetKey struct {
-	Sum, Xor uint64
-	N        int
-}
-
-// Add folds one task hash in.
-func (k *MultisetKey) Add(h uint64) {
-	k.Sum += h
-	k.Xor ^= h
-	k.N++
-}
-
-// Remove folds one task hash out (the exact inverse of Add).
-func (k *MultisetKey) Remove(h uint64) {
-	k.Sum -= h
-	k.Xor ^= h
-	k.N--
-}
-
-// KeyedMemoizer is a Memoizer that lets the caller maintain the cache key
-// incrementally: TaskKey fingerprints one task, MemoizeKeyed decides with a
-// caller-folded key and only materializes the candidate set (via build) on
-// a cache miss. Implementations must guarantee that a key folded from
-// TaskKey values with MultisetKey.Add/Remove matches the key they would
-// compute from the materialized set.
-type KeyedMemoizer interface {
-	Memoizer
-	// TaskKey returns the task's fingerprint under the memoizer's seed.
-	TaskKey(t mcs.Task) uint64
-	// MemoizeKeyed returns the verdict for the multiset identified by key,
-	// consulting the cache first; on a miss it calls build() for the
-	// candidate set and compute on it, both at most once, synchronously.
-	MemoizeKeyed(key MultisetKey, build func() mcs.TaskSet, compute func(mcs.TaskSet) bool) bool
 }
 
 // analyzerFor resolves the per-core analyzer for a test: decorators are

@@ -3,7 +3,6 @@ package core
 import (
 	"reflect"
 	"sort"
-	"time"
 
 	"mcsched/internal/analysis/kernel"
 	"mcsched/internal/mcs"
@@ -23,54 +22,26 @@ import (
 // verdicts are bit-identical to the stateless test. Candidate sets and
 // placement orders live in pooled buffers, so a steady-state probe
 // allocates nothing. Assigner is not safe for concurrent use; callers
-// serialize access (the parallel prober only fans out the per-core probes
-// of one placement, each core on one goroutine).
+// serialize access.
 type Assigner struct {
 	cores []mcs.TaskSet
 	ulh   []float64 // Σ u^L of HC tasks per core
 	uhh   []float64 // Σ u^H of HC tasks per core
 	ull   []float64 // Σ u^L of LC tasks per core
 	test  Test
-	// memo is non-nil when test can answer from a verdict cache; probes
-	// then go cache-first with the analyzer as the miss path. keyed is the
-	// same decorator when it additionally supports incremental keys; the
-	// per-core fingerprints in coreKeys then make a cache-hit probe O(1) in
-	// hashing: only the incoming task is fingerprinted, and the candidate
-	// set is materialized solely on misses.
-	memo     Memoizer
-	keyed    KeyedMemoizer
-	coreKeys []MultisetKey
+	// memo is non-nil when test is a Memoizer decorator; every probe then
+	// goes through it, with the candidate core's analyzer as its compute.
+	memo Memoizer
 	// analyzers hold one reusable analysis engine per core, built lazily on
-	// first probe (distinct cores may initialize concurrently under a
-	// parallel prober; each slot is touched by one goroutine only).
+	// first probe.
 	analyzers []kernel.Analyzer
 	// computeFns are the analyzers' bound Schedulable methods, captured
-	// once so the memoized probe path does not allocate a closure per call;
-	// buildFns materialize core k's pending candidate (cores[k] plus
-	// pending[k]) the same way.
+	// once so the decorated probe path does not allocate a closure per call.
 	computeFns []func(mcs.TaskSet) bool
-	buildFns   []func() mcs.TaskSet
-	pending    []mcs.Task
-	// candBuf pools one candidate-set buffer per core (per core, not per
-	// assigner, because a parallel prober builds several candidates at
-	// once).
+	// candBuf pools one candidate-set buffer per core.
 	candBuf []mcs.TaskSet
 	// orderBuf pools the placement-order permutation.
 	orderBuf []int
-	// prober decides candidate-core scans; serial by default, fanned across
-	// worker goroutines when SetProber installs a parallel engine. chunked
-	// is the same prober when it supports width-controlled scans (detected
-	// once at SetProber); costEWMA then tracks the observed per-candidate
-	// probe cost in nanoseconds, from which chunkWidth derives the chunk
-	// width for the next scan. Families with cheap probes (the closed-form
-	// and warm-start paths) get wide chunks that amortize the per-chunk
-	// goroutine fan-out; expensive cold solves stay at minimal widths that
-	// bound speculative work. The controller only ever picks the width —
-	// FirstWidth returns the serial answer at every width, so adaptivity
-	// affects wall-clock time, never placements.
-	prober   Prober
-	chunked  ChunkedProber
-	costEWMA float64
 	// lastCore is the core of the most recent successful TryAssign; used
 	// by strategies that maintain their own fit keys.
 	lastCore int
@@ -98,8 +69,6 @@ func (a *Assigner) reset(m int, test Test) {
 				an.Invalidate()
 			}
 		}
-		clear(a.coreKeys)
-		a.SetProber(nil)
 		a.lastCore = -1
 		return
 	}
@@ -112,16 +81,9 @@ func (a *Assigner) reset(m int, test Test) {
 		analyzers:  make([]kernel.Analyzer, m),
 		computeFns: make([]func(mcs.TaskSet) bool, m),
 		candBuf:    make([]mcs.TaskSet, m),
-		prober:     serialProber{},
 		lastCore:   -1,
 	}
 	a.memo, _ = test.(Memoizer)
-	if keyed, ok := test.(KeyedMemoizer); ok {
-		a.keyed = keyed
-		a.coreKeys = make([]MultisetKey, m)
-		a.buildFns = make([]func() mcs.TaskSet, m)
-		a.pending = make([]mcs.Task, m)
-	}
 }
 
 // sameTest reports whether two tests are the same configuration of the
@@ -133,20 +95,6 @@ func sameTest(x, y Test) bool {
 	}
 	vx, vy := reflect.ValueOf(x), reflect.ValueOf(y)
 	return vx.Type() == vy.Type() && vx.Comparable() && vy.Comparable() && x == y
-}
-
-// SetProber routes the assigner's candidate-core scans (FirstFit,
-// WorstFitBy, FirstFitting) through p — typically a parallel engine. Any
-// conforming Prober returns the index a serial scan would, so placements are
-// unchanged; only the probes of one placement run concurrently. A nil p
-// restores the serial scan.
-func (a *Assigner) SetProber(p Prober) {
-	if p == nil {
-		p = serialProber{}
-	}
-	a.prober = p
-	a.chunked, _ = p.(ChunkedProber)
-	a.costEWMA = 0
 }
 
 // NumCores returns the number of processors.
@@ -204,10 +152,6 @@ func (a *Assigner) analyzer(k int) kernel.Analyzer {
 		an := analyzerFor(a.test)
 		a.analyzers[k] = an
 		a.computeFns[k] = an.Schedulable
-		if a.keyed != nil {
-			k := k
-			a.buildFns[k] = func() mcs.TaskSet { return a.candidate(k, a.pending[k]) }
-		}
 	}
 	return a.analyzers[k]
 }
@@ -225,15 +169,6 @@ func (a *Assigner) candidate(k int, task mcs.Task) mcs.TaskSet {
 // test on φ_k ∪ {task} — without committing anything.
 func (a *Assigner) Fits(task mcs.Task, k int) bool {
 	an := a.analyzer(k)
-	if a.keyed != nil {
-		// Incremental key: fingerprint only the incoming task; the
-		// candidate set is materialized (via buildFns) on cache misses
-		// only.
-		key := a.coreKeys[k]
-		key.Add(a.keyed.TaskKey(task))
-		a.pending[k] = task
-		return a.keyed.MemoizeKeyed(key, a.buildFns[k], a.computeFns[k])
-	}
 	cand := a.candidate(k, task)
 	if a.memo != nil {
 		return a.memo.Memoize(cand, a.computeFns[k])
@@ -286,98 +221,18 @@ func (a *Assigner) Commit(task mcs.Task, k int) {
 	} else {
 		a.ull[k] += task.ULo
 	}
-	if a.keyed != nil {
-		a.coreKeys[k].Add(a.keyed.TaskKey(task))
-	}
 	a.lastCore = k
 }
 
 // FirstFitting returns the first core of order that would accept the task,
-// or -1 when none fits. The probes are delegated to the configured Prober,
-// so a parallel engine evaluates up to its worker count of candidates
-// concurrently; the chosen core is identical to a serial scan either way.
-// Nothing is committed.
+// or -1 when none fits. Nothing is committed.
 func (a *Assigner) FirstFitting(task mcs.Task, order []int) int {
-	if _, serial := a.prober.(serialProber); serial {
-		// Inline the serial scan: no probe closure, no allocation.
-		for _, k := range order {
-			if a.Fits(task, k) {
-				return k
-			}
-		}
-		return -1
-	}
-	pred := func(i int) bool { return a.Fits(task, order[i]) }
-	if a.chunked != nil {
-		return a.firstFittingChunked(order, pred)
-	}
-	i := a.prober.First(len(order), pred)
-	if i < 0 {
-		return -1
-	}
-	return order[i]
-}
-
-// Chunk-width controller constants: the controller sizes chunks so one
-// chunk's serial-equivalent work is about chunkTargetNs, clamped to
-// [workers, chunkWidthMax×workers]; the cost estimate is an EWMA over
-// observed scans with weight chunkEWMAAlpha.
-const (
-	chunkTargetNs  = 16e3
-	chunkWidthMax  = 4
-	chunkEWMAAlpha = 0.25
-)
-
-// chunkWidth picks the next scan's chunk width from the probe-cost EWMA.
-// Before any observation it stays at the worker count — the same chunking
-// First uses — so the controller can only widen once real cost data shows
-// probes are cheap enough to amortize.
-func (a *Assigner) chunkWidth() int {
-	w := a.chunked.Workers()
-	if a.costEWMA <= 0 {
-		return w
-	}
-	width := int(chunkTargetNs / a.costEWMA)
-	if width < w {
-		return w
-	}
-	if width > chunkWidthMax*w {
-		return chunkWidthMax * w
-	}
-	return width
-}
-
-// firstFittingChunked runs one width-controlled candidate scan and feeds
-// the observed per-candidate cost back into the EWMA. Timing wraps only
-// this path — the serial inline path above stays measurement-free — and
-// the measurement feeds the width choice only, never the verdict.
-func (a *Assigner) firstFittingChunked(order []int, pred func(i int) bool) int {
-	width := a.chunkWidth()
-	start := time.Now()
-	i := a.chunked.FirstWidth(len(order), width, pred)
-	elapsed := time.Since(start)
-
-	// Estimate per-candidate cost as wall-clock per strided round: each
-	// round evaluates up to g candidates concurrently, so a round's
-	// duration approximates one candidate's cost.
-	evaluated := len(order)
-	if i >= 0 {
-		evaluated = min((i/width+1)*width, len(order))
-	}
-	if evaluated > 0 {
-		g := min(a.chunked.Workers(), width)
-		rounds := (evaluated + g - 1) / g
-		cost := float64(elapsed.Nanoseconds()) / float64(rounds)
-		if a.costEWMA <= 0 {
-			a.costEWMA = cost
-		} else {
-			a.costEWMA += chunkEWMAAlpha * (cost - a.costEWMA)
+	for _, k := range order {
+		if a.Fits(task, k) {
+			return k
 		}
 	}
-	if i < 0 {
-		return -1
-	}
-	return order[i]
+	return -1
 }
 
 // Remove takes the task with the given ID off its core and returns it. The
@@ -393,9 +248,6 @@ func (a *Assigner) Remove(id int) (mcs.Task, bool) {
 				a.ulh[k] = a.cores[k].ULH()
 				a.uhh[k] = a.cores[k].UHH()
 				a.ull[k] = a.cores[k].ULL()
-				if a.keyed != nil {
-					a.coreKeys[k].Remove(a.keyed.TaskKey(t))
-				}
 				if an := a.analyzers[k]; an != nil {
 					an.Forget(id)
 				}
@@ -464,8 +316,8 @@ func (a *Assigner) FirstFit(task mcs.Task) bool {
 	return a.placeInOrder(task, a.identityOrder())
 }
 
-// placeInOrder probes the candidate cores in the given order (via the
-// prober) and commits the task on the first fit.
+// placeInOrder probes the candidate cores in the given order and commits
+// the task on the first fit.
 func (a *Assigner) placeInOrder(task mcs.Task, order []int) bool {
 	k := a.FirstFitting(task, order)
 	if k < 0 {

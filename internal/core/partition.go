@@ -12,11 +12,11 @@
 //
 // Candidate-core scans — the inner loop of every strategy, and where nearly
 // all partitioning time is spent on the iterative tests (AMC in particular)
-// — are routed through a Prober. The default prober scans serially; wrapping
-// a strategy with Parallelize (or calling Assigner.SetProber with an
-// internal/analysis/parallel.Engine) fans the probes of each placement
-// across worker goroutines. Probers are contractually order-preserving, so
-// serial and parallel runs produce bit-identical partitions.
+// — are a serial loop over the Assigner's Fits: build the candidate set of
+// one core, hand it to that core's analyzer (internal/analysis/kernel),
+// stop at the first core that accepts. A Test that implements Memoizer is
+// called around each analysis; nothing else sits between a placement and
+// its verdict.
 package core
 
 import (
@@ -97,92 +97,6 @@ func (e FailError) Error() string {
 // Unwrap makes errors.Is(err, ErrUnpartitionable) work.
 func (e FailError) Unwrap() error { return ErrUnpartitionable }
 
-// Prober decides ordered candidate scans for the Assigner: First returns
-// the smallest i in [0, n) for which pred(i) holds, or -1 — exactly the
-// semantics of a serial loop. Parallel implementations (such as
-// internal/analysis/parallel.Engine) may evaluate predicates speculatively
-// across goroutines; pred must then be safe for concurrent invocation, which
-// the Assigner's probes and every test in internal/analysis/... guarantee.
-// Any implementation must return the serial answer, so swapping probers
-// never changes placement results, only wall-clock time.
-type Prober interface {
-	First(n int, pred func(i int) bool) int
-}
-
-// ChunkedProber is a Prober that additionally supports width-controlled
-// scans (internal/analysis/parallel.Engine implements it). FirstWidth must
-// return the same index as First — the serial answer — for every width;
-// width only shifts the trade-off between per-chunk fan-out overhead and
-// speculative evaluations past the winning index. The Assigner detects the
-// capability once at SetProber and then steers the width per test family
-// from observed probe cost, so swapping a plain Prober for a chunked one
-// never changes placements, only wall-clock time.
-type ChunkedProber interface {
-	Prober
-	FirstWidth(n, width int, pred func(i int) bool) int
-	Workers() int
-}
-
-// serialProber is the default inline scan.
-type serialProber struct{}
-
-func (serialProber) First(n int, pred func(i int) bool) int {
-	for i := 0; i < n; i++ {
-		if pred(i) {
-			return i
-		}
-	}
-	return -1
-}
-
-// Par is the optional parallel-probing configuration embedded by every
-// strategy struct. Its zero value scans candidate cores serially; setting
-// Prober (see Parallelize) fans the candidate probes of each placement
-// across the prober's workers.
-type Par struct {
-	// Prober, when non-nil, decides candidate-core scans.
-	Prober Prober
-}
-
-// configure installs the prober, if any, on a freshly built assigner.
-func (p Par) configure(a *Assigner) {
-	if p.Prober != nil {
-		a.SetProber(p.Prober)
-	}
-}
-
-// Parallelize returns a copy of the strategy whose candidate-core probes are
-// decided by p — for the known strategy types this fans every placement's
-// core scan across p's workers while preserving the worst-fit/first-fit
-// order, so the resulting partitions are bit-identical to the serial run.
-// Strategy implementations from outside this package are returned unchanged.
-func Parallelize(s Strategy, p Prober) Strategy {
-	switch t := s.(type) {
-	case UDP:
-		t.Prober = p
-		return t
-	case CANoSortFF:
-		t.Prober = p
-		return t
-	case CAFF:
-		t.Prober = p
-		return t
-	case CAWuF:
-		t.Prober = p
-		return t
-	case ECAWuF:
-		t.Prober = p
-		return t
-	case FFD:
-		t.Prober = p
-		return t
-	case WFD:
-		t.Prober = p
-		return t
-	}
-	return s
-}
-
 // Strategy is a partitioning strategy.
 type Strategy interface {
 	// Name identifies the strategy, e.g. "CU-UDP".
@@ -199,8 +113,6 @@ type Strategy interface {
 // Algorithm.Schedulable, which keeps no Partition, run the same sequence on
 // a recycled Assigner.
 type builtin interface {
-	// configure installs the strategy's prober (promoted from Par).
-	configure(*Assigner)
 	// allocate places every task of ts on st, or returns the FailError of
 	// the first task that fits nowhere.
 	allocate(st *Assigner, ts mcs.TaskSet) error
@@ -213,7 +125,6 @@ func partition(s builtin, ts mcs.TaskSet, m int, test Test) (Partition, error) {
 		return Partition{}, err
 	}
 	st := NewAssigner(m, test)
-	s.configure(st)
 	if err := s.allocate(st, ts); err != nil {
 		return Partition{}, err
 	}

@@ -10,7 +10,6 @@ import (
 	"mcsched/internal/analysis/ecdf"
 	"mcsched/internal/analysis/edfvd"
 	"mcsched/internal/analysis/ey"
-	"mcsched/internal/analysis/parallel"
 	"mcsched/internal/mcs"
 	"mcsched/internal/taskgen"
 )
@@ -25,10 +24,9 @@ type uncomparableTest struct {
 // TestSchedulableRecycledMatchesPartition holds Algorithm.Schedulable —
 // which runs on recycled assigners — to the verdict of Partition on fresh
 // ones, for every strategy, while the pool is handed back assigners of
-// other core counts, other tests and a parallel prober in between, from
-// several goroutines at once. It also checks the other direction of the
-// contract: a Partition handed out earlier is never written to by a later
-// Schedulable.
+// other core counts and other tests in between, from several goroutines
+// at once. It also checks the other direction of the contract: a Partition
+// handed out earlier is never written to by a later Schedulable.
 func TestSchedulableRecycledMatchesPartition(t *testing.T) {
 	tests := []Test{
 		edfvd.Test{},
@@ -37,7 +35,7 @@ func TestSchedulableRecycledMatchesPartition(t *testing.T) {
 		amc.Test{Opts: amc.DefaultOptions()},
 		uncomparableTest{pad: []int{1}},
 	}
-	strategies := append(Strategies(), Parallelize(CUUDP(), parallel.New(2)))
+	strategies := Strategies()
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

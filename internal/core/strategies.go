@@ -11,7 +11,6 @@ import (
 // each class sorted by its own utilization) versus CU-UDP (one merged
 // ordering by level utilization, so heavy LC tasks allocate early).
 type UDP struct {
-	Par
 	// CriticalityAware selects CA-UDP; false is CU-UDP.
 	CriticalityAware bool
 	// NoSort disables the decreasing-utilization sort (ablation only; the
@@ -75,7 +74,7 @@ func (u UDP) allocate(st *Assigner, ts mcs.TaskSet) error {
 // criticality-aware allocation in generation order (no utilization sort),
 // first-fit for both classes. With the EDF-VD test it is the only
 // partitioned MC algorithm with a proven speed-up bound (8/3).
-type CANoSortFF struct{ Par }
+type CANoSortFF struct{}
 
 // Name implements Strategy.
 func (CANoSortFF) Name() string { return "CA(nosort)-F-F" }
@@ -97,7 +96,7 @@ func (s CANoSortFF) allocate(st *Assigner, ts mcs.TaskSet) error {
 // CAFF is the baseline CA-F-F of Rodriguez et al. (WMC 2013):
 // criticality-aware, each class sorted by decreasing level utilization,
 // first-fit for both classes.
-type CAFF struct{ Par }
+type CAFF struct{}
 
 // Name implements Strategy.
 func (CAFF) Name() string { return "CA-F-F" }
@@ -121,7 +120,7 @@ func (s CAFF) allocate(st *Assigner, ts mcs.TaskSet) error {
 // as the comparison point in the paper's Figure 1: HC tasks worst-fit by
 // UHH(φ_k) alone (ignoring the utilization difference), LC tasks first-fit;
 // both classes sorted by decreasing level utilization.
-type CAWuF struct{ Par }
+type CAWuF struct{}
 
 // Name implements Strategy.
 func (CAWuF) Name() string { return "CA-Wu-F" }
@@ -150,7 +149,7 @@ func (s CAWuF) allocate(st *Assigner, ts mcs.TaskSet) error {
 // HC tasks (first-fit, decreasing utilization); HC tasks are then worst-fit
 // by UHH(φ_k); the remaining LC tasks are first-fit, decreasing. The paper
 // pairs this strategy with the EY test (ECA-Wu-F-EY).
-type ECAWuF struct{ Par }
+type ECAWuF struct{}
 
 // Name implements Strategy.
 func (ECAWuF) Name() string { return "ECA-Wu-F" }
@@ -197,7 +196,7 @@ func (s ECAWuF) allocate(st *Assigner, ts mcs.TaskSet) error {
 // FFD is the classic criticality-unaware first-fit decreasing strategy —
 // the best performer for conventional (non-MC) systems, included as a
 // reference point.
-type FFD struct{ Par }
+type FFD struct{}
 
 // Name implements Strategy.
 func (FFD) Name() string { return "FFD" }
@@ -219,7 +218,7 @@ func (s FFD) allocate(st *Assigner, ts mcs.TaskSet) error {
 // WFD is criticality-unaware worst-fit decreasing by level utilization —
 // the strategy the paper's introduction cites as known-poor for MC systems;
 // included for ablations.
-type WFD struct{ Par }
+type WFD struct{}
 
 // Name implements Strategy.
 func (WFD) Name() string { return "WFD" }

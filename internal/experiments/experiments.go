@@ -7,8 +7,8 @@
 // All experiments are deterministic for a given Config: every task set is
 // drawn from an RNG seeded by a splitmix64 hash of (base seed, bucket, set),
 // so runs parallelize across task sets without changing results. The
-// task-set fan-out rides the batch-parallel analysis engine
-// (internal/analysis/parallel); Config.Workers sets its width.
+// task-set fan-out rides parallel.Map (internal/analysis/parallel);
+// Config.Workers sets its width.
 package experiments
 
 import (
@@ -213,8 +213,8 @@ type cell struct {
 }
 
 // Run executes the sweep. Algorithms are evaluated on identical task sets
-// (paired comparison), and task sets are spread over the batch-parallel
-// analysis engine with Workers goroutines: each (bucket, set) index is an
+// (paired comparison), and task sets are spread over parallel.Map with
+// Workers goroutines: each (bucket, set) index is an
 // independent job whose result lands at a fixed index, so the aggregated
 // curves are identical for every worker count.
 func Run(cfg Config) (Result, error) {

@@ -250,7 +250,7 @@ type placementCell struct {
 
 // RunPlacement executes the placement sweep. Heuristics are evaluated on
 // identical task sets in identical arrival order (paired comparison), and
-// task sets fan out over the batch-parallel analysis engine: each
+// task sets fan out over parallel.Map: each
 // (bucket, set) index is an independent job with a fixed result slot, so
 // scores are identical for every worker count.
 func RunPlacement(cfg PlacementConfig) (PlacementResult, error) {

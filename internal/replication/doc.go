@@ -1,8 +1,8 @@
 // Package replication ships committed admission journal records from a
 // leader controller to warm-standby followers over HTTP, and applies them
 // on the follower through the admission layer's verified replay path, so a
-// promoted follower holds bit-identical partitions, per-tenant stats and a
-// warm verdict cache.
+// promoted follower holds bit-identical partitions, per-tenant stats and
+// warm per-core analyzers.
 //
 // The event-sourced journal (internal/journal) is the replication log:
 // every committed transition is already a durable, totally ordered,

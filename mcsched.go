@@ -10,7 +10,6 @@ import (
 	"mcsched/internal/analysis/edf"
 	"mcsched/internal/analysis/edfvd"
 	"mcsched/internal/analysis/ey"
-	"mcsched/internal/analysis/parallel"
 	"mcsched/internal/core"
 	"mcsched/internal/mcs"
 	"mcsched/internal/mcsio"
@@ -78,24 +77,6 @@ type Partition = core.Partition
 // no processor.
 var ErrUnpartitionable = core.ErrUnpartitionable
 
-// CAUDP returns the paper's criticality-aware UDP strategy (Algorithm 1):
-// HC tasks first (worst-fit by utilization difference), then LC tasks
-// (first-fit), both classes sorted by decreasing utilization.
-//
-// Deprecated: resolve strategies through the registry instead:
-// StrategyByName("CA-UDP"). The loose constructor pairs predate the named
-// registries and will not grow with them.
-func CAUDP() Strategy { return core.CAUDP() }
-
-// CUUDP returns the paper's criticality-unaware UDP strategy: one merged
-// decreasing-utilization order, HC tasks worst-fit by utilization
-// difference, LC tasks first-fit. The paper's best performer overall.
-//
-// Deprecated: resolve strategies through the registry instead:
-// StrategyByName("CU-UDP"). The loose constructor pairs predate the named
-// registries and will not grow with them.
-func CUUDP() Strategy { return core.CUUDP() }
-
 // CANoSortFF returns the baseline of Baruah et al. (RTS 2014):
 // criticality-aware, unsorted, first-fit. With EDF-VD it is the only
 // partitioned MC algorithm with a proven speed-up bound (8/3).
@@ -123,20 +104,6 @@ func WFD() Strategy { return core.WFD{} }
 
 // Strategies returns every named strategy in a stable order.
 func Strategies() []Strategy { return core.Strategies() }
-
-// Parallelize returns a copy of the strategy whose candidate-core probes fan
-// out across the given number of worker goroutines (0 selects GOMAXPROCS, 1
-// is the serial scan). The scan order is preserved, so partitions are
-// bit-identical to the serial strategy; only wall-clock time changes. The
-// win is largest with the iterative tests (AMC, ECDF) and large core
-// counts.
-//
-// Only the strategies provided by this package (Strategies, StrategyByName
-// and the constructors above) support parallel probing; a Strategy
-// implemented outside it is returned unchanged and keeps scanning serially.
-func Parallelize(s Strategy, workers int) Strategy {
-	return core.Parallelize(s, parallel.New(workers))
-}
 
 // StrategyByName resolves a strategy from its Name() string.
 func StrategyByName(name string) (Strategy, bool) { return core.StrategyByName(name) }
@@ -277,12 +244,9 @@ func TestByName(name string) (Test, bool) {
 // concurrent use and backs the cmd/mcschedd daemon.
 type AdmissionController = admission.Controller
 
-// AdmissionConfig parameterizes an AdmissionController: tenant-map stripes,
-// verdict-cache capacity, the number of workers candidate-core probes fan
-// out across per decision (Workers > 1 turns on the batch-parallel
-// analysis engine; decisions stay bit-identical to the serial scan), and
-// the journaling policy (DataDir, Fsync, SnapshotEvery) for event-sourced
-// durability.
+// AdmissionConfig parameterizes an AdmissionController: tenant-map
+// stripes, the default placement heuristic, and the journaling policy
+// (DataDir, Fsync, SnapshotEvery) for event-sourced durability.
 type AdmissionConfig = admission.Config
 
 // AdmissionSystem is one tenant of an AdmissionController: a live
@@ -359,8 +323,8 @@ func RecoverAdmissionController(cfg AdmissionConfig) (*AdmissionController, Admi
 	return ctrl, rs, nil
 }
 
-// DefaultAdmissionConfig returns the production defaults (16 stripes, 4096
-// cached verdicts, journaling off).
+// DefaultAdmissionConfig returns the production defaults (16 stripes,
+// journaling off).
 func DefaultAdmissionConfig() AdmissionConfig { return admission.DefaultConfig() }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,16 @@ import (
 	"testing"
 )
 
+// mustStrategy resolves a partitioning strategy by its registry name, the
+// way callers outside this module do.
+func mustStrategy(name string) Strategy {
+	s, ok := StrategyByName(name)
+	if !ok {
+		panic("unknown strategy " + name)
+	}
+	return s
+}
+
 // paperFig1Like builds a small implicit-deadline system in the spirit of the
 // paper's Figure 1: three HC tasks plus one heavy LC task on two cores.
 func paperFig1Like() TaskSet {
@@ -21,7 +31,7 @@ func paperFig1Like() TaskSet {
 
 func TestPublicPartitionRoundTrip(t *testing.T) {
 	ts := paperFig1Like()
-	algo := Algorithm{Strategy: CUUDP(), Test: EDFVD()}
+	algo := Algorithm{Strategy: mustStrategy("CU-UDP"), Test: EDFVD()}
 	p, err := algo.Partition(ts, 2)
 	if err != nil {
 		t.Fatalf("partition failed: %v", err)
@@ -101,7 +111,7 @@ func TestPublicUnpartitionableError(t *testing.T) {
 		NewHCTask(0, 60, 90, 100),
 		NewHCTask(1, 60, 90, 100),
 	}
-	algo := Algorithm{Strategy: CAUDP(), Test: EDFVD()}
+	algo := Algorithm{Strategy: mustStrategy("CA-UDP"), Test: EDFVD()}
 	_, err := algo.Partition(ts, 1)
 	if err == nil {
 		t.Fatal("expected failure")
@@ -113,7 +123,7 @@ func TestPublicUnpartitionableError(t *testing.T) {
 
 func TestPublicSimulationValidatesAcceptance(t *testing.T) {
 	ts := paperFig1Like()
-	algo := Algorithm{Strategy: CUUDP(), Test: EDFVD()}
+	algo := Algorithm{Strategy: mustStrategy("CU-UDP"), Test: EDFVD()}
 	p, err := algo.Partition(ts, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +170,7 @@ func TestPublicIORoundTrip(t *testing.T) {
 		t.Fatalf("%d tasks, want %d", len(got), len(ts))
 	}
 
-	algo := Algorithm{Strategy: CAUDP(), Test: EDFVD()}
+	algo := Algorithm{Strategy: mustStrategy("CA-UDP"), Test: EDFVD()}
 	p, err := algo.Partition(ts, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +281,7 @@ func TestPublicPlainEDF(t *testing.T) {
 }
 
 func TestPublicSpeedupAPI(t *testing.T) {
-	algo := Algorithm{Strategy: CUUDP(), Test: EDFVD()}
+	algo := Algorithm{Strategy: mustStrategy("CU-UDP"), Test: EDFVD()}
 	over := TaskSet{
 		NewHCTask(0, 100, 600, 1000),
 		NewHCTask(1, 100, 600, 1000),

@@ -7,8 +7,8 @@ import "testing"
 // flags, the daemon and serialized experiment configs rely on.
 func TestStrategyNameRoundTrip(t *testing.T) {
 	constructors := []Strategy{
-		CAUDP(),
-		CUUDP(),
+		mustStrategy("CA-UDP"),
+		mustStrategy("CU-UDP"),
 		CANoSortFF(),
 		CAFF(),
 		CAWuF(),

@@ -151,9 +151,9 @@ func FuzzAdmittedNeverMisses(f *testing.F) {
 
 		// Admission: partition the set under the family's test. A rejection
 		// says nothing about soundness.
-		strategy := CUUDP()
+		strategy := mustStrategy("CU-UDP")
 		if constrained {
-			strategy = CAUDP()
+			strategy = mustStrategy("CA-UDP")
 		}
 		p, err := Algorithm{Strategy: strategy, Test: test}.Partition(ts, 2)
 		if err != nil {

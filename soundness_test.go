@@ -14,7 +14,7 @@ func TestAcceptedPartitionsNeverMissEDFVD(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soundness sweep")
 	}
-	algo := Algorithm{Strategy: CUUDP(), Test: EDFVD()}
+	algo := Algorithm{Strategy: mustStrategy("CU-UDP"), Test: EDFVD()}
 	checked := 0
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -43,7 +43,7 @@ func TestAcceptedPartitionsNeverMissAMC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soundness sweep")
 	}
-	algo := Algorithm{Strategy: CUUDP(), Test: AMC()}
+	algo := Algorithm{Strategy: mustStrategy("CU-UDP"), Test: AMC()}
 	checked := 0
 	for seed := int64(200); seed < 280; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -73,7 +73,7 @@ func TestAcceptedPartitionsNeverMissECDF(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soundness sweep")
 	}
-	algo := Algorithm{Strategy: CAUDP(), Test: ECDF()}
+	algo := Algorithm{Strategy: mustStrategy("CA-UDP"), Test: ECDF()}
 	checked := 0
 	for seed := int64(400); seed < 460; seed++ {
 		rng := rand.New(rand.NewSource(seed))
