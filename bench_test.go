@@ -456,7 +456,7 @@ func benchSweep(b *testing.B, workers int) {
 func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, 1) }
 
 // BenchmarkSweepParallel measures the same sweep fanned over GOMAXPROCS
-// workers via parallel.Map; curves are identical to serial.
+// workers; curves are identical to serial.
 func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
 
 // BenchmarkPartitionAMC measures one full offline partitioning run of

@@ -1,7 +1,8 @@
 // Command mcbench runs the repository's tracked performance benchmarks —
 // the admission hot path (single admits warm/cold, 64-task batches), probe
-// traffic, the offline partitioning strategies, task-set generation and a
-// Figure 3 sweep — and writes the results as JSON: ns/op, bytes/op,
+// traffic, two cold EY/ECDF shaping runs on fixed sets, the offline
+// partitioning strategies, task-set generation and a Figure 3 sweep — and
+// writes the results as JSON: ns/op, bytes/op,
 // allocs/op per benchmark plus the analyzer fast-path counters (fast
 // accepts/rejects, incremental decisions, warm-started fixed points)
 // observed while the benchmark ran.
@@ -35,6 +36,7 @@ import (
 	"time"
 
 	"mcsched"
+	"mcsched/internal/analysis/kernel"
 	"mcsched/internal/mcsio"
 	"mcsched/internal/replication"
 	"mcsched/internal/taskgen"
@@ -431,6 +433,38 @@ func partition(strategy mcsched.Strategy, test mcsched.Test) func(*testing.B, *C
 	}
 }
 
+// Two fixed single-core sets of the size the m = 8 constrained sweep puts on
+// a core, each at the 90th percentile of its kind's cost among 4000 drawn:
+// eyShapeSet passes EY after 58 shaping steps, ecdfRejectSet passes the LO
+// test at d = D and fails the EY pass and all five ECDF restarts.
+var (
+	eyShapeSet = mcsched.TaskSet{
+		mcsched.NewLCTaskD(3, 5, 33, 23), mcsched.NewHCTaskD(2, 1, 4, 11, 9), mcsched.NewLCTaskD(5, 1, 10, 4),
+		mcsched.NewHCTaskD(0, 37, 57, 294, 259), mcsched.NewLCTaskD(4, 4, 13, 5), mcsched.NewHCTaskD(1, 23, 63, 438, 395),
+	}
+	ecdfRejectSet = mcsched.TaskSet{
+		mcsched.NewHCTaskD(0, 32, 157, 218, 182), mcsched.NewLCTaskD(3, 3, 11, 5), mcsched.NewHCTaskD(1, 1, 2, 29, 20),
+		mcsched.NewHCTaskD(2, 1, 2, 15, 6), mcsched.NewLCTaskD(4, 2, 33, 32), mcsched.NewLCTaskD(5, 1, 24, 22),
+	}
+)
+
+// analyzeCold is one cold exact analysis of ts per op on the family's
+// per-core analyzer, its memo dropped before every op: a whole shaping run
+// with no admission or placement around it.
+func analyzeCold(test mcsched.Test, ts mcsched.TaskSet, want bool) func(*testing.B, *Counters) {
+	return func(b *testing.B, c *Counters) {
+		an := test.(kernel.Incremental).NewAnalyzer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			an.Invalidate()
+			if an.Schedulable(ts) != want {
+				b.Fatalf("%s verdict is not %v", test.Name(), want)
+			}
+		}
+		c.TestsRun, c.ExactRuns = an.Counters().Total(), an.Counters().ExactRuns
+	}
+}
+
 // generate is one task-set draw at m = 8 per op through the facade, the
 // ops cycling through the paper's utilization grid so the figure is the
 // sweeps' per-set generation cost, not one combo's.
@@ -688,6 +722,8 @@ func benches() []bench {
 		{"admit/batch64/edfvd-bf-total", admitBatch64(mcsched.EDFVD(), "bf-total")},
 		{"admit/batch64/edfvd-wf-total", admitBatch64(mcsched.EDFVD(), "wf-total")},
 		{"admit/batch64/edfvd-prm-ll", admitBatch64(mcsched.EDFVD(), "prm-ll")},
+		{"analysis/ey-shape-m8", analyzeCold(mcsched.EY(), eyShapeSet, true)},
+		{"analysis/ecdf-exact-reject", analyzeCold(mcsched.ECDF(), ecdfRejectSet, false)},
 		{"partition/cuudp-amc", partition(strategyByName("CU-UDP"), mcsched.AMC())},
 		{"partition/cuudp-edfvd", partition(strategyByName("CU-UDP"), mcsched.EDFVD())},
 		{"taskgen/generate-m8", generate(false)},

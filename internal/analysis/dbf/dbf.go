@@ -13,6 +13,8 @@
 package dbf
 
 import (
+	"sync/atomic"
+
 	"mcsched/internal/mcs"
 )
 
@@ -49,10 +51,17 @@ func (s Sum) PrevKink(l mcs.Ticks) mcs.Ticks {
 	return best
 }
 
-// maxQPAIters bounds the QPA loop. QPA converges geometrically for demand
+// maxQPAIters bounds one QPA walk. QPA converges geometrically for demand
 // with long-run slope < 1; the bound is a defensive backstop — hitting it
-// returns "not schedulable", which is the safe direction.
+// returns "not schedulable", which is the safe direction. It is per walk,
+// so a resumed walk (QPAResume) could finish where the full walk gives up;
+// Backstops counts the hits so tests can assert there are none.
 const maxQPAIters = 1 << 20
+
+var backstops atomic.Uint64
+
+// Backstops returns how many walks in this process gave up at maxQPAIters.
+func Backstops() uint64 { return backstops.Load() }
 
 // QPA checks ∀ℓ ∈ (0, L]: demand(ℓ) ≤ ℓ for a nondecreasing curve. It
 // walks down from L: at each point t it evaluates h = demand(t); a value
@@ -62,10 +71,10 @@ const maxQPAIters = 1 << 20
 // integer piecewise-linear curves because segment suprema of demand(ℓ) − ℓ
 // sit on the inspected points.
 //
-// QPA and QPAWitness are generic over the concrete curve type so the hot
-// paths (StepSum/SawSum scratch slices re-evaluated on every admission
-// probe) avoid boxing a slice header into a Curve interface value per call
-// — the walk itself is identical for any instantiation.
+// The walks are generic over the concrete curve type so the hot paths
+// (StepSum/SawSum scratch slices re-evaluated on every admission probe)
+// avoid boxing a slice header into a Curve interface value per call — the
+// walk itself is identical for any instantiation.
 func QPA[C Curve](c C, L mcs.Ticks) bool {
 	_, ok := QPAWitness(c, L)
 	return ok
@@ -76,35 +85,74 @@ func QPA[C Curve](c C, L mcs.Ticks) bool {
 // curve is schedulable up to L. The witness is what the deadline-tuning
 // loops of the EY/ECDF tests steer on.
 func QPAWitness[C Curve](c C, L mcs.Ticks) (witness mcs.Ticks, ok bool) {
-	if L <= 0 {
-		return -1, true
-	}
+	witness, _, _, ok = QPAResume(c, L, Free{})
+	return witness, ok
+}
+
+// Free certifies that no real ℓ with Lo < ℓ ≤ Hi has demand(ℓ) > ℓ. The
+// zero value certifies nothing. A certificate proved for one curve holds
+// for every pointwise-lower curve, and only for those: its holder must drop
+// it when demand can rise anywhere.
+type Free struct{ Lo, Hi mcs.Ticks }
+
+// QPAResume is the QPAWitness walk handed a certificate: it walks normally
+// above known.Hi and, on landing inside (known.Lo, known.Hi], continues
+// from known.Lo. It returns what QPAWitness(c, L) returns — same witness,
+// same verdict, short of the maxQPAIters backstop — plus the demand at the
+// witness and the certificate this walk leaves behind.
+//
+// Start independence. Let W be the supremum of the real violations in
+// (0, t]. Demand is right-continuous, jumps only upward and has integer
+// slopes, so unless t itself violates, W is a tight point (demand(W) = W)
+// that demand reaches flat from the left: demand is W on [k, W) for
+// k = PrevKink(W), and k violates. A walk from a passing point at or above
+// W never lands strictly between k and W — a jump from t goes to
+// demand(t) ≥ demand(W) = W, and a kink step that undershoots W finds no
+// kink in [W, t), so it goes to k itself — hence it ends at k. Every
+// passing start at or above W therefore yields the same witness, and a
+// violation-free (0, t] yields (-1, true) from any start because the walk
+// is exact. Both known.Lo and the point that landed in the certificate are
+// such starts, so skipping from one to the other changes nothing.
+//
+// The certificate returned is the union of what the steps prove: a jump
+// from t clears [demand(t), t], a kink step from a tight t to a passing k
+// clears [k, t], and the final step to a violating k clears
+// (demand(k), t) because demand is flat there. Hence (demand(witness), L]
+// on failure — empty when L itself violates — and (0, L] on success. It
+// stops at L: a horizon bounds where a violation must have a counterpart,
+// not where violations end, so nothing is known above it.
+func QPAResume[C Curve](c C, L mcs.Ticks, known Free) (witness, demand mcs.Ticks, proved Free, ok bool) {
+	all := Free{Lo: 0, Hi: L}
 	t := L
 	for iter := 0; iter < maxQPAIters; iter++ {
+		if known.Lo < t && t <= known.Hi {
+			t = known.Lo
+		}
 		if t <= 0 {
-			return -1, true
+			return -1, 0, all, true
 		}
 		h := c.Value(t)
 		switch {
 		case h > t:
-			return t, false
+			return t, h, Free{Lo: h, Hi: L}, false
 		case h < t:
 			// No violation in (h, t]; resume at h, but h may sit below
 			// every kink, in which case demand is zero there and we stop.
 			if h <= 0 {
-				return -1, true
+				return -1, 0, all, true
 			}
 			t = h
 		default: // h == t: boundary-tight point; inspect below the kink
 			k := c.PrevKink(t)
 			if k < 0 {
-				return -1, true
+				return -1, 0, all, true
 			}
 			t = k
 		}
 	}
 	// Defensive: did not converge — report unschedulable (pessimistic).
-	return t, false
+	backstops.Add(1)
+	return t, c.Value(t), Free{}, false
 }
 
 // Exhaustive checks ∀ℓ ∈ (0, L]: demand(ℓ) ≤ ℓ by brute force over every

@@ -107,11 +107,11 @@ func (a *Analyzer) runExact() (ok, deep bool) {
 	if !a.sh.LOFeasible() {
 		return false, false
 	}
-	w, hiOK := a.sh.HIFeasible()
+	w, demand, hiOK := a.sh.HIFeasible()
 	if hiOK {
 		return true, false
 	}
-	if a.sh.ShapeResume(w, a.opts.EY.EffectiveMaxIter()) {
+	if a.sh.ShapeResume(w, demand, a.opts.EY.EffectiveMaxIter()) {
 		return true, true
 	}
 

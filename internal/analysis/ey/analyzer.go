@@ -34,8 +34,12 @@ import (
 // probes (the greedy is a heuristic, so its verdict is the trajectory's
 // outcome — only running the identical trajectory is sound); what the
 // memo removes is the per-probe filter fold, curve construction and
-// horizon folds. Removals refold over the order-preservingly compacted
-// set, reproducing the stateless folds bit-for-bit.
+// horizon folds. Within one run the trajectory is the same too, step for
+// step, but its walks are not started over: each HI-mode QPA walk resumes
+// from the interval the previous one proved violation-free (Shaper.hiFree,
+// dbf.QPAResume), which returns the witness the full walk would. Removals
+// refold over the order-preservingly compacted set, reproducing the
+// stateless folds bit-for-bit.
 type Analyzer struct {
 	opts Options
 	ctr  kernel.Counters
@@ -228,11 +232,11 @@ func (a *Analyzer) runExact() (ok, shaped bool) {
 	if !a.sh.LOFeasible() {
 		return false, false
 	}
-	w, hiOK := a.sh.HIFeasible()
+	w, demand, hiOK := a.sh.HIFeasible()
 	if hiOK {
 		return true, false
 	}
-	return a.sh.ShapeResume(w, a.opts.maxIter()), true
+	return a.sh.ShapeResume(w, demand, a.opts.maxIter()), true
 }
 
 // promoteFiltered records a filter-resolved accept, extending the cached

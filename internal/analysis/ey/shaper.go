@@ -51,6 +51,16 @@ type Shaper struct {
 	// them as-is — only the offset/transient components are re-summed.
 	looseLO dbf.LOAccum
 	looseHI dbf.HIAccum
+
+	// hiFree is what the last HI-mode walk proved violation-free, handed
+	// to the next one so a shaping run stops re-walking the horizon. It is
+	// valid only while HI demand has not risen since it was proved: a
+	// lower virtual deadline shifts that task's sawtooth right, which
+	// lowers dbf_HI pointwise, and tuneStep only ever lowers one — so the
+	// certificate survives tuneStep (its failed tries roll back to the
+	// curves it was proved for) and everything else that touches the
+	// curves drops it.
+	hiFree dbf.Free
 }
 
 // loOffTerm is the offset term LOAccum.Add would fold for st — the same
@@ -103,6 +113,7 @@ type ExtendUndo struct {
 // Extend).
 func (s *Shaper) Extend(x mcs.Task) ExtendUndo {
 	u := ExtendUndo{tasks: len(s.steps), saws: len(s.saws), looseLO: s.looseLO, looseHI: s.looseHI}
+	s.hiFree = dbf.Free{}
 	st := dbf.Step{C: x.CLo(), D: x.Deadline, T: x.Period}
 	s.steps = append(s.steps, st)
 	s.offLO = append(s.offLO, loOffTerm(st))
@@ -133,11 +144,13 @@ func (s *Shaper) Truncate(u ExtendUndo) {
 	s.frozen = s.frozen[:u.saws]
 	s.offHI = s.offHI[:u.saws]
 	s.looseLO, s.looseHI = u.looseLO, u.looseHI
+	s.hiFree = dbf.Free{}
 }
 
 // RestoreLoosest resets every virtual deadline back to the real deadline,
 // returning the curves to the loosest assignment after a shaping run.
 func (s *Shaper) RestoreLoosest() {
+	s.hiFree = dbf.Free{}
 	for j := range s.saws {
 		s.setHC(j, s.saws[j].D)
 	}
@@ -147,6 +160,7 @@ func (s *Shaper) RestoreLoosest() {
 // d = C^L + λ·(D − C^L), clamped to [C^L, D] — the array form of
 // ScaledInto, used by package ecdf's restarts.
 func (s *Shaper) Scale(lambda float64) {
+	s.hiFree = dbf.Free{}
 	for j := range s.saws {
 		cl, dl := s.saws[j].CL, s.saws[j].D
 		span := float64(dl - cl)
@@ -185,7 +199,12 @@ func (s *Shaper) HCVD(j int) mcs.Ticks { return s.saws[j].VD }
 
 // SetHCVD moves the j-th HC task's virtual deadline (package ecdf's
 // relaxation uses it).
-func (s *Shaper) SetHCVD(j int, d mcs.Ticks) { s.setHC(j, d) }
+func (s *Shaper) SetHCVD(j int, d mcs.Ticks) {
+	if d > s.saws[j].VD {
+		s.hiFree = dbf.Free{}
+	}
+	s.setHC(j, d)
+}
 
 // LOFeasible runs the LO-mode QPA test under the current deadlines. The
 // horizon matches dbf.HorizonLO over the same curves bit for bit: the
@@ -193,8 +212,16 @@ func (s *Shaper) SetHCVD(j int, d mcs.Ticks) { s.setHC(j, d) }
 // come from the loose fold, the offset terms are the cached per-step
 // values re-summed in step order.
 func (s *Shaper) LOFeasible() bool {
+	_, ok := s.loWalk(dbf.Free{})
+	return ok
+}
+
+// loWalk is LOFeasible handed a certificate proved for pointwise-higher LO
+// demand (see dbf.QPAResume); it returns the certificate a failed walk
+// leaves behind.
+func (s *Shaper) loWalk(known dbf.Free) (proved dbf.Free, ok bool) {
 	if len(s.steps) == 0 {
-		return true
+		return known, true
 	}
 	var off float64
 	var maxD mcs.Ticks
@@ -206,17 +233,19 @@ func (s *Shaper) LOFeasible() bool {
 	}
 	L, ok := dbf.Horizon(s.looseLO.U, off, maxD, s.looseLO.Hyper, s.looseLO.HyperOK)
 	if !ok {
-		return false
+		return known, false
 	}
-	return dbf.QPA(dbf.StepSum(s.steps), L)
+	_, _, proved, ok = dbf.QPAResume(dbf.StepSum(s.steps), L, known)
+	return proved, ok
 }
 
 // HIFeasible runs the HI-mode QPA test under the current virtual
-// deadlines, returning a violation witness when it fails. The horizon is
-// assembled like LOFeasible's, matching dbf.HorizonHI bit for bit.
-func (s *Shaper) HIFeasible() (witness mcs.Ticks, ok bool) {
+// deadlines, returning a violation witness and the demand there when it
+// fails. The horizon is assembled like LOFeasible's, matching
+// dbf.HorizonHI bit for bit; the walk resumes from hiFree.
+func (s *Shaper) HIFeasible() (witness, demand mcs.Ticks, ok bool) {
 	if len(s.saws) == 0 {
-		return -1, true
+		return -1, 0, true
 	}
 	var off float64
 	var maxOff mcs.Ticks
@@ -228,9 +257,10 @@ func (s *Shaper) HIFeasible() (witness mcs.Ticks, ok bool) {
 	}
 	L, ok := dbf.Horizon(s.looseHI.U, off, maxOff, s.looseHI.Hyper, s.looseHI.HyperOK)
 	if !ok {
-		return 0, false
+		return 0, dbf.SawSum(s.saws).Value(0), false
 	}
-	return dbf.QPAWitness(dbf.SawSum(s.saws), L)
+	witness, demand, s.hiFree, ok = dbf.QPAResume(dbf.SawSum(s.saws), L, s.hiFree)
+	return witness, demand, ok
 }
 
 // Shape runs the failure-guided tuning loop from the current assignment —
@@ -240,11 +270,11 @@ func (s *Shaper) Shape(maxIter int) bool {
 		s.frozen[j] = false
 	}
 	for iters := 0; iters < maxIter; iters++ {
-		w, ok := s.HIFeasible()
+		w, demand, ok := s.HIFeasible()
 		if ok {
 			return true
 		}
-		if !s.tuneStep(w) {
+		if !s.tuneStep(w, demand) {
 			return false
 		}
 	}
@@ -253,24 +283,24 @@ func (s *Shaper) Shape(maxIter int) bool {
 
 // ShapeResume is Shape for a caller that already ran iteration zero's
 // HI-mode check (at the loosest assignment, via HIFeasible) and holds
-// its violation witness: the trajectory continues with tuneStep on that
-// witness, so the overall run is step-for-step the same loop.
-func (s *Shaper) ShapeResume(w mcs.Ticks, maxIter int) bool {
+// its violation witness and the demand there: the trajectory continues
+// with tuneStep on them, so the overall run is step-for-step the same loop.
+func (s *Shaper) ShapeResume(w, demand mcs.Ticks, maxIter int) bool {
 	for j := range s.frozen {
 		s.frozen[j] = false
 	}
 	if maxIter < 1 {
 		return false
 	}
-	if !s.tuneStep(w) {
+	if !s.tuneStep(w, demand) {
 		return false
 	}
 	for iters := 1; iters < maxIter; iters++ {
-		w, ok := s.HIFeasible()
+		w, demand, ok := s.HIFeasible()
 		if ok {
 			return true
 		}
-		if !s.tuneStep(w) {
+		if !s.tuneStep(w, demand) {
 			return false
 		}
 	}
@@ -279,11 +309,12 @@ func (s *Shaper) ShapeResume(w mcs.Ticks, maxIter int) bool {
 
 // tuneStep is Engine.tuneStep on the arrays: shrink the virtual deadline
 // of the unfrozen HC task with the largest demand reduction at the
-// witness w, keeping the LO test passing. Candidate order, gain
+// witness w (demand is the HI demand there, as the walk that found w
+// summed it), keeping the LO test passing. Candidate order, gain
 // arithmetic, the strict best comparison, the clamped target and the
 // binary search all mirror the map version exactly.
-func (s *Shaper) tuneStep(w mcs.Ticks) bool {
-	needed := dbf.SawSum(s.saws).Value(w) - w
+func (s *Shaper) tuneStep(w, demand mcs.Ticks) bool {
+	needed := demand - w
 	if needed <= 0 {
 		needed = 1
 	}
@@ -317,12 +348,17 @@ func (s *Shaper) tuneStep(w mcs.Ticks) bool {
 	if target < lo {
 		target = lo
 	}
+	// Every later try has a larger d than every failed one, hence lower LO
+	// demand: the last failed walk's certificate serves the rest.
+	var loFree dbf.Free
 	try := func(d mcs.Ticks) bool {
 		old := s.saws[best].VD
 		s.setHC(best, d)
-		if s.LOFeasible() {
+		proved, ok := s.loWalk(loFree)
+		if ok {
 			return true
 		}
+		loFree = proved
 		s.setHC(best, old)
 		return false
 	}

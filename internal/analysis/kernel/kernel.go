@@ -15,6 +15,13 @@
 // filters, warm-started fixed points, incremental re-verification) is
 // required to be provably verdict-preserving, not merely approximate.
 //
+// One stated exception: dbf's QPA walks give up ("not schedulable") after
+// 2^20 iterations, per walk. The EY/ECDF analyzers resume each walk of a
+// shaping run from what the previous one proved, so one of theirs could
+// finish where the stateless test's full walk gives up and rejects.
+// dbf.Backstops counts the give-ups; the goldens and the differential
+// corpus assert it stays zero.
+//
 // Analyzers additionally run two-sided fast-path filters before exact
 // analysis — necessary-condition rejects (per-level utilization above 1,
 // density bounds) and sufficient accepts (utilization bounds, analysis
@@ -38,8 +45,7 @@ type Test interface {
 
 // Analyzer is a reusable per-core analysis engine. It is NOT safe for
 // concurrent use: callers dedicate one analyzer to one core and serialize
-// calls on it (the parallel probe engine satisfies this by probing distinct
-// cores on distinct goroutines).
+// calls on it (core.Assigner probes its cores in a serial loop).
 //
 // Schedulable must return exactly the verdict the family's stateless Test
 // returns for the same task set. Implementations may retain memoized state

@@ -49,7 +49,7 @@ func (a Algorithm) Schedulable(ts mcs.TaskSet, m int) bool {
 	}
 	st := scratchAssigners.Get().(*Assigner)
 	defer scratchAssigners.Put(st)
-	st.reset(m, a.Test)
+	st.Reset(m, a.Test)
 	return s.allocate(st, ts) == nil
 }
 

@@ -50,17 +50,17 @@ type Assigner struct {
 // NewAssigner returns an empty assignment over m cores gated by test.
 func NewAssigner(m int, test Test) *Assigner {
 	a := new(Assigner)
-	a.reset(m, test)
+	a.Reset(m, test)
 	return a
 }
 
-// reset empties the assigner for a new run over m cores gated by test. An
+// Reset empties the assigner for a new run over m cores gated by test. An
 // assigner that last ran the same shape keeps its buffers and its per-core
 // analyzers, invalidated — an analyzer's verdicts do not depend on what it
 // has memoized, so a recycled assigner decides like a new one. Anything
 // else (including the zero value) is built from scratch. The caller must
 // hold no Partition of the previous run: the core slices are reused.
-func (a *Assigner) reset(m int, test Test) {
+func (a *Assigner) Reset(m int, test Test) {
 	if len(a.cores) == m && sameTest(a.test, test) {
 		for k := range a.cores {
 			a.cores[k] = a.cores[k][:0]

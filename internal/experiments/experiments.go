@@ -7,8 +7,8 @@
 // All experiments are deterministic for a given Config: every task set is
 // drawn from an RNG seeded by a splitmix64 hash of (base seed, bucket, set),
 // so runs parallelize across task sets without changing results. The
-// task-set fan-out rides parallel.Map (internal/analysis/parallel);
-// Config.Workers sets its width.
+// task-set fan-out is parallelMap, this package's index-ordered worker
+// pool; Config.Workers sets its width.
 package experiments
 
 import (
@@ -18,7 +18,6 @@ import (
 	"sync"
 	"time"
 
-	"mcsched/internal/analysis/parallel"
 	"mcsched/internal/core"
 	"mcsched/internal/mcs"
 	"mcsched/internal/taskgen"
@@ -167,12 +166,17 @@ func deriveSeed(base int64, bucket, set int) int64 {
 // the draw is counted as a generation failure.
 const genRetries = 16
 
-// sampler is one worker's generation state: an RNG reseeded per draw —
-// Seed leaves the source where rand.NewSource(seed) would start it, without
-// allocating a new one — and a Generator whose buffers every draw reuses.
+// sampler is one worker's scratch: an RNG reseeded per draw — Seed leaves
+// the source where rand.NewSource(seed) would start it, without allocating
+// a new one — a Generator whose buffers every draw reuses, and for the
+// placement harness one Assigner recycled across (heuristic × set) the way
+// Algorithm.Schedulable recycles its own, with the probe count its test
+// decorator bumps.
 type sampler struct {
-	rng *rand.Rand
-	gen taskgen.Generator
+	rng    *rand.Rand
+	gen    taskgen.Generator
+	asn    core.Assigner
+	probes int
 }
 
 // samplers hands each sweep job a sampler; a worker gets the one it put
@@ -213,7 +217,7 @@ type cell struct {
 }
 
 // Run executes the sweep. Algorithms are evaluated on identical task sets
-// (paired comparison), and task sets are spread over parallel.Map with
+// (paired comparison), and task sets are spread over parallelMap with
 // Workers goroutines: each (bucket, set) index is an
 // independent job whose result lands at a fixed index, so the aggregated
 // curves are identical for every worker count.
@@ -231,8 +235,7 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("experiments: UB window [%g,%g] selects no buckets", cfg.UBMin, cfg.UBMax)
 	}
 
-	eng := parallel.New(cfg.workers())
-	cells := parallel.Map(eng, len(buckets)*cfg.SetsPerUB, func(j int) cell {
+	cells := parallelMap(cfg.workers(), len(buckets)*cfg.SetsPerUB, func(j int) cell {
 		bi, si := j/cfg.SetsPerUB, j%cfg.SetsPerUB
 		smp := samplers.Get().(*sampler)
 		defer samplers.Put(smp)

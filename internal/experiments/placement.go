@@ -22,7 +22,6 @@ import (
 	"strings"
 	"time"
 
-	"mcsched/internal/analysis/parallel"
 	"mcsched/internal/core"
 	"mcsched/internal/mcs"
 	"mcsched/internal/taskgen"
@@ -199,9 +198,11 @@ type placementTally struct {
 // candidate order (exactly the admission controller's placement step),
 // then every second admitted task is released — a deterministic churn —
 // and the leftover capacity's fragmentation is measured.
-func evalPlacement(p core.Placer, test core.Test, m int, ts mcs.TaskSet) placementTally {
+func (s *sampler) evalPlacement(p core.Placer, test core.Test, m int, ts mcs.TaskSet) placementTally {
 	t := placementTally{offered: len(ts)}
-	asn := core.NewAssigner(m, probeCounter{inner: test, n: &t.probes})
+	s.probes = 0
+	asn := &s.asn
+	asn.Reset(m, probeCounter{inner: test, n: &s.probes})
 	var admitted []int
 	for _, task := range ts {
 		if k := asn.FirstFitting(task, p.Order(asn, task)); k >= 0 {
@@ -209,6 +210,7 @@ func evalPlacement(p core.Placer, test core.Test, m int, ts mcs.TaskSet) placeme
 			admitted = append(admitted, task.ID)
 		}
 	}
+	t.probes = s.probes
 	t.admitted = len(admitted)
 	t.full = t.admitted == t.offered
 	for i, id := range admitted {
@@ -250,7 +252,7 @@ type placementCell struct {
 
 // RunPlacement executes the placement sweep. Heuristics are evaluated on
 // identical task sets in identical arrival order (paired comparison), and
-// task sets fan out over parallel.Map: each
+// task sets fan out over parallelMap: each
 // (bucket, set) index is an independent job with a fixed result slot, so
 // scores are identical for every worker count.
 func RunPlacement(cfg PlacementConfig) (PlacementResult, error) {
@@ -274,8 +276,7 @@ func RunPlacement(cfg PlacementConfig) (PlacementResult, error) {
 	genCfg := Config{M: cfg.M, PH: cfg.PH, Seed: cfg.Seed, Constrained: cfg.Constrained, SetsPerUB: cfg.SetsPerUB}
 
 	workers := Config{Workers: cfg.Workers}.workers()
-	eng := parallel.New(workers)
-	cells := parallel.Map(eng, len(buckets)*cfg.SetsPerUB, func(j int) placementCell {
+	cells := parallelMap(workers, len(buckets)*cfg.SetsPerUB, func(j int) placementCell {
 		bi, si := j/cfg.SetsPerUB, j%cfg.SetsPerUB
 		smp := samplers.Get().(*sampler)
 		defer samplers.Put(smp)
@@ -285,7 +286,7 @@ func RunPlacement(cfg PlacementConfig) (PlacementResult, error) {
 		}
 		c := placementCell{drawn: true, tallies: make([]placementTally, len(placers))}
 		for pi, p := range placers {
-			c.tallies[pi] = evalPlacement(p, test, cfg.M, ts)
+			c.tallies[pi] = smp.evalPlacement(p, test, cfg.M, ts)
 		}
 		return c
 	})

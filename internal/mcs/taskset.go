@@ -20,22 +20,56 @@ func (ts TaskSet) Clone() TaskSet {
 }
 
 // Validate checks every task and set-level invariants (non-empty, unique
-// IDs).
+// IDs). The first error in task order is the one reported.
 func (ts TaskSet) Validate() error {
 	if len(ts) == 0 {
 		return ErrEmptyTaskSet
 	}
-	seen := make(map[int]bool, len(ts))
-	for _, t := range ts {
+	dup := ts.firstDuplicate()
+	for i, t := range ts {
 		if err := t.Validate(); err != nil {
 			return err
 		}
-		if seen[t.ID] {
+		if i == dup {
 			return fmt.Errorf("mcs: duplicate task ID %d", t.ID)
 		}
-		seen[t.ID] = true
 	}
 	return nil
+}
+
+// dupScanMax is the largest set firstDuplicate scans pairwise (~2000
+// compares, no allocation); the paper's sets have at most 5m tasks.
+const dupScanMax = 64
+
+// firstDuplicate returns the smallest index whose ID an earlier task
+// carries, or -1.
+func (ts TaskSet) firstDuplicate() int {
+	if len(ts) <= dupScanMax {
+		for i, t := range ts {
+			for _, u := range ts[:i] {
+				if u.ID == t.ID {
+					return i
+				}
+			}
+		}
+		return -1
+	}
+	// Indices sorted by (ID, index) put each repeat right after an earlier
+	// task with its ID.
+	idx := make([]int, len(ts))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(cmp.Compare(ts[a].ID, ts[b].ID), cmp.Compare(a, b))
+	})
+	first := -1
+	for k := 1; k < len(idx); k++ {
+		if i := idx[k]; ts[i].ID == ts[idx[k-1]].ID && (first < 0 || i < first) {
+			first = i
+		}
+	}
+	return first
 }
 
 // HC returns the high-criticality tasks, preserving order.

@@ -1,6 +1,7 @@
 package mcs
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -73,6 +74,62 @@ func TestValidateSet(t *testing.T) {
 	}
 	if err := sample().Validate(); err != nil {
 		t.Errorf("valid set rejected: %v", err)
+	}
+}
+
+// validateByMap is Validate as it was written with a set of seen IDs: the
+// reference for which error comes first.
+func validateByMap(ts TaskSet) error {
+	if len(ts) == 0 {
+		return ErrEmptyTaskSet
+	}
+	seen := map[int]bool{}
+	for _, t := range ts {
+		if err := t.Validate(); err != nil {
+			return err
+		}
+		if seen[t.ID] {
+			return fmt.Errorf("mcs: duplicate task ID %d", t.ID)
+		}
+		seen[t.ID] = true
+	}
+	return nil
+}
+
+// TestValidateMatchesMapVersion: the allocation-free duplicate check must
+// report exactly the error the map reported — same duplicate, same
+// precedence against an invalid task — on both sides of dupScanMax.
+func TestValidateMatchesMapVersion(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	errText := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	for trial := 0; trial < 2000; trial++ {
+		n := 1 + rng.Intn(2*dupScanMax)
+		ids := n // distinct IDs to draw from: about half the sets repeat one
+		if rng.Intn(2) == 0 {
+			ids = 20 * n
+		}
+		ts := make(TaskSet, n)
+		for i := range ts {
+			ts[i] = NewLC(rng.Intn(ids), 1, 10)
+			if rng.Intn(4*n) == 0 {
+				ts[i].Period = 0 // an invalid task somewhere
+			}
+		}
+		if got, want := errText(ts.Validate()), errText(validateByMap(ts)); got != want {
+			t.Fatalf("n=%d: Validate %q, map version %q", n, got, want)
+		}
+	}
+	ts := make(TaskSet, 40) // 5m at m=8
+	for i := range ts {
+		ts[i] = NewLC(i, 1, 10)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = ts.Validate() }); allocs != 0 {
+		t.Errorf("Validate of %d tasks allocates %v times", len(ts), allocs)
 	}
 }
 
