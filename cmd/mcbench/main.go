@@ -1,8 +1,8 @@
 // Command mcbench runs the repository's tracked performance benchmarks —
 // the admission hot path (single admits warm/cold, 64-task batches), probe
 // traffic, two cold EY/ECDF shaping runs on fixed sets, the offline
-// partitioning strategies, task-set generation and a Figure 3 sweep — and
-// writes the results as JSON: ns/op, bytes/op,
+// partitioning strategies, task-set generation, the capped discard loop and
+// a Figure 3 sweep — and writes the results as JSON: ns/op, bytes/op,
 // allocs/op per benchmark plus the analyzer fast-path counters (fast
 // accepts/rejects, incremental decisions, warm-started fixed points)
 // observed while the benchmark ran.
@@ -485,6 +485,39 @@ func generate(constrained bool) func(*testing.B, *Counters) {
 	}
 }
 
+// cappedDraw is one BoundedSumCapped call per op on a continuing stream: the
+// LO-mode utilizations of twelve HC tasks under their HI-mode caps, summing
+// to share·Σcap. At 0.95 no UUniFast try fits under the caps, so every op is
+// the discard loop run to exhaustion plus the proportional fallback — what
+// 43.8 % of the generator's capped draws on the paper's grid are; at 0.45 an
+// op accepts after some 90 tries, as the grid's other capped draws do.
+func cappedDraw(share float64, exhausted bool) func(*testing.B, *Counters) {
+	caps := []float64{0.62, 0.18, 0.41, 0.09, 0.77, 0.25, 0.33, 0.52, 0.14, 0.47, 0.29, 0.71}
+	var capSum float64
+	for _, c := range caps {
+		capSum += c
+	}
+	total := share * capSum
+	return func(b *testing.B, _ *Counters) {
+		rng := rand.New(rand.NewSource(77))
+		fell := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			u, err := taskgen.BoundedSumCapped(rng, len(caps), total, 0.001, caps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if u[0] == total*caps[0]/capSum { // the proportional fallback
+				fell++
+			}
+		}
+		if exhausted && fell != b.N || !exhausted && fell*100 > b.N {
+			b.Fatalf("%d of %d ops fell back, want exhausted=%v", fell, b.N, exhausted)
+		}
+	}
+}
+
 // sweepFig3 is one Figure 3 panel (m = 8, EDF-VD, three algorithms) at 100
 // task sets per UB bucket: generation, partitioning and the parallel map at
 // a tenth of the paper's scale.
@@ -728,6 +761,8 @@ func benches() []bench {
 		{"partition/cuudp-edfvd", partition(strategyByName("CU-UDP"), mcsched.EDFVD())},
 		{"taskgen/generate-m8", generate(false)},
 		{"taskgen/generate-m8-constrained", generate(true)},
+		{"taskgen/capped-exhausted", cappedDraw(0.95, true)},
+		{"taskgen/capped-accepted", cappedDraw(0.45, false)},
 		{"sweep/fig3-m8-100", sweepFig3},
 		{"simulate/hyperperiod-small", simulateSystem(2, 5)},
 		{"simulate/hyperperiod-1k", simulateSystem(64, 16)},

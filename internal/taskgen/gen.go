@@ -148,7 +148,8 @@ func (c Config) splitCounts(rng *rand.Rand) (n, nH int, err error) {
 }
 
 // Generator draws task sets into buffers it reuses from one call to the
-// next: the three utilization vectors, RandFixedSum's tables and the
+// next: the three utilization vectors (the discard loop's uniforms sit in
+// the capacity behind them, see drawBufs), RandFixedSum's tables and the
 // returned task set. A sweep keeps one per worker. The zero value is ready;
 // a Generator is not safe for concurrent use.
 type Generator struct {

@@ -25,6 +25,19 @@ func TestUUniFastSum(t *testing.T) {
 	}
 }
 
+// No values asked for: an empty vector, and the source where it was.
+func TestUUniFastEmpty(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		src := newCountingSource(1)
+		if u := UUniFast(rand.New(src), n, 2.5); u == nil || len(u) != 0 {
+			t.Errorf("UUniFast(n=%d) = %v, want an empty vector", n, u)
+		}
+		if src.n != 0 {
+			t.Errorf("UUniFast(n=%d) consumed %d draws", n, src.n)
+		}
+	}
+}
+
 func TestBoundedSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 200; i++ {

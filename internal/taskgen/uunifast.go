@@ -14,8 +14,12 @@ import (
 
 // UUniFast draws n utilizations that sum exactly to total, uniformly
 // distributed over the (n−1)-simplex (Bini & Buttazzo). The result is not
-// bounded; use BoundedSum for the paper's [umin, umax] constraint.
+// bounded; use BoundedSum for the paper's [umin, umax] constraint. For n ≤ 0
+// it returns an empty vector and leaves the source untouched.
 func UUniFast(rng *rand.Rand, n int, total float64) []float64 {
+	if n <= 0 {
+		return []float64{}
+	}
 	u := make([]float64, n)
 	sum := total
 	for i := 0; i < n-1; i++ {
@@ -42,44 +46,111 @@ func vec(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
+// drawBufs returns an n-value destination and the n−1 values of scratch
+// discard draws a try's uniforms into, as one vector taken from buf (see
+// vec): the scratch is the spare capacity behind the destination, so a
+// Generator that stores the destination keeps both.
+func drawBufs(buf []float64, n int) (u, r []float64) {
+	b := vec(buf, 2*n-1)
+	return b[:n], b[n:]
+}
+
+// The screen's error budget: root is within rootErr, relative, of the
+// math.Pow call it stands in for, and screenSlack·n·|total| is the margin a
+// value must clear a bound by before the screen may act on it — 1000× the
+// distance discard's comment derives from rootErr. Below minMargin a margin
+// would not dominate the absolute error of subnormal arithmetic, and the
+// call is not screened at all.
+const (
+	rootErr     = 1e-12
+	screenSlack = 1000 * 4 * rootErr
+	minMargin   = 0x1p-1022
+)
+
 // discard is the one UUniFast-with-discard loop: up to maxDiscardTries
 // UUniFast draws into u, each value checked against [lo, hi] — or against
-// [lo, caps[i]] when caps is non-nil — as it is produced. It reports whether
-// a try was accepted; u then holds it.
+// [lo, caps[i]] when caps is non-nil. It reports whether a try was
+// accepted; u then holds it. With keepLast the last try is computed in full
+// whatever it violates, so that when no try was accepted u holds it, for
+// the caller's fallback; without, u is then unspecified.
 //
-// A try stops computing at its first violation but still consumes the
-// draws the full vector would have taken, so the source is left exactly
-// where a draw-then-check loop leaves it, and the surviving prefix of an
-// accepted try is the same floating-point operations in the same order as
-// UUniFast. With keepLast the last try is computed in full whatever it
-// violates, so that when no try was accepted u holds it, for the caller's
-// fallback.
-func discard(rng *rand.Rand, u []float64, total, lo, hi float64, caps []float64, keepLast bool) bool {
+// A try first draws its n−1 uniforms into r, len(u)−1 values of scratch, so
+// every try, whatever becomes of it, leaves the source where a
+// draw-then-check loop leaves it. Two passes over r follow.
+//
+// The screen computes the try with root in place of math.Pow and abandons
+// it on a clear violation: a value outside [lo − margin, hi + margin]. Its
+// contract is one-sided: the screen abandons a try ⇒ the exact pass would
+// have. Nothing else about the screen reaches the output — a try it does
+// not abandon is decided by the exact pass alone — so a margin that is too
+// wide costs time, never bits.
+//
+// The exact pass is UUniFast's floating-point operations in UUniFast's
+// order, stopping at the first violation. It runs on what the screen let
+// through: the accepted try, keepLast's last try (never screened) and the
+// few that end within the margin of a bound.
+//
+// Why a clear violation is a violation. Write s_i, u_i for the exact pass's
+// running sum and values, s̃_i, ũ_i for the screen's, δ for rootErr and
+// ε = 2⁻⁵³. Each step multiplies the sum by a power in [0, 1], so
+// |s_i| ≤ |total|. Both sums start at total; a step moves them apart, in
+// relative terms, by root's δ and one rounding of the product on either
+// side, δ + 2ε < 2δ, so |s̃_i − s_i| ≤ 2·i·δ·|total|. A value is the
+// difference of two consecutive sums, or the last sum itself, hence
+// |ũ_i − u_i| ≤ 2·(2i+1)·δ·|total| + 2ε·|total| < 4·n·δ·|total|, and the
+// margin is 1000× that for every n. The slack also covers what the bound
+// leaves out: second-order terms, the 2⁻¹⁰⁷⁴ absolute error of a step that
+// underflows (margin ≥ minMargin), and the rounding of lo − margin and
+// hi + margin, which only matters for a bound so large that no value can
+// come near it. Where root declines its input — a uniform of exactly 0 —
+// the screen's sum turns NaN, and NaN compares false: from there on the
+// screen cannot abandon the try. The same holds for a total, bound or
+// margin that is not finite.
+func discard(rng *rand.Rand, u, r []float64, total, lo, hi float64, caps []float64, keepLast bool) bool {
 	n := len(u)
+	margin := screenSlack * float64(n) * math.Abs(total)
+	screen := margin >= minMargin
+tries:
 	for try := 0; try < maxDiscardTries; try++ {
+		for i := range r {
+			r[i] = rng.Float64()
+		}
 		full := keepLast && try == maxDiscardTries-1
+		if screen && !full {
+			sum := total
+			for i, x := range r {
+				next := sum * root(x, 1/float64(n-1-i))
+				v := sum - next
+				sum = next
+				if caps != nil {
+					hi = caps[i]
+				}
+				if v < lo-margin || v > hi+margin {
+					continue tries
+				}
+			}
+			if caps != nil {
+				hi = caps[n-1]
+			}
+			if sum < lo-margin || sum > hi+margin {
+				continue tries
+			}
+		}
 		sum := total
 		ok := true
-		i := 0
-		for ; i < n-1; i++ {
-			next := sum * math.Pow(rng.Float64(), 1/float64(n-1-i))
+		for i, x := range r {
+			next := sum * math.Pow(x, 1/float64(n-1-i))
 			u[i] = sum - next
 			sum = next
 			if caps != nil {
 				hi = caps[i]
 			}
 			if u[i] < lo || u[i] > hi {
-				ok = false
 				if !full {
-					break
+					continue tries
 				}
+				ok = false
 			}
-		}
-		if i < n-1 {
-			for i++; i < n-1; i++ {
-				rng.Float64()
-			}
-			continue
 		}
 		u[n-1] = sum
 		if caps != nil {
@@ -90,6 +161,64 @@ func discard(rng *rand.Rand, u []float64, total, lo, hi float64, caps []float64,
 		}
 	}
 	return false
+}
+
+// rootBits is the width of root's table index: 2^rootBits mantissa
+// intervals for the logarithm, as many fractional steps for the power.
+const rootBits = 7
+
+// rootInv[j] and rootLog[j] are 1/c and log2(c) at the centre c of the j-th
+// mantissa interval of [1, 2); rootExp[j] is 2^(j/2^rootBits).
+var rootInv, rootLog, rootExp = func() (inv, lg, ex [1 << rootBits]float64) {
+	for j := range inv {
+		inv[j] = 1 / (1 + (float64(j)+0.5)/(1<<rootBits))
+		lg[j] = -math.Log2(inv[j])
+		ex[j] = math.Exp2(float64(j) / (1 << rootBits))
+	}
+	return
+}()
+
+// root approximates math.Pow(x, e) for a normal x in (0, 1] and e in (0, 1]
+// as exp2(e·log2(x)), within rootErr relative (TestRootError measures 8e-14
+// at worst); any other x yields NaN. It exists for discard's screen and
+// never supplies an output value.
+//
+// log2(x) is the exponent plus log2 of the mantissa m, and m = c·(1 + t)
+// with c the centre of m's table interval and |t| ≤ 2^−(rootBits+1), which
+// the degree-5 series of log2(1 + t) resolves to 1e-15. The product
+// y = e·log2(x) carries an absolute error of a few 2⁻⁵³·|log2 x|: 2.5e-13 at
+// the smallest normal x, 1.5e-14 at 2⁻⁶³, the smallest non-zero uniform.
+// 2^y is then an exact power of two, a table value and the degree-4 series
+// of 2^f for |f| ≤ 2^−(rootBits+1), again good to 1e-15. math.Pow's own
+// distance from the true power is of the order of y's error.
+func root(x, inv float64) float64 {
+	const (
+		mant     = 1<<52 - 1
+		one      = 0x3ff << 52
+		steps    = 1 << rootBits
+		ln2      = math.Ln2
+		l1, l2   = 1 / ln2, -1 / (2 * ln2)
+		l3, l4   = 1 / (3 * ln2), -1 / (4 * ln2)
+		l5       = 1 / (5 * ln2)
+		e2, e3   = ln2 * ln2 / 2, ln2 * ln2 * ln2 / 6
+		e4       = ln2 * ln2 * ln2 * ln2 / 24
+		smallest = 1 << 52 // bits of the smallest normal
+	)
+	b := math.Float64bits(x)
+	if b-smallest > one-smallest {
+		return math.NaN()
+	}
+	j := b >> (52 - rootBits) & (steps - 1)
+	t := math.Float64frombits(b&mant|one)*rootInv[j] - 1
+	t2 := t * t
+	lg := float64(int(b>>52)-1023) + rootLog[j] + (t*(l1+t*l2) + t2*t*(l3+t*l4+t2*l5))
+
+	y := lg * inv
+	q := int(y*steps - 0.5) // y ≤ 0 up to rounding: the nearest step
+	f := y - float64(q)/steps
+	pow2 := math.Float64frombits(uint64(q>>rootBits+1023) << 52)
+	f2 := f * f
+	return pow2 * rootExp[q&(steps-1)] * (1 + f*ln2 + f2*(e2+f*e3+f2*e4))
 }
 
 // BoundedSum draws n utilizations summing to total with every value in
@@ -116,12 +245,12 @@ func boundedSum(rng *rand.Rand, buf []float64, n int, total, lo, hi float64) ([]
 	if total < float64(n)*lo-eps || total > float64(n)*hi+eps {
 		return nil, fmt.Errorf("taskgen: sum %g infeasible for %d values in [%g,%g]", total, n, lo, hi)
 	}
-	u := vec(buf, n)
+	u, r := drawBufs(buf, n)
 	if n == 1 {
 		u[0] = total
 		return u, nil
 	}
-	if discard(rng, u, total, lo, hi, nil, true) {
+	if discard(rng, u, r, total, lo, hi, nil, true) {
 		return u, nil
 	}
 	return Rescale(u, total, lo, hi), nil
@@ -136,9 +265,10 @@ func Rescale(u []float64, total, lo, hi float64) []float64 {
 	copy(out, u)
 	// Iteratively clamp and redistribute; converges because every round
 	// strictly reduces the violation mass.
+	free := make([]int, 0, len(out))
 	for round := 0; round < len(out)+1; round++ {
 		var excess float64
-		free := make([]int, 0, len(out))
+		free = free[:0]
 		for i, v := range out {
 			switch {
 			case v < lo:
@@ -226,12 +356,12 @@ func boundedSumCapped(rng *rand.Rand, buf []float64, n int, total, lo float64, c
 	if total < float64(n)*lo-eps || total > capSum+eps {
 		return nil, fmt.Errorf("taskgen: sum %g infeasible for caps (Σcap=%g, n·lo=%g)", total, capSum, float64(n)*lo)
 	}
-	out := vec(buf, n)
+	out, r := drawBufs(buf, n)
 	if n == 1 {
 		out[0] = total
 		return out, nil
 	}
-	if discard(rng, out, total, lo, 0, caps, false) {
+	if discard(rng, out, r, total, lo, 0, caps, false) {
 		return out, nil
 	}
 	// Proportional fallback: exact sum, respects caps by construction;
