@@ -280,11 +280,13 @@ func (s *System) applyReplicatedLocked(e mcsio.EventJSON, raw []byte) (func() er
 
 	case mcsio.EventAdmitBatch:
 		placed := make([]int, 0, len(e.Tasks))
+		cursor := s.asn.LastCore()
 		rollback := func() {
 			for _, id := range placed {
 				s.asn.Remove(id)
 				delete(s.resident, id)
 			}
+			s.asn.SetLastCore(cursor)
 		}
 		// Tentatively commit task by task so later placements see earlier
 		// ones — the same discipline as the live batch path — then stage

@@ -43,16 +43,16 @@ type goldenTenant struct {
 var goldenDecisions = map[string]goldenTenant{
 	"AMC-max/":             {decisions: 0xd4d5a9f7d5b7d4f6, fingerprint: 0x1cd0ece68d4260c0, journal: 0x497db722dddfddd5},
 	"AMC-max/bf-total@0.9": {decisions: 0x43c21770e1ba7247, fingerprint: 0x295410fb12cd42b7, journal: 0xc4a4835806bf9482},
-	"AMC-max/nf":           {decisions: 0x2dd0576fb2547e34, fingerprint: 0xc623097691e1e7ea, journal: 0xddfd59bbe62eb4f9},
+	"AMC-max/nf":           {decisions: 0x92e936c9efe67e25, fingerprint: 0x5798ee3c58f13739, journal: 0xd9127d1b15b01c0e},
 	"AMC-rtb/":             {decisions: 0x0e744849663beaec, fingerprint: 0x230926cb9938c2e9, journal: 0x7c98e832c5f56572},
 	"AMC-rtb/bf-total@0.9": {decisions: 0xf864558615d38e7e, fingerprint: 0x3ed42cdfe3ad555f, journal: 0xa274ccb9f4a680d3},
-	"AMC-rtb/nf":           {decisions: 0x2d32f0a584b5d856, fingerprint: 0x70d80b33eb0d7f6e, journal: 0xc4fa200d25a2c06f},
+	"AMC-rtb/nf":           {decisions: 0x29ebbc5abfaffb51, fingerprint: 0xf415ae8298456d8d, journal: 0xf710f496a55c5964},
 	"ECDF/":                {decisions: 0x88cd68036605c6e5, fingerprint: 0x85d7b3c5651db49e, journal: 0xa2b5d13e88c5e1de},
 	"ECDF/bf-total@0.9":    {decisions: 0xfc7803cce48c7370, fingerprint: 0x026ed89ac222b0cf, journal: 0xb4e70198ec8343d0},
 	"ECDF/nf":              {decisions: 0x0a314ad184403c79, fingerprint: 0xd7ff06e2bd7993e8, journal: 0x796cbbdf13f8b563},
 	"EDF-VD/":              {decisions: 0x8fd84e8a978c8ee0, fingerprint: 0x4b2155ada68987d1, journal: 0x01be95e6f7f47589},
 	"EDF-VD/bf-total@0.9":  {decisions: 0xaa07030dfa6d486b, fingerprint: 0x3a1191c87c2c1b05, journal: 0xf06518e5454cf220},
-	"EDF-VD/nf":            {decisions: 0x86eafb27daf5f474, fingerprint: 0xb85fd45a8364bb42, journal: 0x2b3e9b0d65aa7872},
+	"EDF-VD/nf":            {decisions: 0x844bf89e7582edf9, fingerprint: 0x0758841f87f11356, journal: 0x64676ba62ee3eeeb},
 	"EY/":                  {decisions: 0xed71a7488c082789, fingerprint: 0x22de8c4c539c20ce, journal: 0x707d6ff9f226c65a},
 	"EY/bf-total@0.9":      {decisions: 0xb8707f9fd3cdbb2a, fingerprint: 0x860854968280e2cb, journal: 0xdf0ddde289150890},
 	"EY/nf":                {decisions: 0xba465f8df5123afc, fingerprint: 0x44c17b5cd904b9d3, journal: 0x0df8e9db9872ee56},

@@ -399,6 +399,8 @@ func (s *System) decideBatch(ts mcs.TaskSet, commit bool) (BatchResult, error) {
 	s.ct.tests = 0
 	out := BatchResult{Admitted: true, Results: make([]AdmitResult, 0, len(ordered))}
 	placed := make([]int, 0, len(ordered))
+	// Remove does not rewind the next-fit cursor, so a rollback restores it.
+	cursor := s.asn.LastCore()
 	for _, t := range ordered {
 		// Batch placement always commits tentatively so later tasks see
 		// earlier ones; a probe (or a misfit) rolls the placements back.
@@ -426,6 +428,7 @@ func (s *System) decideBatch(ts mcs.TaskSet, commit bool) (BatchResult, error) {
 				s.asn.Remove(id)
 				delete(s.resident, id)
 			}
+			s.asn.SetLastCore(cursor)
 			s.mu.Unlock()
 			return BatchResult{}, err
 		}
@@ -438,6 +441,7 @@ func (s *System) decideBatch(ts mcs.TaskSet, commit bool) (BatchResult, error) {
 			s.asn.Remove(id)
 			delete(s.resident, id)
 		}
+		s.asn.SetLastCore(cursor)
 	}
 	if !commit {
 		for i := range out.Results {
