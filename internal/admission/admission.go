@@ -276,31 +276,18 @@ func (c *Controller) CreateSystem(id string, m int, test core.Test) (*System, er
 // placements are journaled with the create-system event, so recovery and
 // failover rebuild the tenant with the identical packer.
 func (c *Controller) CreateSystemWithPlacement(id string, m int, test core.Test, placement string) (*System, error) {
-	if m <= 0 || m > MaxProcessors {
-		return nil, fmt.Errorf("admission: m=%d processors (must be in 1..%d)", m, MaxProcessors)
-	}
-	if test == nil {
-		return nil, fmt.Errorf("admission: nil test")
-	}
-	if len(id) > MaxSystemID {
-		return nil, fmt.Errorf("admission: system ID longer than %d bytes", MaxSystemID)
+	if c.follower.Load() {
+		return nil, ErrFollower
 	}
 	if placement == "" {
 		placement = c.cfg.Placement
 	}
-	placer, err := resolvePlacement(placement)
-	if err != nil {
-		return nil, err
-	}
-	if c.follower.Load() {
-		return nil, ErrFollower
-	}
 	if id != "" {
-		return c.insert(id, m, test, placer)
+		return c.insert(id, m, test, placement, nil)
 	}
 	for {
 		candidate := fmt.Sprintf("s%d", atomic.AddUint64(&c.nextID, 1))
-		sys, err := c.insert(candidate, m, test, placer)
+		sys, err := c.insert(candidate, m, test, placement, nil)
 		if errors.Is(err, ErrDuplicateSystem) {
 			continue
 		}
@@ -308,40 +295,26 @@ func (c *Controller) CreateSystemWithPlacement(id string, m int, test core.Test,
 	}
 }
 
-// resolvePlacement maps a placement name (empty = default) to its placer,
-// failing closed on names the registry does not know.
-func resolvePlacement(name string) (core.Placer, error) {
-	p, ok := core.PlacerByName(name)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownPlacement, name)
-	}
-	return p, nil
-}
-
-// newTenant builds a System wired to the controller's counters, role flag
-// and replication hooks.
-func (c *Controller) newTenant(id string, m int, test core.Test, placer core.Placer) *System {
-	sys := newSystem(id, m, test, placer, &c.stats)
-	sys.follower = &c.follower
-	sys.hooks = &c.hooks
-	sys.metrics = &c.metrics
-	sys.codec = c.cfg.codec()
-	c.registerFamilySeries(sys.TestName())
-	return sys
-}
-
-func (c *Controller) insert(id string, m int, test core.Test, placer core.Placer) (*System, error) {
+// insert founds and publishes a tenant: built by newTenant, which rejects a
+// bad core count, test or placement name, and — when the controller
+// journals — made durable by its create-system record before anyone can
+// see it; a tenant that cannot journal is not created at all. raw is that
+// record as the leader wrote it when a follower founds a replica; nil
+// encodes it here.
+func (c *Controller) insert(id string, m int, test core.Test, placement string, raw []byte) (*System, error) {
 	sh := c.shard(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, dup := sh.m[id]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateSystem, id)
 	}
-	sys := c.newTenant(id, m, test, placer)
-	if c.cfg.journaling() {
-		// The create-system event is the journal's first record; a tenant
-		// that cannot journal is not created at all.
-		if err := c.attachNewJournal(sys, m); err != nil {
+	sys, err := c.newTenant(id, m, test, placement, nil)
+	if err != nil {
+		return nil, err
+	}
+	if sys.log != nil {
+		if err := sys.journalCreate(raw); err != nil {
+			sys.log.Close()
 			return nil, err
 		}
 	}

@@ -4,14 +4,14 @@ package admission
 // started with Config.Follower holds warm-standby replicas of the leader's
 // tenants: replicated journal records append to the local per-tenant
 // write-ahead logs (so the follower is durable in its own right) and apply
-// through the same verified replay path recovery uses — every recorded
-// decision is re-placed and checked against the leader's, which also warms
-// the replica's per-core analyzers. Writes are rejected with ErrFollower until
-// Promote, after which the controller serves exactly as if it had
-// Recovered from the leader's journal.
+// through the one transition function recovery and the live path also run
+// (apply, state.go) — every recorded decision is re-placed and checked
+// against the leader's, which also warms the replica's per-core analyzers.
+// Writes are rejected with ErrFollower until Promote, after which the
+// controller serves exactly as if it had Recovered from the leader's
+// journal.
 //
-// The apply order is verify → append → apply, mirroring the live
-// validate → append → apply commit discipline: a record that fails
+// apply validates and re-places before it stages: a record that fails
 // verification (malformed, divergent placement, non-resident release) is
 // refused before it touches the local journal, so a tampered or torn
 // stream cannot poison the replica's durable state.
@@ -124,14 +124,9 @@ func (c *Controller) ApplyReplicatedRecords(tenant string, first uint64, recs []
 		return err
 	}
 	for i, raw := range recs {
-		seq := first + uint64(i)
-		e, err := mcsio.DecodeEvent(raw)
+		e, err := decodeRecord(first+uint64(i), raw)
 		if err != nil {
 			return c.TenantNext(tenant), applied, firstErr(flush(), err)
-		}
-		if e.Seq != seq {
-			return c.TenantNext(tenant), applied, firstErr(flush(), fmt.Errorf(
-				"%w: record at position %d stamped %d", ErrReplayDivergence, seq, e.Seq))
 		}
 		wait, did, err := c.applyReplicatedRecord(tenant, e, raw)
 		if wait != nil {
@@ -160,12 +155,14 @@ func firstErr(errs ...error) error {
 	return nil
 }
 
-// applyReplicatedRecord routes one verified-sequence record: tenant
-// bootstrap for create-system on an unknown tenant, the replay path
-// otherwise. It reports whether the record was applied (false for an
-// idempotently skipped redelivery) and hands back the record's durability
-// wait (nil when already durable) for the caller to acknowledge after it
-// releases the tenant lock. Caller holds c.replMu.
+// applyReplicatedRecord routes one verified-sequence record: a
+// create-system for an unknown tenant founds it through the same insert a
+// live create uses, with the leader's raw bytes as the journal's first
+// record; anything else replays through apply, staging the raw bytes. It
+// reports whether the record was applied (false for an idempotently skipped
+// redelivery) and hands back the record's durability wait (nil when already
+// durable) for the caller to acknowledge after it releases the tenant lock.
+// Caller holds c.replMu.
 func (c *Controller) applyReplicatedRecord(tenant string, e mcsio.EventJSON, raw []byte) (func() error, bool, error) {
 	sys, err := c.System(tenant)
 	if errors.Is(err, ErrNoSystem) {
@@ -175,11 +172,11 @@ func (c *Controller) applyReplicatedRecord(tenant string, e mcsio.EventJSON, raw
 		if e.Kind != mcsio.EventCreateSystem {
 			return nil, false, fmt.Errorf("%w: first record of %q is %s, not create-system", ErrReplayDivergence, tenant, e.Kind)
 		}
-		wait, err := c.bootstrapReplicatedTenant(tenant, e, raw)
-		if err != nil {
-			return nil, false, err
+		test, err := c.describedTest(tenant, e.System, e.Test)
+		if err == nil {
+			_, err = c.insert(tenant, e.Processors, test, e.Placement, raw)
 		}
-		return wait, true, nil
+		return nil, err == nil, err
 	}
 	if err != nil {
 		return nil, false, err
@@ -197,145 +194,8 @@ func (c *Controller) applyReplicatedRecord(tenant string, e mcsio.EventJSON, raw
 	if e.Seq > localNext {
 		return nil, false, fmt.Errorf("%w: record %d but local tail is %d", ErrReplicationGap, e.Seq, localNext)
 	}
-	wait, err := sys.applyReplicatedLocked(e, raw)
-	if err != nil {
-		return nil, false, err
-	}
-	return wait, true, nil
-}
-
-// bootstrapReplicatedTenant creates a follower-side tenant from a
-// replicated create-system event, appending the leader's raw bytes as the
-// local journal's first record. The returned wait (nil when already
-// durable) follows the appendPayloadLocked protocol.
-func (c *Controller) bootstrapReplicatedTenant(tenant string, e mcsio.EventJSON, raw []byte) (func() error, error) {
-	if e.System != tenant {
-		return nil, fmt.Errorf("%w: create-system names %q", ErrReplayDivergence, e.System)
-	}
-	if e.Processors > MaxProcessors {
-		return nil, fmt.Errorf("%w: create-system with %d processors", ErrReplayDivergence, e.Processors)
-	}
-	if len(tenant) > MaxSystemID {
-		return nil, fmt.Errorf("admission: system ID longer than %d bytes", MaxSystemID)
-	}
-	test, found := c.cfg.Tests(e.Test)
-	if !found {
-		return nil, fmt.Errorf("admission: unknown schedulability test %q in replicated stream", e.Test)
-	}
-	// The replicated heuristic name already passed mcsio validation, but
-	// resolve it fail-closed anyway: the follower must pack with the
-	// leader's exact placer or verification diverges.
-	placer, err := resolvePlacement(e.Placement)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w in replicated stream", ErrReplayDivergence, err)
-	}
-	sys := c.newTenant(tenant, e.Processors, test, placer)
-	lg, err := journal.Open(c.tenantDir(tenant), c.journalOptions())
-	if err != nil {
-		return nil, err
-	}
-	if lg.NextSeq() != 1 {
-		lg.Close()
-		return nil, fmt.Errorf("%w: tenant %q", ErrJournalExists, tenant)
-	}
-	sys.log = lg
-	sys.snapEvery = c.cfg.snapshotEvery()
-	sys.snapFailures = &c.snapFailures
-	wait, err := sys.appendPayloadLocked(raw)
-	if err != nil {
-		lg.Close()
-		return nil, fmt.Errorf("%w: %s: %w", ErrJournalIO, e.Kind, err)
-	}
-	if err := c.insertRecovered(sys); err != nil {
-		lg.Close()
-		return nil, err
-	}
-	return wrapWait(wait, string(e.Kind)), nil
-}
-
-// applyReplicatedLocked verifies one replicated event against the live
-// placement, stages the leader's raw bytes as the local commit point, and
-// applies the transition — the follower-side analogue of the live
-// validate → append → apply order. Verification failures mutate nothing,
-// so a tampered record is refused before it can poison the local journal.
-// The returned wait (nil when already durable) acknowledges durability and
-// must run after s.mu is released. Caller holds s.mu.
-func (s *System) applyReplicatedLocked(e mcsio.EventJSON, raw []byte) (func() error, error) {
-	var wait func() error
-	switch e.Kind {
-	case mcsio.EventAdmit:
-		t, err := mcsio.TaskFromJSON(*e.Task)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.verifyReplayedAdmit(t, e.Core); err != nil {
-			return nil, err
-		}
-		if wait, err = s.appendPayloadLocked(raw); err != nil {
-			return nil, fmt.Errorf("%w: %s: %w", ErrJournalIO, e.Kind, err)
-		}
-		s.commitPlaced(t, e.Core)
-		s.admits++
-		s.ct.stats.admits.Inc()
-
-	case mcsio.EventAdmitBatch:
-		placed := make([]int, 0, len(e.Tasks))
-		cursor := s.asn.LastCore()
-		rollback := func() {
-			for _, id := range placed {
-				s.asn.Remove(id)
-				delete(s.resident, id)
-			}
-			s.asn.SetLastCore(cursor)
-		}
-		// Tentatively commit task by task so later placements see earlier
-		// ones — the same discipline as the live batch path — then stage
-		// once the whole batch verifies.
-		for i, j := range e.Tasks {
-			t, err := mcsio.TaskFromJSON(j)
-			if err != nil {
-				rollback()
-				return nil, err
-			}
-			if err := s.verifyReplayedAdmit(t, e.Cores[i]); err != nil {
-				rollback()
-				return nil, err
-			}
-			s.commitPlaced(t, e.Cores[i])
-			placed = append(placed, t.ID)
-		}
-		var err error
-		if wait, err = s.appendPayloadLocked(raw); err != nil {
-			rollback()
-			return nil, fmt.Errorf("%w: %s: %w", ErrJournalIO, e.Kind, err)
-		}
-		s.admits += uint64(len(e.Tasks))
-		s.ct.stats.admits.Add(uint64(len(e.Tasks)))
-
-	case mcsio.EventRelease:
-		for _, tid := range e.TaskIDs {
-			if !s.resident[tid] {
-				return nil, fmt.Errorf("%w: release of non-resident task %d", ErrReplayDivergence, tid)
-			}
-		}
-		var err error
-		if wait, err = s.appendPayloadLocked(raw); err != nil {
-			return nil, fmt.Errorf("%w: %s: %w", ErrJournalIO, e.Kind, err)
-		}
-		for _, tid := range e.TaskIDs {
-			s.asn.Remove(tid)
-			delete(s.resident, tid)
-			s.releases++
-			s.ct.stats.releases.Inc()
-		}
-
-	default:
-		// A second create-system for a live tenant lands here too: its
-		// sequence matched the tail, so the stream is semantically corrupt.
-		return nil, fmt.Errorf("%w: unexpected replicated event kind %q", ErrReplayDivergence, e.Kind)
-	}
-	s.maybeSnapshotLocked()
-	return wrapWait(wait, string(e.Kind)), nil
+	wait, err := sys.replay(e, func() (func() error, error) { return sys.appendPayloadLocked(raw, e.Kind) })
+	return wait, err == nil, err
 }
 
 // ApplyReplicatedSnapshot adopts a leader snapshot covering records 1..seq
@@ -368,14 +228,9 @@ func (c *Controller) ApplyReplicatedSnapshot(tenant string, seq uint64, payload 
 		return c.TenantNext(tenant), fmt.Errorf(
 			"%w: snapshot stamped %d installed as %d", ErrReplayDivergence, snap.Seq, seq)
 	}
-	sys, err := c.systemFromSnapshot(tenant, payload)
-	if err != nil {
-		return c.TenantNext(tenant), err
-	}
-
-	// Take over the stale replica's journal (or open a fresh one for an
-	// unknown tenant) and install the snapshot in place: the write is an
-	// fsync+rename, and truncation of superseded segments happens only
+	// Take over the stale replica's journal (a tenant this follower does not
+	// hold yet gets a fresh one) and install the snapshot in place: the write
+	// is an fsync+rename, and truncation of superseded segments happens only
 	// after the new snapshot is live, so there is no window with the old
 	// replica gone and the new one not yet durable.
 	var lg *journal.Log
@@ -387,26 +242,24 @@ func (c *Controller) ApplyReplicatedSnapshot(tenant string, seq uint64, payload 
 		lg, old.log = old.log, nil // detach so the stale system cannot touch it
 		old.mu.Unlock()
 	}
-	if lg == nil {
-		lg, err = journal.Open(c.tenantDir(tenant), c.journalOptions())
-		if err != nil {
-			return c.TenantNext(tenant), fmt.Errorf("%w: open journal: %w", ErrJournalIO, err)
+	sys, err := c.restoreSnapshot(tenant, payload, lg)
+	if err == nil {
+		lg = sys.log
+		if err = lg.InstallSnapshot(payload, seq); err != nil {
+			err = fmt.Errorf("%w: install snapshot: %w", ErrJournalIO, err)
 		}
 	}
-	if err := lg.InstallSnapshot(payload, seq); err != nil {
+	if err != nil {
 		if oldErr == nil {
 			// Reattach: the old replica on disk is untouched and stays live.
 			old.mu.Lock()
 			old.log = lg
 			old.mu.Unlock()
-		} else {
+		} else if lg != nil {
 			lg.Close()
 		}
-		return c.TenantNext(tenant), fmt.Errorf("%w: install snapshot: %w", ErrJournalIO, err)
+		return c.TenantNext(tenant), err
 	}
-	sys.log = lg
-	sys.snapEvery = c.cfg.snapshotEvery()
-	sys.snapFailures = &c.snapFailures
 
 	// Reconcile the controller-wide counters: the snapshot's lifetime
 	// counters replace whatever the retired replica had contributed.

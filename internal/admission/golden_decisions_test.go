@@ -209,12 +209,21 @@ func hashDir(t *testing.T, root string) uint64 {
 // it left behind, per tenant.
 func runGoldenChurn(t *testing.T, workers int) map[string]goldenTenant {
 	t.Helper()
-	ctrl := NewController(Config{
+	cfg := Config{
 		Workers:       workers,
 		DataDir:       t.TempDir(),
 		JournalCodec:  mcsio.CodecBinary,
 		SnapshotEvery: 6,
-	})
+		Tests: func(name string) (core.Test, bool) {
+			for _, test := range goldenFamilies() {
+				if test.Name() == name {
+					return test, true
+				}
+			}
+			return nil, false
+		},
+	}
+	ctrl := NewController(cfg)
 	var tenants []*churnTenant
 	for i, test := range goldenFamilies() {
 		for j, placement := range goldenPlacements {
@@ -263,6 +272,22 @@ func runGoldenChurn(t *testing.T, workers int) map[string]goldenTenant {
 		g := got[ct.key]
 		g.journal = hashDir(t, ctrl.tenantDir(ct.sys.ID()))
 		got[ct.key] = g
+	}
+	// Close the loop: the bytes just hashed must recover to the states just
+	// fingerprinted, tenant by tenant.
+	rec := NewController(cfg)
+	if _, err := rec.Recover(); err != nil {
+		t.Fatalf("recover the churned data directory: %v", err)
+	}
+	defer rec.Close()
+	for _, ct := range tenants {
+		rsys, err := rec.System(ct.sys.ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rsys.Fingerprint(), ct.sys.Fingerprint(); got != want {
+			t.Errorf("%s: recovered state differs from the one that wrote the journal:\n%s\n%s", ct.key, want, got)
+		}
 	}
 	return got
 }

@@ -5,11 +5,11 @@ package admission
 // admit-batch, release — is validated against the live partitions, encoded
 // as a typed versioned event (internal/mcsio), appended to the tenant's
 // write-ahead journal (internal/journal), and only then applied. Recovery
-// replays the journal through the same placement code path the live
-// controller uses, which both warms the per-core analyzers and lets
-// replay verify that every recorded decision is reproduced bit-for-bit;
-// any divergence fails recovery closed instead of serving a partition the
-// journal does not describe.
+// replays the journal through the very transition function the live
+// controller runs (apply, state.go), which both warms the per-core
+// analyzers and verifies that every recorded decision is reproduced
+// bit-for-bit; any divergence fails recovery closed instead of serving a
+// partition the journal does not describe.
 
 import (
 	"errors"
@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 
 	"mcsched/internal/journal"
-	"mcsched/internal/mcs"
 	"mcsched/internal/mcsio"
 )
 
@@ -86,19 +85,24 @@ func (c *Controller) tenantDir(id string) string {
 // Append side (the commit point of every mutation)
 // ---------------------------------------------------------------------------
 
+// openLog opens the tenant journal at dir; fresh additionally requires that
+// it holds no history yet.
+func (c *Controller) openLog(dir string, fresh bool) (*journal.Log, error) {
+	lg, err := journal.Open(dir, c.journalOptions())
+	if err != nil {
+		return nil, fmt.Errorf("%w: open journal: %w", ErrJournalIO, err)
+	}
+	if fresh && lg.NextSeq() != 1 {
+		lg.Close()
+		return nil, fmt.Errorf("%w: %s", ErrJournalExists, dir)
+	}
+	return lg, nil
+}
+
 // appendLocked encodes the event in the tenant's configured codec, stamps
-// its sequence number and stages it on the tenant journal. Caller holds
-// s.mu (or exclusively owns an unpublished system) and must call
-// maybeSnapshotLocked after APPLYING the event — a snapshot taken between
-// append and apply would claim a sequence whose state it does not contain.
-//
-// The returned wait acknowledges durability. A nil wait means the record is
-// already durable and the Committed hook has fired (serial-append mode).
-// A non-nil wait must be called after s.mu is released: it blocks until the
-// group-commit flush covering the record completes, fires the hook, and on
-// failure reports ErrJournalIO — the log is then poisoned fail-stop, so the
-// optimistically applied in-memory transition can never be contradicted by
-// a later append the journal did accept.
+// its sequence number and stages it on the tenant journal; the returned
+// wait follows the appendPayloadLocked protocol. Caller holds s.mu (or
+// exclusively owns an unpublished system).
 func (s *System) appendLocked(e mcsio.EventJSON) (func() error, error) {
 	e.Version = mcsio.EventFormatVersion
 	e.Seq = s.log.NextSeq()
@@ -106,23 +110,27 @@ func (s *System) appendLocked(e mcsio.EventJSON) (func() error, error) {
 	if err != nil {
 		return nil, fmt.Errorf("admission: encode %s event: %w", e.Kind, err)
 	}
-	wait, err := s.appendPayloadLocked(b)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s: %w", ErrJournalIO, e.Kind, err)
-	}
-	return wrapWait(wait, string(e.Kind)), nil
+	return s.appendPayloadLocked(b, e.Kind)
 }
 
-// appendPayloadLocked stages pre-encoded record bytes — the shared commit
-// point of live encoding (appendLocked) and replicated raw records
-// (applyReplicatedLocked) — and counts the record toward the snapshot
-// cadence. The replication commit hook fires at the durability point: at
-// stage time in serial mode, inside the returned wait under group commit.
-// Caller holds s.mu.
-func (s *System) appendPayloadLocked(b []byte) (func() error, error) {
+// appendPayloadLocked stages encoded record bytes — the shared commit point
+// of live encoding (appendLocked) and replicated raw records — and counts
+// the record toward the snapshot cadence. The caller must run
+// maybeSnapshotLocked only after APPLYING the event: a snapshot taken
+// between append and apply would claim a sequence whose state it does not
+// contain.
+//
+// The returned wait acknowledges durability. A nil wait means the record is
+// already durable and the Committed hook has fired (serial-append mode).
+// A non-nil wait must be called after s.mu is released: it blocks until the
+// group-commit flush covering the record completes, fires the hook, and on
+// failure reports ErrJournalIO — the log is then poisoned fail-stop, so the
+// optimistically applied in-memory transition can never be contradicted by
+// a later append the journal did accept. Caller holds s.mu.
+func (s *System) appendPayloadLocked(b []byte, kind string) (func() error, error) {
 	seq, tk, err := s.log.AppendStage(b)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %s: %w", ErrJournalIO, kind, err)
 	}
 	s.sinceSnap++
 	if tk == nil {
@@ -131,7 +139,7 @@ func (s *System) appendPayloadLocked(b []byte) (func() error, error) {
 	}
 	return func() error {
 		if err := tk.Wait(); err != nil {
-			return err
+			return fmt.Errorf("%w: %s: %w", ErrJournalIO, kind, err)
 		}
 		s.fireCommitted(seq)
 		return nil
@@ -140,24 +148,8 @@ func (s *System) appendPayloadLocked(b []byte) (func() error, error) {
 
 // fireCommitted notifies the replication layer of one durable append.
 func (s *System) fireCommitted(seq uint64) {
-	if s.hooks != nil {
-		if h := s.hooks.Load(); h != nil && h.Committed != nil {
-			h.Committed(s.id, seq)
-		}
-	}
-}
-
-// wrapWait decorates a durability wait with ErrJournalIO context; a nil
-// wait passes through (the record is already durable).
-func wrapWait(wait func() error, kind string) func() error {
-	if wait == nil {
-		return nil
-	}
-	return func() error {
-		if err := wait(); err != nil {
-			return fmt.Errorf("%w: %s: %w", ErrJournalIO, kind, err)
-		}
-		return nil
+	if h := s.hooks.Load(); h != nil && h.Committed != nil {
+		h.Committed(s.id, seq)
 	}
 }
 
@@ -183,39 +175,56 @@ func (s *System) maybeSnapshotLocked() {
 	}
 }
 
-// journalAdmit records a decided single-task admit. No-op without a log.
-// The returned wait follows the appendLocked protocol.
-func (s *System) journalAdmit(t mcs.Task, core int) (func() error, error) {
+// stageEncoded is the live stage of apply: it renders the decided
+// transition as its journal event — an admit with its accepted core, a
+// batch as the tasks in placement order with their cores aligned, a release
+// as its IDs — and appends it. A tenant without a journal stages nothing.
+// The IDs are marshaled before it returns, so callers may reuse their
+// backing array. Caller holds s.mu.
+func (s *System) stageEncoded(tr *transition) (func() error, error) {
 	if s.log == nil {
 		return nil, nil
 	}
-	j := mcsio.TaskToJSON(t)
-	return s.appendLocked(mcsio.EventJSON{Kind: mcsio.EventAdmit, Task: &j, Core: core})
-}
-
-// journalBatch records a decided all-or-nothing batch: the tasks in
-// placement order with their accepted cores aligned. No-op without a log.
-// The returned wait follows the appendLocked protocol.
-func (s *System) journalBatch(ordered mcs.TaskSet, results []AdmitResult) (func() error, error) {
-	if s.log == nil {
-		return nil, nil
-	}
-	e := mcsio.EventJSON{Kind: mcsio.EventAdmitBatch}
-	for i, t := range ordered {
-		e.Tasks = append(e.Tasks, mcsio.TaskToJSON(t))
-		e.Cores = append(e.Cores, results[i].Core)
+	e := mcsio.EventJSON{Kind: tr.kind, TaskIDs: tr.ids}
+	switch tr.kind {
+	case mcsio.EventAdmit:
+		j := mcsio.TaskToJSON(tr.tasks[0])
+		e.Task, e.Core = &j, tr.results[0].Core
+	case mcsio.EventAdmitBatch:
+		for i, t := range tr.tasks {
+			e.Tasks = append(e.Tasks, mcsio.TaskToJSON(t))
+			e.Cores = append(e.Cores, tr.results[i].Core)
+		}
 	}
 	return s.appendLocked(e)
 }
 
-// journalRelease records a validated release. No-op without a log. The
-// returned wait follows the appendLocked protocol; ids is marshaled before
-// journalRelease returns, so callers may reuse the backing array.
-func (s *System) journalRelease(ids []int) (func() error, error) {
-	if s.log == nil {
-		return nil, nil
+// journalCreate writes the journal's first record, the tenant's own
+// create-system event — encoded here on a leader, the leader's raw bytes on
+// a follower. Tenant creation is rare, so it waits for durability inline
+// rather than joining the pipelined acknowledge path. The system is not yet
+// published, so no lock is needed.
+func (s *System) journalCreate(raw []byte) error {
+	var wait func() error
+	var err error
+	if raw != nil {
+		wait, err = s.appendPayloadLocked(raw, mcsio.EventCreateSystem)
+	} else {
+		wait, err = s.appendLocked(mcsio.EventJSON{
+			Kind:       mcsio.EventCreateSystem,
+			System:     s.id,
+			Processors: s.asn.NumCores(),
+			Test:       s.ct.Name(),
+			Placement:  s.journaledPlacement(),
+		})
 	}
-	return s.appendLocked(mcsio.EventJSON{Kind: mcsio.EventRelease, TaskIDs: ids})
+	if err == nil {
+		err = waitCommitted(wait)
+	}
+	if err == nil {
+		s.maybeSnapshotLocked()
+	}
+	return err
 }
 
 // writeSnapshotLocked captures the tenant's full state at the journal tail
@@ -271,43 +280,6 @@ func (s *System) JournalStats() (JournalStats, bool) {
 // ---------------------------------------------------------------------------
 // Controller: journal attachment, snapshots, recovery
 // ---------------------------------------------------------------------------
-
-// attachNewJournal opens a fresh journal for a newly created tenant and
-// writes its create-system event. The system is not yet published, so no
-// lock is needed. Called under the tenant-map shard lock.
-func (c *Controller) attachNewJournal(sys *System, m int) error {
-	dir := c.tenantDir(sys.id)
-	lg, err := journal.Open(dir, c.journalOptions())
-	if err != nil {
-		return err
-	}
-	if lg.NextSeq() != 1 {
-		lg.Close()
-		return fmt.Errorf("%w: tenant %q at %s", ErrJournalExists, sys.id, dir)
-	}
-	sys.log = lg
-	sys.snapEvery = c.cfg.snapshotEvery()
-	sys.snapFailures = &c.snapFailures
-	wait, err := sys.appendLocked(mcsio.EventJSON{
-		Kind:       mcsio.EventCreateSystem,
-		System:     sys.id,
-		Processors: m,
-		Test:       sys.ct.Name(),
-		Placement:  sys.journaledPlacement(),
-	})
-	if err == nil {
-		// Tenant creation is rare, so it waits for durability inline rather
-		// than joining the pipelined acknowledge path.
-		err = waitCommitted(wait)
-	}
-	if err != nil {
-		lg.Close()
-		sys.log = nil
-		return err
-	}
-	sys.maybeSnapshotLocked()
-	return nil
-}
 
 // SnapshotSystem forces a snapshot of one tenant, truncating its journal.
 func (c *Controller) SnapshotSystem(id string) error {
@@ -379,8 +351,9 @@ type RecoveryStats struct {
 // Recover reconstructs every tenant found under Config.DataDir: the latest
 // snapshot (if any) restores the partition directly, and the remaining
 // journal events replay through the live placement path with every
-// recorded decision verified against the re-computed one. Call it once, after NewController and before serving
-// traffic. Without a data directory it is a no-op.
+// recorded decision verified against the re-computed one. Call it once,
+// after NewController and before serving traffic. Without a data directory
+// it is a no-op.
 func (c *Controller) Recover() (RecoveryStats, error) {
 	var rs RecoveryStats
 	if !c.cfg.journaling() {
@@ -426,207 +399,72 @@ func (c *Controller) Recover() (RecoveryStats, error) {
 	return rs, nil
 }
 
-// recoverTenant rebuilds one tenant from its journal directory. It returns
-// (nil, 0, false, nil) for a journal with no events and no snapshot.
-func (c *Controller) recoverTenant(id, dir string) (*System, int, bool, error) {
-	lg, err := journal.Open(dir, c.journalOptions())
+// decodeRecord decodes the journal record at sequence seq and checks the
+// sequence stamped inside it against that position.
+func decodeRecord(seq uint64, raw []byte) (mcsio.EventJSON, error) {
+	e, err := mcsio.DecodeEvent(raw)
+	if err == nil && e.Seq != seq {
+		err = fmt.Errorf("%w: record at position %d stamped %d", ErrReplayDivergence, seq, e.Seq)
+	}
+	return e, err
+}
+
+// recoverTenant rebuilds one tenant from its journal directory: the latest
+// snapshot, if any, restores the state it covers, the create-system record
+// otherwise builds an empty one, and every later record replays through
+// apply. It returns (nil, 0, false, nil) for a journal with no events and no
+// snapshot.
+func (c *Controller) recoverTenant(id, dir string) (sys *System, events int, fromSnap bool, err error) {
+	lg, err := c.openLog(dir, false)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	ok := false
 	defer func() {
-		if !ok {
+		if err != nil {
 			lg.Close()
 		}
 	}()
-
-	var sys *System
-	fromSnap := false
-	payload, snapSeq, hasSnap, err := lg.Snapshot()
+	payload, snapSeq, fromSnap, err := lg.Snapshot()
 	if err != nil {
 		return nil, 0, false, err
 	}
-	if hasSnap {
-		sys, err = c.systemFromSnapshot(id, payload)
-		if err != nil {
+	if fromSnap {
+		if sys, err = c.restoreSnapshot(id, payload, lg); err != nil {
 			return nil, 0, false, err
 		}
 		c.stats.admits.Add(sys.admits)
 		c.stats.releases.Add(sys.releases)
-		fromSnap = true
 	}
-
-	events := 0
 	err = lg.Replay(snapSeq+1, func(seq uint64, rec []byte) error {
-		e, err := mcsio.DecodeEvent(rec)
+		e, err := decodeRecord(seq, rec)
 		if err != nil {
 			return err
-		}
-		if e.Seq != seq {
-			return fmt.Errorf("%w: record %d stamped %d", ErrReplayDivergence, seq, e.Seq)
 		}
 		events++
-		if e.Kind == mcsio.EventCreateSystem {
-			if sys != nil || seq != 1 {
-				return fmt.Errorf("%w: create-system at record %d", ErrReplayDivergence, seq)
-			}
-			if e.System != id {
-				return fmt.Errorf("%w: create-system names %q", ErrReplayDivergence, e.System)
-			}
-			if e.Processors > MaxProcessors {
-				return fmt.Errorf("%w: create-system with %d processors", ErrReplayDivergence, e.Processors)
-			}
-			test, found := c.cfg.Tests(e.Test)
-			if !found {
-				return fmt.Errorf("admission: unknown schedulability test %q in journal", e.Test)
-			}
-			placer, err := resolvePlacement(e.Placement)
-			if err != nil {
-				return fmt.Errorf("%w in journal", err)
-			}
-			sys = c.newTenant(id, e.Processors, test, placer)
-			return nil
+		if sys != nil {
+			// Recovery stages nothing: the record is already in the journal.
+			_, err = sys.replay(e, nil)
+			return err
 		}
-		if sys == nil {
-			return fmt.Errorf("%w: %s event before create-system", ErrReplayDivergence, e.Kind)
+		if e.Kind != mcsio.EventCreateSystem || seq != 1 {
+			return fmt.Errorf("%w: %s event at record %d before create-system", ErrReplayDivergence, e.Kind, seq)
 		}
-		return sys.applyEvent(e)
-	})
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if sys == nil {
-		if fromSnap {
-			return nil, 0, false, fmt.Errorf("%w: snapshot without system", ErrReplayDivergence)
-		}
-		return nil, 0, false, nil
-	}
-	sys.log = lg
-	sys.snapEvery = c.cfg.snapshotEvery()
-	sys.snapFailures = &c.snapFailures
-	sys.sinceSnap = events
-	ok = true
-	return sys, events, fromSnap, nil
-}
-
-// systemFromSnapshot rebuilds a tenant from a snapshot payload by
-// re-committing the recorded partition core by core in recorded order: the
-// per-core aggregates accumulate in exactly the order the live assigner
-// built them, so the restored floats are bit-identical. The tenant's
-// lifetime admit/release counters are restored on the system; callers
-// reconcile the controller-wide counters (recovery adds them wholesale, a
-// replicated snapshot install adds only the delta over the state it
-// replaces).
-func (c *Controller) systemFromSnapshot(id string, payload []byte) (*System, error) {
-	snap, part, err := mcsio.DecodeSnapshot(payload)
-	if err != nil {
-		return nil, err
-	}
-	if snap.System != id {
-		return nil, fmt.Errorf("%w: snapshot names system %q", ErrReplayDivergence, snap.System)
-	}
-	if snap.Processors > MaxProcessors {
-		return nil, fmt.Errorf("%w: snapshot with %d processors", ErrReplayDivergence, snap.Processors)
-	}
-	test, found := c.cfg.Tests(snap.Test)
-	if !found {
-		return nil, fmt.Errorf("admission: unknown schedulability test %q in snapshot", snap.Test)
-	}
-	placer, err := resolvePlacement(snap.Placement)
-	if err != nil {
-		return nil, fmt.Errorf("%w in snapshot", err)
-	}
-	sys := c.newTenant(id, snap.Processors, test, placer)
-	for k, coreSet := range part.Cores {
-		for _, t := range coreSet {
-			if sys.resident[t.ID] {
-				return nil, fmt.Errorf("%w: task %d twice in snapshot", ErrReplayDivergence, t.ID)
-			}
-			sys.asn.Commit(t, k)
-			sys.resident[t.ID] = true
-		}
-	}
-	sys.admits, sys.releases = snap.Admits, snap.Releases
-	if snap.Placement != "" {
-		// Restore the next-fit cursor: the rebuild commits above walked the
-		// cores in index order, which is not the live commit order, so
-		// stateful heuristics (nf) would otherwise scan from the wrong core
-		// on the first post-recovery placement.
-		sys.asn.SetLastCore(snap.Cursor - 1)
-	}
-	return sys, nil
-}
-
-// applyEvent applies one already-journaled, decoded event through the
-// verified replay path, bumping the committed-transition counters exactly
-// as the live decision did. It is the shared apply step of recovery replay;
-// the replicated-apply path runs the same verification but interleaves the
-// local journal append as its commit point (applyReplicatedLocked). Caller
-// holds s.mu or exclusively owns an unpublished system.
-func (s *System) applyEvent(e mcsio.EventJSON) error {
-	switch e.Kind {
-	case mcsio.EventAdmit:
-		t, err := mcsio.TaskFromJSON(*e.Task)
+		test, err := c.describedTest(id, e.System, e.Test)
 		if err != nil {
 			return err
 		}
-		if err := s.replayAdmit(t, e.Core); err != nil {
-			return err
-		}
-		s.admits++
-		s.ct.stats.admits.Inc()
-	case mcsio.EventAdmitBatch:
-		for i, j := range e.Tasks {
-			t, err := mcsio.TaskFromJSON(j)
-			if err != nil {
-				return err
-			}
-			if err := s.replayAdmit(t, e.Cores[i]); err != nil {
-				return err
-			}
-		}
-		s.admits += uint64(len(e.Tasks))
-		s.ct.stats.admits.Add(uint64(len(e.Tasks)))
-	case mcsio.EventRelease:
-		for _, tid := range e.TaskIDs {
-			if !s.resident[tid] {
-				return fmt.Errorf("%w: release of non-resident task %d", ErrReplayDivergence, tid)
-			}
-			s.asn.Remove(tid)
-			delete(s.resident, tid)
-			s.releases++
-			s.ct.stats.releases.Inc()
-		}
-	default:
-		return fmt.Errorf("%w: unexpected event kind %q", ErrReplayDivergence, e.Kind)
-	}
-	return nil
-}
-
-// verifyReplayedAdmit re-runs the UDP placement for a recorded admit and
-// checks the decision matches the recorded core, committing nothing. The
-// analyses it runs are counted in TestsRun like any other and leave the
-// per-core analyzers warm for post-recovery (or post-promotion) traffic.
-func (s *System) verifyReplayedAdmit(t mcs.Task, core int) error {
-	if err := s.validateIncoming(t); err != nil {
-		return fmt.Errorf("%w: %v", ErrReplayDivergence, err)
-	}
-	res := s.place(t)
-	if !res.Admitted || res.Core != core {
-		return fmt.Errorf("%w: task %d places on core %d, journal says %d",
-			ErrReplayDivergence, t.ID, res.Core, core)
-	}
-	return nil
-}
-
-// replayAdmit verifies a journaled admit against the live placement and
-// commits it.
-func (s *System) replayAdmit(t mcs.Task, core int) error {
-	if err := s.verifyReplayedAdmit(t, core); err != nil {
+		sys, err = c.newTenant(id, e.Processors, test, e.Placement, lg)
 		return err
+	})
+	if err != nil || sys == nil {
+		if err == nil {
+			lg.Close() // an empty husk; Recover removes the directory
+		}
+		return nil, 0, false, err
 	}
-	s.commitPlaced(t, core)
-	return nil
+	// The cadence resumes where the journal left it.
+	sys.sinceSnap = events
+	return sys, events, fromSnap, nil
 }
 
 // insertRecovered publishes a recovered system, failing on duplicates.

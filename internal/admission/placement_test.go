@@ -3,9 +3,10 @@ package admission
 // Placement-API suite: the named heuristic registry must be invisible when
 // unused and durable when used. The differential test pins the explicit
 // "udp-ca" spelling to the historical default down to the journal bytes;
-// the recovery tests pin that a journaled heuristic name survives replay,
-// snapshot-only recovery and generation changes; the fail-closed tests pin
-// that unknown names are rejected at create, config and replay time.
+// the fail-closed tests pin that unknown names are rejected at create and
+// config time. That a journaled heuristic name — and the nf cursor — survives
+// replay, snapshot recovery and failover is TestTenantStateMachineLockstep's
+// to check, step by step.
 
 import (
 	"errors"
@@ -140,102 +141,6 @@ func TestPlacementNamedDefaultBitIdentical(t *testing.T) {
 				}
 				if got != want {
 					t.Fatalf("journal file %s differs between default and named udp-ca", rel)
-				}
-			}
-		})
-	}
-}
-
-// TestPlacementRecoveryPreservesHeuristic: a tenant created under a
-// non-default heuristic must recover — via replay or snapshot — with the
-// identical packer: same reported name, same fingerprint, same future
-// verdicts.
-func TestPlacementRecoveryPreservesHeuristic(t *testing.T) {
-	placements := []string{"wf-total", "ff@0.75", "nf"}
-	for _, snapEvery := range []int{-1, 3} {
-		snapEvery := snapEvery
-		t.Run(fmt.Sprintf("snapshotEvery=%d", snapEvery), func(t *testing.T) {
-			t.Parallel()
-			dir := t.TempDir()
-			cfg := DefaultConfig()
-			cfg.DataDir = dir
-			cfg.SnapshotEvery = snapEvery
-			cfg.Tests = resolveTest
-			test := allTests()[0]
-
-			live := NewController(cfg)
-			for i, p := range placements {
-				sys, err := live.CreateSystemWithPlacement(fmt.Sprintf("tenant-%d", i), 3, test, p)
-				if err != nil {
-					t.Fatalf("create %q: %v", p, err)
-				}
-				driveRandomWorkload(t, sys, test, int64(500+i), 3)
-			}
-			fps := map[string]string{}
-			for _, id := range live.SystemIDs() {
-				sys, _ := live.System(id)
-				fps[id] = sys.Fingerprint()
-			}
-			if err := live.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			rec := NewController(cfg)
-			if _, err := rec.Recover(); err != nil {
-				t.Fatal(err)
-			}
-			defer rec.Close()
-			for i, p := range placements {
-				id := fmt.Sprintf("tenant-%d", i)
-				rsys, err := rec.System(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := rsys.PlacementName(); got != p {
-					t.Fatalf("tenant %s recovered with placement %q, want %q", id, got, p)
-				}
-				if got := rsys.Fingerprint(); got != fps[id] {
-					t.Fatalf("tenant %s diverged:\n%s\n%s", id, fps[id], got)
-				}
-			}
-			// Future decisions still use the journaled heuristic: an
-			// unjournaled oracle tenant built with the same name and the
-			// same deterministic workload must agree on every fresh probe.
-			oracle := NewController(DefaultConfig())
-			rng := rand.New(rand.NewSource(61))
-			gcfg := taskgen.DefaultConfig(3, 0.5, 0.3, 0.4)
-			for i, p := range placements {
-				id := fmt.Sprintf("tenant-%d", i)
-				rsys, _ := rec.System(id)
-				osys, err := oracle.CreateSystemWithPlacement(id, 3, test, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				driveRandomWorkload(t, osys, test, int64(500+i), 3)
-				if got, want := osys.Fingerprint(), fps[id]; got != want {
-					t.Fatalf("oracle rebuild of %s diverged:\n%s\n%s", id, want, got)
-				}
-				ts, err := taskgen.Generate(rng, gcfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for j, task := range ts {
-					task.ID = 1<<20 + j
-					a, errA := rsys.Probe(task)
-					b, errB := osys.Probe(task)
-					if (errA == nil) != (errB == nil) {
-						t.Fatalf("probe error divergence: %v vs %v", errA, errB)
-					}
-					if a.Admitted != b.Admitted || a.Core != b.Core {
-						t.Fatalf("tenant %s (%s): verdict divergence on %v: %+v vs %+v", id, p, task, a, b)
-					}
-				}
-			}
-			// Placement census in stats reflects the recovered names.
-			counts := rec.Stats().Placements
-			for _, p := range placements {
-				if counts[p] != 1 {
-					t.Fatalf("stats placements = %v, want one tenant per %v", counts, placements)
 				}
 			}
 		})

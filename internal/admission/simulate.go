@@ -106,7 +106,7 @@ func (s *System) Simulate(spec sim.Spec) (SimOutcome, error) {
 	if err := spec.Validate(); err != nil {
 		return SimOutcome{}, fmt.Errorf("%w: %v", ErrBadScenario, err)
 	}
-	m := s.loadMetrics()
+	m := s.metrics.Load()
 	var start time.Time
 	if m != nil {
 		start = time.Now()

@@ -20,13 +20,14 @@ import (
 // reading methods are safe for concurrent use; a per-system mutex
 // serializes them, so independent tenants never contend.
 //
-// State transitions are event-sourced: a mutation is first decided against
-// the in-memory partitions, then (when the controller journals) appended
-// to the tenant's write-ahead log as a typed event, and only then applied.
-// The journal append is the commit point — an acknowledged transition is
-// replayable, and a crash between append and apply is indistinguishable
-// from a crash just after apply because replay reproduces the same
-// placement.
+// State transitions are event-sourced, and every one of them — live,
+// replayed by recovery or applied by a follower — goes through apply
+// (state.go): a mutation is first decided against the in-memory partitions,
+// then (when the controller journals) appended to the tenant's write-ahead
+// log as a typed event, and only then kept. The journal append is the commit
+// point — an acknowledged transition is replayable, and a crash between
+// append and apply is indistinguishable from a crash just after apply
+// because replay reproduces the same placement.
 type System struct {
 	id string
 	// rejectReason is the constant Reason string of rejecting decisions.
@@ -52,8 +53,7 @@ type System struct {
 	// runs without a data directory. sinceSnap counts appended events
 	// since the last snapshot; at snapEvery the system snapshots itself
 	// and truncates the log. All three are guarded by mu. codec is the
-	// encoding of newly appended records (immutable after creation; the
-	// zero value encodes JSON, so directly built test systems work).
+	// encoding of newly appended records (immutable after creation).
 	log       *journal.Log
 	codec     mcsio.Codec
 	snapEvery int
@@ -66,18 +66,22 @@ type System struct {
 	// follower points at the controller's replication role: while set, the
 	// system rejects committing writes with ErrFollower (probes and reads
 	// keep working). hooks points at the controller's replication hooks so
-	// committed appends can wake the log shipper. Both are nil in tests
-	// that build systems directly.
+	// committed appends can wake the log shipper.
 	follower *atomic.Bool
 	hooks    *atomic.Pointer[Hooks]
 
-	// metrics points at the controller's latency instruments; nil (or a nil
-	// load, before EnableMetrics) disables decision timing entirely.
+	// metrics points at the controller's latency instruments; a nil load
+	// (before EnableMetrics) disables decision timing entirely.
 	metrics *atomic.Pointer[Metrics]
 
-	// relScratch is the reusable ID buffer of single-task releases, so the
+	// oneTask, oneCore, oneResult and relScratch are the reusable buffers of
+	// single-task transitions (oneCore of replayed ones) and releases, so the
 	// warm admit+release cycle never heap-allocates. Guarded by mu; the
-	// journal marshals it before returning and never retains it.
+	// journal marshals what it is handed before returning and never retains
+	// it.
+	oneTask    [1]mcs.Task
+	oneCore    [1]int
+	oneResult  [1]AdmitResult
 	relScratch []int
 }
 
@@ -117,28 +121,6 @@ func (t *countedTest) Memoize(ts mcs.TaskSet, compute func(mcs.TaskSet) bool) bo
 	t.stats.testsRun.Inc()
 	return compute(ts)
 }
-
-// newSystem wires a tenant over m cores judged by test and packed by
-// placer (nil selects the default UDP heuristic), counting into the
-// controller's stats.
-func newSystem(id string, m int, test core.Test, placer core.Placer, stats *counters) *System {
-	ct := &countedTest{inner: test, name: test.Name(), stats: stats}
-	if placer == nil {
-		placer, _ = core.PlacerByName(core.DefaultPlacement)
-	}
-	return &System{
-		id:           id,
-		rejectReason: "task fits on no core under " + ct.name,
-		asn:          core.NewAssigner(m, ct),
-		ct:           ct,
-		placer:       placer,
-		resident:     make(map[int]bool),
-	}
-}
-
-// followerMode reports whether the owning controller currently rejects
-// writes as a warm-standby replica.
-func (s *System) followerMode() bool { return s.follower != nil && s.follower.Load() }
 
 // ID returns the tenant identifier.
 func (s *System) ID() string { return s.id }
@@ -230,18 +212,6 @@ func (s *System) AnalyzerCounters() kernel.Counters {
 	return s.asn.AnalyzerCounters()
 }
 
-// validateIncoming rejects tasks that are malformed or collide with a
-// resident ID. Caller holds s.mu.
-func (s *System) validateIncoming(t mcs.Task) error {
-	if err := t.Validate(); err != nil {
-		return fmt.Errorf("admission: %w", err)
-	}
-	if s.resident[t.ID] {
-		return fmt.Errorf("%w: %d", ErrDuplicateTask, t.ID)
-	}
-	return nil
-}
-
 // place runs the online placement decision for one task without
 // committing anything: the tenant's placer ranks (and may prune) the
 // candidate cores — worst-fit by utilization difference for HC tasks and
@@ -260,20 +230,42 @@ func (s *System) place(t mcs.Task) AdmitResult {
 	return res
 }
 
-// commitPlaced applies a placement that place just decided (no state
-// mutated in between, which holding s.mu guarantees). Caller holds s.mu.
-func (s *System) commitPlaced(t mcs.Task, k int) {
-	s.asn.Commit(t, k)
-	s.resident[t.ID] = true
+// applyLive runs one live transition through apply: the stage encodes the
+// transition and appends it to the tenant journal, if there is one. The
+// returned wait must run after s.mu is released, which is what lets
+// concurrent decisions coalesce into one fsync under group commit; when it
+// fails the transition was applied optimistically but is not durable, and
+// the journal is poisoned fail-stop, so no later decision can be
+// acknowledged against the phantom state. Caller holds s.mu.
+func (s *System) applyLive(tr *transition) (func() error, error) {
+	if !tr.dry && s.follower.Load() {
+		// A follower's state is owned by the replication stream; probes stay
+		// available so clients can ask "would this fit" on a replica.
+		return nil, ErrFollower
+	}
+	return s.apply(tr, func() (func() error, error) { return s.stageEncoded(tr) })
 }
 
-// loadMetrics returns the controller's latency instruments, or nil when
-// metrics are not enabled (or the system was built without a controller).
-func (s *System) loadMetrics() *Metrics {
-	if s.metrics == nil {
-		return nil
+// timed starts the latency clock of one operation. Timing is gated on the
+// metrics pointer: without EnableMetrics the hot path takes no timestamps
+// and the decision cost is unchanged.
+func (s *System) timed() (m *Metrics, start time.Time) {
+	if m = s.metrics.Load(); m != nil {
+		start = time.Now()
 	}
-	return s.metrics.Load()
+	return m, start
+}
+
+// observe stops a clock timed started into the admit histogram, or into the
+// probe histogram for a decision that did not commit.
+func (m *Metrics) observe(start time.Time, probe bool) {
+	switch {
+	case m == nil:
+	case probe:
+		m.probeSeconds.Observe(time.Since(start))
+	default:
+		m.admitSeconds.Observe(time.Since(start))
+	}
 }
 
 // Admit places one task, committing it on success.
@@ -282,74 +274,29 @@ func (s *System) Admit(t mcs.Task) (AdmitResult, error) {
 }
 
 // Probe decides whether the task would be admitted without committing it.
+// Placement state is left untouched, the next-fit cursor included.
 func (s *System) Probe(t mcs.Task) (AdmitResult, error) {
 	return s.decide(t, false, nil)
 }
 
 func (s *System) decide(t mcs.Task, commit bool, rec probeRecorder) (AdmitResult, error) {
-	// Timing is gated on the metrics pointer: without EnableMetrics the hot
-	// path takes no timestamps and the decision cost is unchanged.
-	m := s.loadMetrics()
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
+	m, start := s.timed()
 	s.mu.Lock()
-	if commit && s.followerMode() {
-		// A follower's state is owned by the replication stream; probes
-		// stay available so clients can ask "would this fit" on a replica.
-		s.mu.Unlock()
-		return AdmitResult{TaskID: t.ID, Core: -1}, ErrFollower
+	// The one-task set and its verdict live in the tenant's scratch, so a
+	// warm decision never heap-allocates; the verdict is copied out under
+	// the lock.
+	s.oneTask[0] = t
+	tr := transition{kind: mcsio.EventAdmit, tasks: s.oneTask[:], results: s.oneResult[:0], dry: !commit, rec: rec}
+	wait, err := s.applyLive(&tr)
+	res := s.oneResult[0]
+	s.mu.Unlock()
+	if err == nil {
+		err = waitCommitted(wait)
 	}
-	if err := s.validateIncoming(t); err != nil {
-		s.mu.Unlock()
+	if err != nil {
 		return AdmitResult{TaskID: t.ID, Core: -1, Probed: !commit}, err
 	}
-	s.ct.tests = 0
-	res := s.placeTraced(t, rec)
-	res.Probed = !commit
-	var wait func() error
-	if commit && res.Admitted {
-		// Commit point: stage the journal record first, apply second. A
-		// failed staging leaves the partitions untouched — the admit never
-		// happened. Under group commit durability is acknowledged after the
-		// tenant lock is released (the wait below), which is what lets
-		// concurrent decisions coalesce into one fsync.
-		w, err := s.journalAdmit(t, res.Core)
-		if err != nil {
-			s.mu.Unlock()
-			return AdmitResult{TaskID: t.ID, Core: -1}, err
-		}
-		wait = w
-		s.commitPlaced(t, res.Core)
-		s.admits++
-		s.maybeSnapshotLocked()
-	}
-	res.Tests = s.ct.tests
-	s.mu.Unlock()
-	if err := waitCommitted(wait); err != nil {
-		// The placement was applied optimistically but its durability
-		// failed; the journal is now poisoned fail-stop, so no later
-		// decision can be acknowledged against the phantom state.
-		return AdmitResult{TaskID: t.ID, Core: -1}, err
-	}
-	switch {
-	case !commit:
-		s.ct.stats.probes.Inc()
-		if m != nil {
-			m.probeSeconds.Observe(time.Since(start))
-		}
-	case res.Admitted:
-		s.ct.stats.admits.Inc()
-		if m != nil {
-			m.admitSeconds.Observe(time.Since(start))
-		}
-	default:
-		s.ct.stats.rejects.Inc()
-		if m != nil {
-			m.admitSeconds.Observe(time.Since(start))
-		}
-	}
+	m.observe(start, !commit)
 	return res, nil
 }
 
@@ -361,7 +308,8 @@ func (s *System) AdmitBatch(ts mcs.TaskSet) (BatchResult, error) {
 	return s.decideBatch(ts, true)
 }
 
-// ProbeBatch decides a batch without committing it.
+// ProbeBatch decides a batch without committing it. Like a rejected batch it
+// rolls its tentative placements back, the next-fit cursor included.
 func (s *System) ProbeBatch(ts mcs.TaskSet) (BatchResult, error) {
 	return s.decideBatch(ts, false)
 }
@@ -370,111 +318,24 @@ func (s *System) decideBatch(ts mcs.TaskSet, commit bool) (BatchResult, error) {
 	if len(ts) == 0 {
 		return BatchResult{}, fmt.Errorf("admission: empty batch")
 	}
-	m := s.loadMetrics()
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	s.mu.Lock()
-	if commit && s.followerMode() {
-		s.mu.Unlock()
-		return BatchResult{}, ErrFollower
-	}
-	seen := make(map[int]bool, len(ts))
-	for _, t := range ts {
-		if err := s.validateIncoming(t); err != nil {
-			s.mu.Unlock()
-			return BatchResult{}, err
-		}
-		if seen[t.ID] {
-			s.mu.Unlock()
-			return BatchResult{}, fmt.Errorf("%w: %d repeated in batch", ErrDuplicateTask, t.ID)
-		}
-		seen[t.ID] = true
-	}
-
+	m, start := s.timed()
 	ordered := ts.Clone()
 	ordered.SortByLevelUtil()
-
-	s.ct.tests = 0
-	out := BatchResult{Admitted: true, Results: make([]AdmitResult, 0, len(ordered))}
-	placed := make([]int, 0, len(ordered))
-	// Remove does not rewind the next-fit cursor, so a rollback restores it.
-	cursor := s.asn.LastCore()
-	for _, t := range ordered {
-		// Batch placement always commits tentatively so later tasks see
-		// earlier ones; a probe (or a misfit) rolls the placements back.
-		before := s.ct.tests
-		res := s.place(t)
-		if res.Admitted {
-			s.commitPlaced(t, res.Core)
-		}
-		res.Tests = s.ct.tests - before
-		out.Results = append(out.Results, res)
-		if !res.Admitted {
-			out.Admitted = false
-			break
-		}
-		placed = append(placed, t.ID)
-	}
-	var wait func() error
-	if out.Admitted && commit {
-		// Commit point: the whole batch becomes one journal record, so a
-		// crash replays either all of it or none of it. A failed staging
-		// rolls the tentative placements back — the batch never happened.
-		w, err := s.journalBatch(ordered, out.Results)
-		if err != nil {
-			for _, id := range placed {
-				s.asn.Remove(id)
-				delete(s.resident, id)
-			}
-			s.asn.SetLastCore(cursor)
-			s.mu.Unlock()
-			return BatchResult{}, err
-		}
-		wait = w
-		s.admits += uint64(len(out.Results))
-		s.maybeSnapshotLocked()
-	}
-	if !out.Admitted || !commit {
-		for _, id := range placed {
-			s.asn.Remove(id)
-			delete(s.resident, id)
-		}
-		s.asn.SetLastCore(cursor)
-	}
-	if !commit {
-		for i := range out.Results {
-			out.Results[i].Probed = true
-		}
-	}
-	out.Tests = s.ct.tests
+	// The whole batch becomes one journal record, so a crash replays either
+	// all of it or none of it.
+	tr := transition{kind: mcsio.EventAdmitBatch, tasks: ordered,
+		results: make([]AdmitResult, 0, len(ordered)), dry: !commit}
+	s.mu.Lock()
+	wait, err := s.applyLive(&tr)
 	s.mu.Unlock()
-	if err := waitCommitted(wait); err != nil {
-		// Applied optimistically, durability failed: the journal is
-		// poisoned fail-stop (see decide).
+	if err == nil {
+		err = waitCommitted(wait)
+	}
+	if err != nil {
 		return BatchResult{}, err
 	}
-	switch {
-	case !commit:
-		s.ct.stats.probes.Add(uint64(len(out.Results)))
-		if m != nil {
-			m.probeSeconds.Observe(time.Since(start))
-		}
-	case out.Admitted:
-		s.ct.stats.admits.Add(uint64(len(out.Results)))
-		if m != nil {
-			m.admitSeconds.Observe(time.Since(start))
-		}
-	default:
-		// Only the misfit task is a rejection; the tasks that placed and
-		// were rolled back were never individually rejected.
-		s.ct.stats.rejects.Inc()
-		if m != nil {
-			m.admitSeconds.Observe(time.Since(start))
-		}
-	}
-	return out, nil
+	m.observe(start, !commit)
+	return BatchResult{Admitted: tr.admitted, Results: tr.results, Tests: tr.tests}, nil
 }
 
 // Release removes the tasks with the given IDs and returns how many tasks
@@ -483,62 +344,35 @@ func (s *System) decideBatch(ts mcs.TaskSet, commit bool) (BatchResult, error) {
 // four tests are sustainable under task removal — so a release is O(n)
 // bookkeeping.
 func (s *System) Release(ids ...int) (int, error) {
-	m := s.loadMetrics()
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
+	m, start := s.timed()
 	s.mu.Lock()
-	if s.followerMode() {
-		s.mu.Unlock()
-		return 0, ErrFollower
-	}
-	var unique []int
+	// Single-task release is the hot shape (every admit+release cycle): no
+	// dedup map, and the scratch buffer keeps the path allocation-free. The
+	// journal marshals the IDs before apply returns and never retains them.
+	unique := s.relScratch[:0]
 	if len(ids) == 1 {
-		// Single-task release is the hot shape (every admit+release cycle);
-		// skip the dedup map and reuse the scratch buffer so the path stays
-		// allocation-free.
-		if !s.resident[ids[0]] {
-			s.mu.Unlock()
-			return 0, fmt.Errorf("%w: %d", ErrUnknownTask, ids[0])
-		}
-		s.relScratch = append(s.relScratch[:0], ids[0])
-		unique = s.relScratch
+		unique = append(unique, ids[0])
 	} else {
-		unique = make([]int, 0, len(ids))
 		seen := make(map[int]bool, len(ids))
 		for _, id := range ids {
-			if !s.resident[id] {
-				s.mu.Unlock()
-				return 0, fmt.Errorf("%w: %d", ErrUnknownTask, id)
-			}
 			if !seen[id] {
 				seen[id] = true
 				unique = append(unique, id)
 			}
 		}
 	}
-	// Commit point: stage the release, then apply it; durability is
-	// acknowledged after the lock (see decide).
-	wait, err := s.journalRelease(unique)
-	if err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	n := len(unique)
-	for _, id := range unique {
-		s.asn.Remove(id)
-		delete(s.resident, id)
-		s.releases++
-		s.ct.stats.releases.Inc()
-	}
-	s.maybeSnapshotLocked()
+	s.relScratch = unique
+	tr := transition{kind: mcsio.EventRelease, ids: unique}
+	wait, err := s.applyLive(&tr)
 	s.mu.Unlock()
-	if err := waitCommitted(wait); err != nil {
+	if err == nil {
+		err = waitCommitted(wait)
+	}
+	if err != nil {
 		return 0, err
 	}
 	if m != nil {
 		m.releaseSeconds.Observe(time.Since(start))
 	}
-	return n, nil
+	return len(unique), nil
 }

@@ -136,9 +136,9 @@ func (a *Assigner) TotalUtil(k int) float64 { return a.uhh[k] + a.ull[k] }
 func (a *Assigner) LastCore() int { return a.lastCore }
 
 // SetLastCore restores the next-fit cursor when rebuilding an assigner from
-// a snapshot: releases never rewind the cursor, so it cannot be rederived
-// from the committed partition. k = -1 means no commit yet; out-of-range
-// values are ignored.
+// a snapshot or undoing tentative commits: Remove never rewinds the cursor,
+// so it cannot be rederived from the committed partition. k = -1 means no
+// commit yet; out-of-range values are ignored.
 func (a *Assigner) SetLastCore(k int) {
 	if k < -1 || k >= len(a.cores) {
 		return

@@ -95,9 +95,12 @@ func (firstFitPlacer) Score(_ *Assigner, _ mcs.Task, k int) float64 {
 }
 
 // nextFitPlacer scans from the core of the most recent commit, wrapping —
-// the classic next-fit cursor. The cursor is the assigner's LastCore, which
-// replay reproduces because recovery commits in recorded order through the
-// same path.
+// the classic next-fit cursor. The cursor is the assigner's LastCore, and
+// it is state of its own: Remove does not rewind it and the partition does
+// not determine it, so whoever undoes a Commit (a rolled-back tentative
+// batch placement) or rebuilds an assigner from a partition (a snapshot
+// restore) must put it back with SetLastCore. Replay reproduces it only
+// because the admission layer does both.
 type nextFitPlacer struct{}
 
 func (nextFitPlacer) Name() string           { return "nf" }

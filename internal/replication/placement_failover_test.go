@@ -1,108 +1,18 @@
 package replication
 
-// Cross-heuristic failover equivalence: a tenant created under a
+// Cross-heuristic failover over the wire: a tenant created under a
 // non-default placement heuristic must replicate its heuristic with its
 // state, so a promoted follower keeps packing with the identical placer.
 // nf is the interesting case — its scan cursor is genuine state that rides
-// in snapshots — so both the record-by-record and the snapshot catch-up
-// paths are pinned here.
+// in snapshots — so the snapshot frame is pinned here. Record-by-record
+// apply and promotion under every placement are checked against a model in
+// admission's TestTenantStateMachineLockstep.
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
 
 	"mcsched/internal/admission"
-	"mcsched/internal/taskgen"
 )
-
-func TestFailoverPreservesPlacementHeuristic(t *testing.T) {
-	placements := []string{"nf", "wf-total", "ff@0.75"}
-	test := allTests()[0]
-	leaderDir := t.TempDir()
-	leader := admission.NewController(leaderConfig(leaderDir, 3))
-	if _, err := leader.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	fctrl, _, srv := newFollower(t, t.TempDir())
-	ship := connect(t, leader, srv.URL)
-
-	for i, p := range placements {
-		sys, err := leader.CreateSystemWithPlacement(fmt.Sprintf("tenant-%d", i), 3, test, p)
-		if err != nil {
-			t.Fatalf("create %q: %v", p, err)
-		}
-		driveReplicated(t, sys, test, int64(800+i), 3, 0, func(string) {})
-	}
-	flush(t, ship)
-	leaderFPs := map[string]string{}
-	for _, id := range leader.SystemIDs() {
-		leaderFPs[id] = fingerprintOf(leader, id)
-	}
-
-	// Kill the leader and promote the follower.
-	ship.Stop()
-	if err := leader.Close(); err != nil {
-		t.Fatal(err)
-	}
-	promote(t, srv)
-
-	// The promoted follower packs with the replicated heuristics...
-	for i, p := range placements {
-		id := fmt.Sprintf("tenant-%d", i)
-		fsys, err := fctrl.System(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fsys.PlacementName(); got != p {
-			t.Fatalf("promoted tenant %s reports placement %q, want %q", id, got, p)
-		}
-		if got := fsys.Fingerprint(); got != leaderFPs[id] {
-			t.Fatalf("promoted tenant %s diverged:\n%s\n%s", id, leaderFPs[id], got)
-		}
-	}
-
-	// ...and every future verdict matches a fresh recovery of the leader's
-	// own journal — the strongest statement that placement state (including
-	// the nf cursor) crossed the wire whole.
-	rec := admission.NewController(leaderConfig(leaderDir, 3))
-	if _, err := rec.Recover(); err != nil {
-		t.Fatal(err)
-	}
-	defer rec.Close()
-	rng := rand.New(rand.NewSource(881))
-	gcfg := taskgen.DefaultConfig(3, 0.5, 0.3, 0.4)
-	for i := range placements {
-		id := fmt.Sprintf("tenant-%d", i)
-		fsys, _ := fctrl.System(id)
-		rsys, err := rec.System(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts, err := taskgen.Generate(rng, gcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, task := range ts {
-			task.ID = 1<<20 + j
-			// Admit (not probe) so stateful cursors keep advancing in both.
-			a, errA := fsys.Admit(task)
-			b, errB := rsys.Admit(task)
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("admit error divergence: %v vs %v", errA, errB)
-			}
-			if errA != nil {
-				continue
-			}
-			if a.Admitted != b.Admitted || a.Core != b.Core {
-				t.Fatalf("tenant %s: verdict divergence on %v: follower %+v vs recovered %+v", id, task, a, b)
-			}
-		}
-		if got, want := fsys.Fingerprint(), rsys.Fingerprint(); got != want {
-			t.Fatalf("tenant %s end states diverged:\n%s\n%s", id, want, got)
-		}
-	}
-}
 
 // TestFailoverPlacementSnapshotCatchUp: a follower that attaches late must
 // learn the heuristic (and the nf cursor) from the snapshot frame alone.
