@@ -1,7 +1,7 @@
 // Command mcbench runs the repository's tracked performance benchmarks —
-// the admission hot path (single admits warm/cold, 64-task batches), probe
-// traffic, two cold EY/ECDF shaping runs on fixed sets, the offline
-// partitioning strategies, task-set generation, the capped discard loop and
+// the admission hot path (single admits warm/cold, 64-task batches, a
+// 16-task batch into a full ECDF tenant), probe traffic, two cold EY/ECDF
+// shaping runs on fixed sets, the offline partitioning strategies, task-set generation, the capped discard loop and
 // a Figure 3 sweep — and writes the results as JSON: ns/op, bytes/op,
 // allocs/op per benchmark plus the analyzer fast-path counters (fast
 // accepts/rejects, incremental decisions, warm-started fixed points)
@@ -9,6 +9,7 @@
 //
 //	mcbench -short -out BENCH_4.json
 //	mcbench -baseline BENCH_4.json -max-regress 2
+//	mcbench -short -run 'warm-e|ecdf'   # only the rows the pattern matches
 //
 // With -baseline the run compares itself against a previously written file
 // and exits non-zero when any benchmark regresses by more than -max-regress
@@ -29,6 +30,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"os"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -106,7 +108,12 @@ func main() {
 	maxRegress := flag.Float64("max-regress", 2.0, "maximum allowed ns/op ratio versus -baseline")
 	maxAllocRegress := flag.Float64("max-alloc-regress", 1.5,
 		"maximum allowed allocs/op ratio versus -baseline (allocs are machine-independent; 0 disables)")
+	runPattern := flag.String("run", "", "run only the benchmarks whose name matches this regular expression")
 	flag.Parse()
+	only, err := regexp.Compile(*runPattern)
+	if err != nil {
+		fatal("-run: %v", err)
+	}
 
 	benchtime := time.Second
 	if *short {
@@ -124,6 +131,9 @@ func main() {
 		Short:      *short,
 	}
 	for _, b := range benches() {
+		if !only.MatchString(b.name) {
+			continue
+		}
 		res := runOne(b)
 		if ref, ok := reference[b.name]; ok {
 			r := ref
@@ -409,6 +419,77 @@ func admitBatch64(test mcsched.Test, placement string) func(*testing.B, *Counter
 					b.Fatal(err)
 				}
 			}
+		}
+		b.StopTimer()
+		collect(ctrl, c)
+	}
+}
+
+// admitBatch16Full mirrors mcload's serve-analysis-batch write: a 16-task
+// all-or-nothing batch (one generated set of about one core's load,
+// constrained deadlines) offered to an 8-core tenant that was filled with
+// such batches until it refused three, so every core holds about a dozen
+// tasks and the exact analysis runs on most probes. An admitted batch is
+// released again; the measured cycle has run once before the timer starts.
+func admitBatch16Full(test mcsched.Test) func(*testing.B, *Counters) {
+	return func(b *testing.B, c *Counters) {
+		rng := rand.New(rand.NewSource(2017))
+		cfg := taskgen.DefaultConfig(1, 0.55, 0.25, 0.35)
+		cfg.NMin, cfg.NMax = 16, 16
+		cfg.Constrained = true
+		nextID := 0
+		draw := func() (mcsched.TaskSet, []int) {
+			for {
+				ts, err := taskgen.Generate(rng, cfg)
+				if err != nil {
+					continue // infeasible draw; the rng has advanced
+				}
+				ids := make([]int, len(ts))
+				for i := range ts {
+					ts[i].ID, ids[i] = nextID, nextID
+					nextID++
+				}
+				return ts, ids
+			}
+		}
+		ctrl := mcsched.NewAdmissionController(mcsched.DefaultAdmissionConfig())
+		sys, err := ctrl.CreateSystem("bench", 8, test)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for refused := 0; refused < 3; {
+			batch, _ := draw()
+			res, err := sys.AdmitBatch(batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Admitted {
+				refused++
+			}
+		}
+		const pool = 32
+		batches, ids := make([]mcsched.TaskSet, pool), make([][]int, pool)
+		for i := range batches {
+			batches[i], ids[i] = draw()
+		}
+		cycle := func(i int) {
+			res, err := sys.AdmitBatch(batches[i%pool])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Admitted {
+				if _, err := sys.Release(ids[i%pool]...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < pool; i++ {
+			cycle(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cycle(i)
 		}
 		b.StopTimer()
 		collect(ctrl, c)
@@ -755,6 +836,7 @@ func benches() []bench {
 		{"admit/batch64/edfvd-bf-total", admitBatch64(mcsched.EDFVD(), "bf-total")},
 		{"admit/batch64/edfvd-wf-total", admitBatch64(mcsched.EDFVD(), "wf-total")},
 		{"admit/batch64/edfvd-prm-ll", admitBatch64(mcsched.EDFVD(), "prm-ll")},
+		{"admit/batch16/ecdf-full-tenant", admitBatch16Full(mcsched.ECDF())},
 		{"analysis/ey-shape-m8", analyzeCold(mcsched.EY(), eyShapeSet, true)},
 		{"analysis/ecdf-exact-reject", analyzeCold(mcsched.ECDF(), ecdfRejectSet, false)},
 		{"partition/cuudp-amc", partition(strategyByName("CU-UDP"), mcsched.AMC())},

@@ -121,12 +121,71 @@ type Free struct{ Lo, Hi mcs.Ticks }
 // on failure — empty when L itself violates — and (0, L] on success. It
 // stops at L: a horizon bounds where a violation must have a counterpart,
 // not where violations end, so nothing is known above it.
+//
+// (R) Reuse under lower demand. A certificate proved for pointwise-higher
+// demand holds for lower demand — demand(ℓ) ≤ ℓ only gets easier — but
+// only up to the horizon it was proved under: the lower curve's own
+// horizon may be larger, and nothing was looked at above the old one.
 func QPAResume[C Curve](c C, L mcs.Ticks, known Free) (witness, demand mcs.Ticks, proved Free, ok bool) {
+	return QPAWindows(c, L, known, Windows{})
+}
+
+// Windows is the second kind of certificate, one with holes: demand was
+// proved violation-free at every ℓ > 0 — a walk over a valid horizon
+// succeeded — and has since risen only on the periodic windows
+// [Start + k·T, Start + Width + k·T), k ≥ 0. It is what lowering one step
+// curve's deadline from Start + Width to Start leaves behind. The zero
+// value (any Width ≤ 0) says demand may have risen everywhere and
+// certifies nothing; a Width of T or more covers everything from Start up.
+type Windows struct{ Start, Width, T mcs.Ticks }
+
+// snap returns the largest window point at or below t, -1 when there is
+// none; the zero value has every point in a window.
+func (w Windows) snap(t mcs.Ticks) mcs.Ticks {
+	if w.Width <= 0 {
+		return t
+	}
+	q := t - w.Start
+	if q < 0 {
+		return -1
+	}
+	if r := q % w.T; r >= w.Width {
+		t -= r - (w.Width - 1)
+	}
+	return t
+}
+
+// QPAWindows is the one QPA walk loop: QPAResume's walk which, handed
+// rose, also snaps t down to the nearest window point before each
+// evaluation and so skips everything between windows. With the zero
+// Windows it is QPAResume, point for point. With windows the verdict is
+// still QPAWitness(c, L)'s and the certificate returned still holds; the
+// witness is a violation, not necessarily the one the full walk stops at.
+//
+// (W) Why only windows need walking. The old curves passed a walk over a
+// valid horizon L_old, so they have no violation at any ℓ, above L_old
+// included — that is what makes a horizon valid. Outside the windows the
+// new demand is the old, so every violation of the new curves lies inside
+// a window, and on an integer point of one: between integers demand − ℓ is
+// affine with integer slope, so a violation strictly between n and n + 1
+// puts one on n (slope ≤ 1) or on n + 1 (slope ≥ 2, a point that is in a
+// window too, or the old curves would violate there). A point between
+// windows therefore passes without being evaluated, and stepping from it
+// to the last point of the window below skips nothing that can fail. The
+// windows must be walked from the *new* horizon L: the move that opened
+// them can have raised it, and a violation may sit in (L_old, L] alone.
+//
+// known and rose may both be set: known is proved for the curves as they
+// are now (or higher ones), rose is relative to older, fully proved
+// curves. A snap can land inside known, so known is applied after it and
+// the point it resumes from is snapped again.
+func QPAWindows[C Curve](c C, L mcs.Ticks, known Free, rose Windows) (witness, demand mcs.Ticks, proved Free, ok bool) {
 	all := Free{Lo: 0, Hi: L}
 	t := L
 	for iter := 0; iter < maxQPAIters; iter++ {
+		t = rose.snap(t)
 		if known.Lo < t && t <= known.Hi {
-			t = known.Lo
+			t = rose.snap(known.Lo)
 		}
 		if t <= 0 {
 			return -1, 0, all, true

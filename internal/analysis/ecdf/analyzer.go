@@ -16,7 +16,9 @@ import (
 // loosest curves instead of rebuilding them. The search itself replays
 // Analyze step for step — same pass order, same relaxation picks, same
 // shaping trajectories — so verdicts stay bit-identical to the stateless
-// test on every path.
+// test on every path; what differs is how many points its QPA walks
+// visit (resumed HI walks, windowed tuneStep tries, resumed relaxation
+// rounds; see ey.Shaper).
 type Analyzer struct {
 	opts Options
 	ctr  kernel.Counters
@@ -132,7 +134,10 @@ func (a *Analyzer) runExact() (ok, deep bool) {
 // relaxUntilLOFeasible is relaxUntilLOFeasible on the Shaper's arrays:
 // identical relaxation order (the HC scan in task order, most-shrunk task
 // first, halfway to its real deadline) and a boolean report instead of a
-// nil map.
+// nil map. Every round only raises a virtual deadline, which only lowers
+// LO demand, so the Shaper keeps what a failed round's walk proved and the
+// next round resumes from it instead of walking the horizon again — the
+// mirror of the HI-side rule, under which the same raise drops hiFree.
 func (a *Analyzer) relaxUntilLOFeasible() bool {
 	for rounds := 0; rounds < a.sh.NumTasks()+1; rounds++ {
 		if a.sh.LOFeasible() {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mcsched/internal/analysis/dbf"
 	"mcsched/internal/analysis/ey"
 	"mcsched/internal/mcs"
 	"mcsched/internal/taskgen"
@@ -17,18 +18,34 @@ import (
 // compares the runs witness by witness; this one adds the relaxation,
 // whose upward moves are what must drop the certificate, and the order of
 // the restarts.) One analyzer serves every set, so whatever a search
-// leaves behind meets the next one.
+// leaves behind meets the next one. Underneath, every LO-mode walk of the
+// search — the loosest check, each relaxation round (resumed from the
+// failed round before it), each try of each tuneStep (windowed) — must
+// give the verdict of the stateless LO test under the same deadlines.
 func TestSearchMatchesAnalyze(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	opts := DefaultOptions()
 	an := Test{}.NewAnalyzer().(*Analyzer)
 	var accepts, restartWins, relaxed, exhausted int
+	var ts mcs.TaskSet
+	var windowed, resumedRounds int
+	an.sh.SetLOWalkHook(func(known dbf.Free, rose dbf.Windows, ok bool) {
+		if want := ey.LOFeasible(ts, shaperVDs(&an.sh, ts)); ok != want {
+			t.Fatalf("LO walk via %+v and %+v says %v, the stateless test %v, for\n%v", known, rose, ok, want, ts)
+		}
+		switch {
+		case rose != (dbf.Windows{}):
+			windowed++
+		case known != (dbf.Free{}):
+			resumedRounds++ // only the relaxation resumes a full walk
+		}
+	})
 	for sets := 0; sets < 600; {
 		cfg := taskgen.DefaultConfig(1, 0.5+0.45*rng.Float64(), 0.1+0.3*rng.Float64(), 0.1+0.4*rng.Float64())
 		cfg.NMin, cfg.NMax = 3, 10
 		cfg.Constrained = true
-		ts, err := taskgen.Generate(rng, cfg)
-		if err != nil {
+		var err error
+		if ts, err = taskgen.Generate(rng, cfg); err != nil {
 			continue
 		}
 		sets++
@@ -71,6 +88,21 @@ func TestSearchMatchesAnalyze(t *testing.T) {
 		t.Fatalf("corpus too tame: %d accepts, %d by a restart, %d past a relaxation, %d rejects after all restarts",
 			accepts, restartWins, relaxed, exhausted)
 	}
+	if windowed < 1000 || resumedRounds < 100 {
+		t.Fatalf("corpus too tame: %d windowed tries, %d resumed relaxation rounds", windowed, resumedRounds)
+	}
+}
+
+// shaperVDs reads the Shaper's assignment back as an ID-keyed map.
+func shaperVDs(sh *ey.Shaper, ts mcs.TaskSet) ey.Assignment {
+	a, j := ey.Assignment{}, 0
+	for _, task := range ts {
+		if task.IsHC() {
+			a[task.ID] = sh.HCVD(j)
+			j++
+		}
+	}
+	return a
 }
 
 // TestRelaxationDropsCertificate pins the one upward move of the search:
@@ -95,5 +127,68 @@ func TestRelaxationDropsCertificate(t *testing.T) {
 	}
 	if gotW, _, gotOK := sh.HIFeasible(); gotW != wantW || gotOK != wantOK {
 		t.Fatalf("after raising deadlines: shaper (%d,%v), stateless (%d,%v)", gotW, gotOK, wantW, wantOK)
+	}
+}
+
+// TestRelaxationKeepsLOCertificate is the LO mirror: raising a virtual
+// deadline lowers LO demand, so what a failed LO walk proved must reach the
+// walk after the raise — that is what lets the relaxation's rounds resume —
+// and a lowered deadline must drop it again.
+func TestRelaxationKeepsLOCertificate(t *testing.T) {
+	// Three C^L = 2, T = D = 10 tasks: the LO test fails while two of them
+	// sit at d = C^L (demand 4 at ℓ = 2) and passes with one.
+	ts := mcs.TaskSet{mcs.NewHC(0, 2, 3, 10), mcs.NewHC(1, 2, 3, 10), mcs.NewHC(2, 2, 3, 10)}
+	var known []dbf.Free
+	// record notes what each LO walk of sh is handed and holds its verdict
+	// to the stateless test's.
+	record := func(sh *ey.Shaper) {
+		known = known[:0]
+		sh.SetLOWalkHook(func(k dbf.Free, _ dbf.Windows, ok bool) {
+			known = append(known, k)
+			if want := ey.LOFeasible(ts, shaperVDs(sh, ts)); ok != want {
+				t.Fatalf("walk %d via %+v says %v, the stateless test %v", len(known), k, ok, want)
+			}
+		})
+	}
+	var sh ey.Shaper
+	record(&sh)
+	sh.Reset(ts)
+	for j := 0; j < 3; j++ {
+		sh.SetHCVD(j, 2)
+	}
+	if sh.LOFeasible() { // fails at 2 and proves (6, 12]
+		t.Fatal("case too tame: the tightest assignment passes the LO test")
+	}
+	sh.SetHCVD(0, 10)
+	if sh.LOFeasible() {
+		t.Fatal("case too tame: one raise is enough")
+	}
+	sh.SetHCVD(1, 10)
+	if !sh.LOFeasible() {
+		t.Fatal("case broken: the LO test fails with one task at its tightest")
+	}
+	if len(known) != 3 || known[0] != (dbf.Free{}) || known[1] != (dbf.Free{Lo: 6, Hi: 12}) || known[2] == (dbf.Free{}) {
+		t.Fatalf("walks were handed %+v; want nothing, then (6, 12], then what the second proved", known)
+	}
+	sh.SetHCVD(1, 2) // LO demand rises: nothing proved may survive
+	if sh.LOFeasible() || known[3] != (dbf.Free{}) {
+		t.Fatalf("after lowering a deadline the walk was handed %+v", known[3])
+	}
+
+	// The same through the relaxation itself, from ECDF's tightest restart.
+	an := Test{}.NewAnalyzer().(*Analyzer)
+	an.sh.Reset(ts)
+	an.sh.Scale(0.05)
+	record(&an.sh)
+	if !an.relaxUntilLOFeasible() {
+		t.Fatal("relaxation gave up")
+	}
+	if len(known) < 2 || known[0] != (dbf.Free{}) {
+		t.Fatalf("relaxation walks were handed %+v", known)
+	}
+	for i, k := range known[1:] {
+		if k == (dbf.Free{}) {
+			t.Fatalf("relaxation round %d started over: %+v", i+1, known)
+		}
 	}
 }

@@ -37,7 +37,10 @@ import (
 // horizon folds. Within one run the trajectory is the same too, step for
 // step, but its walks are not started over: each HI-mode QPA walk resumes
 // from the interval the previous one proved violation-free (Shaper.hiFree,
-// dbf.QPAResume), which returns the witness the full walk would. Removals
+// dbf.QPAResume), which returns the witness the full walk would, and each
+// LO-mode walk of a tuneStep visits only the windows its one deadline move
+// raised demand on (Shaper.loProved, dbf.QPAWindows), which returns the
+// verdict the full walk would. Removals
 // refold over the order-preservingly compacted set, reproducing the
 // stateless folds bit-for-bit.
 type Analyzer struct {

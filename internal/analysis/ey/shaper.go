@@ -61,6 +61,33 @@ type Shaper struct {
 	// curves it was proved for) and everything else that touches the
 	// curves drops it.
 	hiFree dbf.Free
+
+	// The LO-mode mirror. loFree is what the last LOFeasible walk proved;
+	// LO demand falls when a virtual deadline rises, so it survives a
+	// raising SetHCVD (ecdf's relaxation resumes on it) and nothing else.
+	// loProved says more: a walk over a valid horizon succeeded on the
+	// curves as they stand (or on pointwise-higher ones), so LO demand has
+	// no violation at any ℓ. While it holds, tuneStep re-checks only the
+	// windows its one deadline move opened (dbf.Windows); a successful walk
+	// sets it, and Extend, Truncate, Scale, RestoreLoosest and a lowering
+	// SetHCVD clear it.
+	loFree   dbf.Free
+	loProved bool
+
+	// loHook, when set, sees every LO-mode walk's inputs and verdict before
+	// loWalk returns, the curves still as walked. The differential tests
+	// compare the verdict with a full walk's there; nothing else sets it.
+	loHook func(known dbf.Free, rose dbf.Windows, ok bool)
+}
+
+// SetLOWalkHook installs the differential tests' observer of LO-mode
+// walks (see loHook); nil removes it.
+func (s *Shaper) SetLOWalkHook(f func(known dbf.Free, rose dbf.Windows, ok bool)) { s.loHook = f }
+
+// dropProofs forgets everything proved about the curves, for callers that
+// are about to change them in ways that can raise demand in either mode.
+func (s *Shaper) dropProofs() {
+	s.hiFree, s.loFree, s.loProved = dbf.Free{}, dbf.Free{}, false
 }
 
 // loOffTerm is the offset term LOAccum.Add would fold for st — the same
@@ -93,6 +120,7 @@ func (s *Shaper) Reset(ts mcs.TaskSet) {
 	s.offHI = s.offHI[:0]
 	s.looseLO = dbf.LOAccum{}
 	s.looseHI = dbf.HIAccum{}
+	s.dropProofs()
 	for _, t := range ts {
 		s.Extend(t)
 	}
@@ -113,7 +141,7 @@ type ExtendUndo struct {
 // Extend).
 func (s *Shaper) Extend(x mcs.Task) ExtendUndo {
 	u := ExtendUndo{tasks: len(s.steps), saws: len(s.saws), looseLO: s.looseLO, looseHI: s.looseHI}
-	s.hiFree = dbf.Free{}
+	s.dropProofs()
 	st := dbf.Step{C: x.CLo(), D: x.Deadline, T: x.Period}
 	s.steps = append(s.steps, st)
 	s.offLO = append(s.offLO, loOffTerm(st))
@@ -144,13 +172,13 @@ func (s *Shaper) Truncate(u ExtendUndo) {
 	s.frozen = s.frozen[:u.saws]
 	s.offHI = s.offHI[:u.saws]
 	s.looseLO, s.looseHI = u.looseLO, u.looseHI
-	s.hiFree = dbf.Free{}
+	s.dropProofs()
 }
 
 // RestoreLoosest resets every virtual deadline back to the real deadline,
 // returning the curves to the loosest assignment after a shaping run.
 func (s *Shaper) RestoreLoosest() {
-	s.hiFree = dbf.Free{}
+	s.dropProofs()
 	for j := range s.saws {
 		s.setHC(j, s.saws[j].D)
 	}
@@ -160,7 +188,7 @@ func (s *Shaper) RestoreLoosest() {
 // d = C^L + λ·(D − C^L), clamped to [C^L, D] — the array form of
 // ScaledInto, used by package ecdf's restarts.
 func (s *Shaper) Scale(lambda float64) {
-	s.hiFree = dbf.Free{}
+	s.dropProofs()
 	for j := range s.saws {
 		cl, dl := s.saws[j].CL, s.saws[j].D
 		span := float64(dl - cl)
@@ -198,31 +226,51 @@ func (s *Shaper) HCDeadline(j int) mcs.Ticks { return s.saws[j].D }
 func (s *Shaper) HCVD(j int) mcs.Ticks { return s.saws[j].VD }
 
 // SetHCVD moves the j-th HC task's virtual deadline (package ecdf's
-// relaxation uses it).
+// relaxation uses it). A higher deadline raises HI demand and lowers LO
+// demand, a lower one the reverse; each mode's proofs survive the
+// direction that lowers its demand.
 func (s *Shaper) SetHCVD(j int, d mcs.Ticks) {
-	if d > s.saws[j].VD {
+	switch vd := s.saws[j].VD; {
+	case d > vd:
 		s.hiFree = dbf.Free{}
+	case d < vd:
+		s.loFree, s.loProved = dbf.Free{}, false
 	}
 	s.setHC(j, d)
 }
 
-// LOFeasible runs the LO-mode QPA test under the current deadlines. The
-// horizon matches dbf.HorizonLO over the same curves bit for bit: the
-// utilization and hyperperiod components are deadline-independent and
-// come from the loose fold, the offset terms are the cached per-step
-// values re-summed in step order.
+// LOFeasible runs the LO-mode QPA test under the current deadlines, over
+// loHorizon's horizon; the walk resumes from loFree.
 func (s *Shaper) LOFeasible() bool {
-	_, ok := s.loWalk(dbf.Free{})
-	return ok
+	s.loFree, s.loProved = s.loWalk(s.loFree, dbf.Windows{})
+	return s.loProved
 }
 
-// loWalk is LOFeasible handed a certificate proved for pointwise-higher LO
-// demand (see dbf.QPAResume); it returns the certificate a failed walk
-// leaves behind.
-func (s *Shaper) loWalk(known dbf.Free) (proved dbf.Free, ok bool) {
-	if len(s.steps) == 0 {
-		return known, true
+// loWalk is the one LO-mode walk: the horizon of the curves as they stand,
+// then dbf.QPAWindows with a certificate proved for pointwise-higher LO
+// demand (known) and the windows on which demand has risen since it was
+// proved violation-free everywhere (rose; zero for "everywhere"). It
+// returns the certificate the walk leaves behind.
+func (s *Shaper) loWalk(known dbf.Free, rose dbf.Windows) (proved dbf.Free, ok bool) {
+	proved, ok = known, true
+	if len(s.steps) > 0 {
+		var L mcs.Ticks
+		if L, ok = s.loHorizon(); ok {
+			_, _, proved, ok = dbf.QPAWindows(dbf.StepSum(s.steps), L, known, rose)
+		}
 	}
+	if s.loHook != nil {
+		s.loHook(known, rose, ok)
+	}
+	return proved, ok
+}
+
+// loHorizon assembles the LO-mode QPA horizon of the current curves,
+// matching dbf.HorizonLO over them bit for bit: the utilization and
+// hyperperiod components are deadline-independent and come from the loose
+// fold, the offset terms are the cached per-step values re-summed in step
+// order.
+func (s *Shaper) loHorizon() (L mcs.Ticks, ok bool) {
 	var off float64
 	var maxD mcs.Ticks
 	for i := range s.steps {
@@ -231,17 +279,12 @@ func (s *Shaper) loWalk(known dbf.Free) (proved dbf.Free, ok bool) {
 			maxD = d
 		}
 	}
-	L, ok := dbf.Horizon(s.looseLO.U, off, maxD, s.looseLO.Hyper, s.looseLO.HyperOK)
-	if !ok {
-		return known, false
-	}
-	_, _, proved, ok = dbf.QPAResume(dbf.StepSum(s.steps), L, known)
-	return proved, ok
+	return dbf.Horizon(s.looseLO.U, off, maxD, s.looseLO.Hyper, s.looseLO.HyperOK)
 }
 
 // HIFeasible runs the HI-mode QPA test under the current virtual
 // deadlines, returning a violation witness and the demand there when it
-// fails. The horizon is assembled like LOFeasible's, matching
+// fails. The horizon is assembled like loHorizon's, matching
 // dbf.HorizonHI bit for bit; the walk resumes from hiFree.
 func (s *Shaper) HIFeasible() (witness, demand mcs.Ticks, ok bool) {
 	if len(s.saws) == 0 {
@@ -348,17 +391,26 @@ func (s *Shaper) tuneStep(w, demand mcs.Ticks) bool {
 	if target < lo {
 		target = lo
 	}
-	// Every later try has a larger d than every failed one, hence lower LO
-	// demand: the last failed walk's certificate serves the rest.
-	var loFree dbf.Free
+	// Every try lowers one deadline of curves that are LO-feasible — the
+	// step's own, or those a successful try left — so while loProved holds
+	// its walk visits only the windows [d + kT, old + kT) the move opened,
+	// up to the try's own horizon. And every later try has a larger d than
+	// every failed one, hence lower LO demand: a failed walk's certificate
+	// serves the rest of the search on top of the windows.
+	var tried dbf.Free
 	try := func(d mcs.Ticks) bool {
 		old := s.saws[best].VD
+		var rose dbf.Windows
+		if s.loProved {
+			rose = dbf.Windows{Start: d, Width: old - d, T: s.saws[best].T}
+		}
 		s.setHC(best, d)
-		proved, ok := s.loWalk(loFree)
+		proved, ok := s.loWalk(tried, rose)
 		if ok {
+			s.loFree, s.loProved = proved, true
 			return true
 		}
-		loFree = proved
+		tried = proved
 		s.setHC(best, old)
 		return false
 	}

@@ -4,17 +4,21 @@ import (
 	"math/rand"
 	"testing"
 
+	"mcsched/internal/analysis/dbf"
 	"mcsched/internal/mcs"
 	"mcsched/internal/taskgen"
 )
 
 // The Shaper resumes each HI-mode walk from what the previous one proved
-// (hiFree) and each LO-mode walk of a binary search from the last failed
-// try; the Engine walks the full horizon every time. These tests run the
-// two side by side, one tuneStep at a time, and demand the same witness
-// at every step, the same virtual deadlines after it, and the same
-// verdict — from the loosest assignment and from every λ-scaled restart
-// ECDF uses, on one Shaper that is never reset in between.
+// (hiFree), walks only the windows a try's deadline move opened while LO
+// demand is proved (loProved, dbf.Windows) and resumes each LO-mode walk
+// of a binary search from the last failed try; the Engine walks the full
+// horizon every time. These tests run the two side by side, one tuneStep
+// at a time, and demand the same witness at every step, the same virtual
+// deadlines after it, and the same verdict — from the loosest assignment
+// and from every λ-scaled restart ECDF uses, on one Shaper that is never
+// reset in between. Underneath, every LO-mode walk's verdict is compared
+// with a fresh full walk over the same curves (checkLOWalks).
 
 var restartLambdas = []float64{0.8, 0.6, 0.4, 0.2, 0.05}
 
@@ -39,6 +43,35 @@ func sameAssignment(a, b Assignment) bool {
 		}
 	}
 	return true
+}
+
+// loWalkStats counts what checkLOWalks saw.
+type loWalkStats struct{ walks, windowed, resumed, windowedFailed int }
+
+// checkLOWalks makes s compare the verdict of every LO-mode walk — each
+// LOFeasible, each try of a tuneStep — with a fresh loWalk(dbf.Free{}) from
+// the horizon over the curves as walked, counting into st.
+func checkLOWalks(t *testing.T, s *Shaper, st *loWalkStats) {
+	var hook func(known dbf.Free, rose dbf.Windows, ok bool)
+	hook = func(known dbf.Free, rose dbf.Windows, ok bool) {
+		s.SetLOWalkHook(nil)
+		_, want := s.loWalk(dbf.Free{}, dbf.Windows{})
+		s.SetLOWalkHook(hook)
+		if ok != want {
+			t.Fatalf("LO walk via %+v and %+v says %v, the full walk %v, for steps %+v", known, rose, ok, want, s.steps)
+		}
+		st.walks++
+		if rose != (dbf.Windows{}) {
+			st.windowed++
+			if !ok {
+				st.windowedFailed++
+			}
+		}
+		if known != (dbf.Free{}) {
+			st.resumed++
+		}
+	}
+	s.SetLOWalkHook(hook)
 }
 
 // stepBoth runs one shaping loop on the Engine (from a) and on the Shaper
@@ -74,9 +107,10 @@ func stepBoth(t *testing.T, ts mcs.TaskSet, s *Shaper, a Assignment, maxIter int
 
 // diffShapingRuns compares every shaping run ECDF can start on ts. It
 // reports how many tuneSteps the runs took in total.
-func diffShapingRuns(t *testing.T, ts mcs.TaskSet) (steps int) {
+func diffShapingRuns(t *testing.T, ts mcs.TaskSet, lo *loWalkStats) (steps int) {
 	t.Helper()
 	var s Shaper
+	checkLOWalks(t, &s, lo)
 	s.Reset(ts)
 	if LOFeasible(ts, InitialAssignment(ts)) != s.LOFeasible() {
 		t.Fatalf("loosest LO verdicts differ for\n%v", ts)
@@ -91,6 +125,8 @@ func diffShapingRuns(t *testing.T, ts mcs.TaskSet) (steps int) {
 	// The loops the analyzers actually call must land where the lockstep
 	// run did.
 	var viaShape, viaResume Shaper
+	checkLOWalks(t, &viaShape, lo) // never LO-checked: full walks until a try succeeds
+	checkLOWalks(t, &viaResume, lo)
 	viaShape.Reset(ts)
 	viaResume.Reset(ts)
 	w, demand, hiOK := viaResume.HIFeasible()
@@ -149,6 +185,7 @@ func diffShapingRuns(t *testing.T, ts mcs.TaskSet) (steps int) {
 func TestShaperMatchesEngineStepByStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	sets, steps := 0, 0
+	var lo loWalkStats
 	for sets < 300 {
 		cfg := taskgen.DefaultConfig(1, 0.3+0.6*rng.Float64(), 0.1+0.3*rng.Float64(), 0.1+0.4*rng.Float64())
 		cfg.NMin, cfg.NMax = 3, 10
@@ -158,10 +195,13 @@ func TestShaperMatchesEngineStepByStep(t *testing.T) {
 			continue
 		}
 		sets++
-		steps += diffShapingRuns(t, ts)
+		steps += diffShapingRuns(t, ts, &lo)
 	}
 	if steps < 1000 {
 		t.Fatalf("only %d tuneSteps over %d sets: corpus too tame", steps, sets)
+	}
+	if lo.windowed < 1000 || lo.windowedFailed < 100 || lo.resumed < 100 {
+		t.Fatalf("corpus too tame: of %d LO walks %d windowed (%d of them failed), %d resumed", lo.walks, lo.windowed, lo.windowedFailed, lo.resumed)
 	}
 }
 
@@ -184,6 +224,6 @@ func TestShaperGrowingHorizon(t *testing.T) {
 		if err := ts.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		diffShapingRuns(t, ts)
+		diffShapingRuns(t, ts, &loWalkStats{})
 	}
 }
