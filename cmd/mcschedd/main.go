@@ -126,7 +126,7 @@ func main() {
 	groupCommitDelay := flag.Duration("group-commit-delay", 0,
 		"hold each group-commit flush this long so more concurrent appends ride it (e.g. 200us; trades decision latency for batching; requires -group-commit)")
 	journalCodec := flag.String("journal-codec", "",
-		`journal and replication record encoding: "json" (default) or "binary" (CRC-framed, smaller and faster; requires -data-dir). Reads auto-detect either, so switching codecs on an existing data directory is safe`)
+		`journal record encoding: "json" (default) or "binary" (CRC-framed, smaller and faster; requires -data-dir). Reads auto-detect either, so switching codecs on an existing data directory is safe; replication frames are always binary`)
 	snapshotEvery := flag.Int("snapshot-every", admission.DefaultSnapshotEvery,
 		"journaled events per tenant between automatic snapshots (negative disables; requires -data-dir)")
 	opsAddr := flag.String("ops-addr", "",
@@ -221,8 +221,6 @@ func main() {
 			followers[i] = strings.TrimSpace(followers[i])
 		}
 		var err error
-		// Frames carry the journal's codec: binary journal records only fit
-		// binary frames, and matching the codecs keeps the wire cost flat.
 		ship, err = replication.NewShipper(ctrl, followers, replication.ShipperConfig{
 			Codec:  codec,
 			Stream: *replStream,

@@ -47,10 +47,9 @@ type ShipperConfig struct {
 	// (which would kill the long-lived request); the timeout instead bounds
 	// each frame's round trip.
 	Client *http.Client
-	// Codec selects the frame encoding on the wire: mcsio.CodecJSON (which
-	// the empty value also selects) or mcsio.CodecBinary. A leader whose
-	// journals are binary-encoded must ship binary frames — the JSON frame
-	// document cannot carry binary records and the encoder refuses them.
+	// Codec is ignored: frames are always binary, because only the binary
+	// frame carries records and snapshots of either journal codec, and a
+	// leader's directory may hold both.
 	Codec mcsio.Codec
 	// Stream switches each link from one POST per frame to a persistent
 	// full-duplex stream (StreamPath): frames flow length-prefixed down one
@@ -631,7 +630,7 @@ func (l *link) send(ctx context.Context, f mcsio.ReplFrameJSON) (mcsio.ReplAckJS
 // parseable ack is a cursor resync, not an error; any other non-200 comes
 // back with a zero ack for the caller to judge.
 func (l *link) post(ctx context.Context, f mcsio.ReplFrameJSON) (mcsio.ReplAckJSON, int, error) {
-	body, err := l.s.cfg.Codec.EncodeReplFrame(f)
+	body, err := mcsio.EncodeReplFrameBinary(f)
 	if err != nil {
 		return mcsio.ReplAckJSON{}, 0, fmt.Errorf("encode %s frame: %w", f.Kind, err)
 	}
@@ -639,11 +638,7 @@ func (l *link) post(ctx context.Context, f mcsio.ReplFrameJSON) (mcsio.ReplAckJS
 	if err != nil {
 		return mcsio.ReplAckJSON{}, 0, err
 	}
-	if l.s.cfg.Codec == mcsio.CodecBinary {
-		req.Header.Set("Content-Type", "application/octet-stream")
-	} else {
-		req.Header.Set("Content-Type", "application/json")
-	}
+	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := l.s.cfg.Client.Do(req)
 	if err != nil {
 		return mcsio.ReplAckJSON{}, 0, err

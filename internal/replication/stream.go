@@ -268,7 +268,7 @@ func (l *link) dialStream(ctx context.Context) (*streamConn, error) {
 // redials, which is the reconnect-with-capped-backoff behavior — the
 // backoff lives in run, shared with the POST path.
 func (l *link) streamSend(ctx context.Context, f mcsio.ReplFrameJSON) (mcsio.ReplAckJSON, int, error) {
-	body, err := l.s.cfg.Codec.EncodeReplFrame(f)
+	body, err := mcsio.EncodeReplFrameBinary(f)
 	if err != nil {
 		return mcsio.ReplAckJSON{}, 0, fmt.Errorf("encode %s frame: %w", f.Kind, err)
 	}

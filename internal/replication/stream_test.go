@@ -147,6 +147,74 @@ func TestReplicationTransportCodecMatrix(t *testing.T) {
 	}
 }
 
+// TestMixedCodecLeaderReplicates: a leader whose directory holds binary
+// records (or a binary snapshot), restarted under the JSON journal codec,
+// must still ship its whole history. Frames are binary whatever the journal
+// codec, because only binary frames carry records of either codec.
+func TestMixedCodecLeaderReplicates(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		snapEvery int
+	}{
+		{"records", -1},
+		{"snapshot", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			open := func(codec mcsio.Codec) *admission.Controller {
+				cfg := leaderConfig(dir, tc.snapEvery)
+				cfg.JournalCodec = codec
+				c := admission.NewController(cfg)
+				if _, err := c.Recover(); err != nil {
+					t.Fatal(err)
+				}
+				return c
+			}
+			first := open(mcsio.CodecBinary)
+			sys, err := first.CreateSystem("t", 2, allTests()[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 8; i++ {
+				if _, err := sys.Admit(mcs.NewLC(i, 1, 1000)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := first.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// The daemon's default codec from here on: JSON records land on
+			// top of the binary history.
+			leader := open(mcsio.CodecJSON)
+			defer leader.Close()
+			if sys, err = leader.System("t"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Admit(mcs.NewLC(8, 1, 1000)); err != nil {
+				t.Fatal(err)
+			}
+			if tc.snapEvery > 0 {
+				if snap, _, ok, err := sys.Journal().Snapshot(); err != nil || !ok || !mcsio.IsBinaryRecord(snap) {
+					t.Fatalf("setup: want a binary snapshot (ok=%v, err=%v)", ok, err)
+				}
+			} else if recs, _, err := sys.Journal().ReadFrom(1, 1); err != nil || !mcsio.IsBinaryRecord(recs[0]) {
+				t.Fatalf("setup: want a binary first record (%v)", err)
+			}
+
+			fctrl, recv, srv := newFollower(t, t.TempDir())
+			ship := connectCfg(t, leader, srv.URL, ShipperConfig{Codec: mcsio.CodecJSON})
+			flush(t, ship)
+			if got := fingerprintOf(fctrl, "t"); got != sys.Fingerprint() {
+				t.Fatalf("follower diverged from the mixed-codec leader:\n%s\n%s", sys.Fingerprint(), got)
+			}
+			if tc.snapEvery > 0 && recv.Applied().Snapshots == 0 {
+				t.Fatal("catch-up used no snapshot frame despite compaction")
+			}
+		})
+	}
+}
+
 // TestStreamFallsBackToPost: a follower without the stream endpoint must
 // degrade to per-frame POSTs on the first dial, without counting send
 // errors, and still converge.
