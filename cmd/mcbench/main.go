@@ -739,8 +739,8 @@ func journalEncode(codec mcsio.Codec) func(*testing.B, *Counters) {
 
 // replStreamBatch64 is one 64-task batch admit's full replication round
 // trip (leader decide → journal → persistent stream → follower verify →
-// append → ack) under the binary codec — the tracked number of the
-// streaming transport.
+// append → ack) under the binary journal codec — the tracked number of the
+// replication transport.
 func replStreamBatch64() func(*testing.B, *Counters) {
 	return func(b *testing.B, _ *Counters) {
 		dir, err := os.MkdirTemp("", "mcbench-repl-*")
@@ -760,8 +760,7 @@ func replStreamBatch64() func(*testing.B, *Counters) {
 		fcfg.Follower = true
 		fctrl := mcsched.NewAdmissionController(fcfg)
 		srv := httptest.NewServer(replication.NewReceiver(fctrl).Mux())
-		ship, err := replication.NewShipper(leader, []string{srv.URL},
-			replication.ShipperConfig{Stream: true, Codec: mcsio.CodecBinary})
+		ship, err := replication.NewShipper(leader, []string{srv.URL}, replication.ShipperConfig{})
 		if err != nil {
 			b.Fatal(err)
 		}

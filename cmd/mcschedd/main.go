@@ -22,16 +22,15 @@
 // in-flight requests, writes a final snapshot per tenant, and exits.
 //
 // With -replicate-to the daemon ships every committed journal record to
-// one or more warm-standby followers over HTTP (snapshots transfer the
-// history a lagging follower can no longer stream); -repl-stream upgrades
-// the transport to one persistent full-duplex stream per follower,
-// eliminating the per-frame request overhead (followers without the
-// endpoint degrade to per-frame POSTs automatically); with -follow the
-// daemon is such a follower: it applies replicated frames through the
-// verified replay path, rejects writes with 409, and becomes a fully
-// writable leader on POST /v1/promote — holding bit-identical partitions,
-// stats and warm per-core analyzers. Replication lag is visible per follower
-// and tenant in /v1/replication, /v1/stats and /metrics:
+// one or more warm-standby followers as binary frames over one persistent
+// full-duplex HTTP stream per follower (snapshots transfer the history a
+// lagging follower can no longer stream); -repl-stream is accepted and
+// ignored. With -follow the daemon is such a follower: it applies
+// replicated frames through the verified replay path, rejects writes with
+// 409, and becomes a fully writable leader on POST /v1/promote — holding
+// bit-identical partitions, stats and warm per-core analyzers. Replication
+// lag is visible per follower and tenant in /v1/replication, /v1/stats and
+// /metrics:
 //
 //	mcschedd -addr :8081 -data-dir /var/lib/mcschedd-standby -follow
 //	mcschedd -addr :8080 -data-dir /var/lib/mcschedd -replicate-to http://standby:8081
@@ -76,7 +75,6 @@
 //	POST   /v1/systems/{id}/snapshot  force a journal snapshot + truncation
 //	GET    /v1/stats                  controller counters (admits, analyses, journal, replication, …)
 //	GET    /v1/replication            replication role + per-tenant positions / per-follower lag
-//	POST   /v1/replication/frame      apply one leader frame (follower mode only)
 //	POST   /v1/replication/stream     persistent leader frame stream (follower mode only)
 //	POST   /v1/promote                flip a follower writable (idempotent)
 //
@@ -135,8 +133,7 @@ func main() {
 		`structured log output format: "text" or "json"`)
 	replicateTo := flag.String("replicate-to", "",
 		"comma-separated follower base URLs (e.g. http://standby:8080) to ship the journal to (requires -data-dir)")
-	replStream := flag.Bool("repl-stream", false,
-		"ship journal frames over one persistent stream per follower instead of per-frame POSTs (requires -replicate-to; falls back to POSTs against followers without the stream endpoint)")
+	flag.Bool("repl-stream", false, "deprecated and ignored: the leader always streams")
 	follow := flag.Bool("follow", false,
 		"start as a warm-standby follower: apply replicated frames, reject writes until POST /v1/promote (requires -data-dir)")
 	flag.Parse()
@@ -176,9 +173,6 @@ func main() {
 	}
 	if _, ok := mcsched.PlacementByName(*placement); !ok {
 		fatal("unknown -placement heuristic", "placement", *placement)
-	}
-	if *replStream && *replicateTo == "" {
-		fatal("-repl-stream requires -replicate-to")
 	}
 	if *dataDir == "" && (*replicateTo != "" || *follow) {
 		fatal("-replicate-to and -follow require -data-dir")
@@ -222,8 +216,6 @@ func main() {
 		}
 		var err error
 		ship, err = replication.NewShipper(ctrl, followers, replication.ShipperConfig{
-			Codec:  codec,
-			Stream: *replStream,
 			Logf: func(format string, args ...any) {
 				logger.Warn(fmt.Sprintf(format, args...))
 			},

@@ -216,14 +216,13 @@ func TestReplicationLagStats(t *testing.T) {
 		fmt.Sprintf(`{"task":`+lightTask+`}`, 1000), &res); st != http.StatusOK || !res.Admitted {
 		t.Fatalf("admit after promotion: status %d, %+v", st, res)
 	}
-	// And a stale leader frame is fenced off with 409.
-	frame, err := mcsio.EncodeReplFrame(mcsio.ReplFrameJSON{
-		Kind: mcsio.ReplRemove, Tenant: "alpha",
-	})
-	if err != nil {
-		t.Fatal(err)
+	// And a stale leader is fenced off with 409 at its stream dial (the
+	// empty body is the shipper's probe).
+	if st := call(t, "POST", follower.URL+replication.StreamPath, "", nil); st != http.StatusConflict {
+		t.Fatalf("stream dial after promotion: status %d, want 409", st)
 	}
-	if st := call(t, "POST", follower.URL+replication.FramePath, string(frame), nil); st != http.StatusConflict {
-		t.Fatalf("frame after promotion: status %d, want 409", st)
+	// The stream is the only frame route.
+	if st := call(t, "POST", follower.URL+"/v1/replication/frame", "{}", nil); st != http.StatusNotFound && st != http.StatusMethodNotAllowed {
+		t.Fatalf("per-frame route: status %d, want 404 or 405", st)
 	}
 }

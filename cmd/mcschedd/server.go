@@ -62,7 +62,6 @@ func (s *server) routes() map[string]http.HandlerFunc {
 		"GET /v1/strategies":             s.handleStrategies,
 		"GET /v1/stats":                  s.handleStats,
 		"GET " + replication.StatusPath:  s.handleReplicationStatus,
-		"POST " + replication.FramePath:  s.handleReplicationFrame,
 		"POST " + replication.StreamPath: s.handleReplicationStream,
 		"POST /v1/promote":               s.handlePromote,
 	}
@@ -515,21 +514,12 @@ func (s *server) handleReplicationStatus(w http.ResponseWriter, r *http.Request)
 	reply(w, http.StatusOK, st)
 }
 
-// handleReplicationFrame accepts leader frames on a follower; any other
-// role answers 409 so a stale leader is fenced off.
-func (s *server) handleReplicationFrame(w http.ResponseWriter, r *http.Request) {
-	if s.recv == nil {
-		s.fail(w, r, http.StatusConflict, admission.ErrNotFollower)
-		return
-	}
-	s.recv.HandleFrame(w, r)
-}
-
 // handleReplicationStream accepts the leader's long-lived frame stream on
-// a follower; any other role answers 409 before the stream starts, the
-// same fencing HandleFrame applies per frame.
+// a follower; any other role, a promoted follower included, answers 409
+// before the stream starts, so a stale leader is fenced off at its dial. A
+// promotion while a stream is open is fenced per frame by the receiver.
 func (s *server) handleReplicationStream(w http.ResponseWriter, r *http.Request) {
-	if s.recv == nil {
+	if s.recv == nil || !s.ctrl.IsFollower() {
 		s.fail(w, r, http.StatusConflict, admission.ErrNotFollower)
 		return
 	}

@@ -3,11 +3,12 @@ package mcsio
 // Binary record framing — the compact wire form of journal events, tenant
 // snapshots and replication frames. It lives alongside the strict JSON
 // codecs: JSON remains the default (and the only format old data is in),
-// binary is opted into per journal/stream, and every decoder auto-detects
-// the format from the first byte — JSON records always start with '{'
-// (0x7B), binary records with BinaryMagic — so mixed histories (a journal
-// that switched codecs mid-stream, a replication frame batching records of
-// both kinds) replay without configuration.
+// binary is opted into per journal (replication frames are always binary),
+// and every decoder auto-detects the format from the first byte — JSON
+// records always start with '{' (0x7B), binary records with BinaryMagic —
+// so mixed histories (a journal that switched codecs mid-stream, a
+// replication frame batching records of both kinds) replay without
+// configuration.
 //
 // Layout of one binary record:
 //
@@ -59,8 +60,9 @@ const (
 // family guards the frame layer and the record layer.
 var binCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Codec selects the wire encoding of journal records and replication
-// frames. The zero value is not valid; ParseCodec maps flag strings.
+// Codec selects the encoding of journal records and snapshots. The zero
+// value is not valid; ParseCodec maps flag strings. Replication frames
+// are always binary (EncodeReplFrameBinary), whatever the journal codec.
 type Codec string
 
 const (
@@ -97,16 +99,6 @@ func (c Codec) EncodeSnapshot(s SnapshotJSON) ([]byte, error) {
 		return EncodeSnapshotBinary(s)
 	}
 	return EncodeSnapshot(s)
-}
-
-// EncodeReplFrame renders the replication frame in this codec. Note that
-// only the binary framing can carry binary journal records — the JSON
-// encoder refuses them rather than emit an invalid document.
-func (c Codec) EncodeReplFrame(f ReplFrameJSON) ([]byte, error) {
-	if c == CodecBinary {
-		return EncodeReplFrameBinary(f)
-	}
-	return EncodeReplFrame(f)
 }
 
 // IsBinaryRecord reports whether b is binary-framed (as opposed to JSON).

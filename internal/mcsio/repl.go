@@ -62,8 +62,9 @@ type ReplFrameJSON struct {
 
 // EncodeReplFrame validates the frame and renders it as canonical JSON.
 // JSON frames embed records and snapshots as raw JSON documents, so they
-// cannot carry binary-framed payloads — use EncodeReplFrameBinary (which
-// carries records as length-prefixed blobs of either codec) for those.
+// cannot carry binary-framed payloads. Leaders ship EncodeReplFrameBinary
+// (which carries records as length-prefixed blobs of either codec);
+// followers still decode JSON frames, which older leaders send.
 func EncodeReplFrame(f ReplFrameJSON) ([]byte, error) {
 	if f.Version == 0 {
 		f.Version = ReplFormatVersion

@@ -18,12 +18,13 @@ import (
 	"mcsched/internal/mcsio"
 )
 
-func benchLeader(b *testing.B, dir string) *admission.Controller {
+func benchLeader(b *testing.B, dir string, codec mcsio.Codec) *admission.Controller {
 	b.Helper()
 	cfg := admission.DefaultConfig()
 	cfg.DataDir = dir
 	cfg.SnapshotEvery = -1
 	cfg.Tests = resolveTest
+	cfg.JournalCodec = codec
 	ctrl := admission.NewController(cfg)
 	if _, err := ctrl.Recover(); err != nil {
 		b.Fatal(err)
@@ -61,7 +62,7 @@ func benchFlush(b *testing.B, ship *Shipper) {
 // round trip: the flush after every admit makes ns/op the per-decision
 // replication lag (leader commit through follower ack).
 func BenchmarkReplicationLagSingle(b *testing.B) {
-	leader := benchLeader(b, b.TempDir())
+	leader := benchLeader(b, b.TempDir(), mcsio.CodecJSON)
 	defer leader.Close()
 	_, srv := benchFollower(b, b.TempDir())
 	ship, err := NewShipper(leader, []string{srv.URL}, ShipperConfig{})
@@ -98,126 +99,50 @@ func BenchmarkReplicationLagSingle(b *testing.B) {
 	}
 }
 
-// BenchmarkReplicationLagBatch64 measures a 64-task batch admit's
-// replication round trip — one journal record, one frame.
-func BenchmarkReplicationLagBatch64(b *testing.B) {
-	leader := benchLeader(b, b.TempDir())
-	defer leader.Close()
-	_, srv := benchFollower(b, b.TempDir())
-	ship, err := NewShipper(leader, []string{srv.URL}, ShipperConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	leader.SetHooks(ship.Hooks())
-	ship.Start()
-	defer ship.Stop()
-
-	sys, err := leader.CreateSystem("bench", 8, allTests()[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchFlush(b, ship)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch := make(mcs.TaskSet, 64)
-		ids := make([]int, 64)
-		for j := range batch {
-			id := i*64 + j
-			batch[j] = mcs.NewLC(id, 1, 1_000_000)
-			ids[j] = id
-		}
-		br, err := sys.AdmitBatch(batch)
-		if err != nil || !br.Admitted {
-			b.Fatalf("batch rejected: %+v, %v", br, err)
-		}
-		benchFlush(b, ship)
-		if _, err := sys.Release(ids...); err != nil {
-			b.Fatal(err)
-		}
-		benchFlush(b, ship)
-	}
-}
-
-// benchReplicationBatch64 is one 64-task batch admit's replication round
-// trip (one journal record, one frame) under the given transport and
-// codec configuration.
-func benchReplicationBatch64(b *testing.B, cfg ShipperConfig, codec mcsio.Codec) {
-	b.Helper()
-	lcfg := admission.DefaultConfig()
-	lcfg.DataDir = b.TempDir()
-	lcfg.SnapshotEvery = -1
-	lcfg.Tests = resolveTest
-	lcfg.JournalCodec = codec
-	leader := admission.NewController(lcfg)
-	if _, err := leader.Recover(); err != nil {
-		b.Fatal(err)
-	}
-	defer leader.Close()
-	fcfg := admission.DefaultConfig()
-	fcfg.DataDir = b.TempDir()
-	fcfg.SnapshotEvery = -1
-	fcfg.Tests = resolveTest
-	fcfg.Follower = true
-	fctrl := admission.NewController(fcfg)
-	if _, err := fctrl.Recover(); err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { fctrl.Close() })
-	srv := httptest.NewServer(NewReceiver(fctrl).Mux())
-	cfg.Codec = codec
-	ship, err := NewShipper(leader, []string{srv.URL}, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	leader.SetHooks(ship.Hooks())
-	ship.Start()
-	// Stop the shipper (closing any live stream) before the server closes.
-	b.Cleanup(srv.Close)
-	b.Cleanup(ship.Stop)
-
-	sys, err := leader.CreateSystem("bench", 8, allTests()[0])
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchFlush(b, ship)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch := make(mcs.TaskSet, 64)
-		ids := make([]int, 64)
-		for j := range batch {
-			id := i*64 + j
-			batch[j] = mcs.NewLC(id, 1, 1_000_000)
-			ids[j] = id
-		}
-		br, err := sys.AdmitBatch(batch)
-		if err != nil || !br.Admitted {
-			b.Fatalf("batch rejected: %+v, %v", br, err)
-		}
-		benchFlush(b, ship)
-		if _, err := sys.Release(ids...); err != nil {
-			b.Fatal(err)
-		}
-		benchFlush(b, ship)
-	}
-}
-
-// BenchmarkReplicationStreamBatch64 compares the replication transports on
-// the batch round trip: per-frame POSTs versus the persistent full-duplex
-// stream, under both record codecs. The stream saves a connection/request
-// setup per frame; the binary codec saves encode/verify time per record.
+// BenchmarkReplicationStreamBatch64 measures a 64-task batch admit's
+// replication round trip (one journal record, one frame) under each
+// journal codec. Frames are binary either way; the journal codec moves the
+// leader's encode and the follower's verify cost per record.
 func BenchmarkReplicationStreamBatch64(b *testing.B) {
 	for _, codec := range []mcsio.Codec{mcsio.CodecJSON, mcsio.CodecBinary} {
-		for _, stream := range []bool{false, true} {
-			mode := "post"
-			if stream {
-				mode = "stream"
+		b.Run(string(codec), func(b *testing.B) {
+			leader := benchLeader(b, b.TempDir(), codec)
+			defer leader.Close()
+			_, srv := benchFollower(b, b.TempDir())
+			ship, err := NewShipper(leader, []string{srv.URL}, ShipperConfig{})
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.Run(string(codec)+"/"+mode, func(b *testing.B) {
-				benchReplicationBatch64(b, ShipperConfig{Stream: stream}, codec)
-			})
-		}
+			leader.SetHooks(ship.Hooks())
+			ship.Start()
+			defer ship.Stop()
+
+			sys, err := leader.CreateSystem("bench", 8, allTests()[0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchFlush(b, ship)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch := make(mcs.TaskSet, 64)
+				ids := make([]int, 64)
+				for j := range batch {
+					id := i*64 + j
+					batch[j] = mcs.NewLC(id, 1, 1_000_000)
+					ids[j] = id
+				}
+				br, err := sys.AdmitBatch(batch)
+				if err != nil || !br.Admitted {
+					b.Fatalf("batch rejected: %+v, %v", br, err)
+				}
+				benchFlush(b, ship)
+				if _, err := sys.Release(ids...); err != nil {
+					b.Fatal(err)
+				}
+				benchFlush(b, ship)
+			}
+		})
 	}
 }
 
@@ -225,7 +150,7 @@ func BenchmarkReplicationStreamBatch64(b *testing.B) {
 // apply cost per record, without HTTP: an admit/release history is built
 // on a leader, then applied record by record.
 func BenchmarkFollowerApplyRecords(b *testing.B) {
-	leader := benchLeader(b, b.TempDir())
+	leader := benchLeader(b, b.TempDir(), mcsio.CodecJSON)
 	defer leader.Close()
 	sys, err := leader.CreateSystem("bench", 4, allTests()[0])
 	if err != nil {
@@ -274,7 +199,7 @@ func BenchmarkReplicationHookOverhead(b *testing.B) {
 			name = "hooked"
 		}
 		b.Run(name, func(b *testing.B) {
-			leader := benchLeader(b, b.TempDir())
+			leader := benchLeader(b, b.TempDir(), mcsio.CodecJSON)
 			defer leader.Close()
 			if hooked {
 				leader.SetHooks(admission.Hooks{

@@ -9,8 +9,8 @@
 // CRC-framed record, so the leader side (Shipper) only needs a cursor per
 // follower per tenant. The shipper wakes on the admission layer's
 // post-commit hook, reads pending records through the journal's ReadFrom
-// cursor, and POSTs them as versioned wire frames (internal/mcsio,
-// ReplFrameJSON). A follower that has fallen behind the leader's
+// cursor, and streams them as versioned binary wire frames (internal/mcsio,
+// ReplFrameJSON) down one long-lived request per follower. A follower that has fallen behind the leader's
 // snapshot-truncation horizon catches up from a snapshot frame instead;
 // tenant deletions propagate as remove frames.
 //

@@ -11,7 +11,7 @@ import (
 // total record lag. Call it before Start, alongside SetHooks.
 func (s *Shipper) RegisterMetrics(r *obs.Registry) {
 	s.shipSeconds.Store(r.NewHistogram("mcsched_replication_ship_batch_duration_seconds",
-		"Latency of one replication frame POST (records batch, snapshot or remove).",
+		"Latency of one replication frame round trip over the stream (records batch, snapshot or remove).",
 		obs.LatencyBuckets))
 	for _, l := range s.links {
 		follower := obs.L("follower", l.base)

@@ -2,8 +2,6 @@ package replication
 
 import (
 	"encoding/json"
-	"errors"
-	"io"
 	"net/http"
 	"sync/atomic"
 
@@ -66,48 +64,18 @@ func (r *Receiver) Status() mcsio.ReplStatusJSON {
 }
 
 // Mux returns a standalone handler exposing the replication protocol
-// (frame apply, status, promote) — what the replication tests serve and
+// (frame stream, status, promote) — what the replication tests serve and
 // the shape mcschedd mounts into its service mux.
 func (r *Receiver) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST "+FramePath, r.HandleFrame)
 	mux.HandleFunc("POST "+StreamPath, r.HandleStream)
 	mux.HandleFunc("GET "+StatusPath, r.HandleStatus)
 	mux.HandleFunc("POST /v1/promote", r.HandlePromote)
 	return mux
 }
 
-// HandleFrame applies one replication frame. Responses:
-//
-//	200 + ack     frame applied (or idempotently skipped); Next is the
-//	              follower's next expected sequence
-//	409 + ack     sequence conflict; the leader resyncs its cursor to Next
-//	409 + error   receiver is not a follower (stale leader fencing)
-//	400 + error   frame failed strict decoding or verification — fail
-//	              closed, nothing applied beyond the valid prefix
-//	503 + error   local journal I/O failure; retryable
-func (r *Receiver) HandleFrame(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, req.Body, maxFrameBody))
-	if err != nil {
-		r.reject(w, http.StatusBadRequest, err)
-		return
-	}
-	f, err := mcsio.DecodeReplFrame(body)
-	if err != nil {
-		r.reject(w, http.StatusBadRequest, err)
-		return
-	}
-	next, err := r.applyFrame(f)
-	if err != nil {
-		r.frameError(w, f.Tenant, next, err)
-		return
-	}
-	r.ack(w, f.Tenant, next)
-}
-
 // applyFrame dispatches one decoded frame into the controller and bumps
-// the applied counters — the shared apply step of the per-frame POST path
-// and the streaming path. next is the tenant's next expected sequence to
+// the applied counters. next is the tenant's next expected sequence to
 // carry in the acknowledgement (the resync position on failure).
 func (r *Receiver) applyFrame(f mcsio.ReplFrameJSON) (next uint64, err error) {
 	switch f.Kind {
@@ -169,47 +137,6 @@ func (r *Receiver) HandlePromote(w http.ResponseWriter, _ *http.Request) {
 		Role:     admission.RoleName(r.ctrl.IsFollower()),
 		Promoted: promoted,
 	})
-}
-
-// frameError maps an apply failure to the protocol's response shapes.
-func (r *Receiver) frameError(w http.ResponseWriter, tenant string, next uint64, err error) {
-	switch {
-	case errors.Is(err, admission.ErrReplicationGap):
-		// A conflict ack carries the resync position instead of an error
-		// body, so the shipper can self-heal without operator action.
-		r.rejectedFrames.Add(1)
-		if next == 0 {
-			next = 1
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusConflict)
-		if b, encErr := mcsio.EncodeReplAck(mcsio.ReplAckJSON{Tenant: tenant, Next: next}); encErr == nil {
-			w.Write(b)
-		}
-	case errors.Is(err, admission.ErrNotFollower):
-		r.reject(w, http.StatusConflict, err)
-	case errors.Is(err, admission.ErrJournalIO):
-		r.reject(w, http.StatusServiceUnavailable, err)
-	default:
-		r.reject(w, http.StatusBadRequest, err)
-	}
-}
-
-func (r *Receiver) ack(w http.ResponseWriter, tenant string, next uint64) {
-	b, err := mcsio.EncodeReplAck(mcsio.ReplAckJSON{Tenant: tenant, Next: next})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b)
-}
-
-func (r *Receiver) reject(w http.ResponseWriter, status int, err error) {
-	r.rejectedFrames.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
 // Status is the composite document mcschedd serves at /v1/replication and

@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -24,70 +23,44 @@ import (
 // URL. The mcschedd daemon mounts them on its service mux; Receiver.Mux
 // builds a standalone handler with the same shape.
 const (
-	FramePath  = "/v1/replication/frame"
+	StreamPath = "/v1/replication/stream"
 	StatusPath = "/v1/replication"
 )
+
+// Shipping parameters. A frame's summed record payload stays within
+// batchBytes, but a single record always ships (the receiver's body cap
+// exceeds the journal's per-record limit), so the budget bounds frame size
+// without ever wedging a link on one large batch event. Failed sends back
+// off from retryMin, doubling up to retryMax. frameTimeout bounds the
+// status fetch, the stream probe and dial, and each frame's write+ack
+// round trip.
+const (
+	defaultBatchRecords = 256
+	batchBytes          = 4 << 20
+	retryMin            = 50 * time.Millisecond
+	retryMax            = 2 * time.Second
+	frameTimeout        = 10 * time.Second
+)
+
+// client issues the short requests: the status fetch and the stream probe.
+// The long-lived stream request goes through http.DefaultClient instead,
+// because a whole-request timeout would kill it; frameTimeout bounds its
+// dial and each frame there.
+var client = &http.Client{Timeout: frameTimeout}
 
 // ShipperConfig parameterizes a Shipper.
 type ShipperConfig struct {
 	// BatchRecords caps the records per frame. 0 selects 256; the wire
 	// layer refuses anything over mcsio.MaxReplBatch.
 	BatchRecords int
-	// BatchBytes caps a frame's summed record payload. 0 selects 4 MiB. A
-	// single record always ships regardless (the receiver's body cap
-	// exceeds the journal's per-record limit), so the budget bounds frame
-	// size without ever wedging a link on one large batch event.
-	BatchBytes int
-	// Retry is the initial backoff after a failed send and MaxRetry its
-	// cap; backoff doubles between attempts. Defaults: 50ms and 2s.
-	Retry    time.Duration
-	MaxRetry time.Duration
-	// Client issues the HTTP requests. Nil selects a client with a 10s
-	// timeout. Streaming links reuse its transport but not its timeout
-	// (which would kill the long-lived request); the timeout instead bounds
-	// each frame's round trip.
-	Client *http.Client
-	// Codec is ignored: frames are always binary, because only the binary
-	// frame carries records and snapshots of either journal codec, and a
-	// leader's directory may hold both.
-	Codec mcsio.Codec
-	// Stream switches each link from one POST per frame to a persistent
-	// full-duplex stream (StreamPath): frames flow length-prefixed down one
-	// long-lived request body and acks are read back from the response,
-	// shedding the per-frame connection, header and JSON-envelope overhead.
-	// A link falls back to POSTs when the follower does not serve the
-	// stream endpoint, so mixed-version pairs keep replicating.
-	Stream bool
 	// Logf, when set, receives one line per send failure.
 	Logf func(format string, args ...any)
 }
 
-func (c ShipperConfig) withDefaults() ShipperConfig {
-	if c.BatchRecords <= 0 || c.BatchRecords > mcsio.MaxReplBatch {
-		c.BatchRecords = 256
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 4 << 20
-	}
-	if c.Retry <= 0 {
-		c.Retry = 50 * time.Millisecond
-	}
-	if c.MaxRetry <= 0 {
-		c.MaxRetry = 2 * time.Second
-	}
-	if c.Client == nil {
-		c.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if c.Codec == "" {
-		c.Codec = mcsio.CodecJSON
-	}
-	return c
-}
-
 // Shipper is the leader side of journal replication: one goroutine per
 // follower drains a FIFO of dirty tenants, reading committed records
-// through each tenant journal's ReadFrom cursor and POSTing them as wire
-// frames. Register its Hooks on the controller, then Start it.
+// through each tenant journal's ReadFrom cursor and streaming them as binary
+// wire frames. Register its Hooks on the controller, then Start it.
 type Shipper struct {
 	ctrl  *admission.Controller
 	cfg   ShipperConfig
@@ -97,12 +70,6 @@ type Shipper struct {
 	cancel  context.CancelFunc
 	wg      sync.WaitGroup
 	started atomic.Bool
-
-	// streamClient drives long-lived stream requests: the configured
-	// client's transport without its whole-request timeout. streamTimeout
-	// bounds one frame's write+ack round trip instead.
-	streamClient  *http.Client
-	streamTimeout time.Duration
 
 	// shipSeconds late-binds the frame-send latency histogram installed by
 	// RegisterMetrics; a nil load means sends are not timed.
@@ -131,11 +98,9 @@ type link struct {
 
 	wake chan struct{}
 
-	// sc is the live stream connection (nil between dials) and noStream the
-	// sticky POST fallback for followers without the stream endpoint. Both
-	// are touched only by the link's run goroutine.
-	sc       *streamConn
-	noStream bool
+	// sc is the live stream connection, nil between dials. Only the link's
+	// run goroutine touches it.
+	sc *streamConn
 
 	shippedRecords, shippedSnapshots, shippedRemoves, sendErrors atomic.Uint64
 }
@@ -149,13 +114,11 @@ func NewShipper(ctrl *admission.Controller, followers []string, cfg ShipperConfi
 	if len(followers) == 0 {
 		return nil, errors.New("replication: no followers")
 	}
-	s := &Shipper{ctrl: ctrl, cfg: cfg.withDefaults()}
-	s.ctx, s.cancel = context.WithCancel(context.Background())
-	s.streamTimeout = s.cfg.Client.Timeout
-	if s.streamTimeout <= 0 {
-		s.streamTimeout = 10 * time.Second
+	if cfg.BatchRecords <= 0 || cfg.BatchRecords > mcsio.MaxReplBatch {
+		cfg.BatchRecords = defaultBatchRecords
 	}
-	s.streamClient = &http.Client{Transport: s.cfg.Client.Transport}
+	s := &Shipper{ctrl: ctrl, cfg: cfg}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	for _, f := range followers {
 		u, err := url.Parse(f)
 		if err != nil || u.Scheme == "" || u.Host == "" {
@@ -395,7 +358,7 @@ func (l *link) setIdle(errText string) {
 
 func (l *link) run(ctx context.Context) {
 	defer l.closeStream()
-	backoff := l.s.cfg.Retry
+	backoff := retryMin
 	for {
 		w, ok := l.pop()
 		if !ok {
@@ -409,7 +372,7 @@ func (l *link) run(ctx context.Context) {
 		err := l.process(ctx, w)
 		if err == nil {
 			l.setIdle("")
-			backoff = l.s.cfg.Retry
+			backoff = retryMin
 			continue
 		}
 		if ctx.Err() != nil {
@@ -430,9 +393,7 @@ func (l *link) run(ctx context.Context) {
 			return
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > l.s.cfg.MaxRetry {
-			backoff = l.s.cfg.MaxRetry
-		}
+		backoff = min(2*backoff, retryMax)
 	}
 }
 
@@ -447,8 +408,8 @@ func (l *link) process(ctx context.Context, w work) error {
 		if err != nil {
 			return err
 		}
-		if status != http.StatusOK {
-			return fmt.Errorf("remove %q: follower answered %d", w.tenant, status)
+		if status != streamAckOK {
+			return fmt.Errorf("remove %q: follower answered a conflict", w.tenant)
 		}
 		l.shippedRemoves.Add(1)
 		l.mu.Lock()
@@ -490,7 +451,7 @@ func (l *link) process(ctx context.Context, w work) error {
 		total := 0
 		cut := len(recs)
 		for i, r := range recs {
-			if i > 0 && total+len(r) > l.s.cfg.BatchBytes {
+			if i > 0 && total+len(r) > batchBytes {
 				cut = i
 				break
 			}
@@ -507,18 +468,10 @@ func (l *link) process(ctx context.Context, w work) error {
 		if err != nil {
 			return err
 		}
-		switch status {
-		case http.StatusOK:
+		if status == streamAckOK {
 			l.shippedRecords.Add(uint64(len(recs)))
-			l.setCursor(w.tenant, ack.Next)
-		case http.StatusConflict:
-			if ack.Next == 0 {
-				return fmt.Errorf("ship %q: follower refused batch at %d", w.tenant, cursor)
-			}
-			l.setCursor(w.tenant, ack.Next) // resync and retry from there
-		default:
-			return fmt.Errorf("ship %q: follower answered %d", w.tenant, status)
 		}
+		l.setCursor(w.tenant, ack.Next) // after a conflict: resync and retry from there
 	}
 }
 
@@ -537,8 +490,8 @@ func (l *link) shipSnapshot(ctx context.Context, tenant string, lg *journal.Log)
 	if err != nil {
 		return err
 	}
-	if status != http.StatusOK || ack.Next == 0 {
-		return fmt.Errorf("snapshot of %q: follower answered %d", tenant, status)
+	if status != streamAckOK {
+		return fmt.Errorf("snapshot of %q: follower answered a conflict", tenant)
 	}
 	l.shippedSnapshots.Add(1)
 	l.setCursor(tenant, ack.Next)
@@ -588,7 +541,7 @@ func (l *link) fetchStatus(ctx context.Context) (mcsio.ReplStatusJSON, error) {
 	if err != nil {
 		return mcsio.ReplStatusJSON{}, err
 	}
-	resp, err := l.s.cfg.Client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return mcsio.ReplStatusJSON{}, err
 	}
@@ -601,64 +554,4 @@ func (l *link) fetchStatus(ctx context.Context) (mcsio.ReplStatusJSON, error) {
 		return mcsio.ReplStatusJSON{}, fmt.Errorf("status: follower answered %d", resp.StatusCode)
 	}
 	return mcsio.DecodeReplStatus(b)
-}
-
-// send ships one frame over the configured path: the persistent stream
-// when enabled (falling back permanently to POSTs against a follower that
-// does not serve it), a single POST otherwise. The returned status uses
-// HTTP status codes regardless of the wire path, so process judges both
-// identically.
-func (l *link) send(ctx context.Context, f mcsio.ReplFrameJSON) (mcsio.ReplAckJSON, int, error) {
-	if h := l.s.shipSeconds.Load(); h != nil {
-		start := time.Now()
-		defer func() { h.Observe(time.Since(start)) }()
-	}
-	if l.s.cfg.Stream && !l.noStream {
-		ack, status, err := l.streamSend(ctx, f)
-		if !errors.Is(err, errStreamUnsupported) {
-			return ack, status, err
-		}
-		l.noStream = true
-		if logf := l.s.cfg.Logf; logf != nil {
-			logf("replication: %s: no stream endpoint, falling back to per-frame POSTs", l.base)
-		}
-	}
-	return l.post(ctx, f)
-}
-
-// post sends one frame and parses the acknowledgement. A 409 with a
-// parseable ack is a cursor resync, not an error; any other non-200 comes
-// back with a zero ack for the caller to judge.
-func (l *link) post(ctx context.Context, f mcsio.ReplFrameJSON) (mcsio.ReplAckJSON, int, error) {
-	body, err := mcsio.EncodeReplFrameBinary(f)
-	if err != nil {
-		return mcsio.ReplAckJSON{}, 0, fmt.Errorf("encode %s frame: %w", f.Kind, err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, l.base+FramePath, bytes.NewReader(body))
-	if err != nil {
-		return mcsio.ReplAckJSON{}, 0, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := l.s.cfg.Client.Do(req)
-	if err != nil {
-		return mcsio.ReplAckJSON{}, 0, err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return mcsio.ReplAckJSON{}, resp.StatusCode, err
-	}
-	if resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusConflict {
-		if ack, err := mcsio.DecodeReplAck(b); err == nil {
-			if ack.Tenant != f.Tenant {
-				return mcsio.ReplAckJSON{}, resp.StatusCode,
-					fmt.Errorf("ack names tenant %q, frame was %q", ack.Tenant, f.Tenant)
-			}
-			return ack, resp.StatusCode, nil
-		}
-		if resp.StatusCode == http.StatusOK {
-			return mcsio.ReplAckJSON{}, resp.StatusCode, fmt.Errorf("unparseable ack: %.200s", b)
-		}
-	}
-	return mcsio.ReplAckJSON{}, resp.StatusCode, nil
 }

@@ -1,14 +1,14 @@
 package replication
 
-// Persistent streaming replication: the hot-path alternative to one POST
-// per frame. The leader holds one long-lived POST to StreamPath per
-// follower and writes length-prefixed frames down the request body; the
-// receiver applies each frame as it arrives and writes a status-tagged
-// acknowledgement back through the (full-duplex) response body. The frame
-// payloads are the exact same wire documents the per-frame path carries —
-// JSON or binary per ShipperConfig.Codec, auto-detected on receipt — so
-// the stream adds no new trust surface: every frame still decodes strictly
-// and fails closed through the identical apply path.
+// Streaming replication, the one transport. The leader holds one
+// long-lived POST to StreamPath per follower and writes length-prefixed
+// binary frames (mcsio.EncodeReplFrameBinary, which carries records and
+// snapshots of either journal codec) down the request body; the receiver
+// applies each frame as it arrives and writes a status-tagged
+// acknowledgement back through the (full-duplex) response body. Receivers
+// auto-detect the frame codec, so JSON frames from an older leader still
+// apply, and every frame decodes strictly and fails closed through the one
+// apply path.
 //
 // Uplink framing:   [4B little-endian frame length][frame bytes]
 // Downlink framing: [1B status][4B little-endian body length][body]
@@ -35,37 +35,27 @@ import (
 	"mcsched/internal/mcsio"
 )
 
-// StreamPath is the streaming replication endpoint, mounted next to
-// FramePath on the follower's mux.
-const StreamPath = "/v1/replication/stream"
-
-// Downlink ack status codes. They mirror the per-frame path's HTTP
-// statuses one to one so the shipper can judge both paths with the same
-// switch.
+// Downlink ack status codes.
 const (
-	streamAckOK          = 0 // frame applied; body is the ack (HTTP 200)
-	streamAckConflict    = 1 // sequence conflict; body carries the resync ack (HTTP 409)
-	streamAckBad         = 2 // fail-closed rejection; body is an error document (HTTP 400)
-	streamAckNotFollower = 3 // receiver is not a follower (HTTP 409, stale-leader fencing)
-	streamAckUnavailable = 4 // local journal I/O failure; retryable (HTTP 503)
+	streamAckOK          = 0 // frame applied; body is the ack
+	streamAckConflict    = 1 // sequence conflict; body carries the resync ack
+	streamAckBad         = 2 // fail-closed rejection
+	streamAckNotFollower = 3 // receiver is not a follower (stale-leader fencing)
+	streamAckUnavailable = 4 // local journal I/O failure; retryable
 )
 
 // maxStreamAckBody bounds one downlink ack body.
 const maxStreamAckBody = 1 << 20
-
-// errStreamUnsupported marks a follower without the stream endpoint; the
-// link downgrades to per-frame POSTs permanently.
-var errStreamUnsupported = errors.New("replication: follower does not serve the stream endpoint")
 
 // ---------------------------------------------------------------------------
 // Receiver side
 // ---------------------------------------------------------------------------
 
 // HandleStream serves one streaming replication connection: a read loop
-// over length-prefixed frames, each applied exactly as a FramePath POST
-// would and acknowledged in arrival order. Requires a full-duplex-capable
-// server (net/http on HTTP/1.1 or HTTP/2); without it the handler answers
-// 501 and the leader falls back to POSTs.
+// over length-prefixed frames, each applied through applyFrame and
+// acknowledged in arrival order. Requires a full-duplex-capable server
+// (net/http on HTTP/1.1 or HTTP/2); without it the handler answers 501,
+// which the leader reports as a follower it cannot replicate to.
 func (r *Receiver) HandleStream(w http.ResponseWriter, req *http.Request) {
 	rc := http.NewResponseController(w)
 	if err := rc.EnableFullDuplex(); err != nil {
@@ -88,61 +78,56 @@ func (r *Receiver) HandleStream(w http.ResponseWriter, req *http.Request) {
 		if n == 0 || n > maxFrameBody {
 			// Framing damage: the stream position is unrecoverable, so fail
 			// the connection closed rather than resynchronize on guesses.
-			r.rejectedFrames.Add(1)
-			r.writeStreamAck(w, rc, streamAckBad, errorDocument(fmt.Errorf("replication: %d-byte stream frame", n)))
+			r.writeStreamResult(w, rc, "", 0, fmt.Errorf("replication: %d-byte stream frame", n))
 			return
 		}
 		body := make([]byte, n)
 		if _, err := io.ReadFull(br, body); err != nil {
 			return
 		}
+		// A strict-decode or apply rejection keeps the stream: the length
+		// prefix preserved the frame boundary.
 		f, err := mcsio.DecodeReplFrame(body)
-		if err != nil {
-			// Strict-decode rejection: fail closed but keep the stream — the
-			// length prefix preserved the frame boundary.
-			r.rejectedFrames.Add(1)
-			if r.writeStreamAck(w, rc, streamAckBad, errorDocument(err)) != nil {
-				return
-			}
-			continue
+		var next uint64
+		if err == nil {
+			next, err = r.applyFrame(f)
 		}
-		next, err := r.applyFrame(f)
 		if r.writeStreamResult(w, rc, f.Tenant, next, err) != nil {
 			return
 		}
 	}
 }
 
-// writeStreamResult maps one apply outcome onto the downlink framing —
-// the streaming analogue of HandleFrame's response mapping.
+// writeStreamResult is the one place a frame's outcome becomes a downlink
+// status: applied (ok), off the follower's tail (conflict, carrying the
+// resync position instead of an error so the shipper self-heals), the wrong
+// role (not-follower), local journal I/O (unavailable), and anything else —
+// strict-decode failures included — bad.
 func (r *Receiver) writeStreamResult(w io.Writer, rc *http.ResponseController, tenant string, next uint64, err error) error {
+	var status byte
 	switch {
 	case err == nil:
-		body, encErr := mcsio.EncodeReplAck(mcsio.ReplAckJSON{Tenant: tenant, Next: next})
-		if encErr != nil {
-			return r.writeStreamAck(w, rc, streamAckUnavailable, errorDocument(encErr))
-		}
-		return r.writeStreamAck(w, rc, streamAckOK, body)
+		status = streamAckOK
 	case errors.Is(err, admission.ErrReplicationGap):
-		r.rejectedFrames.Add(1)
-		if next == 0 {
-			next = 1
-		}
-		body, encErr := mcsio.EncodeReplAck(mcsio.ReplAckJSON{Tenant: tenant, Next: next})
-		if encErr != nil {
-			return r.writeStreamAck(w, rc, streamAckUnavailable, errorDocument(encErr))
-		}
-		return r.writeStreamAck(w, rc, streamAckConflict, body)
+		status, next = streamAckConflict, max(next, 1)
 	case errors.Is(err, admission.ErrNotFollower):
-		r.rejectedFrames.Add(1)
-		return r.writeStreamAck(w, rc, streamAckNotFollower, errorDocument(err))
+		status = streamAckNotFollower
 	case errors.Is(err, admission.ErrJournalIO):
-		r.rejectedFrames.Add(1)
-		return r.writeStreamAck(w, rc, streamAckUnavailable, errorDocument(err))
+		status = streamAckUnavailable
 	default:
-		r.rejectedFrames.Add(1)
-		return r.writeStreamAck(w, rc, streamAckBad, errorDocument(err))
+		status = streamAckBad
 	}
+	if err != nil {
+		r.rejectedFrames.Add(1)
+	}
+	if status == streamAckOK || status == streamAckConflict {
+		body, encErr := mcsio.EncodeReplAck(mcsio.ReplAckJSON{Tenant: tenant, Next: next})
+		if encErr == nil {
+			return r.writeStreamAck(w, rc, status, body)
+		}
+		status, err = streamAckUnavailable, encErr
+	}
+	return r.writeStreamAck(w, rc, status, errorDocument(err))
 }
 
 // writeStreamAck frames one downlink acknowledgement and flushes it so the
@@ -184,8 +169,7 @@ func (sc *streamConn) close() {
 	sc.body.Close()
 }
 
-// closeStream tears down the link's stream (if any); the next streamSend
-// redials.
+// closeStream tears down the link's stream (if any); the next send redials.
 func (l *link) closeStream() {
 	if l.sc != nil {
 		l.sc.close()
@@ -206,7 +190,7 @@ func (l *link) probeStream(ctx context.Context) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := l.s.cfg.Client.Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -216,7 +200,7 @@ func (l *link) probeStream(ctx context.Context) error {
 	case http.StatusOK:
 		return nil
 	case http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusNotImplemented:
-		return errStreamUnsupported
+		return fmt.Errorf("follower %s does not serve %s (answered %d): it needs upgrading", l.base, StreamPath, resp.StatusCode)
 	}
 	return fmt.Errorf("stream probe: follower answered %d", resp.StatusCode)
 }
@@ -224,9 +208,9 @@ func (l *link) probeStream(ctx context.Context) error {
 // dialStream probes the endpoint, then opens the long-lived stream
 // request. The response arrives as soon as the receiver commits its 200
 // (before any frame flows); a deadline covers the dial so a server that
-// stalls the response — e.g. one that raced into a non-streaming version
-// after the probe and is now draining the open body — fails the attempt
-// instead of wedging the link.
+// stalls the response — e.g. one that was replaced by a non-streaming
+// version after the probe and is now draining the open body — fails the
+// attempt instead of wedging the link.
 func (l *link) dialStream(ctx context.Context) (*streamConn, error) {
 	if err := l.probeStream(ctx); err != nil {
 		return nil, err
@@ -239,8 +223,8 @@ func (l *link) dialStream(ctx context.Context) (*streamConn, error) {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	dialTimer := time.AfterFunc(l.s.streamTimeout, cancel)
-	resp, err := l.s.streamClient.Do(req)
+	dialTimer := time.AfterFunc(frameTimeout, cancel)
+	resp, err := http.DefaultClient.Do(req)
 	dialTimer.Stop()
 	if err != nil {
 		cancel()
@@ -252,22 +236,22 @@ func (l *link) dialStream(ctx context.Context) (*streamConn, error) {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		resp.Body.Close()
 		cancel()
-		switch resp.StatusCode {
-		case http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusNotImplemented:
-			return nil, errStreamUnsupported
-		}
 		return nil, fmt.Errorf("stream: follower answered %d", resp.StatusCode)
 	}
 	return &streamConn{pw: pw, body: resp.Body, br: bufio.NewReader(resp.Body), cancel: cancel}, nil
 }
 
-// streamSend ships one frame over the stream (dialing on first use) and
-// reads its acknowledgement, translating the downlink status codes into
-// the HTTP statuses process already judges. Transport failures tear the
-// connection down and report an error; the retry loop's next attempt
-// redials, which is the reconnect-with-capped-backoff behavior — the
-// backoff lives in run, shared with the POST path.
-func (l *link) streamSend(ctx context.Context, f mcsio.ReplFrameJSON) (mcsio.ReplAckJSON, int, error) {
+// send ships one binary frame over the stream (dialing on first use) and
+// reads its acknowledgement. It returns streamAckOK or streamAckConflict
+// with the parsed ack; every other status comes back as an error carrying
+// the follower's error document. Transport failures tear the connection
+// down and report an error; the retry loop's next attempt redials, which is
+// the reconnect-with-capped-backoff behavior — the backoff lives in run.
+func (l *link) send(ctx context.Context, f mcsio.ReplFrameJSON) (mcsio.ReplAckJSON, byte, error) {
+	if h := l.s.shipSeconds.Load(); h != nil {
+		start := time.Now()
+		defer func() { h.Observe(time.Since(start)) }()
+	}
 	body, err := mcsio.EncodeReplFrameBinary(f)
 	if err != nil {
 		return mcsio.ReplAckJSON{}, 0, fmt.Errorf("encode %s frame: %w", f.Kind, err)
@@ -282,7 +266,7 @@ func (l *link) streamSend(ctx context.Context, f mcsio.ReplFrameJSON) (mcsio.Rep
 	sc := l.sc
 	// Per-frame deadline: a wedged follower aborts the whole request,
 	// failing the pending read below; the next attempt redials.
-	timer := time.AfterFunc(l.s.streamTimeout, sc.cancel)
+	timer := time.AfterFunc(frameTimeout, sc.cancel)
 	defer timer.Stop()
 
 	msg := make([]byte, 4+len(body))
@@ -307,28 +291,16 @@ func (l *link) streamSend(ctx context.Context, f mcsio.ReplFrameJSON) (mcsio.Rep
 		l.closeStream()
 		return mcsio.ReplAckJSON{}, 0, fmt.Errorf("stream ack: %w", err)
 	}
-	switch hdr[0] {
-	case streamAckOK, streamAckConflict:
-		status := http.StatusOK
-		if hdr[0] == streamAckConflict {
-			status = http.StatusConflict
-		}
-		ack, err := mcsio.DecodeReplAck(ackBody)
-		if err != nil {
-			if status == http.StatusConflict {
-				return mcsio.ReplAckJSON{}, status, nil // zero ack: caller errors out
-			}
-			return mcsio.ReplAckJSON{}, status, fmt.Errorf("unparseable ack: %.200s", ackBody)
-		}
-		if ack.Tenant != f.Tenant {
-			return mcsio.ReplAckJSON{}, status, fmt.Errorf("ack names tenant %q, frame was %q", ack.Tenant, f.Tenant)
-		}
-		return ack, status, nil
-	case streamAckNotFollower:
-		return mcsio.ReplAckJSON{}, http.StatusConflict, nil
-	case streamAckUnavailable:
-		return mcsio.ReplAckJSON{}, http.StatusServiceUnavailable, nil
-	default: // streamAckBad and anything unknown: fail-closed rejection
-		return mcsio.ReplAckJSON{}, http.StatusBadRequest, nil
+	status := hdr[0]
+	if status != streamAckOK && status != streamAckConflict {
+		return mcsio.ReplAckJSON{}, status, fmt.Errorf("%s frame for %q refused (ack status %d): %.200s", f.Kind, f.Tenant, status, ackBody)
 	}
+	ack, err := mcsio.DecodeReplAck(ackBody)
+	if err != nil {
+		return mcsio.ReplAckJSON{}, status, fmt.Errorf("unparseable ack: %.200s", ackBody)
+	}
+	if ack.Tenant != f.Tenant {
+		return mcsio.ReplAckJSON{}, status, fmt.Errorf("ack names tenant %q, frame was %q", ack.Tenant, f.Tenant)
+	}
+	return ack, status, nil
 }

@@ -361,8 +361,8 @@ type CoreTrace = admission.CoreTrace
 // Flush+Stop it on shutdown.
 type ReplicationShipper = replication.Shipper
 
-// ReplicationShipperConfig tunes batching, retry backoff and the HTTP
-// client of a ReplicationShipper.
+// ReplicationShipperConfig sets a ReplicationShipper's records per frame
+// and its send-failure log.
 type ReplicationShipperConfig = replication.ShipperConfig
 
 // ReplicationReceiver is the follower side: HTTP handlers that apply
