@@ -204,25 +204,21 @@ func (fx *failClosedFixture) unchanged(t *testing.T) {
 // rejection must leave the replica untouched and the stream open;
 // framing damage must close it.
 func TestFollowerFailClosed(t *testing.T) {
-	var fxs []*failClosedFixture
-	for _, fc := range []struct {
-		journal mcsio.Codec
-		frame   func(t *testing.T, tenant string, first uint64, recs [][]byte) []byte
-	}{
-		{mcsio.CodecJSON, recordsFrame},
-		{mcsio.CodecBinary, binaryRecordsFrame},
-	} {
-		_, recs := buildLeaderHistory(t, fc.journal, 4)
-		fctrl, recv, srv := newFollower(t, t.TempDir())
-		fx := &failClosedFixture{journal: fc.journal, frame: fc.frame, recs: recs,
-			fctrl: fctrl, recv: recv, rs: dialRawStream(t, srv.URL)}
+	fxs := []*failClosedFixture{
+		{journal: mcsio.CodecJSON, frame: recordsFrame},
+		{journal: mcsio.CodecBinary, frame: binaryRecordsFrame},
+	}
+	for _, fx := range fxs {
+		_, fx.recs = buildLeaderHistory(t, fx.journal, 4)
+		var srv *httptest.Server
+		fx.fctrl, fx.recv, srv = newFollower(t, t.TempDir())
+		fx.rs = dialRawStream(t, srv.URL)
 		// Seed the follower with the valid prefix: create + 2 admits.
-		fx.ack(t, fx.frame(t, "t", 1, recs[:3]), streamAckOK)
-		fx.base, fx.baseNext = fingerprintOf(fctrl, "t"), fctrl.TenantNext("t")
+		fx.ack(t, fx.frame(t, "t", 1, fx.recs[:3]), streamAckOK)
+		fx.base, fx.baseNext = fingerprintOf(fx.fctrl, "t"), fx.fctrl.TenantNext("t")
 		if fx.baseNext != 4 {
-			t.Fatalf("%s: follower at %d after 3 records, want 4", fc.journal, fx.baseNext)
+			t.Fatalf("%s: follower at %d after 3 records, want 4", fx.journal, fx.baseNext)
 		}
-		fxs = append(fxs, fx)
 	}
 
 	for _, tc := range []struct {
