@@ -198,49 +198,55 @@ func (fx *failClosedFixture) unchanged(t *testing.T) {
 	}
 }
 
-// TestFollowerFailClosed drives torn, reordered, gapped, foreign and
-// tampered frames down a live stream, in both frame codecs a follower
-// accepts: JSON frames from an older leader, and binary. Every semantic
-// rejection must leave the replica untouched and the stream open;
-// framing damage must close it.
+// TestFollowerFailClosed runs the fail-closed table over JSON frames, the
+// encoding of leaders before frames went binary-only.
 func TestFollowerFailClosed(t *testing.T) {
-	fxs := []*failClosedFixture{
-		{journal: mcsio.CodecJSON, frame: recordsFrame},
-		{journal: mcsio.CodecBinary, frame: binaryRecordsFrame},
-	}
-	for _, fx := range fxs {
-		_, fx.recs = buildLeaderHistory(t, fx.journal, 4)
-		var srv *httptest.Server
-		fx.fctrl, fx.recv, srv = newFollower(t, t.TempDir())
-		fx.rs = dialRawStream(t, srv.URL)
-		// Seed the follower with the valid prefix: create + 2 admits.
-		fx.ack(t, fx.frame(t, "t", 1, fx.recs[:3]), streamAckOK)
-		fx.base, fx.baseNext = fingerprintOf(fx.fctrl, "t"), fx.fctrl.TenantNext("t")
-		if fx.baseNext != 4 {
-			t.Fatalf("%s: follower at %d after 3 records, want 4", fx.journal, fx.baseNext)
-		}
+	runFailClosed(t, &failClosedFixture{journal: mcsio.CodecJSON, frame: recordsFrame})
+}
+
+// TestStreamFailClosedBinary runs the fail-closed table over binary frames,
+// the only encoding a current leader ships.
+func TestStreamFailClosedBinary(t *testing.T) {
+	runFailClosed(t, &failClosedFixture{journal: mcsio.CodecBinary, frame: binaryRecordsFrame})
+}
+
+// runFailClosed drives torn, reordered, gapped, foreign and tampered frames
+// down one live stream in fx's frame codec. Every semantic rejection must
+// leave the replica untouched and the stream open; framing damage, the last
+// case, must close it.
+func runFailClosed(t *testing.T, fx *failClosedFixture) {
+	_, fx.recs = buildLeaderHistory(t, fx.journal, 4)
+	var srv *httptest.Server
+	fx.fctrl, fx.recv, srv = newFollower(t, t.TempDir())
+	fx.rs = dialRawStream(t, srv.URL)
+	// Seed the follower with the valid prefix: create + 2 admits.
+	fx.ack(t, fx.frame(t, "t", 1, fx.recs[:3]), streamAckOK)
+	fx.base, fx.baseNext = fingerprintOf(fx.fctrl, "t"), fx.fctrl.TenantNext("t")
+	if fx.baseNext != 4 {
+		t.Fatalf("follower at %d after 3 records, want 4", fx.baseNext)
 	}
 
 	for _, tc := range []struct {
-		name string
-		run  func(t *testing.T, fx *failClosedFixture)
+		name       string
+		binaryOnly bool // JSON frames and records carry no checksum
+		run        func(t *testing.T, fx *failClosedFixture)
 	}{
-		{"torn stream", func(t *testing.T, fx *failClosedFixture) {
+		{"torn stream", false, func(t *testing.T, fx *failClosedFixture) {
 			full := fx.frame(t, "t", 4, fx.recs[3:])
 			fx.refused(t, full[:len(full)-7])
 		}},
-		{"reordered batch", func(t *testing.T, fx *failClosedFixture) {
+		{"reordered batch", false, func(t *testing.T, fx *failClosedFixture) {
 			// Two otherwise-valid records in swapped order.
 			fx.refused(t, fx.frame(t, "t", 3, [][]byte{fx.recs[3], fx.recs[2]}))
 		}},
-		{"gap beyond tail", func(t *testing.T, fx *failClosedFixture) {
+		{"gap beyond tail", false, func(t *testing.T, fx *failClosedFixture) {
 			fx.resync(t, fx.frame(t, "t", 5, fx.recs[4:]), fx.baseNext)
 			fx.unchanged(t)
 		}},
-		{"unknown tenant mid-stream", func(t *testing.T, fx *failClosedFixture) {
+		{"unknown tenant mid-stream", false, func(t *testing.T, fx *failClosedFixture) {
 			fx.resync(t, fx.frame(t, "ghost", 4, fx.recs[3:4]), 1)
 		}},
-		{"tampered record", func(t *testing.T, fx *failClosedFixture) {
+		{"tampered record", false, func(t *testing.T, fx *failClosedFixture) {
 			// A well-formed admit whose recorded core contradicts the
 			// placement: verification must refuse it before the local append.
 			e, err := mcsio.DecodeEvent(fx.recs[3])
@@ -254,10 +260,7 @@ func TestFollowerFailClosed(t *testing.T) {
 			}
 			fx.refused(t, fx.frame(t, "t", 4, [][]byte{forged}))
 		}},
-		{"tampered CRC", func(t *testing.T, fx *failClosedFixture) {
-			if fx.journal != mcsio.CodecBinary {
-				t.Skip("JSON frames and records carry no checksum")
-			}
+		{"tampered CRC", true, func(t *testing.T, fx *failClosedFixture) {
 			// A record whose own CRC is flipped, inside an intact frame...
 			rec := append([]byte(nil), fx.recs[3]...)
 			rec[len(rec)-1] ^= 0xFF
@@ -267,20 +270,20 @@ func TestFollowerFailClosed(t *testing.T) {
 			frame[len(frame)-1] ^= 0xFF
 			fx.refused(t, frame)
 		}},
-		{"redelivery is idempotent", func(t *testing.T, fx *failClosedFixture) {
+		{"redelivery is idempotent", false, func(t *testing.T, fx *failClosedFixture) {
 			body := fx.ack(t, fx.frame(t, "t", 1, fx.recs[:3]), streamAckOK)
 			if ack, err := mcsio.DecodeReplAck(body); err != nil || ack.Next != fx.baseNext {
 				t.Fatalf("redelivery ack: %+v, %v", ack, err)
 			}
 			fx.unchanged(t)
 		}},
-		{"overlap applies the suffix", func(t *testing.T, fx *failClosedFixture) {
+		{"overlap applies the suffix", false, func(t *testing.T, fx *failClosedFixture) {
 			fx.ack(t, fx.frame(t, "t", 2, fx.recs[1:]), streamAckOK)
 			if got := fx.fctrl.TenantNext("t"); got != uint64(len(fx.recs))+1 {
 				t.Fatalf("after overlap: next %d, want %d", got, len(fx.recs)+1)
 			}
 		}},
-		{"framing damage closes the stream", func(t *testing.T, fx *failClosedFixture) {
+		{"framing damage closes the stream", false, func(t *testing.T, fx *failClosedFixture) {
 			var zero [4]byte // a zero-length frame
 			if _, err := fx.rs.pw.Write(zero[:]); err != nil {
 				t.Fatal(err)
@@ -293,16 +296,13 @@ func TestFollowerFailClosed(t *testing.T) {
 			}
 		}},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			for _, fx := range fxs {
-				t.Run(string(fx.journal), func(t *testing.T) { tc.run(t, fx) })
-			}
-		})
-	}
-	for _, fx := range fxs {
-		if fx.recv.Applied().RejectedFrames == 0 {
-			t.Fatalf("%s: receiver counted no rejected frames", fx.journal)
+		if tc.binaryOnly && fx.journal != mcsio.CodecBinary {
+			continue
 		}
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, fx) })
+	}
+	if fx.recv.Applied().RejectedFrames == 0 {
+		t.Fatal("receiver counted no rejected frames")
 	}
 }
 

@@ -152,11 +152,11 @@ func TestMixedCodecLeaderReplicates(t *testing.T) {
 	}
 }
 
-// TestStreamRedialsAfterDialFailure: a follower outage retries with
-// backoff and redials — whether the dials are refused (here an injected
-// 502) or a live stream is cut between frames — and the follower converges
-// with the failures counted as send errors.
-func TestStreamRedialsAfterDialFailure(t *testing.T) {
+// outageRig wires a leader to a follower behind a proxy that refuses the
+// first refusals stream dials with a 502. admit commits tasks from..to on
+// the leader, flushes, and demands that the follower converged.
+func outageRig(t *testing.T, refusals int64) (ship *Shipper, proxy *httptest.Server, left *atomic.Int64, admit func(from, to int)) {
+	t.Helper()
 	leader := admission.NewController(leaderConfig(t.TempDir(), -1))
 	if _, err := leader.Recover(); err != nil {
 		t.Fatal(err)
@@ -164,11 +164,11 @@ func TestStreamRedialsAfterDialFailure(t *testing.T) {
 	t.Cleanup(func() { leader.Close() })
 	fctrl, recv, _ := newFollower(t, t.TempDir())
 	mux := recv.Mux()
-	var failsLeft atomic.Int64
-	failsLeft.Store(2)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == StreamPath && failsLeft.Load() > 0 {
-			failsLeft.Add(-1)
+	left = new(atomic.Int64)
+	left.Store(refusals)
+	proxy = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == StreamPath && left.Load() > 0 {
+			left.Add(-1)
 			http.Error(w, "injected outage", http.StatusBadGateway)
 			return
 		}
@@ -176,14 +176,14 @@ func TestStreamRedialsAfterDialFailure(t *testing.T) {
 	}))
 	// Registered before connect: cleanups run LIFO, so the shipper (and its
 	// live stream) stops before the server waits out open connections.
-	t.Cleanup(srv.Close)
+	t.Cleanup(proxy.Close)
 
-	ship := connect(t, leader, srv.URL)
+	ship = connect(t, leader, proxy.URL)
 	sys, err := leader.CreateSystem("t", 2, allTests()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	admit := func(from, to int) {
+	admit = func(from, to int) {
 		t.Helper()
 		for i := from; i < to; i++ {
 			if _, err := sys.Admit(mcs.NewLC(i, 1, 1000)); err != nil {
@@ -195,21 +195,34 @@ func TestStreamRedialsAfterDialFailure(t *testing.T) {
 			t.Fatalf("follower diverged after admits %d..%d:\n%s\n%s", from, to, sys.Fingerprint(), got)
 		}
 	}
-	admit(0, 4)
-	if failsLeft.Load() != 0 {
-		t.Fatalf("outage not exercised: %d injected failures left", failsLeft.Load())
-	}
-	dialErrors := ship.Status()[0].SendErrors
-	if dialErrors == 0 {
-		t.Fatal("status did not count the failed dials")
-	}
+	return ship, proxy, left, admit
+}
 
-	// Cut the live stream: the next frame fails on the dead connection and
-	// the retry redials.
-	srv.CloseClientConnections()
+// TestStreamRedialsAfterDialFailure: refused dials (here injected 502s)
+// retry with backoff and redial the stream, and the follower converges with
+// the failed dials counted as send errors.
+func TestStreamRedialsAfterDialFailure(t *testing.T) {
+	ship, _, left, admit := outageRig(t, 2)
+	admit(0, 4)
+	if left.Load() != 0 {
+		t.Fatalf("outage not exercised: %d injected failures left", left.Load())
+	}
+	if st := ship.Status(); len(st) != 1 || st[0].SendErrors == 0 {
+		t.Fatalf("status did not count the failed dials: %+v", st)
+	}
+}
+
+// TestShipperSurvivesFollowerOutage: a live stream cut between frames fails
+// the next frame, the retry redials, and the follower converges with the
+// failure counted and no lag left.
+func TestShipperSurvivesFollowerOutage(t *testing.T) {
+	ship, proxy, _, admit := outageRig(t, 0)
+	admit(0, 4)
+	before := ship.Status()[0].SendErrors
+	proxy.CloseClientConnections()
 	admit(4, 8)
 	st := ship.Status()
-	if st[0].SendErrors <= dialErrors {
+	if len(st) != 1 || st[0].SendErrors <= before {
 		t.Fatalf("the cut stream cost no send error: %+v", st)
 	}
 	if st[0].Tenants["t"].Lag != 0 {
