@@ -544,19 +544,16 @@ func BenchmarkJournalAdmitOn(b *testing.B) { benchJournalAdmit(b, true, false) }
 func BenchmarkJournalAdmitOnFsync(b *testing.B) { benchJournalAdmit(b, true, true) }
 
 // benchJournalAdmitWriters drives fsync-durable admit+release cycles from
-// `writers` concurrent goroutines against one tenant, with or without
-// group commit. Each worker cycles its own task ID, so every iteration is
-// two journal records (admit, release), each demanding durability before
-// the call returns. Under group commit concurrent appends share segment
-// writes and fsyncs, so ns/op at high writer counts measures the
-// coalescing win; without it every record pays its own fsync under the
-// journal lock.
-func benchJournalAdmitWriters(b *testing.B, writers int, group bool, delay time.Duration) {
+// `writers` concurrent goroutines against one tenant, with the given flush
+// delay. Each worker cycles its own task ID, so every iteration is two
+// journal records (admit, release), each demanding durability before the
+// call returns. Concurrent appends share segment writes and fsyncs, so
+// ns/op at high writer counts measures the coalescing win.
+func benchJournalAdmitWriters(b *testing.B, writers int, delay time.Duration) {
 	cfg := DefaultAdmissionConfig()
 	cfg.SnapshotEvery = -1
 	cfg.DataDir = b.TempDir()
 	cfg.Fsync = true
-	cfg.GroupCommit = group
 	cfg.GroupCommitDelay = delay
 	ctrl := NewAdmissionController(cfg)
 	defer ctrl.Close()
@@ -620,25 +617,21 @@ const groupCommitBenchDelay = 200 * time.Microsecond
 
 // BenchmarkJournalAdmitGroupCommit is the group-commit headline number:
 // fsync-durable admit+release throughput at 1, 16 and 64 concurrent
-// writers — the serial per-record fsync baseline versus group commit,
-// undelayed and with a commit delay. At one writer the serial and group
-// modes are equivalent (every batch has one record); the gap grows with
-// writer count as batches fill. The reported records/flush metric is the
-// achieved batching factor.
+// writers, undelayed and with a commit delay. At one writer every batch has
+// one record; the gain grows with writer count as batches fill. The
+// reported records/flush metric is the achieved batching factor.
 func BenchmarkJournalAdmitGroupCommit(b *testing.B) {
 	modes := []struct {
 		name  string
-		group bool
 		delay time.Duration
 	}{
-		{"serial", false, 0},
-		{"group", true, 0},
-		{"group-delay", true, groupCommitBenchDelay},
+		{"group", 0},
+		{"group-delay", groupCommitBenchDelay},
 	}
 	for _, writers := range []int{1, 16, 64} {
 		for _, mode := range modes {
 			b.Run(fmt.Sprintf("%dw/%s", writers, mode.name), func(b *testing.B) {
-				benchJournalAdmitWriters(b, writers, mode.group, mode.delay)
+				benchJournalAdmitWriters(b, writers, mode.delay)
 			})
 		}
 	}

@@ -658,9 +658,9 @@ const groupCommitDelay = 200 * time.Microsecond
 // journalAdmitWriters is the group-commit workload: fsync-durable
 // admit+release cycles from `writers` concurrent goroutines against one
 // single-core tenant, each worker cycling its own task so every iteration
-// is two durable journal records. The serial/group pair at the same writer
-// count is the tracked coalescing factor of the group-commit tentpole.
-func journalAdmitWriters(writers int, group bool) func(*testing.B, *Counters) {
+// is two durable journal records. The rows at 1, 16 and 64 writers track
+// the coalescing factor.
+func journalAdmitWriters(writers int) func(*testing.B, *Counters) {
 	return func(b *testing.B, _ *Counters) {
 		dir, err := os.MkdirTemp("", "mcbench-journal-*")
 		if err != nil {
@@ -671,10 +671,7 @@ func journalAdmitWriters(writers int, group bool) func(*testing.B, *Counters) {
 		cfg.SnapshotEvery = -1
 		cfg.DataDir = dir
 		cfg.Fsync = true
-		cfg.GroupCommit = group
-		if group {
-			cfg.GroupCommitDelay = groupCommitDelay
-		}
+		cfg.GroupCommitDelay = groupCommitDelay
 		ctrl := mcsched.NewAdmissionController(cfg)
 		defer ctrl.Close()
 		sys, err := ctrl.CreateSystem("bench", 1, mcsched.EDFVD())
@@ -847,10 +844,9 @@ func benches() []bench {
 		{"sweep/fig3-m8-100", sweepFig3},
 		{"simulate/hyperperiod-small", simulateSystem(2, 5)},
 		{"simulate/hyperperiod-1k", simulateSystem(64, 16)},
-		{"journal/admit-fsync-serial-64w", journalAdmitWriters(64, false)},
-		{"journal/admit-groupcommit-1w", journalAdmitWriters(1, true)},
-		{"journal/admit-groupcommit-16w", journalAdmitWriters(16, true)},
-		{"journal/admit-groupcommit-64w", journalAdmitWriters(64, true)},
+		{"journal/admit-groupcommit-1w", journalAdmitWriters(1)},
+		{"journal/admit-groupcommit-16w", journalAdmitWriters(16)},
+		{"journal/admit-groupcommit-64w", journalAdmitWriters(64)},
 		{"journal/encode-json", journalEncode(mcsio.CodecJSON)},
 		{"journal/encode-binary", journalEncode(mcsio.CodecBinary)},
 		{"repl/stream-batch64", replStreamBatch64()},

@@ -13,13 +13,14 @@
 // journal is periodically compacted into snapshots (-snapshot-every, and
 // POST /v1/systems/{id}/snapshot on demand), and a restart replays the
 // data directory so no admitted task is lost. -fsync trades admit latency
-// for power-loss durability; -group-commit wins most of that latency back
-// under concurrency by coalescing simultaneous appends into one shared
-// write+fsync (-group-commit-delay holds each flush briefly so more
-// concurrent decisions ride it), and -journal-codec binary swaps the JSON record framing for
-// a CRC-checked binary encoding (reads auto-detect either, so existing
-// data directories keep working). On SIGINT/SIGTERM the daemon drains
-// in-flight requests, writes a final snapshot per tenant, and exits.
+// for power-loss durability; concurrent decisions against one tenant share
+// one write+fsync (group commit: each stages its record under the tenant
+// lock and waits for the flush outside it), -group-commit-delay holds each
+// flush briefly so more of them ride it, and -group-commit is accepted and
+// ignored. -journal-codec binary swaps the JSON record framing for a
+// CRC-checked binary encoding (reads auto-detect either, so existing data
+// directories keep working). On SIGINT/SIGTERM the daemon drains in-flight
+// requests, writes a final snapshot per tenant, and exits.
 //
 // With -replicate-to the daemon ships every committed journal record to
 // one or more warm-standby followers as binary frames over one persistent
@@ -119,10 +120,9 @@ func main() {
 		"directory for per-tenant write-ahead journals; empty runs in-memory only")
 	fsync := flag.Bool("fsync", false,
 		"fsync the journal after every committed transition (requires -data-dir)")
-	groupCommit := flag.Bool("group-commit", false,
-		"coalesce concurrent journal appends into shared write+fsync batches (requires -data-dir; most effective with -fsync)")
+	flag.Bool("group-commit", false, "deprecated and ignored: journal appends always group-commit")
 	groupCommitDelay := flag.Duration("group-commit-delay", 0,
-		"hold each group-commit flush this long so more concurrent appends ride it (e.g. 200us; trades decision latency for batching; requires -group-commit)")
+		"hold each journal flush up to this long so more concurrent appends ride it (e.g. 200us; trades decision latency for batching; requires -data-dir)")
 	journalCodec := flag.String("journal-codec", "",
 		`journal record encoding: "json" (default) or "binary" (CRC-framed, smaller and faster; requires -data-dir). Reads auto-detect either, so switching codecs on an existing data directory is safe; replication frames are always binary`)
 	snapshotEvery := flag.Int("snapshot-every", admission.DefaultSnapshotEvery,
@@ -158,11 +158,8 @@ func main() {
 	if *dataDir == "" && (*fsync || *snapshotEvery != admission.DefaultSnapshotEvery) {
 		fatal("-fsync and -snapshot-every require -data-dir")
 	}
-	if *dataDir == "" && (*groupCommit || *journalCodec != "") {
-		fatal("-group-commit and -journal-codec require -data-dir")
-	}
-	if *groupCommitDelay != 0 && !*groupCommit {
-		fatal("-group-commit-delay requires -group-commit")
+	if *dataDir == "" && (*groupCommitDelay != 0 || *journalCodec != "") {
+		fatal("-group-commit-delay and -journal-codec require -data-dir")
 	}
 	if *groupCommitDelay < 0 {
 		fatal("-group-commit-delay must be non-negative")
@@ -186,7 +183,6 @@ func main() {
 		Placement:        *placement,
 		DataDir:          *dataDir,
 		Fsync:            *fsync,
-		GroupCommit:      *groupCommit,
 		GroupCommitDelay: *groupCommitDelay,
 		JournalCodec:     codec,
 		SnapshotEvery:    *snapshotEvery,

@@ -81,21 +81,19 @@ type Config struct {
 	// Decoding auto-detects per record, so a journal directory may mix
 	// codecs — switching an existing deployment is safe either way.
 	JournalCodec mcsio.Codec
-	// GroupCommit batches concurrent journal appends into shared flushes:
-	// a decision stages its record under the tenant lock and acknowledges
-	// durability outside it, so simultaneous decisions against one tenant
-	// coalesce into one segment write and (under Fsync) one fsync. The
-	// trade-off is the failure mode: a failed group flush poisons the
-	// tenant's journal fail-stop (every later mutation errors) instead of
-	// failing a single append, because decisions already applied
-	// optimistically cannot be disentangled from the lost batch.
+	// GroupCommit chose staged journal appends over a serial path that no
+	// longer exists: every journaled decision now stages its record under
+	// the tenant lock and waits for the flush outside it. The field remains
+	// only because cmd/mcload still assigns it.
+	//
+	// Deprecated: ignored.
 	GroupCommit bool
-	// GroupCommitDelay, when positive under GroupCommit, makes a flush
-	// leader wait that long before collecting its batch, so decisions
-	// acknowledged by the previous flush can stage their next records and
-	// ride along (the commit_delay of classic databases). Larger values
-	// trade single-decision latency for batching factor; zero never
-	// delays. Ignored without GroupCommit.
+	// GroupCommitDelay, when positive, makes a journal flush leader wait up
+	// to that long before collecting its batch, so decisions acknowledged
+	// by the previous flush can stage their next records and ride along
+	// (the commit_delay of classic databases). Larger values trade
+	// single-decision latency for batching factor; zero never delays.
+	// Ignored without DataDir.
 	GroupCommitDelay time.Duration
 	// SnapshotEvery is the automatic snapshot cadence: after this many
 	// journaled events a tenant snapshots its full state and truncates
@@ -119,16 +117,15 @@ type Config struct {
 }
 
 // Hooks observe controller transitions for the replication layer. Both
-// callbacks run synchronously on the committing goroutine (Committed under
-// the tenant lock in serial-append mode, outside it under group commit),
-// so they must be fast and must not call back into the controller.
+// callbacks run synchronously on the committing goroutine, so they must be
+// fast and must not call back into the controller.
 type Hooks struct {
 	// Committed fires after a journal record is durably appended: the
 	// transition at seq is committed and readable via the tenant journal's
-	// ReadFrom. Under Config.GroupCommit it fires on the acknowledging
-	// goroutine outside the tenant lock, and concurrent commits may report
-	// out of sequence order — treat it as a wake-up, not an ordered feed
-	// (the shipper reads actual records through ReadFrom regardless).
+	// ReadFrom. It fires on the acknowledging goroutine outside the tenant
+	// lock, and concurrent commits may report out of sequence order —
+	// treat it as a wake-up, not an ordered feed (the shipper reads actual
+	// records through ReadFrom regardless).
 	Committed func(tenant string, seq uint64)
 	// Removed fires after a tenant and its journal directory are deleted.
 	Removed func(tenant string)

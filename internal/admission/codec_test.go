@@ -162,7 +162,8 @@ func readTenantRecords(t *testing.T, dataDir, id string) [][]byte {
 }
 
 // TestGroupCommitConcurrentDecisionsRecover hammers one tenant with
-// concurrent admits and releases under group commit + fsync, then requires
+// concurrent admits and releases under the default config + fsync (every
+// journaled decision goes through group commit), then requires
 // a fresh recovery of the journal to reproduce the live partition bit for
 // bit and the journal to have actually coalesced (group commits counted).
 // Run under -race this also exercises the ticket protocol's publication
@@ -175,7 +176,6 @@ func TestGroupCommitConcurrentDecisionsRecover(t *testing.T) {
 			dir := t.TempDir()
 			cfg := crashConfig(dir)
 			cfg.JournalCodec = codec
-			cfg.GroupCommit = true
 			cfg.Fsync = true
 			live := NewController(cfg)
 			sys, err := live.CreateSystem("g", 8, allTests()[0])
@@ -214,7 +214,7 @@ func TestGroupCommitConcurrentDecisionsRecover(t *testing.T) {
 				t.Fatal("journaling enabled but no journal stats")
 			}
 			if js.GroupCommits == 0 {
-				t.Fatal("group commit enabled but no group commits counted")
+				t.Fatal("journaled decisions but no group commits counted")
 			}
 			if js.GroupCommits > js.Records {
 				t.Fatalf("more group commits (%d) than records (%d)", js.GroupCommits, js.Records)

@@ -107,11 +107,11 @@ func (c *Controller) ApplyReplicatedRecords(tenant string, first uint64, recs []
 		return c.TenantNext(tenant), 0, fmt.Errorf("admission: empty replication batch")
 	}
 	// Durability waits accumulate across the frame and are acknowledged
-	// once at the end: under group commit the whole frame stages first and
-	// then rides a single flush (one fsync per frame instead of one per
-	// record). flush must run on every exit path that follows a staged
-	// record, and a flush failure outranks the record error it joins —
-	// the journal is then poisoned and the ack must carry the rewound tail.
+	// once at the end: the whole frame stages first and then rides a
+	// single flush (one fsync per frame instead of one per record). flush
+	// must run on every exit path that follows a staged record, and a flush
+	// failure outranks the record error it joins — the journal is then
+	// poisoned and the ack must carry the rewound tail.
 	var waits []func() error
 	flush := func() error {
 		var err error
@@ -160,8 +160,10 @@ func firstErr(errs ...error) error {
 // live create uses, with the leader's raw bytes as the journal's first
 // record; anything else replays through apply, staging the raw bytes. It
 // reports whether the record was applied (false for an idempotently skipped
-// redelivery) and hands back the record's durability wait (nil when already
-// durable) for the caller to acknowledge after it releases the tenant lock.
+// redelivery) and hands back the record's durability wait (nil when nothing
+// was staged: a create-system, which commits inline, or a skipped
+// redelivery) for the caller to acknowledge after it releases the tenant
+// lock.
 // Caller holds c.replMu.
 func (c *Controller) applyReplicatedRecord(tenant string, e mcsio.EventJSON, raw []byte) (func() error, bool, error) {
 	sys, err := c.System(tenant)

@@ -3,13 +3,14 @@ package admission
 // Event sourcing for the admission controller. With Config.DataDir set,
 // every committed state transition of every tenant — create-system, admit,
 // admit-batch, release — is validated against the live partitions, encoded
-// as a typed versioned event (internal/mcsio), appended to the tenant's
-// write-ahead journal (internal/journal), and only then applied. Recovery
-// replays the journal through the very transition function the live
-// controller runs (apply, state.go), which both warms the per-core
-// analyzers and verifies that every recorded decision is reproduced
-// bit-for-bit; any divergence fails recovery closed instead of serving a
-// partition the journal does not describe.
+// as a typed versioned event (internal/mcsio), staged on the tenant's
+// write-ahead journal (internal/journal) and applied, and acknowledged only
+// once the journal flush covering it is durable. Recovery replays the
+// journal through the very transition function the live controller runs
+// (apply, state.go), which both warms the per-core analyzers and verifies
+// that every recorded decision is reproduced bit-for-bit; any divergence
+// fails recovery closed instead of serving a partition the journal does
+// not describe.
 
 import (
 	"errors"
@@ -59,7 +60,6 @@ func (c Config) journaling() bool { return c.DataDir != "" }
 func (c *Controller) journalOptions() journal.Options {
 	return journal.Options{
 		Fsync:         c.cfg.Fsync,
-		GroupCommit:   c.cfg.GroupCommit,
 		MaxBatchDelay: c.cfg.GroupCommitDelay,
 		Metrics:       c.jm.Load(),
 	}
@@ -120,23 +120,18 @@ func (s *System) appendLocked(e mcsio.EventJSON) (func() error, error) {
 // between append and apply would claim a sequence whose state it does not
 // contain.
 //
-// The returned wait acknowledges durability. A nil wait means the record is
-// already durable and the Committed hook has fired (serial-append mode).
-// A non-nil wait must be called after s.mu is released: it blocks until the
-// group-commit flush covering the record completes, fires the hook, and on
-// failure reports ErrJournalIO — the log is then poisoned fail-stop, so the
-// optimistically applied in-memory transition can never be contradicted by
-// a later append the journal did accept. Caller holds s.mu.
+// The returned wait acknowledges durability and must be called after s.mu
+// is released: it blocks until the flush covering the record completes,
+// fires the Committed hook, and on failure reports ErrJournalIO — the log
+// is then poisoned fail-stop, so the optimistically applied in-memory
+// transition can never be contradicted by a later append the journal did
+// accept. Caller holds s.mu.
 func (s *System) appendPayloadLocked(b []byte, kind string) (func() error, error) {
 	seq, tk, err := s.log.AppendStage(b)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s: %w", ErrJournalIO, kind, err)
 	}
 	s.sinceSnap++
-	if tk == nil {
-		s.fireCommitted(seq)
-		return nil, nil
-	}
 	return func() error {
 		if err := tk.Wait(); err != nil {
 			return fmt.Errorf("%w: %s: %w", ErrJournalIO, kind, err)
@@ -153,8 +148,9 @@ func (s *System) fireCommitted(seq uint64) {
 	}
 }
 
-// waitCommitted runs a durability wait returned by the append path; a nil
-// wait (serial mode, or no journal at all) is already committed.
+// waitCommitted runs a durability wait returned by the append path. A nil
+// wait means nothing was staged: no journal, a probe, a reject or a skipped
+// redelivery.
 func waitCommitted(wait func() error) error {
 	if wait == nil {
 		return nil

@@ -114,18 +114,18 @@ func (c *Controller) EnableMetrics(r *obs.Registry) {
 	// the per-tenant journal counters.
 	c.jm.Store(&journal.Metrics{
 		AppendSeconds: r.NewHistogram("mcsched_journal_append_duration_seconds",
-			"Latency of journal appends (framing, segment write, fsync when enabled).",
+			"Latency of journal appends from stage to durable (framing, flush wait, segment write, fsync when enabled).",
 			obs.LatencyBuckets),
 		FsyncSeconds: r.NewHistogram("mcsched_journal_fsync_duration_seconds",
-			"Latency of the per-append data sync in fsync mode.",
+			"Latency of the per-flush data sync in fsync mode.",
 			obs.LatencyBuckets),
 		SnapshotSeconds: r.NewHistogram("mcsched_journal_snapshot_duration_seconds",
 			"Latency of durable snapshot writes including segment truncation.",
 			obs.LatencyBuckets),
-		// Bucket bounds are record counts, not seconds: each group-commit
-		// flush observes its batch size encoded one second per record.
+		// Bucket bounds are record counts, not seconds: each flush observes
+		// its batch size encoded one second per record.
 		BatchRecords: r.NewHistogram("mcsched_journal_batch_records",
-			"Records coalesced per group-commit flush (bucket bounds are record counts).",
+			"Records coalesced per journal flush (bucket bounds are record counts).",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 	})
 	jt := func(f func(JournalStats) uint64) func() uint64 {
@@ -141,7 +141,7 @@ func (c *Controller) EnableMetrics(r *obs.Registry) {
 		"Synchronous flushes (appends under fsync, snapshots, directory syncs).",
 		jt(func(j JournalStats) uint64 { return j.Fsyncs }))
 	r.CounterFunc("mcsched_journal_group_commits_total",
-		"Group-commit flushes: shared writes covering one or more staged records.",
+		"Journal flushes: shared writes covering one or more staged records.",
 		jt(func(j JournalStats) uint64 { return j.GroupCommits }))
 	r.CounterFunc("mcsched_journal_snapshots_total",
 		"Snapshots written.",

@@ -131,10 +131,9 @@ type JournalStats struct {
 	// Fsyncs counts synchronous flushes (appends under -fsync, snapshot
 	// writes, directory syncs).
 	Fsyncs uint64 `json:"fsyncs"`
-	// GroupCommits counts group-commit flushes: shared segment writes (one
-	// fsync each under -fsync) covering one or more staged records. Zero
-	// unless group commit is enabled; Records/GroupCommits is the achieved
-	// batching factor.
+	// GroupCommits counts journal flushes: shared segment writes (one fsync
+	// each under -fsync) covering one or more staged records, so
+	// Records/GroupCommits is the achieved batching factor.
 	GroupCommits uint64 `json:"group_commits,omitempty"`
 	// Segments is the current number of on-disk log segments.
 	Segments uint64 `json:"segments"`

@@ -202,14 +202,15 @@ func (s *System) replay(e mcsio.EventJSON, stage func() (func() error, error)) (
 //  4. mutate: admits keep their placements, releases remove their tasks.
 //  5. count: the tenant's lifetime counters and the controller-wide ones,
 //     under the tenant lock and before the durability wait. A transition
-//     whose group flush later fails is therefore counted although its caller
-//     sees an error; the journal is then poisoned fail-stop, so nothing else
-//     is ever acknowledged against it.
+//     whose flush later fails is therefore counted although its caller sees
+//     an error; the journal is then poisoned fail-stop, so nothing else is
+//     ever acknowledged against it.
 //  6. snapshot cadence, which needs the state to contain the staged record.
 //
-// The returned wait (nil when already durable) acknowledges durability and
-// must run after s.mu is released. Caller holds s.mu or exclusively owns an
-// unpublished system.
+// The returned wait acknowledges durability and must run after s.mu is
+// released; it is nil when nothing was staged (no journal, recovery, a
+// probe, a reject). Until it returns, other callers can already read the
+// transition. Caller holds s.mu or exclusively owns an unpublished system.
 func (s *System) apply(tr *transition, stage func() (func() error, error)) (func() error, error) {
 	if err := s.validate(tr); err != nil {
 		if tr.replayed {

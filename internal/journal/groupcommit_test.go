@@ -1,10 +1,12 @@
 package journal
 
-// Group-commit certification: the concurrent-committer protocol must be
-// indistinguishable from serial appends in everything but fsync count —
-// same sequence assignment, same replayable history, same fail-closed
-// rollback discipline — under the race detector at any GOMAXPROCS (the CI
-// group-commit job runs this file at 1, 2 and NumCPU).
+// Group-commit certification: every append stages its record and a flush
+// leader commits every staged record at once, so concurrent appends must
+// still get unique contiguous sequence numbers, a replayable history
+// holding exactly the acknowledged records, fewer flushes than records and
+// fail-stop poisoning on I/O errors — under the race detector at any
+// GOMAXPROCS (the CI journal-commit job runs this package at 1, 2 and
+// NumCPU).
 
 import (
 	"errors"
@@ -14,16 +16,6 @@ import (
 	"testing"
 )
 
-func openGroup(t *testing.T, dir string, opts Options) *Log {
-	t.Helper()
-	opts.GroupCommit = true
-	l, err := Open(dir, opts)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	return l
-}
-
 // TestGroupCommitConcurrent hammers one fsync-mode log from many writers
 // and demands a perfect committed history: every append acknowledged,
 // every sequence unique, and a reopen+replay that returns exactly the
@@ -31,7 +23,10 @@ func openGroup(t *testing.T, dir string, opts Options) *Log {
 func TestGroupCommitConcurrent(t *testing.T) {
 	const writers, perWriter = 16, 25
 	dir := t.TempDir()
-	l := openGroup(t, dir, Options{Fsync: true})
+	l, err := Open(dir, Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var mu sync.Mutex
 	got := make(map[uint64]string, writers*perWriter)
@@ -95,10 +90,13 @@ func TestGroupCommitConcurrent(t *testing.T) {
 
 // TestGroupCommitBatchesStagedAppends pins the batching mechanics
 // deterministically: records staged before any Wait are flushed by one
-// leader in MaxBatchRecords-sized chunks.
+// leader in maxBatchRecords-sized chunks, the last one partial.
 func TestGroupCommitBatchesStagedAppends(t *testing.T) {
-	const n, maxBatch = 100, 8
-	l := openGroup(t, t.TempDir(), Options{Fsync: true, MaxBatchRecords: maxBatch})
+	const n = 2*maxBatchRecords + 1
+	l, err := Open(t.TempDir(), Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer l.Close()
 
 	tickets := make([]*Ticket, n)
@@ -111,7 +109,7 @@ func TestGroupCommitBatchesStagedAppends(t *testing.T) {
 			t.Fatalf("stage %d assigned seq %d", i, seq)
 		}
 		if tk == nil {
-			t.Fatalf("stage %d: nil ticket in group mode", i)
+			t.Fatalf("stage %d: nil ticket", i)
 		}
 		tickets[i] = tk
 	}
@@ -133,9 +131,9 @@ func TestGroupCommitBatchesStagedAppends(t *testing.T) {
 	if st.Records != n {
 		t.Fatalf("Records = %d, want %d", st.Records, n)
 	}
-	want := uint64((n + maxBatch - 1) / maxBatch)
+	const want = 3
 	if st.GroupCommits != want {
-		t.Fatalf("GroupCommits = %d, want %d (batches of %d)", st.GroupCommits, want, maxBatch)
+		t.Fatalf("GroupCommits = %d, want %d (batches of %d)", st.GroupCommits, want, maxBatchRecords)
 	}
 	// One data sync per batch plus the directory sync of the initial
 	// segment roll.
@@ -147,39 +145,15 @@ func TestGroupCommitBatchesStagedAppends(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSerialTicket pins the uniform stage/wait protocol in
-// serial mode: the record is durable at stage time and the nil ticket's
-// Wait reports success.
-func TestGroupCommitSerialTicket(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Fsync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	seq, tk, err := l.AppendStage([]byte("serial"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 1 || tk != nil {
-		t.Fatalf("serial stage = seq %d, ticket %v; want 1, nil", seq, tk)
-	}
-	if err := tk.Wait(); err != nil {
-		t.Fatalf("nil ticket wait: %v", err)
-	}
-	if recs, _, err := l.ReadFrom(1, 1); err != nil || len(recs) != 1 {
-		t.Fatalf("serial stage not immediately durable: %d recs, %v", len(recs), err)
-	}
-	if st := l.Stats(); st.GroupCommits != 0 {
-		t.Fatalf("serial mode counted %d group commits", st.GroupCommits)
-	}
-}
-
-// TestGroupCommitRollsSegments verifies segment rolling in group mode:
+// TestGroupCommitRollsSegments verifies segment rolling under group commit:
 // segment files must be named by the first sequence they actually hold,
 // or reopen would mis-number the history.
 func TestGroupCommitRollsSegments(t *testing.T) {
 	dir := t.TempDir()
-	l := openGroup(t, dir, Options{SegmentBytes: 64})
+	l, err := Open(dir, Options{SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 40
 	for i := 0; i < n; i++ {
 		if _, err := l.Append([]byte(fmt.Sprintf("record-%02d", i))); err != nil {
@@ -206,11 +180,14 @@ func TestGroupCommitRollsSegments(t *testing.T) {
 // TestGroupCommitFailurePoisonsLog injects a write failure under a staged
 // batch and demands fail-stop semantics: every in-flight waiter gets the
 // error, the log closes, and no acknowledged sequence number is ever
-// reused — unlike the serial path, group-mode callers have already applied
-// optimistically, so continuing would diverge replay from memory.
+// reused — callers have already applied optimistically, so continuing
+// would diverge replay from memory.
 func TestGroupCommitFailurePoisonsLog(t *testing.T) {
 	dir := t.TempDir()
-	l := openGroup(t, dir, Options{Fsync: true})
+	l, err := Open(dir, Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// One durable record so the failure has an acknowledged prefix.
 	if _, err := l.Append([]byte("durable")); err != nil {
@@ -260,7 +237,10 @@ func TestGroupCommitFailurePoisonsLog(t *testing.T) {
 // must report success.
 func TestGroupCommitCloseFlushesStaged(t *testing.T) {
 	dir := t.TempDir()
-	l := openGroup(t, dir, Options{Fsync: true})
+	l, err := Open(dir, Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	const n = 7
 	tickets := make([]*Ticket, n)
 	for i := range tickets {
@@ -293,7 +273,10 @@ func TestGroupCommitCloseFlushesStaged(t *testing.T) {
 // and the acknowledged log tail can never disagree.
 func TestGroupCommitSnapshotBarrier(t *testing.T) {
 	dir := t.TempDir()
-	l := openGroup(t, dir, Options{Fsync: true})
+	l, err := Open(dir, Options{Fsync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer l.Close()
 	const n = 4
 	tickets := make([]*Ticket, n)
@@ -336,7 +319,10 @@ func TestGroupCommitSnapshotBarrier(t *testing.T) {
 // TestGroupCommitMaxBatchDelay smoke-tests the accumulation knob: with a
 // delay configured, a lone leader still commits correctly.
 func TestGroupCommitMaxBatchDelay(t *testing.T) {
-	l := openGroup(t, t.TempDir(), Options{Fsync: true, MaxBatchDelay: 1e6 /* 1ms */})
+	l, err := Open(t.TempDir(), Options{Fsync: true, MaxBatchDelay: 1e6 /* 1ms */})
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer l.Close()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

@@ -25,6 +25,13 @@
 // successful snapshot every segment it covers is deleted and a fresh
 // segment begins at the next sequence number.
 //
+// Every record commits the same way: AppendStage assigns its sequence
+// number and stages its frame under a short in-memory lock, and the first
+// Ticket.Wait to arrive becomes the flush leader, writing (and, with
+// Options.Fsync, syncing) every record staged by then in one go — group
+// commit. A failed flush poisons the log: every staged record fails and
+// every later append returns ErrClosed.
+//
 // A Log serializes its own operations with an internal mutex; the
 // admission layer additionally serializes per-tenant decisions, so appends
 // arrive in decision order.
@@ -63,13 +70,12 @@ const (
 	MaxRecord = 16 << 20
 
 	// DefaultSegmentBytes is the roll threshold when Options.SegmentBytes
-	// is unset. A segment may exceed it by at most one record (or, in
-	// group-commit mode, one batch).
+	// is unset. A segment may exceed it by at most one flush batch.
 	DefaultSegmentBytes = 4 << 20
 
-	// DefaultMaxBatchRecords caps one group-commit batch when
-	// Options.MaxBatchRecords is unset.
-	DefaultMaxBatchRecords = 512
+	// maxBatchRecords caps how many staged records one flush coalesces into
+	// a single write and sync.
+	maxBatchRecords = 512
 )
 
 // castagnoli is the CRC-32C polynomial table (hardware-accelerated on
@@ -100,17 +106,12 @@ type Options struct {
 	// SegmentBytes is the size threshold at which a new segment starts.
 	// 0 selects DefaultSegmentBytes.
 	SegmentBytes int64
-	// GroupCommit batches concurrent appends into one write (and, with
-	// Fsync, one data sync): AppendStage assigns a sequence number and
-	// stages the framed record under a short lock, and the first Wait to
-	// arrive becomes the flush leader for every staged record. Durability
-	// semantics are unchanged — a successful Wait means exactly what a
-	// successful serial Append means — only the fsync cost is amortized
-	// across the records in flight.
+	// GroupCommit chose staged appends over a serial path that no longer
+	// exists: every append is staged and flushed in groups. The field
+	// remains only because cmd/mcload still assigns it.
+	//
+	// Deprecated: ignored.
 	GroupCommit bool
-	// MaxBatchRecords caps how many staged records one flush coalesces
-	// into a single write+sync. 0 selects DefaultMaxBatchRecords.
-	MaxBatchRecords int
 	// MaxBatchDelay, when positive, makes a flush leader hold the commit
 	// lock that long before collecting its batch, trading acknowledgement
 	// latency for larger batches under light concurrency. 0 (the default)
@@ -129,8 +130,8 @@ type Stats struct {
 	Records uint64 `json:"records"`
 	Bytes   uint64 `json:"bytes"`
 	Fsyncs  uint64 `json:"fsyncs"`
-	// GroupCommits counts batched flushes: each is one write (and one
-	// fsync, in fsync mode) covering one or more staged records, so
+	// GroupCommits counts flushes: each is one write (and one fsync, in
+	// fsync mode) covering one or more staged records, so
 	// Records/GroupCommits is the achieved batching factor.
 	GroupCommits uint64 `json:"group_commits,omitempty"`
 	Snapshots    uint64 `json:"snapshots"`
@@ -168,21 +169,14 @@ type Log struct {
 	snapSeq    uint64
 	closed     bool
 	subs       []chan struct{} // append-notification subscribers (tail.go)
-	wbuf       []byte          // staged frames awaiting group flush, in sequence order
-	waiters    []*commitWaiter // one per staged record, aligned with wbuf
+	wbuf       []byte          // staged frames awaiting flush, in sequence order
+	waiters    []*Ticket       // one per staged record, aligned with wbuf
 
 	nRecords, nBytes, nFsyncs, nSnapshots, nTruncated, nGroupCommits uint64
 
-	// commitMu elects the group-flush leader and serializes everything
-	// that moves the durable tail or retires the active segment.
+	// commitMu elects the flush leader and serializes everything that
+	// moves the durable tail or retires the active segment.
 	commitMu sync.Mutex
-}
-
-// commitWaiter tracks one staged record through a group flush.
-type commitWaiter struct {
-	seq  uint64
-	n    int        // framed size in wbuf
-	done chan error // buffered; receives the commit outcome exactly once
 }
 
 // Open opens (creating if needed) the journal in dir, locates the latest
@@ -191,9 +185,6 @@ type commitWaiter struct {
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.MaxBatchRecords <= 0 {
-		opts.MaxBatchRecords = DefaultMaxBatchRecords
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
@@ -297,14 +288,10 @@ func (l *Log) SnapshotSeq() uint64 {
 	return l.snapSeq
 }
 
-// Append frames the payload, writes it to the tail segment (rolling to a
-// new segment past the size threshold) and returns its sequence number.
-// With Options.Fsync the record is synced to stable storage before Append
-// returns. A failed append rolls the physical tail back so the rejected
-// record cannot occupy a sequence number a later append will reuse.
-//
-// In group-commit mode Append is AppendStage followed by Wait, so
-// concurrent Appends still coalesce into shared flushes.
+// Append is AppendStage followed by Wait: it returns the record's sequence
+// number once the record is written to the tail segment (rolling to a new
+// segment past the size threshold) and, with Options.Fsync, synced to
+// stable storage. Concurrent Appends coalesce into shared flushes.
 func (l *Log) Append(payload []byte) (uint64, error) {
 	seq, tk, err := l.AppendStage(payload)
 	if err != nil {
@@ -316,23 +303,12 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	return seq, nil
 }
 
-// AppendStage assigns the payload a sequence number and schedules it for
-// durability, returning a Ticket whose Wait reports the commit outcome.
-// Callers that pipeline (apply in memory, then wait for durability outside
-// their own locks) are what group commit batches: the stage itself takes
-// only a short in-memory critical section.
-//
-// Without Options.GroupCommit the record is committed serially before
-// AppendStage returns and the Ticket is merely a handle on the already-
-// known outcome, so callers can use the stage/wait protocol uniformly.
+// AppendStage assigns the payload a sequence number and stages its frame
+// for the next flush, returning the Ticket whose Wait makes it durable.
+// The stage itself takes only a short in-memory critical section, so
+// callers that apply in memory and wait outside their own locks let
+// concurrent records share one flush.
 func (l *Log) AppendStage(payload []byte) (uint64, *Ticket, error) {
-	if !l.opts.GroupCommit {
-		seq, err := l.appendSerial(payload)
-		if err != nil {
-			return 0, nil, err
-		}
-		return seq, nil, nil
-	}
 	m := l.opts.Metrics
 	var start time.Time
 	if m != nil {
@@ -354,19 +330,20 @@ func (l *Log) AppendStage(payload []byte) (uint64, *Ticket, error) {
 	l.wbuf = appendFrame(l.wbuf, payload)
 	seq := l.nextSeq
 	l.nextSeq++
-	w := &commitWaiter{seq: seq, n: frameHeader + len(payload), done: make(chan error, 1)}
-	l.waiters = append(l.waiters, w)
+	t := &Ticket{l: l, seq: seq, n: frameHeader + len(payload), done: make(chan error, 1), start: start}
+	l.waiters = append(l.waiters, t)
 	l.mu.Unlock()
-	return seq, &Ticket{l: l, w: w, start: start}, nil
+	return seq, t, nil
 }
 
-// Ticket is a pending group commit: a staged, sequence-assigned record
-// whose durability is not yet established. A nil Ticket (serial mode) is
-// an already-committed record.
+// Ticket is one staged, sequence-assigned record whose durability is not
+// yet established; the flush that covers it delivers the outcome.
 type Ticket struct {
 	l     *Log
-	w     *commitWaiter
-	start time.Time // zero unless metrics are enabled
+	seq   uint64
+	n     int        // framed size in wbuf
+	done  chan error // buffered; receives the commit outcome exactly once
+	start time.Time  // zero unless metrics are enabled; only Wait touches it
 }
 
 // Wait blocks until the staged record is durable (per the fsync policy)
@@ -375,23 +352,20 @@ type Ticket struct {
 // coalescing all in-flight appends into one write and one fsync, while
 // later waiters park until the leader completes them. Wait is idempotent.
 func (t *Ticket) Wait() error {
-	if t == nil {
-		return nil // serial mode: committed at stage time
-	}
 	l := t.l
 	select {
-	case err := <-t.w.done:
-		t.w.done <- err // keep Wait idempotent
+	case err := <-t.done:
+		t.done <- err // keep Wait idempotent
 		t.observe()
 		return err
 	default:
 	}
 	l.commitMu.Lock()
 	select {
-	case err := <-t.w.done:
+	case err := <-t.done:
 		// A previous leader committed us while we queued for leadership.
 		l.commitMu.Unlock()
-		t.w.done <- err
+		t.done <- err
 		t.observe()
 		return err
 	default:
@@ -403,8 +377,8 @@ func (t *Ticket) Wait() error {
 	}
 	l.flushStagedLocked()
 	l.commitMu.Unlock()
-	err := <-t.w.done
-	t.w.done <- err
+	err := <-t.done
+	t.done <- err
 	t.observe()
 	return err
 }
@@ -428,7 +402,7 @@ func (l *Log) awaitBatch(d time.Duration) {
 		l.mu.Lock()
 		n := len(l.waiters)
 		l.mu.Unlock()
-		if n >= l.opts.MaxBatchRecords {
+		if n >= maxBatchRecords {
 			return
 		}
 		if n == last {
@@ -450,7 +424,7 @@ func (t *Ticket) observe() {
 }
 
 // flushStagedLocked drains every staged record in batches of at most
-// MaxBatchRecords: one write and (in fsync mode) one data sync per batch,
+// maxBatchRecords: one write and (in fsync mode) one data sync per batch,
 // then completion of the batch's waiters. File I/O runs with mu released,
 // so staging continues while a batch is on the disk. Any I/O failure
 // poisons the log (see failStagedLocked). Caller holds l.commitMu.
@@ -467,16 +441,13 @@ func (l *Log) flushStagedLocked() {
 			l.mu.Unlock()
 			return
 		}
-		k := len(l.waiters)
-		if k > l.opts.MaxBatchRecords {
-			k = l.opts.MaxBatchRecords
-		}
+		k := min(len(l.waiters), maxBatchRecords)
 		// Copy the batch out: l.waiters' backing array is compacted after
 		// the flush while stagers keep appending to it.
-		batch := append(make([]*commitWaiter, 0, k), l.waiters[:k]...)
+		batch := append(make([]*Ticket, 0, k), l.waiters[:k]...)
 		var nbytes int
-		for _, w := range batch {
-			nbytes += w.n
+		for _, t := range batch {
+			nbytes += t.n
 		}
 		if l.active == nil || l.activeSize >= l.opts.SegmentBytes {
 			if err := l.rollToLocked(batch[0].seq); err != nil {
@@ -532,16 +503,14 @@ func (l *Log) flushStagedLocked() {
 			// counts: one second == one record.
 			m.BatchRecords.Observe(time.Duration(k) * time.Second)
 		}
-		for _, w := range batch {
-			w.done <- nil
+		for _, t := range batch {
+			t.done <- nil
 		}
 	}
 }
 
-// failStagedLocked fails every in-flight group commit after a roll, write
-// or sync error and poisons the log. Unlike the serial path — which can
-// truncate the rejected record and continue because its caller has not yet
-// applied it — group-mode callers apply optimistically and wait for
+// failStagedLocked fails every staged record after a roll, write or sync
+// error and poisons the log. Callers apply optimistically and wait for
 // durability afterwards, so their in-memory state already reflects these
 // records. Truncating and carrying on would let later appends journal
 // decisions validated against state the journal never recorded, and replay
@@ -549,8 +518,8 @@ func (l *Log) flushStagedLocked() {
 // roll the physical tail back (best effort) and close the log — the
 // PostgreSQL fsync-failure discipline. Caller holds l.mu.
 func (l *Log) failStagedLocked(err error) {
-	for _, w := range l.waiters {
-		w.done <- err
+	for _, t := range l.waiters {
+		t.done <- err
 	}
 	l.waiters = nil
 	l.wbuf = nil
@@ -567,83 +536,9 @@ func (l *Log) failStagedLocked(err error) {
 	l.closed = true
 }
 
-// appendSerial is the non-batching commit path: frame, write, sync and
-// acknowledge under one hold of mu.
-func (l *Log) appendSerial(payload []byte) (uint64, error) {
-	m := l.opts.Metrics
-	var start time.Time
-	if m != nil {
-		start = time.Now()
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrClosed
-	}
-	if len(payload) == 0 {
-		return 0, fmt.Errorf("journal: empty record")
-	}
-	if len(payload) > MaxRecord {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
-	}
-	if l.active == nil || l.activeSize >= l.opts.SegmentBytes {
-		if err := l.rollToLocked(l.nextSeq); err != nil {
-			return 0, err
-		}
-	}
-	frame := frameRecord(payload)
-	if _, err := l.active.Write(frame); err != nil {
-		l.rollbackTailLocked()
-		return 0, fmt.Errorf("journal: append: %w", err)
-	}
-	if l.opts.Fsync {
-		var syncStart time.Time
-		if m != nil {
-			syncStart = time.Now()
-		}
-		if err := l.active.Sync(); err != nil {
-			// The frame is fully written but not durable, and the caller
-			// will be told the append failed — it must not survive, or a
-			// later append would reuse its sequence number and recovery
-			// would see two different records at one position.
-			l.rollbackTailLocked()
-			return 0, fmt.Errorf("journal: fsync: %w", err)
-		}
-		l.nFsyncs++
-		if m != nil {
-			m.FsyncSeconds.Observe(time.Since(syncStart))
-		}
-	}
-	l.activeSize += int64(len(frame))
-	seq := l.nextSeq
-	l.nextSeq++
-	l.ackedSeq = seq
-	l.nRecords++
-	l.nBytes += uint64(len(frame))
-	l.notifyLocked()
-	if m != nil {
-		m.AppendSeconds.Observe(time.Since(start))
-	}
-	return seq, nil
-}
-
-// rollbackTailLocked discards a failed append by truncating the active
-// segment back to the last acknowledged record. If even the truncate
-// fails, the log is closed: continuing would let the next append reuse
-// the orphaned record's sequence number and corrupt the history. Caller
-// holds l.mu.
-func (l *Log) rollbackTailLocked() {
-	if err := l.active.Truncate(l.activeSize); err != nil {
-		l.active.Close()
-		l.active = nil
-		l.closed = true
-	}
-}
-
 // rollToLocked closes the active segment and starts a new one whose first
-// record will be first — nextSeq on the serial path, the first sequence of
-// the pending batch on the group path (where nextSeq may already have
-// advanced past staged records). Caller holds l.mu.
+// record will be first, the first sequence of the pending batch (nextSeq
+// may already have advanced past staged records). Caller holds l.mu.
 func (l *Log) rollToLocked(first uint64) error {
 	if l.active != nil {
 		l.active.Close()
@@ -947,7 +842,7 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// Close flushes any staged group commits and releases the log's file
+// Close flushes any staged records and releases the log's file
 // handles. Further operations return ErrClosed.
 func (l *Log) Close() error {
 	l.commitMu.Lock()

@@ -74,8 +74,8 @@ func (l *Log) notifyLocked() {
 // it serializes against appends and truncation; batches should stay modest
 // (the replication shipper caps them) to keep append latency flat.
 //
-// The read is bounded by the durable tail: in group-commit mode a record
-// mid-flush may already be on disk without being acknowledged, and ReadFrom
+// The read is bounded by the durable tail: a record mid-flush may already
+// be on disk without being acknowledged, and ReadFrom
 // never returns it — replicating a record whose commit could still fail
 // would let a follower hold history the leader disowns.
 func (l *Log) ReadFrom(from uint64, max int) (recs [][]byte, next uint64, err error) {

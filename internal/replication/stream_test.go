@@ -27,7 +27,6 @@ func TestReplicationTransportCodecMatrix(t *testing.T) {
 			test := allTests()[0]
 			lcfg := leaderConfig(t.TempDir(), 3)
 			lcfg.JournalCodec = codec
-			lcfg.GroupCommit = true
 			leader := admission.NewController(lcfg)
 			if _, err := leader.Recover(); err != nil {
 				t.Fatal(err)
