@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,8 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
+	"sync"
 
 	"mcsched"
 	"mcsched/internal/admission"
@@ -68,7 +71,8 @@ func (s *server) routes() map[string]http.HandlerFunc {
 }
 
 // instrument wraps the mux with the obs middleware: per-route metrics on
-// reg, request-ID propagation and structured request logs on logger.
+// reg, request-ID propagation and a structured log line on logger for
+// every failed request.
 func (s *server) instrument(reg *obs.Registry, logger *slog.Logger) *server {
 	s.log = logger
 	patterns := make([]string, 0, len(s.routes()))
@@ -209,7 +213,7 @@ func (s *server) handleCreateSystem(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, statusOf(err), err)
 		return
 	}
-	reply(w, http.StatusCreated, createSystemResponse{
+	s.reply(w, r, http.StatusCreated, createSystemResponse{
 		ID:         sys.ID(),
 		Processors: sys.NumCores(),
 		Test:       sys.TestName(),
@@ -222,7 +226,7 @@ func (s *server) handleListSystems(w http.ResponseWriter, r *http.Request) {
 	if ids == nil {
 		ids = []string{}
 	}
-	reply(w, http.StatusOK, listSystemsResponse{Systems: ids})
+	s.reply(w, r, http.StatusOK, listSystemsResponse{Systems: ids})
 }
 
 func (s *server) handleGetSystem(w http.ResponseWriter, r *http.Request) {
@@ -249,7 +253,7 @@ func (s *server) handleGetSystem(w http.ResponseWriter, r *http.Request) {
 			UtilDiff: c.UtilDiff(),
 		})
 	}
-	reply(w, http.StatusOK, resp)
+	s.reply(w, r, http.StatusOK, resp)
 }
 
 func (s *server) handleDeleteSystem(w http.ResponseWriter, r *http.Request) {
@@ -308,7 +312,7 @@ func (s *server) handleDecide(commit bool) http.HandlerFunc {
 					s.fail(w, r, statusOf(err), err)
 					return
 				}
-				reply(w, http.StatusOK, explainResponse{AdmitResult: res, Trace: trace})
+				s.reply(w, r, http.StatusOK, explainResponse{AdmitResult: res, Trace: trace})
 				return
 			}
 			var res admission.AdmitResult
@@ -321,7 +325,7 @@ func (s *server) handleDecide(commit bool) http.HandlerFunc {
 				s.fail(w, r, statusOf(err), err)
 				return
 			}
-			reply(w, http.StatusOK, res)
+			s.reply(w, r, http.StatusOK, res)
 		case req.Tasks != nil && req.Task == nil:
 			if explain {
 				s.fail(w, r, http.StatusBadRequest,
@@ -347,7 +351,7 @@ func (s *server) handleDecide(commit bool) http.HandlerFunc {
 				s.fail(w, r, statusOf(err), err)
 				return
 			}
-			reply(w, http.StatusOK, res)
+			s.reply(w, r, http.StatusOK, res)
 		default:
 			s.fail(w, r, http.StatusBadRequest,
 				errors.New(`body must carry exactly one of "task" or "tasks"`))
@@ -385,7 +389,7 @@ func (s *server) handleRelease(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, statusOf(err), err)
 		return
 	}
-	reply(w, http.StatusOK, releaseResponse{Released: released})
+	s.reply(w, r, http.StatusOK, releaseResponse{Released: released})
 }
 
 // handleSnapshot forces a journal snapshot of one tenant, truncating its
@@ -402,7 +406,7 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	js, _ := sys.JournalStats()
-	reply(w, http.StatusOK, snapshotResponse{System: id, Journal: js})
+	s.reply(w, r, http.StatusOK, snapshotResponse{System: id, Journal: js})
 }
 
 // wantWitness reports whether the request asked for the first-miss witness
@@ -441,7 +445,7 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, statusOf(err), err)
 		return
 	}
-	reply(w, http.StatusOK, mcsio.SimResultToJSON(out.System, out.Test, scn, out.Result))
+	s.reply(w, r, http.StatusOK, mcsio.SimResultToJSON(out.System, out.Test, scn, out.Result))
 }
 
 // handleStrategies lists the registries a client can name in requests:
@@ -463,7 +467,7 @@ func (s *server) handleStrategies(w http.ResponseWriter, r *http.Request) {
 			Policies: [2]string{p.Policy(hc), p.Policy(lc)},
 		})
 	}
-	reply(w, http.StatusOK, resp)
+	s.reply(w, r, http.StatusOK, resp)
 }
 
 // statsResponse widens the controller stats with the replication view.
@@ -477,7 +481,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if st := s.replicationStatus(); st != nil {
 		resp.Replication = st
 	}
-	reply(w, http.StatusOK, resp)
+	s.reply(w, r, http.StatusOK, resp)
 }
 
 // replicationStatus composes the role-appropriate replication document, or
@@ -511,7 +515,7 @@ func (s *server) handleReplicationStatus(w http.ResponseWriter, r *http.Request)
 	if st == nil {
 		st = &replication.Status{Role: admission.RoleName(s.ctrl.IsFollower())}
 	}
-	reply(w, http.StatusOK, st)
+	s.reply(w, r, http.StatusOK, st)
 }
 
 // handleReplicationStream accepts the leader's long-lived frame stream on
@@ -530,7 +534,7 @@ func (s *server) handleReplicationStream(w http.ResponseWriter, r *http.Request)
 // idempotent no-op (200, promoted=false).
 func (s *server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	promoted := s.ctrl.Promote()
-	reply(w, http.StatusOK, replication.PromoteResponse{
+	s.reply(w, r, http.StatusOK, replication.PromoteResponse{
 		Role:     admission.RoleName(s.ctrl.IsFollower()),
 		Promoted: promoted,
 	})
@@ -572,10 +576,32 @@ func statusOf(err error) int {
 	}
 }
 
-func reply(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
+// replyBufs recycles reply bodies; a buffer grown past maxPooledReply (a
+// large tenant snapshot or simulation) goes to the collector instead.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledReply = 64 << 10
+
+// reply encodes body before anything is sent, so a value that cannot be
+// encoded becomes a 500 with an error body instead of a torn 200, and then
+// sends it with its Content-Length in one Write.
+func (s *server) reply(w http.ResponseWriter, r *http.Request, status int, body any) {
+	buf := replyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	err := json.NewEncoder(buf).Encode(body)
+	if err == nil {
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(buf.Len()))
+		w.WriteHeader(status)
+		w.Write(buf.Bytes())
+	}
+	if buf.Cap() <= maxPooledReply {
+		replyBufs.Put(buf)
+	}
+	if err != nil {
+		s.fail(w, r, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err))
+	}
 }
 
 // fail renders the error body and logs one line carrying the propagated
@@ -592,5 +618,5 @@ func (s *server) fail(w http.ResponseWriter, r *http.Request, status int, err er
 		slog.Int("status", status),
 		slog.String("error", err.Error()),
 	)
-	reply(w, status, errorResponse{Error: err.Error()})
+	s.reply(w, r, status, errorResponse{Error: err.Error()})
 }

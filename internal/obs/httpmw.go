@@ -4,9 +4,9 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -51,9 +51,9 @@ func (rs *routeSeries) observe(status int, d time.Duration) {
 
 // HTTPMetrics instruments an http.ServeMux: per-route request duration
 // histograms and status-class counters, an in-flight gauge, request-ID
-// propagation and one structured log line per request. Every route series
-// is registered up front from the mux's pattern list, so serving a request
-// touches only pre-built instruments.
+// propagation and one structured log line per failed request. Every route
+// series is registered up front from the mux's pattern list, so serving a
+// request touches only pre-built instruments.
 type HTTPMetrics struct {
 	inflight *Gauge
 	routes   map[string]*routeSeries
@@ -105,10 +105,12 @@ func newRouteSeries(r *Registry, pattern string) *routeSeries {
 	return rs
 }
 
-// Instrument wraps mux with metrics, request-ID propagation and structured
-// request logging. The wrapped handler resolves the matched pattern via
-// mux.Handler before serving, so the route label is the registration
-// pattern, never the raw (unbounded-cardinality) URL path.
+// Instrument wraps mux with metrics, request-ID propagation and a
+// structured log line for every request answered with a status of 400 or
+// above; successful requests show only in the route's counters and
+// histogram. The route label is the registration pattern the mux matched
+// (r.Pattern once it has served), never the raw (unbounded-cardinality)
+// URL path.
 func (m *HTTPMetrics) Instrument(mux *http.ServeMux, log *slog.Logger) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -116,38 +118,35 @@ func (m *HTTPMetrics) Instrument(mux *http.ServeMux, log *slog.Logger) http.Hand
 		r = r.WithContext(ContextWithRequestID(r.Context(), id))
 		w.Header().Set("X-Request-Id", id)
 
-		_, pattern := mux.Handler(r)
-		rs := m.routes[pattern]
-		if rs == nil {
-			rs, pattern = m.other, "other"
-		}
-
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		m.inflight.Add(1)
 		mux.ServeHTTP(sw, r)
 		m.inflight.Add(-1)
 
 		d := time.Since(start)
-		rs.observe(sw.status, d)
-		if log != nil {
-			level := slog.LevelInfo
-			switch {
-			case sw.status >= 500:
-				level = slog.LevelError
-			case sw.status >= 400:
-				level = slog.LevelWarn
-			}
-			log.LogAttrs(r.Context(), level, "http request",
-				slog.String("request_id", id),
-				slog.String("method", r.Method),
-				slog.String("path", r.URL.Path),
-				slog.String("route", pattern),
-				slog.Int("status", sw.status),
-				slog.Int64("bytes", sw.bytes),
-				slog.Duration("duration", d),
-				slog.String("remote", r.RemoteAddr),
-			)
+		pattern := r.Pattern
+		rs := m.routes[pattern]
+		if rs == nil {
+			rs, pattern = m.other, "other"
 		}
+		rs.observe(sw.status, d)
+		if log == nil || sw.status < http.StatusBadRequest {
+			return
+		}
+		level := slog.LevelWarn
+		if sw.status >= http.StatusInternalServerError {
+			level = slog.LevelError
+		}
+		log.LogAttrs(r.Context(), level, "http request",
+			slog.String("request_id", id),
+			slog.String("method", r.Method),
+			slog.String("path", r.URL.Path),
+			slog.String("route", pattern),
+			slog.Int("status", sw.status),
+			slog.Int64("bytes", sw.bytes),
+			slog.Duration("duration", d),
+			slog.String("remote", r.RemoteAddr),
+		)
 	})
 }
 
@@ -157,7 +156,20 @@ func (m *HTTPMetrics) requestID(r *http.Request) string {
 	if id := r.Header.Get("X-Request-Id"); validRequestID(id) {
 		return id
 	}
-	return fmt.Sprintf("%s-%06d", m.idPrefix, m.idSeq.Add(1))
+	return mintRequestID(m.idPrefix, m.idSeq.Add(1))
+}
+
+// mintRequestID renders fmt.Sprintf("%s-%06d", prefix, seq) into one stack
+// buffer, so minting costs only the returned string.
+func mintRequestID(prefix string, seq uint64) string {
+	var buf [64]byte
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], seq, 10)
+	b := append(append(buf[:0], prefix...), '-')
+	for i := len(d); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
 }
 
 // validRequestID accepts modest, header-safe IDs so hostile values are

@@ -1,7 +1,8 @@
 // Package obs is mcsched's observability core: allocation-conscious metric
 // instruments (atomic counters, gauges, fixed-bucket latency histograms)
 // behind a registry that renders Prometheus text exposition, plus HTTP
-// middleware for per-route metrics, request IDs and structured request logs.
+// middleware for per-route metrics, request IDs and a structured log line
+// per failed request.
 //
 // The design rule is that the instrumented hot path never allocates and
 // never formats strings: label sets are pre-registered (each series caches
