@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"mcsched/internal/mcsio"
 )
@@ -544,17 +543,16 @@ func BenchmarkJournalAdmitOn(b *testing.B) { benchJournalAdmit(b, true, false) }
 func BenchmarkJournalAdmitOnFsync(b *testing.B) { benchJournalAdmit(b, true, true) }
 
 // benchJournalAdmitWriters drives fsync-durable admit+release cycles from
-// `writers` concurrent goroutines against one tenant, with the given flush
-// delay. Each worker cycles its own task ID, so every iteration is two
-// journal records (admit, release), each demanding durability before the
-// call returns. Concurrent appends share segment writes and fsyncs, so
-// ns/op at high writer counts measures the coalescing win.
-func benchJournalAdmitWriters(b *testing.B, writers int, delay time.Duration) {
+// `writers` concurrent goroutines against one tenant. Each worker cycles its
+// own task ID, so every iteration is two journal records (admit, release),
+// each demanding durability before the call returns. Concurrent appends
+// share segment writes and fsyncs, so ns/op at high writer counts measures
+// the coalescing win.
+func benchJournalAdmitWriters(b *testing.B, writers int) {
 	cfg := DefaultAdmissionConfig()
 	cfg.SnapshotEvery = -1
 	cfg.DataDir = b.TempDir()
 	cfg.Fsync = true
-	cfg.GroupCommitDelay = delay
 	ctrl := NewAdmissionController(cfg)
 	defer ctrl.Close()
 	// One core keeps the placement probe (serialized under the tenant
@@ -606,34 +604,16 @@ func benchJournalAdmitWriters(b *testing.B, writers int, delay time.Duration) {
 	}
 }
 
-// groupCommitBenchDelay is the GroupCommitDelay of the "delay" bench mode:
-// a fraction of one storage flush, so a flush leader waits for the writers
-// the previous flush just acknowledged to stage their next records before
-// collecting the batch. Without it batches fragment into small cohorts —
-// a writer woken by flush N cannot stage before flush N+1 collects, so the
-// coalescing never reaches the writer count (the same dynamics behind the
-// commit_delay knob of classic databases).
-const groupCommitBenchDelay = 200 * time.Microsecond
-
 // BenchmarkJournalAdmitGroupCommit is the group-commit headline number:
 // fsync-durable admit+release throughput at 1, 16 and 64 concurrent
-// writers, undelayed and with a commit delay. At one writer every batch has
-// one record; the gain grows with writer count as batches fill. The
-// reported records/flush metric is the achieved batching factor.
+// writers. At one writer every batch has one record; the gain grows with
+// writer count as batches fill. The reported records/flush metric is the
+// achieved batching factor.
 func BenchmarkJournalAdmitGroupCommit(b *testing.B) {
-	modes := []struct {
-		name  string
-		delay time.Duration
-	}{
-		{"group", 0},
-		{"group-delay", groupCommitBenchDelay},
-	}
 	for _, writers := range []int{1, 16, 64} {
-		for _, mode := range modes {
-			b.Run(fmt.Sprintf("%dw/%s", writers, mode.name), func(b *testing.B) {
-				benchJournalAdmitWriters(b, writers, mode.delay)
-			})
-		}
+		b.Run(fmt.Sprintf("%dw/group", writers), func(b *testing.B) {
+			benchJournalAdmitWriters(b, writers)
+		})
 	}
 }
 

@@ -649,12 +649,6 @@ func simulateSystem(cores, perCore int) func(*testing.B, *Counters) {
 	}
 }
 
-// groupCommitDelay is the GroupCommitDelay of the group-commit benches: a
-// fraction of one storage flush, so a flush leader waits for the writers
-// the previous flush just acknowledged to stage their next records (see
-// BenchmarkJournalAdmitGroupCommit in bench_test.go).
-const groupCommitDelay = 200 * time.Microsecond
-
 // journalAdmitWriters is the group-commit workload: fsync-durable
 // admit+release cycles from `writers` concurrent goroutines against one
 // single-core tenant, each worker cycling its own task so every iteration
@@ -671,7 +665,6 @@ func journalAdmitWriters(writers int) func(*testing.B, *Counters) {
 		cfg.SnapshotEvery = -1
 		cfg.DataDir = dir
 		cfg.Fsync = true
-		cfg.GroupCommitDelay = groupCommitDelay
 		ctrl := mcsched.NewAdmissionController(cfg)
 		defer ctrl.Close()
 		sys, err := ctrl.CreateSystem("bench", 1, mcsched.EDFVD())
@@ -718,16 +711,17 @@ func journalAdmitWriters(writers int) func(*testing.B, *Counters) {
 	}
 }
 
-// journalEncode measures encoding one representative admit event under the
-// given journal codec — the per-record serialization cost on the hot path.
-func journalEncode(codec mcsio.Codec) func(*testing.B, *Counters) {
+// journalEncode measures encoding one representative admit event as the
+// journal writes it, in the binary codec — the per-record serialization
+// cost on the hot path.
+func journalEncode() func(*testing.B, *Counters) {
 	return func(b *testing.B, _ *Counters) {
 		task := mcsio.TaskToJSON(mcsched.NewHCTask(7, 3, 6, 100))
 		ev := mcsio.EventJSON{Version: 1, Seq: 42, Kind: mcsio.EventAdmit, Task: &task, Core: 3}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := codec.EncodeEvent(ev); err != nil {
+			if _, err := mcsio.EncodeEventBinary(ev); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -736,8 +730,7 @@ func journalEncode(codec mcsio.Codec) func(*testing.B, *Counters) {
 
 // replStreamBatch64 is one 64-task batch admit's full replication round
 // trip (leader decide → journal → persistent stream → follower verify →
-// append → ack) under the binary journal codec — the tracked number of the
-// replication transport.
+// append → ack) — the tracked number of the replication transport.
 func replStreamBatch64() func(*testing.B, *Counters) {
 	return func(b *testing.B, _ *Counters) {
 		dir, err := os.MkdirTemp("", "mcbench-repl-*")
@@ -748,7 +741,6 @@ func replStreamBatch64() func(*testing.B, *Counters) {
 		lcfg := mcsched.DefaultAdmissionConfig()
 		lcfg.DataDir = dir + "/leader"
 		lcfg.SnapshotEvery = -1
-		lcfg.JournalCodec = mcsio.CodecBinary
 		leader := mcsched.NewAdmissionController(lcfg)
 		defer leader.Close()
 		fcfg := mcsched.DefaultAdmissionConfig()
@@ -847,8 +839,7 @@ func benches() []bench {
 		{"journal/admit-groupcommit-1w", journalAdmitWriters(1)},
 		{"journal/admit-groupcommit-16w", journalAdmitWriters(16)},
 		{"journal/admit-groupcommit-64w", journalAdmitWriters(64)},
-		{"journal/encode-json", journalEncode(mcsio.CodecJSON)},
-		{"journal/encode-binary", journalEncode(mcsio.CodecBinary)},
+		{"journal/encode-binary", journalEncode()},
 		{"repl/stream-batch64", replStreamBatch64()},
 	}
 }

@@ -15,12 +15,12 @@
 // data directory so no admitted task is lost. -fsync trades admit latency
 // for power-loss durability; concurrent decisions against one tenant share
 // one write+fsync (group commit: each stages its record under the tenant
-// lock and waits for the flush outside it), -group-commit-delay holds each
-// flush briefly so more of them ride it, and -group-commit is accepted and
-// ignored. -journal-codec binary swaps the JSON record framing for a
-// CRC-checked binary encoding (reads auto-detect either, so existing data
-// directories keep working). On SIGINT/SIGTERM the daemon drains in-flight
-// requests, writes a final snapshot per tenant, and exits.
+// lock and waits for the flush outside it). Records and snapshots are
+// written in a CRC-checked binary encoding; reads detect the codec of each
+// record, so data directories journaled as JSON keep working.
+// -group-commit, -group-commit-delay and -journal-codec are accepted and
+// ignored. On SIGINT/SIGTERM the daemon drains in-flight requests, writes a
+// final snapshot per tenant, and exits.
 //
 // With -replicate-to the daemon ships every committed journal record to
 // one or more warm-standby followers as binary frames over one persistent
@@ -106,7 +106,6 @@ import (
 
 	"mcsched"
 	"mcsched/internal/admission"
-	"mcsched/internal/mcsio"
 	"mcsched/internal/obs"
 	"mcsched/internal/replication"
 )
@@ -121,10 +120,8 @@ func main() {
 	fsync := flag.Bool("fsync", false,
 		"fsync the journal after every committed transition (requires -data-dir)")
 	flag.Bool("group-commit", false, "deprecated and ignored: journal appends always group-commit")
-	groupCommitDelay := flag.Duration("group-commit-delay", 0,
-		"hold each journal flush up to this long so more concurrent appends ride it (e.g. 200us; trades decision latency for batching; requires -data-dir)")
-	journalCodec := flag.String("journal-codec", "",
-		`journal record encoding: "json" (default) or "binary" (CRC-framed, smaller and faster; requires -data-dir). Reads auto-detect either, so switching codecs on an existing data directory is safe; replication frames are always binary`)
+	flag.Duration("group-commit-delay", 0, "deprecated and ignored: a journal flush never waits for more appends")
+	journalCodec := flag.String("journal-codec", "", "deprecated and ignored: journal records are always written binary")
 	snapshotEvery := flag.Int("snapshot-every", admission.DefaultSnapshotEvery,
 		"journaled events per tenant between automatic snapshots (negative disables; requires -data-dir)")
 	opsAddr := flag.String("ops-addr", "",
@@ -158,15 +155,9 @@ func main() {
 	if *dataDir == "" && (*fsync || *snapshotEvery != admission.DefaultSnapshotEvery) {
 		fatal("-fsync and -snapshot-every require -data-dir")
 	}
-	if *dataDir == "" && (*groupCommitDelay != 0 || *journalCodec != "") {
-		fatal("-group-commit-delay and -journal-codec require -data-dir")
-	}
-	if *groupCommitDelay < 0 {
-		fatal("-group-commit-delay must be non-negative")
-	}
-	codec, err := mcsio.ParseCodec(*journalCodec)
-	if err != nil {
-		fatal(err.Error())
+	if c := *journalCodec; c != "" && c != "binary" {
+		logger.Warn("-journal-codec is deprecated and ignored: journal records are always written binary, and either codec is read",
+			"journal_codec", c)
 	}
 	if _, ok := mcsched.PlacementByName(*placement); !ok {
 		fatal("unknown -placement heuristic", "placement", *placement)
@@ -179,15 +170,13 @@ func main() {
 	}
 
 	ctrl := admission.NewController(admission.Config{
-		Shards:           *shards,
-		Placement:        *placement,
-		DataDir:          *dataDir,
-		Fsync:            *fsync,
-		GroupCommitDelay: *groupCommitDelay,
-		JournalCodec:     codec,
-		SnapshotEvery:    *snapshotEvery,
-		Tests:            mcsched.TestByName,
-		Follower:         *follow,
+		Shards:        *shards,
+		Placement:     *placement,
+		DataDir:       *dataDir,
+		Fsync:         *fsync,
+		SnapshotEvery: *snapshotEvery,
+		Tests:         mcsched.TestByName,
+		Follower:      *follow,
 	})
 	// Metrics come up before recovery so the journals opened during replay
 	// already carry their instruments.

@@ -75,11 +75,13 @@ type Config struct {
 	// bounded by the OS flush interval; on, every acknowledged admit
 	// survives power loss at the cost of one fsync per decision.
 	Fsync bool
-	// JournalCodec selects the encoding of newly appended journal records
-	// and snapshots: mcsio.CodecJSON (which the empty value also selects)
-	// or mcsio.CodecBinary, the compact CRC-framed binary encoding.
-	// Decoding auto-detects per record, so a journal directory may mix
-	// codecs — switching an existing deployment is safe either way.
+	// JournalCodec chose the encoding of newly appended journal records and
+	// snapshots. They are now always written in the binary codec; decoding
+	// still detects the codec per record, so journals written as JSON keep
+	// recovering. The field remains only because cmd/mcload still assigns
+	// it.
+	//
+	// Deprecated: ignored.
 	JournalCodec mcsio.Codec
 	// GroupCommit chose staged journal appends over a serial path that no
 	// longer exists: every journaled decision now stages its record under
@@ -88,12 +90,12 @@ type Config struct {
 	//
 	// Deprecated: ignored.
 	GroupCommit bool
-	// GroupCommitDelay, when positive, makes a journal flush leader wait up
-	// to that long before collecting its batch, so decisions acknowledged
-	// by the previous flush can stage their next records and ride along
-	// (the commit_delay of classic databases). Larger values trade
-	// single-decision latency for batching factor; zero never delays.
-	// Ignored without DataDir.
+	// GroupCommitDelay made a journal flush leader wait for later records
+	// before writing. A leader now always flushes whatever is staged when
+	// it arrives; the field remains only because cmd/mcload still assigns
+	// it.
+	//
+	// Deprecated: ignored.
 	GroupCommitDelay time.Duration
 	// SnapshotEvery is the automatic snapshot cadence: after this many
 	// journaled events a tenant snapshots its full state and truncates
@@ -139,14 +141,6 @@ func (c Config) withDefaults() Config {
 		c.Shards = 16
 	}
 	return c
-}
-
-// codec returns the configured journal record encoding, defaulting to JSON.
-func (c Config) codec() mcsio.Codec {
-	if c.JournalCodec == "" {
-		return mcsio.CodecJSON
-	}
-	return c.JournalCodec
 }
 
 // counters holds the controller-wide counters as obs instruments. Systems

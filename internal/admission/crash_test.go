@@ -9,14 +9,12 @@ package admission
 // events.
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"mcsched/internal/journal"
 	"mcsched/internal/mcs"
-	"mcsched/internal/mcsio"
 )
 
 // tenantSegment locates the single journal segment of the given tenant.
@@ -62,109 +60,95 @@ func crashConfig(dir string) Config {
 	return cfg
 }
 
-// crashCodecs is the codec dimension of the crash matrix: the atomicity
-// invariants must hold for both record encodings byte for byte.
-func crashCodecs() []mcsio.Codec {
-	return []mcsio.Codec{mcsio.CodecJSON, mcsio.CodecBinary}
-}
-
 // TestCrashRecoveryTornBatch kills the journal at every byte offset across
 // a batch-admit record and requires recovery to land on exactly the
 // pre-batch partitions for every torn prefix and exactly the post-batch
-// partitions once the record is complete.
+// partitions once the record is complete. Subtests are named after the
+// test and the codec of the records they cut, which is always binary;
+// legacy JSON records are cut by TestRecoverMixedCodecJournal.
 func TestCrashRecoveryTornBatch(t *testing.T) {
 	for _, test := range allTests() {
-		for _, codec := range crashCodecs() {
-			test, codec := test, codec
-			t.Run(fmt.Sprintf("%s/%s", test.Name(), codec), func(t *testing.T) {
-				t.Parallel()
-				dir := t.TempDir()
-				cfg := crashConfig(dir)
-				cfg.JournalCodec = codec
-				live := NewController(cfg)
-				sys, err := live.CreateSystem("crash", 4, test)
-				if err != nil {
+		test := test
+		t.Run(test.Name()+"/binary", func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			live := NewController(crashConfig(dir))
+			sys, err := live.CreateSystem("crash", 4, test)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Pre-batch residents.
+			for i := 0; i < 4; i++ {
+				if _, err := sys.Admit(mcs.NewLC(i, 1, 50+mcs.Ticks(i))); err != nil {
 					t.Fatal(err)
 				}
-				// Pre-batch residents.
-				for i := 0; i < 4; i++ {
-					if _, err := sys.Admit(mcs.NewLC(i, 1, 50+mcs.Ticks(i))); err != nil {
-						t.Fatal(err)
-					}
-				}
-				preFP := fingerprint(sys)
-				preStat, err := os.Stat(tenantSegment(t, dir, "crash"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				preLen := preStat.Size()
+			}
+			preFP := fingerprint(sys)
+			preStat, err := os.Stat(tenantSegment(t, dir, "crash"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			preLen := preStat.Size()
 
-				// The batch: one journal record covering 6 tasks.
-				batch := make(mcs.TaskSet, 0, 6)
-				for i := 10; i < 16; i++ {
-					batch = append(batch, mcs.NewHC(i, 1, 2, 60+mcs.Ticks(i)))
-				}
-				br, err := sys.AdmitBatch(batch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !br.Admitted {
-					t.Fatalf("batch unexpectedly rejected under %s", test.Name())
-				}
-				postFP := fingerprint(sys)
-				fullStat, err := os.Stat(tenantSegment(t, dir, "crash"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				fullLen := fullStat.Size()
-				live.Close()
+			// The batch: one journal record covering 6 tasks.
+			batch := make(mcs.TaskSet, 0, 6)
+			for i := 10; i < 16; i++ {
+				batch = append(batch, mcs.NewHC(i, 1, 2, 60+mcs.Ticks(i)))
+			}
+			br, err := sys.AdmitBatch(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !br.Admitted {
+				t.Fatalf("batch unexpectedly rejected under %s", test.Name())
+			}
+			postFP := fingerprint(sys)
+			fullStat, err := os.Stat(tenantSegment(t, dir, "crash"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fullLen := fullStat.Size()
+			live.Close()
 
-				if fullLen <= preLen {
-					t.Fatalf("batch appended nothing (%d -> %d bytes)", preLen, fullLen)
+			if fullLen <= preLen {
+				t.Fatalf("batch appended nothing (%d -> %d bytes)", preLen, fullLen)
+			}
+			for cut := preLen; cut <= fullLen; cut++ {
+				cloneDir := truncatedCopy(t, dir, "crash", cut)
+				rec := NewController(crashConfig(cloneDir))
+				if _, err := rec.Recover(); err != nil {
+					t.Fatalf("cut=%d: recovery failed: %v", cut, err)
 				}
-				for cut := preLen; cut <= fullLen; cut++ {
-					cloneDir := truncatedCopy(t, dir, "crash", cut)
-					rec := NewController(crashConfig(cloneDir))
-					if _, err := rec.Recover(); err != nil {
-						t.Fatalf("cut=%d: recovery failed: %v", cut, err)
-					}
-					rsys, err := rec.System("crash")
-					if err != nil {
-						t.Fatalf("cut=%d: %v", cut, err)
-					}
-					fp := fingerprint(rsys)
-					switch {
-					case cut < fullLen && fp != preFP:
-						t.Fatalf("cut=%d (torn batch record): state is neither pre-batch nor intact:\n%s", cut, fp)
-					case cut == fullLen && fp != postFP:
-						t.Fatalf("cut=%d (complete record): state is not post-batch:\n%s", cut, fp)
-					}
-					rec.Close()
+				rsys, err := rec.System("crash")
+				if err != nil {
+					t.Fatalf("cut=%d: %v", cut, err)
 				}
-			})
-		}
+				fp := fingerprint(rsys)
+				switch {
+				case cut < fullLen && fp != preFP:
+					t.Fatalf("cut=%d (torn batch record): state is neither pre-batch nor intact:\n%s", cut, fp)
+				case cut == fullLen && fp != postFP:
+					t.Fatalf("cut=%d (complete record): state is not post-batch:\n%s", cut, fp)
+				}
+				rec.Close()
+			}
+		})
 	}
 }
 
 // TestCrashRecoveryEveryOffset cuts a journal of single admits and
 // releases at every byte offset from zero and requires the recovered state
 // to be exactly the state after some prefix of committed events — no cut
-// may invent, lose or reorder a transition.
+// may invent, lose or reorder a transition. The subtest is named after the
+// codec of the records it cuts, which is always binary; legacy JSON records
+// are cut by TestRecoverMixedCodecJournal.
 func TestCrashRecoveryEveryOffset(t *testing.T) {
-	for _, codec := range crashCodecs() {
-		codec := codec
-		t.Run(string(codec), func(t *testing.T) {
-			t.Parallel()
-			crashRecoveryEveryOffset(t, codec)
-		})
-	}
+	t.Run("binary", crashRecoveryEveryOffset)
 }
 
-func crashRecoveryEveryOffset(t *testing.T, codec mcsio.Codec) {
+func crashRecoveryEveryOffset(t *testing.T) {
 	dir := t.TempDir()
-	cfg := crashConfig(dir)
-	cfg.JournalCodec = codec
-	live := NewController(cfg)
+	live := NewController(crashConfig(dir))
 	sys, err := live.CreateSystem("p", 2, allTests()[0])
 	if err != nil {
 		t.Fatal(err)
@@ -195,18 +179,10 @@ func crashRecoveryEveryOffset(t *testing.T, codec mcsio.Codec) {
 	for i, fp := range states {
 		valid[fp] = i
 	}
-	// Recover under the OTHER codec's config: decoding auto-detects per
-	// record, so the configured codec must only govern new appends.
-	recCodec := mcsio.CodecBinary
-	if codec == mcsio.CodecBinary {
-		recCodec = mcsio.CodecJSON
-	}
 	lastPrefix := -1
 	for cut := int64(0); cut <= int64(len(full)); cut++ {
 		cloneDir := truncatedCopy(t, dir, "p", cut)
-		recCfg := crashConfig(cloneDir)
-		recCfg.JournalCodec = recCodec
-		rec := NewController(recCfg)
+		rec := NewController(crashConfig(cloneDir))
 		rs, err := rec.Recover()
 		if err != nil {
 			t.Fatalf("cut=%d: recovery failed: %v", cut, err)

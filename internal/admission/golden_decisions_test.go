@@ -28,7 +28,6 @@ import (
 	"mcsched/internal/analysis/amc"
 	"mcsched/internal/core"
 	"mcsched/internal/mcs"
-	"mcsched/internal/mcsio"
 	"mcsched/internal/taskgen"
 )
 
@@ -212,7 +211,6 @@ func runGoldenChurn(t *testing.T, workers int) map[string]goldenTenant {
 	cfg := Config{
 		Workers:       workers,
 		DataDir:       t.TempDir(),
-		JournalCodec:  mcsio.CodecBinary,
 		SnapshotEvery: 6,
 		Tests: func(name string) (core.Test, bool) {
 			for _, test := range goldenFamilies() {

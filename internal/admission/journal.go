@@ -59,9 +59,8 @@ func (c Config) journaling() bool { return c.DataDir != "" }
 // observe.
 func (c *Controller) journalOptions() journal.Options {
 	return journal.Options{
-		Fsync:         c.cfg.Fsync,
-		MaxBatchDelay: c.cfg.GroupCommitDelay,
-		Metrics:       c.jm.Load(),
+		Fsync:   c.cfg.Fsync,
+		Metrics: c.jm.Load(),
 	}
 }
 
@@ -99,14 +98,14 @@ func (c *Controller) openLog(dir string, fresh bool) (*journal.Log, error) {
 	return lg, nil
 }
 
-// appendLocked encodes the event in the tenant's configured codec, stamps
-// its sequence number and stages it on the tenant journal; the returned
-// wait follows the appendPayloadLocked protocol. Caller holds s.mu (or
-// exclusively owns an unpublished system).
+// appendLocked encodes the event in the binary codec, stamps its sequence
+// number and stages it on the tenant journal; the returned wait follows the
+// appendPayloadLocked protocol. Caller holds s.mu (or exclusively owns an
+// unpublished system).
 func (s *System) appendLocked(e mcsio.EventJSON) (func() error, error) {
 	e.Version = mcsio.EventFormatVersion
 	e.Seq = s.log.NextSeq()
-	b, err := s.codec.EncodeEvent(e)
+	b, err := mcsio.EncodeEventBinary(e)
 	if err != nil {
 		return nil, fmt.Errorf("admission: encode %s event: %w", e.Kind, err)
 	}
@@ -239,7 +238,7 @@ func (s *System) writeSnapshotLocked() error {
 		Admits:     s.admits,
 		Releases:   s.releases,
 	}
-	b, err := s.codec.EncodeSnapshot(snap)
+	b, err := mcsio.EncodeSnapshotBinary(snap)
 	if err != nil {
 		return fmt.Errorf("admission: encode snapshot: %w", err)
 	}

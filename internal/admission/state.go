@@ -26,7 +26,7 @@ import (
 // newTenant is the one constructor of tenant state: live create, the
 // create-system record of recovery and of a follower, and snapshot restore
 // all build their System here, so they check the same bounds and wire the
-// same counters, role flag, hooks, codec and snapshot cadence. lg is the
+// same counters, role flag, hooks and snapshot cadence. lg is the
 // tenant's already open journal (recovery, snapshot install); nil founds a
 // new tenant, which on a journaling controller opens a fresh journal — last,
 // so a rejected create leaves no directory behind — and fails with
@@ -61,7 +61,6 @@ func (c *Controller) newTenant(id string, m int, test core.Test, placement strin
 		placer:       placer,
 		resident:     make(map[int]bool),
 		log:          lg,
-		codec:        c.cfg.codec(),
 		snapEvery:    c.cfg.snapshotEvery(),
 		snapFailures: &c.snapFailures,
 		follower:     &c.follower,

@@ -52,10 +52,8 @@ type System struct {
 	// log is the tenant's write-ahead journal; nil when the controller
 	// runs without a data directory. sinceSnap counts appended events
 	// since the last snapshot; at snapEvery the system snapshots itself
-	// and truncates the log. All three are guarded by mu. codec is the
-	// encoding of newly appended records (immutable after creation).
+	// and truncates the log. All three are guarded by mu.
 	log       *journal.Log
-	codec     mcsio.Codec
 	snapEvery int
 	sinceSnap int
 	// snapFailures points at the controller-wide counter of failed

@@ -315,29 +315,3 @@ func TestGroupCommitSnapshotBarrier(t *testing.T) {
 		}
 	}
 }
-
-// TestGroupCommitMaxBatchDelay smoke-tests the accumulation knob: with a
-// delay configured, a lone leader still commits correctly.
-func TestGroupCommitMaxBatchDelay(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Fsync: true, MaxBatchDelay: 1e6 /* 1ms */})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("d%d-%d", w, i))); err != nil {
-					t.Errorf("append: %v", err)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if st := l.Stats(); st.Records != 40 {
-		t.Fatalf("Records = %d, want 40", st.Records)
-	}
-}

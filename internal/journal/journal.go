@@ -45,7 +45,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -112,10 +111,11 @@ type Options struct {
 	//
 	// Deprecated: ignored.
 	GroupCommit bool
-	// MaxBatchDelay, when positive, makes a flush leader hold the commit
-	// lock that long before collecting its batch, trading acknowledgement
-	// latency for larger batches under light concurrency. 0 (the default)
-	// never delays: a leader flushes whatever is staged when it arrives.
+	// MaxBatchDelay made a flush leader wait for later records before
+	// writing. A leader now always flushes whatever is staged when it
+	// arrives; the field remains only because cmd/mcload still assigns it.
+	//
+	// Deprecated: ignored.
 	MaxBatchDelay time.Duration
 	// Metrics, when non-nil, turns on latency observation of appends,
 	// fsyncs and snapshots. Nil logs take no timestamps at all.
@@ -150,11 +150,19 @@ type segment struct {
 
 // Log is one tenant's write-ahead journal.
 //
-// Lock order: commitMu before mu. mu guards all in-memory state and is
-// held only for short, I/O-free critical sections on the staging path;
-// commitMu serializes flush leadership, snapshot writes and Close, and may
-// be held across file I/O (which happens with mu released, so staging is
-// never blocked behind the disk).
+// Lock order: commitMu before mu. mu guards all in-memory state; commitMu
+// serializes flush leadership, snapshot writes and Close, and is held
+// across file I/O. A flush writes and syncs its batch with mu released, so
+// staging never waits for that write or its fsync. Staging does wait
+// behind the disk in these places, which run file I/O under mu:
+//
+//   - a segment roll: flushStagedLocked calls rollToLocked under mu, which
+//     opens the new segment, seeks to its end and, with Options.Fsync,
+//     syncs the directory;
+//   - a snapshot: WriteSnapshot and InstallSnapshot hold mu while
+//     writeSnapshotFileLocked writes, fsyncs and renames the snapshot file,
+//     syncs the directory and deletes the covered segments;
+//   - ReadFrom, which reads segment files under mu (see its comment).
 type Log struct {
 	dir  string
 	opts Options
@@ -348,9 +356,10 @@ type Ticket struct {
 
 // Wait blocks until the staged record is durable (per the fsync policy)
 // and returns the commit outcome. The first waiter to arrive becomes the
-// flush leader: it takes the commit lock and flushes every staged record,
-// coalescing all in-flight appends into one write and one fsync, while
-// later waiters park until the leader completes them. Wait is idempotent.
+// flush leader: it takes the commit lock and at once flushes every record
+// staged by then, coalescing them into one write and one fsync, while
+// later waiters park until a leader completes them. A leader never waits
+// for more records to arrive. Wait is idempotent.
 func (t *Ticket) Wait() error {
 	l := t.l
 	select {
@@ -370,50 +379,12 @@ func (t *Ticket) Wait() error {
 		return err
 	default:
 	}
-	if d := l.opts.MaxBatchDelay; d > 0 {
-		// Deliberate accumulation: hold leadership so later arrivals stage
-		// behind us and ride this flush.
-		l.awaitBatch(d)
-	}
 	l.flushStagedLocked()
 	l.commitMu.Unlock()
 	err := <-t.done
 	t.done <- err
 	t.observe()
 	return err
-}
-
-// awaitBatch holds commit leadership for up to d so writers the previous
-// flush just acknowledged can stage their next records and ride this one.
-// It polls the staged count while yielding the processor instead of
-// sleeping on a timer: timer sleeps round up to the runtime's tick (often
-// a millisecond under load), which would dominate sub-millisecond flush
-// cycles and defeat the delay's purpose. Two early exits keep the delay
-// from taxing workloads that cannot fill a batch: a full batch flushes
-// immediately, and a staged count that stays flat across a burst of
-// yields means no writer is on its way (a lone appender would otherwise
-// pay the whole delay on every record for nothing). Caller holds
-// l.commitMu.
-func (l *Log) awaitBatch(d time.Duration) {
-	const quiesced = 16 // consecutive no-growth yields that end the wait
-	deadline := time.Now().Add(d)
-	last, flat := -1, 0
-	for time.Now().Before(deadline) {
-		l.mu.Lock()
-		n := len(l.waiters)
-		l.mu.Unlock()
-		if n >= maxBatchRecords {
-			return
-		}
-		if n == last {
-			if flat++; flat >= quiesced {
-				return
-			}
-		} else {
-			last, flat = n, 0
-		}
-		runtime.Gosched()
-	}
 }
 
 func (t *Ticket) observe() {

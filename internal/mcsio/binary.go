@@ -2,9 +2,9 @@ package mcsio
 
 // Binary record framing — the compact wire form of journal events, tenant
 // snapshots and replication frames. It lives alongside the strict JSON
-// codecs: JSON remains the default (and the only format old data is in),
-// binary is opted into per journal (replication frames are always binary),
-// and every decoder auto-detects the format from the first byte — JSON
+// codecs: the journal and replication write only binary, JSON is the
+// format of journals written before that, and every decoder auto-detects
+// the format from the first byte — JSON
 // records always start with '{' (0x7B), binary records with BinaryMagic —
 // so mixed histories (a journal that switched codecs mid-stream, a
 // replication frame batching records of both kinds) replay without
@@ -60,30 +60,20 @@ const (
 // family guards the frame layer and the record layer.
 var binCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Codec selects the encoding of journal records and snapshots. The zero
-// value is not valid; ParseCodec maps flag strings. Replication frames
-// are always binary (EncodeReplFrameBinary), whatever the journal codec.
+// Codec names an encoding of journal records and snapshots. The journal
+// writes only CodecBinary (EncodeEventBinary, EncodeSnapshotBinary) and
+// replication frames are always binary (EncodeReplFrameBinary); decoders
+// read either codec. The type remains for callers that time or compare the
+// two encoders.
 type Codec string
 
 const (
-	// CodecJSON is the original strict JSON encoding — the default, and
-	// the format all pre-existing journals are in.
+	// CodecJSON is the original strict JSON encoding, the format of
+	// journals written before records were always binary.
 	CodecJSON Codec = "json"
 	// CodecBinary is the compact binary framing defined in this file.
 	CodecBinary Codec = "binary"
 )
-
-// ParseCodec maps a flag string to a Codec; the empty string selects JSON.
-func ParseCodec(s string) (Codec, error) {
-	switch s {
-	case "", "json":
-		return CodecJSON, nil
-	case "binary":
-		return CodecBinary, nil
-	default:
-		return "", fmt.Errorf("mcsio: unknown codec %q (supported: json, binary)", s)
-	}
-}
 
 // EncodeEvent renders the event in this codec.
 func (c Codec) EncodeEvent(e EventJSON) ([]byte, error) {
@@ -91,14 +81,6 @@ func (c Codec) EncodeEvent(e EventJSON) ([]byte, error) {
 		return EncodeEventBinary(e)
 	}
 	return EncodeEvent(e)
-}
-
-// EncodeSnapshot renders the snapshot in this codec.
-func (c Codec) EncodeSnapshot(s SnapshotJSON) ([]byte, error) {
-	if c == CodecBinary {
-		return EncodeSnapshotBinary(s)
-	}
-	return EncodeSnapshot(s)
 }
 
 // IsBinaryRecord reports whether b is binary-framed (as opposed to JSON).

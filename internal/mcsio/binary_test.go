@@ -226,19 +226,9 @@ func TestJSONFrameRejectsBinaryRecords(t *testing.T) {
 	}
 }
 
-func TestParseCodec(t *testing.T) {
-	for in, want := range map[string]Codec{
-		"": CodecJSON, "json": CodecJSON, "binary": CodecBinary,
-	} {
-		got, err := ParseCodec(in)
-		if err != nil || got != want {
-			t.Errorf("ParseCodec(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	if _, err := ParseCodec("protobuf"); err == nil {
-		t.Error("ParseCodec accepted an unknown codec")
-	}
-	// Dispatch: each codec's encoding decodes back through auto-detection.
+// TestCodecEncodeEvent: each codec's encoding decodes back through
+// auto-detection.
+func TestCodecEncodeEvent(t *testing.T) {
 	e := validEvents()[0]
 	for _, c := range []Codec{CodecJSON, CodecBinary} {
 		b, err := c.EncodeEvent(e)

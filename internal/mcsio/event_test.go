@@ -126,8 +126,10 @@ func TestSnapshotPlacementCursorRoundTrip(t *testing.T) {
 			Cursor:     cursor,
 			Partition:  PartitionToJSON(p),
 		}
-		for _, codec := range []Codec{CodecJSON, CodecBinary} {
-			b, err := codec.EncodeSnapshot(s)
+		for codec, encode := range map[Codec]func(SnapshotJSON) ([]byte, error){
+			CodecJSON: EncodeSnapshot, CodecBinary: EncodeSnapshotBinary,
+		} {
+			b, err := encode(s)
 			if err != nil {
 				t.Fatalf("%s cursor %d: %v", codec, cursor, err)
 			}

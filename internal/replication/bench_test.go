@@ -15,16 +15,14 @@ import (
 
 	"mcsched/internal/admission"
 	"mcsched/internal/mcs"
-	"mcsched/internal/mcsio"
 )
 
-func benchLeader(b *testing.B, dir string, codec mcsio.Codec) *admission.Controller {
+func benchLeader(b *testing.B, dir string) *admission.Controller {
 	b.Helper()
 	cfg := admission.DefaultConfig()
 	cfg.DataDir = dir
 	cfg.SnapshotEvery = -1
 	cfg.Tests = resolveTest
-	cfg.JournalCodec = codec
 	ctrl := admission.NewController(cfg)
 	if _, err := ctrl.Recover(); err != nil {
 		b.Fatal(err)
@@ -62,7 +60,7 @@ func benchFlush(b *testing.B, ship *Shipper) {
 // round trip: the flush after every admit makes ns/op the per-decision
 // replication lag (leader commit through follower ack).
 func BenchmarkReplicationLagSingle(b *testing.B) {
-	leader := benchLeader(b, b.TempDir(), mcsio.CodecJSON)
+	leader := benchLeader(b, b.TempDir())
 	defer leader.Close()
 	_, srv := benchFollower(b, b.TempDir())
 	ship, err := NewShipper(leader, []string{srv.URL}, ShipperConfig{})
@@ -100,49 +98,43 @@ func BenchmarkReplicationLagSingle(b *testing.B) {
 }
 
 // BenchmarkReplicationStreamBatch64 measures a 64-task batch admit's
-// replication round trip (one journal record, one frame) under each
-// journal codec. Frames are binary either way; the journal codec moves the
-// leader's encode and the follower's verify cost per record.
+// replication round trip (one journal record, one frame).
 func BenchmarkReplicationStreamBatch64(b *testing.B) {
-	for _, codec := range []mcsio.Codec{mcsio.CodecJSON, mcsio.CodecBinary} {
-		b.Run(string(codec), func(b *testing.B) {
-			leader := benchLeader(b, b.TempDir(), codec)
-			defer leader.Close()
-			_, srv := benchFollower(b, b.TempDir())
-			ship, err := NewShipper(leader, []string{srv.URL}, ShipperConfig{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			leader.SetHooks(ship.Hooks())
-			ship.Start()
-			defer ship.Stop()
+	leader := benchLeader(b, b.TempDir())
+	defer leader.Close()
+	_, srv := benchFollower(b, b.TempDir())
+	ship, err := NewShipper(leader, []string{srv.URL}, ShipperConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	leader.SetHooks(ship.Hooks())
+	ship.Start()
+	defer ship.Stop()
 
-			sys, err := leader.CreateSystem("bench", 8, allTests()[0])
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchFlush(b, ship)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				batch := make(mcs.TaskSet, 64)
-				ids := make([]int, 64)
-				for j := range batch {
-					id := i*64 + j
-					batch[j] = mcs.NewLC(id, 1, 1_000_000)
-					ids[j] = id
-				}
-				br, err := sys.AdmitBatch(batch)
-				if err != nil || !br.Admitted {
-					b.Fatalf("batch rejected: %+v, %v", br, err)
-				}
-				benchFlush(b, ship)
-				if _, err := sys.Release(ids...); err != nil {
-					b.Fatal(err)
-				}
-				benchFlush(b, ship)
-			}
-		})
+	sys, err := leader.CreateSystem("bench", 8, allTests()[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchFlush(b, ship)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch := make(mcs.TaskSet, 64)
+		ids := make([]int, 64)
+		for j := range batch {
+			id := i*64 + j
+			batch[j] = mcs.NewLC(id, 1, 1_000_000)
+			ids[j] = id
+		}
+		br, err := sys.AdmitBatch(batch)
+		if err != nil || !br.Admitted {
+			b.Fatalf("batch rejected: %+v, %v", br, err)
+		}
+		benchFlush(b, ship)
+		if _, err := sys.Release(ids...); err != nil {
+			b.Fatal(err)
+		}
+		benchFlush(b, ship)
 	}
 }
 
@@ -150,7 +142,7 @@ func BenchmarkReplicationStreamBatch64(b *testing.B) {
 // apply cost per record, without HTTP: an admit/release history is built
 // on a leader, then applied record by record.
 func BenchmarkFollowerApplyRecords(b *testing.B) {
-	leader := benchLeader(b, b.TempDir(), mcsio.CodecJSON)
+	leader := benchLeader(b, b.TempDir())
 	defer leader.Close()
 	sys, err := leader.CreateSystem("bench", 4, allTests()[0])
 	if err != nil {
@@ -199,7 +191,7 @@ func BenchmarkReplicationHookOverhead(b *testing.B) {
 			name = "hooked"
 		}
 		b.Run(name, func(b *testing.B) {
-			leader := benchLeader(b, b.TempDir(), mcsio.CodecJSON)
+			leader := benchLeader(b, b.TempDir())
 			defer leader.Close()
 			if hooked {
 				leader.SetHooks(admission.Hooks{

@@ -18,18 +18,16 @@ import (
 	"testing"
 
 	"mcsched/internal/admission"
+	"mcsched/internal/journal/journaltest"
 	"mcsched/internal/mcs"
 	"mcsched/internal/mcsio"
 )
 
-// buildLeaderHistory creates a leader journaling under codec with one
-// tenant and a few committed events, returning the controller and the
-// tenant's raw journal records.
-func buildLeaderHistory(t *testing.T, codec mcsio.Codec, n int) (*admission.Controller, [][]byte) {
+// buildLeaderHistory creates a leader with one tenant and a few committed
+// events, returning the controller and the tenant's raw journal records.
+func buildLeaderHistory(t *testing.T, n int) (*admission.Controller, [][]byte) {
 	t.Helper()
-	cfg := leaderConfig(t.TempDir(), -1)
-	cfg.JournalCodec = codec
-	leader := admission.NewController(cfg)
+	leader := admission.NewController(leaderConfig(t.TempDir(), -1))
 	if _, err := leader.Recover(); err != nil {
 		t.Fatal(err)
 	}
@@ -48,6 +46,21 @@ func buildLeaderHistory(t *testing.T, codec mcsio.Codec, n int) (*admission.Cont
 		t.Fatal(err)
 	}
 	return leader, recs
+}
+
+// decodeEvents decodes journal records, the input journaltest.WriteJSON
+// re-encodes as a legacy JSON history.
+func decodeEvents(t *testing.T, recs [][]byte) []mcsio.EventJSON {
+	t.Helper()
+	events := make([]mcsio.EventJSON, len(recs))
+	for i, r := range recs {
+		e, err := mcsio.DecodeEvent(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events[i] = e
+	}
+	return events
 }
 
 // rawStream is a hand-rolled stream client for wire-level fault injection.
@@ -199,7 +212,8 @@ func (fx *failClosedFixture) unchanged(t *testing.T) {
 }
 
 // TestFollowerFailClosed runs the fail-closed table over JSON frames, the
-// encoding of leaders before frames went binary-only.
+// encoding of leaders before frames went binary-only, carrying the JSON
+// records of a legacy directory.
 func TestFollowerFailClosed(t *testing.T) {
 	runFailClosed(t, &failClosedFixture{journal: mcsio.CodecJSON, frame: recordsFrame})
 }
@@ -215,7 +229,15 @@ func TestStreamFailClosedBinary(t *testing.T) {
 // leave the replica untouched and the stream open; framing damage, the last
 // case, must close it.
 func runFailClosed(t *testing.T, fx *failClosedFixture) {
-	_, fx.recs = buildLeaderHistory(t, fx.journal, 4)
+	_, fx.recs = buildLeaderHistory(t, 4)
+	if fx.journal == mcsio.CodecJSON {
+		// JSON frames carry only JSON records: those of a legacy directory.
+		recs, err := journaltest.WriteJSON(t.TempDir(), decodeEvents(t, fx.recs), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx.recs = recs
+	}
 	var srv *httptest.Server
 	fx.fctrl, fx.recv, srv = newFollower(t, t.TempDir())
 	fx.rs = dialRawStream(t, srv.URL)
@@ -307,9 +329,9 @@ func runFailClosed(t *testing.T, fx *failClosedFixture) {
 }
 
 func TestFollowerRejectsWritesUntilPromoted(t *testing.T) {
-	_, recs := buildLeaderHistory(t, mcsio.CodecJSON, 3)
+	_, recs := buildLeaderHistory(t, 3)
 	fctrl, _, srv := newFollower(t, t.TempDir())
-	if st, body := streamFrame(t, srv, recordsFrame(t, "t", 1, recs)); st != streamAckOK {
+	if st, body := streamFrame(t, srv, binaryRecordsFrame(t, "t", 1, recs)); st != streamAckOK {
 		t.Fatalf("seed frame refused: %d %s", st, body)
 	}
 
@@ -351,9 +373,9 @@ func TestFollowerRejectsWritesUntilPromoted(t *testing.T) {
 }
 
 func TestPromoteIdempotentAndFencing(t *testing.T) {
-	_, recs := buildLeaderHistory(t, mcsio.CodecJSON, 2)
+	_, recs := buildLeaderHistory(t, 2)
 	fctrl, _, srv := newFollower(t, t.TempDir())
-	if st, _ := streamFrame(t, srv, recordsFrame(t, "t", 1, recs)); st != streamAckOK {
+	if st, _ := streamFrame(t, srv, binaryRecordsFrame(t, "t", 1, recs)); st != streamAckOK {
 		t.Fatal("seed frame refused")
 	}
 
@@ -378,7 +400,7 @@ func TestPromoteIdempotentAndFencing(t *testing.T) {
 
 	// A stale leader keeps shipping: the promoted node must fence off even
 	// a wire-valid frame it would previously have skipped idempotently.
-	st, body := streamFrame(t, srv, recordsFrame(t, "t", 1, recs))
+	st, body := streamFrame(t, srv, binaryRecordsFrame(t, "t", 1, recs))
 	if st != streamAckNotFollower {
 		t.Fatalf("frame after promotion: status %d (%s), want not-follower", st, body)
 	}
@@ -454,10 +476,10 @@ func TestShipperResyncAfterLeaderRestart(t *testing.T) {
 // TestFollowerRestartResumes: a follower restarted from its own data dir
 // recovers the replica and keeps applying from where it stopped.
 func TestFollowerRestartResumes(t *testing.T) {
-	leader, recs := buildLeaderHistory(t, mcsio.CodecJSON, 4)
+	leader, recs := buildLeaderHistory(t, 4)
 	fdir := t.TempDir()
 	fctrl, _, srv := newFollower(t, fdir)
-	if st, _ := streamFrame(t, srv, recordsFrame(t, "t", 1, recs[:3])); st != streamAckOK {
+	if st, _ := streamFrame(t, srv, binaryRecordsFrame(t, "t", 1, recs[:3])); st != streamAckOK {
 		t.Fatal("seed frame refused")
 	}
 	srv.Close()
@@ -469,7 +491,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 	if got := fctrl2.TenantNext("t"); got != 4 {
 		t.Fatalf("restarted follower at %d, want 4", got)
 	}
-	if st, body := streamFrame(t, srv2, recordsFrame(t, "t", 4, recs[3:])); st != streamAckOK {
+	if st, body := streamFrame(t, srv2, binaryRecordsFrame(t, "t", 4, recs[3:])); st != streamAckOK {
 		t.Fatalf("resume frame refused: %d %s", st, body)
 	}
 	lsys, err := leader.System("t")

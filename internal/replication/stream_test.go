@@ -1,150 +1,156 @@
 package replication
 
-// Streaming-transport suite: every journal codec converges to
-// bit-identical followers over the stream, a leader whose directory mixes
-// codecs still ships its whole history, and a follower outage — refused
+// Streaming-transport suite: a leader and follower converge to
+// bit-identical state over the stream, a leader reopened on a legacy JSON
+// directory still ships its whole history, and a follower outage — refused
 // dials or a stream cut mid-flight — is retried and redialed.
 
 import (
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
 	"mcsched/internal/admission"
+	"mcsched/internal/journal"
+	"mcsched/internal/journal/journaltest"
 	"mcsched/internal/mcs"
 	"mcsched/internal/mcsio"
 )
 
 // TestReplicationTransportCodecMatrix drives the failover-equivalence
-// workload under each journal codec, on leader and follower alike: the
-// follower must be bit-identical at every commit index, and the promoted
-// follower must match a fresh recovery of the leader's journal.
+// workload over the stream: the follower must be bit-identical at every
+// commit index, and the promoted follower must match a fresh recovery of
+// the leader's journal. The subtest is named after the codec both journals
+// write, which is always binary; legacy JSON histories are shipped by
+// TestMixedCodecLeaderReplicates.
 func TestReplicationTransportCodecMatrix(t *testing.T) {
-	for _, codec := range []mcsio.Codec{mcsio.CodecJSON, mcsio.CodecBinary} {
-		t.Run(string(codec), func(t *testing.T) {
-			t.Parallel()
-			test := allTests()[0]
-			lcfg := leaderConfig(t.TempDir(), 3)
-			lcfg.JournalCodec = codec
-			leader := admission.NewController(lcfg)
+	t.Run("binary", func(t *testing.T) {
+		test := allTests()[0]
+		lcfg := leaderConfig(t.TempDir(), 3)
+		leader := admission.NewController(lcfg)
+		if _, err := leader.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		fctrl := admission.NewController(followerConfig(t.TempDir()))
+		if _, err := fctrl.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fctrl.Close() })
+		srv := httptest.NewServer(NewReceiver(fctrl).Mux())
+		t.Cleanup(srv.Close)
+		ship := connect(t, leader, srv.URL)
+
+		sys, err := leader.CreateSystem("t", 4, test)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commits := 0
+		driveReplicated(t, sys, test, 515, 2, 0, func(label string) {
+			commits++
+			flush(t, ship)
+			if lfp, ffp := sys.Fingerprint(), fingerprintOf(fctrl, "t"); lfp != ffp {
+				t.Fatalf("commit %d (%s): follower diverged:\nleader:\n%s\nfollower:\n%s",
+					commits, label, lfp, ffp)
+			}
+		})
+		if commits == 0 {
+			t.Fatal("workload committed nothing")
+		}
+		flush(t, ship)
+		leaderFP := sys.Fingerprint()
+
+		// Kill the leader, promote, compare against a fresh recovery.
+		ship.Stop()
+		if err := leader.Close(); err != nil {
+			t.Fatal(err)
+		}
+		promote(t, srv)
+		rec := admission.NewController(lcfg)
+		if _, err := rec.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		defer rec.Close()
+		rsys, err := rec.System("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fingerprintOf(fctrl, "t"); got != rsys.Fingerprint() || got != leaderFP {
+			t.Fatalf("promoted follower != fresh recovery:\nfollower:\n%s\nrecovered:\n%s", got, rsys.Fingerprint())
+		}
+	})
+}
+
+// TestMixedCodecLeaderReplicates: a binary leader reopened on a legacy JSON
+// directory ships its whole history — the JSON records as they are or, once
+// they are compacted, the JSON snapshot covering them — followed by the
+// binary records it appends. Frames are binary, because only binary frames
+// carry records of either codec.
+func TestMixedCodecLeaderReplicates(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		snapshot bool
+	}{
+		{"records", false},
+		{"snapshot", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The legacy directory holds a binary leader's history re-encoded
+			// as JSON, and in the snapshot case a JSON snapshot covering it.
+			src, recs := buildLeaderHistory(t, 8)
+			var snap *mcsio.SnapshotJSON
+			if tc.snapshot {
+				if err := src.SnapshotSystem("t"); err != nil {
+					t.Fatal(err)
+				}
+				ssys, err := src.System("t")
+				if err != nil {
+					t.Fatal(err)
+				}
+				payload, _, _, err := ssys.Journal().Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				s, _, err := mcsio.DecodeSnapshot(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap = &s
+			}
+			dir := t.TempDir()
+			if _, err := journaltest.WriteJSON(filepath.Join(dir, journal.EncodeTenantID("t")), decodeEvents(t, recs), snap); err != nil {
+				t.Fatal(err)
+			}
+
+			leader := admission.NewController(leaderConfig(dir, -1))
 			if _, err := leader.Recover(); err != nil {
 				t.Fatal(err)
 			}
-			fcfg := followerConfig(t.TempDir())
-			fcfg.JournalCodec = codec
-			fctrl := admission.NewController(fcfg)
-			if _, err := fctrl.Recover(); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { fctrl.Close() })
-			srv := httptest.NewServer(NewReceiver(fctrl).Mux())
-			t.Cleanup(srv.Close)
-			ship := connect(t, leader, srv.URL)
-
-			sys, err := leader.CreateSystem("t", 4, test)
-			if err != nil {
-				t.Fatal(err)
-			}
-			commits := 0
-			driveReplicated(t, sys, test, 515, 2, 0, func(label string) {
-				commits++
-				flush(t, ship)
-				if lfp, ffp := sys.Fingerprint(), fingerprintOf(fctrl, "t"); lfp != ffp {
-					t.Fatalf("commit %d (%s): follower diverged:\nleader:\n%s\nfollower:\n%s",
-						commits, label, lfp, ffp)
-				}
-			})
-			if commits == 0 {
-				t.Fatal("workload committed nothing")
-			}
-			flush(t, ship)
-			leaderFP := sys.Fingerprint()
-
-			// Kill the leader, promote, compare against a fresh recovery.
-			ship.Stop()
-			if err := leader.Close(); err != nil {
-				t.Fatal(err)
-			}
-			promote(t, srv)
-			rec := admission.NewController(lcfg)
-			if _, err := rec.Recover(); err != nil {
-				t.Fatal(err)
-			}
-			defer rec.Close()
-			rsys, err := rec.System("t")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := fingerprintOf(fctrl, "t"); got != rsys.Fingerprint() || got != leaderFP {
-				t.Fatalf("promoted follower != fresh recovery:\nfollower:\n%s\nrecovered:\n%s", got, rsys.Fingerprint())
-			}
-		})
-	}
-}
-
-// TestMixedCodecLeaderReplicates: a leader whose directory holds binary
-// records (or a binary snapshot), restarted under the JSON journal codec,
-// must still ship its whole history. Frames are binary whatever the journal
-// codec, because only binary frames carry records of either codec.
-func TestMixedCodecLeaderReplicates(t *testing.T) {
-	for _, tc := range []struct {
-		name      string
-		snapEvery int
-	}{
-		{"records", -1},
-		{"snapshot", 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			dir := t.TempDir()
-			open := func(codec mcsio.Codec) *admission.Controller {
-				cfg := leaderConfig(dir, tc.snapEvery)
-				cfg.JournalCodec = codec
-				c := admission.NewController(cfg)
-				if _, err := c.Recover(); err != nil {
-					t.Fatal(err)
-				}
-				return c
-			}
-			first := open(mcsio.CodecBinary)
-			sys, err := first.CreateSystem("t", 2, allTests()[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 8; i++ {
-				if _, err := sys.Admit(mcs.NewLC(i, 1, 1000)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := first.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// The daemon's default codec from here on: JSON records land on
-			// top of the binary history.
-			leader := open(mcsio.CodecJSON)
 			defer leader.Close()
-			if sys, err = leader.System("t"); err != nil {
+			sys, err := leader.System("t")
+			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := sys.Admit(mcs.NewLC(8, 1, 1000)); err != nil {
 				t.Fatal(err)
 			}
-			if tc.snapEvery > 0 {
-				if snap, _, ok, err := sys.Journal().Snapshot(); err != nil || !ok || !mcsio.IsBinaryRecord(snap) {
-					t.Fatalf("setup: want a binary snapshot (ok=%v, err=%v)", ok, err)
+			if tc.snapshot {
+				if snap, _, ok, err := sys.Journal().Snapshot(); err != nil || !ok || mcsio.IsBinaryRecord(snap) {
+					t.Fatalf("setup: want a JSON snapshot (ok=%v, err=%v)", ok, err)
 				}
-			} else if recs, _, err := sys.Journal().ReadFrom(1, 1); err != nil || !mcsio.IsBinaryRecord(recs[0]) {
-				t.Fatalf("setup: want a binary first record (%v)", err)
+			} else if recs, _, err := sys.Journal().ReadFrom(1, 100); err != nil ||
+				mcsio.IsBinaryRecord(recs[0]) || !mcsio.IsBinaryRecord(recs[len(recs)-1]) {
+				t.Fatalf("setup: want JSON records followed by a binary one (%v)", err)
 			}
 
 			fctrl, recv, srv := newFollower(t, t.TempDir())
 			ship := connect(t, leader, srv.URL)
 			flush(t, ship)
 			if got := fingerprintOf(fctrl, "t"); got != sys.Fingerprint() {
-				t.Fatalf("follower diverged from the mixed-codec leader:\n%s\n%s", sys.Fingerprint(), got)
+				t.Fatalf("follower diverged from the legacy-directory leader:\n%s\n%s", sys.Fingerprint(), got)
 			}
-			if tc.snapEvery > 0 && recv.Applied().Snapshots == 0 {
+			if tc.snapshot && recv.Applied().Snapshots == 0 {
 				t.Fatal("catch-up used no snapshot frame despite compaction")
 			}
 		})
