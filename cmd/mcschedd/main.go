@@ -112,7 +112,6 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	shards := flag.Int("shards", 16, "tenant-map stripes")
 	placement := flag.String("placement", "",
 		`default placement heuristic for tenants created without an explicit one (see GET /v1/strategies; empty selects "`+mcsched.DefaultPlacement+`")`)
 	dataDir := flag.String("data-dir", "",
@@ -170,7 +169,6 @@ func main() {
 	}
 
 	ctrl := admission.NewController(admission.Config{
-		Shards:        *shards,
 		Placement:     *placement,
 		DataDir:       *dataDir,
 		Fsync:         *fsync,

@@ -200,8 +200,13 @@ func TestReplicationLagStats(t *testing.T) {
 	}
 
 	var pr replication.PromoteResponse
-	if st := call(t, "POST", follower.URL+"/v1/promote", "", &pr); st != http.StatusOK || !pr.Promoted {
+	if st := call(t, "POST", follower.URL+"/v1/promote", "", &pr); st != http.StatusOK || !pr.Promoted || pr.Role != "leader" {
 		t.Fatalf("promote: status %d, %+v", st, pr)
+	}
+	// Promotion is idempotent: a repeat changes nothing and says so.
+	pr = replication.PromoteResponse{}
+	if st := call(t, "POST", follower.URL+"/v1/promote", "", &pr); st != http.StatusOK || pr.Promoted || pr.Role != "leader" {
+		t.Fatalf("second promote: status %d, %+v, want 200 with promoted false, role leader", st, pr)
 	}
 	var followerAlpha systemResponse
 	if st := call(t, "GET", follower.URL+"/v1/systems/alpha", "", &followerAlpha); st != http.StatusOK {

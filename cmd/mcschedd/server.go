@@ -222,11 +222,7 @@ func (s *server) handleCreateSystem(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleListSystems(w http.ResponseWriter, r *http.Request) {
-	ids := s.ctrl.SystemIDs()
-	if ids == nil {
-		ids = []string{}
-	}
-	s.reply(w, r, http.StatusOK, listSystemsResponse{Systems: ids})
+	s.reply(w, r, http.StatusOK, listSystemsResponse{Systems: s.ctrl.SystemIDs()})
 }
 
 func (s *server) handleGetSystem(w http.ResponseWriter, r *http.Request) {

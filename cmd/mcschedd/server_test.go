@@ -134,6 +134,21 @@ func TestDaemonLifecycle(t *testing.T) {
 // daemon's request decoding: malformed JSON, unknown fields, negative
 // budgets, inconsistent criticalities and duplicate task IDs must all be
 // rejected with a 4xx and a JSON error body.
+// overlongBatch is a batch body of admission.MaxBatch+1 distinct tasks, each
+// of which would fit.
+func overlongBatch() string {
+	var b strings.Builder
+	b.WriteString(`{"tasks":[`)
+	for i := 0; i <= admission.MaxBatch; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"id":%d,"crit":"LO","period":1000000,"deadline":1000000,"c_lo":1}`, i)
+	}
+	b.WriteString(`]}`)
+	return b.String()
+}
+
 func TestDaemonDecodingErrors(t *testing.T) {
 	d := newTestDaemon(t)
 	call(t, "POST", d.URL+"/v1/systems", `{"id":"x","processors":2,"test":"EDF-VD"}`, nil)
@@ -146,6 +161,8 @@ func TestDaemonDecodingErrors(t *testing.T) {
 		{"unknown field", "POST", "/v1/systems/x/admit", `{"job":{}}`, http.StatusBadRequest},
 		{"neither task nor tasks", "POST", "/v1/systems/x/admit", `{}`, http.StatusBadRequest},
 		{"empty batch", "POST", "/v1/systems/x/admit", `{"tasks":[]}`, http.StatusBadRequest},
+		{"batch over MaxBatch", "POST", "/v1/systems/x/admit", overlongBatch(), http.StatusBadRequest},
+		{"probe batch over MaxBatch", "POST", "/v1/systems/x/probe", overlongBatch(), http.StatusBadRequest},
 		{"huge processors", "POST", "/v1/systems", `{"processors":2000000000,"test":"EDF-VD"}`, http.StatusBadRequest},
 		{"both task_id and task_ids", "POST", "/v1/systems/x/release",
 			`{"task_id":1,"task_ids":[1]}`, http.StatusBadRequest},

@@ -15,11 +15,12 @@
 // tenant's placer for the candidate order and walks it serially; each probe
 // builds the candidate set of one core and hands it to that core's
 // incremental analyzer (internal/analysis/kernel), which keeps whatever it
-// can reuse from the core's previous analyses. The only thing between the
-// two is a counting decorator, so Stats.TestsRun, the sum of the responses'
-// Tests fields and the number of analyses run are the same number. Tenant
-// state is striped across mutex-guarded shards; the controller is safe for
-// heavy concurrent use and is the engine behind the cmd/mcschedd daemon.
+// can reuse from the core's previous analyses. Nothing sits between the
+// two; the assigner counts its own probes, so Stats.TestsRun, the sum of the
+// responses' Tests fields and the number of analyses run are the same
+// number. The tenants live in one map behind one read-write lock; the
+// controller is safe for concurrent use and is the engine behind the
+// cmd/mcschedd daemon.
 //
 // With Config.DataDir the controller is event-sourced and durable: every
 // committed transition (create-system, admit, admit-batch, release) is
@@ -34,7 +35,6 @@ package admission
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -49,9 +49,6 @@ import (
 
 // Config parameterizes a Controller.
 type Config struct {
-	// Shards is the number of stripes of the tenant map; more stripes,
-	// less create/lookup contention. Defaults to 16.
-	Shards int
 	// Placement names the default placement heuristic of tenants created
 	// without an explicit one (CreateSystem, and create requests with an
 	// empty placement field). Empty selects core.DefaultPlacement, the
@@ -133,15 +130,9 @@ type Hooks struct {
 	Removed func(tenant string)
 }
 
-// DefaultConfig returns the production defaults.
-func DefaultConfig() Config { return Config{Shards: 16} }
-
-func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
-	return c
-}
+// DefaultConfig returns the production defaults: an in-memory controller
+// placing with core.DefaultPlacement.
+func DefaultConfig() Config { return Config{} }
 
 // counters holds the controller-wide counters as obs instruments. Systems
 // bump them directly; Stats() and the metrics registry (EnableMetrics) read
@@ -151,21 +142,20 @@ type counters struct {
 	testsRun, simulations             obs.Counter
 }
 
-// tenantShard is one stripe of the tenant map.
-type tenantShard struct {
-	mu sync.RWMutex
-	m  map[string]*System
-}
-
 // Controller owns the tenant systems and their shared counters. With
 // Config.DataDir it also owns the per-tenant write-ahead journals:
 // mutations commit through them and Recover rebuilds every tenant after a
 // restart.
 type Controller struct {
-	cfg    Config
-	shards []tenantShard
-	stats  counters
-	nextID uint64
+	cfg Config
+	// mu guards tenants. Writers (insert, removal, recovery, replicated
+	// snapshot install) hold it exclusively; insert holds it across the new
+	// tenant's journal open and create record, which is what keeps two
+	// creates of one ID out of one directory.
+	mu      sync.RWMutex
+	tenants map[string]*System
+	stats   counters
+	nextID  uint64
 
 	// snapFailures counts automatic snapshots that failed (the journaled
 	// event is durable regardless). recoverOnce gates Recover; recovery
@@ -200,14 +190,7 @@ type Controller struct {
 
 // NewController returns an empty controller.
 func NewController(cfg Config) *Controller {
-	cfg = cfg.withDefaults()
-	c := &Controller{
-		cfg:    cfg,
-		shards: make([]tenantShard, cfg.Shards),
-	}
-	for i := range c.shards {
-		c.shards[i].m = make(map[string]*System)
-	}
+	c := &Controller{cfg: cfg, tenants: make(map[string]*System)}
 	c.follower.Store(cfg.Follower)
 	return c
 }
@@ -237,12 +220,6 @@ func (c *Controller) Promote() bool {
 	c.replMu.Lock()
 	defer c.replMu.Unlock()
 	return c.follower.CompareAndSwap(true, false)
-}
-
-func (c *Controller) shard(id string) *tenantShard {
-	h := fnv.New32a()
-	h.Write([]byte(id))
-	return &c.shards[h.Sum32()%uint32(len(c.shards))]
 }
 
 // MaxProcessors bounds the per-tenant core count. The placement loop sorts
@@ -293,10 +270,9 @@ func (c *Controller) CreateSystemWithPlacement(id string, m int, test core.Test,
 // record as the leader wrote it when a follower founds a replica; nil
 // encodes it here.
 func (c *Controller) insert(id string, m int, test core.Test, placement string, raw []byte) (*System, error) {
-	sh := c.shard(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.m[id]; dup {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, dup := c.tenants[id]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateSystem, id)
 	}
 	sys, err := c.newTenant(id, m, test, placement, nil)
@@ -309,16 +285,15 @@ func (c *Controller) insert(id string, m int, test core.Test, placement string, 
 			return nil, err
 		}
 	}
-	sh.m[id] = sys
+	c.tenants[id] = sys
 	return sys, nil
 }
 
 // System resolves a tenant by ID.
 func (c *Controller) System(id string) (*System, error) {
-	sh := c.shard(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	sys, ok := sh.m[id]
+	c.mu.RLock()
+	sys, ok := c.tenants[id]
+	c.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSystem, id)
 	}
@@ -338,15 +313,13 @@ func (c *Controller) RemoveSystem(id string) error {
 // removeSystem is the role-agnostic removal shared by RemoveSystem (leader
 // writes) and ApplyReplicatedRemove (follower applies).
 func (c *Controller) removeSystem(id string) error {
-	sh := c.shard(id)
-	sh.mu.Lock()
-	sys, ok := sh.m[id]
+	c.mu.Lock()
+	sys, ok := c.tenants[id]
+	delete(c.tenants, id)
+	c.mu.Unlock()
 	if !ok {
-		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNoSystem, id)
 	}
-	delete(sh.m, id)
-	sh.mu.Unlock()
 	sys.mu.Lock()
 	defer sys.mu.Unlock()
 	if sys.log != nil {
@@ -361,33 +334,28 @@ func (c *Controller) removeSystem(id string) error {
 	return nil
 }
 
-// SystemIDs returns every tenant ID in sorted order.
+// SystemIDs returns every tenant ID in sorted order; empty, never nil.
 func (c *Controller) SystemIDs() []string {
-	var ids []string
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		for id := range c.shards[i].m {
-			ids = append(ids, id)
-		}
-		c.shards[i].mu.RUnlock()
+	c.mu.RLock()
+	ids := make([]string, 0, len(c.tenants))
+	for id := range c.tenants {
+		ids = append(ids, id)
 	}
+	c.mu.RUnlock()
 	sort.Strings(ids)
 	return ids
 }
 
-// allSystems collects every tenant under the shard locks and returns them
-// for querying outside the locks: NumTasks takes the system mutex, and
-// holding a shard RLock across a tenant mid-analysis would stall
-// create/delete on the shard.
+// allSystems collects every tenant under the map lock and returns them for
+// querying outside it: NumTasks takes the system mutex, and holding the map
+// lock across a tenant mid-analysis would stall every create and delete.
 func (c *Controller) allSystems() []*System {
-	var systems []*System
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		for _, sys := range c.shards[i].m {
-			systems = append(systems, sys)
-		}
-		c.shards[i].mu.RUnlock()
+	c.mu.RLock()
+	systems := make([]*System, 0, len(c.tenants))
+	for _, sys := range c.tenants {
+		systems = append(systems, sys)
 	}
+	c.mu.RUnlock()
 	return systems
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"mcsched/internal/analysis/edfvd"
-	"mcsched/internal/core"
 	"mcsched/internal/mcs"
 	"mcsched/internal/taskgen"
 )
@@ -433,5 +432,3 @@ func TestParallelConcurrentTenants(t *testing.T) {
 		t.Errorf("no analyses ran: %+v", st)
 	}
 }
-
-var _ core.Test = (*countedTest)(nil)

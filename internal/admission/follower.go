@@ -268,10 +268,9 @@ func (c *Controller) ApplyReplicatedSnapshot(tenant string, seq uint64, payload 
 	c.stats.admits.Add(sys.admits - oldAdmits)
 	c.stats.releases.Add(sys.releases - oldReleases)
 
-	sh := c.shard(tenant)
-	sh.mu.Lock()
-	sh.m[tenant] = sys
-	sh.mu.Unlock()
+	c.mu.Lock()
+	c.tenants[tenant] = sys
+	c.mu.Unlock()
 	return seq + 1, nil
 }
 

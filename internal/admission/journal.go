@@ -209,7 +209,7 @@ func (s *System) journalCreate(raw []byte) error {
 			Kind:       mcsio.EventCreateSystem,
 			System:     s.id,
 			Processors: s.asn.NumCores(),
-			Test:       s.ct.Name(),
+			Test:       s.testName,
 			Placement:  s.journaledPlacement(),
 		})
 	}
@@ -231,7 +231,7 @@ func (s *System) writeSnapshotLocked() error {
 		Seq:        seq,
 		System:     s.id,
 		Processors: s.asn.NumCores(),
-		Test:       s.ct.Name(),
+		Test:       s.testName,
 		Placement:  s.journaledPlacement(),
 		Cursor:     s.snapshotCursor(),
 		Partition:  mcsio.PartitionToJSON(s.asn.Snapshot()),
@@ -310,22 +310,14 @@ func (c *Controller) SnapshotAll() error {
 // journal's closed error; the in-memory state remains readable.
 func (c *Controller) Close() error {
 	var errs []error
-	for i := range c.shards {
-		c.shards[i].mu.RLock()
-		systems := make([]*System, 0, len(c.shards[i].m))
-		for _, sys := range c.shards[i].m {
-			systems = append(systems, sys)
-		}
-		c.shards[i].mu.RUnlock()
-		for _, sys := range systems {
-			sys.mu.Lock()
-			if sys.log != nil {
-				if err := sys.log.Close(); err != nil {
-					errs = append(errs, err)
-				}
+	for _, sys := range c.allSystems() {
+		sys.mu.Lock()
+		if sys.log != nil {
+			if err := sys.log.Close(); err != nil {
+				errs = append(errs, err)
 			}
-			sys.mu.Unlock()
 		}
+		sys.mu.Unlock()
 	}
 	return errors.Join(errs...)
 }
@@ -464,12 +456,11 @@ func (c *Controller) recoverTenant(id, dir string) (sys *System, events int, fro
 
 // insertRecovered publishes a recovered system, failing on duplicates.
 func (c *Controller) insertRecovered(sys *System) error {
-	sh := c.shard(sys.id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, dup := sh.m[sys.id]; dup {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, dup := c.tenants[sys.id]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateSystem, sys.id)
 	}
-	sh.m[sys.id] = sys
+	c.tenants[sys.id] = sys
 	return nil
 }

@@ -117,7 +117,7 @@ func (s *System) Simulate(spec sim.Spec) (SimOutcome, error) {
 	if err != nil {
 		return SimOutcome{}, fmt.Errorf("%w: %v", ErrBadScenario, err)
 	}
-	s.ct.stats.simulations.Inc()
+	s.stats.simulations.Inc()
 	if m != nil && m.simulateSeconds != nil {
 		m.simulateSeconds.Observe(time.Since(start))
 	}

@@ -51,13 +51,14 @@ func (c *Controller) newTenant(id string, m int, test core.Test, placement strin
 			return nil, err
 		}
 	}
-	ct := &countedTest{inner: test, name: test.Name(), stats: &c.stats}
-	c.registerFamilySeries(ct.name)
+	name := test.Name()
+	c.registerFamilySeries(name)
 	return &System{
 		id:           id,
-		rejectReason: "task fits on no core under " + ct.name,
-		asn:          core.NewAssigner(m, ct),
-		ct:           ct,
+		rejectReason: "task fits on no core under " + name,
+		testName:     name,
+		stats:        &c.stats,
+		asn:          core.NewAssigner(m, test),
 		placer:       placer,
 		resident:     make(map[int]bool),
 		log:          lg,
@@ -219,14 +220,14 @@ func (s *System) apply(tr *transition, stage func() (func() error, error)) (func
 	}
 
 	// The checkpoint: the cursor now, and the tasks placed from here on.
-	cursor, placed := s.asn.LastCore(), 0
-	s.ct.tests = 0
+	// Every probe is one analysis; the assigner counts them.
+	cursor, placed, probes := s.asn.LastCore(), 0, s.asn.Probes()
 	tr.admitted = true
 	var err error
 	for i, t := range tr.tasks {
-		before := s.ct.tests
+		before := s.asn.Probes()
 		res := s.placeTraced(t, tr.rec)
-		res.Tests, res.Probed = s.ct.tests-before, tr.dry
+		res.Tests, res.Probed = int(s.asn.Probes()-before), tr.dry
 		if !tr.replayed {
 			tr.results = append(tr.results, res)
 		} else if !res.Admitted || res.Core != tr.cores[i] {
@@ -241,17 +242,20 @@ func (s *System) apply(tr *transition, stage func() (func() error, error)) (func
 		s.commitPlaced(t, res.Core)
 		placed++
 	}
-	tr.tests = s.ct.tests
+	if n := s.asn.Probes() - probes; n > 0 {
+		tr.tests = int(n)
+		s.stats.testsRun.Add(n)
+	}
 
 	var wait func() error
 	switch {
 	case err != nil:
 	case tr.dry:
-		s.ct.stats.probes.Add(uint64(len(tr.results)))
+		s.stats.probes.Add(uint64(len(tr.results)))
 	case !tr.admitted:
 		// Only the misfit task is a rejection; the tasks that placed before
 		// it were never individually rejected.
-		s.ct.stats.rejects.Inc()
+		s.stats.rejects.Inc()
 	case stage != nil:
 		wait, err = stage()
 	}
@@ -270,11 +274,11 @@ func (s *System) apply(tr *transition, stage func() (func() error, error)) (func
 	// touched, so the hot path pays one contended add, not two.
 	if n := uint64(placed); n > 0 {
 		s.admits += n
-		s.ct.stats.admits.Add(n)
+		s.stats.admits.Add(n)
 	}
 	if n := uint64(len(tr.ids)); n > 0 {
 		s.releases += n
-		s.ct.stats.releases.Add(n)
+		s.stats.releases.Add(n)
 	}
 
 	if stage != nil {

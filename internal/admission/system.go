@@ -33,9 +33,15 @@ type System struct {
 	// rejectReason is the constant Reason string of rejecting decisions.
 	rejectReason string
 
+	// testName names the schedulability test gating the tenant (the
+	// assigner holds the test itself); every journal append and rejection
+	// names it. stats are the controller-wide counters the tenant's
+	// transitions bump.
+	testName string
+	stats    *counters
+
 	mu       sync.Mutex
 	asn      *core.Assigner
-	ct       *countedTest
 	resident map[int]bool // task IDs currently placed
 	// placer is the tenant's placement heuristic (immutable after
 	// creation): it ranks the candidate cores of every decision. The
@@ -83,43 +89,6 @@ type System struct {
 	relScratch []int
 }
 
-// countedTest is the one thing between a tenant's assigner and its per-core
-// analyzers: a decorator that counts every analysis, once into the
-// controller-wide TestsRun and once into the tally of the decision in
-// progress. All probes of a decision run serially under the tenant lock, so
-// the tally is a plain int guarded by System.mu.
-type countedTest struct {
-	inner core.Test
-	// name caches inner.Name() — some tests build their name, and every
-	// journal append and rejection names the test.
-	name  string
-	stats *counters
-	// tests counts analyses since the decision in progress zeroed it.
-	tests int
-}
-
-// Name implements core.Test.
-func (t *countedTest) Name() string { return t.name }
-
-// Unwrap implements core.Unwrapper, exposing the analysis family to the
-// assigner so it can build incremental per-core analyzers beneath the
-// counter.
-func (t *countedTest) Unwrap() core.Test { return t.inner }
-
-// Schedulable implements core.Test with the stateless analysis. The
-// assigner's probes use Memoize instead, with the candidate core's analyzer
-// as compute.
-func (t *countedTest) Schedulable(ts mcs.TaskSet) bool {
-	return t.Memoize(ts, t.inner.Schedulable)
-}
-
-// Memoize implements core.Memoizer: count, then run the analysis.
-func (t *countedTest) Memoize(ts mcs.TaskSet, compute func(mcs.TaskSet) bool) bool {
-	t.tests++
-	t.stats.testsRun.Inc()
-	return compute(ts)
-}
-
 // ID returns the tenant identifier.
 func (s *System) ID() string { return s.id }
 
@@ -153,7 +122,7 @@ func (s *System) Fingerprint() string {
 }
 
 // TestName returns the name of the schedulability test gating this system.
-func (s *System) TestName() string { return s.ct.inner.Name() }
+func (s *System) TestName() string { return s.testName }
 
 // PlacementName returns the registry name of the placement heuristic
 // ranking this system's candidate cores.
@@ -312,9 +281,18 @@ func (s *System) ProbeBatch(ts mcs.TaskSet) (BatchResult, error) {
 	return s.decideBatch(ts, false)
 }
 
+// MaxBatch bounds the tasks of one live batch admit or probe. A batch is
+// decided whole under the tenant lock, so its length bounds how long every
+// other request to the tenant waits. Replay and follower apply do not come
+// through here: a journal holding a longer batch still recovers.
+const MaxBatch = 1024
+
 func (s *System) decideBatch(ts mcs.TaskSet, commit bool) (BatchResult, error) {
-	if len(ts) == 0 {
+	switch {
+	case len(ts) == 0:
 		return BatchResult{}, fmt.Errorf("admission: empty batch")
+	case len(ts) > MaxBatch:
+		return BatchResult{}, fmt.Errorf("admission: batch of %d tasks (at most %d)", len(ts), MaxBatch)
 	}
 	m, start := s.timed()
 	ordered := ts.Clone()

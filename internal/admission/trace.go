@@ -156,7 +156,7 @@ func (s *System) explain(t mcs.Task, commit bool) (AdmitResult, *DecisionTrace, 
 	}
 	return res, &DecisionTrace{
 		TaskID:    t.ID,
-		Test:      s.ct.name,
+		Test:      s.testName,
 		Placement: s.placer.Name(),
 		Policy:    s.placer.Policy(t),
 		Cores:     rec.cores,

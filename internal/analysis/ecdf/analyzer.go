@@ -9,7 +9,7 @@ import (
 // Analyzer is the reusable per-core ECDF engine, built on the same
 // array-backed ey.Shaper and ey.Memo the EY analyzer uses: positional
 // demand curves mutated in place across the EY pass and the scale-factor
-// restarts, fast-path filters in front (see ey.QuickVerdict — the
+// restarts, fast-path filters in front (see ey.QuickState — the
 // soundness argument carries over verbatim because every restart drives
 // the identical LO/HI QPA machinery), and a warm path that folds a
 // prefix-extension probe's newcomer into the cached filter sums and

@@ -65,10 +65,13 @@ func (t Test) NewAnalyzer() kernel.Analyzer {
 // Name implements kernel.Analyzer.
 func (a *Analyzer) Name() string { return Test{}.Name() }
 
-// QuickState is the fold state behind QuickVerdict, exported so the
-// EY/ECDF memos can extend it one task at a time: every component is a
-// left fold (or an order-independent AND/count) over the task slice, so
-// Extend on a saved state reproduces the cold fold bit-for-bit.
+// QuickState is the fold state of the fast-path filters shared by EY and
+// ECDF (package ecdf imports it): the same filters front both tests
+// because ECDF's search can only succeed where some assignment passes the
+// identical LO/HI QPA machinery. It is exported so the EY/ECDF memos can
+// extend it one task at a time: every component is a left fold (or an
+// order-independent AND/count) over the task slice, so Extend on a saved
+// state reproduces the cold fold bit-for-bit.
 type QuickState struct {
 	ULO, UHI, DensLO float64
 	HC               int
@@ -110,13 +113,6 @@ func (q QuickState) Verdict() int {
 	}
 	return 0
 }
-
-// QuickVerdict classifies ts against the shared EY/ECDF fast-path filters:
-// a negative return rejects, a positive one accepts, 0 falls through to the
-// exact analysis. The same filters front both tests (package ecdf imports
-// this) because ECDF's search can only succeed where some assignment passes
-// the identical LO/HI QPA machinery.
-func QuickVerdict(ts mcs.TaskSet) int { return FoldQuick(ts).Verdict() }
 
 // Memo is the shared EY/ECDF per-core memo: the last accepted set and its
 // filter-sum fold. Package ecdf embeds one in its analyzer too.

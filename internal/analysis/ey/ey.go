@@ -237,15 +237,6 @@ func ShapeFrom(ts mcs.TaskSet, a Assignment, opts Options) (Assignment, bool) {
 	return r.VD, true
 }
 
-// ShapeInPlace is ShapeFrom for callers that own a as scratch: the
-// assignment is tuned in place, frozen (which must start empty) is used as
-// the loop's bookkeeping, and only the verdict is reported. Package ecdf's
-// analyzer restarts use it to avoid per-restart clones.
-func (e *Engine) ShapeInPlace(ts mcs.TaskSet, a Assignment, frozen map[int]bool, opts Options) bool {
-	_, ok := e.shape(ts, a, frozen, opts.maxIter())
-	return ok
-}
-
 // shape runs the failure-guided tuning loop from a LO-feasible assignment,
 // mutating a and frozen (both owned by the caller; frozen must start
 // empty). It returns the final result and whether it converged.

@@ -5,22 +5,21 @@ import (
 	"mcsched/internal/mcs"
 )
 
-// Memoizer is an optional capability of a Test: a decorator that wants to
-// stand around every analysis the Assigner runs — to count it (the
-// admission layer) or time it (the load harness). When the Assigner detects
-// it, each candidate probe becomes Memoize(candidate, that core's analyzer)
+// Memoizer is an optional capability of a Test: a probe hook that stands
+// around every analysis the Assigner runs. When the Assigner detects it,
+// each candidate probe becomes Memoize(candidate, that core's analyzer)
 // instead of a direct analyzer call; the analyzer stays the thing that
-// decides.
+// decides, and the Assigner counts the probe itself (Probes). Its only
+// implementer is cmd/mcload's tracedTest, which times each probe.
 type Memoizer interface {
-	// Memoize returns the verdict for ts, calling compute(ts) at most
-	// once. compute must be invoked synchronously (ts is caller-owned
-	// scratch, invalid after return).
+	// Memoize returns compute(ts), calling compute exactly once and
+	// synchronously (ts is caller-owned scratch, invalid after return).
 	Memoize(ts mcs.TaskSet, compute func(mcs.TaskSet) bool) bool
 }
 
 // Unwrapper exposes the Test a decorator wraps, so the Assigner can find
-// the analysis family underneath (e.g. the admission layer's counting
-// wrapper around an AMC test) and build its incremental per-core analyzers.
+// the analysis family underneath (cmd/mcload's tracing wrapper around an
+// AMC test, say) and build its incremental per-core analyzers.
 type Unwrapper interface {
 	Unwrap() Test
 }

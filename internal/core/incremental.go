@@ -42,9 +42,12 @@ type Assigner struct {
 	candBuf []mcs.TaskSet
 	// orderBuf pools the placement-order permutation.
 	orderBuf []int
-	// lastCore is the core of the most recent successful TryAssign; used
-	// by strategies that maintain their own fit keys.
+	// lastCore is the core of the most recent Commit; the next-fit placer
+	// resumes after it.
 	lastCore int
+	// probes counts Fits calls — the uniprocessor analyses run — since the
+	// last Reset.
+	probes uint64
 }
 
 // NewAssigner returns an empty assignment over m cores gated by test.
@@ -69,7 +72,7 @@ func (a *Assigner) Reset(m int, test Test) {
 				an.Invalidate()
 			}
 		}
-		a.lastCore = -1
+		a.lastCore, a.probes = -1, 0
 		return
 	}
 	*a = Assigner{
@@ -104,15 +107,6 @@ func sameTest(x, y Test) bool {
 // NumCores returns the number of processors.
 func (a *Assigner) NumCores() int { return len(a.cores) }
 
-// NumTasks returns the total number of assigned tasks.
-func (a *Assigner) NumTasks() int {
-	n := 0
-	for _, c := range a.cores {
-		n += len(c)
-	}
-	return n
-}
-
 // Core returns the live task set of core k. Callers must not mutate it; use
 // Snapshot for an owned copy.
 func (a *Assigner) Core(k int) mcs.TaskSet { return a.cores[k] }
@@ -136,7 +130,7 @@ func (a *Assigner) LoUtil(k int) float64 { return a.ulh[k] + a.ull[k] }
 // packing heuristics steer by.
 func (a *Assigner) TotalUtil(k int) float64 { return a.uhh[k] + a.ull[k] }
 
-// LastCore returns the core of the most recent successful TryAssign, or -1.
+// LastCore returns the core of the most recent Commit, or -1.
 func (a *Assigner) LastCore() int { return a.lastCore }
 
 // SetLastCore restores the next-fit cursor when rebuilding an assigner from
@@ -170,8 +164,10 @@ func (a *Assigner) candidate(k int, task mcs.Task) mcs.TaskSet {
 }
 
 // Fits reports whether core k would accept the task — the schedulability
-// test on φ_k ∪ {task} — without committing anything.
+// test on φ_k ∪ {task} — without committing anything. Every call is one
+// probe: one uniprocessor analysis, counted by Probes.
 func (a *Assigner) Fits(task mcs.Task, k int) bool {
+	a.probes++
 	an := a.analyzer(k)
 	cand := a.candidate(k, task)
 	if a.memo != nil {
@@ -179,6 +175,10 @@ func (a *Assigner) Fits(task mcs.Task, k int) bool {
 	}
 	return an.Schedulable(cand)
 }
+
+// Probes returns the number of Fits calls since the last Reset. Callers
+// that attribute analyses to one decision take the difference around it.
+func (a *Assigner) Probes() uint64 { return a.probes }
 
 // CoreCounters returns core k's analyzer tallies — zero-valued before the
 // core's first probe. The admission layer's explain tracing diffs it around
@@ -202,15 +202,6 @@ func (a *Assigner) AnalyzerCounters() kernel.Counters {
 		}
 	}
 	return c
-}
-
-// TryAssign tests the task on core k and commits it if schedulable.
-func (a *Assigner) TryAssign(task mcs.Task, k int) bool {
-	if !a.Fits(task, k) {
-		return false
-	}
-	a.Commit(task, k)
-	return true
 }
 
 // Commit places the task on core k without re-running the schedulability
@@ -334,18 +325,8 @@ func (a *Assigner) placeInOrder(task mcs.Task, order []int) bool {
 // WorstFitBy tries cores in increasing order of key(k), ties by index —
 // the generalized worst-fit of Algorithm 1 line 3.
 func (a *Assigner) WorstFitBy(task mcs.Task, key func(k int) float64) bool {
-	return a.fitBy(task, key, false)
-}
-
-// BestFitBy tries cores in decreasing order of key(k) — the mirror image of
-// worst-fit, provided for ablation studies.
-func (a *Assigner) BestFitBy(task mcs.Task, key func(k int) float64) bool {
-	return a.fitBy(task, key, true)
-}
-
-func (a *Assigner) fitBy(task mcs.Task, key func(k int) float64, desc bool) bool {
 	order := a.identityOrder()
-	sortOrder(order, key, desc)
+	sortOrder(order, key, false)
 	return a.placeInOrder(task, order)
 }
 

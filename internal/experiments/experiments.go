@@ -170,13 +170,11 @@ const genRetries = 16
 // the source where rand.NewSource(seed) would start it, without allocating
 // a new one — a Generator whose buffers every draw reuses, and for the
 // placement harness one Assigner recycled across (heuristic × set) the way
-// Algorithm.Schedulable recycles its own, with the probe count its test
-// decorator bumps.
+// Algorithm.Schedulable recycles its own.
 type sampler struct {
-	rng    *rand.Rand
-	gen    taskgen.Generator
-	asn    core.Assigner
-	probes int
+	rng *rand.Rand
+	gen taskgen.Generator
+	asn core.Assigner
 }
 
 // samplers hands each sweep job a sampler; a worker gets the one it put

@@ -14,8 +14,8 @@ package experiments
 //
 // The harness drives the same incremental Assigner the admission
 // controller uses, so warm-start and incremental kernels are exercised
-// exactly as in production; probes are counted by a Memoizer decorator
-// that forwards every miss to the per-core analyzers.
+// exactly as in production, and the Assigner's own probe counter is the
+// analysis cost.
 
 import (
 	"fmt"
@@ -167,25 +167,6 @@ func (r PlacementResult) ScoreByName(name string) (PlacementScore, bool) {
 	return PlacementScore{}, false
 }
 
-// probeCounter decorates a Test so every candidate-core probe the
-// Assigner runs is counted. It implements Memoizer — the Assigner then
-// routes each probe through Memoize, which counts and forwards to the
-// per-core analyzer — and Unwrapper, so the analyzers still resolve the
-// underlying test family and keep their incremental fast paths.
-type probeCounter struct {
-	inner core.Test
-	n     *int
-}
-
-func (p probeCounter) Name() string                    { return p.inner.Name() }
-func (p probeCounter) Schedulable(ts mcs.TaskSet) bool { *p.n++; return p.inner.Schedulable(ts) }
-func (p probeCounter) Unwrap() core.Test               { return p.inner }
-
-func (p probeCounter) Memoize(ts mcs.TaskSet, compute func(mcs.TaskSet) bool) bool {
-	*p.n++
-	return compute(ts)
-}
-
 // placementTally is one heuristic's outcome on one task set.
 type placementTally struct {
 	offered, admitted, probes int
@@ -200,9 +181,8 @@ type placementTally struct {
 // and the leftover capacity's fragmentation is measured.
 func (s *sampler) evalPlacement(p core.Placer, test core.Test, m int, ts mcs.TaskSet) placementTally {
 	t := placementTally{offered: len(ts)}
-	s.probes = 0
 	asn := &s.asn
-	asn.Reset(m, probeCounter{inner: test, n: &s.probes})
+	asn.Reset(m, test)
 	var admitted []int
 	for _, task := range ts {
 		if k := asn.FirstFitting(task, p.Order(asn, task)); k >= 0 {
@@ -210,7 +190,7 @@ func (s *sampler) evalPlacement(p core.Placer, test core.Test, m int, ts mcs.Tas
 			admitted = append(admitted, task.ID)
 		}
 	}
-	t.probes = s.probes
+	t.probes = int(asn.Probes())
 	t.admitted = len(admitted)
 	t.full = t.admitted == t.offered
 	for i, id := range admitted {

@@ -176,9 +176,8 @@ type Log struct {
 	snapPath   string // latest snapshot file; "" when none
 	snapSeq    uint64
 	closed     bool
-	subs       []chan struct{} // append-notification subscribers (tail.go)
-	wbuf       []byte          // staged frames awaiting flush, in sequence order
-	waiters    []*Ticket       // one per staged record, aligned with wbuf
+	wbuf       []byte    // staged frames awaiting flush, in sequence order
+	waiters    []*Ticket // one per staged record, aligned with wbuf
 
 	nRecords, nBytes, nFsyncs, nSnapshots, nTruncated, nGroupCommits uint64
 
@@ -463,7 +462,6 @@ func (l *Log) flushStagedLocked() {
 		}
 		l.wbuf = l.wbuf[:copy(l.wbuf, l.wbuf[nbytes:])]
 		l.waiters = l.waiters[:copy(l.waiters, l.waiters[k:])]
-		l.notifyLocked()
 		l.mu.Unlock()
 
 		if m != nil {

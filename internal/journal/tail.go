@@ -1,12 +1,12 @@
 package journal
 
-// Tail subscription: the read side of journal replication. A committed
-// journal is a totally ordered record stream, so a replica only needs two
-// primitives to follow it — a bounded cursor read over the committed
-// prefix (ReadFrom) and a wake-up when the tail grows (Subscribe). A
-// reader that falls behind the snapshot-truncation horizon gets
-// ErrCompacted and must catch up from the snapshot instead
-// (Snapshot + InstallSnapshot on the receiving log).
+// Tail reads: the read side of journal replication. A committed journal is
+// a totally ordered record stream, so a replica follows it with a bounded
+// cursor read over the committed prefix (ReadFrom); the admission layer's
+// commit hook tells the shipper when to read again. A reader that falls
+// behind the snapshot-truncation horizon gets ErrCompacted and must catch
+// up from the snapshot instead (Snapshot + InstallSnapshot on the receiving
+// log).
 
 import (
 	"errors"
@@ -20,49 +20,6 @@ var ErrCompacted = errors.New("journal: records compacted into a snapshot")
 // errStopRead is the internal sentinel that ends a bounded segment scan
 // early once the read limit is reached.
 var errStopRead = errors.New("journal: stop read")
-
-// Subscription is a registration for append notifications. C receives one
-// (coalesced) signal after every committed append; a slow receiver never
-// blocks the appender, it just sees several appends folded into one signal.
-type Subscription struct {
-	// C signals that the log tail has grown since the last receive.
-	C  <-chan struct{}
-	l  *Log
-	ch chan struct{}
-}
-
-// Subscribe registers an append-notification channel. The subscription is
-// live until Cancel; Close does not signal subscribers.
-func (l *Log) Subscribe() *Subscription {
-	ch := make(chan struct{}, 1)
-	s := &Subscription{C: ch, l: l, ch: ch}
-	l.mu.Lock()
-	l.subs = append(l.subs, ch)
-	l.mu.Unlock()
-	return s
-}
-
-// Cancel removes the subscription. Safe to call more than once.
-func (s *Subscription) Cancel() {
-	s.l.mu.Lock()
-	defer s.l.mu.Unlock()
-	for i, ch := range s.l.subs {
-		if ch == s.ch {
-			s.l.subs = append(s.l.subs[:i], s.l.subs[i+1:]...)
-			return
-		}
-	}
-}
-
-// notifyLocked signals every subscriber without blocking. Caller holds l.mu.
-func (l *Log) notifyLocked() {
-	for _, ch := range l.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
-}
 
 // ReadFrom returns up to max committed records starting at sequence from,
 // in order, as copies independent of the log's internal state. next is the

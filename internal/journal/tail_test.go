@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
 // TestReadFromCursor walks a cursor over a multi-segment log in varying
@@ -103,65 +102,6 @@ func TestReadFromCompacted(t *testing.T) {
 	}
 	if string(recs[0]) != "r10" || string(recs[3]) != "r13" {
 		t.Fatalf("post-snapshot records wrong: %q..%q", recs[0], recs[3])
-	}
-}
-
-// TestSubscribeNotifies: every append signals subscribers (coalesced), and
-// a cancelled subscription stops receiving.
-func TestSubscribeNotifies(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	sub := l.Subscribe()
-	other := l.Subscribe()
-	if _, err := l.Append([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-sub.C:
-	case <-time.After(time.Second):
-		t.Fatal("no notification after append")
-	}
-	select {
-	case <-other.C:
-	case <-time.After(time.Second):
-		t.Fatal("second subscriber missed the append")
-	}
-	// Two appends with no receive in between coalesce into one signal.
-	if _, err := l.Append([]byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.Append([]byte("c")); err != nil {
-		t.Fatal(err)
-	}
-	<-sub.C
-	select {
-	case <-sub.C:
-		t.Fatal("coalesced appends produced two signals")
-	default:
-	}
-	// The cursor drains everything regardless of coalescing.
-	recs, _, err := l.ReadFrom(1, 100)
-	if err != nil || len(recs) != 3 {
-		t.Fatalf("drain after signals: %d records, err %v", len(recs), err)
-	}
-	sub.Cancel()
-	sub.Cancel() // idempotent
-	if _, err := l.Append([]byte("d")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-sub.C:
-		t.Fatal("cancelled subscription still notified")
-	default:
-	}
-	select {
-	case <-other.C:
-	case <-time.After(time.Second):
-		t.Fatal("surviving subscriber missed the append")
 	}
 }
 

@@ -53,22 +53,6 @@ type SimScenarioJSON struct {
 	Witness bool `json:"witness,omitempty"`
 }
 
-// SimScenarioFromSpec renders a spec in wire form.
-func SimScenarioFromSpec(sp sim.Spec, witness bool) SimScenarioJSON {
-	return SimScenarioJSON{
-		Version:     SimScenarioFormatVersion,
-		Horizon:     int64(sp.Horizon),
-		Scenario:    sp.Scenario,
-		Seed:        sp.Seed,
-		OverrunProb: sp.OverrunProb,
-		Jitter:      sp.Jitter,
-		OverrunTask: sp.OverrunTask,
-		OverrunJob:  sp.OverrunJob,
-		ResetOnIdle: sp.ResetOnIdle,
-		Witness:     witness,
-	}
-}
-
 // Spec converts the wire scenario to the engine's spec form. Callers must
 // have validated the record first (Encode/Decode do).
 func (j SimScenarioJSON) Spec() sim.Spec {

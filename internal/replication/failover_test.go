@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -169,16 +168,11 @@ func driveReplicated(t *testing.T, sys *admission.System, test core.Test, seed i
 	}
 }
 
-// promote flips the follower writable through the HTTP endpoint.
-func promote(t *testing.T, srv *httptest.Server) {
+// promote flips the follower writable, as mcschedd's POST /v1/promote does.
+func promote(t *testing.T, ctrl *admission.Controller) {
 	t.Helper()
-	resp, err := http.Post(srv.URL+"/v1/promote", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("promote: status %d", resp.StatusCode)
+	if !ctrl.Promote() {
+		t.Fatal("promote: controller already led")
 	}
 }
 
@@ -229,9 +223,8 @@ func TestFailoverEquivalenceEveryIndex(t *testing.T) {
 					t.Fatal(err)
 				}
 
-				// Promote the follower over HTTP; further frames must be
-				// fenced off.
-				promote(t, srv)
+				// Promote the follower; further frames must be fenced off.
+				promote(t, fctrl)
 				if fctrl.IsFollower() {
 					t.Fatal("controller still follower after promotion")
 				}

@@ -363,7 +363,7 @@ func TestFollowerRejectsWritesUntilPromoted(t *testing.T) {
 		t.Fatalf("follower holds %d tasks, want 3", sys.NumTasks())
 	}
 
-	promote(t, srv)
+	promote(t, fctrl)
 	if _, err := sys.Admit(mcs.NewLC(99, 1, 1000)); err != nil {
 		t.Fatalf("promoted Admit: %v", err)
 	}
@@ -379,23 +379,11 @@ func TestPromoteIdempotentAndFencing(t *testing.T) {
 		t.Fatal("seed frame refused")
 	}
 
-	promoteOnce := func() PromoteResponse {
-		resp, err := http.Post(srv.URL+"/v1/promote", "application/json", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var pr PromoteResponse
-		if err := json.NewDecoder(resp.Body).Decode(&pr); err != nil {
-			t.Fatal(err)
-		}
-		return pr
+	if !fctrl.Promote() || fctrl.IsFollower() {
+		t.Fatal("first promote did not promote")
 	}
-	if pr := promoteOnce(); !pr.Promoted || pr.Role != "leader" {
-		t.Fatalf("first promote: %+v", pr)
-	}
-	if pr := promoteOnce(); pr.Promoted || pr.Role != "leader" {
-		t.Fatalf("second promote not idempotent: %+v", pr)
+	if fctrl.Promote() || fctrl.IsFollower() {
+		t.Fatal("second promote not idempotent")
 	}
 
 	// A stale leader keeps shipping: the promoted node must fence off even

@@ -1,7 +1,6 @@
 package replication
 
 import (
-	"encoding/json"
 	"net/http"
 	"sync/atomic"
 
@@ -64,13 +63,12 @@ func (r *Receiver) Status() mcsio.ReplStatusJSON {
 }
 
 // Mux returns a standalone handler exposing the replication protocol
-// (frame stream, status, promote) — what the replication tests serve and
-// the shape mcschedd mounts into its service mux.
+// (frame stream, status) — what the replication tests serve. mcschedd
+// mounts the same two handlers into its service mux.
 func (r *Receiver) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+StreamPath, r.HandleStream)
 	mux.HandleFunc("GET "+StatusPath, r.HandleStatus)
-	mux.HandleFunc("POST /v1/promote", r.HandlePromote)
 	return mux
 }
 
@@ -120,23 +118,12 @@ func (r *Receiver) HandleStatus(w http.ResponseWriter, _ *http.Request) {
 	w.Write(b)
 }
 
-// PromoteResponse answers POST /v1/promote.
+// PromoteResponse answers mcschedd's POST /v1/promote.
 type PromoteResponse struct {
 	Role string `json:"role"`
 	// Promoted is true when this call performed the promotion and false
 	// when the controller already led (idempotent repeat).
 	Promoted bool `json:"promoted"`
-}
-
-// HandlePromote flips the follower writable. Idempotent: promoting a
-// leader answers 200 with Promoted=false.
-func (r *Receiver) HandlePromote(w http.ResponseWriter, _ *http.Request) {
-	promoted := r.ctrl.Promote()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(PromoteResponse{
-		Role:     admission.RoleName(r.ctrl.IsFollower()),
-		Promoted: promoted,
-	})
 }
 
 // Status is the composite document mcschedd serves at /v1/replication and

@@ -66,7 +66,7 @@ func TestReplicationTransportCodecMatrix(t *testing.T) {
 		if err := leader.Close(); err != nil {
 			t.Fatal(err)
 		}
-		promote(t, srv)
+		promote(t, fctrl)
 		rec := admission.NewController(lcfg)
 		if _, err := rec.Recover(); err != nil {
 			t.Fatal(err)

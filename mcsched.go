@@ -244,9 +244,9 @@ func TestByName(name string) (Test, bool) {
 // concurrent use and backs the cmd/mcschedd daemon.
 type AdmissionController = admission.Controller
 
-// AdmissionConfig parameterizes an AdmissionController: tenant-map
-// stripes, the default placement heuristic, and the journaling policy
-// (DataDir, Fsync, SnapshotEvery) for event-sourced durability.
+// AdmissionConfig parameterizes an AdmissionController: the default
+// placement heuristic, and the journaling policy (DataDir, Fsync,
+// SnapshotEvery) for event-sourced durability.
 type AdmissionConfig = admission.Config
 
 // AdmissionSystem is one tenant of an AdmissionController: a live
@@ -323,8 +323,8 @@ func RecoverAdmissionController(cfg AdmissionConfig) (*AdmissionController, Admi
 	return ctrl, rs, nil
 }
 
-// DefaultAdmissionConfig returns the production defaults (16 stripes,
-// journaling off).
+// DefaultAdmissionConfig returns the production defaults (the default
+// placement heuristic, journaling off).
 func DefaultAdmissionConfig() AdmissionConfig { return admission.DefaultConfig() }
 
 // ---------------------------------------------------------------------------
