@@ -262,7 +262,7 @@ func TestTestsRunMatchesResponses(t *testing.T) {
 
 // TestDaemonConcurrentClients hammers one daemon instance with 32+
 // concurrent clients across shared and private tenants; under -race this is
-// the acceptance check for the striped state.
+// the acceptance check for the tenant map and the per-tenant locks.
 func TestDaemonConcurrentClients(t *testing.T) {
 	d := newTestDaemon(t)
 	call(t, "POST", d.URL+"/v1/systems", `{"id":"shared","processors":4,"test":"EDF-VD"}`, nil)
