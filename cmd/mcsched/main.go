@@ -6,8 +6,8 @@
 //
 //	mcsched gen -m 4 -uhh 0.5 -ulh 0.3 -ull 0.4 > ts.json
 //	mcsched analyze < ts.json
-//	mcsched partition -m 4 -strategy CU-UDP -test EDF-VD < ts.json > part.json
-//	mcsched simulate -horizon 100000 -scenario random < part.json
+//	mcsched partition -m 4 -strategy CU-UDP -test ECDF < ts.json > part.json
+//	mcsched simulate -test ECDF -horizon 100000 -scenario random < part.json
 //
 // Run "mcsched help" for the full flag reference.
 package main
@@ -233,7 +233,7 @@ func cmdSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
 	in := fs.String("i", "-", "partition JSON (default stdin)")
 	horizon := fs.Int64("horizon", 100000, "simulation horizon in ticks")
-	policy := fs.String("policy", "edf-vd", "runtime policy: edf-vd or fixed-priority")
+	testName := fs.String("test", "EDF-VD", "schedulability test whose certified runtime to simulate (see \"mcsched list\")")
 	scenario := fs.String("scenario", "historm", "scenario: losteady, historm, random, overrun")
 	seed := fs.Int64("seed", 1, "seed for the random scenario")
 	overrunProb := fs.Float64("overrun-prob", 0.2, "overrun probability of the random scenario")
@@ -253,15 +253,6 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 
-	var kind = mcsched.PolicyVirtualDeadlineEDF
-	switch strings.ToLower(*policy) {
-	case "edf-vd", "edfvd", "vd":
-	case "fixed-priority", "fp", "amc":
-		kind = mcsched.PolicyFixedPriority
-	default:
-		return fmt.Errorf("unknown policy %q", *policy)
-	}
-
 	var sc mcsched.Scenario
 	switch strings.ToLower(*scenario) {
 	case "losteady":
@@ -276,44 +267,30 @@ func cmdSimulate(args []string) error {
 		return fmt.Errorf("unknown scenario %q", *scenario)
 	}
 
-	miss := mcsched.ValidatePartitionBySimulation(p, kind, mcsched.Ticks(*horizon), *seed)
-
-	// Also run the requested scenario per core for detailed counters.
-	total := mcsched.SimResult{}
-	recorders := make([]*mcsched.TraceRecorder, len(p.Cores))
-	for k, ts := range p.Cores {
-		cfg := mcsched.SimConfig{Horizon: mcsched.Ticks(*horizon), Policy: kind, Scenario: sc}
-		if *trace > 0 {
-			recorders[k] = &mcsched.TraceRecorder{}
-			cfg.Tracer = recorders[k]
-		}
-		if kind == mcsched.PolicyVirtualDeadlineEDF {
-			res := mcsched.AnalyzeEDFVD(ts)
-			x := res.X
-			if !res.Schedulable {
-				x = 1
-			}
-			cfg.VD = mcsched.VirtualDeadlinesFromX(ts, x)
-		} else if res := mcsched.AnalyzeAMC(ts); res.Schedulable {
-			cfg.Priorities = res.Priority
-		} else {
-			cfg.Priorities = dmPriorities(ts)
-		}
-		total.Cores = append(total.Cores, mcsched.SimulateCore(ts, cfg))
+	miss, err := mcsched.ValidatePartitionBySimulation(p, *testName, mcsched.Ticks(*horizon), *seed)
+	if err != nil {
+		return err
 	}
 
-	for k, c := range total.Cores {
+	// Also run the requested scenario per core for detailed counters.
+	window := min(mcsched.Ticks(*trace), mcsched.Ticks(*horizon))
+	for k, ts := range p.Cores {
+		rt := mcsched.RuntimeForCore(*testName, ts)
+		cfg := mcsched.SimConfig{Horizon: mcsched.Ticks(*horizon), Policy: rt.Policy,
+			VD: rt.VD, Priorities: rt.Priorities, Scenario: sc}
+		var rec *mcsched.TraceRecorder
+		if *trace > 0 {
+			rec = &mcsched.TraceRecorder{}
+			cfg.Tracer = rec
+		}
+		c := mcsched.SimulateCore(ts, cfg)
 		fmt.Printf("core %d: released=%d completed=%d switches=%d dropped=%d preemptions=%d misses=%d\n",
 			k, c.Released, c.Completed, len(c.Switches), c.DroppedJobs, c.Preemptions, len(c.Misses))
 		for _, ms := range c.Misses {
 			fmt.Printf("  MISS %v\n", ms)
 		}
-		if recorders[k] != nil {
-			window := mcsched.Ticks(*trace)
-			if window > mcsched.Ticks(*horizon) {
-				window = mcsched.Ticks(*horizon)
-			}
-			fmt.Print(recorders[k].Gantt(p.Cores[k], 0, window, 100))
+		if rec != nil {
+			fmt.Print(rec.Gantt(ts, 0, window, 100))
 		}
 	}
 	if miss != nil {
@@ -321,29 +298,6 @@ func cmdSimulate(args []string) error {
 	}
 	fmt.Println("validation sweep (losteady + historm + random): no required deadline missed")
 	return nil
-}
-
-// dmPriorities mirrors the deadline-monotonic default of the library facade.
-func dmPriorities(ts mcsched.TaskSet) map[int]int {
-	idx := make([]int, len(ts))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ta, tb := ts[idx[a]], ts[idx[b]]
-		if ta.Deadline != tb.Deadline {
-			return ta.Deadline < tb.Deadline
-		}
-		if ta.IsHC() != tb.IsHC() {
-			return ta.IsHC()
-		}
-		return ta.ID < tb.ID
-	})
-	prio := make(map[int]int, len(ts))
-	for p, i := range idx {
-		prio[ts[i].ID] = p
-	}
-	return prio
 }
 
 func cmdList(args []string) error {

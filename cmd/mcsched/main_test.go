@@ -106,14 +106,14 @@ func TestCmdPartitionAndSimulate(t *testing.T) {
 		{"-i", partPath, "-horizon", "20000", "-scenario", "historm"},
 		{"-i", partPath, "-horizon", "20000", "-scenario", "random", "-seed", "3"},
 		{"-i", partPath, "-horizon", "20000", "-scenario", "overrun"},
-		{"-i", partPath, "-horizon", "20000", "-policy", "fixed-priority"},
+		{"-i", partPath, "-horizon", "20000", "-test", "AMC-max"},
 	} {
 		if err := cmdSimulate(args); err != nil {
 			t.Fatalf("simulate %v: %v", args, err)
 		}
 	}
-	if err := cmdSimulate([]string{"-i", partPath, "-policy", "warp-drive"}); err == nil {
-		t.Fatal("bad policy accepted")
+	if err := cmdSimulate([]string{"-i", partPath, "-test", "warp-drive"}); err == nil {
+		t.Fatal("unknown test accepted")
 	}
 	if err := cmdSimulate([]string{"-i", partPath, "-scenario", "surprise"}); err == nil {
 		t.Fatal("bad scenario accepted")
@@ -156,17 +156,24 @@ func TestUsagePrints(t *testing.T) {
 	}
 }
 
-func TestDMPriorities(t *testing.T) {
-	ts := mcsched.TaskSet{
-		mcsched.NewLCTaskD(0, 1, 50, 40),
-		mcsched.NewHCTaskD(1, 1, 2, 50, 40),
-		mcsched.NewHCTaskD(2, 1, 2, 30, 20),
+// TestCmdSimulateUsesCertifyingTest: simulate runs each partition under the
+// runtime its own test certified. Seed 7's set, partitioned by ECDF or EY,
+// misses a LO-mode deadline when its HC tasks run with EDF-VD's scaling
+// factor instead of the test's per-task virtual deadlines.
+func TestCmdSimulateUsesCertifyingTest(t *testing.T) {
+	dir := t.TempDir()
+	tsPath := filepath.Join(dir, "ts.json")
+	if err := cmdGen([]string{"-m", "2", "-constrained", "-uhh", "0.55", "-ulh", "0.3", "-ull", "0.3",
+		"-seed", "7", "-o", tsPath}); err != nil {
+		t.Fatal(err)
 	}
-	prio := dmPriorities(ts)
-	if prio[2] != 0 {
-		t.Fatalf("tightest deadline not highest: %v", prio)
-	}
-	if prio[1] > prio[0] {
-		t.Fatalf("HC must outrank LC at equal deadline: %v", prio)
+	for _, test := range []string{"ECDF", "EY"} {
+		partPath := filepath.Join(dir, test+".json")
+		if err := cmdPartition([]string{"-i", tsPath, "-o", partPath, "-m", "2", "-test", test, "-q"}); err != nil {
+			t.Fatalf("partition -test %s: %v", test, err)
+		}
+		if err := cmdSimulate([]string{"-i", partPath, "-test", test}); err != nil {
+			t.Errorf("simulate -test %s: %v", test, err)
+		}
 	}
 }

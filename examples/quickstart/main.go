@@ -63,7 +63,11 @@ func main() {
 	// Cross-check the analytical acceptance with the discrete-event
 	// runtime: LO-steady, HI-storm and randomized scenarios must all be
 	// free of required-deadline misses.
-	if miss := mcsched.ValidatePartitionBySimulation(p, mcsched.PolicyVirtualDeadlineEDF, 100000, 1); miss != nil {
+	miss, err := mcsched.ValidatePartitionBySimulation(p, algo.Test.Name(), 100000, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if miss != nil {
 		log.Fatalf("simulation found a deadline miss: %v", miss)
 	}
 	fmt.Println("\nsimulation (LO-steady + HI-storm + random): no required deadline missed")

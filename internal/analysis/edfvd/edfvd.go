@@ -81,32 +81,3 @@ func (Test) Name() string { return "EDF-VD" }
 
 // Schedulable implements the partitioning test interface.
 func (Test) Schedulable(ts mcs.TaskSet) bool { return Schedulable(ts) }
-
-// LCCapacity returns the largest additional LC utilization that the core
-// could accept under the EDF-VD test given its current HC load, i.e. the
-// bound (1−c)/(1−(c−b)) from the paper's Figure 1 discussion. It is useful
-// for diagnostics and examples; partitioning itself re-runs the full test.
-func LCCapacity(ts mcs.TaskSet) float64 {
-	b := ts.ULH()
-	c := ts.UHH()
-	if c >= 1 {
-		return 0
-	}
-	den := 1 - (c - b)
-	if den <= 0 {
-		return 0
-	}
-	// Virtual-deadline branch: a ≤ (1−c)/(1−(c−b)) and a ≤ 1−b (x ≤ 1).
-	vd := (1 - c) / den
-	if lim := 1 - b; lim < vd {
-		vd = lim
-	}
-	// Plain EDF branch: a ≤ 1 − c.
-	if alt := 1 - c; alt > vd {
-		vd = alt
-	}
-	if vd < 0 {
-		vd = 0
-	}
-	return vd
-}

@@ -140,30 +140,6 @@ func TestXBounds(t *testing.T) {
 	}
 }
 
-func TestLCCapacity(t *testing.T) {
-	// Figure-1-style diagnostic: capacity must be consistent with the test.
-	hc := set([2]float64{0.3, 0.7})
-	cap := LCCapacity(hc)
-	// Just below the capacity: accepted; just above: rejected.
-	below := append(hc.Clone(), lcTask(9, cap-0.01))
-	above := append(hc.Clone(), lcTask(9, cap+0.01))
-	if !Schedulable(below) {
-		t.Errorf("LC load %.3f below capacity %.3f rejected", cap-0.01, cap)
-	}
-	if Schedulable(above) {
-		t.Errorf("LC load %.3f above capacity %.3f accepted", cap+0.01, cap)
-	}
-	if LCCapacity(set([2]float64{0.2, 1.0})) != 0 {
-		t.Error("saturated core reported spare LC capacity")
-	}
-}
-
-func lcTask(id int, u float64) mcs.Task {
-	task := mcs.NewLC(id, mcs.Ticks(u*1000)+1, 1000)
-	task.ULo, task.UHi = u, u
-	return task
-}
-
 func TestTestAdapter(t *testing.T) {
 	var tst Test
 	if tst.Name() != "EDF-VD" {

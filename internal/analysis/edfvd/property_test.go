@@ -111,27 +111,3 @@ func TestMonotoneInLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestLCCapacityConsistent: LCCapacity's bound is consistent with the test:
-// adding LC utilization strictly below the bound keeps the set schedulable,
-// and the HC-only set itself must be schedulable whenever capacity > 0.
-func TestLCCapacityConsistent(t *testing.T) {
-	prop := func(spec specSet) bool {
-		hc := specSet{HC: spec.HC}.taskSet().HC() // drop the LC block
-		capacity := LCCapacity(hc)
-		if capacity <= 0.02 {
-			return true
-		}
-		if !Schedulable(hc) {
-			return false
-		}
-		const T = 10000
-		probe := hc.Clone()
-		u := capacity - 0.01
-		probe = append(probe, mcs.NewLC(50, mcs.Ticks(u*T), T))
-		return Schedulable(probe)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 1500}); err != nil {
-		t.Fatal(err)
-	}
-}

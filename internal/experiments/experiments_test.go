@@ -262,29 +262,6 @@ func TestImprovementsVs(t *testing.T) {
 	}
 }
 
-func TestBestBaselineGain(t *testing.T) {
-	res, err := Run(fastConfig(2, Figure45Algorithms()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	im, err := BestBaselineGain(res, "CU-UDP-ECDF", "ECA-Wu-F-EY", "CA-F-F-EY")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if im.Algorithm != "CU-UDP-ECDF" {
-		t.Fatalf("wrong algorithm: %+v", im)
-	}
-	if _, err := BestBaselineGain(res, "nope", "CA-F-F-EY"); err == nil {
-		t.Fatal("unknown algorithm accepted")
-	}
-	if _, err := BestBaselineGain(res, "CU-UDP-ECDF", "nope"); err == nil {
-		t.Fatal("unknown baseline accepted")
-	}
-	if _, err := BestBaselineGain(res, "CU-UDP-ECDF"); err == nil {
-		t.Fatal("empty baseline list accepted")
-	}
-}
-
 func TestSummaryRenders(t *testing.T) {
 	res, err := Run(fastConfig(2, Figure3Algorithms()))
 	if err != nil {

@@ -62,53 +62,6 @@ func ImprovementsVs(r Result, baseline string) ([]Improvement, error) {
 	return out, nil
 }
 
-// BestBaselineGain reports the maximum gain of the algorithm over the best
-// (per-UB pointwise maximum) of several baselines — this matches the paper's
-// comparisons "over existing algorithms", which take the stronger of
-// ECA-Wu-F-EY and CA-F-F-EY at each point.
-func BestBaselineGain(r Result, algorithm string, baselines ...string) (Improvement, error) {
-	alg, ok := r.SeriesByName(algorithm)
-	if !ok {
-		return Improvement{}, fmt.Errorf("experiments: algorithm %q not in result", algorithm)
-	}
-	bases := make([]Series, 0, len(baselines))
-	for _, name := range baselines {
-		b, ok := r.SeriesByName(name)
-		if !ok {
-			return Improvement{}, fmt.Errorf("experiments: baseline %q not in result", name)
-		}
-		bases = append(bases, b)
-	}
-	if len(bases) == 0 {
-		return Improvement{}, fmt.Errorf("experiments: no baselines given")
-	}
-	im := Improvement{Algorithm: algorithm, Baseline: "best(" + strings.Join(baselines, ",") + ")"}
-	var warBase float64
-	for _, p := range alg.Points {
-		best := -1.0
-		for _, b := range bases {
-			if v, ok := b.RatioAt(p.UB); ok && v > best {
-				best = v
-			}
-		}
-		if best < 0 {
-			continue
-		}
-		gain := (p.Ratio() - best) * 100
-		if gain > im.MaxGainPts {
-			im.MaxGainPts = gain
-			im.AtUB = p.UB
-		}
-	}
-	for _, b := range bases {
-		if w := b.WAR(); w > warBase {
-			warBase = w
-		}
-	}
-	im.WARGainPts = (alg.WAR() - warBase) * 100
-	return im, nil
-}
-
 // Summary formats a result as a fixed-width text table: one row per UB
 // bucket, one column per algorithm, acceptance ratios in percent.
 func Summary(r Result) string {

@@ -160,17 +160,6 @@ func (ts TaskSet) Implicit() bool {
 	return true
 }
 
-// MaxDeadline returns the largest relative deadline in the set (0 if empty).
-func (ts TaskSet) MaxDeadline() Ticks {
-	var d Ticks
-	for _, t := range ts {
-		if t.Deadline > d {
-			d = t.Deadline
-		}
-	}
-	return d
-}
-
 // Hyperperiod returns the least common multiple of all periods, saturating
 // at cap (useful because log-uniform periods in [10,500] can produce huge
 // LCMs). A cap of 0 means no cap.

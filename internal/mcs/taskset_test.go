@@ -189,15 +189,6 @@ func TestHyperperiod(t *testing.T) {
 	}
 }
 
-func TestMaxDeadline(t *testing.T) {
-	if got := sample().MaxDeadline(); got != 100 {
-		t.Errorf("MaxDeadline = %d, want 100", got)
-	}
-	if got := (TaskSet{}).MaxDeadline(); got != 0 {
-		t.Errorf("empty MaxDeadline = %d, want 0", got)
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	ts := sample()
 	cp := ts.Clone()

@@ -1,10 +1,6 @@
 package plot
 
-import (
-	"fmt"
-
-	"mcsched/internal/experiments"
-)
+import "mcsched/internal/experiments"
 
 // FromSweep converts an acceptance-ratio sweep into a chart with UB on the
 // x axis and acceptance ratio on the y axis, one series per algorithm —
@@ -66,17 +62,4 @@ func FromWAR(r experiments.WARResult, title string) Chart {
 		c.Series = append(c.Series, ps)
 	}
 	return c
-}
-
-// FigureTitle builds the conventional panel title, e.g.
-// "Fig. 3b — acceptance ratio, implicit deadlines (m=4)".
-func FigureTitle(fig string, panel string, constrained bool, m int) string {
-	dl := "implicit deadlines"
-	if constrained {
-		dl = "constrained deadlines"
-	}
-	if panel != "" {
-		return fmt.Sprintf("Fig. %s%s — acceptance ratio, %s (m=%d)", fig, panel, dl, m)
-	}
-	return fmt.Sprintf("Fig. %s — acceptance ratio, %s (m=%d)", fig, dl, m)
 }

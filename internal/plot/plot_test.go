@@ -186,14 +186,3 @@ func TestFromWAR(t *testing.T) {
 		t.Fatalf("point not carried: %+v", c.Series[0])
 	}
 }
-
-func TestFigureTitle(t *testing.T) {
-	got := FigureTitle("3", "b", false, 4)
-	if !strings.Contains(got, "Fig. 3b") || !strings.Contains(got, "implicit") || !strings.Contains(got, "m=4") {
-		t.Fatalf("title %q", got)
-	}
-	got = FigureTitle("5", "", true, 8)
-	if !strings.Contains(got, "constrained") {
-		t.Fatalf("title %q", got)
-	}
-}

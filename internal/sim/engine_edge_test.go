@@ -169,32 +169,6 @@ func TestXScalePathMatchesVDMap(t *testing.T) {
 	}
 }
 
-// TestSimulatePartitionAggregates: per-core results land in order and the
-// totals add up.
-func TestSimulatePartitionAggregates(t *testing.T) {
-	cores := []mcs.TaskSet{
-		{mcs.NewHC(0, 2, 4, 10)},
-		{mcs.NewLC(1, 3, 12)},
-		nil,
-	}
-	res := SimulatePartition(cores, Config{Horizon: 1000, Scenario: HiStorm{}})
-	if len(res.Cores) != 3 {
-		t.Fatalf("%d core results", len(res.Cores))
-	}
-	if res.Cores[2].Released != 0 {
-		t.Fatal("empty core released jobs")
-	}
-	if res.TotalSwitches() != len(res.Cores[0].Switches)+len(res.Cores[1].Switches) {
-		t.Fatal("TotalSwitches inconsistent")
-	}
-	if !res.OK() {
-		t.Fatalf("light cores missed: %+v", res)
-	}
-	if res.TotalMisses() != 0 {
-		t.Fatal("TotalMisses inconsistent with OK")
-	}
-}
-
 // zeroDemand is a pathological scenario claiming every job needs zero
 // execution time.
 type zeroDemand struct{}

@@ -63,7 +63,7 @@ type Config struct {
 	// after a mode switch (the standard mode-recovery assumption).
 	ResetOnIdle bool
 	// StopOnMiss aborts the core simulation at the first required-deadline
-	// miss (the validation loops use this).
+	// miss (the first-miss witness rebuild uses this).
 	StopOnMiss bool
 	// Tracer, when non-nil, receives every engine event (releases,
 	// execution chunks, completions, mode switches, drops, misses). Use a
@@ -101,51 +101,6 @@ type CoreResult struct {
 
 // OK reports a miss-free run.
 func (r CoreResult) OK() bool { return len(r.Misses) == 0 }
-
-// Result aggregates a partitioned simulation.
-type Result struct {
-	Cores []CoreResult
-}
-
-// OK reports a miss-free run across all cores.
-func (r Result) OK() bool {
-	for _, c := range r.Cores {
-		if !c.OK() {
-			return false
-		}
-	}
-	return true
-}
-
-// TotalMisses counts misses across cores.
-func (r Result) TotalMisses() int {
-	n := 0
-	for _, c := range r.Cores {
-		n += len(c.Misses)
-	}
-	return n
-}
-
-// TotalSwitches counts mode switches across cores.
-func (r Result) TotalSwitches() int {
-	n := 0
-	for _, c := range r.Cores {
-		n += len(c.Switches)
-	}
-	return n
-}
-
-// SimulatePartition simulates every core independently — the defining
-// property of partitioned scheduling: no migration, and a mode switch on
-// one core cannot affect another. The scenario is reused across cores (its
-// per-job draws are independent by task ID and job index).
-func SimulatePartition(cores []mcs.TaskSet, cfg Config) Result {
-	res := Result{Cores: make([]CoreResult, len(cores))}
-	for k, ts := range cores {
-		res.Cores[k] = SimulateCore(ts, cfg)
-	}
-	return res
-}
 
 // VDFromX converts a uniform scaling factor into a per-task virtual
 // deadline map: d_i = ⌈x·D_i⌉ for HC tasks, clamped into [1, D_i]. The

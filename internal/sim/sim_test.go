@@ -127,22 +127,23 @@ func TestPartitionedIsolation(t *testing.T) {
 	// disturb LC tasks on core 1.
 	core0 := mcs.TaskSet{mcs.NewHC(0, 2, 6, 10), mcs.NewLC(1, 2, 10)}
 	core1 := mcs.TaskSet{mcs.NewLC(2, 5, 10)}
-	r := SimulatePartition([]mcs.TaskSet{core0, core1}, Config{
-		Horizon:  100,
-		Scenario: SingleOverrun{OverrunTask: 0, OverrunJob: 2},
-		VD:       map[int]mcs.Ticks{0: 5},
-	})
-	if len(r.Cores[0].Switches) != 1 {
-		t.Fatalf("core 0 switches = %v", r.Cores[0].Switches)
+	r, err := SimulateSystem([]mcs.TaskSet{core0, core1},
+		[]CoreRuntime{{VD: map[int]mcs.Ticks{0: 5}}},
+		Spec{Horizon: 100, Scenario: SpecSingleOverrun, OverrunTask: 0, OverrunJob: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(r.Cores[1].Switches) != 0 || r.Cores[1].DroppedJobs != 0 {
+	if r.Cores[0].Switches != 1 {
+		t.Fatalf("core 0 switches = %d", r.Cores[0].Switches)
+	}
+	if r.Cores[1].Switches != 0 || r.Cores[1].Dropped != 0 {
 		t.Errorf("core 1 affected by core 0's switch: %+v", r.Cores[1])
 	}
 	if r.Cores[1].Completed != 10 {
 		t.Errorf("core 1 completed %d, want all 10", r.Cores[1].Completed)
 	}
-	if r.TotalSwitches() != 1 {
-		t.Errorf("TotalSwitches = %d", r.TotalSwitches())
+	if r.Switches != 1 {
+		t.Errorf("total switches = %d", r.Switches)
 	}
 }
 

@@ -128,8 +128,18 @@ func TestPublicSimulationValidatesAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if miss := ValidatePartitionBySimulation(p, PolicyVirtualDeadlineEDF, 20000, 1); miss != nil {
+	miss, err := ValidatePartitionBySimulation(p, "EDF-VD", 20000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if miss != nil {
 		t.Fatalf("accepted partition missed a deadline in simulation: %v", *miss)
+	}
+	if _, err := ValidatePartitionBySimulation(p, "EDF-VD", 0, 1); err == nil {
+		t.Error("non-positive horizon accepted")
+	}
+	if _, err := ValidatePartitionBySimulation(p, "warp-drive", 20000, 1); err == nil {
+		t.Error("unknown test accepted")
 	}
 }
 

@@ -6,7 +6,8 @@
 # instrumentation over every mcsched package, then drives them the way they
 # are used: mcload's five workloads (whose daemon inherits GOFLAGS and
 # GOCOVERDIR and writes its counters when SIGTERM stops it), every example,
-# mcsched over every strategy × test, and mcfigures over every figure.
+# mcsched over every strategy × test (and simulates each test's partition
+# under that test's runtime), and mcfigures over every figure.
 # Writes, under OUT:
 #   func.txt       go tool covdata func: coverage of every function
 #   unreached.txt  the functions no run entered (0.0 %)
@@ -51,9 +52,12 @@ for strategy in $("$cli" list | sed -n '/^strategies:/,/^tests:/p' | sed -n 's/^
 		done
 	done
 done
-"$cli" partition -q -m 4 -i "$out/run/set.json" -o "$out/run/part.json"
-for scenario in losteady historm random overrun; do
-	"$cli" simulate -i "$out/run/part.json" -scenario "$scenario" -trace 20 >/dev/null
+# Each test's own partition, simulated under the runtime that test certified.
+for test in $tests; do
+	"$cli" partition -q -m 4 -test "$test" -i "$out/run/set.json" -o "$out/run/part.json"
+	for scenario in losteady historm random overrun; do
+		"$cli" simulate -test "$test" -i "$out/run/part.json" -scenario "$scenario" -trace 20 >/dev/null
+	done
 done
 
 "$out/bin/mcfigures" -fig all -sets 20 -speedup -out "$out/run/figures" >/dev/null

@@ -1,6 +1,8 @@
 package mcsched
 
 import (
+	"fmt"
+
 	"mcsched/internal/admission"
 	"mcsched/internal/sim"
 )
@@ -13,11 +15,8 @@ import (
 // deadlines or priorities, execution scenario).
 type SimConfig = sim.Config
 
-// SimResult aggregates a partitioned simulation: per-core deadline misses,
-// mode switches, preemption and drop counts.
-type SimResult = sim.Result
-
-// CoreSimResult is the per-core portion of a SimResult.
+// CoreSimResult is one core's run: deadline misses, mode switches,
+// preemption and drop counts.
 type CoreSimResult = sim.CoreResult
 
 // DeadlineMiss records one required deadline miss observed in simulation.
@@ -65,13 +64,6 @@ func ScenarioSingleOverrun(taskID, jobIdx int) Scenario {
 	return sim.SingleOverrun{OverrunTask: taskID, OverrunJob: jobIdx}
 }
 
-// SimulatePartition runs every core of the partition independently under
-// the configuration — the defining isolation property of partitioned
-// scheduling.
-func SimulatePartition(p Partition, cfg SimConfig) SimResult {
-	return sim.SimulatePartition(p.Cores, cfg)
-}
-
 // SimulateCore runs a single core.
 func SimulateCore(ts TaskSet, cfg SimConfig) CoreSimResult {
 	return sim.SimulateCore(ts, cfg)
@@ -83,57 +75,42 @@ func VirtualDeadlinesFromX(ts TaskSet, x float64) map[int]Ticks {
 	return sim.VDFromX(ts, x)
 }
 
-// ValidatePartitionBySimulation simulates the partition under the LO-steady,
-// HI-storm and randomized scenarios with the virtual deadlines or priorities
-// implied by the named policy, and reports the first deadline miss found
-// (nil when all runs are miss-free). It is the library's executable
-// cross-check of an analytical acceptance.
-func ValidatePartitionBySimulation(p Partition, policy sim.PolicyKind, horizon Ticks, seed int64) *DeadlineMiss {
-	scenarios := []Scenario{
-		ScenarioLoSteady(),
-		ScenarioHiStorm(),
-		ScenarioRandom(seed, 0.2, 1.5),
-	}
-	for k, ts := range p.Cores {
-		if len(ts) == 0 {
-			continue
-		}
-		cfg := SimConfig{Horizon: horizon, Policy: policy, StopOnMiss: true}
-		switch policy {
-		case sim.VirtualDeadlineEDF:
-			res := AnalyzeEDFVD(ts)
-			x := res.X
-			if !res.Schedulable {
-				x = 1
-			}
-			cfg.VD = VirtualDeadlinesFromX(ts, x)
-		case sim.FixedPriority:
-			// Use the priorities the AMC analysis certified; fall back to
-			// deadline-monotonic when the core was not accepted by AMC.
-			if res := AnalyzeAMC(ts); res.Schedulable {
-				cfg.Priorities = res.Priority
-			} else {
-				cfg.Priorities = sim.DeadlineMonotonicPriorities(ts)
-			}
-		}
-		for _, sc := range scenarios {
-			cfg.Scenario = sc
-			r := sim.SimulateCore(ts, cfg)
-			if len(r.Misses) > 0 {
-				m := r.Misses[0]
-				_ = k
-				return &m
-			}
-		}
-	}
-	return nil
+// RuntimeForCore derives the runtime configuration one core executes under
+// the named schedulability test: EDF-VD's scaled virtual deadlines, EY's
+// and ECDF's per-task virtual deadlines, AMC's certified priorities, or
+// plain EDF. It is the one analysis-to-runtime mapping behind
+// SimulateAdmitted, ValidatePartitionBySimulation and the daemon's
+// simulations.
+func RuntimeForCore(testName string, ts TaskSet) SimCoreRuntime {
+	return admission.RuntimeForCore(testName, ts)
 }
 
-// DeadlineMonotonicPriorities assigns fixed priorities by increasing
-// relative deadline (ties: HC before LC, then by ID), the standard
-// constrained-deadline default for SimConfig.Priorities.
-func DeadlineMonotonicPriorities(ts TaskSet) map[int]int {
-	return sim.DeadlineMonotonicPriorities(ts)
+// ValidatePartitionBySimulation simulates the partition under the LO-steady,
+// HI-storm and randomized scenarios with the runtime the named test
+// certifies, and reports the first deadline miss found (nil when all runs
+// are miss-free). It is the library's executable cross-check of an
+// analytical acceptance. An unknown test name or a non-positive horizon is
+// an error.
+func ValidatePartitionBySimulation(p Partition, testName string, horizon Ticks, seed int64) (*DeadlineMiss, error) {
+	if _, ok := TestByName(testName); !ok {
+		return nil, fmt.Errorf("unknown test %q", testName)
+	}
+	for _, spec := range []SimSpec{
+		{Horizon: horizon, Scenario: SimLoSteady},
+		{Horizon: horizon, Scenario: SimHiStorm},
+		{Horizon: horizon, Scenario: SimRandom, Seed: seed, OverrunProb: 0.2, Jitter: 1.5},
+	} {
+		res, err := SimulateAdmitted(testName, p, spec)
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range res.Cores {
+			if c.FirstMiss != nil {
+				return c.FirstMiss, nil
+			}
+		}
+	}
+	return nil, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -28,7 +28,11 @@ func TestAcceptedPartitionsNeverMissEDFVD(t *testing.T) {
 			continue
 		}
 		checked++
-		if miss := ValidatePartitionBySimulation(p, PolicyVirtualDeadlineEDF, 50000, seed); miss != nil {
+		miss, err := ValidatePartitionBySimulation(p, "EDF-VD", 50000, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if miss != nil {
 			t.Fatalf("seed %d: accepted partition missed: %v\nset: %v", seed, *miss, ts)
 		}
 	}
@@ -58,7 +62,11 @@ func TestAcceptedPartitionsNeverMissAMC(t *testing.T) {
 			continue
 		}
 		checked++
-		if miss := ValidatePartitionBySimulation(p, PolicyFixedPriority, 50000, seed); miss != nil {
+		miss, err := ValidatePartitionBySimulation(p, "AMC-max", 50000, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if miss != nil {
 			t.Fatalf("seed %d: accepted partition missed: %v\nset: %v", seed, *miss, ts)
 		}
 	}
