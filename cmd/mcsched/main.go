@@ -272,10 +272,12 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 
-	// Also run the requested scenario per core for detailed counters.
+	// Also run the requested scenario per core for detailed counters. The
+	// validation above already rejected an unknown test name.
+	test, _ := mcsched.TestByName(*testName)
 	window := min(mcsched.Ticks(*trace), mcsched.Ticks(*horizon))
 	for k, ts := range p.Cores {
-		rt := mcsched.RuntimeForCore(*testName, ts)
+		rt := mcsched.RuntimeForCore(test, ts)
 		cfg := mcsched.SimConfig{Horizon: mcsched.Ticks(*horizon), Policy: rt.Policy,
 			VD: rt.VD, Priorities: rt.Priorities, Scenario: sc}
 		var rec *mcsched.TraceRecorder
@@ -310,11 +312,8 @@ func cmdList(args []string) error {
 		fmt.Printf("  %s\n", s.Name())
 	}
 	fmt.Println("tests:")
-	for _, t := range mcsched.Tests() {
-		fmt.Printf("  %s\n", t.Name())
+	for _, name := range mcsched.TestNames() {
+		fmt.Printf("  %s\n", name)
 	}
-	fmt.Println("  AMC-rtb")
-	fmt.Println("  EDF-util")
-	fmt.Println("  EDF-demand")
 	return nil
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -143,6 +144,53 @@ func TestCmdPartitionErrors(t *testing.T) {
 func TestCmdList(t *testing.T) {
 	if err := cmdList(nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stdoutOf runs f with os.Stdout redirected to a pipe and returns what it
+// printed.
+func stdoutOf(t *testing.T, f func() error) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	stdout := os.Stdout
+	os.Stdout = w
+	ferr := f()
+	os.Stdout = stdout
+	w.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ferr != nil {
+		t.Fatal(ferr)
+	}
+	return string(out)
+}
+
+// TestEveryTestNameListed: every name the test registry resolves is printed
+// by "mcsched list", and partition and simulate accept it with -test.
+func TestEveryTestNameListed(t *testing.T) {
+	_, listed, ok := strings.Cut(stdoutOf(t, func() error { return cmdList(nil) }), "tests:\n")
+	if !ok {
+		t.Fatal(`"mcsched list" prints no "tests:" section`)
+	}
+	dir := t.TempDir()
+	tsPath := genFile(t, dir, "-uhh", "0.3", "-ulh", "0.15", "-ull", "0.2")
+	for _, name := range mcsched.TestNames() {
+		if !strings.Contains(listed, "  "+name+"\n") {
+			t.Errorf("list does not print test %q:\n%s", name, listed)
+		}
+		partPath := filepath.Join(dir, "p.json")
+		if err := cmdPartition([]string{"-i", tsPath, "-o", partPath, "-m", "2", "-test", name, "-q"}); err != nil {
+			t.Fatalf("partition -test %s: %v", name, err)
+		}
+		if err := cmdSimulate([]string{"-i", partPath, "-horizon", "5000", "-test", name}); err != nil {
+			t.Fatalf("simulate -test %s: %v", name, err)
+		}
 	}
 }
 

@@ -173,7 +173,6 @@ func main() {
 		DataDir:       *dataDir,
 		Fsync:         *fsync,
 		SnapshotEvery: *snapshotEvery,
-		Tests:         mcsched.TestByName,
 		Follower:      *follow,
 	})
 	// Metrics come up before recovery so the journals opened during replay

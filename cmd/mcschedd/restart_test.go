@@ -12,7 +12,6 @@ import (
 	"reflect"
 	"testing"
 
-	"mcsched"
 	"mcsched/internal/admission"
 )
 
@@ -20,7 +19,6 @@ func journaledConfig(dir string) admission.Config {
 	cfg := admission.DefaultConfig()
 	cfg.DataDir = dir
 	cfg.SnapshotEvery = 5 // small, so the test crosses snapshot boundaries
-	cfg.Tests = mcsched.TestByName
 	return cfg
 }
 

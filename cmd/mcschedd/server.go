@@ -109,8 +109,8 @@ type createSystemRequest struct {
 	ID string `json:"id"`
 	// Processors is the core count m > 0.
 	Processors int `json:"processors"`
-	// Test names the uniprocessor schedulability test, e.g. "EDF-VD",
-	// "ECDF", "EY", "AMC-max", "AMC-rtb".
+	// Test names the uniprocessor schedulability test: one of
+	// mcsched.TestNames, which GET /v1/strategies lists.
 	Test string `json:"test"`
 	// Placement optionally names the placement heuristic (see GET
 	// /v1/strategies), including "<name>@<limit>" per-core utilization
@@ -448,10 +448,7 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 // schedulability tests, offline partitioning strategies, and the online
 // placement heuristics for the create request's "placement" field.
 func (s *server) handleStrategies(w http.ResponseWriter, r *http.Request) {
-	resp := strategiesResponse{Tests: []string{}, Strategies: []string{}, Placements: []placementInfo{}}
-	for _, t := range mcsched.Tests() {
-		resp.Tests = append(resp.Tests, t.Name())
-	}
+	resp := strategiesResponse{Tests: mcsched.TestNames(), Strategies: []string{}, Placements: []placementInfo{}}
 	for _, st := range mcsched.Strategies() {
 		resp.Strategies = append(resp.Strategies, st.Name())
 	}

@@ -99,12 +99,6 @@ type Config struct {
 	// its log. 0 selects DefaultSnapshotEvery; negative disables
 	// automatic snapshots (manual SnapshotSystem still works).
 	SnapshotEvery int
-	// Tests resolves a schedulability-test name from a journal back to a
-	// live core.Test during recovery. Required when DataDir is set and
-	// Recover is used; the mcsched facade wires its TestByName in by
-	// default.
-	Tests func(name string) (core.Test, bool)
-
 	// Follower starts the controller as a warm-standby replica: every
 	// write (create, admit, batch, release, remove) is rejected with
 	// ErrFollower until Promote, while reads and probes keep working and
@@ -231,7 +225,9 @@ const MaxProcessors = 4096
 // CreateSystem registers a new tenant over m processors gated by test,
 // packed by the configured default placement heuristic. An empty id draws
 // a fresh "s<n>" identifier (skipping any "s<n>" a client claimed
-// explicitly). The returned system is live immediately.
+// explicitly). The returned system is live immediately. Its journal
+// names test by Name(), so it recovers and replicates only when
+// core.TestByName resolves that name.
 func (c *Controller) CreateSystem(id string, m int, test core.Test) (*System, error) {
 	return c.CreateSystemWithPlacement(id, m, test, "")
 }

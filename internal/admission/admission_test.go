@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mcsched/internal/analysis/edfvd"
+	"mcsched/internal/core"
 	"mcsched/internal/mcs"
 	"mcsched/internal/taskgen"
 )
@@ -250,7 +251,7 @@ func TestTestsRunMatchesResponses(t *testing.T) {
 	c := newTestController()
 	rng := rand.New(rand.NewSource(15))
 	sum := 0
-	for i, test := range allTests() {
+	for i, test := range core.Tests() {
 		sys, err := c.CreateSystem(fmt.Sprintf("t%d", i), 4, test)
 		if err != nil {
 			t.Fatal(err)
@@ -385,7 +386,7 @@ func TestParallelConcurrentTenants(t *testing.T) {
 	ctrl := newTestController()
 	const tenants = 4
 	for i := 0; i < tenants; i++ {
-		if _, err := ctrl.CreateSystem(fmt.Sprintf("t%d", i), 4, allTests()[0]); err != nil {
+		if _, err := ctrl.CreateSystem(fmt.Sprintf("t%d", i), 4, core.Tests()[0]); err != nil {
 			t.Fatal(err)
 		}
 	}

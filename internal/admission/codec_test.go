@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"mcsched/internal/core"
 	"mcsched/internal/journal"
 	"mcsched/internal/journal/journaltest"
 	"mcsched/internal/mcs"
@@ -33,9 +34,9 @@ func reopen(t *testing.T, dir string) *Controller {
 // snapshot.
 func TestJournalWritesBinaryByDefault(t *testing.T) {
 	dir := t.TempDir()
-	ctrl := NewController(Config{DataDir: dir, Tests: resolveTest})
+	ctrl := NewController(Config{DataDir: dir})
 	defer ctrl.Close()
-	sys, err := ctrl.CreateSystem("b", 2, allTests()[0])
+	sys, err := ctrl.CreateSystem("b", 2, core.Tests()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestRecoverMixedCodecJournal(t *testing.T) {
 
 	// Generation 1: JSON records written by hand from the decisions of an
 	// unjournaled controller.
-	test := allTests()[0]
+	test := core.Tests()[0]
 	msys, err := NewController(Config{}).CreateSystem("m", 2, test)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +221,7 @@ func TestGroupCommitConcurrentDecisionsRecover(t *testing.T) {
 		cfg := crashConfig(dir)
 		cfg.Fsync = true
 		live := NewController(cfg)
-		sys, err := live.CreateSystem("g", 8, allTests()[0])
+		sys, err := live.CreateSystem("g", 8, core.Tests()[0])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mcsched/internal/core"
 	"mcsched/internal/journal"
 	"mcsched/internal/mcs"
 )
@@ -56,7 +57,6 @@ func crashConfig(dir string) Config {
 	cfg := DefaultConfig()
 	cfg.DataDir = dir
 	cfg.SnapshotEvery = -1
-	cfg.Tests = resolveTest
 	return cfg
 }
 
@@ -67,7 +67,7 @@ func crashConfig(dir string) Config {
 // test and the codec of the records they cut, which is always binary;
 // legacy JSON records are cut by TestRecoverMixedCodecJournal.
 func TestCrashRecoveryTornBatch(t *testing.T) {
-	for _, test := range allTests() {
+	for _, test := range core.Tests() {
 		test := test
 		t.Run(test.Name()+"/binary", func(t *testing.T) {
 			t.Parallel()
@@ -149,7 +149,7 @@ func TestCrashRecoveryEveryOffset(t *testing.T) {
 func crashRecoveryEveryOffset(t *testing.T) {
 	dir := t.TempDir()
 	live := NewController(crashConfig(dir))
-	sys, err := live.CreateSystem("p", 2, allTests()[0])
+	sys, err := live.CreateSystem("p", 2, core.Tests()[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,6 @@ func TestRollbackRestoresNextFitCursor(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.DataDir = t.TempDir()
 			cfg.SnapshotEvery = -1
-			cfg.Tests = resolveTest
 			leader := NewController(cfg)
 			sys, err := leader.CreateSystemWithPlacement("t", 3, edfvd.Test{}, "nf")
 			if err != nil {

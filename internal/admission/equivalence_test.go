@@ -5,24 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
-	"mcsched/internal/analysis/amc"
-	"mcsched/internal/analysis/ecdf"
-	"mcsched/internal/analysis/edfvd"
-	"mcsched/internal/analysis/ey"
 	"mcsched/internal/core"
 	"mcsched/internal/taskgen"
 )
-
-// allTests returns the paper's four uniprocessor tests, mirroring the
-// crosstest suite.
-func allTests() []core.Test {
-	return []core.Test{
-		edfvd.Test{},
-		ecdf.Test{Opts: ecdf.DefaultOptions()},
-		ey.Test{Opts: ey.DefaultOptions()},
-		amc.Test{Opts: amc.DefaultOptions()},
-	}
-}
 
 // certify asserts the invariant the whole subsystem exists to maintain:
 // every non-empty core of the snapshot passes the system's test — judged
@@ -46,7 +31,7 @@ func certify(t *testing.T, test core.Test, sys *System, when string) {
 // per-core task sets remain schedulable — the online analogue of
 // core.Algorithm.Verify.
 func TestEquivalenceRandomSequences(t *testing.T) {
-	for _, test := range allTests() {
+	for _, test := range core.Tests() {
 		test := test
 		t.Run(test.Name(), func(t *testing.T) {
 			t.Parallel()
@@ -117,7 +102,7 @@ func TestEquivalenceRandomSequences(t *testing.T) {
 // certified cores, and a rejected batch must leave the system exactly as
 // before — for every test.
 func TestEquivalenceBatchMatchesSequential(t *testing.T) {
-	for _, test := range allTests() {
+	for _, test := range core.Tests() {
 		test := test
 		t.Run(test.Name(), func(t *testing.T) {
 			t.Parallel()

@@ -45,9 +45,6 @@ func (c *Controller) followerGuard() error {
 	if !c.cfg.journaling() {
 		return errors.New("admission: follower requires a data directory")
 	}
-	if c.cfg.Tests == nil {
-		return errors.New("admission: Config.Tests resolver required to apply replicated systems")
-	}
 	return nil
 }
 

@@ -70,7 +70,7 @@ var goldenPlacements = []string{"", "nf", "bf-total@0.9"}
 func goldenFamilies() []core.Test {
 	rtb := amc.DefaultOptions()
 	rtb.Variant = amc.RTB
-	return append(allTests(), amc.Test{Opts: rtb})
+	return append(core.Tests(), amc.Test{Opts: rtb})
 }
 
 // churnTenant is one tenant's side of the churn: its own generator stream,
@@ -212,14 +212,6 @@ func runGoldenChurn(t *testing.T, workers int) map[string]goldenTenant {
 		Workers:       workers,
 		DataDir:       t.TempDir(),
 		SnapshotEvery: 6,
-		Tests: func(name string) (core.Test, bool) {
-			for _, test := range goldenFamilies() {
-				if test.Name() == name {
-					return test, true
-				}
-			}
-			return nil, false
-		},
 	}
 	ctrl := NewController(cfg)
 	var tenants []*churnTenant

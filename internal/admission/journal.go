@@ -346,9 +346,6 @@ func (c *Controller) Recover() (RecoveryStats, error) {
 	if !c.cfg.journaling() {
 		return rs, nil
 	}
-	if c.cfg.Tests == nil {
-		return rs, errors.New("admission: Config.Tests resolver required to recover journaled systems")
-	}
 	if !c.recoverOnce.CompareAndSwap(false, true) {
 		return rs, errors.New("admission: Recover called twice")
 	}

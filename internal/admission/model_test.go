@@ -405,7 +405,7 @@ func TestTenantStateMachineLockstep(t *testing.T) {
 				t.Parallel()
 				ls := &lockstep{t: t, rng: rand.New(rand.NewSource(int64(seed))), test: test, ops: map[string]int{}}
 				ls.cfg = DefaultConfig()
-				ls.cfg.DataDir, ls.cfg.SnapshotEvery, ls.cfg.Tests = t.TempDir(), 7, resolveTest
+				ls.cfg.DataDir, ls.cfg.SnapshotEvery = t.TempDir(), 7
 				ls.leader = NewController(ls.cfg)
 				ls.follower = NewController(ls.followerConfig(t.TempDir()))
 				for i := 0; i < steps; i++ {

@@ -57,13 +57,12 @@ func TestPlacementNamedDefaultBitIdentical(t *testing.T) {
 		snapEvery := snapEvery
 		t.Run(fmt.Sprintf("snapshotEvery=%d", snapEvery), func(t *testing.T) {
 			t.Parallel()
-			test := allTests()[0]
+			test := core.Tests()[0]
 			mk := func(placement string) (*Controller, *System, string) {
 				dir := t.TempDir()
 				cfg := DefaultConfig()
 				cfg.DataDir = dir
 				cfg.SnapshotEvery = snapEvery
-				cfg.Tests = resolveTest
 				c := NewController(cfg)
 				sys, err := c.CreateSystemWithPlacement("twin", 4, test, placement)
 				if err != nil {
@@ -151,7 +150,7 @@ func TestPlacementNamedDefaultBitIdentical(t *testing.T) {
 // rejected at tenant create and by Config.Placement defaulting — the
 // error is ErrUnknownPlacement, and nothing is journaled.
 func TestPlacementFailsClosed(t *testing.T) {
-	test := allTests()[0]
+	test := core.Tests()[0]
 	t.Run("create", func(t *testing.T) {
 		c := NewController(DefaultConfig())
 		for _, name := range []string{"nosuch", "ff@2.5", "ff@0", "@0.5"} {
@@ -198,7 +197,7 @@ func TestPlacementFailsClosed(t *testing.T) {
 // zoo of synonyms: on an adversarial load, worst-fit and first-fit pick
 // different cores.
 func TestPlacementHeuristicsDiverge(t *testing.T) {
-	test := allTests()[0]
+	test := core.Tests()[0]
 	c := NewController(DefaultConfig())
 	wf, err := c.CreateSystemWithPlacement("wf", 3, test, "wf-total")
 	if err != nil {

@@ -12,21 +12,12 @@ import (
 	"math/rand"
 	"testing"
 
+	"mcsched/internal/analysis/amc"
 	"mcsched/internal/core"
 	"mcsched/internal/mcs"
 	"mcsched/internal/mcsio"
 	"mcsched/internal/taskgen"
 )
-
-// resolveTest is the Config.Tests resolver for the in-package suites.
-func resolveTest(name string) (core.Test, bool) {
-	for _, t := range allTests() {
-		if t.Name() == name {
-			return t, true
-		}
-	}
-	return nil, false
-}
 
 // fingerprint is the suite's shorthand for the exported bit-precision
 // state oracle.
@@ -92,7 +83,7 @@ func driveRandomWorkload(t *testing.T, sys *System, test core.Test, seed int64, 
 }
 
 func TestReplayEquivalenceRandomSequences(t *testing.T) {
-	for _, test := range allTests() {
+	for _, test := range core.Tests() {
 		for _, snapEvery := range []int{-1, 5} {
 			test, snapEvery := test, snapEvery
 			name := fmt.Sprintf("%s/snapshotEvery=%d", test.Name(), snapEvery)
@@ -102,7 +93,6 @@ func TestReplayEquivalenceRandomSequences(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.DataDir = dir
 				cfg.SnapshotEvery = snapEvery
-				cfg.Tests = resolveTest
 
 				live := NewController(cfg)
 				sys, err := live.CreateSystem("eq", 4, test)
@@ -184,13 +174,12 @@ func TestReplayEquivalenceRandomSequences(t *testing.T) {
 // through a journaled and an unjournaled controller: journaling must not
 // change a single decision or analysis count.
 func TestReplayEquivalenceJournalingTransparent(t *testing.T) {
-	for _, test := range allTests() {
+	for _, test := range core.Tests() {
 		test := test
 		t.Run(test.Name(), func(t *testing.T) {
 			t.Parallel()
 			jcfg := DefaultConfig()
 			jcfg.DataDir = t.TempDir()
-			jcfg.Tests = resolveTest
 			journaled := NewController(jcfg)
 			plain := NewController(DefaultConfig())
 			a, err := journaled.CreateSystem("x", 3, test)
@@ -246,10 +235,9 @@ func TestRecoverMultiTenant(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DataDir = dir
 	cfg.SnapshotEvery = 4
-	cfg.Tests = resolveTest
 
 	live := NewController(cfg)
-	tests := allTests()
+	tests := core.Tests()
 	for i, test := range tests {
 		sys, err := live.CreateSystem(fmt.Sprintf("tenant-%d", i), 2+i%3, test)
 		if err != nil {
@@ -325,9 +313,8 @@ func TestRecoverFailsClosed(t *testing.T) {
 		dir := t.TempDir()
 		cfg := DefaultConfig()
 		cfg.DataDir = dir
-		cfg.Tests = resolveTest
 		live := NewController(cfg)
-		sys, err := live.CreateSystem("d", 2, allTests()[0])
+		sys, err := live.CreateSystem("d", 2, core.Tests()[0])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -355,15 +342,15 @@ func TestRecoverFailsClosed(t *testing.T) {
 		dir := t.TempDir()
 		cfg := DefaultConfig()
 		cfg.DataDir = dir
-		cfg.Tests = resolveTest
 		live := NewController(cfg)
-		if _, err := live.CreateSystem("d", 2, allTests()[0]); err != nil {
+		// AMC-rtb under deadline-monotonic priorities admits fine, but the
+		// core.TestByName registry has no name for it.
+		unregistered := amc.Test{Opts: amc.Options{Variant: amc.RTB, Policy: amc.DeadlineMonotonic}}
+		if _, err := live.CreateSystem("d", 2, unregistered); err != nil {
 			t.Fatal(err)
 		}
 		live.Close()
-		rcfg := cfg
-		rcfg.Tests = func(string) (core.Test, bool) { return nil, false }
-		rec := NewController(rcfg)
+		rec := NewController(cfg)
 		if _, err := rec.Recover(); err == nil {
 			t.Fatal("journal with unresolvable test recovered without error")
 		}
@@ -372,14 +359,13 @@ func TestRecoverFailsClosed(t *testing.T) {
 		dir := t.TempDir()
 		cfg := DefaultConfig()
 		cfg.DataDir = dir
-		cfg.Tests = resolveTest
 		live := NewController(cfg)
-		if _, err := live.CreateSystem("d", 2, allTests()[0]); err != nil {
+		if _, err := live.CreateSystem("d", 2, core.Tests()[0]); err != nil {
 			t.Fatal(err)
 		}
 		live.Close()
 		fresh := NewController(cfg) // skipped Recover
-		if _, err := fresh.CreateSystem("d", 2, allTests()[0]); err == nil {
+		if _, err := fresh.CreateSystem("d", 2, core.Tests()[0]); err == nil {
 			t.Fatal("create over an existing journal accepted")
 		}
 	})

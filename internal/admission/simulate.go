@@ -17,6 +17,7 @@ import (
 	"mcsched/internal/analysis/ecdf"
 	"mcsched/internal/analysis/edfvd"
 	"mcsched/internal/analysis/ey"
+	"mcsched/internal/core"
 	"mcsched/internal/mcs"
 	"mcsched/internal/sim"
 )
@@ -40,57 +41,45 @@ type SimOutcome struct {
 // under, given the schedulability test that admitted it. The mapping is the
 // analysis-to-runtime contract of the paper: EDF-VD cores run
 // virtual-deadline EDF with deadlines scaled by the certified x; EY and
-// ECDF cores run it with their per-task assigned virtual deadlines; AMC
-// cores run fixed-priority with the certified (Audsley or
-// deadline-monotonic) order; the plain-EDF baselines run EDF on real
-// deadlines. Unknown test names fall back conservatively: EDF on real
-// deadlines, which is exactly what an uncertified core would run.
+// ECDF cores run it with the per-task virtual deadlines their analysis
+// assigns under the test's own options; AMC cores run fixed-priority with
+// the order the test's variant and priority policy certify. Every other
+// test — the plain-EDF baselines, a test of the caller's own, nil — runs
+// EDF on real deadlines, which is exactly what an uncertified core would
+// run.
 //
 // Each variant degrades safely when the analysis no longer accepts the
 // core (possible only for a partition assembled outside admission): the
 // runtime falls back to real deadlines or deadline-monotonic priorities
 // rather than failing, so the simulation still executes something
 // well-defined.
-func RuntimeForCore(test string, ts mcs.TaskSet) sim.CoreRuntime {
-	switch test {
-	case "EDF-VD":
+func RuntimeForCore(test core.Test, ts mcs.TaskSet) sim.CoreRuntime {
+	switch t := test.(type) {
+	case edfvd.Test:
 		r := edfvd.Analyze(ts)
 		if r.Schedulable && !r.PlainEDF {
 			return sim.CoreRuntime{Policy: sim.VirtualDeadlineEDF, VD: sim.VDFromX(ts, r.X)}
 		}
-		return sim.CoreRuntime{Policy: sim.VirtualDeadlineEDF}
-	case "EY":
-		r := ey.Analyze(ts, ey.DefaultOptions())
-		if r.Schedulable {
+	case ey.Test:
+		if r := ey.Analyze(ts, t.Opts); r.Schedulable {
 			return sim.CoreRuntime{Policy: sim.VirtualDeadlineEDF, VD: r.VD}
 		}
-		return sim.CoreRuntime{Policy: sim.VirtualDeadlineEDF}
-	case "ECDF":
-		r := ecdf.Analyze(ts, ecdf.DefaultOptions())
-		if r.Schedulable {
+	case ecdf.Test:
+		if r := ecdf.Analyze(ts, t.Opts); r.Schedulable {
 			return sim.CoreRuntime{Policy: sim.VirtualDeadlineEDF, VD: r.VD}
 		}
-		return sim.CoreRuntime{Policy: sim.VirtualDeadlineEDF}
-	case "AMC-max", "AMC-rtb", "AMC-max(dm)", "AMC-rtb(dm)":
-		opts := amc.Options{Variant: amc.Max}
-		if test == "AMC-rtb" || test == "AMC-rtb(dm)" {
-			opts.Variant = amc.RTB
-		}
-		if test == "AMC-max(dm)" || test == "AMC-rtb(dm)" {
-			opts.Policy = amc.DeadlineMonotonic
-		}
-		if r := amc.Analyze(ts, opts); r.Schedulable {
+	case amc.Test:
+		if r := amc.Analyze(ts, t.Opts); r.Schedulable {
 			return sim.CoreRuntime{Policy: sim.FixedPriority, Priorities: r.Priority}
 		}
-		return sim.CoreRuntime{Policy: sim.FixedPriority, Priorities: sim.DeadlineMonotonicPriorities(ts)}
-	default: // "EDF-util", "EDF-demand", and anything unknown: plain EDF
-		return sim.CoreRuntime{Policy: sim.VirtualDeadlineEDF}
+		return sim.CoreRuntime{Policy: sim.FixedPriority, Priorities: amc.DeadlineMonotonicPriorities(ts)}
 	}
+	return sim.CoreRuntime{Policy: sim.VirtualDeadlineEDF}
 }
 
 // RuntimeForPartition derives per-core runtime configurations for a whole
 // partition under one test.
-func RuntimeForPartition(test string, cores []mcs.TaskSet) []sim.CoreRuntime {
+func RuntimeForPartition(test core.Test, cores []mcs.TaskSet) []sim.CoreRuntime {
 	rt := make([]sim.CoreRuntime, len(cores))
 	for k, ts := range cores {
 		rt[k] = RuntimeForCore(test, ts)
@@ -112,7 +101,8 @@ func (s *System) Simulate(spec sim.Spec) (SimOutcome, error) {
 		start = time.Now()
 	}
 	p := s.Snapshot()
-	test := s.TestName()
+	name := s.TestName()
+	test, _ := core.TestByName(name)
 	res, err := sim.SimulateSystem(p.Cores, RuntimeForPartition(test, p.Cores), spec)
 	if err != nil {
 		return SimOutcome{}, fmt.Errorf("%w: %v", ErrBadScenario, err)
@@ -121,7 +111,7 @@ func (s *System) Simulate(spec sim.Spec) (SimOutcome, error) {
 	if m != nil && m.simulateSeconds != nil {
 		m.simulateSeconds.Observe(time.Since(start))
 	}
-	return SimOutcome{System: s.id, Test: test, Tasks: p.NumTasks(), Result: res}, nil
+	return SimOutcome{System: s.id, Test: name, Tasks: p.NumTasks(), Result: res}, nil
 }
 
 // Simulate resolves the tenant and executes Simulate on it.

@@ -6,7 +6,11 @@ import (
 	"testing"
 
 	"mcsched/internal/analysis/amc"
+	"mcsched/internal/analysis/ecdf"
+	"mcsched/internal/analysis/edf"
 	"mcsched/internal/analysis/edfvd"
+	"mcsched/internal/analysis/ey"
+	"mcsched/internal/core"
 	"mcsched/internal/mcs"
 	"mcsched/internal/sim"
 )
@@ -23,50 +27,61 @@ func TestRuntimeForCoreContract(t *testing.T) {
 	if !r.Schedulable || r.PlainEDF {
 		t.Fatalf("fixture not EDF-VD-schedulable with scaling: %+v", r)
 	}
-	rt := RuntimeForCore("EDF-VD", ts)
+	rt := RuntimeForCore(edfvd.Test{}, ts)
 	if rt.Policy != sim.VirtualDeadlineEDF || !reflect.DeepEqual(rt.VD, sim.VDFromX(ts, r.X)) {
 		t.Errorf("EDF-VD runtime: %+v", rt)
 	}
 
 	// EY and ECDF carry their per-task virtual deadline assignment.
-	for _, name := range []string{"EY", "ECDF"} {
-		rt := RuntimeForCore(name, ts)
+	for _, test := range []core.Test{ey.Test{Opts: ey.DefaultOptions()}, ecdf.Test{Opts: ecdf.DefaultOptions()}} {
+		rt := RuntimeForCore(test, ts)
 		if rt.Policy != sim.VirtualDeadlineEDF || len(rt.VD) == 0 {
-			t.Errorf("%s runtime: %+v", name, rt)
+			t.Errorf("%s runtime: %+v", test.Name(), rt)
 		}
 	}
 
-	// AMC variants run fixed-priority with the certified order.
-	for _, name := range []string{"AMC-max", "AMC-rtb", "AMC-max(dm)", "AMC-rtb(dm)"} {
-		rt := RuntimeForCore(name, ts)
+	// AMC variants run fixed-priority with the certified order; AMC-rtb
+	// under deadline-monotonic priorities is not in the registry, but its
+	// value still maps by its own options.
+	for _, opts := range []amc.Options{
+		{Variant: amc.Max}, {Variant: amc.RTB},
+		{Variant: amc.Max, Policy: amc.DeadlineMonotonic}, {Variant: amc.RTB, Policy: amc.DeadlineMonotonic},
+	} {
+		rt := RuntimeForCore(amc.Test{Opts: opts}, ts)
 		if rt.Policy != sim.FixedPriority || len(rt.Priorities) != len(ts) {
-			t.Errorf("%s runtime: %+v", name, rt)
+			t.Errorf("%s runtime: %+v", amc.Test{Opts: opts}.Name(), rt)
 		}
 	}
 	if res := amc.Analyze(ts, amc.Options{Variant: amc.Max}); res.Schedulable {
-		if rt := RuntimeForCore("AMC-max", ts); !reflect.DeepEqual(rt.Priorities, res.Priority) {
+		if rt := RuntimeForCore(amc.Test{Opts: amc.DefaultOptions()}, ts); !reflect.DeepEqual(rt.Priorities, res.Priority) {
 			t.Errorf("AMC-max priorities not the certified ones: %+v vs %+v", rt.Priorities, res.Priority)
 		}
 	} else {
 		t.Fatalf("fixture not AMC-max-schedulable: %+v", res)
 	}
 
-	// Utilization baselines and unknown names fall back to plain EDF on
-	// real deadlines.
-	for _, name := range []string{"EDF-util", "EDF-demand", "mystery-test"} {
-		rt := RuntimeForCore(name, ts)
+	// Utilization baselines, nil and tests outside the families fall back
+	// to plain EDF on real deadlines.
+	for _, test := range []core.Test{edf.Test{}, edf.Test{Demand: true}, nil, mysteryTest{}} {
+		rt := RuntimeForCore(test, ts)
 		if rt.Policy != sim.VirtualDeadlineEDF || rt.VD != nil || rt.Priorities != nil {
-			t.Errorf("%s runtime not plain EDF: %+v", name, rt)
+			t.Errorf("%T runtime not plain EDF: %+v", test, rt)
 		}
 	}
 
 	// AMC on a core the analysis rejects still executes: DM fallback.
 	over := mcs.TaskSet{hc(1, 5, 9, 10), hc(2, 5, 9, 10)}
-	rt = RuntimeForCore("AMC-max", over)
-	if rt.Policy != sim.FixedPriority || !reflect.DeepEqual(rt.Priorities, sim.DeadlineMonotonicPriorities(over)) {
+	rt = RuntimeForCore(amc.Test{Opts: amc.DefaultOptions()}, over)
+	if rt.Policy != sim.FixedPriority || !reflect.DeepEqual(rt.Priorities, amc.DeadlineMonotonicPriorities(over)) {
 		t.Errorf("AMC fallback runtime: %+v", rt)
 	}
 }
+
+// mysteryTest is a test of the caller's own, outside every family.
+type mysteryTest struct{}
+
+func (mysteryTest) Name() string                 { return "mystery-test" }
+func (mysteryTest) Schedulable(mcs.TaskSet) bool { return true }
 
 // TestSimulateTenant: a live tenant simulates deterministically, the run is
 // a pure read, and the controller counts it.

@@ -70,14 +70,15 @@ func (c *Controller) newTenant(id string, m int, test core.Test, placement strin
 	}, nil
 }
 
-// describedTest resolves the schedulability test a journaled description of
-// tenant id — a create-system record or a snapshot — names, after checking
-// that the description is of that tenant at all.
+// describedTest resolves, through the core.TestByName registry, the
+// schedulability test a journaled description of tenant id — a
+// create-system record or a snapshot — names, after checking that the
+// description is of that tenant at all.
 func (c *Controller) describedTest(id, named, test string) (core.Test, error) {
 	if named != id {
 		return nil, fmt.Errorf("%w: journal of %q describes system %q", ErrReplayDivergence, id, named)
 	}
-	t, ok := c.cfg.Tests(test)
+	t, ok := core.TestByName(test)
 	if !ok {
 		return nil, fmt.Errorf("admission: unknown schedulability test %q in the journal of %q", test, id)
 	}

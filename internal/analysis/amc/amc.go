@@ -87,28 +87,37 @@ func Analyze(ts mcs.TaskSet, opts Options) Result {
 // Schedulable is the boolean wrapper with default options.
 func Schedulable(ts mcs.TaskSet) bool { return Analyze(ts, DefaultOptions()).Schedulable }
 
-// dmOrder returns task IDs ordered highest priority first by deadline
-// monotonic, breaking ties HC-first then by ID.
+// DeadlineMonotonicPriorities assigns fixed priorities (task ID → level,
+// 0 = highest) in deadline-monotonic order: increasing relative deadline,
+// ties HC first, then by ID. It is the order the DeadlineMonotonic policy
+// analyzes, and the fallback runtime of a fixed-priority core without a
+// certified order.
+func DeadlineMonotonicPriorities(ts mcs.TaskSet) map[int]int { return orderToPriority(dmOrder(ts)) }
+
+// dmOrder returns task IDs ordered highest priority first by dmLess.
 func dmOrder(ts mcs.TaskSet) []int {
 	idx := make([]int, len(ts))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ta, tb := ts[idx[a]], ts[idx[b]]
-		if ta.Deadline != tb.Deadline {
-			return ta.Deadline < tb.Deadline
-		}
-		if ta.Crit != tb.Crit {
-			return ta.Crit == mcs.HI
-		}
-		return ta.ID < tb.ID
-	})
+	sort.SliceStable(idx, func(a, b int) bool { return dmLess(ts[idx[a]], ts[idx[b]]) })
 	order := make([]int, len(idx))
 	for p, i := range idx {
 		order[p] = ts[i].ID
 	}
 	return order
+}
+
+// dmLess is the deadline-monotonic order: deadline, then HC-first, then
+// ID — a strict total order for unique IDs.
+func dmLess(x, y mcs.Task) bool {
+	if x.Deadline != y.Deadline {
+		return x.Deadline < y.Deadline
+	}
+	if x.Crit != y.Crit {
+		return x.Crit == mcs.HI
+	}
+	return x.ID < y.ID
 }
 
 func orderToPriority(order []int) map[int]int {

@@ -270,3 +270,18 @@ func BenchmarkAnalyzeMax(b *testing.B) {
 		Analyze(sets[i%len(sets)], DefaultOptions())
 	}
 }
+
+// TestDeadlineMonotonicPriorities: ordering by deadline, HC-first ties,
+// ID as the final tiebreak.
+func TestDeadlineMonotonicPriorities(t *testing.T) {
+	ts := mcs.TaskSet{
+		mcs.NewLC(10, 1, 30),                  // D=30
+		mcs.NewHCConstrained(11, 1, 2, 30, 8), // D=8
+		mcs.NewLC(12, 1, 8),                   // D=8, LC loses the tie
+		mcs.NewLC(13, 1, 5),                   // D=5, tightest
+	}
+	p := DeadlineMonotonicPriorities(ts)
+	if p[13] != 0 || p[11] != 1 || p[12] != 2 || p[10] != 3 {
+		t.Fatalf("unexpected priority order: %v", p)
+	}
+}

@@ -84,9 +84,6 @@ type Analyzer struct {
 // NewAnalyzer implements kernel.Incremental for Test.
 func (t Test) NewAnalyzer() kernel.Analyzer { return &Analyzer{opts: t.Opts} }
 
-// Name implements kernel.Analyzer.
-func (a *Analyzer) Name() string { return Test{Opts: a.opts}.Name() }
-
 // Counters implements kernel.Analyzer.
 func (a *Analyzer) Counters() *kernel.Counters { return &a.ctr }
 
@@ -426,18 +423,6 @@ func (a *Analyzer) promote(ts mcs.TaskSet, byPrio []mcs.Task, los, his []mcs.Tic
 	a.posLO = append(a.posLO[:0], los...)
 	a.posHI = append(a.posHI[:0], his...)
 	a.valid, a.seedOK = true, true
-}
-
-// dmLess is the deadline-monotonic comparator of dmOrder: deadline, then
-// HC-first, then ID — a strict total order for unique IDs.
-func dmLess(x, y mcs.Task) bool {
-	if x.Deadline != y.Deadline {
-		return x.Deadline < y.Deadline
-	}
-	if x.Crit != y.Crit {
-		return x.Crit == mcs.HI
-	}
-	return x.ID < y.ID
 }
 
 // insertionSort sorts buf stably by less without allocating; the orders it

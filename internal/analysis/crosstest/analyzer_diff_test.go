@@ -241,16 +241,6 @@ func TestAnalyzerForgetUnknownID(t *testing.T) {
 	}
 }
 
-// TestAnalyzerNamesMatch: an analyzer must report its family's name, since
-// journals and registries key on it.
-func TestAnalyzerNamesMatch(t *testing.T) {
-	for _, test := range analyzerFamilies() {
-		if got := test.NewAnalyzer().Name(); got != test.Name() {
-			t.Errorf("analyzer name %q != test name %q", got, test.Name())
-		}
-	}
-}
-
 // TestAnalyzerFilterCounters asserts the headline filters actually fire on
 // sets built to trigger them, so the /v1/stats counters are not
 // dead-on-arrival.

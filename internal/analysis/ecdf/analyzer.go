@@ -41,9 +41,6 @@ func (t Test) NewAnalyzer() kernel.Analyzer {
 	return &Analyzer{opts: o}
 }
 
-// Name implements kernel.Analyzer.
-func (a *Analyzer) Name() string { return Test{}.Name() }
-
 // Schedulable implements kernel.Analyzer; the verdict is bit-identical to
 // Test.Schedulable.
 func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {

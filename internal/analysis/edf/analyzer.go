@@ -50,9 +50,6 @@ type Analyzer struct {
 // NewAnalyzer implements kernel.Incremental for Test.
 func (t Test) NewAnalyzer() kernel.Analyzer { return &Analyzer{demand: t.Demand} }
 
-// Name implements kernel.Analyzer.
-func (a *Analyzer) Name() string { return Test{Demand: a.demand}.Name() }
-
 // Schedulable implements kernel.Analyzer.
 func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {
 	if !a.demand {

@@ -28,9 +28,6 @@ type Analyzer struct {
 // NewAnalyzer implements kernel.Incremental for Test.
 func (Test) NewAnalyzer() kernel.Analyzer { return &Analyzer{} }
 
-// Name implements kernel.Analyzer.
-func (a *Analyzer) Name() string { return Test{}.Name() }
-
 // Schedulable implements kernel.Analyzer. The verdict is Analyze's,
 // bit-identical by construction on both the cold and the warm path.
 func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {

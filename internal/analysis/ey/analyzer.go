@@ -62,9 +62,6 @@ func (t Test) NewAnalyzer() kernel.Analyzer {
 	return &Analyzer{opts: o}
 }
 
-// Name implements kernel.Analyzer.
-func (a *Analyzer) Name() string { return Test{}.Name() }
-
 // QuickState is the fold state of the fast-path filters shared by EY and
 // ECDF (package ecdf imports it): the same filters front both tests
 // because ECDF's search can only succeed where some assignment passes the

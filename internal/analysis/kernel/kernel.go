@@ -53,7 +53,8 @@ type Test interface {
 // callers typically pass scratch slices that are invalid after the call
 // returns.
 type Analyzer interface {
-	Test
+	// Schedulable decides the given uniprocessor task set.
+	Schedulable(mcs.TaskSet) bool
 	// Forget informs the analyzer that the task with the given ID left the
 	// core it models, so memoized artifacts can be pruned instead of
 	// discarded. Unknown IDs are ignored.
@@ -133,9 +134,6 @@ type Stateless struct {
 
 // NewStateless wraps t.
 func NewStateless(t Test) *Stateless { return &Stateless{T: t} }
-
-// Name implements Analyzer.
-func (s *Stateless) Name() string { return s.T.Name() }
 
 // Schedulable implements Analyzer by delegating to the stateless test.
 func (s *Stateless) Schedulable(ts mcs.TaskSet) bool {

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"mcsched/internal/admission"
+	"mcsched/internal/core"
 	"mcsched/internal/mcs"
 )
 
@@ -22,7 +23,6 @@ func benchLeader(b *testing.B, dir string) *admission.Controller {
 	cfg := admission.DefaultConfig()
 	cfg.DataDir = dir
 	cfg.SnapshotEvery = -1
-	cfg.Tests = resolveTest
 	ctrl := admission.NewController(cfg)
 	if _, err := ctrl.Recover(); err != nil {
 		b.Fatal(err)
@@ -35,7 +35,6 @@ func benchFollower(b *testing.B, dir string) (*admission.Controller, *httptest.S
 	cfg := admission.DefaultConfig()
 	cfg.DataDir = dir
 	cfg.SnapshotEvery = -1
-	cfg.Tests = resolveTest
 	cfg.Follower = true
 	ctrl := admission.NewController(cfg)
 	if _, err := ctrl.Recover(); err != nil {
@@ -71,7 +70,7 @@ func BenchmarkReplicationLagSingle(b *testing.B) {
 	ship.Start()
 	defer ship.Stop()
 
-	sys, err := leader.CreateSystem("bench", 8, allTests()[0])
+	sys, err := leader.CreateSystem("bench", 8, core.Tests()[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -111,7 +110,7 @@ func BenchmarkReplicationStreamBatch64(b *testing.B) {
 	ship.Start()
 	defer ship.Stop()
 
-	sys, err := leader.CreateSystem("bench", 8, allTests()[0])
+	sys, err := leader.CreateSystem("bench", 8, core.Tests()[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -144,7 +143,7 @@ func BenchmarkReplicationStreamBatch64(b *testing.B) {
 func BenchmarkFollowerApplyRecords(b *testing.B) {
 	leader := benchLeader(b, b.TempDir())
 	defer leader.Close()
-	sys, err := leader.CreateSystem("bench", 4, allTests()[0])
+	sys, err := leader.CreateSystem("bench", 4, core.Tests()[0])
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -199,7 +198,7 @@ func BenchmarkReplicationHookOverhead(b *testing.B) {
 					Removed:   func(string) {},
 				})
 			}
-			sys, err := leader.CreateSystem("bench", 8, allTests()[0])
+			sys, err := leader.CreateSystem("bench", 8, core.Tests()[0])
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -20,38 +20,15 @@ import (
 	"time"
 
 	"mcsched/internal/admission"
-	"mcsched/internal/analysis/amc"
-	"mcsched/internal/analysis/ecdf"
-	"mcsched/internal/analysis/edfvd"
-	"mcsched/internal/analysis/ey"
 	"mcsched/internal/core"
 	"mcsched/internal/mcs"
 	"mcsched/internal/taskgen"
 )
 
-func allTests() []core.Test {
-	return []core.Test{
-		edfvd.Test{},
-		ecdf.Test{Opts: ecdf.DefaultOptions()},
-		ey.Test{Opts: ey.DefaultOptions()},
-		amc.Test{Opts: amc.DefaultOptions()},
-	}
-}
-
-func resolveTest(name string) (core.Test, bool) {
-	for _, t := range allTests() {
-		if t.Name() == name {
-			return t, true
-		}
-	}
-	return nil, false
-}
-
 func leaderConfig(dir string, snapEvery int) admission.Config {
 	cfg := admission.DefaultConfig()
 	cfg.DataDir = dir
 	cfg.SnapshotEvery = snapEvery
-	cfg.Tests = resolveTest
 	return cfg
 }
 
@@ -181,7 +158,7 @@ func TestFailoverEquivalenceEveryIndex(t *testing.T) {
 	if testing.Short() {
 		rounds = 2
 	}
-	for _, test := range allTests() {
+	for _, test := range core.Tests() {
 		for _, snapEvery := range []int{-1, 3} {
 			test, snapEvery := test, snapEvery
 			t.Run(fmt.Sprintf("%s/snapshotEvery=%d", test.Name(), snapEvery), func(t *testing.T) {
@@ -298,7 +275,7 @@ func TestFailoverEquivalenceEveryIndex(t *testing.T) {
 // leader has compacted its journal must catch up through a snapshot frame
 // and still end bit-identical.
 func TestFailoverCatchUpFromSnapshot(t *testing.T) {
-	test := allTests()[0]
+	test := core.Tests()[0]
 	leaderDir := t.TempDir()
 	leader := admission.NewController(leaderConfig(leaderDir, 4))
 	if _, err := leader.Recover(); err != nil {
@@ -344,7 +321,7 @@ func TestFailoverMultiTenantWithRemoval(t *testing.T) {
 	fctrl, _, srv := newFollower(t, t.TempDir())
 	ship := connect(t, leader, srv.URL)
 
-	tests := allTests()
+	tests := core.Tests()
 	for i, test := range tests {
 		sys, err := leader.CreateSystem(fmt.Sprintf("tenant-%d", i), 2+i%3, test)
 		if err != nil {

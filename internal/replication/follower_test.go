@@ -18,6 +18,7 @@ import (
 	"testing"
 
 	"mcsched/internal/admission"
+	"mcsched/internal/core"
 	"mcsched/internal/journal/journaltest"
 	"mcsched/internal/mcs"
 	"mcsched/internal/mcsio"
@@ -31,7 +32,7 @@ func buildLeaderHistory(t *testing.T, n int) (*admission.Controller, [][]byte) {
 	if _, err := leader.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := leader.CreateSystem("t", 2, allTests()[0])
+	sys, err := leader.CreateSystem("t", 2, core.Tests()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +337,7 @@ func TestFollowerRejectsWritesUntilPromoted(t *testing.T) {
 	}
 
 	// Controller-level writes are fenced.
-	if _, err := fctrl.CreateSystem("new", 2, allTests()[0]); !errors.Is(err, admission.ErrFollower) {
+	if _, err := fctrl.CreateSystem("new", 2, core.Tests()[0]); !errors.Is(err, admission.ErrFollower) {
 		t.Fatalf("follower CreateSystem: %v, want ErrFollower", err)
 	}
 	if err := fctrl.RemoveSystem("t"); !errors.Is(err, admission.ErrFollower) {
@@ -420,7 +421,7 @@ func TestShipperResyncAfterLeaderRestart(t *testing.T) {
 	if _, err := leader.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := leader.CreateSystem("t", 2, allTests()[0])
+	sys, err := leader.CreateSystem("t", 2, core.Tests()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +497,6 @@ func TestFollowerRestartResumes(t *testing.T) {
 func TestReceiverRequiresJournaledFollower(t *testing.T) {
 	cfg := admission.DefaultConfig()
 	cfg.Follower = true
-	cfg.Tests = resolveTest
 	ctrl := admission.NewController(cfg) // no DataDir
 	if _, _, err := ctrl.ApplyReplicatedRecords("t", 1, [][]byte{[]byte("{}")}); err == nil {
 		t.Fatal("memory-only follower accepted records")

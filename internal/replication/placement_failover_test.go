@@ -12,12 +12,13 @@ import (
 	"testing"
 
 	"mcsched/internal/admission"
+	"mcsched/internal/core"
 )
 
 // TestFailoverPlacementSnapshotCatchUp: a follower that attaches late must
 // learn the heuristic (and the nf cursor) from the snapshot frame alone.
 func TestFailoverPlacementSnapshotCatchUp(t *testing.T) {
-	test := allTests()[0]
+	test := core.Tests()[0]
 	leaderDir := t.TempDir()
 	leader := admission.NewController(leaderConfig(leaderDir, 3))
 	if _, err := leader.Recover(); err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"mcsched/internal/admission"
+	"mcsched/internal/core"
 	"mcsched/internal/journal"
 	"mcsched/internal/journal/journaltest"
 	"mcsched/internal/mcs"
@@ -27,7 +28,7 @@ import (
 // TestMixedCodecLeaderReplicates.
 func TestReplicationTransportCodecMatrix(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
-		test := allTests()[0]
+		test := core.Tests()[0]
 		lcfg := leaderConfig(t.TempDir(), 3)
 		leader := admission.NewController(lcfg)
 		if _, err := leader.Recover(); err != nil {
@@ -184,7 +185,7 @@ func outageRig(t *testing.T, refusals int64) (ship *Shipper, proxy *httptest.Ser
 	t.Cleanup(proxy.Close)
 
 	ship = connect(t, leader, proxy.URL)
-	sys, err := leader.CreateSystem("t", 2, allTests()[0])
+	sys, err := leader.CreateSystem("t", 2, core.Tests()[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,6 @@ func SimulateCore(ts mcs.TaskSet, cfg Config) CoreResult {
 		if d, ok := cfg.VD[t.ID]; ok && d >= 1 && d <= t.Deadline {
 			return float64(d)
 		}
-		if cfg.XScale > 0 && cfg.XScale < 1 && t.IsHC() {
-			return cfg.XScale * float64(t.Deadline)
-		}
 		return float64(t.Deadline)
 	}
 	prioOf := func(t mcs.Task) int {

@@ -144,31 +144,6 @@ func TestBusyBookkeeping(t *testing.T) {
 	}
 }
 
-// TestXScalePathMatchesVDMap: configuring the uniform XScale must behave
-// like the equivalent per-task VD map built by VDFromX.
-func TestXScalePathMatchesVDMap(t *testing.T) {
-	ts := mcs.TaskSet{
-		mcs.NewHC(0, 2, 5, 20),
-		mcs.NewHC(1, 3, 6, 30),
-		mcs.NewLC(2, 4, 25),
-	}
-	const x = 0.7
-	a := SimulateCore(ts, Config{
-		Horizon: 3000, Policy: VirtualDeadlineEDF, XScale: x, Scenario: HiStorm{},
-	})
-	b := SimulateCore(ts, Config{
-		Horizon: 3000, Policy: VirtualDeadlineEDF, VD: VDFromX(ts, x), Scenario: HiStorm{},
-	})
-	// XScale applies x·D exactly; VDFromX rounds up to integers. Behaviour
-	// may differ in preemption counts but not in feasibility outcomes here.
-	if a.OK() != b.OK() {
-		t.Fatalf("XScale vs VD map disagree: %v vs %v", a.Misses, b.Misses)
-	}
-	if a.Released != b.Released {
-		t.Fatalf("release streams diverged: %d vs %d", a.Released, b.Released)
-	}
-}
-
 // zeroDemand is a pathological scenario claiming every job needs zero
 // execution time.
 type zeroDemand struct{}

@@ -24,9 +24,9 @@ type PolicyKind int
 
 const (
 	// VirtualDeadlineEDF is preemptive EDF on virtual deadlines in LO mode
-	// (per-task relative deadlines from Config.VD, or uniform scaling via
-	// Config.XScale), switching to real deadlines and dropping LC jobs on
-	// a mode switch. This is the runtime of EDF-VD, EY and ECDF.
+	// (per-task relative deadlines from Config.VD), switching to real
+	// deadlines and dropping LC jobs on a mode switch. This is the runtime
+	// of EDF-VD, EY and ECDF.
 	VirtualDeadlineEDF PolicyKind = iota
 	// FixedPriority is preemptive fixed-priority scheduling per
 	// Config.Priorities (0 = highest), dropping LC jobs on a mode switch.
@@ -49,11 +49,8 @@ type Config struct {
 	// Policy selects the runtime algorithm.
 	Policy PolicyKind
 	// VD maps HC task IDs to relative virtual deadlines (VirtualDeadlineEDF
-	// only). Tasks absent from the map use XScale, or their real deadline.
+	// only). Tasks absent from the map use their real deadline.
 	VD map[int]mcs.Ticks
-	// XScale is the uniform EDF-VD deadline-scaling factor x applied to HC
-	// tasks without an explicit VD entry. Zero or ≥1 means no scaling.
-	XScale float64
 	// Priorities maps task IDs to fixed priorities (FixedPriority only;
 	// 0 = highest). Every task on the core must appear.
 	Priorities map[int]int

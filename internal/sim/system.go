@@ -310,35 +310,3 @@ func buildWitness(ts mcs.TaskSet, cfg Config, core int) *Witness {
 	w.Gantt = rec.Gantt(ts, from, miss.Deadline+1, witnessGanttSpan)
 	return w
 }
-
-// DeadlineMonotonicPriorities assigns fixed priorities by increasing
-// relative deadline (ties: HC before LC, then by ID) — the standard
-// constrained-deadline default, and the fallback runtime configuration for
-// fixed-priority cores without a certified Audsley order.
-func DeadlineMonotonicPriorities(ts mcs.TaskSet) map[int]int {
-	idx := make([]int, len(ts))
-	for i := range idx {
-		idx[i] = i
-	}
-	// Insertion sort keeps this dependency-free and stable.
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && dmLess(ts[idx[j]], ts[idx[j-1]]); j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	prio := make(map[int]int, len(ts))
-	for p, i := range idx {
-		prio[ts[i].ID] = p
-	}
-	return prio
-}
-
-func dmLess(a, b mcs.Task) bool {
-	if a.Deadline != b.Deadline {
-		return a.Deadline < b.Deadline
-	}
-	if a.IsHC() != b.IsHC() {
-		return a.IsHC()
-	}
-	return a.ID < b.ID
-}

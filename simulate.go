@@ -76,13 +76,13 @@ func VirtualDeadlinesFromX(ts TaskSet, x float64) map[int]Ticks {
 }
 
 // RuntimeForCore derives the runtime configuration one core executes under
-// the named schedulability test: EDF-VD's scaled virtual deadlines, EY's
-// and ECDF's per-task virtual deadlines, AMC's certified priorities, or
-// plain EDF. It is the one analysis-to-runtime mapping behind
-// SimulateAdmitted, ValidatePartitionBySimulation and the daemon's
-// simulations.
-func RuntimeForCore(testName string, ts TaskSet) SimCoreRuntime {
-	return admission.RuntimeForCore(testName, ts)
+// the schedulability test that admitted it: EDF-VD's scaled virtual
+// deadlines, EY's and ECDF's per-task virtual deadlines, AMC's certified
+// priorities, or plain EDF for any other test. It is the one
+// analysis-to-runtime mapping behind SimulateAdmitted,
+// ValidatePartitionBySimulation and the daemon's simulations.
+func RuntimeForCore(test Test, ts TaskSet) SimCoreRuntime {
+	return admission.RuntimeForCore(test, ts)
 }
 
 // ValidatePartitionBySimulation simulates the partition under the LO-steady,
@@ -162,9 +162,11 @@ func SimulateSystem(p Partition, rt []SimCoreRuntime, spec SimSpec) (SystemSimRe
 // SimulateAdmitted executes the partition under the runtime configuration
 // the named schedulability test certifies — virtual deadlines for the EDF
 // family, fixed priorities for AMC — exactly as the admission controller's
-// Simulate does for a live tenant. It is the soundness oracle of the fuzzed
+// Simulate does for a live tenant; a name TestByName does not resolve runs
+// plain EDF. It is the soundness oracle of the fuzzed
 // admitted-implies-schedulable suite: a partition admitted under testName
 // must yield a miss-free result for every spec.
 func SimulateAdmitted(testName string, p Partition, spec SimSpec) (SystemSimResult, error) {
-	return sim.SimulateSystem(p.Cores, admission.RuntimeForPartition(testName, p.Cores), spec)
+	test, _ := TestByName(testName)
+	return sim.SimulateSystem(p.Cores, admission.RuntimeForPartition(test, p.Cores), spec)
 }

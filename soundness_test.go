@@ -75,8 +75,9 @@ func TestAcceptedPartitionsNeverMissAMC(t *testing.T) {
 	}
 }
 
-// TestAcceptedPartitionsNeverMissECDF validates the demand-bound chain: the
-// ECDF per-task virtual deadlines drive the runtime directly.
+// TestAcceptedPartitionsNeverMissECDF validates the LO-mode half of the
+// demand-bound chain: an ECDF-accepted core meets every deadline under EDF
+// on its true deadlines while no job overruns.
 func TestAcceptedPartitionsNeverMissECDF(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long soundness sweep")
@@ -96,14 +97,13 @@ func TestAcceptedPartitionsNeverMissECDF(t *testing.T) {
 			continue
 		}
 		checked++
-		// The generic validator uses the EDF-VD x per core; ECDF-accepted
-		// cores may not be EDF-VD-schedulable, in which case x=1 (true
-		// deadlines) — still a legal virtual-deadline configuration whose
-		// LO mode equals plain EDF. The stronger check with ECDF's own
-		// deadline assignment lives in the integration tests; here we only
-		// require that realized behaviour is miss-free in LO-steady runs
-		// (no mode switch ⇒ LO-mode EDF on true deadlines must suffice for
-		// any dbf-accepted core).
+		// Each core runs with no virtual-deadline map, so EDF on true
+		// deadlines, in LO-steady runs: no mode switch happens, and LO-mode
+		// EDF on true deadlines must suffice for any dbf-accepted core. The
+		// checks with ECDF's own virtual deadlines, in both modes, are
+		// TestECDFCertifiedDeadlinesSurviveSimulation in
+		// internal/analysis/crosstest and, through RuntimeForCore,
+		// FuzzAdmittedNeverMisses.
 		for _, ts := range p.Cores {
 			if len(ts) == 0 {
 				continue
