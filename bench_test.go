@@ -213,8 +213,8 @@ func BenchmarkAblationPriorityPolicy(b *testing.B) {
 	audsley := AMC()
 	dm := AMCDeadlineMonotonic()
 	ablationSweep(b, 2, []Algorithm{
-		{Strategy: mustStrategy("CU-UDP"), Test: audsley, Label: "CU-UDP-AMC-audsley"},
-		{Strategy: mustStrategy("CU-UDP"), Test: dm, Label: "CU-UDP-AMC-dm"},
+		{Strategy: mustStrategy("CU-UDP"), Test: audsley},
+		{Strategy: mustStrategy("CU-UDP"), Test: dm},
 	})
 }
 

@@ -501,7 +501,7 @@ func partition(strategy mcsched.Strategy, test mcsched.Test) func(*testing.B, *C
 	return func(b *testing.B, _ *Counters) {
 		rng := rand.New(rand.NewSource(1234))
 		cfg := mcsched.DefaultGenConfig(8, 0.5, 0.3, 0.3)
-		cfg.Constrained = test.Name() != "EDF-VD"
+		cfg.Constrained = !mcsched.ImplicitOnly(test)
 		ts, err := mcsched.Generate(rng, cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"mcsched"
+	"mcsched/internal/analysis/edfvd"
 )
 
 func main() {
@@ -156,12 +157,16 @@ func cmdAnalyze(args []string) error {
 		tests = []mcsched.Test{t}
 	}
 	for _, t := range tests {
+		if mcsched.ImplicitOnly(t) && !ts.Implicit() {
+			fmt.Printf("  %-8s n/a (implicit deadlines only)\n", t.Name())
+			continue
+		}
 		verdict := "NOT schedulable"
 		if t.Schedulable(ts) {
 			verdict = "schedulable"
 		}
 		extra := ""
-		if t.Name() == "EDF-VD" {
+		if _, ok := t.(edfvd.Test); ok {
 			if res := mcsched.AnalyzeEDFVD(ts); res.Schedulable {
 				extra = fmt.Sprintf("  (x=%.4f, plainEDF=%v)", res.X, res.PlainEDF)
 			}

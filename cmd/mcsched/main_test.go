@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"path/filepath"
@@ -76,6 +77,34 @@ func TestCmdAnalyze(t *testing.T) {
 	}
 	if err := cmdAnalyze([]string{"-i", filepath.Join(dir, "missing.json")}); err == nil {
 		t.Fatal("missing input accepted")
+	}
+}
+
+// TestCmdAnalyzeCoverage: analyze prints "n/a" for a test that does not
+// cover the set's deadline model, decides it under every other test, and
+// prints EDF-VD's x for an implicit set; partition refuses the constrained
+// set under an implicit-only test with an UncoveredError.
+func TestCmdAnalyzeCoverage(t *testing.T) {
+	dir := t.TempDir()
+	implicit := genFile(t, dir, "-uhh", "0.3", "-ulh", "0.15", "-ull", "0.2")
+	if out := stdoutOf(t, func() error { return cmdAnalyze([]string{"-i", implicit, "-test", "EDF-VD"}) }); !strings.Contains(out, "EDF-VD   schedulable  (x=") {
+		t.Errorf("implicit set under EDF-VD:\n%s", out)
+	}
+	constrained := filepath.Join(dir, "c.json")
+	if err := cmdGen([]string{"-m", "2", "-seed", "9", "-constrained", "-uhh", "0.3", "-ulh", "0.15", "-ull", "0.2", "-o", constrained}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range mcsched.TestNames() {
+		test, _ := mcsched.TestByName(name)
+		out := stdoutOf(t, func() error { return cmdAnalyze([]string{"-i", constrained, "-test", name}) })
+		if na := strings.Contains(out, "n/a (implicit deadlines only)"); na != mcsched.ImplicitOnly(test) {
+			t.Errorf("constrained set under %s:\n%s", name, out)
+		}
+	}
+	err := cmdPartition([]string{"-i", constrained, "-o", filepath.Join(dir, "p.json"), "-test", "EDF-util", "-q"})
+	var uerr mcsched.UncoveredError
+	if !errors.As(err, &uerr) || uerr.Test != "EDF-util" {
+		t.Fatalf("partition of a constrained set under EDF-util: %v", err)
 	}
 }
 

@@ -180,6 +180,11 @@ func TestDaemonDecodingErrors(t *testing.T) {
 			`{"task":{"id":1,"crit":"LO","period":10,"deadline":10,"c_lo":9,"c_hi":9,"u_lo":0.001,"u_hi":0.001}}`, http.StatusBadRequest},
 		{"overstated u_hi", "POST", "/v1/systems/x/admit",
 			`{"task":{"id":1,"crit":"HI","period":10,"deadline":10,"c_lo":2,"c_hi":4,"u_lo":0.2,"u_hi":0.9}}`, http.StatusBadRequest},
+		{"constrained deadline under EDF-VD", "POST", "/v1/systems/x/admit",
+			`{"task":{"id":1,"crit":"HI","period":10,"deadline":8,"c_lo":2,"c_hi":4}}`, http.StatusBadRequest},
+		{"constrained deadline in a probe batch", "POST", "/v1/systems/x/probe",
+			`{"tasks":[{"id":1,"crit":"LO","period":10,"deadline":10,"c_lo":1},
+			           {"id":2,"crit":"LO","period":10,"deadline":9,"c_lo":1}]}`, http.StatusBadRequest},
 		{"duplicate in batch", "POST", "/v1/systems/x/admit",
 			`{"tasks":[{"id":7,"crit":"LO","period":10,"deadline":10,"c_lo":1},
 			           {"id":7,"crit":"LO","period":10,"deadline":10,"c_lo":1}]}`, http.StatusConflict},

@@ -257,7 +257,7 @@ func TestTestsRunMatchesResponses(t *testing.T) {
 			t.Fatal(err)
 		}
 		gen := taskgen.DefaultConfig(4, 0.5, 0.3, 0.4)
-		gen.Constrained = test.Name() != "EDF-VD"
+		gen.Constrained = !core.ImplicitOnly(test)
 		nextID := 0
 		for round := 0; round < 4; round++ {
 			ts, err := taskgen.Generate(rng, gen)

@@ -42,7 +42,7 @@ func TestEquivalenceRandomSequences(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			constrained := test.Name() != "EDF-VD" // EDF-VD needs implicit deadlines
+			constrained := !core.ImplicitOnly(test)
 			cfg := taskgen.DefaultConfig(4, 0.5, 0.3, 0.4)
 			cfg.Constrained = constrained
 
@@ -113,7 +113,7 @@ func TestEquivalenceBatchMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := taskgen.DefaultConfig(2, 0.4, 0.25, 0.3)
-			cfg.Constrained = test.Name() != "EDF-VD"
+			cfg.Constrained = !core.ImplicitOnly(test)
 			accepted, rejected := 0, 0
 			nextID := 0
 			for round := 0; round < 8; round++ {

@@ -218,7 +218,7 @@ func runGoldenChurn(t *testing.T, workers int) map[string]goldenTenant {
 	for i, test := range goldenFamilies() {
 		for j, placement := range goldenPlacements {
 			gen := taskgen.DefaultConfig(goldenCores, 0.5, 0.3, 0.4)
-			gen.Constrained = test.Name() != "EDF-VD" // EDF-VD needs implicit deadlines
+			gen.Constrained = !core.ImplicitOnly(test)
 			tenants = append(tenants, &churnTenant{
 				key:       test.Name() + "/" + placement,
 				test:      test,

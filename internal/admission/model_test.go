@@ -196,7 +196,7 @@ func (ls *lockstep) task(lt *lockTenant) mcs.Task {
 		chi = min(period, clo+mcs.Ticks(ls.rng.Intn(int(clo)+1)))
 	}
 	deadline := period
-	if ls.test.Name() != "EDF-VD" {
+	if !core.ImplicitOnly(ls.test) {
 		deadline = chi + mcs.Ticks(ls.rng.Intn(int(period-chi)+1))
 	}
 	if hc {

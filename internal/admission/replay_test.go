@@ -29,7 +29,7 @@ func driveRandomWorkload(t *testing.T, sys *System, test core.Test, seed int64, 
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := taskgen.DefaultConfig(4, 0.5, 0.3, 0.4)
-	cfg.Constrained = test.Name() != "EDF-VD"
+	cfg.Constrained = !core.ImplicitOnly(test)
 	nextID := 0
 	var resident []int
 	for round := 0; round < rounds; round++ {
@@ -143,7 +143,7 @@ func TestReplayEquivalenceRandomSequences(t *testing.T) {
 				// both controllers.
 				rng := rand.New(rand.NewSource(777))
 				gcfg := taskgen.DefaultConfig(4, 0.5, 0.3, 0.4)
-				gcfg.Constrained = test.Name() != "EDF-VD"
+				gcfg.Constrained = !core.ImplicitOnly(test)
 				probeID := 1 << 20
 				for round := 0; round < 3; round++ {
 					ts, err := taskgen.Generate(rng, gcfg)
@@ -193,7 +193,7 @@ func TestReplayEquivalenceJournalingTransparent(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(99))
 			cfg := taskgen.DefaultConfig(3, 0.45, 0.3, 0.35)
-			cfg.Constrained = test.Name() != "EDF-VD"
+			cfg.Constrained = !core.ImplicitOnly(test)
 			nextID := 0
 			for round := 0; round < 4; round++ {
 				ts, err := taskgen.Generate(rng, cfg)

@@ -58,6 +58,7 @@ func (c *Controller) newTenant(id string, m int, test core.Test, placement strin
 		rejectReason: "task fits on no core under " + name,
 		testName:     name,
 		stats:        &c.stats,
+		implicitOnly: core.ImplicitOnly(test),
 		asn:          core.NewAssigner(m, test),
 		placer:       placer,
 		resident:     make(map[int]bool),
@@ -191,8 +192,9 @@ func (s *System) replay(e mcsio.EventJSON, stage func() (func() error, error)) (
 // record is already journaled — and in tr.replayed and tr.dry. The order is
 // the same for every caller and every kind:
 //
-//  1. validate all: every task well-formed and not resident, every released
-//     ID resident. A failure here has touched nothing.
+//  1. validate all: every task well-formed, not resident and — when live —
+//     of a deadline model the tenant's test covers; every released ID
+//     resident. A failure here has touched nothing.
 //  2. place: under a checkpoint of the placement state each task is placed
 //     by the tenant's placer and committed tentatively, so later tasks of a
 //     batch see earlier ones. A journaled core must be reproduced exactly,
@@ -289,7 +291,10 @@ func (s *System) apply(tr *transition, stage func() (func() error, error)) (func
 }
 
 // validate is apply's first step: it checks the whole transition against
-// the current state and mutates nothing.
+// the current state and mutates nothing. A live transition must offer only
+// tasks the tenant's test covers; a replayed one need not, like a batch
+// over MaxBatch: builds that did not check may have journaled such an
+// admit, and refusing it at replay would lose acknowledged state.
 func (s *System) validate(tr *transition) error {
 	var seen map[int]bool
 	if len(tr.tasks) > 1 {
@@ -298,6 +303,9 @@ func (s *System) validate(tr *transition) error {
 	for _, t := range tr.tasks {
 		if err := t.Validate(); err != nil {
 			return fmt.Errorf("admission: %w", err)
+		}
+		if s.implicitOnly && !tr.replayed && !t.Implicit() {
+			return core.UncoveredError{Test: s.testName, Task: t}
 		}
 		if s.resident[t.ID] {
 			return fmt.Errorf("%w: %d", ErrDuplicateTask, t.ID)

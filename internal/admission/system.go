@@ -39,6 +39,9 @@ type System struct {
 	// transitions bump.
 	testName string
 	stats    *counters
+	// implicitOnly caches core.ImplicitOnly of the tenant's test: a live
+	// transition offering it a constrained-deadline task is invalid input.
+	implicitOnly bool
 
 	mu       sync.Mutex
 	asn      *core.Assigner

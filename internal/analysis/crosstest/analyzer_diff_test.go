@@ -10,6 +10,7 @@ import (
 	"mcsched/internal/analysis/edfvd"
 	"mcsched/internal/analysis/ey"
 	"mcsched/internal/analysis/kernel"
+	"mcsched/internal/core"
 	"mcsched/internal/mcs"
 	"mcsched/internal/taskgen"
 )
@@ -42,7 +43,7 @@ func TestAnalyzerDifferentialDirect(t *testing.T) {
 		t.Run(test.Name(), func(t *testing.T) {
 			t.Parallel()
 			an := test.NewAnalyzer()
-			constrained := test.Name() != "EDF-VD"
+			constrained := !core.ImplicitOnly(test)
 			sets := drawSets(t, 80, constrained)
 			for i, ts := range sets {
 				want := test.Schedulable(ts)
@@ -76,7 +77,7 @@ func TestAnalyzerDifferentialSequences(t *testing.T) {
 		test := test
 		t.Run(test.Name(), func(t *testing.T) {
 			t.Parallel()
-			constrained := test.Name() != "EDF-VD"
+			constrained := !core.ImplicitOnly(test)
 			for trial := 0; trial < 6; trial++ {
 				an := test.NewAnalyzer()
 				rng := rand.New(rand.NewSource(int64(1000 + trial)))
@@ -194,7 +195,7 @@ func TestAnalyzerDifferentialReleaseHeavy(t *testing.T) {
 					}
 					period := mcs.Ticks(8 + rng.Intn(93))
 					d := period
-					if test.Name() != "EDF-VD" {
+					if !core.ImplicitOnly(test) {
 						d = period/2 + mcs.Ticks(rng.Intn(int(period/2)+1))
 						if d <= 0 {
 							d = 1

@@ -67,3 +67,7 @@ func (t Test) Schedulable(ts mcs.TaskSet) bool {
 	}
 	return UtilizationSchedulable(ts, mcs.HI)
 }
+
+// ImplicitOnly declares that the utilization variant covers implicit
+// deadlines only; the demand variant covers constrained ones.
+func (t Test) ImplicitOnly() bool { return !t.Demand }

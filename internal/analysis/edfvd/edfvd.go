@@ -36,11 +36,11 @@ type Result struct {
 	PlainEDF bool
 }
 
-// Analyze runs the EDF-VD utilization test on a uniprocessor task set. The
-// test is defined for implicit deadlines; callers with constrained-deadline
-// sets should use the dbf-based tests instead (Analyze does not check
-// deadline shape — it uses utilizations only — but the verdict is only
-// meaningful for implicit deadlines).
+// Analyze runs the EDF-VD utilization test on a uniprocessor task set. It
+// reads utilizations only and does not check deadlines: the verdict means
+// something for implicit deadlines alone. Test declares that (ImplicitOnly),
+// so partitioning and admission refuse a constrained-deadline task under
+// it; a direct caller of Analyze must keep to implicit sets itself.
 func Analyze(ts mcs.TaskSet) Result {
 	return decide(ts.ULL(), ts.ULH(), ts.UHH())
 }
@@ -81,3 +81,7 @@ func (Test) Name() string { return "EDF-VD" }
 
 // Schedulable implements the partitioning test interface.
 func (Test) Schedulable(ts mcs.TaskSet) bool { return Schedulable(ts) }
+
+// ImplicitOnly declares that the test covers implicit deadlines only: the
+// utilization conditions say nothing about a task with D < T.
+func (Test) ImplicitOnly() bool { return true }

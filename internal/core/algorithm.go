@@ -14,15 +14,10 @@ import (
 type Algorithm struct {
 	Strategy Strategy
 	Test     Test
-	// Label overrides the derived name (optional).
-	Label string
 }
 
 // Name returns the paper-style name "<strategy>-<test>".
 func (a Algorithm) Name() string {
-	if a.Label != "" {
-		return a.Label
-	}
 	return fmt.Sprintf("%s-%s", a.Strategy.Name(), a.Test.Name())
 }
 
@@ -44,7 +39,7 @@ func (a Algorithm) Schedulable(ts mcs.TaskSet, m int) bool {
 		_, err := a.Partition(ts, m)
 		return err == nil
 	}
-	if validateInput(ts, m) != nil {
+	if validateInput(ts, m, a.Test) != nil {
 		return false
 	}
 	st := scratchAssigners.Get().(*Assigner)

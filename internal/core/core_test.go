@@ -203,9 +203,6 @@ func TestStrategyNames(t *testing.T) {
 	if s, ok := StrategyByName("CU-UDP"); !ok || s.Name() != "CU-UDP" {
 		t.Error("StrategyByName(CU-UDP) failed")
 	}
-	if s, ok := StrategyByName("CA-UDP(nosort)"); !ok || s.Name() != "CA-UDP(nosort)" {
-		t.Error("StrategyByName ablation variant failed")
-	}
 	if _, ok := StrategyByName("nope"); ok {
 		t.Error("StrategyByName accepted garbage")
 	}
@@ -215,10 +212,6 @@ func TestAlgorithmName(t *testing.T) {
 	alg := Algorithm{Strategy: CUUDP(), Test: edfvd.Test{}}
 	if alg.Name() != "CU-UDP-EDF-VD" {
 		t.Errorf("Name = %q", alg.Name())
-	}
-	alg.Label = "custom"
-	if alg.Name() != "custom" {
-		t.Errorf("labelled Name = %q", alg.Name())
 	}
 }
 

@@ -103,7 +103,9 @@ type Strategy interface {
 	Name() string
 	// Partition assigns every task of ts to one of m processors such that
 	// each processor passes test. It returns a FailError wrapping
-	// ErrUnpartitionable when some task fits nowhere.
+	// ErrUnpartitionable when some task fits nowhere, and an
+	// UncoveredError, before placing anything, when test does not cover
+	// some task's deadline model.
 	Partition(ts mcs.TaskSet, m int, test Test) (Partition, error)
 }
 
@@ -121,7 +123,7 @@ type builtin interface {
 // partition is the built-in strategies' Partition: validate, allocate on a
 // fresh Assigner, hand its cores over.
 func partition(s builtin, ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	if err := validateInput(ts, m); err != nil {
+	if err := validateInput(ts, m, test); err != nil {
 		return Partition{}, err
 	}
 	st := NewAssigner(m, test)
@@ -139,13 +141,22 @@ func sortedByLevelUtil(ts mcs.TaskSet) mcs.TaskSet {
 	return cp
 }
 
-// validateInput rejects degenerate partitioning requests.
-func validateInput(ts mcs.TaskSet, m int) error {
+// validateInput rejects degenerate partitioning requests and tasks whose
+// deadline model test does not cover.
+func validateInput(ts mcs.TaskSet, m int, test Test) error {
 	if m <= 0 {
 		return fmt.Errorf("core: m=%d processors", m)
 	}
 	if len(ts) == 0 {
 		return nil
 	}
-	return ts.Validate()
+	if err := ts.Validate(); err != nil {
+		return err
+	}
+	for _, t := range ts {
+		if !Covers(test, t) {
+			return UncoveredError{Test: test.Name(), Task: t}
+		}
+	}
+	return nil
 }

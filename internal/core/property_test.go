@@ -208,31 +208,6 @@ func TestMoreCoresNeverHurtUDP(t *testing.T) {
 	}
 }
 
-// TestUDPNoSortAblation: the (nosort) ablation variants exist, are named,
-// and still produce verifiable partitions.
-func TestUDPNoSortAblation(t *testing.T) {
-	for _, name := range []string{"CA-UDP(nosort)", "CU-UDP(nosort)"} {
-		s, ok := StrategyByName(name)
-		if !ok {
-			t.Fatalf("StrategyByName(%q) missing", name)
-		}
-		if s.Name() != name {
-			t.Fatalf("name round-trip: %q != %q", s.Name(), name)
-		}
-		ts := mcs.TaskSet{mcs.NewHC(0, 10, 20, 100), mcs.NewLC(1, 30, 100)}
-		p, err := s.Partition(ts, 2, edfvd.Test{})
-		if err != nil {
-			t.Fatalf("%s failed: %v", name, err)
-		}
-		if p.NumTasks() != 2 {
-			t.Fatalf("%s placed %d tasks", name, p.NumTasks())
-		}
-	}
-	if _, ok := StrategyByName("never-heard-of-it"); ok {
-		t.Fatal("unknown strategy resolved")
-	}
-}
-
 // TestPartitionCoreOfAndClone covers the Partition helpers.
 func TestPartitionCoreOfAndClone(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewHC(7, 10, 20, 100), mcs.NewLC(9, 30, 100)}

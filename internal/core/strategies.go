@@ -13,9 +13,6 @@ import (
 type UDP struct {
 	// CriticalityAware selects CA-UDP; false is CU-UDP.
 	CriticalityAware bool
-	// NoSort disables the decreasing-utilization sort (ablation only; the
-	// published strategies always sort).
-	NoSort bool
 }
 
 // CAUDP returns the criticality-aware UDP strategy of Algorithm 1.
@@ -26,14 +23,10 @@ func CUUDP() Strategy { return UDP{} }
 
 // Name implements Strategy.
 func (u UDP) Name() string {
-	name := "CU-UDP"
 	if u.CriticalityAware {
-		name = "CA-UDP"
+		return "CA-UDP"
 	}
-	if u.NoSort {
-		name += "(nosort)"
-	}
-	return name
+	return "CU-UDP"
 }
 
 // Partition implements Strategy.
@@ -44,16 +37,9 @@ func (u UDP) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
 func (u UDP) allocate(st *Assigner, ts mcs.TaskSet) error {
 	var seq mcs.TaskSet
 	if u.CriticalityAware {
-		hc, lc := ts.HC(), ts.LC()
-		if !u.NoSort {
-			hc, lc = sortedByLevelUtil(hc), sortedByLevelUtil(lc)
-		}
-		seq = append(hc, lc...)
+		seq = append(sortedByLevelUtil(ts.HC()), sortedByLevelUtil(ts.LC())...)
 	} else {
-		seq = ts.Clone()
-		if !u.NoSort {
-			seq.SortByLevelUtil()
-		}
+		seq = sortedByLevelUtil(ts)
 	}
 
 	for _, task := range seq {
@@ -261,12 +247,6 @@ func StrategyByName(name string) (Strategy, bool) {
 		if s.Name() == name {
 			return s, true
 		}
-	}
-	switch name {
-	case "CA-UDP(nosort)":
-		return UDP{CriticalityAware: true, NoSort: true}, true
-	case "CU-UDP(nosort)":
-		return UDP{NoSort: true}, true
 	}
 	return nil, false
 }

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
+
 	"mcsched/internal/analysis/amc"
 	"mcsched/internal/analysis/ecdf"
 	"mcsched/internal/analysis/edf"
 	"mcsched/internal/analysis/edfvd"
 	"mcsched/internal/analysis/ey"
+	"mcsched/internal/mcs"
 )
 
 // Tests returns the paper's four uniprocessor MC tests in a stable order:
@@ -52,4 +55,32 @@ func TestByName(name string) (Test, bool) {
 		}
 	}
 	return nil, false
+}
+
+// ImplicitOnly reports whether test covers implicit deadlines (D = T) only,
+// which a test declares with an ImplicitOnly() bool method: EDF-VD and
+// EDF-util, which read utilizations alone, do. This is the one place that
+// asks; it does not look through wrappers.
+func ImplicitOnly(test Test) bool {
+	io, ok := test.(interface{ ImplicitOnly() bool })
+	return ok && io.ImplicitOnly()
+}
+
+// Covers reports whether test covers task's deadline model: every test
+// covers an implicit deadline, a test not ImplicitOnly a constrained one.
+func Covers(test Test, task mcs.Task) bool {
+	return task.Implicit() || !ImplicitOnly(test)
+}
+
+// UncoveredError refuses a task whose deadline model the test does not
+// cover. It is invalid input, not a capacity verdict, so it does not wrap
+// ErrUnpartitionable.
+type UncoveredError struct {
+	Test string   // the test's Name
+	Task mcs.Task // the first task it does not cover
+}
+
+func (e UncoveredError) Error() string {
+	return fmt.Sprintf("core: %s covers implicit deadlines only, task %d has deadline %d < period %d",
+		e.Test, e.Task.ID, e.Task.Deadline, e.Task.Period)
 }

@@ -45,7 +45,9 @@ type Config struct {
 	Algorithms []core.Algorithm
 }
 
-// Validate rejects structurally broken configurations.
+// Validate rejects structurally broken configurations, and constrained
+// deadlines paired with a test that covers implicit deadlines only, whose
+// every set would be refused and plot as zero acceptance.
 func (c Config) Validate() error {
 	switch {
 	case c.M <= 0:
@@ -56,6 +58,11 @@ func (c Config) Validate() error {
 		return fmt.Errorf("experiments: SetsPerUB=%d must be positive", c.SetsPerUB)
 	case len(c.Algorithms) == 0:
 		return fmt.Errorf("experiments: no algorithms")
+	}
+	for _, a := range c.Algorithms {
+		if c.Constrained && core.ImplicitOnly(a.Test) {
+			return fmt.Errorf("experiments: %s covers implicit deadlines only, not Constrained", a.Name())
+		}
 	}
 	return nil
 }

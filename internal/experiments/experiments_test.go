@@ -27,6 +27,8 @@ func TestRunValidation(t *testing.T) {
 		{M: 0, PH: 0.5, SetsPerUB: 1, Algorithms: Figure3Algorithms()},  // m=0
 		{M: 2, PH: -0.1, SetsPerUB: 1, Algorithms: Figure3Algorithms()}, // PH<0
 		{M: 2, PH: 0.5, SetsPerUB: 0, Algorithms: Figure3Algorithms()},  // sets=0
+		// Figure 3's EDF-VD covers implicit deadlines only.
+		{M: 2, PH: 0.5, SetsPerUB: 1, Constrained: true, Algorithms: Figure3Algorithms()},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); err == nil {

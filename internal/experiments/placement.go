@@ -53,7 +53,8 @@ type PlacementConfig struct {
 	Placements []string
 }
 
-// Validate rejects structurally broken configurations.
+// Validate rejects structurally broken configurations, and constrained
+// deadlines paired with a test that covers implicit deadlines only.
 func (c PlacementConfig) Validate() error {
 	switch {
 	case c.M <= 0:
@@ -62,6 +63,8 @@ func (c PlacementConfig) Validate() error {
 		return fmt.Errorf("experiments: PH=%g outside [0,1]", c.PH)
 	case c.SetsPerUB <= 0:
 		return fmt.Errorf("experiments: SetsPerUB=%d must be positive", c.SetsPerUB)
+	case c.Constrained && core.ImplicitOnly(c.test()):
+		return fmt.Errorf("experiments: %s covers implicit deadlines only, not Constrained", c.test().Name())
 	}
 	for _, name := range c.Placements {
 		if _, ok := core.PlacerByName(name); !ok {

@@ -27,6 +27,7 @@ func TestPlacementValidate(t *testing.T) {
 		{M: 2, PH: 0.5, SetsPerUB: 0},
 		{M: 2, PH: 0.5, SetsPerUB: 1, Placements: []string{"nosuch"}},
 		{M: 2, PH: 0.5, SetsPerUB: 1, Placements: []string{"ff@9"}},
+		{M: 2, PH: 0.5, SetsPerUB: 1, Constrained: true}, // EDF-VD by default
 	}
 	for _, cfg := range bad {
 		if _, err := RunPlacement(cfg); err == nil {

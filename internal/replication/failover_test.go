@@ -92,7 +92,7 @@ func driveReplicated(t *testing.T, sys *admission.System, test core.Test, seed i
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cfg := taskgen.DefaultConfig(4, 0.5, 0.3, 0.4)
-	cfg.Constrained = test.Name() != "EDF-VD"
+	cfg.Constrained = !core.ImplicitOnly(test)
 	nextID := idBase
 	var resident []int
 	for round := 0; round < rounds; round++ {
@@ -239,7 +239,7 @@ func TestFailoverEquivalenceEveryIndex(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(771))
 				gcfg := taskgen.DefaultConfig(4, 0.5, 0.3, 0.4)
-				gcfg.Constrained = test.Name() != "EDF-VD"
+				gcfg.Constrained = !core.ImplicitOnly(test)
 				probeID := 1 << 20
 				for round := 0; round < 3; round++ {
 					ts, err := taskgen.Generate(rng, gcfg)

@@ -219,6 +219,18 @@ func TestByName(name string) (Test, bool) { return core.TestByName(name) }
 // first.
 func TestNames() []string { return core.TestNames() }
 
+// ImplicitOnly reports whether the test covers implicit deadlines only
+// (EDF-VD, EDF-util): partitioning and admission refuse a
+// constrained-deadline task under it with an UncoveredError.
+func ImplicitOnly(test Test) bool { return core.ImplicitOnly(test) }
+
+// Covers reports whether the test covers the task's deadline model.
+func Covers(test Test, task Task) bool { return core.Covers(test, task) }
+
+// UncoveredError refuses a task whose deadline model the test does not
+// cover. It is invalid input and does not wrap ErrUnpartitionable.
+type UncoveredError = core.UncoveredError
+
 // ---------------------------------------------------------------------------
 // Online admission control
 // ---------------------------------------------------------------------------

@@ -16,8 +16,7 @@ func TestStrategyNameRoundTrip(t *testing.T) {
 		FFD(),
 		WFD(),
 	}
-	// The registry must cover exactly the constructors (plus the nosort
-	// ablation variants resolved by name below).
+	// The registry must cover exactly the constructors.
 	if got, want := len(Strategies()), len(constructors); got != want {
 		t.Errorf("Strategies() lists %d strategies, constructors export %d", got, want)
 	}
@@ -35,12 +34,6 @@ func TestStrategyNameRoundTrip(t *testing.T) {
 		}
 		if got.Name() != name {
 			t.Errorf("StrategyByName(%q).Name() = %q", name, got.Name())
-		}
-	}
-	for _, name := range []string{"CA-UDP(nosort)", "CU-UDP(nosort)"} {
-		got, ok := StrategyByName(name)
-		if !ok || got.Name() != name {
-			t.Errorf("ablation variant %q does not round-trip (ok=%v)", name, ok)
 		}
 	}
 	if _, ok := StrategyByName("no-such-strategy"); ok {

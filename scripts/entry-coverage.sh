@@ -6,8 +6,9 @@
 # instrumentation over every mcsched package, then drives them the way they
 # are used: mcload's five workloads (whose daemon inherits GOFLAGS and
 # GOCOVERDIR and writes its counters when SIGTERM stops it), every example,
-# mcsched over every strategy × test (and simulates each test's partition
-# under that test's runtime), and mcfigures over every figure.
+# mcsched analyze on an implicit and a constrained set, mcsched partition
+# over every strategy × test (and simulates each test's partition under
+# that test's runtime), and mcfigures over every figure.
 # Writes, under OUT:
 #   func.txt       go tool covdata func: coverage of every function
 #   unreached.txt  the functions no run entered (0.0 %)
@@ -42,6 +43,8 @@ cli="$out/bin/mcsched"
 "$cli" gen -m 4 -seed 7 -o "$out/run/set.json"
 "$cli" gen -m 4 -seed 7 -constrained -o "$out/run/cset.json"
 "$cli" analyze -i "$out/run/set.json" >/dev/null
+# The constrained set is "n/a" under the implicit-only tests.
+"$cli" analyze -i "$out/run/cset.json" >/dev/null
 tests=$("$cli" list | sed -n '/^tests:/,$p' | sed -n 's/^  //p')
 for strategy in $("$cli" list | sed -n '/^strategies:/,/^tests:/p' | sed -n 's/^  //p'); do
 	for test in $tests; do

@@ -12,7 +12,10 @@ package mcsched
 // possible switches, with and without idle resets), randomized demand and
 // release jitter, and — the sharpest probes — single- and minimal-overrun
 // scenarios sweeping the mode-switch instant across every HC job in the
-// window, including the criticality-at-boundary demand C^L+1.
+// window, including the criticality-at-boundary demand C^L+1. The family
+// byte indexes TestNames(), so every registered test is attacked; a test
+// that does not cover the drawn set's deadline model must refuse it with an
+// UncoveredError instead of partitioning it.
 //
 // A failure is minimized greedily (drop tasks while the reduced partition
 // stays analysis-accepted and still misses) and reported as a reproducible
@@ -23,13 +26,10 @@ package mcsched
 // -fuzz=FuzzAdmittedNeverMisses` the tuple space is explored.
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
-
-// soundnessFamilies are the analysis families the oracle covers; the fuzz
-// byte indexes into this list.
-var soundnessFamilies = []string{"EDF-VD", "ECDF", "EY", "AMC-max", "AMC-rtb"}
 
 const (
 	fuzzHorizon Ticks = 10000
@@ -131,16 +131,17 @@ func FuzzAdmittedNeverMisses(f *testing.F) {
 		f.Add(seed, uint8(1), uint8(1), true)  // ECDF
 		f.Add(seed, uint8(2), uint8(2), false) // EY
 	}
+	// Constrained sets under the implicit-only tests: refused, never
+	// partitioned (an admitted partition of either misses in simulation).
+	f.Add(int64(1), uint8(0), uint8(0), true) // EDF-VD
+	f.Add(int64(1), uint8(6), uint8(1), true) // EDF-util
 
+	names := TestNames()
 	f.Fuzz(func(t *testing.T, seed int64, fam uint8, load uint8, constrained bool) {
-		name := soundnessFamilies[int(fam)%len(soundnessFamilies)]
+		name := names[int(fam)%len(names)]
 		test, ok := TestByName(name)
 		if !ok {
 			t.Fatalf("unknown family %q", name)
-		}
-		// The EDF-VD analysis is stated for implicit deadlines.
-		if name == "EDF-VD" {
-			constrained = false
 		}
 		cfg := DefaultGenConfig(2, 0.3+0.05*float64(load%8), 0.15+0.02*float64(load%4), 0.25)
 		cfg.Constrained = constrained
@@ -156,6 +157,18 @@ func FuzzAdmittedNeverMisses(f *testing.F) {
 			strategy = mustStrategy("CA-UDP")
 		}
 		p, err := Algorithm{Strategy: strategy, Test: test}.Partition(ts, 2)
+		covered := true
+		for _, task := range ts {
+			covered = covered && Covers(test, task)
+		}
+		if !covered {
+			var uerr UncoveredError
+			if !errors.As(err, &uerr) || uerr.Test != name || Covers(test, uerr.Task) {
+				t.Fatalf("%s: set it does not cover gave err=%v, want an UncoveredError naming an uncovered task\n"+
+					"reproduce: f.Add(int64(%d), uint8(%d), uint8(%d), %t)", name, err, seed, fam, load, constrained)
+			}
+			return
+		}
 		if err != nil {
 			return
 		}
