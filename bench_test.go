@@ -146,8 +146,8 @@ func BenchmarkAblationFitKey(b *testing.B) {
 	t := EDFVD()
 	ablationSweep(b, 4, []Algorithm{
 		{Strategy: mustStrategy("CA-UDP"), Test: t},
-		{Strategy: CAWuF(), Test: t},
-		{Strategy: CAFF(), Test: t},
+		{Strategy: mustStrategy("CA-Wu-F"), Test: t},
+		{Strategy: mustStrategy("CA-F-F"), Test: t},
 	})
 }
 
@@ -156,8 +156,8 @@ func BenchmarkAblationFitKey(b *testing.B) {
 func BenchmarkAblationSort(b *testing.B) {
 	t := EDFVD()
 	ablationSweep(b, 4, []Algorithm{
-		{Strategy: CAFF(), Test: t},
-		{Strategy: CANoSortFF(), Test: t},
+		{Strategy: mustStrategy("CA-F-F"), Test: t},
+		{Strategy: mustStrategy("CA(nosort)-F-F"), Test: t},
 	})
 }
 

@@ -56,11 +56,17 @@
 // heuristics are all resolved by name: StrategyByName/Strategies,
 // TestByName/Tests and PlacementByName/Placements. Names are stable wire
 // strings — they appear in journals, replication frames and the HTTP API —
-// so prefer them over the loose constructors. The deprecated CAUDP and
-// CUUDP constructors have been removed; replace
+// so prefer them over the loose constructors. The strategy constructors
+// have been removed; replace
 //
-//	mcsched.CAUDP()   →  s, _ := mcsched.StrategyByName("CA-UDP")
-//	mcsched.CUUDP()   →  s, _ := mcsched.StrategyByName("CU-UDP")
+//	mcsched.CAUDP()       →  s, _ := mcsched.StrategyByName("CA-UDP")
+//	mcsched.CUUDP()       →  s, _ := mcsched.StrategyByName("CU-UDP")
+//	mcsched.CANoSortFF()  →  s, _ := mcsched.StrategyByName("CA(nosort)-F-F")
+//	mcsched.CAFF()        →  s, _ := mcsched.StrategyByName("CA-F-F")
+//	mcsched.CAWuF()       →  s, _ := mcsched.StrategyByName("CA-Wu-F")
+//	mcsched.ECAWuF()      →  s, _ := mcsched.StrategyByName("ECA-Wu-F")
+//	mcsched.FFD()         →  s, _ := mcsched.StrategyByName("FFD")
+//	mcsched.WFD()         →  s, _ := mcsched.StrategyByName("WFD")
 //
 // The online analogue of a strategy is a placement heuristic: tenants of
 // the admission controller pick one by registry name at creation

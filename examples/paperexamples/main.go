@@ -98,7 +98,7 @@ func main() {
 		fmt.Printf("  τ%d: u^L=%.2f u^H=%.2f (%s)\n", t.ID+1, t.ULo, t.UHi, t.Crit)
 	}
 	fmt.Println()
-	for _, s := range []mcsched.Strategy{mcsched.CAWuF(), strategy("CA-UDP")} {
+	for _, s := range []mcsched.Strategy{strategy("CA-Wu-F"), strategy("CA-UDP")} {
 		p, err := s.Partition(fig1, m, test)
 		describe(s.Name(), p, err)
 	}

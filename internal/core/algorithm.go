@@ -34,7 +34,7 @@ var scratchAssigners = sync.Pool{New: func() any { return new(Assigner) }}
 // recycled Assigner (buffers, and analyzers when the test is the same as
 // last time) — the verdict is the one Partition gives.
 func (a Algorithm) Schedulable(ts mcs.TaskSet, m int) bool {
-	s, ok := a.Strategy.(builtin)
+	s, ok := a.Strategy.(strategy)
 	if !ok {
 		_, err := a.Partition(ts, m)
 		return err == nil

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mcsched/internal/analysis/edfvd"
@@ -12,6 +13,17 @@ import (
 
 // utilSet builds a task set from (uL, uH) pairs on T=1000; uL == uH makes
 // an LC task. The float utilizations are exact.
+// strategyNamed resolves a built-in strategy, failing the test when the
+// name is unknown.
+func strategyNamed(t testing.TB, name string) Strategy {
+	t.Helper()
+	s, ok := StrategyByName(name)
+	if !ok {
+		t.Fatalf("no strategy named %q", name)
+	}
+	return s
+}
+
 func utilSet(pairs ...[2]float64) mcs.TaskSet {
 	var ts mcs.TaskSet
 	for i, p := range pairs {
@@ -59,7 +71,7 @@ func TestFig1(t *testing.T) {
 		t.Errorf("heavy LC τ4 not with τ2: cores %d/%d", udp.CoreOf(3), udp.CoreOf(1))
 	}
 
-	if _, err := (CAWuF{}).Partition(ts, 2, test); !errors.Is(err, ErrUnpartitionable) {
+	if _, err := strategyNamed(t, "CA-Wu-F").Partition(ts, 2, test); !errors.Is(err, ErrUnpartitionable) {
 		t.Errorf("CA-Wu-F unexpectedly succeeded on Figure 1 set: %v", err)
 	}
 }
@@ -135,7 +147,7 @@ func TestUDPBalancesUtilDiff(t *testing.T) {
 			ts = append(ts, task)
 		}
 		pUDP, err1 := CAUDP().Partition(ts, 4, test)
-		pWu, err2 := (CAWuF{}).Partition(ts, 4, test)
+		pWu, err2 := strategyNamed(t, "CA-Wu-F").Partition(ts, 4, test)
 		if err1 != nil || err2 != nil {
 			continue
 		}
@@ -187,18 +199,16 @@ func TestFailErrorCarriesTask(t *testing.T) {
 }
 
 func TestStrategyNames(t *testing.T) {
-	want := map[string]bool{
-		"CA-UDP": true, "CU-UDP": true, "CA(nosort)-F-F": true,
-		"CA-F-F": true, "CA-Wu-F": true, "ECA-Wu-F": true, "FFD": true, "WFD": true,
-	}
+	want := []string{"CA-UDP", "CU-UDP", "CA(nosort)-F-F", "CA-F-F", "CA-Wu-F", "ECA-Wu-F", "FFD", "WFD"}
+	var got []string
 	for _, s := range Strategies() {
-		if !want[s.Name()] {
-			t.Errorf("unexpected strategy name %q", s.Name())
-		}
-		delete(want, s.Name())
+		got = append(got, s.Name())
 	}
-	if len(want) != 0 {
-		t.Errorf("missing strategies: %v", want)
+	if !slices.Equal(got, want) {
+		t.Errorf("Strategies() names %q, want %q", got, want)
+	}
+	if CAUDP().Name() != "CA-UDP" || CUUDP().Name() != "CU-UDP" {
+		t.Errorf("CAUDP() is %q, CUUDP() is %q", CAUDP().Name(), CUUDP().Name())
 	}
 	if s, ok := StrategyByName("CU-UDP"); !ok || s.Name() != "CU-UDP" {
 		t.Error("StrategyByName(CU-UDP) failed")
@@ -224,7 +234,7 @@ func TestECAWuFHeavyLCFirst(t *testing.T) {
 		[2]float64{0.70, 0.70},
 		[2]float64{0.30, 0.30}, // light LC
 	)
-	p, err := (ECAWuF{}).Partition(ts, 2, edfvd.Test{})
+	p, err := strategyNamed(t, "ECA-Wu-F").Partition(ts, 2, edfvd.Test{})
 	if err != nil {
 		t.Fatalf("ECA-Wu-F failed: %v", err)
 	}
@@ -299,21 +309,53 @@ func TestCUBeatsCAOnHeavyLC(t *testing.T) {
 	t.Logf("CU-UDP %d, CA-UDP %d of 300", cu, ca)
 }
 
-func BenchmarkCUUDPPartition(b *testing.B) {
+// benchSets are the 32 task sets BenchmarkCUUDPPartition cycles through:
+// m = 8, UHH 0.6, ULH 0.3, ULL 0.3, seed 4.
+func benchSets(tb testing.TB) []mcs.TaskSet {
 	rng := rand.New(rand.NewSource(4))
 	cfg := taskgen.DefaultConfig(8, 0.6, 0.3, 0.3)
 	sets := make([]mcs.TaskSet, 32)
 	for i := range sets {
 		ts, err := taskgen.Generate(rng, cfg)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		sets[i] = ts
 	}
+	return sets
+}
+
+func BenchmarkCUUDPPartition(b *testing.B) {
+	sets := benchSets(b)
 	alg := Algorithm{Strategy: CUUDP(), Test: edfvd.Test{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		alg.Schedulable(sets[i%len(sets)], 8)
+	}
+}
+
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestStrategySchedulableAllocs holds Algorithm.Schedulable under EDF-VD,
+// on BenchmarkCUUDPPartition's sets, to one allocation per call for every
+// strategy: the clone its task sequence is sorted in. The recycled
+// assigner, the placers' core orders and the probes allocate nothing.
+func TestStrategySchedulableAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector")
+	}
+	sets := benchSets(t)
+	for _, s := range Strategies() {
+		alg := Algorithm{Strategy: s, Test: edfvd.Test{}}
+		i := 0
+		got := testing.AllocsPerRun(10*len(sets), func() {
+			alg.Schedulable(sets[i%len(sets)], 8)
+			i++
+		})
+		if got > 1 {
+			t.Errorf("%s: %.0f allocs per Schedulable, want at most 1", s.Name(), got)
+		}
 	}
 }

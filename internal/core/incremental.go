@@ -253,20 +253,6 @@ func (a *Assigner) Remove(id int) (mcs.Task, bool) {
 	return mcs.Task{}, false
 }
 
-// PlacementOrder returns the core indices in the order the UDP online
-// policy tries them for the task: worst-fit by the per-core utilization
-// difference for HC tasks (Algorithm 1 line 3), index order (first-fit)
-// for LC tasks. Ties break by index so the order is deterministic. The
-// returned slice is pooled scratch, valid until the next order-producing
-// call on this assigner.
-func (a *Assigner) PlacementOrder(task mcs.Task) []int {
-	order := a.identityOrder()
-	if task.IsHC() {
-		sortOrder(order, a.UtilDiff, false)
-	}
-	return order
-}
-
 // identityOrder resets the pooled permutation to 0..m-1.
 func (a *Assigner) identityOrder() []int {
 	if cap(a.orderBuf) < len(a.cores) {
@@ -304,30 +290,6 @@ func sortOrder(order []int, key func(k int) float64, desc bool) {
 		return
 	}
 	sort.SliceStable(order, func(x, y int) bool { return less(order[x], order[y]) })
-}
-
-// FirstFit tries cores in index order.
-func (a *Assigner) FirstFit(task mcs.Task) bool {
-	return a.placeInOrder(task, a.identityOrder())
-}
-
-// placeInOrder probes the candidate cores in the given order and commits
-// the task on the first fit.
-func (a *Assigner) placeInOrder(task mcs.Task, order []int) bool {
-	k := a.FirstFitting(task, order)
-	if k < 0 {
-		return false
-	}
-	a.Commit(task, k)
-	return true
-}
-
-// WorstFitBy tries cores in increasing order of key(k), ties by index —
-// the generalized worst-fit of Algorithm 1 line 3.
-func (a *Assigner) WorstFitBy(task mcs.Task, key func(k int) float64) bool {
-	order := a.identityOrder()
-	sortOrder(order, key, false)
-	return a.placeInOrder(task, order)
 }
 
 // Partition hands the assignment over as a Partition. The strategies call

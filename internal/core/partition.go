@@ -6,9 +6,12 @@
 //
 // A Strategy assigns tasks to processors, consulting a uniprocessor
 // schedulability Test before every assignment; a failed test on every
-// processor fails the partitioning. A Strategy combined with a Test forms
-// an Algorithm — a complete partitioned MC scheduling algorithm such as
-// "CU-UDP-EDF-VD".
+// processor fails the partitioning. Each built-in strategy is two choices:
+// the order tasks are offered in, and the online Placer each criticality
+// class is placed by — the placers live tenants use, so CA-UDP is the
+// "udp-ca" placer over HC tasks then LC tasks, each by decreasing
+// utilization. A Strategy combined with a Test forms an Algorithm — a
+// complete partitioned MC scheduling algorithm such as "CU-UDP-EDF-VD".
 //
 // Candidate-core scans — the inner loop of every strategy, and where nearly
 // all partitioning time is spent on the iterative tests (AMC in particular)
@@ -107,38 +110,6 @@ type Strategy interface {
 	// UncoveredError, before placing anything, when test does not cover
 	// some task's deadline model.
 	Partition(ts mcs.TaskSet, m int, test Test) (Partition, error)
-}
-
-// builtin is what this package's strategies are underneath Strategy: an
-// allocation sequence over an Assigner somebody else prepared. The split
-// lets one preamble serve all of them (partition) and lets
-// Algorithm.Schedulable, which keeps no Partition, run the same sequence on
-// a recycled Assigner.
-type builtin interface {
-	// allocate places every task of ts on st, or returns the FailError of
-	// the first task that fits nowhere.
-	allocate(st *Assigner, ts mcs.TaskSet) error
-}
-
-// partition is the built-in strategies' Partition: validate, allocate on a
-// fresh Assigner, hand its cores over.
-func partition(s builtin, ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	if err := validateInput(ts, m, test); err != nil {
-		return Partition{}, err
-	}
-	st := NewAssigner(m, test)
-	if err := s.allocate(st, ts); err != nil {
-		return Partition{}, err
-	}
-	return st.Partition(), nil
-}
-
-// sortedByLevelUtil returns a copy sorted in decreasing order of each
-// task's utilization at its own criticality level.
-func sortedByLevelUtil(ts mcs.TaskSet) mcs.TaskSet {
-	cp := ts.Clone()
-	cp.SortByLevelUtil()
-	return cp
 }
 
 // validateInput rejects degenerate partitioning requests and tasks whose

@@ -13,9 +13,8 @@ package core
 // create-system events, snapshots and replication frames all carry the
 // name, and recovery/failover rebuild the tenant with the identical
 // packer. The default, "udp-ca", is the paper's criticality-aware
-// utilization-difference policy and delegates to the assigner's pooled
-// PlacementOrder — its candidate orders, placements and allocation
-// behavior are bit-identical to the previously hardwired path.
+// utilization-difference policy. The built-in offline strategies
+// (strategies.go) are task orders over placers of this registry.
 
 import (
 	"fmt"
@@ -55,7 +54,7 @@ type Placer interface {
 }
 
 // ---------------------------------------------------------------------------
-// udp-ca: the paper's policy, bit-identical to the pre-registry path
+// udp-ca: the paper's policy
 // ---------------------------------------------------------------------------
 
 // udpPlacer is the paper's online UDP rule: HC tasks worst-fit by the
@@ -71,7 +70,15 @@ func (udpPlacer) Policy(t mcs.Task) string {
 	return "first-fit"
 }
 
-func (udpPlacer) Order(a *Assigner, t mcs.Task) []int { return a.PlacementOrder(t) }
+// Order is Algorithm 1 line 3 for HC tasks, index order for LC tasks; ties
+// break by index so the order is deterministic.
+func (udpPlacer) Order(a *Assigner, t mcs.Task) []int {
+	order := a.identityOrder()
+	if t.IsHC() {
+		sortOrder(order, a.UtilDiff, false)
+	}
+	return order
+}
 
 func (udpPlacer) Score(a *Assigner, t mcs.Task, k int) float64 {
 	if t.IsHC() {

@@ -105,31 +105,6 @@ func TestURMBound(t *testing.T) {
 	}
 }
 
-// TestUDPPlacerMatchesPlacementOrder pins the bit-identical contract of the
-// default: udp-ca's candidate order is the assigner's PlacementOrder for
-// every task class and load.
-func TestUDPPlacerMatchesPlacementOrder(t *testing.T) {
-	udp, _ := PlacerByName(DefaultPlacement)
-	for seed := int64(0); seed < 8; seed++ {
-		a := placerTestAssigner(t, 5, seed)
-		for _, task := range []mcs.Task{
-			mcs.NewHC(100, 2, 4, 20),
-			mcs.NewLC(101, 3, 30),
-		} {
-			want := append([]int(nil), a.PlacementOrder(task)...)
-			got := udp.Order(a, task)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d task %v: order %v vs PlacementOrder %v", seed, task, got, want)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d task %v: order %v vs PlacementOrder %v", seed, task, got, want)
-				}
-			}
-		}
-	}
-}
-
 // TestPlacerOrderProperties checks the structural contract of every
 // registered placer: candidate orders visit distinct in-range cores, and
 // sorted policies rank them by non-decreasing Score.

@@ -1,249 +1,136 @@
 package core
 
 import (
+	"slices"
+
 	"mcsched/internal/mcs"
 )
 
-// UDP is the paper's Utilization Difference based Partitioning strategy.
-// HC tasks are allocated worst-fit by the per-core utilization difference
-// UHH(φ_k) − ULH(φ_k) (Algorithm 1); LC tasks first-fit. The
-// CriticalityAware flag selects CA-UDP (all HC tasks before any LC task,
-// each class sorted by its own utilization) versus CU-UDP (one merged
-// ordering by level utilization, so heavy LC tasks allocate early).
-type UDP struct {
-	// CriticalityAware selects CA-UDP; false is CU-UDP.
-	CriticalityAware bool
+// strategy is a built-in partitioning strategy: the order tasks are offered
+// in, and the online placer each criticality class is placed by. Every task
+// goes to the first core, in its placer's order, that passes the test — the
+// same probe-and-commit a live tenant runs on admit.
+type strategy struct {
+	name   string
+	seq    sequence
+	hc, lc Placer
+}
+
+// builtins are the named strategies, in Strategies order.
+var builtins = []Strategy{
+	// Algorithm 1: HC tasks worst-fit by UHH(φ_k) − ULH(φ_k), LC tasks
+	// first-fit; CA-UDP offers every HC task before any LC task, CU-UDP
+	// one merged order, so heavy LC tasks allocate early.
+	strategy{"CA-UDP", caSorted, udpPlacer{}, udpPlacer{}},
+	strategy{"CU-UDP", cuSorted, udpPlacer{}, udpPlacer{}},
+	// Baruah et al. (RTS 2014): the only partitioned MC algorithm with a
+	// proven speed-up bound (8/3, with EDF-VD).
+	strategy{"CA(nosort)-F-F", caGenerated, firstFitPlacer{}, firstFitPlacer{}},
+	// Rodriguez et al. (WMC 2013).
+	strategy{"CA-F-F", caSorted, firstFitPlacer{}, firstFitPlacer{}},
+	// The comparison point of the paper's Figure 1: HC tasks worst-fit by
+	// UHH(φ_k) alone, ignoring the utilization difference.
+	strategy{"CA-Wu-F", caSorted, fitByPlacer{measure: measureHi}, firstFitPlacer{}},
+	// Gu et al. (DATE 2014); the paper pairs it with the EY test.
+	strategy{"ECA-Wu-F", ecaSorted, fitByPlacer{measure: measureHi}, firstFitPlacer{}},
+	// Classic first-fit and worst-fit decreasing: the best packer for
+	// non-MC systems, and the one the paper's introduction cites as poor
+	// for MC systems.
+	strategy{"FFD", cuSorted, firstFitPlacer{}, firstFitPlacer{}},
+	strategy{"WFD", cuSorted, fitByPlacer{measure: measureTotal}, fitByPlacer{measure: measureTotal}},
+}
+
+// sequence is the order a strategy offers tasks in. Every order but
+// caGenerated sorts by decreasing level utilization, ties by ID, within
+// its groups.
+type sequence uint8
+
+const (
+	caSorted    sequence = iota // HC tasks, then LC tasks
+	cuSorted                    // all tasks in one order
+	caGenerated                 // HC tasks, then LC tasks, each in generation order
+	ecaSorted                   // LC tasks heavier than every HC task's u^H, then HC tasks, then the other LC tasks
+)
+
+// of returns ts in the sequence's order, in one clone.
+func (s sequence) of(ts mcs.TaskSet) mcs.TaskSet {
+	seq := ts.Clone()
+	if s != caGenerated {
+		seq.SortByLevelUtil()
+	}
+	if s == cuSorted {
+		return seq
+	}
+	var maxHC float64
+	if s == ecaSorted {
+		for _, t := range ts {
+			if t.IsHC() && t.UHi > maxHC {
+				maxHC = t.UHi
+			}
+		}
+	}
+	group := func(t mcs.Task) int {
+		switch {
+		case t.IsHC():
+			return 1
+		case s == ecaSorted && t.ULo > maxHC:
+			return 0
+		default:
+			return 2
+		}
+	}
+	// Stable, so each group keeps the order sorted (or generated) above.
+	slices.SortStableFunc(seq, func(a, b mcs.Task) int { return group(a) - group(b) })
+	return seq
+}
+
+// Name implements Strategy.
+func (s strategy) Name() string { return s.name }
+
+// Partition implements Strategy: validate, allocate on a fresh Assigner,
+// hand its cores over.
+func (s strategy) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
+	if err := validateInput(ts, m, test); err != nil {
+		return Partition{}, err
+	}
+	st := NewAssigner(m, test)
+	if err := s.allocate(st, ts); err != nil {
+		return Partition{}, err
+	}
+	return st.Partition(), nil
+}
+
+// allocate places every task of ts on st, or returns the FailError of the
+// first task that fits nowhere.
+func (s strategy) allocate(st *Assigner, ts mcs.TaskSet) error {
+	for _, t := range s.seq.of(ts) {
+		p := s.lc
+		if t.IsHC() {
+			p = s.hc
+		}
+		k := st.FirstFitting(t, p.Order(st, t))
+		if k < 0 {
+			return FailError{Task: t}
+		}
+		st.Commit(t, k)
+	}
+	return nil
 }
 
 // CAUDP returns the criticality-aware UDP strategy of Algorithm 1.
-func CAUDP() Strategy { return UDP{CriticalityAware: true} }
+func CAUDP() Strategy { return builtins[0] }
 
 // CUUDP returns the criticality-unaware UDP strategy.
-func CUUDP() Strategy { return UDP{} }
-
-// Name implements Strategy.
-func (u UDP) Name() string {
-	if u.CriticalityAware {
-		return "CA-UDP"
-	}
-	return "CU-UDP"
-}
-
-// Partition implements Strategy.
-func (u UDP) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	return partition(u, ts, m, test)
-}
-
-func (u UDP) allocate(st *Assigner, ts mcs.TaskSet) error {
-	var seq mcs.TaskSet
-	if u.CriticalityAware {
-		seq = append(sortedByLevelUtil(ts.HC()), sortedByLevelUtil(ts.LC())...)
-	} else {
-		seq = sortedByLevelUtil(ts)
-	}
-
-	for _, task := range seq {
-		var ok bool
-		if task.IsHC() {
-			ok = st.WorstFitBy(task, st.UtilDiff)
-		} else {
-			ok = st.FirstFit(task)
-		}
-		if !ok {
-			return FailError{Task: task}
-		}
-	}
-	return nil
-}
-
-// CANoSortFF is the baseline CA(nosort)-F-F of Baruah et al. (RTS 2014):
-// criticality-aware allocation in generation order (no utilization sort),
-// first-fit for both classes. With the EDF-VD test it is the only
-// partitioned MC algorithm with a proven speed-up bound (8/3).
-type CANoSortFF struct{}
-
-// Name implements Strategy.
-func (CANoSortFF) Name() string { return "CA(nosort)-F-F" }
-
-// Partition implements Strategy.
-func (s CANoSortFF) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	return partition(s, ts, m, test)
-}
-
-func (s CANoSortFF) allocate(st *Assigner, ts mcs.TaskSet) error {
-	for _, task := range append(ts.HC(), ts.LC()...) {
-		if !st.FirstFit(task) {
-			return FailError{Task: task}
-		}
-	}
-	return nil
-}
-
-// CAFF is the baseline CA-F-F of Rodriguez et al. (WMC 2013):
-// criticality-aware, each class sorted by decreasing level utilization,
-// first-fit for both classes.
-type CAFF struct{}
-
-// Name implements Strategy.
-func (CAFF) Name() string { return "CA-F-F" }
-
-// Partition implements Strategy.
-func (s CAFF) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	return partition(s, ts, m, test)
-}
-
-func (s CAFF) allocate(st *Assigner, ts mcs.TaskSet) error {
-	seq := append(sortedByLevelUtil(ts.HC()), sortedByLevelUtil(ts.LC())...)
-	for _, task := range seq {
-		if !st.FirstFit(task) {
-			return FailError{Task: task}
-		}
-	}
-	return nil
-}
-
-// CAWuF is the criticality-aware worst-fit-by-HC-utilization strategy used
-// as the comparison point in the paper's Figure 1: HC tasks worst-fit by
-// UHH(φ_k) alone (ignoring the utilization difference), LC tasks first-fit;
-// both classes sorted by decreasing level utilization.
-type CAWuF struct{}
-
-// Name implements Strategy.
-func (CAWuF) Name() string { return "CA-Wu-F" }
-
-// Partition implements Strategy.
-func (s CAWuF) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	return partition(s, ts, m, test)
-}
-
-func (s CAWuF) allocate(st *Assigner, ts mcs.TaskSet) error {
-	for _, task := range sortedByLevelUtil(ts.HC()) {
-		if !st.WorstFitBy(task, func(k int) float64 { return st.UHH(k) }) {
-			return FailError{Task: task}
-		}
-	}
-	for _, task := range sortedByLevelUtil(ts.LC()) {
-		if !st.FirstFit(task) {
-			return FailError{Task: task}
-		}
-	}
-	return nil
-}
-
-// ECAWuF is the enhanced criticality-aware strategy of Gu et al.
-// (DATE 2014): LC tasks heavier than every HC task are allocated before the
-// HC tasks (first-fit, decreasing utilization); HC tasks are then worst-fit
-// by UHH(φ_k); the remaining LC tasks are first-fit, decreasing. The paper
-// pairs this strategy with the EY test (ECA-Wu-F-EY).
-type ECAWuF struct{}
-
-// Name implements Strategy.
-func (ECAWuF) Name() string { return "ECA-Wu-F" }
-
-// Partition implements Strategy.
-func (s ECAWuF) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	return partition(s, ts, m, test)
-}
-
-func (s ECAWuF) allocate(st *Assigner, ts mcs.TaskSet) error {
-	hc := sortedByLevelUtil(ts.HC())
-	lc := sortedByLevelUtil(ts.LC())
-	var maxHC float64
-	for _, t := range hc {
-		if t.UHi > maxHC {
-			maxHC = t.UHi
-		}
-	}
-	// Heavy LC tasks: utilization strictly above every HC task's u^H.
-	split := 0
-	for split < len(lc) && lc[split].ULo > maxHC {
-		split++
-	}
-	heavy, rest := lc[:split], lc[split:]
-
-	for _, task := range heavy {
-		if !st.FirstFit(task) {
-			return FailError{Task: task}
-		}
-	}
-	for _, task := range hc {
-		if !st.WorstFitBy(task, func(k int) float64 { return st.UHH(k) }) {
-			return FailError{Task: task}
-		}
-	}
-	for _, task := range rest {
-		if !st.FirstFit(task) {
-			return FailError{Task: task}
-		}
-	}
-	return nil
-}
-
-// FFD is the classic criticality-unaware first-fit decreasing strategy —
-// the best performer for conventional (non-MC) systems, included as a
-// reference point.
-type FFD struct{}
-
-// Name implements Strategy.
-func (FFD) Name() string { return "FFD" }
-
-// Partition implements Strategy.
-func (s FFD) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	return partition(s, ts, m, test)
-}
-
-func (s FFD) allocate(st *Assigner, ts mcs.TaskSet) error {
-	for _, task := range sortedByLevelUtil(ts) {
-		if !st.FirstFit(task) {
-			return FailError{Task: task}
-		}
-	}
-	return nil
-}
-
-// WFD is criticality-unaware worst-fit decreasing by level utilization —
-// the strategy the paper's introduction cites as known-poor for MC systems;
-// included for ablations.
-type WFD struct{}
-
-// Name implements Strategy.
-func (WFD) Name() string { return "WFD" }
-
-// Partition implements Strategy.
-func (s WFD) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error) {
-	return partition(s, ts, m, test)
-}
-
-func (s WFD) allocate(st *Assigner, ts mcs.TaskSet) error {
-	load := make([]float64, st.NumCores())
-	for _, task := range sortedByLevelUtil(ts) {
-		if !st.WorstFitBy(task, func(i int) float64 { return load[i] }) {
-			return FailError{Task: task}
-		}
-		load[st.LastCore()] += task.LevelUtil()
-	}
-	return nil
-}
+func CUUDP() Strategy { return builtins[1] }
 
 // Strategies returns every named strategy in a stable order: the paper's
 // two proposed strategies first, then the published baselines, then the
 // reference strategies.
-func Strategies() []Strategy {
-	return []Strategy{
-		CAUDP(),
-		CUUDP(),
-		CANoSortFF{},
-		CAFF{},
-		CAWuF{},
-		ECAWuF{},
-		FFD{},
-		WFD{},
-	}
-}
+func Strategies() []Strategy { return slices.Clone(builtins) }
 
 // StrategyByName finds a strategy by its Name; ok=false when unknown.
 func StrategyByName(name string) (Strategy, bool) {
-	for _, s := range Strategies() {
+	for _, s := range builtins {
 		if s.Name() == name {
 			return s, true
 		}

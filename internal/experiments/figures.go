@@ -23,6 +23,15 @@ func EYTest() core.Test { return ey.Test{Opts: ey.DefaultOptions()} }
 // assignment, the variant the paper evaluates.
 func AMCTest() core.Test { return amc.Test{Opts: amc.DefaultOptions()} }
 
+// strategy resolves a built-in strategy by name.
+func strategy(name string) core.Strategy {
+	s, ok := core.StrategyByName(name)
+	if !ok {
+		panic("experiments: unknown strategy " + name)
+	}
+	return s
+}
+
 // Figure3Algorithms are the implicit-deadline EDF-VD algorithms of Fig. 3:
 // the two UDP strategies versus the speed-up-bound baseline of Baruah et al.
 func Figure3Algorithms() []core.Algorithm {
@@ -30,7 +39,7 @@ func Figure3Algorithms() []core.Algorithm {
 	return []core.Algorithm{
 		{Strategy: core.CAUDP(), Test: t},
 		{Strategy: core.CUUDP(), Test: t},
-		{Strategy: core.CANoSortFF{}, Test: t},
+		{Strategy: strategy("CA(nosort)-F-F"), Test: t},
 	}
 }
 
@@ -44,8 +53,8 @@ func Figure45Algorithms() []core.Algorithm {
 		{Strategy: core.CUUDP(), Test: AMCTest()},
 		{Strategy: core.CAUDP(), Test: ECDFTest()},
 		{Strategy: core.CAUDP(), Test: AMCTest()},
-		{Strategy: core.ECAWuF{}, Test: EYTest()},
-		{Strategy: core.CAFF{}, Test: EYTest()},
+		{Strategy: strategy("ECA-Wu-F"), Test: EYTest()},
+		{Strategy: strategy("CA-F-F"), Test: EYTest()},
 	}
 }
 

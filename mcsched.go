@@ -77,31 +77,6 @@ type Partition = core.Partition
 // no processor.
 var ErrUnpartitionable = core.ErrUnpartitionable
 
-// CANoSortFF returns the baseline of Baruah et al. (RTS 2014):
-// criticality-aware, unsorted, first-fit. With EDF-VD it is the only
-// partitioned MC algorithm with a proven speed-up bound (8/3).
-func CANoSortFF() Strategy { return core.CANoSortFF{} }
-
-// CAFF returns the baseline of Rodriguez et al. (WMC 2013):
-// criticality-aware, sorted, first-fit for both classes.
-func CAFF() Strategy { return core.CAFF{} }
-
-// CAWuF returns the criticality-aware worst-fit-by-HC-utilization strategy
-// that the paper's Figure 1 contrasts with CA-UDP.
-func CAWuF() Strategy { return core.CAWuF{} }
-
-// ECAWuF returns the enhanced criticality-aware strategy of Gu et al.
-// (DATE 2014), which allocates heavy LC tasks before the HC tasks.
-func ECAWuF() Strategy { return core.ECAWuF{} }
-
-// FFD returns classic first-fit decreasing — the best conventional (non-MC)
-// partitioning heuristic, as a reference point.
-func FFD() Strategy { return core.FFD{} }
-
-// WFD returns criticality-unaware worst-fit decreasing, the known-poor MC
-// heuristic mentioned in the paper's introduction, for ablations.
-func WFD() Strategy { return core.WFD{} }
-
 // Strategies returns every named strategy in a stable order.
 func Strategies() []Strategy { return core.Strategies() }
 

@@ -1,32 +1,23 @@
 package mcsched
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
-// TestStrategyNameRoundTrip audits that every exported strategy constructor
-// resolves back to itself through StrategyByName — the contract the CLI
-// flags, the daemon and serialized experiment configs rely on.
+// TestStrategyNameRoundTrip audits that every strategy name resolves back
+// to itself through StrategyByName — the contract the CLI flags, the daemon
+// and serialized experiment configs rely on.
 func TestStrategyNameRoundTrip(t *testing.T) {
-	constructors := []Strategy{
-		mustStrategy("CA-UDP"),
-		mustStrategy("CU-UDP"),
-		CANoSortFF(),
-		CAFF(),
-		CAWuF(),
-		ECAWuF(),
-		FFD(),
-		WFD(),
+	want := []string{"CA-UDP", "CU-UDP", "CA(nosort)-F-F", "CA-F-F", "CA-Wu-F", "ECA-Wu-F", "FFD", "WFD"}
+	var names []string
+	for _, s := range Strategies() {
+		names = append(names, s.Name())
 	}
-	// The registry must cover exactly the constructors.
-	if got, want := len(Strategies()), len(constructors); got != want {
-		t.Errorf("Strategies() lists %d strategies, constructors export %d", got, want)
+	if !slices.Equal(names, want) {
+		t.Errorf("Strategies() names %q, want %q", names, want)
 	}
-	seen := make(map[string]bool)
-	for _, s := range constructors {
-		name := s.Name()
-		if seen[name] {
-			t.Errorf("duplicate strategy name %q", name)
-		}
-		seen[name] = true
+	for _, name := range want {
 		got, ok := StrategyByName(name)
 		if !ok {
 			t.Errorf("StrategyByName(%q) not found", name)
