@@ -11,8 +11,6 @@ import (
 	"mcsched/internal/taskgen"
 )
 
-// utilSet builds a task set from (uL, uH) pairs on T=1000; uL == uH makes
-// an LC task. The float utilizations are exact.
 // strategyNamed resolves a built-in strategy, failing the test when the
 // name is unknown.
 func strategyNamed(t testing.TB, name string) Strategy {
@@ -24,6 +22,8 @@ func strategyNamed(t testing.TB, name string) Strategy {
 	return s
 }
 
+// utilSet builds a task set from (uL, uH) pairs on T=1000; uL == uH makes
+// an LC task. The float utilizations are exact.
 func utilSet(pairs ...[2]float64) mcs.TaskSet {
 	var ts mcs.TaskSet
 	for i, p := range pairs {

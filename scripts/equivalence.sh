@@ -1,0 +1,80 @@
+#!/bin/sh
+# equivalence.sh REV — does this working tree partition exactly as REV?
+#
+# Builds the mcsched CLI from `git archive REV` and from the working tree,
+# then runs both binaries on the same inputs and compares stdout and exit
+# status, pair by pair:
+#   list       mcsched list
+#   gen        gen -m 2 -uhh U -ulh 0.25 -ull 0.3 -seed S, for S = 1–50,
+#              U in 0.35 0.45 0.55 0.65, once implicit, once -constrained
+#   partition  partition -q -m 2 -strategy X -test Y on every generated set
+#              (the working tree's copy), for every strategy X and test Y
+#              that the working tree's `mcsched list` prints
+# Prints the match counts per kind and every pair that differs; exits 1
+# when any pair differs. Takes a few minutes (about 50 000 runs).
+set -eu
+
+rev=${1:?usage: equivalence.sh REV}
+root=$(cd "$(dirname "$0")/.." && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+mkdir "$work/src" "$work/sets"
+
+git -C "$root" archive "$rev" | tar -x -C "$work/src"
+(cd "$work/src" && go build -o "$work/old" ./cmd/mcsched)
+(cd "$root" && go build -o "$work/new" ./cmd/mcsched)
+
+same=0 differ=0 ok=0 failed=0
+# pair IN ARGS...: run both binaries on ARGS with stdin from IN; leaves the
+# working tree's stdout in $work/new.out.
+pair() {
+	in=$1
+	shift
+	s_old=0
+	"$work/old" "$@" <"$in" >"$work/old.out" 2>/dev/null || s_old=$?
+	s_new=0
+	"$work/new" "$@" <"$in" >"$work/new.out" 2>/dev/null || s_new=$?
+	if [ "$s_old" = "$s_new" ] && cmp -s "$work/old.out" "$work/new.out"; then
+		same=$((same + 1))
+		[ "$s_new" != 0 ] || ok=$((ok + 1))
+	else
+		differ=$((differ + 1))
+		from=
+		[ "$in" = /dev/null ] || from=" < $(basename "$in")"
+		echo "differs (exit $s_old vs $s_new): mcsched $*$from" >&2
+	fi
+}
+# report KIND: print and reset the counters.
+report() {
+	printf '%-10s %d of %d identical (%d exit 0)\n' "$1" "$same" $((same + differ)) "$ok"
+	failed=$((failed + differ))
+	same=0 differ=0 ok=0
+}
+
+pair /dev/null list
+report list
+
+for model in implicit constrained; do
+	flag=
+	[ "$model" = implicit ] || flag=-constrained
+	for u in 0.35 0.45 0.55 0.65; do
+		for s in $(seq 1 50); do
+			pair /dev/null gen -m 2 -uhh "$u" -ulh 0.25 -ull 0.3 -seed "$s" $flag
+			mv "$work/new.out" "$work/sets/$model-$u-$s.json"
+		done
+	done
+done
+report gen
+
+tests=$("$work/new" list | sed -n '/^tests:/,$p' | sed -n 's/^  //p')
+strategies=$("$work/new" list | sed -n '/^strategies:/,/^tests:/p' | sed -n 's/^  //p')
+for set in "$work"/sets/*.json; do
+	for strategy in $strategies; do
+		for test in $tests; do
+			pair "$set" partition -q -m 2 -strategy "$strategy" -test "$test"
+		done
+	done
+done
+report partition
+
+[ "$failed" = 0 ]
