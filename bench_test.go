@@ -1,9 +1,10 @@
 package mcsched
 
 // This file is the benchmark harness of the reproduction: one benchmark per
-// figure of the paper (Figs. 3, 4, 5, 6a, 6b) plus the ablation benches
-// called out in DESIGN.md and micro-benchmarks for the individual
-// schedulability tests and partitioning strategies.
+// figure of the paper (Figs. 3, 4, 5, 6a, 6b) plus ablation benches for the
+// design choices of Section III and micro-benchmarks for the individual
+// schedulability tests and partitioning strategies. cmd/mcbench runs a
+// fixed subset of these (its row table) and records them in BENCH_4.json.
 //
 // Figure benches run a reduced number of task sets per UB bucket (the CLI
 // tool cmd/mcfigures regenerates the figures at full scale) and attach the
@@ -20,7 +21,9 @@ import (
 	"sync"
 	"testing"
 
+	"mcsched/internal/analysis/kernel"
 	"mcsched/internal/mcsio"
+	"mcsched/internal/taskgen"
 )
 
 // benchSets is the per-UB sample count of the figure benches. Small on
@@ -349,13 +352,26 @@ func admitTasks(b *testing.B, n int) TaskSet {
 	return out
 }
 
-// benchAdmitSingle measures one admit+release cycle against a loaded
-// tenant. warm runs the measured cycle once before the timer starts, so the
-// per-core analyzers have seen every candidate set already; cold starts the
-// timer on the freshly loaded tenant.
-func benchAdmitSingle(b *testing.B, warm bool) {
-	ctrl := NewAdmissionController(DefaultAdmissionConfig())
-	sys, err := ctrl.CreateSystem("bench", 8, EDFVD())
+// reportCounters attaches the controller's analyzer counters, accumulated
+// over the whole run (set-up and warm-up included), as custom metrics whose
+// units are cmd/mcbench's JSON keys.
+func reportCounters(b *testing.B, ctrl *AdmissionController) {
+	st := ctrl.Stats()
+	b.ReportMetric(float64(st.TestsRun), "tests_run")
+	b.ReportMetric(float64(st.FastAccepts), "fast_accepts")
+	b.ReportMetric(float64(st.FastRejects), "fast_rejects")
+	b.ReportMetric(float64(st.IncrementalHits), "incremental_hits")
+	b.ReportMetric(float64(st.ExactRuns), "exact_runs")
+	b.ReportMetric(float64(st.WarmStarts), "warm_starts")
+}
+
+// benchAdmitSingle measures one admit+release cycle (or one probe) against
+// an 8-core tenant of ctrl loaded with half of the admit stream. warm runs
+// the measured cycle once before the timer starts, so the per-core
+// analyzers have seen every candidate set already; cold starts the timer on
+// the freshly loaded tenant.
+func benchAdmitSingle(b *testing.B, ctrl *AdmissionController, test Test, warm, probe bool) {
+	sys, err := ctrl.CreateSystem("bench", 8, test)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -367,6 +383,12 @@ func benchAdmitSingle(b *testing.B, warm bool) {
 		}
 	}
 	cycle := func(task Task) {
+		if probe {
+			if _, err := sys.Probe(task); err != nil {
+				b.Fatal(err)
+			}
+			return
+		}
 		res, err := sys.Admit(task)
 		if err != nil {
 			b.Fatal(err)
@@ -387,24 +409,62 @@ func benchAdmitSingle(b *testing.B, warm bool) {
 	for i := 0; i < b.N; i++ {
 		cycle(stream[128+i%128])
 	}
+	b.StopTimer()
+	reportCounters(b, ctrl)
 }
 
-// BenchmarkAdmitSingleCold measures the admit hot path from a freshly loaded
-// tenant.
-func BenchmarkAdmitSingleCold(b *testing.B) { benchAdmitSingle(b, false) }
-
-// BenchmarkAdmitSingleWarm measures the same hot path with the analyzers'
-// memoized state in place — the steady state of service traffic.
-func BenchmarkAdmitSingleWarm(b *testing.B) { benchAdmitSingle(b, true) }
+// BenchmarkAdmitSingle measures the single-task admit hot path: cold from
+// a freshly loaded tenant, warm with the analyzers' memoized state in place
+// (the steady state of service traffic) under EDF-VD, EY and ECDF, warm
+// with a live metrics registry (the observability layer must keep it at
+// 0 allocs/op), and warm probes.
+func BenchmarkAdmitSingle(b *testing.B) {
+	for _, c := range []struct {
+		name                      string
+		test                      Test
+		warm, probe, instrumented bool
+	}{
+		{"cold", EDFVD(), false, false, false},
+		{"warm", EDFVD(), true, false, false},
+		{"warm-instrumented", EDFVD(), true, false, true},
+		{"warm-ey", EY(), true, false, false},
+		{"warm-ecdf", ECDF(), true, false, false},
+		{"probe-warm", EDFVD(), true, true, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ctrl := NewAdmissionController(DefaultAdmissionConfig())
+			if c.instrumented {
+				ctrl.EnableMetrics(NewMetricsRegistry())
+			}
+			benchAdmitSingle(b, ctrl, c.test, c.warm, c.probe)
+		})
+	}
+}
 
 // BenchmarkAdmitBatch64 measures an all-or-nothing 64-task batch admit
-// (plus the release that resets the tenant between iterations) under a
-// cheap closed-form test and an iterative one.
+// (plus the release that resets the tenant between iterations) under every
+// test family with the default UDP placement, and under EDF-VD with each
+// other registry placement: the per-heuristic cost of the placement
+// registry.
 func BenchmarkAdmitBatch64(b *testing.B) {
-	for _, test := range []Test{EDFVD(), AMC()} {
-		b.Run(test.Name(), func(b *testing.B) {
+	for _, c := range []struct {
+		name, placement string
+		test            Test
+	}{
+		{"edfvd-cold", "", EDFVD()},
+		{"ey-cold", "", EY()},
+		{"ecdf-cold", "", ECDF()},
+		{"edf-cold", "", PlainEDF(true)},
+		{"amc-cold", "", AMC()},
+		{"edfvd-ff", "ff", EDFVD()},
+		{"edfvd-nf", "nf", EDFVD()},
+		{"edfvd-bf-total", "bf-total", EDFVD()},
+		{"edfvd-wf-total", "wf-total", EDFVD()},
+		{"edfvd-prm-ll", "prm-ll", EDFVD()},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			ctrl := NewAdmissionController(DefaultAdmissionConfig())
-			sys, err := ctrl.CreateSystem("bench", 8, test)
+			sys, err := ctrl.CreateSystemWithPlacement("bench", 8, c.test, c.placement)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -425,6 +485,182 @@ func BenchmarkAdmitBatch64(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+			}
+			b.StopTimer()
+			reportCounters(b, ctrl)
+		})
+	}
+}
+
+// BenchmarkAdmitBatch16FullTenant mirrors mcload's serve-analysis-batch
+// write: a 16-task all-or-nothing ECDF batch (one generated set of about
+// one core's load, constrained deadlines) offered to an 8-core tenant that
+// was filled with such batches until it refused three, so every core holds
+// about a dozen tasks and the exact analysis runs on most probes. An
+// admitted batch is released again; the measured cycle has run once before
+// the timer starts.
+func BenchmarkAdmitBatch16FullTenant(b *testing.B) {
+	rng := rand.New(rand.NewSource(2017))
+	cfg := DefaultGenConfig(1, 0.55, 0.25, 0.35)
+	cfg.NMin, cfg.NMax = 16, 16
+	cfg.Constrained = true
+	nextID := 0
+	draw := func() (TaskSet, []int) {
+		for {
+			ts, err := Generate(rng, cfg)
+			if err != nil {
+				continue // infeasible draw; the rng has advanced
+			}
+			ids := make([]int, len(ts))
+			for i := range ts {
+				ts[i].ID, ids[i] = nextID, nextID
+				nextID++
+			}
+			return ts, ids
+		}
+	}
+	ctrl := NewAdmissionController(DefaultAdmissionConfig())
+	sys, err := ctrl.CreateSystem("bench", 8, ECDF())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for refused := 0; refused < 3; {
+		batch, _ := draw()
+		res, err := sys.AdmitBatch(batch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.Admitted {
+			refused++
+		}
+	}
+	const pool = 32
+	batches, ids := make([]TaskSet, pool), make([][]int, pool)
+	for i := range batches {
+		batches[i], ids[i] = draw()
+	}
+	cycle := func(i int) {
+		res, err := sys.AdmitBatch(batches[i%pool])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Admitted {
+			if _, err := sys.Release(ids[i%pool]...); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < pool; i++ {
+		cycle(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(i)
+	}
+	b.StopTimer()
+	reportCounters(b, ctrl)
+}
+
+// BenchmarkAnalysisCold is one cold exact analysis per op on the family's
+// per-core analyzer, its memo dropped before every op: a whole shaping run
+// with no admission or placement around it. The two fixed single-core sets
+// have the size the m = 8 constrained sweep puts on a core, each at the
+// 90th percentile of its kind's cost among 4000 drawn: ey-shape-m8 passes
+// EY after 58 shaping steps; ecdf-exact-reject passes the LO test at d = D
+// and fails the EY pass and all five ECDF restarts.
+func BenchmarkAnalysisCold(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		test Test
+		ts   TaskSet
+		want bool
+	}{
+		{"ey-shape-m8", EY(), TaskSet{
+			NewLCTaskD(3, 5, 33, 23), NewHCTaskD(2, 1, 4, 11, 9), NewLCTaskD(5, 1, 10, 4),
+			NewHCTaskD(0, 37, 57, 294, 259), NewLCTaskD(4, 4, 13, 5), NewHCTaskD(1, 23, 63, 438, 395),
+		}, true},
+		{"ecdf-exact-reject", ECDF(), TaskSet{
+			NewHCTaskD(0, 32, 157, 218, 182), NewLCTaskD(3, 3, 11, 5), NewHCTaskD(1, 1, 2, 29, 20),
+			NewHCTaskD(2, 1, 2, 15, 6), NewLCTaskD(4, 2, 33, 32), NewLCTaskD(5, 1, 24, 22),
+		}, false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			an := c.test.(kernel.Incremental).NewAnalyzer()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				an.Invalidate()
+				if an.Schedulable(c.ts) != c.want {
+					b.Fatalf("%s verdict is not %v", c.test.Name(), c.want)
+				}
+			}
+			b.ReportMetric(float64(an.Counters().Total()), "tests_run")
+			b.ReportMetric(float64(an.Counters().ExactRuns), "exact_runs")
+		})
+	}
+}
+
+// BenchmarkGenerateGrid is one task-set draw at m = 8 per op, the ops
+// cycling through the paper's utilization grid, so the figure is the
+// sweeps' per-set generation cost, not one combination's.
+func BenchmarkGenerateGrid(b *testing.B) {
+	for _, constrained := range []bool{false, true} {
+		name := "implicit"
+		if constrained {
+			name = "constrained"
+		}
+		b.Run(name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(77))
+			grid := taskgen.DefaultGrid()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				combo := grid[i%len(grid)]
+				cfg := DefaultGenConfig(8, combo.UHH, combo.ULH, combo.ULL)
+				cfg.Constrained = constrained
+				if _, err := Generate(rng, cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCappedDraw is one BoundedSumCapped call per op on a continuing
+// stream: the LO-mode utilizations of twelve HC tasks under their HI-mode
+// caps, summing to share·Σcap. At 0.95 (exhausted) no UUniFast try fits
+// under the caps, so every op is the discard loop run to exhaustion plus
+// the proportional fallback, which is what 43.8 % of the generator's
+// capped draws on the paper's grid are; at 0.45 (accepted) an op accepts
+// after some 90 tries, as the grid's other capped draws do.
+func BenchmarkCappedDraw(b *testing.B) {
+	caps := []float64{0.62, 0.18, 0.41, 0.09, 0.77, 0.25, 0.33, 0.52, 0.14, 0.47, 0.29, 0.71}
+	var capSum float64
+	for _, c := range caps {
+		capSum += c
+	}
+	for _, c := range []struct {
+		name      string
+		share     float64
+		exhausted bool
+	}{{"exhausted", 0.95, true}, {"accepted", 0.45, false}} {
+		total := c.share * capSum
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(77))
+			fell := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				u, err := taskgen.BoundedSumCapped(rng, len(caps), total, 0.001, caps)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if u[0] == total*caps[0]/capSum { // the proportional fallback
+					fell++
+				}
+			}
+			if c.exhausted && fell != b.N || !c.exhausted && fell*100 > b.N {
+				b.Fatalf("%d of %d ops fell back, want exhausted=%v", fell, b.N, c.exhausted)
 			}
 		})
 	}
@@ -458,6 +694,20 @@ func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, 1) }
 // workers; curves are identical to serial.
 func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
 
+// BenchmarkSweepFig3 is one Figure 3 panel (m = 8, EDF-VD, three
+// algorithms) at 100 task sets per UB bucket: generation, partitioning and
+// the parallel map at a tenth of the paper's scale.
+func BenchmarkSweepFig3(b *testing.B) {
+	b.Run("m8-100", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Figure3(8, 100, 2017); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkPartitionAMC measures one full offline partitioning run of
 // CU-UDP-AMC on 8 cores — the offline counterpart of the admit-path
 // benchmarks.
@@ -465,6 +715,7 @@ func BenchmarkPartitionAMC(b *testing.B) {
 	ts := benchSet(b, 8, true)
 	strategy, test := mustStrategy("CU-UDP"), AMC()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = strategy.Partition(ts, 8, test)
 	}
@@ -492,10 +743,10 @@ func BenchmarkSpeedupSurvey(b *testing.B) {
 // Write-ahead journal: admit hot path with journaling on/off, recovery
 // ---------------------------------------------------------------------------
 
-// benchJournalAdmit measures the admit+release cycle of benchAdmitSingle
-// under a journaling policy: off (in-memory), on (page-cache durability),
-// or on with fsync (power-loss durability). The delta between the modes is
-// the price of the durability guarantee on the hot path.
+// benchJournalAdmit measures BenchmarkAdmitSingle's cold cycle under a
+// journaling policy: off (in-memory), on (page-cache durability), or on
+// with fsync (power-loss durability). The delta between the modes is the
+// price of the durability guarantee on the hot path.
 func benchJournalAdmit(b *testing.B, journaled, fsync bool) {
 	cfg := DefaultAdmissionConfig()
 	cfg.SnapshotEvery = -1 // isolate append cost from snapshot cost
@@ -505,30 +756,7 @@ func benchJournalAdmit(b *testing.B, journaled, fsync bool) {
 	}
 	ctrl := NewAdmissionController(cfg)
 	defer ctrl.Close()
-	sys, err := ctrl.CreateSystem("bench", 8, EDFVD())
-	if err != nil {
-		b.Fatal(err)
-	}
-	stream := admitTasks(b, 256)
-	for _, t := range stream[:128] {
-		if _, err := sys.Admit(t); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		task := stream[128+i%128]
-		res, err := sys.Admit(task)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Admitted {
-			if _, err := sys.Release(task.ID); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
+	benchAdmitSingle(b, ctrl, EDFVD(), false, false)
 }
 
 // BenchmarkJournalAdmitOff is the in-memory baseline of the journal pair.
@@ -617,40 +845,48 @@ func BenchmarkJournalAdmitGroupCommit(b *testing.B) {
 	}
 }
 
-// benchEventEncode measures encoding one representative admit event (the
-// dominant journal record kind) under the given codec.
-func benchEventEncode(b *testing.B, codec mcsio.Codec) {
+// eventCodecs are the two record encodings: canonical JSON and the
+// length-delimited binary framing (magic + version + type + body + CRC-32C).
+var eventCodecs = []struct {
+	name   string
+	encode func(mcsio.EventJSON) ([]byte, error)
+}{{"json", mcsio.EncodeEvent}, {"binary", mcsio.EncodeEventBinary}}
+
+// benchAdmitEvent is one representative admit event, the dominant journal
+// record kind.
+func benchAdmitEvent() mcsio.EventJSON {
 	task := mcsio.TaskToJSON(NewHCTask(7, 3, 6, 100))
-	ev := mcsio.EventJSON{Version: 1, Seq: 42, Kind: mcsio.EventAdmit, Task: &task, Core: 3}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := codec.EncodeEvent(ev); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return mcsio.EventJSON{Version: 1, Seq: 42, Kind: mcsio.EventAdmit, Task: &task, Core: 3}
 }
 
-// BenchmarkJournalEncode compares the two record encodings on the admit
-// hot path: canonical JSON versus the length-delimited binary framing
-// (magic + version + type + body + CRC-32C).
+// BenchmarkJournalEncode compares the two record encodings of the admit
+// event; the journal writes binary.
 func BenchmarkJournalEncode(b *testing.B) {
-	b.Run("json", func(b *testing.B) { benchEventEncode(b, mcsio.CodecJSON) })
-	b.Run("binary", func(b *testing.B) { benchEventEncode(b, mcsio.CodecBinary) })
+	ev := benchAdmitEvent()
+	for _, c := range eventCodecs {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.encode(ev); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkJournalDecode is the replay-side counterpart: strict decode +
 // validation of the same admit event from both encodings (auto-detected
 // per record, as recovery does).
 func BenchmarkJournalDecode(b *testing.B) {
-	task := mcsio.TaskToJSON(NewHCTask(7, 3, 6, 100))
-	ev := mcsio.EventJSON{Version: 1, Seq: 42, Kind: mcsio.EventAdmit, Task: &task, Core: 3}
-	for _, codec := range []mcsio.Codec{mcsio.CodecJSON, mcsio.CodecBinary} {
-		rec, err := codec.EncodeEvent(ev)
+	ev := benchAdmitEvent()
+	for _, c := range eventCodecs {
+		rec, err := c.encode(ev)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(string(codec), func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := mcsio.DecodeEvent(rec); err != nil {

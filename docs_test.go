@@ -73,10 +73,11 @@ var (
 	// goTestCmd matches one `go test` invocation up to the end of its
 	// (continuation-joined) line or the next shell operator.
 	goTestCmd = regexp.MustCompile(`go test\b[^\n&|;']*(?:'[^'\n]*'[^\n&|;']*)*`)
-	// runFlag captures a -run pattern, quoted or bare.
-	runFlag = regexp.MustCompile(`\s-run\s+(?:'([^']*)'|(\S+))`)
-	// testDecl matches the functions `go test -run` selects among.
-	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
+	// runFlag and benchFlag capture a -run or -bench pattern, quoted or bare.
+	runFlag   = regexp.MustCompile(`\s-run\s+(?:'([^']*)'|(\S+))`)
+	benchFlag = regexp.MustCompile(`\s-bench\s+(?:'([^']*)'|(\S+))`)
+	// testDecl matches the functions `go test -run` and `-bench` select among.
+	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example|Benchmark)\w*)\(`)
 	// yamlComment and shellContinuation are stripped before commands are
 	// looked for: a comment may quote a command, a command may span lines.
 	yamlComment       = regexp.MustCompile(`(?m)^\s*#.*$`)
@@ -84,10 +85,12 @@ var (
 )
 
 // TestWorkflowRunPatternsMatch guards the CI workflows against `go test
-// -run` patterns that select nothing: go test exits 0 when a pattern matches
-// no test, so a renamed or retired test silently turns its CI step into a
-// no-op. Every alternative of every -run pattern must match a test function
-// declared in at least one of the packages its command names.
+// -run` and `-bench` patterns that select nothing: go test exits 0 when a
+// pattern matches no test or benchmark, so a renamed or retired one
+// silently turns its CI step into a no-op. Every alternative of every -run
+// pattern must match a test function, and the top level of every -bench
+// alternative a benchmark function, declared in at least one of the
+// packages its command names.
 func TestWorkflowRunPatternsMatch(t *testing.T) {
 	// decls maps a package directory to the test functions it declares.
 	decls := map[string][]string{}
@@ -117,7 +120,7 @@ func TestWorkflowRunPatternsMatch(t *testing.T) {
 	if err != nil || len(workflows) == 0 {
 		t.Fatalf("no workflows found (%v); is the test running from the repo root?", err)
 	}
-	checked := 0
+	checked := map[string]int{}
 	for _, file := range workflows {
 		data, err := os.ReadFile(file)
 		if err != nil {
@@ -125,10 +128,6 @@ func TestWorkflowRunPatternsMatch(t *testing.T) {
 		}
 		text := shellContinuation.ReplaceAllString(yamlComment.ReplaceAllString(string(data), ""), "")
 		for _, cmd := range goTestCmd.FindAllString(text, -1) {
-			m := runFlag.FindStringSubmatch(cmd)
-			if m == nil || m[1]+m[2] == "^$" {
-				continue // no selection, or a benchmark/fuzz-only run
-			}
 			var dirs []string
 			for _, arg := range strings.Fields(cmd) {
 				if arg != "." && !strings.HasPrefix(arg, "./") {
@@ -142,26 +141,40 @@ func TestWorkflowRunPatternsMatch(t *testing.T) {
 					}
 				}
 			}
-			for _, alt := range strings.Split(m[1]+m[2], "|") {
-				re, err := regexp.Compile(alt)
-				if err != nil {
-					t.Errorf("%s: -run alternative %q in %q: %v", file, alt, cmd, err)
-					continue
+			for _, sel := range []struct {
+				flag string
+				re   *regexp.Regexp
+			}{{"-run", runFlag}, {"-bench", benchFlag}} {
+				m := sel.re.FindStringSubmatch(cmd)
+				if m == nil || m[1]+m[2] == "^$" {
+					continue // no selection, or a benchmark/fuzz-only run
 				}
-				checked++
-				matched := false
-				for _, dir := range dirs {
-					for _, name := range decls[dir] {
-						matched = matched || re.MatchString(name)
+				for _, alt := range strings.Split(m[1]+m[2], "|") {
+					if sel.flag == "-bench" {
+						alt, _, _ = strings.Cut(alt, "/") // the top level names the function
 					}
-				}
-				if !matched {
-					t.Errorf("%s: -run alternative %q matches no test in the packages of %q", file, alt, cmd)
+					re, err := regexp.Compile(alt)
+					if err != nil {
+						t.Errorf("%s: %s alternative %q in %q: %v", file, sel.flag, alt, cmd, err)
+						continue
+					}
+					checked[sel.flag]++
+					matched := false
+					for _, dir := range dirs {
+						for _, name := range decls[dir] {
+							isBench := strings.HasPrefix(name, "Benchmark")
+							matched = matched || isBench == (sel.flag == "-bench") && re.MatchString(name)
+						}
+					}
+					if !matched {
+						t.Errorf("%s: %s alternative %q matches nothing in the packages of %q", file, sel.flag, alt, cmd)
+					}
 				}
 			}
 		}
 	}
-	if checked < 20 {
-		t.Errorf("only %d -run alternatives found in %v; the workflow scan is broken", checked, workflows)
+	if checked["-run"] < 20 || checked["-bench"] < 5 {
+		t.Errorf("only %d -run and %d -bench alternatives found in %v; the workflow scan is broken",
+			checked["-run"], checked["-bench"], workflows)
 	}
 }

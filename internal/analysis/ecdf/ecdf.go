@@ -6,7 +6,7 @@
 // assignment, which is the component the original paper credits for its
 // gain over Ekberg–Yi.
 //
-// Reconstruction note (see DESIGN.md): the original's exact greedy is not
+// Reconstruction note: the original's exact greedy is not
 // reproducible from the text we work from; we implement a strictly stronger
 // search — first the EY shaping pass, then uniform scale-factor restarts
 // with failure-guided tuning from each. By construction every set accepted

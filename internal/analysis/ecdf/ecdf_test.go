@@ -89,7 +89,7 @@ func TestResultSelfConsistent(t *testing.T) {
 
 // The scale-factor restarts must find sets the plain EY greedy misses at
 // least occasionally on constrained-deadline workloads — otherwise ECDF
-// degenerates to EY and the reconstruction note in DESIGN.md is wrong.
+// degenerates to EY and the reconstruction note in the package comment is wrong.
 func TestRestartsAddValue(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cfg := taskgen.DefaultConfig(1, 0.7, 0.35, 0.3)

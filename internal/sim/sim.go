@@ -6,7 +6,7 @@
 // deadline-miss detection.
 //
 // The simulator is the validation substrate of this reproduction (see
-// DESIGN.md): a task set accepted by a schedulability test must never miss
+// ARCHITECTURE.md, "The runtime simulation layer"): a task set accepted by a schedulability test must never miss
 // a required deadline in simulation, for any execution scenario. It also
 // demonstrates the partitioned-isolation property of Section II of the
 // paper: a mode switch on one core leaves every other core untouched.
