@@ -11,7 +11,7 @@ import (
 
 // certify asserts the invariant the whole subsystem exists to maintain:
 // every non-empty core of the snapshot passes the system's test — judged
-// directly by the raw stateless test, bypassing the per-core analyzers.
+// directly by the test's own Schedulable, bypassing the per-core analyzers.
 func certify(t *testing.T, test core.Test, sys *System, when string) {
 	t.Helper()
 	p := sys.Snapshot()

@@ -3,8 +3,9 @@ package admission
 // Model-based lockstep test of the tenant state machine. The model below is
 // the naive thing a reader would write from the paper: a task list per core,
 // utilization sums folded from those lists every time they are needed, a
-// cursor, and the raw stateless schedulability test — no incremental
-// analyzers, no tentative commits (a batch is tried on a copy), no journal.
+// cursor, and the schedulability test's own Schedulable, run cold — no
+// incremental analyzers, no tentative commits (a batch is tried on a
+// copy), no journal.
 // TestTenantStateMachineLockstep drives it beside a real leader, a real
 // follower and real restarts over seeded random operation sequences and
 // requires the two to agree after every step.
@@ -88,7 +89,7 @@ func (m *model) order(t mcs.Task) []int {
 }
 
 // place returns the first candidate core whose task set still passes the
-// stateless test with t added, or -1.
+// test with t added, or -1.
 func (m *model) place(t mcs.Task) int {
 	for _, k := range m.order(t) {
 		if m.test.Schedulable(append(m.cores[k].Clone(), t)) {

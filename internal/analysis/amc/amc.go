@@ -10,11 +10,7 @@
 // deadline in both the LO-mode and the mode-switch analyses.
 package amc
 
-import (
-	"sort"
-
-	"mcsched/internal/mcs"
-)
+import "mcsched/internal/mcs"
 
 // Variant selects the HI-mode response-time bound.
 type Variant int
@@ -67,45 +63,37 @@ type Result struct {
 	Priority map[int]int
 }
 
-// Analyze runs the AMC schedulability test on a uniprocessor task set.
+// Analyze runs the AMC schedulability test on a uniprocessor task set: the
+// analyzer's cold exact run on a fresh Analyzer, with the priority order
+// it certified read back as a map.
 func Analyze(ts mcs.TaskSet, opts Options) Result {
 	if len(ts) == 0 {
 		return Result{Schedulable: true, Priority: map[int]int{}}
 	}
-	switch opts.Policy {
-	case DeadlineMonotonic:
-		order := dmOrder(ts)
-		if feasibleOrder(ts, order, opts.Variant) {
-			return Result{Schedulable: true, Priority: orderToPriority(order)}
-		}
+	a := Analyzer{opts: opts}
+	if !a.runFull(ts, false) {
 		return Result{}
-	default:
-		return audsley(ts, opts.Variant)
 	}
+	pr := make(map[int]int, len(a.pos))
+	for p, i := range a.pos {
+		pr[a.mem[i].ID] = p
+	}
+	return Result{Schedulable: true, Priority: pr}
 }
-
-// Schedulable is the boolean wrapper with default options.
-func Schedulable(ts mcs.TaskSet) bool { return Analyze(ts, DefaultOptions()).Schedulable }
 
 // DeadlineMonotonicPriorities assigns fixed priorities (task ID → level,
 // 0 = highest) in deadline-monotonic order: increasing relative deadline,
 // ties HC first, then by ID. It is the order the DeadlineMonotonic policy
 // analyzes, and the fallback runtime of a fixed-priority core without a
 // certified order.
-func DeadlineMonotonicPriorities(ts mcs.TaskSet) map[int]int { return orderToPriority(dmOrder(ts)) }
-
-// dmOrder returns task IDs ordered highest priority first by dmLess.
-func dmOrder(ts mcs.TaskSet) []int {
-	idx := make([]int, len(ts))
-	for i := range idx {
-		idx[i] = i
+func DeadlineMonotonicPriorities(ts mcs.TaskSet) map[int]int {
+	byPrio := append(mcs.TaskSet(nil), ts...)
+	insertionSort(byPrio, dmLess)
+	pr := make(map[int]int, len(byPrio))
+	for p, t := range byPrio {
+		pr[t.ID] = p
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return dmLess(ts[idx[a]], ts[idx[b]]) })
-	order := make([]int, len(idx))
-	for p, i := range idx {
-		order[p] = ts[i].ID
-	}
-	return order
+	return pr
 }
 
 // dmLess is the deadline-monotonic order: deadline, then HC-first, then
@@ -120,106 +108,8 @@ func dmLess(x, y mcs.Task) bool {
 	return x.ID < y.ID
 }
 
-func orderToPriority(order []int) map[int]int {
-	pr := make(map[int]int, len(order))
-	for p, id := range order {
-		pr[id] = p
-	}
-	return pr
-}
-
-// feasibleOrder checks every task under the given priority order (highest
-// first).
-func feasibleOrder(ts mcs.TaskSet, order []int, v Variant) bool {
-	pos := make(map[int]int, len(order))
-	for p, id := range order {
-		pos[id] = p
-	}
-	for _, t := range ts {
-		hp := hpSet(ts, func(u mcs.Task) bool { return pos[u.ID] < pos[t.ID] })
-		if !taskFeasible(t, hp, v) {
-			return false
-		}
-	}
-	return true
-}
-
-// audsley assigns priorities bottom-up: for each priority level from lowest
-// to highest, find some unassigned task that is schedulable at that level
-// assuming all other unassigned tasks have higher priority.
-func audsley(ts mcs.TaskSet, v Variant) Result {
-	unassigned := make([]mcs.Task, len(ts))
-	copy(unassigned, ts)
-	// Deterministic candidate order: try the task with the largest
-	// deadline first (most likely to tolerate the lowest level).
-	sort.SliceStable(unassigned, func(i, j int) bool {
-		if unassigned[i].Deadline != unassigned[j].Deadline {
-			return unassigned[i].Deadline > unassigned[j].Deadline
-		}
-		return unassigned[i].ID < unassigned[j].ID
-	})
-
-	n := len(unassigned)
-	priority := make(map[int]int, n)
-	for level := n - 1; level >= 0; level-- {
-		placed := false
-		for i, cand := range unassigned {
-			hp := make(mcs.TaskSet, 0, len(unassigned)-1)
-			for j, u := range unassigned {
-				if j != i {
-					hp = append(hp, u)
-				}
-			}
-			if taskFeasible(cand, hp, v) {
-				priority[cand.ID] = level
-				unassigned = append(unassigned[:i], unassigned[i+1:]...)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			return Result{}
-		}
-	}
-	return Result{Schedulable: true, Priority: priority}
-}
-
-func hpSet(ts mcs.TaskSet, higher func(mcs.Task) bool) mcs.TaskSet {
-	var hp mcs.TaskSet
-	for _, u := range ts {
-		if higher(u) {
-			hp = append(hp, u)
-		}
-	}
-	return hp
-}
-
-// taskFeasible checks one task against its higher-priority set.
-func taskFeasible(t mcs.Task, hp mcs.TaskSet, v Variant) bool {
-	rlo, ok := responseLO(t, hp)
-	if !ok {
-		return false
-	}
-	if !t.IsHC() {
-		// LC tasks only need the LO-mode guarantee; they are dropped on a
-		// mode switch.
-		return true
-	}
-	switch v {
-	case Max:
-		return amcMax(t, hp, rlo)
-	default:
-		return amcRTB(t, hp, rlo)
-	}
-}
-
-// responseLO solves R = C^L + Σ_{hp} ⌈R/T_j⌉·C_j^L by fixed point,
-// failing once R exceeds the deadline.
-func responseLO(t mcs.Task, hp mcs.TaskSet) (mcs.Ticks, bool) {
-	return responseLOSeed(t, hp, t.CLo())
-}
-
-// responseLOSeed is responseLO warm-started at seed. The recurrence is
+// responseLOSeed solves R = C^L + Σ_{hp} ⌈R/T_j⌉·C_j^L by fixed point
+// from R = seed, failing once R exceeds the deadline. The recurrence is
 // monotone, and for any r ≤ lfp (the least fixed point) the next iterate
 // satisfies r ≤ F(r) ≤ lfp — a strictly smaller iterate would lead to a
 // fixed point below the least one — so iterating from ANY seed ≤ lfp
@@ -244,15 +134,11 @@ func responseLOSeed(t mcs.Task, hp mcs.TaskSet, seed mcs.Ticks) (mcs.Ticks, bool
 	}
 }
 
-// amcRTB solves R = C^H + Σ_{hpH} ⌈R/T⌉C^H + Σ_{hpL} ⌈R^LO/T⌉C^L.
-func amcRTB(t mcs.Task, hp mcs.TaskSet, rlo mcs.Ticks) bool {
-	_, ok := amcRTBSeed(t, hp, rlo, t.CHi())
-	return ok
-}
-
-// amcRTBSeed is amcRTB warm-started at seed, returning the converged
-// response time for use as a future seed. Seed validity follows the same
-// monotone-fixed-point argument as responseLOSeed: the recurrence grows
+// amcRTBSeed solves the AMC-rtb recurrence
+// R = C^H + Σ_{hpH} ⌈R/T⌉C^H + Σ_{hpL} ⌈R^LO/T⌉C^L from R = seed,
+// returning the converged response time for use as a future seed. Seed
+// validity follows the same monotone-fixed-point argument as
+// responseLOSeed: the recurrence grows
 // pointwise with both the hp multiset and rlo, so a response time converged
 // against a subset hp (and its necessarily smaller rlo) never exceeds the
 // current least fixed point.
@@ -282,46 +168,16 @@ func amcRTBSeed(t mcs.Task, hp mcs.TaskSet, rlo, seed mcs.Ticks) (mcs.Ticks, boo
 	}
 }
 
-// amcMax implements the AMC-max recurrence: for each candidate switch
-// instant s the response time R(s) solves
+// amcMaxAt decides the AMC-max recurrence at one candidate switch instant
+// s: the response time R(s) solves
 //
 //	R(s) = C^H + Σ_{j∈hpL} (⌊s/T_j⌋+1)·C_j^L
 //	     + Σ_{k∈hpH} [ M(k,s,R)·C_k^H + (⌈R/T_k⌉ − M(k,s,R))·C_k^L ]
 //
 // with M(k,s,t) = min( ⌈(t − s − (T_k − D_k))/T_k⌉ + 1, ⌈t/T_k⌉ ), clamped
 // to ≥ 0 — the number of τ_k jobs that can execute at the HI budget after
-// the switch. The result is max_s R(s) over LC release instants s < R^LO
-// (the only points where the LC term changes), and the task is feasible iff
-// that maximum is within the deadline.
-func amcMax(t mcs.Task, hp mcs.TaskSet, rlo mcs.Ticks) bool {
-	for _, s := range switchCandidates(hp, rlo) {
-		if !amcMaxAt(t, hp, s) {
-			return false
-		}
-	}
-	return true
-}
-
-// switchCandidates enumerates s = 0 and the LC higher-priority release
-// instants k·T_j strictly below rlo.
-func switchCandidates(hp mcs.TaskSet, rlo mcs.Ticks) []mcs.Ticks {
-	set := map[mcs.Ticks]bool{0: true}
-	for _, j := range hp {
-		if j.IsHC() {
-			continue
-		}
-		for s := j.Period; s < rlo; s += j.Period {
-			set[s] = true
-		}
-	}
-	out := make([]mcs.Ticks, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
+// the switch — and must stay within the deadline. A task passes AMC-max
+// when it does so at every candidate (Analyzer.amcMaxScratch).
 func amcMaxAt(t mcs.Task, hp mcs.TaskSet, s mcs.Ticks) bool {
 	var lcPart mcs.Ticks
 	for _, j := range hp {

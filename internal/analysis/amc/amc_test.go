@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mcsched/internal/mcs"
+	"mcsched/internal/oracle"
 	"mcsched/internal/taskgen"
 )
 
@@ -24,13 +25,13 @@ func TestKnownResponseTimes(t *testing.T) {
 	// R2^LO = 2 + ⌈R/4⌉·1 → R = 3.
 	hi := mcs.NewLC(0, 1, 4)
 	lo := mcs.NewLC(1, 2, 8)
-	r, ok := responseLO(lo, mcs.TaskSet{hi})
+	r, ok := responseLOSeed(lo, mcs.TaskSet{hi}, lo.CLo())
 	if !ok || r != 3 {
 		t.Errorf("R^LO = %d, %v, want 3", r, ok)
 	}
 	// Infeasible: C=5 with D=4 interference makes R exceed D.
 	bad := mcs.NewLC(2, 7, 8)
-	if _, ok := responseLO(bad, mcs.TaskSet{hi}); ok {
+	if _, ok := responseLOSeed(bad, mcs.TaskSet{hi}, bad.CLo()); ok {
 		t.Error("overloaded response accepted")
 	}
 }
@@ -73,8 +74,8 @@ func TestMaxDominatesRTB(t *testing.T) {
 	rtbAcc, maxAcc := 0, 0
 	for i := 0; i < 500; i++ {
 		ts := randomSet(rng, 2+rng.Intn(5))
-		rtb := Analyze(ts, Options{Variant: RTB}).Schedulable
-		mx := Analyze(ts, Options{Variant: Max}).Schedulable
+		rtb := oracle.AMC(ts, oracle.AMCOptions{}).Schedulable
+		mx := oracle.AMC(ts, oracle.AMCOptions{Max: true}).Schedulable
 		if rtb {
 			rtbAcc++
 			if !mx {
@@ -97,8 +98,8 @@ func TestAudsleyDominatesDM(t *testing.T) {
 	dmAcc, audAcc := 0, 0
 	for i := 0; i < 400; i++ {
 		ts := randomSet(rng, 2+rng.Intn(5))
-		dm := Analyze(ts, Options{Variant: RTB, Policy: DeadlineMonotonic}).Schedulable
-		aud := Analyze(ts, Options{Variant: RTB, Policy: Audsley}).Schedulable
+		dm := oracle.AMC(ts, oracle.AMCOptions{DeadlineMonotonic: true}).Schedulable
+		aud := oracle.AMC(ts, oracle.AMCOptions{}).Schedulable
 		if dm {
 			dmAcc++
 			if !aud {
@@ -154,7 +155,7 @@ func TestPriorityConsistency(t *testing.T) {
 			seen[p] = true
 			order[p] = id
 		}
-		if !feasibleOrder(ts, order, Max) {
+		if !oracle.FeasibleOrder(ts, order, true) {
 			t.Fatalf("returned order fails re-check: %v / %v", ts, order)
 		}
 		checked++
@@ -190,7 +191,7 @@ func TestDegenerateReducesToRTA(t *testing.T) {
 
 func TestSwitchCandidates(t *testing.T) {
 	hp := mcs.TaskSet{mcs.NewLC(0, 1, 5), mcs.NewHC(1, 1, 2, 7)}
-	got := switchCandidates(hp, 12)
+	got := oracle.SwitchCandidates(hp, 12)
 	want := []mcs.Ticks{0, 5, 10}
 	if len(got) != len(want) {
 		t.Fatalf("candidates = %v, want %v", got, want)
@@ -221,7 +222,7 @@ func TestHiJobs(t *testing.T) {
 }
 
 func TestEmptySet(t *testing.T) {
-	if !Schedulable(nil) {
+	if !(Test{Opts: DefaultOptions()}).Schedulable(nil) {
 		t.Error("empty set rejected")
 	}
 }
@@ -243,7 +244,7 @@ func TestGeneratedLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Schedulable(ts) {
+		if !(Test{Opts: DefaultOptions()}).Schedulable(ts) {
 			// Fixed-priority cannot guarantee all light loads, but 0.3/0.2
 			// should essentially always pass; tolerate nothing here to
 			// catch regressions, revisit if the generator changes.

@@ -7,9 +7,10 @@ import (
 	"mcsched/internal/mcs"
 )
 
-// Analyzer is the reusable per-core AMC engine. Against the stateless
-// Analyze — which copies the task set, allocates a fresh hp set per
-// candidate and runs every fixed point cold — it keeps, per core:
+// Analyzer is the AMC engine; Analyze runs it cold. Against a stateless
+// search — which copies the task set, allocates a fresh hp set per
+// candidate and runs every fixed point cold (package oracle keeps one as
+// the tests' reference) — it keeps, per core:
 //
 //   - memoized artifacts of the last certified-schedulable set: the task
 //     values in analysis order (mem), the priority order that passed (pos)
@@ -50,7 +51,7 @@ import (
 //     only grew).
 //
 // The differential suite in internal/analysis/crosstest certifies verdict
-// equality against the stateless test for all of this.
+// equality against package oracle's stateless test for all of this.
 //
 // An Analyzer is not safe for concurrent use.
 type Analyzer struct {
@@ -134,7 +135,7 @@ func (a *Analyzer) Forget(id int) {
 }
 
 // Schedulable implements kernel.Analyzer; the verdict is bit-identical to
-// the stateless Analyze with the same Options.
+// Analyze's (a cold runFull) with the same Options.
 func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {
 	if len(ts) == 0 {
 		return true
@@ -279,9 +280,10 @@ func (a *Analyzer) fullDM(ts mcs.TaskSet) bool {
 	return true
 }
 
-// fullAudsley assigns priorities bottom-up exactly like the stateless
-// audsley (same candidate order, same first-feasible choice), reusing
-// scratch. With seeded set, bottom-level candidates warm-start from the
+// fullAudsley is Audsley's optimal priority assignment: for each level
+// from the lowest up, the unassigned candidates — in decreasing deadline
+// order, ID on ties — are tried with every other unassigned task above
+// them, and the first feasible one takes the level. With seeded set, bottom-level candidates warm-start from the
 // memoized response times — valid there because the current set is a
 // superset of the memo, so a candidate's bottom-level hp set contains its
 // old one.
@@ -337,8 +339,11 @@ func (a *Analyzer) seedFor(t mcs.Task) (mcs.Ticks, mcs.Ticks) {
 	return 0, 0
 }
 
-// taskFeasibleW is taskFeasible with warm seeds, converged-value capture
-// and the rtb-implies-max shortcut. Zero seeds mean cold starts.
+// taskFeasibleW checks one task against its higher-priority set: the LO
+// response time for every task, and for an HC task the AMC-rtb or AMC-max
+// mode-switch analysis (an LC task is dropped on a switch). It takes warm
+// seeds (zero means a cold start), returns the converged response times
+// and takes the rtb-implies-max shortcut.
 func (a *Analyzer) taskFeasibleW(t mcs.Task, hp mcs.TaskSet, seedLO, seedHI mcs.Ticks) (rlo, rhi mcs.Ticks, ok bool) {
 	s := t.CLo()
 	if seedLO > s {
@@ -371,9 +376,11 @@ func (a *Analyzer) taskFeasibleW(t mcs.Task, hp mcs.TaskSet, seedLO, seedHI mcs.
 	return rlo, rhi, true
 }
 
-// amcMaxScratch is amcMax with the switch-instant candidates collected in a
-// reusable buffer instead of a map — same candidate set, same sorted scan
-// order, no allocation in the steady state.
+// amcMaxScratch is the AMC-max check: amcMaxAt at every candidate switch
+// instant — s = 0 and the LC higher-priority release instants k·T_j
+// strictly below rlo (the only points where the LC term changes), in
+// ascending order. The candidates are collected in a reusable buffer, so
+// the steady state allocates nothing.
 func (a *Analyzer) amcMaxScratch(t mcs.Task, hp mcs.TaskSet, rlo mcs.Ticks) bool {
 	c := append(a.cands[:0], 0)
 	for _, j := range hp {

@@ -12,13 +12,14 @@ import (
 	"mcsched/internal/analysis/kernel"
 	"mcsched/internal/core"
 	"mcsched/internal/mcs"
+	"mcsched/internal/oracle"
 	"mcsched/internal/taskgen"
 )
 
-// analyzerFamilies enumerates every incremental analysis engine under test,
-// paired with its stateless oracle. All five families (AMC in all three
-// configurations, EDF-VD, EY, ECDF and the dbf-based plain-EDF tests) must
-// produce bit-identical verdicts.
+// analyzerFamilies enumerates every incremental analysis engine under test.
+// All five families (AMC in all three configurations, EDF-VD, EY, ECDF and
+// the dbf-based plain-EDF tests) must produce bit-identical verdicts to
+// their stateless oracle (oracleOf).
 func analyzerFamilies() []kernel.Incremental {
 	return []kernel.Incremental{
 		edfvd.Test{},
@@ -32,9 +33,40 @@ func analyzerFamilies() []kernel.Incremental {
 	}
 }
 
+// oracleOf returns the stateless reference of a built-in test, configured
+// as the test is: package oracle's search for its family.
+func oracleOf(test kernel.Test) func(mcs.TaskSet) bool {
+	switch t := test.(type) {
+	case edfvd.Test:
+		return func(ts mcs.TaskSet) bool { return oracle.EDFVD(ts).Schedulable }
+	case ey.Test:
+		return func(ts mcs.TaskSet) bool { return oracle.EY(ts, t.Opts.MaxIter).Schedulable }
+	case ecdf.Test:
+		o := t.Opts
+		if len(o.Lambdas) == 0 {
+			o = ecdf.DefaultOptions()
+		}
+		return func(ts mcs.TaskSet) bool { return oracle.ECDF(ts, o.EY.MaxIter, o.Lambdas).Schedulable }
+	case amc.Test:
+		o := amcOracleOptions(t.Opts)
+		return func(ts mcs.TaskSet) bool { return oracle.AMC(ts, o).Schedulable }
+	case edf.Test:
+		if t.Demand {
+			return func(ts mcs.TaskSet) bool { return oracle.EDFDemand(ts, mcs.HI) }
+		}
+		return func(ts mcs.TaskSet) bool { return oracle.EDFUtil(ts, mcs.HI) }
+	}
+	panic("no oracle for " + test.Name())
+}
+
+// amcOracleOptions translates AMC options to the oracle's.
+func amcOracleOptions(o amc.Options) oracle.AMCOptions {
+	return oracle.AMCOptions{Max: o.Variant == amc.Max, DeadlineMonotonic: o.Policy == amc.DeadlineMonotonic}
+}
+
 // TestAnalyzerDifferentialDirect feeds each analyzer a stream of unrelated
 // random task sets — no incremental structure at all, every call breaks the
-// memo prefix — and asserts verdict equality with the stateless test on
+// memo prefix — and asserts verdict equality with the stateless oracle on
 // every one. This exercises the fast-path filters and the cold exact
 // kernels.
 func TestAnalyzerDifferentialDirect(t *testing.T) {
@@ -46,10 +78,10 @@ func TestAnalyzerDifferentialDirect(t *testing.T) {
 			constrained := !core.ImplicitOnly(test)
 			sets := drawSets(t, 80, constrained)
 			for i, ts := range sets {
-				want := test.Schedulable(ts)
+				want := oracleOf(test)(ts)
 				got := an.Schedulable(ts)
 				if got != want {
-					t.Fatalf("set %d: analyzer=%v stateless=%v for:\n%v", i, got, want, ts)
+					t.Fatalf("set %d: analyzer=%v oracle=%v for:\n%v", i, got, want, ts)
 				}
 				// Immediately re-analyzing the same set must agree too (the
 				// memo now matches it exactly on accepts).
@@ -68,7 +100,7 @@ func TestAnalyzerDifferentialDirect(t *testing.T) {
 // TestAnalyzerDifferentialSequences drives each analyzer exactly like the
 // admission hot path drives it: one analyzer models one core, tasks are
 // admitted (probe, commit on accept) and released at random, and after
-// every single probe the verdict is compared against the stateless test on
+// every single probe the verdict is compared against the stateless oracle on
 // the same candidate set. This exercises the incremental paths — bottom
 // insertion, deadline-monotonic partial re-verification, warm-started fixed
 // points — and their interaction with Forget.
@@ -104,11 +136,11 @@ func TestAnalyzerDifferentialSequences(t *testing.T) {
 							resident = append(resident[:i], resident[i+1:]...)
 						}
 						cand := append(resident.Clone(), task)
-						want := test.Schedulable(cand)
+						want := oracleOf(test)(cand)
 						got := an.Schedulable(cand)
 						probes++
 						if got != want {
-							t.Fatalf("trial %d probe %d: analyzer=%v stateless=%v for:\n%v",
+							t.Fatalf("trial %d probe %d: analyzer=%v oracle=%v for:\n%v",
 								trial, probes, got, want, cand)
 						}
 						if want {
@@ -150,9 +182,9 @@ func TestAnalyzerForgetSeedRegression(t *testing.T) {
 		step := func(task mcs.Task) {
 			t.Helper()
 			cand := append(resident.Clone(), task)
-			want := test.Schedulable(cand)
+			want := oracleOf(test)(cand)
 			if got := an.Schedulable(cand); got != want {
-				t.Fatalf("%s: admit %d: analyzer=%v stateless=%v for:\n%v",
+				t.Fatalf("%s: admit %d: analyzer=%v oracle=%v for:\n%v",
 					test.Name(), task.ID, got, want, cand)
 			}
 			if want {
@@ -210,9 +242,9 @@ func TestAnalyzerDifferentialReleaseHeavy(t *testing.T) {
 						task = mcs.NewLCConstrained(i+1000, cl, period, d)
 					}
 					cand := append(resident.Clone(), task)
-					want := test.Schedulable(cand)
+					want := oracleOf(test)(cand)
 					if got := an.Schedulable(cand); got != want {
-						t.Fatalf("trial %d op %d: analyzer=%v stateless=%v for:\n%v",
+						t.Fatalf("trial %d op %d: analyzer=%v oracle=%v for:\n%v",
 							trial, i, got, want, cand)
 					}
 					if want {
@@ -230,14 +262,14 @@ func TestAnalyzerForgetUnknownID(t *testing.T) {
 	for _, test := range analyzerFamilies() {
 		an := test.NewAnalyzer()
 		ts := mcs.TaskSet{mcs.NewHC(1, 1, 2, 10), mcs.NewLC(2, 1, 12)}
-		want := test.Schedulable(ts)
+		want := oracleOf(test)(ts)
 		if got := an.Schedulable(ts); got != want {
-			t.Fatalf("%s: analyzer=%v stateless=%v", test.Name(), got, want)
+			t.Fatalf("%s: analyzer=%v oracle=%v", test.Name(), got, want)
 		}
 		an.Forget(99)
 		an.Invalidate()
 		if got := an.Schedulable(ts); got != want {
-			t.Fatalf("%s after Invalidate: analyzer=%v stateless=%v", test.Name(), got, want)
+			t.Fatalf("%s after Invalidate: analyzer=%v oracle=%v", test.Name(), got, want)
 		}
 	}
 }
@@ -256,11 +288,11 @@ func TestAnalyzerFilterCounters(t *testing.T) {
 
 	for _, test := range analyzerFamilies() {
 		an := test.NewAnalyzer()
-		if got, want := an.Schedulable(overload), test.Schedulable(overload); got != want {
-			t.Fatalf("%s overload: analyzer=%v stateless=%v", test.Name(), got, want)
+		if got, want := an.Schedulable(overload), oracleOf(test)(overload); got != want {
+			t.Fatalf("%s overload: analyzer=%v oracle=%v", test.Name(), got, want)
 		}
-		if got, want := an.Schedulable(light), test.Schedulable(light); got != want {
-			t.Fatalf("%s light: analyzer=%v stateless=%v", test.Name(), got, want)
+		if got, want := an.Schedulable(light), oracleOf(test)(light); got != want {
+			t.Fatalf("%s light: analyzer=%v oracle=%v", test.Name(), got, want)
 		}
 		ctr := an.Counters()
 		if ctr.FastRejects == 0 {
@@ -284,7 +316,7 @@ func TestAnalyzerFilterCounters(t *testing.T) {
 // family's warm-start path — memoized response times for AMC, cached sum
 // folds for EDF-VD and utilization EDF, cached curves and horizon folds
 // for the demand families — while every verdict stays bit-identical to the
-// stateless test. Each stream is built so probes reach the family's exact
+// stateless oracle. Each stream is built so probes reach the family's exact
 // (or warm-counted) path rather than being fully filter-resolved.
 func TestAnalyzerWarmStartsFire(t *testing.T) {
 	// Constrained-deadline LC task for the EDF demand stream: density
@@ -353,9 +385,9 @@ func TestAnalyzerWarmStartsFire(t *testing.T) {
 			for i := 0; i < tc.steps; i++ {
 				task := tc.task(i)
 				cand := append(resident.Clone(), task)
-				want := tc.test.Schedulable(cand)
+				want := oracleOf(tc.test)(cand)
 				if got := an.Schedulable(cand); got != want {
-					t.Fatalf("step %d: analyzer=%v stateless=%v", i, got, want)
+					t.Fatalf("step %d: analyzer=%v oracle=%v", i, got, want)
 				}
 				if want {
 					resident = append(resident, task)
@@ -379,7 +411,7 @@ func TestAnalyzerWarmStartsFire(t *testing.T) {
 // valid across removals (the Assigner compacts order-preservingly and the
 // analyzers refold), so an admit–release–admit cycle keeps warm-starting
 // instead of falling back cold — with verdicts still matching the
-// stateless test after every mutation.
+// stateless oracle after every mutation.
 func TestAnalyzerWarmStartsSurviveRelease(t *testing.T) {
 	streams := []struct {
 		name string
@@ -400,9 +432,9 @@ func TestAnalyzerWarmStartsSurviveRelease(t *testing.T) {
 				t.Helper()
 				task := tc.task(i)
 				cand := append(resident.Clone(), task)
-				want := tc.test.Schedulable(cand)
+				want := oracleOf(tc.test)(cand)
 				if got := an.Schedulable(cand); got != want {
-					t.Fatalf("admit %d: analyzer=%v stateless=%v", i, got, want)
+					t.Fatalf("admit %d: analyzer=%v oracle=%v", i, got, want)
 				}
 				if want {
 					resident = append(resident, task)
@@ -454,9 +486,9 @@ func TestAnalyzerScratchIndependence(t *testing.T) {
 		}
 		task := mcs.NewHC(i, cl, ch, tticks)
 		cand := append(residents[k].Clone(), task)
-		want := test.Schedulable(cand)
+		want := oracleOf(test)(cand)
 		if got := ans[k].Schedulable(cand); got != want {
-			t.Fatalf("probe %d core %d: analyzer=%v stateless=%v", i, k, got, want)
+			t.Fatalf("probe %d core %d: analyzer=%v oracle=%v", i, k, got, want)
 		}
 		if want {
 			residents[k] = append(residents[k], task)

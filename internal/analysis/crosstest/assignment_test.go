@@ -6,6 +6,7 @@ import (
 	"mcsched/internal/analysis/ecdf"
 	"mcsched/internal/analysis/ey"
 	"mcsched/internal/mcs"
+	"mcsched/internal/oracle"
 )
 
 // checkAssignment verifies the structural contract of a virtual-deadline
@@ -31,8 +32,8 @@ func checkAssignment(t *testing.T, name string, ts mcs.TaskSet, vd map[int]mcs.T
 }
 
 // TestEYAssignmentContract: every EY acceptance carries a well-formed
-// assignment, and the assignment re-verifies against the mode tests it was
-// derived from.
+// assignment, and the assignment re-verifies against the oracle's mode
+// tests.
 func TestEYAssignmentContract(t *testing.T) {
 	checked := 0
 	for _, ts := range drawSets(t, 80, true) {
@@ -42,11 +43,11 @@ func TestEYAssignmentContract(t *testing.T) {
 		}
 		checked++
 		checkAssignment(t, "EY", ts, r.VD)
-		a := ey.Assignment(r.VD)
-		if !ey.LOFeasible(ts, a) {
+		a := oracle.Assignment(r.VD)
+		if !oracle.LOFeasible(ts, a) {
 			t.Fatalf("EY-accepted assignment fails its own LO test: %v\n%v", r.VD, ts)
 		}
-		if _, ok := ey.HIFeasible(ts, a); !ok {
+		if _, ok := oracle.HIFeasible(ts, a); !ok {
 			t.Fatalf("EY-accepted assignment fails its own HI test: %v\n%v", r.VD, ts)
 		}
 	}
@@ -65,15 +66,15 @@ func TestECDFAssignmentContract(t *testing.T) {
 			continue
 		}
 		checked++
-		if r.Restarts > 0 {
+		if oracle.ECDF(ts, 0, nil).Restarts > 0 {
 			restarted++
 		}
 		checkAssignment(t, "ECDF", ts, r.VD)
-		a := ey.Assignment(r.VD)
-		if !ey.LOFeasible(ts, a) {
+		a := oracle.Assignment(r.VD)
+		if !oracle.LOFeasible(ts, a) {
 			t.Fatalf("ECDF-accepted assignment fails LO: %v\n%v", r.VD, ts)
 		}
-		if _, ok := ey.HIFeasible(ts, a); !ok {
+		if _, ok := oracle.HIFeasible(ts, a); !ok {
 			t.Fatalf("ECDF-accepted assignment fails HI: %v\n%v", r.VD, ts)
 		}
 	}

@@ -10,8 +10,9 @@ import (
 
 // TestMain fails the package if any QPA walk its tests ran — the analyzer differentials
 // among them — gave up at the iteration backstop. The backstop is per walk
-// and the analyzers' walks resume where the stateless tests' start over, so
-// it is the one place the two may decide differently (see package kernel);
+// and the engines' walks resume where the oracle's (package oracle) start
+// over, so it is the one place the two may decide differently (see package
+// kernel);
 // the pinned corpora must never reach it.
 func TestMain(m *testing.M) {
 	code := m.Run()

@@ -15,9 +15,13 @@ import (
 	"mcsched/internal/analysis/edfvd"
 	"mcsched/internal/analysis/ey"
 	"mcsched/internal/mcs"
+	"mcsched/internal/oracle"
 	"mcsched/internal/sim"
 	"mcsched/internal/taskgen"
 )
+
+// amcDefault is AMC-max with Audsley priorities, the default AMC test.
+var amcDefault = amc.Test{Opts: amc.DefaultOptions()}
 
 // drawSets generates n small uniprocessor task sets across the load range.
 func drawSets(t *testing.T, n int, constrained bool) []mcs.TaskSet {
@@ -50,8 +54,8 @@ func TestECDFDominatesEYGenerated(t *testing.T) {
 	for _, constrained := range []bool{false, true} {
 		accepted := 0
 		for _, ts := range drawSets(t, 60, constrained) {
-			eyOK := ey.Schedulable(ts)
-			ecdfOK := ecdf.Schedulable(ts)
+			eyOK := oracle.EY(ts, 0).Schedulable
+			ecdfOK := oracle.ECDF(ts, 0, nil).Schedulable
 			if eyOK && !ecdfOK {
 				t.Fatalf("constrained=%v: EY accepted but ECDF rejected:\n%v", constrained, ts)
 			}
@@ -71,10 +75,10 @@ func TestECDFDominatesEYGenerated(t *testing.T) {
 func TestECDFAddsValueOverEY(t *testing.T) {
 	eyCount, ecdfCount := 0, 0
 	for _, ts := range drawSets(t, 120, true) {
-		if ey.Schedulable(ts) {
+		if oracle.EY(ts, 0).Schedulable {
 			eyCount++
 		}
-		if ecdf.Schedulable(ts) {
+		if oracle.ECDF(ts, 0, nil).Schedulable {
 			ecdfCount++
 		}
 	}
@@ -89,11 +93,11 @@ func TestECDFAddsValueOverEY(t *testing.T) {
 // TestAMCMaxDominatesRTBGenerated: AMC-max accepts every AMC-rtb-accepted
 // set (Baruah/Burns/Davis prove per-task response-time dominance).
 func TestAMCMaxDominatesRTBGenerated(t *testing.T) {
-	rtbOpts := amc.Options{Variant: amc.RTB, Policy: amc.Audsley}
-	maxOpts := amc.Options{Variant: amc.Max, Policy: amc.Audsley}
+	rtbOpts := amcOracleOptions(amc.Options{Variant: amc.RTB, Policy: amc.Audsley})
+	maxOpts := amcOracleOptions(amc.Options{Variant: amc.Max, Policy: amc.Audsley})
 	for _, ts := range drawSets(t, 80, true) {
-		rtb := amc.Analyze(ts, rtbOpts).Schedulable
-		max := amc.Analyze(ts, maxOpts).Schedulable
+		rtb := oracle.AMC(ts, rtbOpts).Schedulable
+		max := oracle.AMC(ts, maxOpts).Schedulable
 		if rtb && !max {
 			t.Fatalf("AMC-rtb accepted but AMC-max rejected:\n%v", ts)
 		}
@@ -111,9 +115,9 @@ func TestAllAgreeOnLCOnlyImplicit(t *testing.T) {
 	over := mcs.TaskSet{mcs.NewLC(0, 6, 10), mcs.NewLC(1, 5, 10)}                       // u=1.1
 
 	for name, test := range map[string]func(mcs.TaskSet) bool{
-		"EDF-VD": edfvd.Schedulable,
-		"EY":     ey.Schedulable,
-		"ECDF":   ecdf.Schedulable,
+		"EDF-VD": edfvd.Test{}.Schedulable,
+		"EY":     ey.Test{}.Schedulable,
+		"ECDF":   ecdf.Test{}.Schedulable,
 	} {
 		if !test(light) {
 			t.Errorf("%s rejected a 0.45-utilization LC-only set", name)
@@ -125,10 +129,10 @@ func TestAllAgreeOnLCOnlyImplicit(t *testing.T) {
 			t.Errorf("%s accepted an overloaded LC-only set", name)
 		}
 	}
-	if !amc.Schedulable(light) {
+	if !amcDefault.Schedulable(light) {
 		t.Error("AMC rejected a 0.45-utilization LC-only set")
 	}
-	if amc.Schedulable(over) {
+	if amcDefault.Schedulable(over) {
 		t.Error("AMC accepted an overloaded LC-only set")
 	}
 }
@@ -141,10 +145,10 @@ func TestNoTestAcceptsStructuralOverload(t *testing.T) {
 		mcs.NewHC(1, 10, 50, 100),
 	} // UHH = 1.1
 	for name, test := range map[string]func(mcs.TaskSet) bool{
-		"EDF-VD": edfvd.Schedulable,
-		"EY":     ey.Schedulable,
-		"ECDF":   ecdf.Schedulable,
-		"AMC":    amc.Schedulable,
+		"EDF-VD": edfvd.Test{}.Schedulable,
+		"EY":     ey.Test{}.Schedulable,
+		"ECDF":   ecdf.Test{}.Schedulable,
+		"AMC":    amcDefault.Schedulable,
 	} {
 		if test(ts) {
 			t.Errorf("%s accepted UHH=1.1", name)
@@ -160,16 +164,16 @@ func TestEveryTestAcceptsTinyLoad(t *testing.T) {
 		{mcs.NewHCConstrained(0, 1, 2, 100, 50)},
 	} {
 		for name, test := range map[string]func(mcs.TaskSet) bool{
-			"EY":   ey.Schedulable,
-			"ECDF": ecdf.Schedulable,
-			"AMC":  amc.Schedulable,
+			"EY":   ey.Test{}.Schedulable,
+			"ECDF": ecdf.Test{}.Schedulable,
+			"AMC":  amcDefault.Schedulable,
 		} {
 			if !test(ts) {
 				t.Errorf("%s rejected a u^H=0.02 task (D=%d)", name, ts[0].Deadline)
 			}
 		}
 	}
-	if !edfvd.Schedulable(mcs.TaskSet{mcs.NewHC(0, 1, 2, 100)}) {
+	if !(edfvd.Test{}).Schedulable(mcs.TaskSet{mcs.NewHC(0, 1, 2, 100)}) {
 		t.Error("EDF-VD rejected a u^H=0.02 task")
 	}
 }

@@ -2,11 +2,12 @@ package dbf
 
 import "mcsched/internal/mcs"
 
-// LOAccum is the fold state behind HorizonLO, exported so incremental
-// analyzers can extend a cached horizon one task at a time. The horizon
+// LOAccum is the fold state of the LO-mode QPA horizon over step curves,
+// exported so incremental analyzers can extend a cached horizon one task
+// at a time. The horizon
 // inputs (utilization, affine offset, transient length, hyperperiod) are
 // all left folds over the step slice, so appending a step to a task set
-// and Add-ing its term to a saved accumulator reproduces HorizonLO of the
+// and Add-ing its term to a saved accumulator reproduces the fold of the
 // extended set exactly — same operations in the same order, bit-identical
 // float results.
 //
@@ -26,7 +27,8 @@ func (a *LOAccum) Add(s Step) {
 	}
 	ui := float64(s.C) / float64(s.T)
 	a.U += ui
-	if d := float64(s.T-s.D) * ui; d > 0 {
+	// float64 rounds the product, so no ISA fuses it into the add below.
+	if d := float64(float64(s.T-s.D) * ui); d > 0 {
 		a.Off += d
 	}
 	if s.D > a.MaxD {
@@ -36,8 +38,7 @@ func (a *LOAccum) Add(s Step) {
 	a.N++
 }
 
-// Horizon returns the safe QPA horizon for the accumulated demand,
-// identical to HorizonLO over the same steps in the same order.
+// Horizon returns the safe QPA horizon for the accumulated demand.
 func (a *LOAccum) Horizon() (L mcs.Ticks, ok bool) {
 	if a.N == 0 {
 		return 0, true
@@ -45,8 +46,8 @@ func (a *LOAccum) Horizon() (L mcs.Ticks, ok bool) {
 	return horizon(a.U, a.Off, a.MaxD, a.Hyper, a.HyperOK)
 }
 
-// HIAccum is the HI-mode counterpart of LOAccum: the fold state behind
-// HorizonHI over sawtooth curves. Unlike the LO fold it is keyed on each
+// HIAccum is the HI-mode counterpart of LOAccum: the fold state of the
+// QPA horizon over sawtooth curves. Unlike the LO fold it is keyed on each
 // task's virtual deadline (through offset = D − VD), so it is only
 // reusable while the cached VD assignment is; shapers must rebuild it
 // after tuning any deadline.
@@ -65,21 +66,12 @@ func (a *HIAccum) Add(s Sawtooth) {
 	}
 	ui := float64(s.CH) / float64(s.T)
 	a.U += ui
-	a.Off += float64(s.CH) * (1 - float64(s.offset())/float64(s.T))
+	a.Off += float64(float64(s.CH) * (1 - float64(s.offset())/float64(s.T))) // rounded, never fused
 	if s.offset() > a.MaxOff {
 		a.MaxOff = s.offset()
 	}
 	a.Hyper, a.HyperOK = lcmCapped(a.Hyper, s.T, a.HyperOK)
 	a.N++
-}
-
-// Horizon returns the safe QPA horizon for the accumulated demand,
-// identical to HorizonHI over the same sawtooths in the same order.
-func (a *HIAccum) Horizon() (L mcs.Ticks, ok bool) {
-	if a.N == 0 {
-		return 0, true
-	}
-	return horizon(a.U, a.Off, a.MaxOff, a.Hyper, a.HyperOK)
 }
 
 // Horizon combines independently maintained fold components into the safe
@@ -88,7 +80,7 @@ func (a *HIAccum) Horizon() (L mcs.Ticks, ok bool) {
 // only what a deadline move changed: as long as u is the utilization sum,
 // off the offset sum in curve order, transient the max transient length
 // and hyper/hyperOK the capped-lcm fold of the periods, the result is
-// bit-identical to HorizonLO/HorizonHI over the same curves.
+// bit-identical to a full LOAccum/HIAccum fold over the same curves.
 func Horizon(u, off float64, transient, hyper mcs.Ticks, hyperOK bool) (L mcs.Ticks, ok bool) {
 	return horizon(u, off, transient, hyper, hyperOK)
 }

@@ -28,29 +28,6 @@ type Curve interface {
 	PrevKink(l mcs.Ticks) mcs.Ticks
 }
 
-// Sum aggregates several curves.
-type Sum []Curve
-
-// Value returns the total demand at l.
-func (s Sum) Value(l mcs.Ticks) mcs.Ticks {
-	var v mcs.Ticks
-	for _, c := range s {
-		v += c.Value(l)
-	}
-	return v
-}
-
-// PrevKink returns the largest kink of any member strictly below l.
-func (s Sum) PrevKink(l mcs.Ticks) mcs.Ticks {
-	best := mcs.Ticks(-1)
-	for _, c := range s {
-		if k := c.PrevKink(l); k > best {
-			best = k
-		}
-	}
-	return best
-}
-
 // maxQPAIters bounds one QPA walk. QPA converges geometrically for demand
 // with long-run slope < 1; the bound is a defensive backstop — hitting it
 // returns "not schedulable", which is the safe direction. It is per walk,
@@ -214,18 +191,6 @@ func QPAWindows[C Curve](c C, L mcs.Ticks, known Free, rose Windows) (witness, d
 	return t, c.Value(t), Free{}, false
 }
 
-// Exhaustive checks ∀ℓ ∈ (0, L]: demand(ℓ) ≤ ℓ by brute force over every
-// integer point. It exists as the oracle QPA is verified against in tests;
-// use QPA everywhere else.
-func Exhaustive(c Curve, L mcs.Ticks) (witness mcs.Ticks, ok bool) {
-	for t := mcs.Ticks(1); t <= L; t++ {
-		if c.Value(t) > t {
-			return t, false
-		}
-	}
-	return -1, true
-}
-
 // Step is the classic demand step curve of a sporadic task: jumps of size
 // C at D, D+T, D+2T, … — max(0, ⌊(l−D)/T⌋+1)·C.
 type Step struct {
@@ -307,16 +272,4 @@ func lcmCapped(h, t mcs.Ticks, ok bool) (mcs.Ticks, bool) {
 		return h, false
 	}
 	return h, true
-}
-
-// HorizonLO returns a safe upper bound on the interval lengths that need
-// checking for a step-curve LO-mode test: beyond it demand(ℓ) ≤ ℓ is
-// implied. ok=false means the demand is infeasible at any horizon (see
-// horizon).
-func HorizonLO(steps []Step) (L mcs.Ticks, ok bool) {
-	var acc LOAccum
-	for _, s := range steps {
-		acc.Add(s)
-	}
-	return acc.Horizon()
 }

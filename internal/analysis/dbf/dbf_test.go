@@ -148,6 +148,68 @@ func TestCurvesMonotone(t *testing.T) {
 	}
 }
 
+// Sum aggregates curves of any type: the generic form of StepSum and
+// SawSum, so a test can walk mixed curves.
+type Sum []Curve
+
+// Value returns the total demand at l.
+func (s Sum) Value(l mcs.Ticks) mcs.Ticks {
+	var v mcs.Ticks
+	for _, c := range s {
+		v += c.Value(l)
+	}
+	return v
+}
+
+// PrevKink returns the largest kink of any member strictly below l.
+func (s Sum) PrevKink(l mcs.Ticks) mcs.Ticks {
+	best := mcs.Ticks(-1)
+	for _, c := range s {
+		if k := c.PrevKink(l); k > best {
+			best = k
+		}
+	}
+	return best
+}
+
+// HorizonLO is the QPA horizon of a whole set of step curves: beyond it
+// demand(ℓ) ≤ ℓ is implied; ok=false means the demand is infeasible at
+// any horizon.
+func HorizonLO(steps []Step) (L mcs.Ticks, ok bool) {
+	var acc LOAccum
+	for _, s := range steps {
+		acc.Add(s)
+	}
+	return acc.Horizon()
+}
+
+// HorizonHI is the QPA horizon of a whole set of sawtooth curves:
+// dbf_HI(ℓ) ≤ u^H·ℓ + C^H·(1 − offset/T) per task gives the utilization
+// bound, and dbf_HI(ℓ+T) = dbf_HI(ℓ) + C^H for ℓ ≥ offset the hyperperiod
+// bound for exactly-full systems.
+func HorizonHI(saws []Sawtooth) (L mcs.Ticks, ok bool) {
+	var acc HIAccum
+	for _, s := range saws {
+		acc.Add(s)
+	}
+	if acc.N == 0 {
+		return 0, true
+	}
+	return horizon(acc.U, acc.Off, acc.MaxOff, acc.Hyper, acc.HyperOK)
+}
+
+// Exhaustive checks ∀ℓ ∈ (0, L]: demand(ℓ) ≤ ℓ by brute force over every
+// integer point: the oracle the QPA walks are verified against. It returns
+// the first violation, or (-1, true).
+func Exhaustive(c Curve, L mcs.Ticks) (witness mcs.Ticks, ok bool) {
+	for t := mcs.Ticks(1); t <= L; t++ {
+		if c.Value(t) > t {
+			return t, false
+		}
+	}
+	return -1, true
+}
+
 // Property: QPA agrees with the exhaustive oracle on random curve sums.
 func TestQPAMatchesExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))

@@ -84,16 +84,3 @@ func (s *Sawtooth) prevKink(l mcs.Ticks) mcs.Ticks {
 	}
 	return s.offset() + k
 }
-
-// HorizonHI returns a safe horizon for the HI-mode test over a set of
-// sawtooth curves: dbf_HI(ℓ) ≤ u^H·ℓ + C^H·(1 − offset/T) per task gives
-// the utilization bound, and dbf_HI(ℓ+T) = dbf_HI(ℓ) + C^H for ℓ ≥ offset
-// gives the hyperperiod bound for exactly-full systems. ok=false means the
-// demand is infeasible at any horizon.
-func HorizonHI(saws []Sawtooth) (L mcs.Ticks, ok bool) {
-	var acc HIAccum
-	for _, s := range saws {
-		acc.Add(s)
-	}
-	return acc.Horizon()
-}

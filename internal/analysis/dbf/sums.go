@@ -4,8 +4,7 @@ import "mcsched/internal/mcs"
 
 // StepSum aggregates step curves without boxing each element in a Curve
 // interface value, so demand tests that re-run on every admission probe can
-// keep their curves in a reusable scratch slice. It is otherwise equivalent
-// to a Sum of the same Steps.
+// keep their curves in a reusable scratch slice.
 type StepSum []Step
 
 // Value implements Curve.

@@ -13,12 +13,9 @@ import (
 // soundness argument carries over verbatim because every restart drives
 // the identical LO/HI QPA machinery), and a warm path that folds a
 // prefix-extension probe's newcomer into the cached filter sums and
-// loosest curves instead of rebuilding them. The search itself replays
-// Analyze step for step — same pass order, same relaxation picks, same
-// shaping trajectories — so verdicts stay bit-identical to the stateless
-// test on every path; what differs is how many points its QPA walks
-// visit (resumed HI walks, windowed tuneStep tries, resumed relaxation
-// rounds; see ey.Shaper).
+// loosest curves instead of rebuilding them. The search itself is
+// Analyze's (search), so verdicts stay bit-identical to Test.Schedulable
+// on every path.
 type Analyzer struct {
 	opts Options
 	ctr  kernel.Counters
@@ -66,7 +63,7 @@ func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {
 	if warm && a.curvesOK {
 		x := ts[len(ts)-1]
 		undo := a.sh.Extend(x)
-		ok, deep := a.runExact()
+		ok, deep := search(&a.sh, a.opts)
 		a.ctr.WarmStarts++
 		if deep {
 			a.ctr.ExactRuns++
@@ -85,7 +82,7 @@ func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {
 
 	a.ctr.ExactRuns++
 	a.sh.Reset(ts)
-	ok, _ := a.runExact()
+	ok, _ := search(&a.sh, a.opts)
 	if ok {
 		a.memo.PromoteCold(ts, q)
 		a.sh.RestoreLoosest()
@@ -94,66 +91,6 @@ func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {
 		a.curvesOK = false
 	}
 	return ok
-}
-
-// runExact replays Analyze's search on the Shaper's loosest-state curves.
-// A LO-infeasible loosest assignment short-circuits the restarts
-// (shrinking deadlines only raises LO demand), mirroring Analyze's second
-// check. deep reports whether any shaping or restart work ran (vs a
-// zero-iteration decision straight off the cached loosest curves).
-func (a *Analyzer) runExact() (ok, deep bool) {
-	// Pass 1: the EY greedy from the loosest assignment.
-	if !a.sh.LOFeasible() {
-		return false, false
-	}
-	w, demand, hiOK := a.sh.HIFeasible()
-	if hiOK {
-		return true, false
-	}
-	if a.sh.ShapeResume(w, demand, a.opts.EY.EffectiveMaxIter()) {
-		return true, true
-	}
-
-	// Pass 2: scale-factor restarts, each from a uniformly tightened
-	// assignment relaxed per task until LO passes.
-	for _, lambda := range a.opts.Lambdas {
-		a.sh.Scale(lambda)
-		if !a.relaxUntilLOFeasible() {
-			continue
-		}
-		if a.sh.Shape(a.opts.EY.EffectiveMaxIter()) {
-			return true, true
-		}
-	}
-	return false, true
-}
-
-// relaxUntilLOFeasible is relaxUntilLOFeasible on the Shaper's arrays:
-// identical relaxation order (the HC scan in task order, most-shrunk task
-// first, halfway to its real deadline) and a boolean report instead of a
-// nil map. Every round only raises a virtual deadline, which only lowers
-// LO demand, so the Shaper keeps what a failed round's walk proved and the
-// next round resumes from it instead of walking the horizon again — the
-// mirror of the HI-side rule, under which the same raise drops hiFree.
-func (a *Analyzer) relaxUntilLOFeasible() bool {
-	for rounds := 0; rounds < a.sh.NumTasks()+1; rounds++ {
-		if a.sh.LOFeasible() {
-			return true
-		}
-		pick := -1
-		var worst mcs.Ticks = -1
-		for j := 0; j < a.sh.NumHC(); j++ {
-			if gap := a.sh.HCDeadline(j) - a.sh.HCVD(j); gap > worst {
-				worst, pick = gap, j
-			}
-		}
-		if worst <= 0 {
-			return false
-		}
-		d := a.sh.HCVD(pick)
-		a.sh.SetHCVD(pick, d+(a.sh.HCDeadline(pick)-d+1)/2)
-	}
-	return a.sh.LOFeasible()
 }
 
 // promoteFiltered records a filter-resolved accept, extending the cached

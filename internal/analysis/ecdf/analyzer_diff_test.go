@@ -7,14 +7,15 @@ import (
 	"mcsched/internal/analysis/dbf"
 	"mcsched/internal/analysis/ey"
 	"mcsched/internal/mcs"
+	"mcsched/internal/oracle"
 	"mcsched/internal/taskgen"
 )
 
 // TestSearchMatchesAnalyze runs the analyzer's whole search — the EY pass,
 // the five λ restarts, the relaxation in front of each — on one Shaper
 // whose HI-mode walks resume from the previous walk's certificate, and
-// compares verdict and final virtual deadlines with the stateless Analyze,
-// which walks the full horizon every time. (ey's shaping differential
+// compares verdict and final virtual deadlines with package oracle's
+// stateless ECDF, which walks the full horizon every time. (ey's shaping differential
 // compares the runs witness by witness; this one adds the relaxation,
 // whose upward moves are what must drop the certificate, and the order of
 // the restarts.) One analyzer serves every set, so whatever a search
@@ -30,7 +31,7 @@ func TestSearchMatchesAnalyze(t *testing.T) {
 	var ts mcs.TaskSet
 	var windowed, resumedRounds int
 	an.sh.SetLOWalkHook(func(known dbf.Free, rose dbf.Windows, ok bool) {
-		if want := ey.LOFeasible(ts, shaperVDs(&an.sh, ts)); ok != want {
+		if want := oracle.LOFeasible(ts, shaperVDs(&an.sh, ts)); ok != want {
 			t.Fatalf("LO walk via %+v and %+v says %v, the stateless test %v, for\n%v", known, rose, ok, want, ts)
 		}
 		switch {
@@ -49,13 +50,13 @@ func TestSearchMatchesAnalyze(t *testing.T) {
 			continue
 		}
 		sets++
-		want := Analyze(ts, opts)
+		want := oracle.ECDF(ts, opts.EY.MaxIter, opts.Lambdas)
 		an.sh.Reset(ts)
-		got, _ := an.runExact()
+		got, _ := search(&an.sh, an.opts)
 		if got != want.Schedulable {
-			t.Fatalf("analyzer search=%v Analyze=%v for\n%v", got, want.Schedulable, ts)
+			t.Fatalf("analyzer search=%v oracle=%v for\n%v", got, want.Schedulable, ts)
 		}
-		loosestOK := ey.LOFeasible(ts, ey.InitialAssignment(ts))
+		loosestOK := oracle.LOFeasible(ts, oracle.InitialAssignment(ts))
 		if !got {
 			if loosestOK {
 				exhausted++ // rejected only after every restart
@@ -72,13 +73,13 @@ func TestSearchMatchesAnalyze(t *testing.T) {
 				continue
 			}
 			if d := an.sh.HCVD(j); d != want.VD[task.ID] {
-				t.Fatalf("task %d ends at virtual deadline %d, Analyze at %d (restart %d) for\n%v",
+				t.Fatalf("task %d ends at virtual deadline %d, the oracle at %d (restart %d) for\n%v",
 					task.ID, d, want.VD[task.ID], want.Restarts, ts)
 			}
 			j++
 		}
 		for _, lambda := range opts.Lambdas[:want.Restarts] {
-			if !ey.LOFeasible(ts, ey.ScaledAssignment(ts, lambda)) {
+			if !oracle.LOFeasible(ts, oracle.ScaledAssignment(ts, lambda)) {
 				relaxed++
 				break
 			}
@@ -94,8 +95,8 @@ func TestSearchMatchesAnalyze(t *testing.T) {
 }
 
 // shaperVDs reads the Shaper's assignment back as an ID-keyed map.
-func shaperVDs(sh *ey.Shaper, ts mcs.TaskSet) ey.Assignment {
-	a, j := ey.Assignment{}, 0
+func shaperVDs(sh *ey.Shaper, ts mcs.TaskSet) oracle.Assignment {
+	a, j := oracle.Assignment{}, 0
 	for _, task := range ts {
 		if task.IsHC() {
 			a[task.ID] = sh.HCVD(j)
@@ -121,7 +122,7 @@ func TestRelaxationDropsCertificate(t *testing.T) {
 	}
 	sh.SetHCVD(0, 4)
 	sh.SetHCVD(1, 4)
-	wantW, wantOK := ey.HIFeasible(ts, ey.InitialAssignment(ts))
+	wantW, wantOK := oracle.HIFeasible(ts, oracle.InitialAssignment(ts))
 	if wantOK {
 		t.Fatal("case too tame: the loosest assignment passes the HI test")
 	}
@@ -145,7 +146,7 @@ func TestRelaxationKeepsLOCertificate(t *testing.T) {
 		known = known[:0]
 		sh.SetLOWalkHook(func(k dbf.Free, _ dbf.Windows, ok bool) {
 			known = append(known, k)
-			if want := ey.LOFeasible(ts, shaperVDs(sh, ts)); ok != want {
+			if want := oracle.LOFeasible(ts, shaperVDs(sh, ts)); ok != want {
 				t.Fatalf("walk %d via %+v says %v, the stateless test %v", len(known), k, ok, want)
 			}
 		})
@@ -180,7 +181,7 @@ func TestRelaxationKeepsLOCertificate(t *testing.T) {
 	an.sh.Reset(ts)
 	an.sh.Scale(0.05)
 	record(&an.sh)
-	if !an.relaxUntilLOFeasible() {
+	if !relaxUntilLOFeasible(&an.sh) {
 		t.Fatal("relaxation gave up")
 	}
 	if len(known) < 2 || known[0] != (dbf.Free{}) {

@@ -41,80 +41,84 @@ func DefaultOptions() Options {
 type Result struct {
 	Schedulable bool
 	VD          map[int]mcs.Ticks
-	// Restarts counts the scale-factor restarts used (0 means the EY pass
-	// already succeeded).
-	Restarts int
 }
 
-// Analyze runs the ECDF search.
+// normalized fills in the defaults of unset options: the default scale
+// factors for no Lambdas, the default EY options for a zero EY budget.
+func (o Options) normalized() Options {
+	if len(o.Lambdas) == 0 {
+		o.Lambdas = DefaultOptions().Lambdas
+	}
+	if o.EY.MaxIter == 0 {
+		o.EY = ey.DefaultOptions()
+	}
+	return o
+}
+
+// Analyze runs the ECDF search on a fresh Shaper — the analyzer's cold
+// exact run — and reads the accepted assignment off its curves.
 func Analyze(ts mcs.TaskSet, opts Options) Result {
-	if len(opts.Lambdas) == 0 {
-		opts.Lambdas = DefaultOptions().Lambdas
-	}
-	if opts.EY.MaxIter == 0 {
-		opts.EY = ey.DefaultOptions()
-	}
-
-	// Pass 1: the EY greedy from the loosest assignment.
-	if r := ey.Analyze(ts, opts.EY); r.Schedulable {
-		return Result{Schedulable: true, VD: r.VD}
-	}
-
-	// The LO test with d=D failing means even plain LO-mode EDF fails; no
-	// assignment can help (shrinking deadlines only raises LO demand).
-	if !ey.LOFeasible(ts, ey.InitialAssignment(ts)) {
+	var s ey.Shaper
+	s.Reset(ts)
+	if ok, _ := search(&s, opts.normalized()); !ok {
 		return Result{}
 	}
+	return Result{Schedulable: true, VD: s.VDs(ts)}
+}
 
-	// Pass 2: scale-factor restarts. Each restart starts from a uniformly
-	// tightened assignment; LO-infeasible starts are relaxed per task until
-	// LO passes, then the shaping loop repairs HI failures.
-	for i, lambda := range opts.Lambdas {
-		a := ey.ScaledAssignment(ts, lambda)
-		a = relaxUntilLOFeasible(ts, a)
-		if a == nil {
+// search is the ECDF search on the curves s holds, which must be at the
+// loosest assignment: first the EY pass (ey.Exact), then, unless the
+// loosest assignment already fails the LO test (shrinking deadlines only
+// raises LO demand), one restart per scale factor from a uniformly
+// tightened assignment, relaxed per task until LO passes and shaped from
+// there. deep reports whether any shaping or restart work ran (vs a
+// zero-iteration decision straight off the loosest curves). The Shaper is
+// left at the assignment the search ended on.
+func search(s *ey.Shaper, o Options) (ok, deep bool) {
+	maxIter := o.EY.EffectiveMaxIter()
+	if ok, shaped := ey.Exact(s, maxIter); ok || !shaped {
+		return ok, shaped
+	}
+	for _, lambda := range o.Lambdas {
+		s.Scale(lambda)
+		if !relaxUntilLOFeasible(s) {
 			continue
 		}
-		if vd, ok := ey.ShapeFrom(ts, a, opts.EY); ok {
-			return Result{Schedulable: true, VD: vd, Restarts: i + 1}
+		if s.Shape(maxIter) {
+			return true, true
 		}
 	}
-	return Result{}
+	return false, true
 }
 
 // relaxUntilLOFeasible enlarges virtual deadlines toward D until the LO
-// test passes, or returns nil when even d=D fails (checked by the caller,
-// so nil is defensive here). It relaxes the task whose deadline shrink is
-// largest first — the cheapest LO-demand repair.
-func relaxUntilLOFeasible(ts mcs.TaskSet, a ey.Assignment) ey.Assignment {
-	for rounds := 0; rounds < len(ts)+1; rounds++ {
-		if ey.LOFeasible(ts, a) {
-			return a
+// test passes, and reports false when that cannot happen. Each round
+// relaxes the most-shrunk HC task (the first in task order on ties)
+// halfway to its real deadline — the cheapest LO-demand repair. Every
+// round only raises a virtual deadline, which only lowers LO demand, so
+// the Shaper keeps what a failed round's walk proved and the next round
+// resumes from it instead of walking the horizon again — the mirror of
+// the HI-side rule, under which the same raise drops the HI certificate.
+func relaxUntilLOFeasible(s *ey.Shaper) bool {
+	for rounds := 0; rounds < s.NumTasks()+1; rounds++ {
+		if s.LOFeasible() {
+			return true
 		}
-		// Relax the most-shrunk task halfway to its real deadline.
-		var pick mcs.Task
+		pick := -1
 		var worst mcs.Ticks = -1
-		for _, t := range ts {
-			if !t.IsHC() {
-				continue
-			}
-			if gap := t.Deadline - a[t.ID]; gap > worst {
-				worst, pick = gap, t
+		for j := 0; j < s.NumHC(); j++ {
+			if gap := s.HCDeadline(j) - s.HCVD(j); gap > worst {
+				worst, pick = gap, j
 			}
 		}
 		if worst <= 0 {
-			return nil
+			return false
 		}
-		a[pick.ID] = a[pick.ID] + (pick.Deadline-a[pick.ID]+1)/2
+		d := s.HCVD(pick)
+		s.SetHCVD(pick, d+(s.HCDeadline(pick)-d+1)/2)
 	}
-	if ey.LOFeasible(ts, a) {
-		return a
-	}
-	return nil
+	return s.LOFeasible()
 }
-
-// Schedulable is the boolean wrapper with default options.
-func Schedulable(ts mcs.TaskSet) bool { return Analyze(ts, DefaultOptions()).Schedulable }
 
 // Test is the partitioning-test adapter for ECDF.
 type Test struct {

@@ -4,19 +4,19 @@ import (
 	"math/rand"
 	"testing"
 
-	"mcsched/internal/analysis/ey"
 	"mcsched/internal/mcs"
+	"mcsched/internal/oracle"
 	"mcsched/internal/taskgen"
 )
 
 func TestBasicAcceptReject(t *testing.T) {
-	if !Schedulable(mcs.TaskSet{mcs.NewHC(0, 1, 2, 4)}) {
+	if !(Test{}).Schedulable(mcs.TaskSet{mcs.NewHC(0, 1, 2, 4)}) {
 		t.Error("single HC task rejected")
 	}
-	if Schedulable(mcs.TaskSet{mcs.NewHC(0, 2, 3, 4), mcs.NewHC(1, 1, 2, 4)}) {
+	if (Test{}).Schedulable(mcs.TaskSet{mcs.NewHC(0, 2, 3, 4), mcs.NewHC(1, 1, 2, 4)}) {
 		t.Error("HI-overloaded set accepted")
 	}
-	if !Schedulable(nil) {
+	if !(Test{}).Schedulable(nil) {
 		t.Error("empty set rejected")
 	}
 }
@@ -29,8 +29,8 @@ func TestDominatesEY(t *testing.T) {
 	eyAcc, ecdfAcc := 0, 0
 	for i := 0; i < 400; i++ {
 		ts := randomSet(rng, 1+rng.Intn(6))
-		e := ey.Schedulable(ts)
-		c := Schedulable(ts)
+		e := oracle.EY(ts, 0).Schedulable
+		c := oracle.ECDF(ts, 0, nil).Schedulable
 		if e {
 			eyAcc++
 			if !c {
@@ -74,13 +74,13 @@ func TestResultSelfConsistent(t *testing.T) {
 		if !r.Schedulable {
 			continue
 		}
-		if r.Restarts > 0 {
+		if oracle.ECDF(ts, 0, nil).Restarts > 0 {
 			restartWins++
 		}
-		if !ey.LOFeasible(ts, r.VD) {
+		if !oracle.LOFeasible(ts, r.VD) {
 			t.Fatalf("accepted assignment fails LO test: %v / %v", ts, r.VD)
 		}
-		if _, ok := ey.HIFeasible(ts, r.VD); !ok {
+		if _, ok := oracle.HIFeasible(ts, r.VD); !ok {
 			t.Fatalf("accepted assignment fails HI test: %v / %v", ts, r.VD)
 		}
 	}
@@ -100,7 +100,7 @@ func TestRestartsAddValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ey.Schedulable(ts) && Schedulable(ts) {
+		if !oracle.EY(ts, 0).Schedulable && oracle.ECDF(ts, 0, nil).Schedulable {
 			extra++
 		}
 	}
@@ -113,7 +113,7 @@ func TestRestartsAddValue(t *testing.T) {
 func TestLOInfeasibleShortCircuit(t *testing.T) {
 	// ΣC^L/T > 1: no assignment can help; must reject quickly.
 	ts := mcs.TaskSet{mcs.NewHC(0, 3, 3, 4), mcs.NewHC(1, 2, 2, 4)}
-	r := Analyze(ts, DefaultOptions())
+	r := oracle.ECDF(ts, 0, nil)
 	if r.Schedulable {
 		t.Error("LO-overloaded set accepted")
 	}

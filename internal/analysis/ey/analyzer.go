@@ -12,14 +12,14 @@ import (
 //
 // The filters preserve bit-identical verdicts:
 //
-//   - necessary rejects recompute the very utilization sums
-//     dbf.HorizonLO/HorizonHI reject on (same values, same accumulation
-//     order, same 1e-9 boundary), so whenever the filter fires the exact
-//     path is guaranteed to fail: a LO utilization above 1 fails the
-//     initial LO test outright, and a HI utilization above 1 makes every
-//     HIFeasible call fail regardless of the virtual-deadline assignment
-//     (shrinking deadlines never lowers the long-run slope), so the shaping
-//     loop can only run out of moves;
+//   - necessary rejects recompute the very utilization sums the horizon
+//     folds (dbf.LOAccum, dbf.HIAccum) reject on (same values, same
+//     accumulation order, same 1e-9 boundary), so whenever the filter
+//     fires the exact path is guaranteed to fail: a LO utilization above
+//     1 fails the initial LO test outright, and a HI utilization above 1
+//     makes every HIFeasible call fail regardless of the virtual-deadline
+//     assignment (shrinking deadlines never lowers the long-run slope), so
+//     the shaping loop can only run out of moves;
 //   - the sufficient accept fires only for sets without HC tasks whose
 //     LO density Σ C^L/D stays below 1 with a float-safety margin: the
 //     HI test is then vacuously true and the density bound implies the
@@ -42,7 +42,7 @@ import (
 // raised demand on (Shaper.loProved, dbf.QPAWindows), which returns the
 // verdict the full walk would. Removals
 // refold over the order-preservingly compacted set, reproducing the
-// stateless folds bit-for-bit.
+// cold folds bit-for-bit.
 type Analyzer struct {
 	opts Options
 	ctr  kernel.Counters
@@ -139,7 +139,7 @@ func (m *Memo) PromoteCold(ts mcs.TaskSet, q QuickState) {
 }
 
 // Forget removes a task by ID and refolds the filter sums over the
-// compacted order (the stateless fold of the set the Assigner probes
+// compacted order (the cold fold of the set the Assigner probes
 // next). It reports whether anything was removed.
 func (m *Memo) Forget(id int) bool {
 	if !m.Valid {
@@ -188,7 +188,7 @@ func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {
 		// curves and horizon folds; append the newcomer and decide.
 		x := ts[len(ts)-1]
 		undo := a.sh.Extend(x)
-		ok, shaped := a.runExact()
+		ok, shaped := Exact(&a.sh, a.opts.maxIter())
 		a.ctr.WarmStarts++
 		if shaped {
 			a.ctr.ExactRuns++
@@ -207,7 +207,7 @@ func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {
 
 	a.ctr.ExactRuns++
 	a.sh.Reset(ts)
-	ok, _ := a.runExact()
+	ok, _ := Exact(&a.sh, a.opts.maxIter())
 	if ok {
 		a.memo.PromoteCold(ts, q)
 		a.sh.RestoreLoosest()
@@ -217,22 +217,6 @@ func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {
 		a.curvesOK = false
 	}
 	return ok
-}
-
-// runExact replays the stateless Analyze on the Shaper's current curves
-// (which must be at the loosest assignment): initial LO test, iteration
-// zero's HI test, then the shaping loop continuing from its witness.
-// shaped reports whether the shaping loop ran (vs a zero-iteration
-// decision straight off the cached loosest curves).
-func (a *Analyzer) runExact() (ok, shaped bool) {
-	if !a.sh.LOFeasible() {
-		return false, false
-	}
-	w, demand, hiOK := a.sh.HIFeasible()
-	if hiOK {
-		return true, false
-	}
-	return a.sh.ShapeResume(w, demand, a.opts.maxIter()), true
 }
 
 // promoteFiltered records a filter-resolved accept, extending the cached
@@ -252,7 +236,7 @@ func (a *Analyzer) promoteFiltered(ts mcs.TaskSet, warm bool, q QuickState) {
 
 // Forget implements kernel.Analyzer: the removed task leaves the memo,
 // the filter sums refold, and the cached curves are rebuilt for the
-// compacted set — all folds match the stateless ones on the next probe,
+// compacted set — all folds match the cold ones on the next probe,
 // so the memo stays valid across releases.
 func (a *Analyzer) Forget(id int) {
 	if !a.memo.Forget(id) {

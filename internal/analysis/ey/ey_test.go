@@ -6,6 +6,7 @@ import (
 
 	"mcsched/internal/analysis/dbf"
 	"mcsched/internal/mcs"
+	"mcsched/internal/oracle"
 	"mcsched/internal/taskgen"
 )
 
@@ -24,7 +25,7 @@ func TestSingleTaskAccepted(t *testing.T) {
 func TestTightSingleTask(t *testing.T) {
 	// C^H = D = T: utilization exactly 1; feasible alone.
 	ts := mcs.TaskSet{mcs.NewHC(0, 1, 4, 4)}
-	if !Schedulable(ts) {
+	if !(Test{}).Schedulable(ts) {
 		t.Error("utilization-1 single HC task rejected")
 	}
 }
@@ -42,12 +43,12 @@ func TestTightPairNeedsShaping(t *testing.T) {
 func TestOverloadRejected(t *testing.T) {
 	// HI-mode utilization 1.25 can never be schedulable.
 	ts := mcs.TaskSet{mcs.NewHC(0, 2, 3, 4), mcs.NewHC(1, 1, 2, 4)}
-	if Schedulable(ts) {
+	if (Test{}).Schedulable(ts) {
 		t.Error("HI-overloaded set accepted")
 	}
 	// LO-mode overload: ΣC^L/T > 1.
 	ts = mcs.TaskSet{mcs.NewHC(0, 3, 3, 4), mcs.NewLC(1, 2, 4)}
-	if Schedulable(ts) {
+	if (Test{}).Schedulable(ts) {
 		t.Error("LO-overloaded set accepted")
 	}
 }
@@ -64,7 +65,7 @@ func TestLCOnly(t *testing.T) {
 }
 
 func TestEmpty(t *testing.T) {
-	if !Schedulable(nil) {
+	if !(Test{}).Schedulable(nil) {
 		t.Error("empty set rejected")
 	}
 }
@@ -82,7 +83,7 @@ func TestResultSelfConsistent(t *testing.T) {
 			continue
 		}
 		accepted++
-		a := Assignment(r.VD)
+		a := oracle.Assignment(r.VD)
 		for _, task := range ts {
 			if !task.IsHC() {
 				continue
@@ -95,10 +96,10 @@ func TestResultSelfConsistent(t *testing.T) {
 				t.Fatalf("VD %d outside [%d,%d]", d, task.CLo(), task.Deadline)
 			}
 		}
-		if !LOFeasible(ts, a) {
+		if !oracle.LOFeasible(ts, a) {
 			t.Fatalf("accepted assignment fails LO test: %v / %v", ts, a)
 		}
-		if _, ok := HIFeasible(ts, a); !ok {
+		if _, ok := oracle.HIFeasible(ts, a); !ok {
 			t.Fatalf("accepted assignment fails HI test: %v / %v", ts, a)
 		}
 	}
@@ -131,7 +132,7 @@ func TestAcceptanceImpliesUtilizationBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		ts := randomSet(rng, 1+rng.Intn(6))
-		if !Schedulable(ts) {
+		if !(Test{}).Schedulable(ts) {
 			continue
 		}
 		var uh, ul float64
@@ -159,7 +160,7 @@ func TestAcceptsLightLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !Schedulable(ts) {
+		if !(Test{}).Schedulable(ts) {
 			t.Fatalf("light-load set rejected: %v", ts)
 		}
 	}
@@ -180,7 +181,7 @@ func TestGeneratedConstrained(t *testing.T) {
 		r := Analyze(ts, DefaultOptions())
 		if r.Schedulable {
 			accepted++
-			if !LOFeasible(ts, r.VD) {
+			if !oracle.LOFeasible(ts, r.VD) {
 				t.Fatal("accepted but LO-infeasible")
 			}
 		}
@@ -190,15 +191,15 @@ func TestGeneratedConstrained(t *testing.T) {
 
 func TestScaledAssignment(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewHC(0, 10, 20, 100), mcs.NewLC(1, 5, 50)}
-	a := ScaledAssignment(ts, 0)
+	a := oracle.ScaledAssignment(ts, 0)
 	if a[0] != 10 {
 		t.Errorf("λ=0: d = %d, want C^L = 10", a[0])
 	}
-	a = ScaledAssignment(ts, 1)
+	a = oracle.ScaledAssignment(ts, 1)
 	if a[0] != 100 {
 		t.Errorf("λ=1: d = %d, want D = 100", a[0])
 	}
-	a = ScaledAssignment(ts, 0.5)
+	a = oracle.ScaledAssignment(ts, 0.5)
 	if a[0] != 55 {
 		t.Errorf("λ=0.5: d = %d, want 55", a[0])
 	}
@@ -209,9 +210,9 @@ func TestScaledAssignment(t *testing.T) {
 
 func TestShapeFromDoesNotMutate(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewHC(0, 2, 2, 4), mcs.NewHC(1, 2, 2, 4)}
-	a := InitialAssignment(ts)
-	before := a.clone()
-	ShapeFrom(ts, a, DefaultOptions())
+	a := oracle.InitialAssignment(ts)
+	before := a.Clone()
+	oracle.ShapeFrom(ts, a, DefaultOptions().MaxIter)
 	for id, d := range before {
 		if a[id] != d {
 			t.Fatalf("ShapeFrom mutated input assignment at task %d", id)
@@ -224,8 +225,8 @@ func TestCurvesMatchModel(t *testing.T) {
 		mcs.NewHCConstrained(0, 2, 5, 10, 10),
 		mcs.NewLC(1, 3, 12),
 	}
-	a := Assignment{0: 6}
-	lo := LOCurves(ts, a)
+	a := oracle.Assignment{0: 6}
+	lo := oracle.LOCurves(ts, a)
 	if len(lo) != 2 {
 		t.Fatalf("LO curves = %d, want 2", len(lo))
 	}
@@ -235,7 +236,7 @@ func TestCurvesMatchModel(t *testing.T) {
 	if lo[1] != (dbf.Step{C: 3, D: 12, T: 12}) {
 		t.Errorf("LC LO step = %+v", lo[1])
 	}
-	hi := HICurves(ts, a)
+	hi := oracle.HICurves(ts, a)
 	if len(hi) != 1 {
 		t.Fatalf("HI curves = %d, want 1", len(hi))
 	}

@@ -134,7 +134,7 @@ func TestShaperLOProofBit(t *testing.T) {
 }
 
 // FuzzLOWindows runs the shaping differential — every run ECDF can start,
-// tuneStep by tuneStep against the stateless Engine, every LO-mode walk
+// tuneStep by tuneStep against the oracle's stateless Engine, every LO-mode walk
 // against a fresh full one — on generator sets drawn from the fuzzed
 // parameters. Short periods keep hyperperiods small, so the periodic
 // horizon, the one a deadline move can raise, often binds.

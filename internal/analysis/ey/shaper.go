@@ -5,24 +5,23 @@ import (
 	"mcsched/internal/mcs"
 )
 
-// Shaper is the array-backed twin of Engine + Assignment that the per-core
-// analyzers (here and in package ecdf) run on. Where the stateless path
-// keeps the virtual-deadline assignment in an ID-keyed map and rebuilds
-// the step/sawtooth curves from it before every feasibility check, the
-// Shaper stores the curves themselves, indexed by task position, and
-// mutates them in place when a deadline moves — a feasibility check is
-// then a horizon fold plus a QPA walk, with no per-task map traffic.
+// Shaper is the EY/ECDF search engine. It stores the demand curves
+// themselves, indexed by task position — one LO-mode step per task, one
+// HI-mode sawtooth per HC task — and mutates them in place when a virtual
+// deadline moves, so a feasibility check is a horizon fold plus a QPA
+// walk, with no per-task map traffic. Package ey's Analyze and Analyzer
+// and package ecdf's both run on it.
 //
-// Verdicts stay bit-identical to the Engine because the curves it would
-// rebuild are exactly the ones the Shaper maintains: loCurves emits one
-// step per task in slice order with D = the task's current LO deadline,
-// hiCurves one sawtooth per HC task in slice order with VD = the current
-// virtual deadline — and Shape/tuneStep below visit candidates in the
-// same order, compare gains with the same strict inequality, and probe
-// the same LO-feasibility boundary. (The equivalence leans on task IDs
-// being unique within a set, which every producer in this repo
-// guarantees; an ID-keyed map would alias duplicate IDs where positional
-// arrays would not.)
+// The reference it is checked against is package oracle's stateless
+// search, which keeps the assignment in an ID-keyed map and rebuilds the
+// curves before every check. The two agree step for step because the
+// curves it would rebuild are exactly the ones the Shaper maintains (in
+// slice order, HC tasks only for the sawtooths) and Shape/tuneStep below
+// visit candidates in the same order, compare gains with the same strict
+// inequality, and probe the same LO-feasibility boundary. (The
+// equivalence leans on task IDs being unique within a set, which every
+// producer in this repo guarantees; an ID-keyed map would alias
+// duplicate IDs where positional arrays would not.)
 //
 // The zero value is ready to use; a Shaper is not safe for concurrent
 // use.
@@ -40,7 +39,7 @@ type Shaper struct {
 	// offset term, recomputed by setHC only for the curve whose deadline
 	// moved; a feasibility call then re-sums them in curve order (plain
 	// float adds, no divisions), which is bit-identical to the full
-	// HorizonLO/HorizonHI fold because the terms are computed by the same
+	// LOAccum/HIAccum fold because the terms are computed by the same
 	// expressions and summed in the same order.
 	offLO []float64 // per step: max(0, (T−D)·C/T), as LOAccum.Add folds it
 	offHI []float64 // per saw: CH·(1 − (D−VD)/T), as HIAccum.Add folds it
@@ -225,6 +224,16 @@ func (s *Shaper) HCDeadline(j int) mcs.Ticks { return s.saws[j].D }
 // HCVD returns the current virtual deadline of the j-th HC task.
 func (s *Shaper) HCVD(j int) mcs.Ticks { return s.saws[j].VD }
 
+// VDs reads the current virtual deadlines back as a map from HC task ID,
+// for the set ts the curves were built from.
+func (s *Shaper) VDs(ts mcs.TaskSet) map[int]mcs.Ticks {
+	vd := make(map[int]mcs.Ticks, len(s.saws))
+	for j, i := range s.taskOf {
+		vd[ts[i].ID] = s.saws[j].VD
+	}
+	return vd
+}
+
 // SetHCVD moves the j-th HC task's virtual deadline (package ecdf's
 // relaxation uses it). A higher deadline raises HI demand and lowers LO
 // demand, a lower one the reverse; each mode's proofs survive the
@@ -266,10 +275,10 @@ func (s *Shaper) loWalk(known dbf.Free, rose dbf.Windows) (proved dbf.Free, ok b
 }
 
 // loHorizon assembles the LO-mode QPA horizon of the current curves,
-// matching dbf.HorizonLO over them bit for bit: the utilization and
-// hyperperiod components are deadline-independent and come from the loose
-// fold, the offset terms are the cached per-step values re-summed in step
-// order.
+// matching a full dbf.LOAccum fold over them bit for bit: the utilization
+// and hyperperiod components are deadline-independent and come from the
+// loose fold, the offset terms are the cached per-step values re-summed in
+// step order.
 func (s *Shaper) loHorizon() (L mcs.Ticks, ok bool) {
 	var off float64
 	var maxD mcs.Ticks
@@ -284,8 +293,8 @@ func (s *Shaper) loHorizon() (L mcs.Ticks, ok bool) {
 
 // HIFeasible runs the HI-mode QPA test under the current virtual
 // deadlines, returning a violation witness and the demand there when it
-// fails. The horizon is assembled like loHorizon's, matching
-// dbf.HorizonHI bit for bit; the walk resumes from hiFree.
+// fails. The horizon is assembled like loHorizon's, matching a full
+// dbf.HIAccum fold bit for bit; the walk resumes from hiFree.
 func (s *Shaper) HIFeasible() (witness, demand mcs.Ticks, ok bool) {
 	if len(s.saws) == 0 {
 		return -1, 0, true
@@ -306,8 +315,8 @@ func (s *Shaper) HIFeasible() (witness, demand mcs.Ticks, ok bool) {
 	return witness, demand, ok
 }
 
-// Shape runs the failure-guided tuning loop from the current assignment —
-// the array twin of Engine.shape, starting with a fresh frozen set.
+// Shape runs the failure-guided tuning loop from the current assignment,
+// starting with a fresh frozen set.
 func (s *Shaper) Shape(maxIter int) bool {
 	for j := range s.frozen {
 		s.frozen[j] = false
@@ -350,12 +359,10 @@ func (s *Shaper) ShapeResume(w, demand mcs.Ticks, maxIter int) bool {
 	return false
 }
 
-// tuneStep is Engine.tuneStep on the arrays: shrink the virtual deadline
-// of the unfrozen HC task with the largest demand reduction at the
-// witness w (demand is the HI demand there, as the walk that found w
-// summed it), keeping the LO test passing. Candidate order, gain
-// arithmetic, the strict best comparison, the clamped target and the
-// binary search all mirror the map version exactly.
+// tuneStep shrinks the virtual deadline of the unfrozen HC task with the
+// largest demand reduction at the HI-mode violation witness w (demand is
+// the HI demand there, as the walk that found w summed it), while keeping
+// the LO test passing. It returns false when no move is possible.
 func (s *Shaper) tuneStep(w, demand mcs.Ticks) bool {
 	needed := demand - w
 	if needed <= 0 {

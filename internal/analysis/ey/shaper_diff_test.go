@@ -6,14 +6,15 @@ import (
 
 	"mcsched/internal/analysis/dbf"
 	"mcsched/internal/mcs"
+	"mcsched/internal/oracle"
 	"mcsched/internal/taskgen"
 )
 
 // The Shaper resumes each HI-mode walk from what the previous one proved
 // (hiFree), walks only the windows a try's deadline move opened while LO
 // demand is proved (loProved, dbf.Windows) and resumes each LO-mode walk
-// of a binary search from the last failed try; the Engine walks the full
-// horizon every time. These tests run the two side by side, one tuneStep
+// of a binary search from the last failed try; package oracle's stateless
+// Engine walks the full horizon every time. These tests run the two side by side, one tuneStep
 // at a time, and demand the same witness at every step, the same virtual
 // deadlines after it, and the same verdict — from the loosest assignment
 // and from every λ-scaled restart ECDF uses, on one Shaper that is never
@@ -23,8 +24,8 @@ import (
 var restartLambdas = []float64{0.8, 0.6, 0.4, 0.2, 0.05}
 
 // shaperVDs reads the Shaper's assignment back as an ID-keyed map.
-func shaperVDs(s *Shaper, ts mcs.TaskSet) Assignment {
-	a := Assignment{}
+func shaperVDs(s *Shaper, ts mcs.TaskSet) oracle.Assignment {
+	a := oracle.Assignment{}
 	for i, t := range ts {
 		if j := s.sawOf[i]; j >= 0 {
 			a[t.ID] = s.HCVD(j)
@@ -33,7 +34,7 @@ func shaperVDs(s *Shaper, ts mcs.TaskSet) Assignment {
 	return a
 }
 
-func sameAssignment(a, b Assignment) bool {
+func sameAssignment(a, b oracle.Assignment) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -74,12 +75,12 @@ func checkLOWalks(t *testing.T, s *Shaper, st *loWalkStats) {
 	s.SetLOWalkHook(hook)
 }
 
-// stepBoth runs one shaping loop on the Engine (from a) and on the Shaper
+// stepBoth runs one shaping loop on the oracle's Engine (from a) and on the Shaper
 // (from its current curves, which must describe a) in lockstep. It returns
 // the verdict and the number of tuneSteps taken.
-func stepBoth(t *testing.T, ts mcs.TaskSet, s *Shaper, a Assignment, maxIter int) (ok bool, steps int) {
+func stepBoth(t *testing.T, ts mcs.TaskSet, s *Shaper, a oracle.Assignment, maxIter int) (ok bool, steps int) {
 	t.Helper()
-	e := NewEngine()
+	e := oracle.NewEngine()
 	frozen := map[int]bool{}
 	for j := range s.frozen {
 		s.frozen[j] = false
@@ -93,7 +94,7 @@ func stepBoth(t *testing.T, ts mcs.TaskSet, s *Shaper, a Assignment, maxIter int
 		if gotOK {
 			return true, steps
 		}
-		wantMore := e.tuneStep(ts, a, frozen, wantW)
+		wantMore := e.TuneStep(ts, a, frozen, wantW)
 		gotMore := s.tuneStep(gotW, demand)
 		if got := shaperVDs(s, ts); gotMore != wantMore || !sameAssignment(got, a) {
 			t.Fatalf("step %d at witness %d: shaper (%v, %v), engine (%v, %v) for\n%v", steps, wantW, gotMore, got, wantMore, a, ts)
@@ -112,7 +113,7 @@ func diffShapingRuns(t *testing.T, ts mcs.TaskSet, lo *loWalkStats) (steps int) 
 	var s Shaper
 	checkLOWalks(t, &s, lo)
 	s.Reset(ts)
-	if LOFeasible(ts, InitialAssignment(ts)) != s.LOFeasible() {
+	if oracle.LOFeasible(ts, oracle.InitialAssignment(ts)) != s.LOFeasible() {
 		t.Fatalf("loosest LO verdicts differ for\n%v", ts)
 	}
 	if !s.LOFeasible() {
@@ -120,7 +121,7 @@ func diffShapingRuns(t *testing.T, ts mcs.TaskSet, lo *loWalkStats) (steps int) 
 	}
 	maxIter := DefaultOptions().maxIter()
 
-	ok, n := stepBoth(t, ts, &s, InitialAssignment(ts), maxIter)
+	ok, n := stepBoth(t, ts, &s, oracle.InitialAssignment(ts), maxIter)
 	steps += n
 	// The loops the analyzers actually call must land where the lockstep
 	// run did.
@@ -141,12 +142,12 @@ func diffShapingRuns(t *testing.T, ts mcs.TaskSet, lo *loWalkStats) (steps int) 
 	}
 
 	for _, lambda := range restartLambdas {
-		a := ScaledAssignment(ts, lambda)
+		a := oracle.ScaledAssignment(ts, lambda)
 		s.Scale(lambda)
 		if !sameAssignment(shaperVDs(&s, ts), a) {
 			t.Fatalf("λ=%g: scaled assignments differ for\n%v", lambda, ts)
 		}
-		if loOK := s.LOFeasible(); loOK != LOFeasible(ts, a) {
+		if loOK := s.LOFeasible(); loOK != oracle.LOFeasible(ts, a) {
 			t.Fatalf("λ=%g: LO verdicts differ for\n%v", lambda, ts)
 		} else if !loOK {
 			continue // the relaxation is ecdf's; its differential covers it
@@ -159,26 +160,26 @@ func diffShapingRuns(t *testing.T, ts mcs.TaskSet, lo *loWalkStats) (steps int) 
 	// that task dropped again. Every run leaves a certificate behind that
 	// the next one must not see.
 	s.RestoreLoosest()
-	_, n = stepBoth(t, ts, &s, InitialAssignment(ts), maxIter)
+	_, n = stepBoth(t, ts, &s, oracle.InitialAssignment(ts), maxIter)
 	steps += n
 	head, last := ts[:len(ts)-1], ts[len(ts)-1]
 	s.Reset(head)
 	if !s.LOFeasible() {
 		return steps
 	}
-	_, n = stepBoth(t, head, &s, InitialAssignment(head), maxIter)
+	_, n = stepBoth(t, head, &s, oracle.InitialAssignment(head), maxIter)
 	steps += n
 	s.RestoreLoosest()
 	undo := s.Extend(last)
-	_, n = stepBoth(t, ts, &s, InitialAssignment(ts), maxIter)
+	_, n = stepBoth(t, ts, &s, oracle.InitialAssignment(ts), maxIter)
 	steps += n
 	s.Truncate(undo)
 	s.RestoreLoosest()
-	_, n = stepBoth(t, head, &s, InitialAssignment(head), maxIter)
+	_, n = stepBoth(t, head, &s, oracle.InitialAssignment(head), maxIter)
 	steps += n
 	// A cold probe of a larger set after a run that was not restored.
 	s.Reset(ts)
-	_, n = stepBoth(t, ts, &s, InitialAssignment(ts), maxIter)
+	_, n = stepBoth(t, ts, &s, oracle.InitialAssignment(ts), maxIter)
 	return steps + n
 }
 

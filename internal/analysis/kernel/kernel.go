@@ -2,25 +2,29 @@
 // layers and the reusable per-core analysis engines ("analyzers") that the
 // schedulability-test families provide.
 //
-// A stateless core.Test re-derives everything from scratch on every call:
-// fresh higher-priority sets, cold fixed-point iterations, new demand
-// curves. An Analyzer is the allocation-free incremental counterpart: one
-// instance is dedicated to one processor, keeps scratch buffers and
-// memoized artifacts (priority orders, converged response times, running
-// utilization sums) across calls, and answers the same question — "is this
-// task set schedulable on one core?" — with exactly the same verdict as
-// the family's stateless test. Bit-identical verdicts are the layer's
-// contract; the differential suite in internal/analysis/crosstest certifies
-// it for every family, and every shortcut an analyzer takes (fast-path
-// filters, warm-started fixed points, incremental re-verification) is
-// required to be provably verdict-preserving, not merely approximate.
+// Each built-in family has one search, its engine. Test.Schedulable runs
+// it cold on a fresh instance; an Analyzer is the same engine dedicated to
+// one processor, keeping scratch buffers and memoized artifacts (priority
+// orders, converged response times, running utilization sums, demand
+// curves) across calls, and answering the same question — "is this task
+// set schedulable on one core?" — with exactly the verdict of a cold run.
+// Every shortcut an analyzer takes (fast-path filters, warm-started fixed
+// points, incremental re-verification) is required to be provably
+// verdict-preserving, not merely approximate.
+//
+// The reference both are checked against is package internal/oracle: the
+// stateless from-scratch searches, which only tests import. The
+// differential suite in internal/analysis/crosstest certifies verdict
+// equality with them for every family, and TestCertificatesMatchOracle
+// certifies that a cold run hands out the oracle's certificates (virtual
+// deadlines, priorities, x) bit for bit.
 //
 // One stated exception: dbf's QPA walks give up ("not schedulable") after
-// 2^20 iterations, per walk. The EY/ECDF analyzers resume each walk of a
+// 2^20 iterations, per walk. The EY/ECDF engines resume each walk of a
 // shaping run from what the previous one proved, so one of theirs could
-// finish where the stateless test's full walk gives up and rejects.
-// dbf.Backstops counts the give-ups; the goldens and the differential
-// corpus assert it stays zero.
+// finish where the oracle's full walk gives up and rejects. dbf.Backstops
+// counts the give-ups; the goldens and the differential corpus assert it
+// stays zero.
 //
 // Analyzers additionally run two-sided fast-path filters before exact
 // analysis — necessary-condition rejects (per-level utilization above 1,
@@ -32,8 +36,8 @@ package kernel
 
 import "mcsched/internal/mcs"
 
-// Test is the stateless uniprocessor schedulability-test contract,
-// structurally identical to core.Test; it is redeclared here so the
+// Test is the uniprocessor schedulability-test contract, structurally
+// identical to core.Test; it is redeclared here so the
 // analysis packages can implement the analyzer capability without
 // importing core.
 type Test interface {
@@ -47,8 +51,8 @@ type Test interface {
 // concurrent use: callers dedicate one analyzer to one core and serialize
 // calls on it (core.Assigner probes its cores in a serial loop).
 //
-// Schedulable must return exactly the verdict the family's stateless Test
-// returns for the same task set. Implementations may retain memoized state
+// Schedulable must return exactly the verdict the family's Test returns for
+// the same task set. Implementations may retain memoized state
 // derived from the sets they analyze, but must copy anything they keep —
 // callers typically pass scratch slices that are invalid after the call
 // returns.
@@ -71,7 +75,7 @@ type Analyzer interface {
 
 // Incremental is the optional capability of a Test: families that provide
 // a reusable per-core analyzer implement it, and core.Assigner detects it
-// to route per-core probes through analyzers instead of the stateless path.
+// to route per-core probes through analyzers instead of Test.Schedulable.
 type Incremental interface {
 	Test
 	// NewAnalyzer returns a fresh per-core analyzer for this test
@@ -135,7 +139,7 @@ type Stateless struct {
 // NewStateless wraps t.
 func NewStateless(t Test) *Stateless { return &Stateless{T: t} }
 
-// Schedulable implements Analyzer by delegating to the stateless test.
+// Schedulable implements Analyzer by delegating to the test.
 func (s *Stateless) Schedulable(ts mcs.TaskSet) bool {
 	s.ctr.ExactRuns++
 	return s.T.Schedulable(ts)

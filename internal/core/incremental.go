@@ -19,8 +19,8 @@ import (
 // rather than a full re-partitioning — and that analysis runs on a
 // per-core analyzer (internal/analysis/kernel): a reusable engine with
 // scratch buffers, fast-path filters and memoized response times whose
-// verdicts are bit-identical to the stateless test. Candidate sets and
-// placement orders live in pooled buffers, so a steady-state probe
+// verdicts are bit-identical to the test's own Schedulable. Candidate sets
+// and placement orders live in pooled buffers, so a steady-state probe
 // allocates nothing. Assigner is not safe for concurrent use; callers
 // serialize access.
 type Assigner struct {

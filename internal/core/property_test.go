@@ -9,6 +9,7 @@ import (
 
 	"mcsched/internal/analysis/edfvd"
 	"mcsched/internal/mcs"
+	"mcsched/internal/oracle"
 	"mcsched/internal/taskgen"
 )
 
@@ -173,7 +174,7 @@ func TestSingleCoreEquivalence(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		want := edfvd.Schedulable(ts)
+		want := oracle.EDFVD(ts).Schedulable
 		for _, s := range Strategies() {
 			_, err := s.Partition(ts, 1, edfvd.Test{})
 			if got := err == nil; got != want {

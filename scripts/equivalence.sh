@@ -1,5 +1,5 @@
 #!/bin/sh
-# equivalence.sh REV — does this working tree partition exactly as REV?
+# equivalence.sh REV — does this working tree decide exactly as REV?
 #
 # Builds the mcsched CLI from `git archive REV` and from the working tree,
 # then runs both binaries on the same inputs and compares stdout and exit
@@ -7,18 +7,23 @@
 #   list       mcsched list
 #   gen        gen -m 2 -uhh U -ulh 0.25 -ull 0.3 -seed S, for S = 1–50,
 #              U in 0.35 0.45 0.55 0.65, once implicit, once -constrained
-#   partition  partition -q -m 2 -strategy X -test Y on every generated set
-#              (the working tree's copy), for every strategy X and test Y
-#              that the working tree's `mcsched list` prints
+#   analyze    analyze -test Y on every generated set (the working tree's
+#              copy), for every test Y that the working tree's
+#              `mcsched list` prints
+#   partition  partition -q -m 2 -strategy X -test Y on every generated set,
+#              for every strategy X and test Y that `mcsched list` prints
+#   simulate   simulate -test Y -trace 20 -scenario C on every partition the
+#              working tree accepted with -strategy CU-UDP (the default)
+#              under test Y, for every scenario C
 # Prints the match counts per kind and every pair that differs; exits 1
-# when any pair differs. Takes a few minutes (about 50 000 runs).
+# when any pair differs. Takes about half an hour (about 80 000 runs).
 set -eu
 
 rev=${1:?usage: equivalence.sh REV}
 root=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-mkdir "$work/src" "$work/sets"
+mkdir "$work/src" "$work/sets" "$work/parts"
 
 git -C "$root" archive "$rev" | tar -x -C "$work/src"
 (cd "$work/src" && go build -o "$work/old" ./cmd/mcsched)
@@ -69,12 +74,35 @@ report gen
 tests=$("$work/new" list | sed -n '/^tests:/,$p' | sed -n 's/^  //p')
 strategies=$("$work/new" list | sed -n '/^strategies:/,/^tests:/p' | sed -n 's/^  //p')
 for set in "$work"/sets/*.json; do
+	for test in $tests; do
+		pair "$set" analyze -test "$test"
+	done
+done
+report analyze
+
+# The partitions the working tree accepted under CU-UDP, one file each, and
+# "FILE TEST" per line in parts.txt.
+: >"$work/parts.txt"
+n=0
+for set in "$work"/sets/*.json; do
 	for strategy in $strategies; do
 		for test in $tests; do
 			pair "$set" partition -q -m 2 -strategy "$strategy" -test "$test"
+			if [ "$strategy" = CU-UDP ] && [ "$s_new" = 0 ]; then
+				n=$((n + 1))
+				mv "$work/new.out" "$work/parts/$n.json"
+				echo "$work/parts/$n.json $test" >>"$work/parts.txt"
+			fi
 		done
 	done
 done
 report partition
+
+while read -r part test; do
+	for scenario in losteady historm random overrun; do
+		pair "$part" simulate -test "$test" -trace 20 -scenario "$scenario"
+	done
+done <"$work/parts.txt"
+report simulate
 
 [ "$failed" = 0 ]
