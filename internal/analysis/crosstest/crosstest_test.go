@@ -93,8 +93,8 @@ func TestECDFAddsValueOverEY(t *testing.T) {
 // TestAMCMaxDominatesRTBGenerated: AMC-max accepts every AMC-rtb-accepted
 // set (Baruah/Burns/Davis prove per-task response-time dominance).
 func TestAMCMaxDominatesRTBGenerated(t *testing.T) {
-	rtbOpts := amcOracleOptions(amc.Options{Variant: amc.RTB, Policy: amc.Audsley})
-	maxOpts := amcOracleOptions(amc.Options{Variant: amc.Max, Policy: amc.Audsley})
+	rtbOpts := oracle.AMCOptions{}          // AMC-rtb, Audsley
+	maxOpts := oracle.AMCOptions{Max: true} // AMC-max, Audsley
 	for _, ts := range drawSets(t, 80, true) {
 		rtb := oracle.AMC(ts, rtbOpts).Schedulable
 		max := oracle.AMC(ts, maxOpts).Schedulable

@@ -4,12 +4,11 @@ import "mcsched/internal/mcs"
 
 // LOAccum is the fold state of the LO-mode QPA horizon over step curves,
 // exported so incremental analyzers can extend a cached horizon one task
-// at a time. The horizon
-// inputs (utilization, affine offset, transient length, hyperperiod) are
-// all left folds over the step slice, so appending a step to a task set
-// and Add-ing its term to a saved accumulator reproduces the fold of the
-// extended set exactly — same operations in the same order, bit-identical
-// float results.
+// at a time. The horizon inputs (utilization, affine offset, transient
+// length, hyperperiod) are all left folds over the step slice, so
+// appending a step to a task set and Add-ing its term to a saved
+// accumulator reproduces the fold of the extended set exactly — same
+// operations in the same order, bit-identical float results.
 //
 // The zero value is the empty accumulator; resetting is `acc = LOAccum{}`.
 type LOAccum struct {
@@ -66,7 +65,8 @@ func (a *HIAccum) Add(s Sawtooth) {
 	}
 	ui := float64(s.CH) / float64(s.T)
 	a.U += ui
-	a.Off += float64(float64(s.CH) * (1 - float64(s.offset())/float64(s.T))) // rounded, never fused
+	// float64 rounds the product, so no ISA fuses it into the add.
+	a.Off += float64(float64(s.CH) * (1 - float64(s.offset())/float64(s.T)))
 	if s.offset() > a.MaxOff {
 		a.MaxOff = s.offset()
 	}

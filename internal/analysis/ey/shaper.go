@@ -15,7 +15,7 @@ import (
 // The reference it is checked against is package oracle's stateless
 // search, which keeps the assignment in an ID-keyed map and rebuilds the
 // curves before every check. The two agree step for step because the
-// curves it would rebuild are exactly the ones the Shaper maintains (in
+// curves the oracle rebuilds are exactly the ones the Shaper maintains (in
 // slice order, HC tasks only for the sawtooths) and Shape/tuneStep below
 // visit candidates in the same order, compare gains with the same strict
 // inequality, and probe the same LO-feasibility boundary. (The
