@@ -192,6 +192,10 @@ func crashRecoveryEveryOffset(t *testing.T) {
 			if lastPrefix >= 0 {
 				t.Fatalf("cut=%d: tenant vanished after being recoverable at smaller cuts", cut)
 			}
+			// Recovery dropped the empty husk, tombstone included.
+			if left, err := os.ReadDir(cloneDir); err != nil || len(left) != 0 {
+				t.Fatalf("cut=%d: data directory after recovery holds %v (err=%v), want nothing", cut, left, err)
+			}
 			rec.Close()
 			continue
 		}

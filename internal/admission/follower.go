@@ -11,10 +11,15 @@ package admission
 // controller serves exactly as if it had Recovered from the leader's
 // journal.
 //
-// apply validates and re-places before it stages: a record that fails
-// verification (malformed, divergent placement, non-resident release) is
-// refused before it touches the local journal, so a tampered or torn
-// stream cannot poison the replica's durable state.
+// This is where a replicated payload's content is checked, once: the wire
+// layer (mcsio.DecodeReplFrame) checks only a frame's envelope. Every
+// record of a frame decodes, with its stamp checked against its position,
+// before any of them applies, and a snapshot decodes and is checked
+// against the frame's tenant and sequence before anything else. apply then
+// validates and re-places before it stages: a record that fails
+// verification (divergent placement, non-resident release) is refused
+// before it touches the local journal, so a tampered or torn stream cannot
+// poison the replica's durable state.
 
 import (
 	"errors"
@@ -91,17 +96,25 @@ func (c *Controller) ReplicationProgress() map[string]uint64 {
 // ErrReplicationGap. next is always the tenant's next expected sequence —
 // on success the new tail, on failure the resync position the
 // acknowledgement should carry; applied counts the records actually
-// applied (skipped redeliveries excluded). The role check runs under
-// replMu, the same lock Promote takes, so a frame either completes before
-// a promotion or observes it — never half of each.
+// applied (skipped redeliveries excluded). Every record decodes before the
+// first applies, so a frame with a torn, reordered or undecodable record
+// applies nothing, and is refused before the role check. The role check
+// runs under replMu, the same lock Promote takes, so a frame either
+// completes before a promotion or observes it — never half of each.
 func (c *Controller) ApplyReplicatedRecords(tenant string, first uint64, recs [][]byte) (next uint64, applied int, err error) {
+	if first == 0 || len(recs) == 0 {
+		return c.TenantNext(tenant), 0, fmt.Errorf("admission: empty replication batch")
+	}
+	events := make([]mcsio.EventJSON, len(recs))
+	for i, raw := range recs {
+		if events[i], err = decodeRecord(first+uint64(i), raw); err != nil {
+			return c.TenantNext(tenant), 0, fmt.Errorf("admission: replicated record %d of %d: %w", i+1, len(recs), err)
+		}
+	}
 	c.replMu.Lock()
 	defer c.replMu.Unlock()
 	if err := c.followerGuard(); err != nil {
 		return c.TenantNext(tenant), 0, err
-	}
-	if first == 0 || len(recs) == 0 {
-		return c.TenantNext(tenant), 0, fmt.Errorf("admission: empty replication batch")
 	}
 	// Durability waits accumulate across the frame and are acknowledged
 	// once at the end: the whole frame stages first and then rides a
@@ -120,12 +133,8 @@ func (c *Controller) ApplyReplicatedRecords(tenant string, first uint64, recs []
 		waits = nil
 		return err
 	}
-	for i, raw := range recs {
-		e, err := decodeRecord(first+uint64(i), raw)
-		if err != nil {
-			return c.TenantNext(tenant), applied, firstErr(flush(), err)
-		}
-		wait, did, err := c.applyReplicatedRecord(tenant, e, raw)
+	for i, e := range events {
+		wait, did, err := c.applyReplicatedRecord(tenant, e, recs[i])
 		if wait != nil {
 			waits = append(waits, wait)
 		}
@@ -205,8 +214,22 @@ func (c *Controller) applyReplicatedRecord(tenant string, e mcsio.EventJSON, raw
 // snapshot atomically before truncating anything), so a failure at any
 // point leaves the previous replica intact on disk — the old state is
 // only superseded, never destroyed first. A follower already at or past
-// seq skips the install (idempotent redelivery).
+// seq skips the install (idempotent redelivery). The payload decodes once,
+// before the role check and the skip, and must be the snapshot of tenant
+// covering exactly 1..seq: a frame that says otherwise is refused whatever
+// the follower holds.
 func (c *Controller) ApplyReplicatedSnapshot(tenant string, seq uint64, payload []byte) (next uint64, err error) {
+	snap, part, err := mcsio.DecodeSnapshot(payload)
+	switch {
+	case err != nil:
+	case snap.System != tenant:
+		err = fmt.Errorf("%w: snapshot frame for %q carries the snapshot of %q", ErrReplayDivergence, tenant, snap.System)
+	case snap.Seq != seq:
+		err = fmt.Errorf("%w: snapshot stamped %d installed as %d", ErrReplayDivergence, snap.Seq, seq)
+	}
+	if err != nil {
+		return c.TenantNext(tenant), err
+	}
 	c.replMu.Lock()
 	defer c.replMu.Unlock()
 	if err := c.followerGuard(); err != nil {
@@ -215,17 +238,6 @@ func (c *Controller) ApplyReplicatedSnapshot(tenant string, seq uint64, payload 
 
 	if n := c.TenantNext(tenant); n > seq {
 		return n, nil // local state already covers the snapshot
-	}
-	// Cross-check the snapshot's own stamp against the claimed sequence
-	// before touching any state (the wire layer checks this too; the apply
-	// layer does not trust it).
-	snap, _, err := mcsio.DecodeSnapshot(payload)
-	if err != nil {
-		return c.TenantNext(tenant), err
-	}
-	if snap.Seq != seq {
-		return c.TenantNext(tenant), fmt.Errorf(
-			"%w: snapshot stamped %d installed as %d", ErrReplayDivergence, snap.Seq, seq)
 	}
 	// Take over the stale replica's journal (a tenant this follower does not
 	// hold yet gets a fresh one) and install the snapshot in place: the write
@@ -241,7 +253,7 @@ func (c *Controller) ApplyReplicatedSnapshot(tenant string, seq uint64, payload 
 		lg, old.log = old.log, nil // detach so the stale system cannot touch it
 		old.mu.Unlock()
 	}
-	sys, err := c.restoreSnapshot(tenant, payload, lg)
+	sys, err := c.restoreSnapshot(tenant, snap, part, lg)
 	if err == nil {
 		lg = sys.log
 		if err = lg.InstallSnapshot(payload, seq); err != nil {

@@ -15,7 +15,6 @@ package admission
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"mcsched/internal/journal"
@@ -366,7 +365,9 @@ func (c *Controller) Recover() (RecoveryStats, error) {
 			// An empty journal directory: the crash happened between
 			// creating the directory and appending the create event, so
 			// the tenant never existed. Drop the husk.
-			os.RemoveAll(tn.Dir)
+			if err := journal.RemoveTenantDir(tn.Dir); err != nil {
+				return rs, fmt.Errorf("%w: recover tenant %q: remove empty journal: %w", ErrJournalIO, tn.ID, err)
+			}
 			continue
 		}
 		if err := c.insertRecovered(sys); err != nil {
@@ -413,7 +414,11 @@ func (c *Controller) recoverTenant(id, dir string) (sys *System, events int, fro
 		return nil, 0, false, err
 	}
 	if fromSnap {
-		if sys, err = c.restoreSnapshot(id, payload, lg); err != nil {
+		snap, part, err := mcsio.DecodeSnapshot(payload)
+		if err != nil {
+			return nil, 0, false, err
+		}
+		if sys, err = c.restoreSnapshot(id, snap, part, lg); err != nil {
 			return nil, 0, false, err
 		}
 		c.stats.admits.Add(sys.admits)

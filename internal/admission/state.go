@@ -86,7 +86,7 @@ func (c *Controller) describedTest(id, named, test string) (core.Test, error) {
 	return t, nil
 }
 
-// restoreSnapshot builds the tenant a snapshot payload describes over the
+// restoreSnapshot builds the tenant a decoded snapshot describes over the
 // journal lg. The recorded partition is re-committed core by core in
 // recorded order, so the per-core aggregates accumulate in exactly the
 // order the live assigner built them and the restored floats are
@@ -96,11 +96,7 @@ func (c *Controller) describedTest(id, named, test string) (core.Test, error) {
 // snapshot. The lifetime counters are restored on the tenant; callers
 // reconcile the controller-wide ones (recovery adds them wholesale, a
 // replicated install only the delta over the replica it replaces).
-func (c *Controller) restoreSnapshot(id string, payload []byte, lg *journal.Log) (*System, error) {
-	snap, part, err := mcsio.DecodeSnapshot(payload)
-	if err != nil {
-		return nil, err
-	}
+func (c *Controller) restoreSnapshot(id string, snap mcsio.SnapshotJSON, part core.Partition, lg *journal.Log) (*System, error) {
 	seen := make(map[int]bool)
 	for _, coreSet := range part.Cores {
 		for _, t := range coreSet {

@@ -574,17 +574,29 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) err
 	if len(segs) == 0 {
 		return nil
 	}
-	// Start at the last segment whose first record is <= from; earlier
-	// segments hold only records the caller's snapshot already covers.
+	return walkSegments(segs, from, fn)
+}
+
+// errStopRead is the internal sentinel that ends a segment walk early once
+// a bounded read has what it needs.
+var errStopRead = errors.New("journal: stop read")
+
+// walkSegments hands every record of segs with sequence >= from to fn, in
+// order — the one segment walk Replay and ReadFrom share. It starts at the
+// last segment whose first record is <= from (earlier segments hold only
+// records before from), demands that every segment start where the one
+// before it ended, and tolerates a torn tail only in the last segment. An
+// fn that returns errStopRead ends the walk without error. The caller
+// decides what segs is and which lock, if any, it holds.
+func walkSegments(segs []segment, from uint64, fn func(seq uint64, payload []byte) error) error {
 	start := 0
 	for i, seg := range segs {
 		if seg.first <= from {
 			start = i
 		}
 	}
-	if segs[start].first > from {
-		return fmt.Errorf("%w: replay from %d but earliest segment starts at %d",
-			ErrGap, from, segs[start].first)
+	if len(segs) == 0 || segs[start].first > from {
+		return fmt.Errorf("%w: read from %d but no segment holds it", ErrGap, from)
 	}
 	expected := segs[start].first
 	for i := start; i < len(segs); i++ {
@@ -592,13 +604,15 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) err
 		if seg.first != expected {
 			return fmt.Errorf("%w: segment %s should start at %d", ErrGap, seg.path, expected)
 		}
-		lastSeg := i == len(segs)-1
-		count, _, _, err := readSegment(seg.path, seg.first, lastSeg, func(seq uint64, payload []byte) error {
+		count, _, _, err := readSegment(seg.path, seg.first, i == len(segs)-1, func(seq uint64, payload []byte) error {
 			if seq < from {
 				return nil
 			}
 			return fn(seq, payload)
 		})
+		if errors.Is(err, errStopRead) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
@@ -688,16 +702,9 @@ func (l *Log) Snapshot() (payload []byte, seq uint64, ok bool, err error) {
 	if err != nil {
 		return nil, 0, false, fmt.Errorf("journal: %w", err)
 	}
-	if len(b) < frameHeader {
-		return nil, 0, false, fmt.Errorf("%w: snapshot %s truncated", ErrCorrupt, path)
-	}
-	length := binary.LittleEndian.Uint32(b[0:4])
-	if int(length) != len(b)-frameHeader {
-		return nil, 0, false, fmt.Errorf("%w: snapshot %s bad length", ErrCorrupt, path)
-	}
-	payload = b[frameHeader:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
-		return nil, 0, false, fmt.Errorf("%w: snapshot %s checksum", ErrCorrupt, path)
+	length, payload, ok := parseFrame(b)
+	if !ok || frameHeader+length != len(b) {
+		return nil, 0, false, fmt.Errorf("%w: snapshot %s is not one intact record", ErrCorrupt, path)
 	}
 	return payload, seq, true, nil
 }

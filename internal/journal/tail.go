@@ -17,10 +17,6 @@ import (
 // truncated into a snapshot; the caller must transfer the snapshot instead.
 var ErrCompacted = errors.New("journal: records compacted into a snapshot")
 
-// errStopRead is the internal sentinel that ends a bounded segment scan
-// early once the read limit is reached.
-var errStopRead = errors.New("journal: stop read")
-
 // ReadFrom returns up to max committed records starting at sequence from,
 // in order, as copies independent of the log's internal state. next is the
 // sequence to resume at (from + len(recs)); a caller that reads until
@@ -57,40 +53,18 @@ func (l *Log) ReadFrom(from uint64, max int) (recs [][]byte, next uint64, err er
 		}
 		return nil, from, nil
 	}
-	// Start at the last segment whose first record is <= from.
-	start := 0
-	for i, seg := range l.segs {
-		if seg.first <= from {
-			start = i
+	err = walkSegments(l.segs, from, func(seq uint64, payload []byte) error {
+		if seq >= durableNext {
+			return errStopRead
 		}
-	}
-	if len(l.segs) == 0 || l.segs[start].first > from {
-		return nil, 0, fmt.Errorf("%w: read from %d but earliest segment starts past it", ErrGap, from)
-	}
-	expected := l.segs[start].first
-	for i := start; i < len(l.segs) && len(recs) < max; i++ {
-		seg := l.segs[i]
-		if seg.first != expected {
-			return nil, 0, fmt.Errorf("%w: segment %s should start at %d", ErrGap, seg.path, expected)
+		recs = append(recs, append([]byte(nil), payload...))
+		if len(recs) == max {
+			return errStopRead
 		}
-		lastSeg := i == len(l.segs)-1
-		count, _, _, err := readSegment(seg.path, seg.first, lastSeg, func(seq uint64, payload []byte) error {
-			if seq < from {
-				return nil
-			}
-			if seq >= durableNext || len(recs) >= max {
-				return errStopRead
-			}
-			recs = append(recs, append([]byte(nil), payload...))
-			return nil
-		})
-		if err != nil && !errors.Is(err, errStopRead) {
-			return nil, 0, err
-		}
-		if errors.Is(err, errStopRead) {
-			break
-		}
-		expected = seg.first + count
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	return recs, from + uint64(len(recs)), nil
 }

@@ -2,13 +2,13 @@ package mcsio
 
 // Binary record framing — the compact wire form of journal events, tenant
 // snapshots and replication frames. It lives alongside the strict JSON
-// codecs: the journal and replication write only binary, JSON is the
-// format of journals written before that, and every decoder auto-detects
-// the format from the first byte — JSON
-// records always start with '{' (0x7B), binary records with BinaryMagic —
-// so mixed histories (a journal that switched codecs mid-stream, a
-// replication frame batching records of both kinds) replay without
-// configuration.
+// codecs of events and snapshots: the journal writes only binary, JSON is
+// the format of journals written before that, and the event and snapshot
+// decoders auto-detect the format from the first byte — JSON records
+// always start with '{' (0x7B), binary records with BinaryMagic — so mixed
+// histories (a journal that switched codecs mid-stream, a replication
+// frame batching records of both kinds) replay without configuration.
+// Replication frames themselves exist only in binary.
 //
 // Layout of one binary record:
 //
@@ -22,13 +22,12 @@ package mcsio
 // JSON path: a bad CRC, a truncated field, trailing bytes, an unknown type
 // or kind byte, or a decoded value that fails the shared semantic
 // validation all reject the record. The decoded form is the same
-// EventJSON/SnapshotJSON/ReplFrameJSON the JSON codecs produce, validated
-// by the very same validateEvent/validateSnapshot/validateReplFrame, so
-// the two formats cannot drift semantically.
+// EventJSON/SnapshotJSON the JSON codecs produce, validated by the very
+// same validateEvent/validateSnapshot, so the two formats cannot drift
+// semantically.
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -61,10 +60,11 @@ const (
 var binCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Codec names an encoding of journal records and snapshots. The journal
-// writes only CodecBinary (EncodeEventBinary, EncodeSnapshotBinary) and
-// replication frames are always binary (EncodeReplFrameBinary); decoders
-// read either codec. The type remains for callers that time or compare the
-// two encoders.
+// writes only CodecBinary (EncodeEventBinary, EncodeSnapshotBinary);
+// decoders read either codec. Replication frames are not a Codec: they
+// are always binary (EncodeReplFrameBinary) and carry records of either
+// codec. The type remains for callers that time or compare the two
+// encoders.
 type Codec string
 
 const (
@@ -543,11 +543,11 @@ const (
 	binReplRemove   = 0x03
 )
 
-// EncodeReplFrameBinary validates the frame and renders it binary. Unlike
-// the JSON framing, records ride as length-prefixed raw blobs, so a binary
-// frame can batch journal records of either codec — which is what lets a
-// leader with a mixed-codec journal ship its whole history in one stream.
-func EncodeReplFrameBinary(f ReplFrameJSON) ([]byte, error) {
+// EncodeReplFrameBinary checks the frame's envelope and renders it binary.
+// Records ride as length-prefixed raw blobs, so a frame can batch journal
+// records of either codec — which is what lets a leader with a mixed-codec
+// journal ship its whole history in one stream.
+func EncodeReplFrameBinary(f ReplFrame) ([]byte, error) {
 	if f.Version == 0 {
 		f.Version = ReplFormatVersion
 	}
@@ -576,15 +576,19 @@ func EncodeReplFrameBinary(f ReplFrameJSON) ([]byte, error) {
 	return w.finish(), nil
 }
 
-// decodeReplFrameBinary parses a binary replication frame through the
-// shared validation (which strictly decodes every embedded record and
-// snapshot, auto-detecting their codec).
-func decodeReplFrameBinary(b []byte) (ReplFrameJSON, error) {
+// DecodeReplFrame strictly parses one binary replication frame and checks
+// its envelope; the records and snapshot it carries stay undecoded. A JSON
+// frame, which leaders sent before frames went binary-only, is refused:
+// the leader must be upgraded first.
+func DecodeReplFrame(b []byte) (ReplFrame, error) {
+	if len(b) > 0 && b[0] == '{' {
+		return ReplFrame{}, fmt.Errorf("mcsio: JSON repl frame refused: followers accept only binary frames, upgrade the leader first")
+	}
 	r, err := openBinary(b, binTypeRepl, "repl frame")
 	if err != nil {
-		return ReplFrameJSON{}, err
+		return ReplFrame{}, err
 	}
-	f := ReplFrameJSON{Version: ReplFormatVersion}
+	f := ReplFrame{Version: ReplFormatVersion}
 	switch k := r.byteVal(); k {
 	case binReplRecords:
 		f.Kind = ReplRecords
@@ -592,7 +596,7 @@ func decodeReplFrameBinary(b []byte) (ReplFrameJSON, error) {
 		f.First = r.uvarint()
 		n := r.count("record")
 		for i := 0; i < n && r.err == nil; i++ {
-			f.Records = append(f.Records, json.RawMessage(r.bytesVal()))
+			f.Records = append(f.Records, r.bytesVal())
 		}
 	case binReplSnapshot:
 		f.Kind = ReplSnapshot
@@ -608,10 +612,10 @@ func decodeReplFrameBinary(b []byte) (ReplFrameJSON, error) {
 		}
 	}
 	if err := r.close("repl frame"); err != nil {
-		return ReplFrameJSON{}, err
+		return ReplFrame{}, err
 	}
 	if err := validateReplFrame(f); err != nil {
-		return ReplFrameJSON{}, err
+		return ReplFrame{}, err
 	}
 	return f, nil
 }

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mcsched/internal/core"
@@ -90,7 +91,7 @@ func TestBinarySnapshotRoundTrip(t *testing.T) {
 
 func TestBinaryReplFrameRoundTrip(t *testing.T) {
 	events := validEvents()
-	var jsonRecs, binRecs, mixedRecs []json.RawMessage
+	var jsonRecs, binRecs, mixedRecs [][]byte
 	for i, e := range events {
 		jb, err := EncodeEvent(e)
 		if err != nil {
@@ -111,7 +112,7 @@ func TestBinaryReplFrameRoundTrip(t *testing.T) {
 		}
 	}
 	_, snapBin := validBinarySnapshot(t)
-	frames := []ReplFrameJSON{
+	frames := []ReplFrame{
 		{Version: 1, Kind: ReplRecords, Tenant: "s1", First: 1, Records: jsonRecs},
 		{Version: 1, Kind: ReplRecords, Tenant: "s1", First: 1, Records: binRecs},
 		{Version: 1, Kind: ReplRecords, Tenant: "s1", First: 1, Records: mixedRecs},
@@ -167,7 +168,7 @@ func TestBinaryDecodeFailsClosed(t *testing.T) {
 		_, _, err := DecodeSnapshot(b)
 		return err
 	}})
-	frame, err := EncodeReplFrameBinary(ReplFrameJSON{
+	frame, err := EncodeReplFrameBinary(ReplFrame{
 		Version: 1, Kind: ReplSnapshot, Tenant: "s1", Seq: 7, Snapshot: snapBin,
 	})
 	if err != nil {
@@ -199,30 +200,33 @@ func TestBinaryDecodeFailsClosed(t *testing.T) {
 	}
 }
 
-// TestJSONFrameRejectsBinaryRecords pins the embedding rule: JSON frames
-// carry records as raw JSON documents, so binary records can only ride in
-// binary frames.
+// TestJSONFrameRejectsBinaryRecords pins the embedding rule: binary
+// records and snapshots ride only in binary frames. A JSON frame, the
+// encoding of leaders before frames went binary-only, is refused whatever
+// it carries, with an error that tells the operator to upgrade the leader.
 func TestJSONFrameRejectsBinaryRecords(t *testing.T) {
-	e := validEvents()[0]
-	bin, err := EncodeEventBinary(e)
+	for _, f := range validReplFrames(t) {
+		_, err := DecodeReplFrame(legacyJSONFrame(t, f))
+		if err == nil || !strings.Contains(err.Error(), "upgrade the leader") {
+			t.Fatalf("JSON %s frame: %v, want the upgrade refusal", f.Kind, err)
+		}
+	}
+	bin, err := EncodeEventBinary(validEvents()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := ReplFrameJSON{Version: 1, Kind: ReplRecords, Tenant: "s1", First: 1,
-		Records: []json.RawMessage{bin}}
-	if _, err := EncodeReplFrame(f); err == nil {
-		t.Fatal("JSON frame encoded a binary record")
-	}
-	if _, err := EncodeReplFrameBinary(f); err != nil {
-		t.Fatalf("binary frame refused a binary record: %v", err)
-	}
 	_, snapBin := validBinarySnapshot(t)
-	sf := ReplFrameJSON{Version: 1, Kind: ReplSnapshot, Tenant: "s1", Seq: 7, Snapshot: snapBin}
-	if _, err := EncodeReplFrame(sf); err == nil {
-		t.Fatal("JSON frame encoded a binary snapshot")
-	}
-	if _, err := EncodeReplFrameBinary(sf); err != nil {
-		t.Fatalf("binary frame refused a binary snapshot: %v", err)
+	for _, f := range []ReplFrame{
+		{Version: 1, Kind: ReplRecords, Tenant: "s1", First: 1, Records: [][]byte{bin}},
+		{Version: 1, Kind: ReplSnapshot, Tenant: "s1", Seq: 7, Snapshot: snapBin},
+	} {
+		b, err := EncodeReplFrameBinary(f)
+		if err != nil {
+			t.Fatalf("binary frame refused a binary %s payload: %v", f.Kind, err)
+		}
+		if got, err := DecodeReplFrame(b); err != nil || !reflect.DeepEqual(got, f) {
+			t.Fatalf("binary %s frame: %+v, %v", f.Kind, got, err)
+		}
 	}
 }
 
@@ -353,8 +357,8 @@ func FuzzDecodeBinaryRecord(f *testing.F) {
 }
 
 // FuzzDecodeBinaryReplFrame explores the binary replication frame decoder
-// with the same canonical-fixpoint property, plus the embedded-record
-// contiguity invariant the follower relies on.
+// from valid binary frames and adversarial headers, under checkReplFrame's
+// canonical-fixpoint property.
 func FuzzDecodeBinaryReplFrame(f *testing.F) {
 	for _, fr := range validReplFrames(f) {
 		b, err := EncodeReplFrameBinary(fr)
@@ -364,15 +368,15 @@ func FuzzDecodeBinaryReplFrame(f *testing.F) {
 		f.Add(b)
 	}
 	// A frame carrying binary records, and adversarial headers.
-	var binRecs []json.RawMessage
+	var binRecs [][]byte
 	for _, e := range validEvents() {
 		b, err := EncodeEventBinary(e)
 		if err != nil {
 			f.Fatal(err)
 		}
-		binRecs = append(binRecs, json.RawMessage(b))
+		binRecs = append(binRecs, b)
 	}
-	bf, err := EncodeReplFrameBinary(ReplFrameJSON{
+	bf, err := EncodeReplFrameBinary(ReplFrame{
 		Version: 1, Kind: ReplRecords, Tenant: "s1", First: 1, Records: binRecs,
 	})
 	if err != nil {
@@ -382,34 +386,5 @@ func FuzzDecodeBinaryReplFrame(f *testing.F) {
 	f.Add([]byte{BinaryMagic, BinaryFormatVersion, binTypeRepl})
 	f.Add([]byte{BinaryMagic, BinaryFormatVersion, binTypeRepl, binReplRemove, 0x02, 's', '1'})
 
-	f.Fuzz(func(t *testing.T, b []byte) {
-		fr, err := DecodeReplFrame(b)
-		if err != nil {
-			return // rejected is fine; panicking is not
-		}
-		b2, err := EncodeReplFrameBinary(fr)
-		if err != nil {
-			t.Fatalf("decoded frame does not re-encode binary: %+v: %v", fr, err)
-		}
-		fr2, err := DecodeReplFrame(b2)
-		if err != nil {
-			t.Fatalf("canonical binary frame does not decode: %v", err)
-		}
-		b3, err := EncodeReplFrameBinary(fr2)
-		if err != nil {
-			t.Fatalf("canonical re-encode failed: %v", err)
-		}
-		if !bytes.Equal(b2, b3) {
-			t.Fatalf("binary frame encoding not canonical")
-		}
-		for i, rec := range fr.Records {
-			e, err := DecodeEvent(rec)
-			if err != nil {
-				t.Fatalf("accepted frame carries invalid record %d: %v", i, err)
-			}
-			if e.Seq != fr.First+uint64(i) {
-				t.Fatalf("accepted frame carries out-of-order record %d (seq %d)", i, e.Seq)
-			}
-		}
-	})
+	f.Fuzz(checkReplFrame)
 }

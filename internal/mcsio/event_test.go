@@ -15,7 +15,7 @@ func validEvents() []EventJSON {
 	return []EventJSON{
 		{Version: 1, Seq: 1, Kind: EventCreateSystem, System: "s1", Processors: 4, Test: "EDF-VD"},
 		// Seqs stay contiguous because validReplFrames batches this list
-		// into one records frame, which demands consecutive stamps.
+		// into one records frame, and a follower demands consecutive stamps.
 		{Version: 1, Seq: 2, Kind: EventCreateSystem, System: "s2", Processors: 4, Test: "EDF-VD",
 			Placement: "wf-total"},
 		{Version: 1, Seq: 3, Kind: EventCreateSystem, System: "s3", Processors: 2, Test: "AMC-rtb",

@@ -2,19 +2,21 @@ package mcsio
 
 // Replication wire frames — the transfer units of journal replication
 // (internal/replication). A leader ships committed journal records to
-// warm-standby followers as "records" frames (raw journal payloads, which
-// are themselves canonical EventJSON encodings), falls back to "snapshot"
-// frames when the follower is behind the leader's truncation horizon, and
-// propagates tenant deletion as "remove" frames. The follower answers every
-// frame with an acknowledgement naming the next sequence it expects, and
-// serves a status document enumerating per-tenant positions so a restarted
-// leader can re-establish its cursors.
+// warm-standby followers as "records" frames (raw journal payloads),
+// falls back to "snapshot" frames when the follower is behind the leader's
+// truncation horizon, and propagates tenant deletion as "remove" frames.
+// The follower answers every frame with an acknowledgement naming the next
+// sequence it expects, and serves a status document enumerating
+// per-tenant positions so a restarted leader can re-establish its cursors.
 //
-// Decoding is strict and fails closed, exactly like the journal event
-// decoders: unknown fields, version skew, missing fields, records that are
-// not valid events, and records whose stamped sequence numbers are not
-// contiguous from First all reject the frame. A reordered or torn batch is
-// therefore refused at the wire layer before it can touch follower state.
+// Frames are binary (EncodeReplFrameBinary, DecodeReplFrame). Decoding is
+// strict and fails closed on the envelope: checksum, trailing bytes,
+// version skew, unknown kinds, a missing tenant, an empty or oversized
+// batch and fields of another kind all reject the frame. The records and
+// snapshot a frame carries are opaque here: the follower decodes each of
+// them once, where it applies them (admission.Controller's
+// ApplyReplicated* methods), and refuses a torn, reordered or gapped batch
+// there before any record of it applies.
 
 import (
 	"bytes"
@@ -40,73 +42,28 @@ const (
 // length cannot drive an unbounded decode loop.
 const MaxReplBatch = 4096
 
-// ReplFrameJSON is one replication transfer unit.
-type ReplFrameJSON struct {
+// ReplFrame is one replication transfer unit.
+type ReplFrame struct {
 	// Version is the wire schema version (ReplFormatVersion).
-	Version int `json:"v"`
+	Version int
 	// Kind is one of the Repl* constants.
-	Kind string `json:"kind"`
+	Kind string
 	// Tenant is the system the frame applies to.
-	Tenant string `json:"tenant"`
+	Tenant string
 
 	// First and Records carry a records frame: Records[i] is the raw
-	// journal payload of sequence First+i, each a canonical EventJSON.
-	First   uint64            `json:"first,omitempty"`
-	Records []json.RawMessage `json:"records,omitempty"`
+	// journal payload of sequence First+i, in either record codec.
+	First   uint64
+	Records [][]byte
 
 	// Seq and Snapshot carry a snapshot frame: Snapshot is the raw journal
-	// snapshot payload (a canonical SnapshotJSON) covering records 1..Seq.
-	Seq      uint64          `json:"seq,omitempty"`
-	Snapshot json.RawMessage `json:"snapshot,omitempty"`
+	// snapshot payload covering records 1..Seq.
+	Seq      uint64
+	Snapshot []byte
 }
 
-// EncodeReplFrame validates the frame and renders it as canonical JSON.
-// JSON frames embed records and snapshots as raw JSON documents, so they
-// cannot carry binary-framed payloads. Leaders ship EncodeReplFrameBinary
-// (which carries records as length-prefixed blobs of either codec);
-// followers still decode JSON frames, which older leaders send.
-func EncodeReplFrame(f ReplFrameJSON) ([]byte, error) {
-	if f.Version == 0 {
-		f.Version = ReplFormatVersion
-	}
-	if err := validateReplFrame(f); err != nil {
-		return nil, err
-	}
-	for i, rec := range f.Records {
-		if IsBinaryRecord(rec) {
-			return nil, fmt.Errorf("mcsio: records frame record %d is binary-framed; JSON frames cannot carry binary records (use the binary frame codec)", i)
-		}
-	}
-	if IsBinaryRecord(f.Snapshot) {
-		return nil, fmt.Errorf("mcsio: snapshot frame payload is binary-framed; JSON frames cannot carry binary snapshots (use the binary frame codec)")
-	}
-	return json.Marshal(f)
-}
-
-// DecodeReplFrame strictly parses and validates one replication frame,
-// auto-detecting the frame codec from the first byte and including every
-// embedded record and snapshot payload (whose codecs are auto-detected
-// independently). Anything malformed fails closed with an error.
-func DecodeReplFrame(b []byte) (ReplFrameJSON, error) {
-	if IsBinaryRecord(b) {
-		return decodeReplFrameBinary(b)
-	}
-	var f ReplFrameJSON
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return ReplFrameJSON{}, fmt.Errorf("mcsio: decode repl frame: %w", err)
-	}
-	if dec.More() {
-		return ReplFrameJSON{}, fmt.Errorf("mcsio: decode repl frame: trailing data")
-	}
-	if err := validateReplFrame(f); err != nil {
-		return ReplFrameJSON{}, err
-	}
-	return f, nil
-}
-
-func validateReplFrame(f ReplFrameJSON) error {
+// validateReplFrame checks a frame's envelope. It decodes no payload.
+func validateReplFrame(f ReplFrame) error {
 	if f.Version != ReplFormatVersion {
 		return fmt.Errorf("mcsio: unsupported repl frame version %d (supported: %d)", f.Version, ReplFormatVersion)
 	}
@@ -130,16 +87,6 @@ func validateReplFrame(f ReplFrameJSON) error {
 		if len(f.Records) > MaxReplBatch {
 			return fmt.Errorf("mcsio: records frame with %d records (max %d)", len(f.Records), MaxReplBatch)
 		}
-		for i, rec := range f.Records {
-			e, err := DecodeEvent(rec)
-			if err != nil {
-				return fmt.Errorf("mcsio: records frame record %d: %w", i, err)
-			}
-			if want := f.First + uint64(i); e.Seq != want {
-				return fmt.Errorf("mcsio: records frame out of order: record %d stamped %d, want %d — refusing reordered batch",
-					i, e.Seq, want)
-			}
-		}
 		return empty(f.Seq == 0 && f.Snapshot == nil)
 	case ReplSnapshot:
 		if f.Seq == 0 {
@@ -147,16 +94,6 @@ func validateReplFrame(f ReplFrameJSON) error {
 		}
 		if len(f.Snapshot) == 0 {
 			return fmt.Errorf("mcsio: snapshot frame without payload")
-		}
-		snap, _, err := DecodeSnapshot(f.Snapshot)
-		if err != nil {
-			return fmt.Errorf("mcsio: snapshot frame payload: %w", err)
-		}
-		if snap.System != f.Tenant {
-			return fmt.Errorf("mcsio: snapshot frame for tenant %q carries snapshot of %q", f.Tenant, snap.System)
-		}
-		if snap.Seq != f.Seq {
-			return fmt.Errorf("mcsio: snapshot frame at seq %d carries snapshot covering %d", f.Seq, snap.Seq)
 		}
 		return empty(f.First == 0 && len(f.Records) == 0)
 	case ReplRemove:

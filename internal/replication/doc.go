@@ -10,16 +10,20 @@
 // follower per tenant. The shipper wakes on the admission layer's
 // post-commit hook, reads pending records through the journal's ReadFrom
 // cursor, and streams them as versioned binary wire frames (internal/mcsio,
-// ReplFrameJSON) down one long-lived request per follower. A follower that has fallen behind the leader's
-// snapshot-truncation horizon catches up from a snapshot frame instead;
-// tenant deletions propagate as remove frames.
+// ReplFrame) down one long-lived request per follower. A follower that has
+// fallen behind the leader's snapshot-truncation horizon catches up from a
+// snapshot frame instead; tenant deletions propagate as remove frames.
 //
-// The follower side (Receiver) decodes frames strictly and fails closed:
-// torn bodies, reordered or gapped batches, version skew and tenant
-// mismatches are refused at the wire layer, and every accepted record is
-// re-verified against the local placement before it commits to the local
-// journal (verify → append → apply), so a tampered stream cannot poison
-// the replica's durable state. Redelivered records and snapshots are
+// The follower side (Receiver) fails closed, and checks each thing once.
+// The wire layer checks a frame's envelope: torn bodies, checksum damage,
+// version skew, unknown kinds and empty batches are refused there. The
+// admission layer's apply path decodes the payloads: every record of a
+// frame decodes, with its stamp checked against its position, before any
+// record of the frame applies, so a reordered, gapped or undecodable batch
+// applies nothing; a snapshot must name the frame's tenant and sequence.
+// Every record is then re-verified against the local placement before it
+// commits to the local journal (verify → append → apply), so a tampered
+// stream cannot poison the replica's durable state. Redelivered records and snapshots are
 // idempotent; every acknowledgement carries the next sequence the follower
 // expects, which is all the leader needs to resynchronize its cursor after
 // either side restarts.

@@ -13,6 +13,7 @@ package replication
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -22,6 +23,7 @@ import (
 	"mcsched/internal/admission"
 	"mcsched/internal/core"
 	"mcsched/internal/mcs"
+	"mcsched/internal/mcsio"
 	"mcsched/internal/taskgen"
 )
 
@@ -205,8 +207,14 @@ func TestFailoverEquivalenceEveryIndex(t *testing.T) {
 				if fctrl.IsFollower() {
 					t.Fatal("controller still follower after promotion")
 				}
-				if _, _, err := fctrl.ApplyReplicatedRecords("t", 1, [][]byte{[]byte("{}")}); err == nil {
-					t.Fatal("promoted follower accepted a replication frame")
+				create, err := mcsio.EncodeEventBinary(mcsio.EventJSON{
+					Version: 1, Seq: 1, Kind: mcsio.EventCreateSystem, System: "u", Processors: 1, Test: "EDF-VD",
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := fctrl.ApplyReplicatedRecords("u", 1, [][]byte{create}); !errors.Is(err, admission.ErrNotFollower) {
+					t.Fatalf("promoted follower answered a replication frame with %v, want ErrNotFollower", err)
 				}
 
 				// A fresh recovery of the leader's journal is the oracle.

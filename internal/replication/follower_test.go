@@ -9,12 +9,12 @@ package replication
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"mcsched/internal/admission"
@@ -130,27 +130,11 @@ func streamFrame(t *testing.T, srv *httptest.Server, frame []byte) (byte, []byte
 	return rs.send(t, frame)
 }
 
-// recordsFrame renders a JSON records frame, the encoding of leaders
-// before frames went binary-only. It skips the encoder's validation so
-// tests can ship what a strict encoder would refuse.
-func recordsFrame(t *testing.T, tenant string, first uint64, recs [][]byte) []byte {
-	t.Helper()
-	raw := make([]json.RawMessage, len(recs))
-	for i, r := range recs {
-		raw[i] = r
-	}
-	b, err := json.Marshal(mcsio.ReplFrameJSON{
-		Version: 1, Kind: mcsio.ReplRecords, Tenant: tenant, First: first, Records: raw,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
-// binaryRecordsFrame renders a binary records frame by hand, following the
-// layout documented in internal/mcsio/binary.go, again unvalidated.
-func binaryRecordsFrame(_ *testing.T, tenant string, first uint64, recs [][]byte) []byte {
+// recordsFrame renders a binary records frame by hand, following the
+// layout documented in internal/mcsio/binary.go, so the stream suites also
+// pin the layout the leader's encoder writes. It checks nothing, so tests
+// can ship records a follower must refuse.
+func recordsFrame(_ *testing.T, tenant string, first uint64, recs [][]byte) []byte {
 	b := []byte{mcsio.BinaryMagic, mcsio.BinaryFormatVersion, 0x03, 0x01} // repl frame, records kind
 	b = binary.AppendUvarint(b, uint64(len(tenant)))
 	b = append(b, tenant...)
@@ -163,12 +147,25 @@ func binaryRecordsFrame(_ *testing.T, tenant string, first uint64, recs [][]byte
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli)))
 }
 
-// failClosedFixture is one follower fed over one raw stream in one frame
-// codec, seeded with a valid prefix.
+// snapshotFrame renders a binary snapshot frame. The encoder checks only
+// the envelope, so tests can ship a snapshot a follower must refuse.
+func snapshotFrame(t *testing.T, tenant string, seq uint64, payload []byte) []byte {
+	t.Helper()
+	b, err := mcsio.EncodeReplFrameBinary(mcsio.ReplFrame{
+		Kind: mcsio.ReplSnapshot, Tenant: tenant, Seq: seq, Snapshot: payload,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// failClosedFixture is one follower fed over one raw stream, seeded with a
+// valid prefix of a leader history whose records are in one codec.
 type failClosedFixture struct {
-	journal  mcsio.Codec // the records' codec: JSON frames carry only JSON records
-	frame    func(t *testing.T, tenant string, first uint64, recs [][]byte) []byte
+	journal  mcsio.Codec // the records' codec: binary, or a legacy directory's JSON
 	recs     [][]byte
+	snap     []byte // the snapshot covering all of recs, in the same codec
 	fctrl    *admission.Controller
 	recv     *Receiver
 	rs       *rawStream
@@ -202,6 +199,26 @@ func (fx *failClosedFixture) resync(t *testing.T, frame []byte, next uint64) {
 	}
 }
 
+// snapshotAs re-stamps the leader's snapshot as system's, covering 1..seq,
+// in the records' codec.
+func (fx *failClosedFixture) snapshotAs(t *testing.T, system string, seq uint64) []byte {
+	t.Helper()
+	s, _, err := mcsio.DecodeSnapshot(fx.snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.System, s.Seq = system, seq
+	encode := mcsio.EncodeSnapshot
+	if fx.journal == mcsio.CodecBinary {
+		encode = mcsio.EncodeSnapshotBinary
+	}
+	b, err := encode(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func (fx *failClosedFixture) unchanged(t *testing.T) {
 	t.Helper()
 	if got := fingerprintOf(fx.fctrl, "t"); got != fx.base {
@@ -212,64 +229,94 @@ func (fx *failClosedFixture) unchanged(t *testing.T) {
 	}
 }
 
-// TestFollowerFailClosed runs the fail-closed table over JSON frames, the
-// encoding of leaders before frames went binary-only, carrying the JSON
-// records of a legacy directory.
+// TestFollowerFailClosed runs the fail-closed table over the JSON records
+// and JSON snapshot of a legacy directory, which a leader reopened on such
+// a directory ships inside binary frames.
 func TestFollowerFailClosed(t *testing.T) {
-	runFailClosed(t, &failClosedFixture{journal: mcsio.CodecJSON, frame: recordsFrame})
+	runFailClosed(t, &failClosedFixture{journal: mcsio.CodecJSON})
 }
 
-// TestStreamFailClosedBinary runs the fail-closed table over binary frames,
-// the only encoding a current leader ships.
+// TestStreamFailClosedBinary runs the fail-closed table over binary
+// records, the only codec a current journal writes.
 func TestStreamFailClosedBinary(t *testing.T) {
-	runFailClosed(t, &failClosedFixture{journal: mcsio.CodecBinary, frame: binaryRecordsFrame})
+	runFailClosed(t, &failClosedFixture{journal: mcsio.CodecBinary})
 }
 
-// runFailClosed drives torn, reordered, gapped, foreign and tampered frames
-// down one live stream in fx's frame codec. Every semantic rejection must
-// leave the replica untouched and the stream open; framing damage, the last
-// case, must close it.
+// runFailClosed drives torn, reordered, gapped, undecodable, foreign and
+// tampered frames down one live stream. Every semantic rejection must
+// leave the replica untouched and the stream open; framing damage, the
+// last case, must close it.
 func runFailClosed(t *testing.T, fx *failClosedFixture) {
-	_, fx.recs = buildLeaderHistory(t, 4)
+	leader, recs := buildLeaderHistory(t, 4)
+	fx.recs = recs
+	if err := leader.SnapshotSystem("t"); err != nil {
+		t.Fatal(err)
+	}
+	lsys, err := leader.System("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fx.snap, _, _, err = lsys.Journal().Snapshot(); err != nil {
+		t.Fatal(err)
+	}
 	if fx.journal == mcsio.CodecJSON {
-		// JSON frames carry only JSON records: those of a legacy directory.
-		recs, err := journaltest.WriteJSON(t.TempDir(), decodeEvents(t, fx.recs), nil)
+		snap, _, err := mcsio.DecodeSnapshot(fx.snap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fx.recs = recs
+		if fx.recs, err = journaltest.WriteJSON(t.TempDir(), decodeEvents(t, recs), nil); err != nil {
+			t.Fatal(err)
+		}
+		if fx.snap, err = mcsio.EncodeSnapshot(snap); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var srv *httptest.Server
 	fx.fctrl, fx.recv, srv = newFollower(t, t.TempDir())
 	fx.rs = dialRawStream(t, srv.URL)
 	// Seed the follower with the valid prefix: create + 2 admits.
-	fx.ack(t, fx.frame(t, "t", 1, fx.recs[:3]), streamAckOK)
+	fx.ack(t, recordsFrame(t, "t", 1, fx.recs[:3]), streamAckOK)
 	fx.base, fx.baseNext = fingerprintOf(fx.fctrl, "t"), fx.fctrl.TenantNext("t")
 	if fx.baseNext != 4 {
 		t.Fatalf("follower at %d after 3 records, want 4", fx.baseNext)
 	}
+	snapSeq := uint64(len(fx.recs))
 
 	for _, tc := range []struct {
-		name       string
-		binaryOnly bool // JSON frames and records carry no checksum
-		run        func(t *testing.T, fx *failClosedFixture)
+		name string
+		run  func(t *testing.T, fx *failClosedFixture)
 	}{
-		{"torn stream", false, func(t *testing.T, fx *failClosedFixture) {
-			full := fx.frame(t, "t", 4, fx.recs[3:])
+		{"torn stream", func(t *testing.T, fx *failClosedFixture) {
+			full := recordsFrame(t, "t", 4, fx.recs[3:])
 			fx.refused(t, full[:len(full)-7])
 		}},
-		{"reordered batch", false, func(t *testing.T, fx *failClosedFixture) {
+		{"reordered batch", func(t *testing.T, fx *failClosedFixture) {
 			// Two otherwise-valid records in swapped order.
-			fx.refused(t, fx.frame(t, "t", 3, [][]byte{fx.recs[3], fx.recs[2]}))
+			fx.refused(t, recordsFrame(t, "t", 3, [][]byte{fx.recs[3], fx.recs[2]}))
 		}},
-		{"gap beyond tail", false, func(t *testing.T, fx *failClosedFixture) {
-			fx.resync(t, fx.frame(t, "t", 5, fx.recs[4:]), fx.baseNext)
+		{"gapped batch", func(t *testing.T, fx *failClosedFixture) {
+			// Record 3 is a redelivery the follower would skip; record 5
+			// sits at position 4.
+			fx.refused(t, recordsFrame(t, "t", 3, [][]byte{fx.recs[2], fx.recs[4]}))
+		}},
+		{"first mismatch", func(t *testing.T, fx *failClosedFixture) {
+			// Records 3..5 shipped as if they began at 4.
+			fx.refused(t, recordsFrame(t, "t", 4, fx.recs[2:]))
+		}},
+		{"undecodable record after a valid one", func(t *testing.T, fx *failClosedFixture) {
+			// Record 4 alone would apply; the frame is refused whole.
+			for _, bad := range [][]byte{[]byte(`{"garbage":true}`), {mcsio.BinaryMagic, 0xFF}} {
+				fx.refused(t, recordsFrame(t, "t", 4, [][]byte{fx.recs[3], bad}))
+			}
+		}},
+		{"gap beyond tail", func(t *testing.T, fx *failClosedFixture) {
+			fx.resync(t, recordsFrame(t, "t", 5, fx.recs[4:]), fx.baseNext)
 			fx.unchanged(t)
 		}},
-		{"unknown tenant mid-stream", false, func(t *testing.T, fx *failClosedFixture) {
-			fx.resync(t, fx.frame(t, "ghost", 4, fx.recs[3:4]), 1)
+		{"unknown tenant mid-stream", func(t *testing.T, fx *failClosedFixture) {
+			fx.resync(t, recordsFrame(t, "ghost", 4, fx.recs[3:4]), 1)
 		}},
-		{"tampered record", false, func(t *testing.T, fx *failClosedFixture) {
+		{"tampered record", func(t *testing.T, fx *failClosedFixture) {
 			// A well-formed admit whose recorded core contradicts the
 			// placement: verification must refuse it before the local append.
 			e, err := mcsio.DecodeEvent(fx.recs[3])
@@ -281,32 +328,58 @@ func runFailClosed(t *testing.T, fx *failClosedFixture) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fx.refused(t, fx.frame(t, "t", 4, [][]byte{forged}))
+			fx.refused(t, recordsFrame(t, "t", 4, [][]byte{forged}))
 		}},
-		{"tampered CRC", true, func(t *testing.T, fx *failClosedFixture) {
-			// A record whose own CRC is flipped, inside an intact frame...
-			rec := append([]byte(nil), fx.recs[3]...)
-			rec[len(rec)-1] ^= 0xFF
-			fx.refused(t, fx.frame(t, "t", 4, [][]byte{rec}))
+		{"tampered CRC", func(t *testing.T, fx *failClosedFixture) {
+			if fx.journal == mcsio.CodecBinary {
+				// A record whose own CRC is flipped, inside an intact frame
+				// (JSON records carry no checksum)...
+				rec := append([]byte(nil), fx.recs[3]...)
+				rec[len(rec)-1] ^= 0xFF
+				fx.refused(t, recordsFrame(t, "t", 4, [][]byte{rec}))
+			}
 			// ...and an intact record inside a frame whose CRC is flipped.
-			frame := fx.frame(t, "t", 4, fx.recs[3:])
+			frame := recordsFrame(t, "t", 4, fx.recs[3:])
 			frame[len(frame)-1] ^= 0xFF
 			fx.refused(t, frame)
 		}},
-		{"redelivery is idempotent", false, func(t *testing.T, fx *failClosedFixture) {
-			body := fx.ack(t, fx.frame(t, "t", 1, fx.recs[:3]), streamAckOK)
+		{"snapshot of another tenant", func(t *testing.T, fx *failClosedFixture) {
+			// For a tenant the follower lacks, the install would found it...
+			fx.refused(t, snapshotFrame(t, "ghost", snapSeq, fx.snap))
+			if _, err := fx.fctrl.System("ghost"); !errors.Is(err, admission.ErrNoSystem) {
+				t.Fatalf("a foreign snapshot founded a tenant: %v", err)
+			}
+			// ...and for one it holds, at or below the tail, the idempotent
+			// skip would answer ok.
+			fx.refused(t, snapshotFrame(t, "t", fx.baseNext-1, fx.snapshotAs(t, "ghost", fx.baseNext-1)))
+		}},
+		{"snapshot at another sequence", func(t *testing.T, fx *failClosedFixture) {
+			// Above the tail the install would run; at or below it the
+			// idempotent skip would answer ok. Both are refused.
+			fx.refused(t, snapshotFrame(t, "t", snapSeq+1, fx.snap))
+			fx.refused(t, snapshotFrame(t, "t", fx.baseNext-1, fx.snap))
+		}},
+		{"JSON frame needs an upgraded leader", func(t *testing.T, fx *failClosedFixture) {
+			body := fx.ack(t, []byte(`{"v":1,"kind":"remove","tenant":"t"}`), streamAckBad)
+			if !strings.Contains(string(body), "upgrade the leader") {
+				t.Fatalf("JSON frame refused without naming the upgrade: %s", body)
+			}
+			fx.unchanged(t)
+		}},
+		{"redelivery is idempotent", func(t *testing.T, fx *failClosedFixture) {
+			body := fx.ack(t, recordsFrame(t, "t", 1, fx.recs[:3]), streamAckOK)
 			if ack, err := mcsio.DecodeReplAck(body); err != nil || ack.Next != fx.baseNext {
 				t.Fatalf("redelivery ack: %+v, %v", ack, err)
 			}
 			fx.unchanged(t)
 		}},
-		{"overlap applies the suffix", false, func(t *testing.T, fx *failClosedFixture) {
-			fx.ack(t, fx.frame(t, "t", 2, fx.recs[1:]), streamAckOK)
+		{"overlap applies the suffix", func(t *testing.T, fx *failClosedFixture) {
+			fx.ack(t, recordsFrame(t, "t", 2, fx.recs[1:]), streamAckOK)
 			if got := fx.fctrl.TenantNext("t"); got != uint64(len(fx.recs))+1 {
 				t.Fatalf("after overlap: next %d, want %d", got, len(fx.recs)+1)
 			}
 		}},
-		{"framing damage closes the stream", false, func(t *testing.T, fx *failClosedFixture) {
+		{"framing damage closes the stream", func(t *testing.T, fx *failClosedFixture) {
 			var zero [4]byte // a zero-length frame
 			if _, err := fx.rs.pw.Write(zero[:]); err != nil {
 				t.Fatal(err)
@@ -319,9 +392,6 @@ func runFailClosed(t *testing.T, fx *failClosedFixture) {
 			}
 		}},
 	} {
-		if tc.binaryOnly && fx.journal != mcsio.CodecBinary {
-			continue
-		}
 		t.Run(tc.name, func(t *testing.T) { tc.run(t, fx) })
 	}
 	if fx.recv.Applied().RejectedFrames == 0 {
@@ -332,7 +402,7 @@ func runFailClosed(t *testing.T, fx *failClosedFixture) {
 func TestFollowerRejectsWritesUntilPromoted(t *testing.T) {
 	_, recs := buildLeaderHistory(t, 3)
 	fctrl, _, srv := newFollower(t, t.TempDir())
-	if st, body := streamFrame(t, srv, binaryRecordsFrame(t, "t", 1, recs)); st != streamAckOK {
+	if st, body := streamFrame(t, srv, recordsFrame(t, "t", 1, recs)); st != streamAckOK {
 		t.Fatalf("seed frame refused: %d %s", st, body)
 	}
 
@@ -376,7 +446,7 @@ func TestFollowerRejectsWritesUntilPromoted(t *testing.T) {
 func TestPromoteIdempotentAndFencing(t *testing.T) {
 	_, recs := buildLeaderHistory(t, 2)
 	fctrl, _, srv := newFollower(t, t.TempDir())
-	if st, _ := streamFrame(t, srv, binaryRecordsFrame(t, "t", 1, recs)); st != streamAckOK {
+	if st, _ := streamFrame(t, srv, recordsFrame(t, "t", 1, recs)); st != streamAckOK {
 		t.Fatal("seed frame refused")
 	}
 
@@ -389,12 +459,17 @@ func TestPromoteIdempotentAndFencing(t *testing.T) {
 
 	// A stale leader keeps shipping: the promoted node must fence off even
 	// a wire-valid frame it would previously have skipped idempotently.
-	st, body := streamFrame(t, srv, binaryRecordsFrame(t, "t", 1, recs))
+	st, body := streamFrame(t, srv, recordsFrame(t, "t", 1, recs))
 	if st != streamAckNotFollower {
 		t.Fatalf("frame after promotion: status %d (%s), want not-follower", st, body)
 	}
 	if next := fctrl.TenantNext("t"); next != uint64(len(recs))+1 {
 		t.Fatalf("fenced frame moved the tail to %d", next)
+	}
+	// A frame whose records do not decode in order is bad before it is
+	// fenced: content is checked ahead of the role.
+	if st, body := streamFrame(t, srv, recordsFrame(t, "t", 1, [][]byte{recs[1], recs[0]})); st != streamAckBad {
+		t.Fatalf("reordered frame after promotion: status %d (%s), want bad", st, body)
 	}
 	// The status document reports the new role.
 	resp, err := http.Get(srv.URL + StatusPath)
@@ -468,7 +543,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 	leader, recs := buildLeaderHistory(t, 4)
 	fdir := t.TempDir()
 	fctrl, _, srv := newFollower(t, fdir)
-	if st, _ := streamFrame(t, srv, binaryRecordsFrame(t, "t", 1, recs[:3])); st != streamAckOK {
+	if st, _ := streamFrame(t, srv, recordsFrame(t, "t", 1, recs[:3])); st != streamAckOK {
 		t.Fatal("seed frame refused")
 	}
 	srv.Close()
@@ -480,7 +555,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 	if got := fctrl2.TenantNext("t"); got != 4 {
 		t.Fatalf("restarted follower at %d, want 4", got)
 	}
-	if st, body := streamFrame(t, srv2, binaryRecordsFrame(t, "t", 4, recs[3:])); st != streamAckOK {
+	if st, body := streamFrame(t, srv2, recordsFrame(t, "t", 4, recs[3:])); st != streamAckOK {
 		t.Fatalf("resume frame refused: %d %s", st, body)
 	}
 	lsys, err := leader.System("t")
@@ -498,8 +573,9 @@ func TestReceiverRequiresJournaledFollower(t *testing.T) {
 	cfg := admission.DefaultConfig()
 	cfg.Follower = true
 	ctrl := admission.NewController(cfg) // no DataDir
-	if _, _, err := ctrl.ApplyReplicatedRecords("t", 1, [][]byte{[]byte("{}")}); err == nil {
-		t.Fatal("memory-only follower accepted records")
+	_, recs := buildLeaderHistory(t, 0)
+	if _, _, err := ctrl.ApplyReplicatedRecords("t", 1, recs); err == nil || !strings.Contains(err.Error(), "data directory") {
+		t.Fatalf("memory-only follower: %v, want the data-directory refusal", err)
 	}
 	if _, err := NewShipper(ctrl, []string{"http://x"}, ShipperConfig{}); err == nil {
 		t.Fatal("shipper accepted an unjournaled controller")

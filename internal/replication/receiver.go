@@ -15,9 +15,10 @@ const maxFrameBody = journal.MaxRecord + (1 << 20)
 
 // Receiver is the follower side of journal replication: the HTTP face
 // through which a warm-standby controller accepts frames from the leader.
-// It owns no replication state of its own — sequencing, idempotency and
-// verification all live in the admission layer's ApplyReplicated* methods —
-// so it only decodes strictly, dispatches and counts.
+// It owns no replication state of its own — sequencing, idempotency,
+// payload decoding and verification all live in the admission layer's
+// ApplyReplicated* methods — so it only checks each frame's envelope,
+// dispatches and counts.
 type Receiver struct {
 	ctrl *admission.Controller
 
@@ -75,14 +76,10 @@ func (r *Receiver) Mux() *http.ServeMux {
 // applyFrame dispatches one decoded frame into the controller and bumps
 // the applied counters. next is the tenant's next expected sequence to
 // carry in the acknowledgement (the resync position on failure).
-func (r *Receiver) applyFrame(f mcsio.ReplFrameJSON) (next uint64, err error) {
+func (r *Receiver) applyFrame(f mcsio.ReplFrame) (next uint64, err error) {
 	switch f.Kind {
 	case mcsio.ReplRecords:
-		recs := make([][]byte, len(f.Records))
-		for i, m := range f.Records {
-			recs[i] = m
-		}
-		next, applied, err := r.ctrl.ApplyReplicatedRecords(f.Tenant, f.First, recs)
+		next, applied, err := r.ctrl.ApplyReplicatedRecords(f.Tenant, f.First, f.Records)
 		if err != nil {
 			return next, err
 		}

@@ -2,7 +2,6 @@ package replication
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -402,7 +401,7 @@ func (l *link) run(ctx context.Context) {
 // cursor is behind the leader's truncation horizon), or one removal.
 func (l *link) process(ctx context.Context, w work) error {
 	if w.remove {
-		_, status, err := l.send(ctx, mcsio.ReplFrameJSON{
+		_, status, err := l.send(ctx, mcsio.ReplFrame{
 			Kind: mcsio.ReplRemove, Tenant: w.tenant,
 		})
 		if err != nil {
@@ -458,12 +457,8 @@ func (l *link) process(ctx context.Context, w work) error {
 			total += len(r)
 		}
 		recs = recs[:cut]
-		raw := make([]json.RawMessage, len(recs))
-		for i, r := range recs {
-			raw[i] = r
-		}
-		ack, status, err := l.send(ctx, mcsio.ReplFrameJSON{
-			Kind: mcsio.ReplRecords, Tenant: w.tenant, First: cursor, Records: raw,
+		ack, status, err := l.send(ctx, mcsio.ReplFrame{
+			Kind: mcsio.ReplRecords, Tenant: w.tenant, First: cursor, Records: recs,
 		})
 		if err != nil {
 			return err
@@ -484,7 +479,7 @@ func (l *link) shipSnapshot(ctx context.Context, tenant string, lg *journal.Log)
 	if !ok {
 		return fmt.Errorf("snapshot of %q: compacted journal without snapshot", tenant)
 	}
-	ack, status, err := l.send(ctx, mcsio.ReplFrameJSON{
+	ack, status, err := l.send(ctx, mcsio.ReplFrame{
 		Kind: mcsio.ReplSnapshot, Tenant: tenant, Seq: seq, Snapshot: payload,
 	})
 	if err != nil {

@@ -5,10 +5,11 @@ package replication
 // binary frames (mcsio.EncodeReplFrameBinary, which carries records and
 // snapshots of either journal codec) down the request body; the receiver
 // applies each frame as it arrives and writes a status-tagged
-// acknowledgement back through the (full-duplex) response body. Receivers
-// auto-detect the frame codec, so JSON frames from an older leader still
-// apply, and every frame decodes strictly and fails closed through the one
-// apply path.
+// acknowledgement back through the (full-duplex) response body. The
+// receiver checks each frame's envelope (mcsio.DecodeReplFrame) and the
+// one apply path decodes its payloads; both fail closed. A JSON frame,
+// which leaders sent before frames went binary-only, is refused with a bad
+// ack that says to upgrade the leader first.
 //
 // Uplink framing:   [4B little-endian frame length][frame bytes]
 // Downlink framing: [1B status][4B little-endian body length][body]
@@ -247,7 +248,7 @@ func (l *link) dialStream(ctx context.Context) (*streamConn, error) {
 // the follower's error document. Transport failures tear the connection
 // down and report an error; the retry loop's next attempt redials, which is
 // the reconnect-with-capped-backoff behavior — the backoff lives in run.
-func (l *link) send(ctx context.Context, f mcsio.ReplFrameJSON) (mcsio.ReplAckJSON, byte, error) {
+func (l *link) send(ctx context.Context, f mcsio.ReplFrame) (mcsio.ReplAckJSON, byte, error) {
 	if h := l.s.shipSeconds.Load(); h != nil {
 		start := time.Now()
 		defer func() { h.Observe(time.Since(start)) }()
