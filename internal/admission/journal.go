@@ -385,11 +385,12 @@ func (c *Controller) Recover() (RecoveryStats, error) {
 }
 
 // decodeRecord decodes the journal record at sequence seq and checks the
-// sequence stamped inside it against that position.
+// sequence stamped inside it against that position; a record stamped for
+// another position is a replay divergence.
 func decodeRecord(seq uint64, raw []byte) (mcsio.EventJSON, error) {
-	e, err := mcsio.DecodeEvent(raw)
-	if err == nil && e.Seq != seq {
-		err = fmt.Errorf("%w: record at position %d stamped %d", ErrReplayDivergence, seq, e.Seq)
+	e, err := mcsio.DecodeEventAt(seq, raw)
+	if errors.Is(err, mcsio.ErrMisstamped) {
+		err = fmt.Errorf("%w: %w", ErrReplayDivergence, err)
 	}
 	return e, err
 }

@@ -12,6 +12,7 @@ package mcsio
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"mcsched/internal/core"
@@ -104,6 +105,21 @@ func DecodeEvent(b []byte) (EventJSON, error) {
 		return EventJSON{}, err
 	}
 	return e, nil
+}
+
+// ErrMisstamped marks a journal record whose stamped sequence is not the
+// position it was read or received at: the mark of a reordered, gapped or
+// misanchored batch.
+var ErrMisstamped = errors.New("mcsio: record stamped for another position")
+
+// DecodeEventAt decodes the journal record at sequence seq, as DecodeEvent
+// does, and refuses one stamped for another position with ErrMisstamped.
+func DecodeEventAt(seq uint64, b []byte) (EventJSON, error) {
+	e, err := DecodeEvent(b)
+	if err == nil && e.Seq != seq {
+		return EventJSON{}, fmt.Errorf("%w: record at position %d stamped %d", ErrMisstamped, seq, e.Seq)
+	}
+	return e, err
 }
 
 // validateEvent enforces the per-kind shape and that every embedded task

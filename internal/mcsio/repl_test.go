@@ -3,6 +3,7 @@ package mcsio
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"hash/crc32"
 	"reflect"
 	"strings"
@@ -75,12 +76,46 @@ func resealed(b []byte, edit func(body []byte) []byte) []byte {
 	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, binCastagnoli))
 }
 
+// TestReplFrameRoundTrip sends one frame of each kind through the wire and
+// back: the frame survives unchanged, its encoding is canonical, and the
+// records of a records frame still decode at the positions the frame
+// anchors them to.
+func TestReplFrameRoundTrip(t *testing.T) {
+	for _, f := range validReplFrames(t) {
+		b, err := EncodeReplFrameBinary(f)
+		if err != nil {
+			t.Fatalf("encode %s frame: %v", f.Kind, err)
+		}
+		got, err := DecodeReplFrame(b)
+		if err != nil {
+			t.Fatalf("decode %s frame: %v", f.Kind, err)
+		}
+		if !reflect.DeepEqual(got, f) {
+			t.Fatalf("%s frame round trip mismatch:\n got %+v\nwant %+v", f.Kind, got, f)
+		}
+		b2, err := EncodeReplFrameBinary(got)
+		if err != nil {
+			t.Fatalf("re-encode %s frame: %v", f.Kind, err)
+		}
+		if string(b) != string(b2) {
+			t.Fatalf("%s frame encoding not canonical", f.Kind)
+		}
+		for i, raw := range got.Records {
+			if _, err := DecodeEventAt(got.First+uint64(i), raw); err != nil {
+				t.Fatalf("record %d of the round-tripped batch: %v", i+1, err)
+			}
+		}
+	}
+}
+
 // TestReplFrameFailsClosed enumerates the envelope damage a follower must
 // refuse at the wire: cross-kind field smuggling, version skew, unknown
 // kinds and fields, torn bodies, missing tenants, and batches that are
 // empty, unanchored or oversized. What the payloads say (their order,
 // their stamps, whose snapshot they are) is checked where they apply;
-// TestDecodeReplFrameLeavesPayloadsOpaque pins that the wire does not look.
+// TestDecodeReplFrameLeavesPayloadsOpaque pins that the wire does not look,
+// and the reordered batch case that the records it hands over, decoded at
+// their positions, refuse the batch.
 func TestReplFrameFailsClosed(t *testing.T) {
 	frames := validReplFrames(t)
 	records, snapshot, remove := frames[0], frames[1], frames[2]
@@ -97,6 +132,33 @@ func TestReplFrameFailsClosed(t *testing.T) {
 		}
 	}
 
+	t.Run("reordered batch", func(t *testing.T) {
+		f := records
+		f.Records = append([][]byte(nil), records.Records...)
+		f.Records[1], f.Records[2] = f.Records[2], f.Records[1]
+		b, err := EncodeReplFrameBinary(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeReplFrame(b)
+		if err != nil {
+			t.Fatalf("envelope-valid reordered batch refused at the wire: %v", err)
+		}
+		for i, raw := range got.Records {
+			_, err := DecodeEventAt(got.First+uint64(i), raw)
+			if i < 1 {
+				if err != nil {
+					t.Fatalf("record %d ahead of the swap refused: %v", i+1, err)
+				}
+				continue
+			}
+			if !errors.Is(err, ErrMisstamped) {
+				t.Fatalf("record %d of a reordered batch: %v, want ErrMisstamped", i+1, err)
+			}
+			return
+		}
+		t.Fatal("reordered batch decoded at its positions")
+	})
 	t.Run("kind smuggling", func(t *testing.T) {
 		f := remove
 		f.Seq = 3
