@@ -958,8 +958,9 @@ func BenchmarkJournalReplay1k(b *testing.B) {
 }
 
 // BenchmarkJournalSnapshotRecover1k measures recovery of the same tenant
-// from a snapshot: the partition restores by direct commit, no analyses.
-// The gap to BenchmarkJournalReplay1k is what each snapshot buys.
+// from a snapshot: one cold analysis per non-empty core checks it, then the
+// partition restores by direct commit, with no placement. The gap to
+// BenchmarkJournalReplay1k is what each snapshot buys.
 func BenchmarkJournalSnapshotRecover1k(b *testing.B) {
 	cfg := journalBenchTenant(b, true)
 	b.ReportAllocs()

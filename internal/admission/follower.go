@@ -13,13 +13,11 @@ package admission
 //
 // This is where a replicated payload's content is checked, once: the wire
 // layer (mcsio.DecodeReplFrame) checks only a frame's envelope. Every
-// record of a frame decodes, with its stamp checked against its position,
-// before any of them applies, and a snapshot decodes and is checked
-// against the frame's tenant and sequence before anything else. apply then
-// validates and re-places before it stages: a record that fails
-// verification (divergent placement, non-resident release) is refused
-// before it touches the local journal, so a tampered or torn stream cannot
-// poison the replica's durable state.
+// record of a frame decodes, stamp against position, before any applies,
+// and apply validates and re-places each before it stages; a snapshot
+// passes recovery's checkSnapshot (tenant, sequence, every core passing
+// the tenant's test) before anything else. So a tampered or torn stream
+// cannot poison the replica's durable state, through records or snapshots.
 
 import (
 	"errors"
@@ -214,19 +212,12 @@ func (c *Controller) applyReplicatedRecord(tenant string, e mcsio.EventJSON, raw
 // snapshot atomically before truncating anything), so a failure at any
 // point leaves the previous replica intact on disk — the old state is
 // only superseded, never destroyed first. A follower already at or past
-// seq skips the install (idempotent redelivery). The payload decodes once,
-// before the role check and the skip, and must be the snapshot of tenant
-// covering exactly 1..seq: a frame that says otherwise is refused whatever
-// the follower holds.
+// seq skips the install (idempotent redelivery). checkSnapshot runs first,
+// before the role check, the skip and a new tenant's fresh journal: a
+// snapshot it refuses is refused whatever the follower holds, and leaves no
+// directory behind.
 func (c *Controller) ApplyReplicatedSnapshot(tenant string, seq uint64, payload []byte) (next uint64, err error) {
-	snap, part, err := mcsio.DecodeSnapshot(payload)
-	switch {
-	case err != nil:
-	case snap.System != tenant:
-		err = fmt.Errorf("%w: snapshot frame for %q carries the snapshot of %q", ErrReplayDivergence, tenant, snap.System)
-	case snap.Seq != seq:
-		err = fmt.Errorf("%w: snapshot stamped %d installed as %d", ErrReplayDivergence, snap.Seq, seq)
-	}
+	snap, part, test, err := checkSnapshot(tenant, seq, payload)
 	if err != nil {
 		return c.TenantNext(tenant), err
 	}
@@ -253,7 +244,7 @@ func (c *Controller) ApplyReplicatedSnapshot(tenant string, seq uint64, payload 
 		lg, old.log = old.log, nil // detach so the stale system cannot touch it
 		old.mu.Unlock()
 	}
-	sys, err := c.restoreSnapshot(tenant, snap, part, lg)
+	sys, err := c.restoreSnapshot(tenant, snap, part, test, lg)
 	if err == nil {
 		lg = sys.log
 		if err = lg.InstallSnapshot(payload, seq); err != nil {

@@ -396,10 +396,10 @@ func decodeRecord(seq uint64, raw []byte) (mcsio.EventJSON, error) {
 }
 
 // recoverTenant rebuilds one tenant from its journal directory: the latest
-// snapshot, if any, restores the state it covers, the create-system record
-// otherwise builds an empty one, and every later record replays through
-// apply. It returns (nil, 0, false, nil) for a journal with no events and no
-// snapshot.
+// snapshot, if any, passes checkSnapshot at the sequence its file covers
+// and restores that state, the create-system record otherwise builds an
+// empty one, and every later record replays through apply. It returns
+// (nil, 0, false, nil) for a journal with no events and no snapshot.
 func (c *Controller) recoverTenant(id, dir string) (sys *System, events int, fromSnap bool, err error) {
 	lg, err := c.openLog(dir, false)
 	if err != nil {
@@ -415,11 +415,11 @@ func (c *Controller) recoverTenant(id, dir string) (sys *System, events int, fro
 		return nil, 0, false, err
 	}
 	if fromSnap {
-		snap, part, err := mcsio.DecodeSnapshot(payload)
-		if err != nil {
-			return nil, 0, false, err
+		snap, part, test, err := checkSnapshot(id, snapSeq, payload)
+		if err == nil {
+			sys, err = c.restoreSnapshot(id, snap, part, test, lg)
 		}
-		if sys, err = c.restoreSnapshot(id, snap, part, lg); err != nil {
+		if err != nil {
 			return nil, 0, false, err
 		}
 		c.stats.admits.Add(sys.admits)

@@ -8,6 +8,7 @@ package admission
 // committed-transition stats and all future verdicts to be bit-identical.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -355,6 +356,29 @@ func TestRecoverFailsClosed(t *testing.T) {
 			t.Fatal("journal with unresolvable test recovered without error")
 		}
 	})
+	// A rewritten snapshot, CRC intact, must pass the rule a snapshot frame
+	// passes: it names its tenant and the sequence its file covers, and
+	// every core passes the tenant's test.
+	for _, tc := range []struct {
+		name string
+		edit func(s *mcsio.SnapshotJSON)
+	}{
+		{"snapshot stamped for another sequence", func(s *mcsio.SnapshotJSON) { s.Seq-- }},
+		{"over-full snapshot", overFill},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := crashConfig(t.TempDir())
+			live, sys, snap, seq := snapshotted(t, cfg)
+			if err := sys.Journal().WriteSnapshot(encodeSnapshot(t, snap, tc.edit), seq); err != nil {
+				t.Fatal(err)
+			}
+			live.Close()
+			rs, err := NewController(cfg).Recover()
+			if !errors.Is(err, ErrReplayDivergence) {
+				t.Fatalf("tampered snapshot recovered: %+v, %v", rs, err)
+			}
+		})
+	}
 	t.Run("create onto existing journal", func(t *testing.T) {
 		dir := t.TempDir()
 		cfg := DefaultConfig()
@@ -367,6 +391,97 @@ func TestRecoverFailsClosed(t *testing.T) {
 		fresh := NewController(cfg) // skipped Recover
 		if _, err := fresh.CreateSystem("d", 2, core.Tests()[0]); err == nil {
 			t.Fatal("create over an existing journal accepted")
+		}
+	})
+}
+
+// snapshotted journals an EDF-VD tenant "d" on 2 cores holding two LC
+// tasks of u = 0.6, which place one per core, snapshots it and returns the
+// open controller, the tenant, the snapshot and the sequence it covers.
+func snapshotted(t testing.TB, cfg Config) (*Controller, *System, mcsio.SnapshotJSON, uint64) {
+	t.Helper()
+	ctrl := NewController(cfg)
+	sys, err := ctrl.CreateSystem("d", 2, core.Tests()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.AdmitBatch(mcs.TaskSet{mcs.NewLC(1, 6, 10), mcs.NewLC(2, 6, 10)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.SnapshotSystem("d"); err != nil {
+		t.Fatal(err)
+	}
+	payload, seq, _, err := sys.Journal().Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := mcsio.DecodeSnapshot(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctrl, sys, snap, seq
+}
+
+// overFill moves every task of a snapshot onto core 0.
+func overFill(s *mcsio.SnapshotJSON) {
+	var all []int
+	for _, ids := range s.Partition.Cores {
+		all = append(all, ids...)
+	}
+	s.Partition.Cores = make([][]int, len(s.Partition.Cores))
+	s.Partition.Cores[0] = all
+}
+
+// encodeSnapshot encodes s, after edit if edit is not nil, as a binary
+// snapshot.
+func encodeSnapshot(t testing.TB, s mcsio.SnapshotJSON, edit func(*mcsio.SnapshotJSON)) []byte {
+	t.Helper()
+	if edit != nil {
+		edit(&s)
+	}
+	b, err := mcsio.EncodeSnapshotBinary(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzReplicatedSnapshot feeds a follower an arbitrary snapshot payload at
+// an arbitrary sequence. Whatever it accepts must be a tenant in which no
+// task repeats and every non-empty core passes the tenant's test, run cold.
+func FuzzReplicatedSnapshot(f *testing.F) {
+	live, _, snap, seq := snapshotted(f, crashConfig(f.TempDir()))
+	live.Close()
+	f.Add(encodeSnapshot(f, snap, nil), seq)
+	f.Add(encodeSnapshot(f, snap, func(s *mcsio.SnapshotJSON) { s.Seq-- }), seq)
+	f.Add(encodeSnapshot(f, snap, overFill), seq)
+	f.Fuzz(func(t *testing.T, payload []byte, seq uint64) {
+		cfg := crashConfig(t.TempDir())
+		cfg.Follower = true
+		follower := NewController(cfg)
+		defer follower.Close()
+		if _, err := follower.ApplyReplicatedSnapshot("d", seq, payload); err != nil {
+			return
+		}
+		sys, err := follower.System("d")
+		if err != nil {
+			t.Fatalf("accepted snapshot installed no tenant: %v", err)
+		}
+		test, ok := core.TestByName(sys.TestName())
+		if !ok {
+			t.Fatalf("installed tenant runs unregistered test %q", sys.TestName())
+		}
+		seen := make(map[int]bool)
+		for k, ts := range sys.Snapshot().Cores {
+			for _, task := range ts {
+				if seen[task.ID] {
+					t.Fatalf("task %d installed twice", task.ID)
+				}
+				seen[task.ID] = true
+			}
+			if len(ts) > 0 && !test.Schedulable(ts) {
+				t.Fatalf("installed core %d fails %s", k, test.Name())
+			}
 		}
 	})
 }

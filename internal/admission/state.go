@@ -6,13 +6,13 @@ package admission
 //	 resident set, lifetime admit/release counters)
 //
 // and everything that builds or changes it is in this file: newTenant, the
-// one constructor; restoreSnapshot, which fills a fresh tenant from a
-// snapshot; apply, the one transition function; and rollback, the one undo
-// of tentative placements. Live decisions (system.go), crash recovery
-// (journal.go) and follower apply (follower.go) are callers: they differ in
-// where a transition comes from and where its record goes, never in how it
-// changes the state — which is what lets recovery and failover promise a
-// tenant bit-identical to the one that wrote the journal.
+// one constructor; checkSnapshot, the one rule a snapshot passes, and
+// restoreSnapshot; apply, the one transition function; and rollback, the
+// one undo of tentative placements. Live decisions (system.go), crash
+// recovery (journal.go) and follower apply (follower.go) are callers: they
+// differ in where a transition comes from and where its record goes, never
+// in how it changes the state — which is what lets recovery and failover
+// promise a tenant bit-identical to the one that wrote the journal.
 
 import (
 	"fmt"
@@ -71,10 +71,8 @@ func (c *Controller) newTenant(id string, m int, test core.Test, placement strin
 	}, nil
 }
 
-// describedTest resolves, through the core.TestByName registry, the
-// schedulability test a journaled description of tenant id — a
-// create-system record or a snapshot — names, after checking that the
-// description is of that tenant at all.
+// describedTest checks that a create-system record in tenant id's journal
+// is of id, and resolves the test it names through core.TestByName.
 func (c *Controller) describedTest(id, named, test string) (core.Test, error) {
 	if named != id {
 		return nil, fmt.Errorf("%w: journal of %q describes system %q", ErrReplayDivergence, id, named)
@@ -86,30 +84,47 @@ func (c *Controller) describedTest(id, named, test string) (core.Test, error) {
 	return t, nil
 }
 
-// restoreSnapshot builds the tenant a decoded snapshot describes over the
-// journal lg. The recorded partition is re-committed core by core in
-// recorded order, so the per-core aggregates accumulate in exactly the
-// order the live assigner built them and the restored floats are
-// bit-identical. Those commits walk the cores in index order, not in the
-// live commit order, and releases never rewind the cursor anyway, so the
-// next-fit cursor cannot be rederived: it is state, and comes from the
-// snapshot. The lifetime counters are restored on the tenant; callers
-// reconcile the controller-wide ones (recovery adds them wholesale, a
-// replicated install only the delta over the replica it replaces).
-func (c *Controller) restoreSnapshot(id string, snap mcsio.SnapshotJSON, part core.Partition, lg *journal.Log) (*System, error) {
-	seen := make(map[int]bool)
-	for _, coreSet := range part.Cores {
-		for _, t := range coreSet {
-			if seen[t.ID] {
-				return nil, fmt.Errorf("%w: task %d twice in snapshot", ErrReplayDivergence, t.ID)
-			}
-			seen[t.ID] = true
-		}
+// checkSnapshot is the one rule a snapshot passes, in recovery and on a
+// follower, before anything is built from it: it decodes, is the snapshot
+// of id covering exactly 1..seq, names a registered test, and has every
+// task once and every non-empty core passing that test run cold
+// (core.VerifyCores). Any refusal is ErrReplayDivergence.
+//
+// The rule refuses nothing replay would accept. Replay admits a task only
+// if core ∪ {t} passes the test, and every test is sustainable under
+// removal (apply), so every state a journal reaches passes a cold per-core
+// test. Nor is there a coverage gate: a constrained task under an
+// implicit-only test passes validate at replay and is judged here by the
+// same analysis. The test runs cold, not on the tenant's analyzers, so the
+// restored tenant's warm state and counters are those of a plain restore.
+func checkSnapshot(id string, seq uint64, payload []byte) (snap mcsio.SnapshotJSON, part core.Partition, test core.Test, err error) {
+	snap, part, err = mcsio.DecodeSnapshot(payload)
+	test, _ = core.TestByName(snap.Test)
+	switch {
+	case err != nil:
+	case snap.System != id:
+		err = fmt.Errorf("it is the snapshot of %q", snap.System)
+	case snap.Seq != seq:
+		err = fmt.Errorf("it is stamped %d", snap.Seq)
+	case test == nil:
+		err = fmt.Errorf("unknown schedulability test %q", snap.Test)
+	default:
+		err = core.VerifyCores(part, test)
 	}
-	test, err := c.describedTest(id, snap.System, snap.Test)
 	if err != nil {
-		return nil, err
+		err = fmt.Errorf("%w: snapshot of %q covering 1..%d: %w", ErrReplayDivergence, id, seq, err)
 	}
+	return snap, part, test, err
+}
+
+// restoreSnapshot builds the tenant a checked snapshot describes over the
+// journal lg. The partition is re-committed core by core in recorded
+// order, so the per-core aggregates accumulate as the live assigner built
+// them, bit for bit. These commits walk the cores in index order and
+// releases never rewind the cursor, so the next-fit cursor is state and
+// comes from the snapshot. Callers reconcile the controller-wide counters
+// with the restored tenant's (recovery adds them, an install the delta).
+func (c *Controller) restoreSnapshot(id string, snap mcsio.SnapshotJSON, part core.Partition, test core.Test, lg *journal.Log) (*System, error) {
 	sys, err := c.newTenant(id, snap.Processors, test, snap.Placement, lg)
 	if err != nil {
 		return nil, err

@@ -281,6 +281,11 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	if err := alg.Verify(ts, dup); err == nil {
 		t.Error("Verify accepted partition with duplicated task")
 	}
+	// Every task once, on a core the test fails (u = 1.2).
+	full := Partition{Cores: []mcs.TaskSet{{mcs.NewLC(1, 6, 10), mcs.NewLC(2, 6, 10)}, nil}}
+	if err := VerifyCores(full, alg.Test); err == nil {
+		t.Error("VerifyCores accepted a core EDF-VD fails")
+	}
 }
 
 // CU-UDP must dominate or match CA-UDP on heavy-LC workloads (the paper's

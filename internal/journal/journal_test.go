@@ -354,6 +354,13 @@ func TestTenantIDEncoding(t *testing.T) {
 	if _, err := DecodeTenantID("%4"); err == nil {
 		t.Fatal("truncated escape decoded")
 	}
+	// Names EncodeTenantID never writes would give one tenant two
+	// directories.
+	for _, alias := range []string{"%61b", "a.b", "%2e"} {
+		if id, err := DecodeTenantID(alias); err == nil {
+			t.Fatalf("non-canonical name %q decoded as %q", alias, id)
+		}
+	}
 }
 
 func TestRemoveTenantDirAndSweep(t *testing.T) {

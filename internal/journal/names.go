@@ -34,7 +34,10 @@ func EncodeTenantID(id string) string {
 	return b.String()
 }
 
-// DecodeTenantID reverses EncodeTenantID.
+// DecodeTenantID reverses EncodeTenantID. It refuses every name
+// EncodeTenantID never writes ("%61b", "a.b"), so each tenant ID has
+// exactly one directory: an alias would recover as the tenant while its
+// removal deleted the canonical name.
 func DecodeTenantID(name string) (string, error) {
 	var b strings.Builder
 	b.Grow(len(name))
@@ -54,7 +57,10 @@ func DecodeTenantID(name string) (string, error) {
 		}
 		b.WriteByte(c)
 	}
-	return b.String(), nil
+	if id := b.String(); EncodeTenantID(id) == name {
+		return id, nil
+	}
+	return "", fmt.Errorf("journal: bad tenant directory name %q", name)
 }
 
 func unhex(c byte) int {

@@ -20,10 +20,12 @@
 // admission layer's apply path decodes the payloads: every record of a
 // frame decodes, with its stamp checked against its position, before any
 // record of the frame applies, so a reordered, gapped or undecodable batch
-// applies nothing; a snapshot must name the frame's tenant and sequence.
-// Every record is then re-verified against the local placement before it
-// commits to the local journal (verify → append → apply), so a tampered
-// stream cannot poison the replica's durable state. Redelivered records and snapshots are
+// applies nothing. Every record is then re-verified against the local
+// placement before it commits to the local journal (verify → append →
+// apply). A snapshot passes the rule recovery applies to one: it must name
+// the frame's tenant and sequence, and every core must pass the tenant's
+// test. So a tampered stream cannot poison the replica's durable state,
+// through records or snapshot frames. Redelivered records and snapshots are
 // idempotent; every acknowledgement carries the next sequence the follower
 // expects, which is all the leader needs to resynchronize its cursor after
 // either side restarts.

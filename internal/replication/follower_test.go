@@ -200,14 +200,17 @@ func (fx *failClosedFixture) resync(t *testing.T, frame []byte, next uint64) {
 }
 
 // snapshotAs re-stamps the leader's snapshot as system's, covering 1..seq,
-// in the records' codec.
-func (fx *failClosedFixture) snapshotAs(t *testing.T, system string, seq uint64) []byte {
+// in the records' codec; edit, if not nil, then rewrites its partition.
+func (fx *failClosedFixture) snapshotAs(t *testing.T, system string, seq uint64, edit func(*mcsio.PartitionJSON)) []byte {
 	t.Helper()
 	s, _, err := mcsio.DecodeSnapshot(fx.snap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.System, s.Seq = system, seq
+	if edit != nil {
+		edit(&s.Partition)
+	}
 	encode := mcsio.EncodeSnapshot
 	if fx.journal == mcsio.CodecBinary {
 		encode = mcsio.EncodeSnapshotBinary
@@ -351,13 +354,29 @@ func runFailClosed(t *testing.T, fx *failClosedFixture) {
 			}
 			// ...and for one it holds, at or below the tail, the idempotent
 			// skip would answer ok.
-			fx.refused(t, snapshotFrame(t, "t", fx.baseNext-1, fx.snapshotAs(t, "ghost", fx.baseNext-1)))
+			fx.refused(t, snapshotFrame(t, "t", fx.baseNext-1, fx.snapshotAs(t, "ghost", fx.baseNext-1, nil)))
 		}},
 		{"snapshot at another sequence", func(t *testing.T, fx *failClosedFixture) {
 			// Above the tail the install would run; at or below it the
 			// idempotent skip would answer ok. Both are refused.
 			fx.refused(t, snapshotFrame(t, "t", snapSeq+1, fx.snap))
 			fx.refused(t, snapshotFrame(t, "t", fx.baseNext-1, fx.snap))
+		}},
+		{"over-full snapshot", func(t *testing.T, fx *failClosedFixture) {
+			// The leader's tasks, each grown to u = 0.6 and all on core 0:
+			// EDF-VD fails that core. Above the tail the install would run;
+			// at or below it the idempotent skip would answer ok.
+			overFull := func(p *mcsio.PartitionJSON) {
+				var all []int
+				for i := range p.Tasks {
+					p.Tasks[i].CLo, p.Tasks[i].CHi = 600, 600
+					p.Tasks[i].ULo, p.Tasks[i].UHi = 0, 0
+					all = append(all, p.Tasks[i].ID)
+				}
+				p.Cores = [][]int{all, {}}
+			}
+			fx.refused(t, snapshotFrame(t, "t", snapSeq, fx.snapshotAs(t, "t", snapSeq, overFull)))
+			fx.refused(t, snapshotFrame(t, "t", fx.baseNext-1, fx.snapshotAs(t, "t", fx.baseNext-1, overFull)))
 		}},
 		{"JSON frame needs an upgraded leader", func(t *testing.T, fx *failClosedFixture) {
 			body := fx.ack(t, []byte(`{"v":1,"kind":"remove","tenant":"t"}`), streamAckBad)
