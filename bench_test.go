@@ -958,8 +958,8 @@ func BenchmarkJournalReplay1k(b *testing.B) {
 }
 
 // BenchmarkJournalSnapshotRecover1k measures recovery of the same tenant
-// from a snapshot: one cold analysis per non-empty core checks it, then the
-// partition restores by direct commit, with no placement. The gap to
+// from a snapshot: one cold EDF-VD analysis per non-empty core checks it,
+// then the partition restores by direct commit, with no placement. The gap to
 // BenchmarkJournalReplay1k is what each snapshot buys.
 func BenchmarkJournalSnapshotRecover1k(b *testing.B) {
 	cfg := journalBenchTenant(b, true)

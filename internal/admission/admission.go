@@ -9,7 +9,8 @@
 // judged by re-running only that core's uniprocessor schedulability test
 // (EDF-VD, ECDF, EY or AMC via the core.Test interface). A rejected task
 // leaves all state untouched; a released task frees its core with no
-// re-analysis, because all four tests are sustainable under task removal.
+// re-analysis, because the remaining tasks keep the schedule (virtual
+// deadlines or priorities) the test certified for the larger set.
 //
 // There is one probe path. A decision takes the tenant lock, asks the
 // tenant's placer for the candidate order and walks it serially; each probe

@@ -85,18 +85,21 @@ func (c *Controller) describedTest(id, named, test string) (core.Test, error) {
 }
 
 // checkSnapshot is the one rule a snapshot passes, in recovery and on a
-// follower, before anything is built from it: it decodes, is the snapshot
-// of id covering exactly 1..seq, names a registered test, and has every
-// task once and every non-empty core passing that test run cold
-// (core.VerifyCores). Any refusal is ErrReplayDivergence.
+// follower, before anything is built from it: it decodes (which refuses a
+// task on two cores), is the snapshot of id covering exactly 1..seq, names
+// a registered test, and, when that test is core.Sustainable, has every
+// non-empty core passing it run cold (core.VerifyCores). Any refusal is
+// ErrReplayDivergence.
 //
 // The rule refuses nothing replay would accept. Replay admits a task only
-// if core ∪ {t} passes the test, and every test is sustainable under
-// removal (apply), so every state a journal reaches passes a cold per-core
-// test. Nor is there a coverage gate: a constrained task under an
-// implicit-only test passes validate at replay and is judged here by the
-// same analysis. The test runs cold, not on the tenant's analyzers, so the
-// restored tenant's warm state and counters are those of a plain restore.
+// if core ∪ {t} passes the test, so under a sustainable test every state a
+// journal reaches, releases included, passes a cold per-core test. EY and
+// ECDF are not sustainable: a release is never re-analysed (apply), and a
+// cold rerun may refuse the core it leaves, so their cores are not run.
+// Nor is there a coverage gate: a constrained task under an implicit-only
+// test passes validate at replay and is judged here by the same analysis.
+// The test runs cold, not on the tenant's analyzers, so the restored
+// tenant's warm state and counters are those of a plain restore.
 func checkSnapshot(id string, seq uint64, payload []byte) (snap mcsio.SnapshotJSON, part core.Partition, test core.Test, err error) {
 	snap, part, err = mcsio.DecodeSnapshot(payload)
 	test, _ = core.TestByName(snap.Test)
@@ -108,7 +111,7 @@ func checkSnapshot(id string, seq uint64, payload []byte) (snap mcsio.SnapshotJS
 		err = fmt.Errorf("it is stamped %d", snap.Seq)
 	case test == nil:
 		err = fmt.Errorf("unknown schedulability test %q", snap.Test)
-	default:
+	case core.Sustainable(test):
 		err = core.VerifyCores(part, test)
 	}
 	if err != nil {
@@ -278,7 +281,9 @@ func (s *System) apply(tr *transition, stage func() (func() error, error)) (func
 		return nil, err
 	}
 
-	// Removal never needs re-analysis: every test is sustainable under it.
+	// Removal is never re-analysed: the remaining tasks keep the schedule
+	// the test certified for the larger set (see checkSnapshot for EY and
+	// ECDF, whose cold rerun may still refuse the core).
 	for _, id := range tr.ids {
 		s.asn.Remove(id)
 		delete(s.resident, id)

@@ -319,9 +319,9 @@ func (s *System) decideBatch(ts mcs.TaskSet, commit bool) (BatchResult, error) {
 
 // Release removes the tasks with the given IDs and returns how many tasks
 // it released (repeated IDs count once). It is transactional: when any ID
-// is unknown, nothing is released. Removal never needs re-analysis — all
-// four tests are sustainable under task removal — so a release is O(n)
-// bookkeeping.
+// is unknown, nothing is released. Removal never needs re-analysis — the
+// remaining tasks keep the schedule the test certified for the larger set
+// — so a release is O(n) bookkeeping.
 func (s *System) Release(ids ...int) (int, error) {
 	m, start := s.timed()
 	s.mu.Lock()

@@ -260,3 +260,9 @@ func (t Test) Name() string {
 
 // Schedulable implements the test interface.
 func (t Test) Schedulable(ts mcs.TaskSet) bool { return Analyze(ts, t.Opts).Schedulable }
+
+// Sustainable declares that the test accepts every subset of a set it
+// accepts: removing a task only shrinks the others' interference, the
+// priority order restricted to the subset still passes, and Audsley's
+// assignment finds an order whenever one exists.
+func (Test) Sustainable() bool { return true }

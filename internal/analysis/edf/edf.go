@@ -33,3 +33,7 @@ func (t Test) Schedulable(ts mcs.TaskSet) bool {
 // ImplicitOnly declares that the utilization variant covers implicit
 // deadlines only; the demand variant covers constrained ones.
 func (t Test) ImplicitOnly() bool { return !t.Demand }
+
+// Sustainable declares that the test accepts every subset of a set it
+// accepts: utilization and demand only grow with a task.
+func (Test) Sustainable() bool { return true }

@@ -86,3 +86,7 @@ func (Test) Schedulable(ts mcs.TaskSet) bool { return Schedulable(ts) }
 // ImplicitOnly declares that the test covers implicit deadlines only: the
 // utilization conditions say nothing about a task with D < T.
 func (Test) ImplicitOnly() bool { return true }
+
+// Sustainable declares that the test accepts every subset of a set it
+// accepts: each utilization condition only grows with a task.
+func (Test) Sustainable() bool { return true }

@@ -66,6 +66,17 @@ func ImplicitOnly(test Test) bool {
 	return ok && io.ImplicitOnly()
 }
 
+// Sustainable reports whether test accepts every subset of a set it
+// accepts, which a test declares with a Sustainable() bool method:
+// EDF-VD, AMC and the EDF baselines do. EY and ECDF do not: their greedy
+// deadline shaping is a heuristic whose verdict is its trajectory, and a
+// subset can send it down one that fails. A test that declares nothing is
+// taken as not sustainable.
+func Sustainable(test Test) bool {
+	s, ok := test.(interface{ Sustainable() bool })
+	return ok && s.Sustainable()
+}
+
 // Covers reports whether test covers task's deadline model: every test
 // covers an implicit deadline, a test not ImplicitOnly a constrained one.
 func Covers(test Test, task mcs.Task) bool {
