@@ -1,14 +1,15 @@
 package mcsched
 
-// Documentation health checks, run as part of the normal test suite and by
-// the CI docs step: every intra-repo markdown link must resolve to a file
-// that exists, so ARCHITECTURE.md, README.md and docs/ cannot silently rot
-// as the tree moves.
+// Documentation health checks, run as part of the normal test suite: every
+// intra-repo markdown link must resolve to a file that exists, so
+// ARCHITECTURE.md, README.md and docs/ cannot silently rot as the tree
+// moves.
 
 import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -78,19 +79,22 @@ var (
 	benchFlag = regexp.MustCompile(`\s-bench\s+(?:'([^']*)'|(\S+))`)
 	// testDecl matches the functions `go test -run` and `-bench` select among.
 	testDecl = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example|Benchmark)\w*)\(`)
+	// fuzzEntry matches one `{ target: FuzzX, pkg: ./dir/ }` matrix entry.
+	fuzzEntry = regexp.MustCompile(`\{\s*target:\s*(\w+),\s*pkg:\s*([^\s}]+)\s*\}`)
 	// yamlComment and shellContinuation are stripped before commands are
 	// looked for: a comment may quote a command, a command may span lines.
 	yamlComment       = regexp.MustCompile(`(?m)^\s*#.*$`)
 	shellContinuation = regexp.MustCompile(`\\\n\s*`)
 )
 
-// TestWorkflowRunPatternsMatch guards the CI workflows against `go test
-// -run` and `-bench` patterns that select nothing: go test exits 0 when a
-// pattern matches no test or benchmark, so a renamed or retired one
-// silently turns its CI step into a no-op. Every alternative of every -run
-// pattern must match a test function, and the top level of every -bench
-// alternative a benchmark function, declared in at least one of the
-// packages its command names.
+// TestWorkflowRunPatternsMatch guards the CI workflows against test
+// selections that select nothing: go test exits 0 when a -run or -bench
+// pattern matches no test or benchmark, and -fuzz fails only when run, so a
+// renamed or retired one silently turns its CI step into a no-op. Every
+// alternative of every -run pattern must match a test function, and the
+// top level of every -bench alternative a benchmark function, declared in
+// at least one of the packages its command names; every { target, pkg }
+// entry of a fuzz matrix must name a Fuzz function declared in pkg.
 func TestWorkflowRunPatternsMatch(t *testing.T) {
 	// decls maps a package directory to the test functions it declares.
 	decls := map[string][]string{}
@@ -127,6 +131,12 @@ func TestWorkflowRunPatternsMatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		text := shellContinuation.ReplaceAllString(yamlComment.ReplaceAllString(string(data), ""), "")
+		for _, m := range fuzzEntry.FindAllStringSubmatch(text, -1) {
+			checked["fuzz"]++
+			if !strings.HasPrefix(m[1], "Fuzz") || !slices.Contains(decls[filepath.Clean(m[2])], m[1]) {
+				t.Errorf("%s: fuzz target %s is not a Fuzz function declared in %s", file, m[1], m[2])
+			}
+		}
 		for _, cmd := range goTestCmd.FindAllString(text, -1) {
 			var dirs []string
 			for _, arg := range strings.Fields(cmd) {
@@ -173,8 +183,9 @@ func TestWorkflowRunPatternsMatch(t *testing.T) {
 			}
 		}
 	}
-	if checked["-run"] < 20 || checked["-bench"] < 5 {
-		t.Errorf("only %d -run and %d -bench alternatives found in %v; the workflow scan is broken",
-			checked["-run"], checked["-bench"], workflows)
+	// What is left to scan: nightly's 14 fuzz targets and ci.yml's -bench.
+	if checked["fuzz"] < 14 || checked["-bench"] < 1 {
+		t.Errorf("only %d fuzz targets and %d -bench alternatives found in %v; the workflow scan is broken",
+			checked["fuzz"], checked["-bench"], workflows)
 	}
 }

@@ -15,8 +15,8 @@ package admission
 // layer (mcsio.DecodeReplFrame) checks only a frame's envelope. Every
 // record of a frame decodes, stamp against position, before any applies,
 // and apply validates and re-places each before it stages; a snapshot
-// passes recovery's checkSnapshot (tenant, sequence and, under a
-// sustainable test, every core passing it) before anything else. So a tampered or torn stream
+// passes recovery's checkSnapshot (tenant, sequence and every core passing
+// its per-core check) before anything else. So a tampered or torn stream
 // cannot poison the replica's durable state, through records or snapshots.
 
 import (

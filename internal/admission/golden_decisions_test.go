@@ -8,11 +8,10 @@ package admission
 // decision stream, of its final Fingerprint(), and of the bytes of its
 // journal directory. They are a function of the seed alone: nothing about
 // how a probe is answered (what sits between a placement and the per-core
-// analyzer, how many goroutines a controller is given, GOMAXPROCS) may move
-// any of them, which is why the run is repeated at Workers 1, 2 and
-// GOMAXPROCS and why CI runs it across a GOMAXPROCS matrix. A mismatch
-// means decisions, state or journal bytes changed — not that the goldens
-// are stale.
+// analyzer, GOMAXPROCS) may move any of them. The churn runs once; CI's
+// GOMAXPROCS rows (1, 2 and the runner's default) provide the scheduler
+// dimension. A mismatch means decisions, state or journal bytes changed —
+// not that the goldens are stale.
 
 import (
 	"fmt"
@@ -22,7 +21,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"mcsched/internal/analysis/amc"
@@ -206,10 +204,9 @@ func hashDir(t *testing.T, root string) uint64 {
 
 // runGoldenChurn plays the whole churn on one controller and returns what
 // it left behind, per tenant.
-func runGoldenChurn(t *testing.T, workers int) map[string]goldenTenant {
+func runGoldenChurn(t *testing.T) map[string]goldenTenant {
 	t.Helper()
 	cfg := Config{
-		Workers:       workers,
 		DataDir:       t.TempDir(),
 		SnapshotEvery: 6,
 	}
@@ -283,16 +280,14 @@ func runGoldenChurn(t *testing.T, workers int) map[string]goldenTenant {
 }
 
 func TestGoldenDecisions(t *testing.T) {
-	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		got := runGoldenChurn(t, workers)
-		if len(got) != len(goldenDecisions) {
-			t.Errorf("workers=%d: %d tenants, golden %d", workers, len(got), len(goldenDecisions))
-		}
-		for key, g := range got {
-			if want := goldenDecisions[key]; g != want {
-				t.Errorf("workers=%d: %q: {decisions: %#016x, fingerprint: %#016x, journal: %#016x}, golden {decisions: %#016x, fingerprint: %#016x, journal: %#016x}",
-					workers, key, g.decisions, g.fingerprint, g.journal, want.decisions, want.fingerprint, want.journal)
-			}
+	got := runGoldenChurn(t)
+	if len(got) != len(goldenDecisions) {
+		t.Errorf("%d tenants, golden %d", len(got), len(goldenDecisions))
+	}
+	for key, g := range got {
+		if want := goldenDecisions[key]; g != want {
+			t.Errorf("%q: {decisions: %#016x, fingerprint: %#016x, journal: %#016x}, golden {decisions: %#016x, fingerprint: %#016x, journal: %#016x}",
+				key, g.decisions, g.fingerprint, g.journal, want.decisions, want.fingerprint, want.journal)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"mcsched/internal/analysis/amc"
+	"mcsched/internal/analysis/ey"
 	"mcsched/internal/core"
 	"mcsched/internal/mcs"
 	"mcsched/internal/mcsio"
@@ -358,17 +359,19 @@ func TestRecoverFailsClosed(t *testing.T) {
 	})
 	// A rewritten snapshot, CRC intact, must pass the rule a snapshot frame
 	// passes: it names its tenant and the sequence its file covers, and
-	// every core passes the tenant's test.
+	// every core passes the tenant's test, or, under EY, the utilization
+	// filter in front of it.
 	for _, tc := range []struct {
-		name string
-		edit func(s *mcsio.SnapshotJSON)
+		name, test string
+		edit       func(s *mcsio.SnapshotJSON)
 	}{
-		{"snapshot stamped for another sequence", func(s *mcsio.SnapshotJSON) { s.Seq-- }},
-		{"over-full snapshot", overFill},
+		{"snapshot stamped for another sequence", "EDF-VD", func(s *mcsio.SnapshotJSON) { s.Seq-- }},
+		{"over-full snapshot", "EDF-VD", overFill},
+		{"over-full EY snapshot", "EY", overFill},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := crashConfig(t.TempDir())
-			live, sys, snap, seq := snapshotted(t, cfg)
+			live, sys, snap, seq := snapshotted(t, cfg, tc.test)
 			if err := sys.Journal().WriteSnapshot(encodeSnapshot(t, snap, tc.edit), seq); err != nil {
 				t.Fatal(err)
 			}
@@ -395,13 +398,15 @@ func TestRecoverFailsClosed(t *testing.T) {
 	})
 }
 
-// snapshotted journals an EDF-VD tenant "d" on 2 cores holding two LC
-// tasks of u = 0.6, which place one per core, snapshots it and returns the
-// open controller, the tenant, the snapshot and the sequence it covers.
-func snapshotted(t testing.TB, cfg Config) (*Controller, *System, mcsio.SnapshotJSON, uint64) {
+// snapshotted journals a tenant "d" under the named test on 2 cores
+// holding two LC tasks of u = 0.6, which place one per core, snapshots it
+// and returns the open controller, the tenant, the snapshot and the
+// sequence it covers.
+func snapshotted(t testing.TB, cfg Config, testName string) (*Controller, *System, mcsio.SnapshotJSON, uint64) {
 	t.Helper()
+	test, _ := core.TestByName(testName)
 	ctrl := NewController(cfg)
-	sys, err := ctrl.CreateSystem("d", 2, core.Tests()[0])
+	sys, err := ctrl.CreateSystem("d", 2, test)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -521,13 +526,15 @@ func sameIDs(a, b mcs.TaskSet) bool {
 // FuzzReplicatedSnapshot feeds a follower an arbitrary snapshot payload at
 // an arbitrary sequence. Whatever it accepts must be a tenant in which no
 // task repeats and, under a sustainable test, every non-empty core passes
-// the tenant's test, run cold.
+// the tenant's test, run cold; under EY or ECDF, the utilization filter in
+// front of the test.
 func FuzzReplicatedSnapshot(f *testing.F) {
-	live, _, snap, seq := snapshotted(f, crashConfig(f.TempDir()))
+	live, _, snap, seq := snapshotted(f, crashConfig(f.TempDir()), "EDF-VD")
 	live.Close()
 	f.Add(encodeSnapshot(f, snap, nil), seq)
 	f.Add(encodeSnapshot(f, snap, func(s *mcsio.SnapshotJSON) { s.Seq-- }), seq)
 	f.Add(encodeSnapshot(f, snap, overFill), seq)
+	f.Add(encodeSnapshot(f, snap, func(s *mcsio.SnapshotJSON) { overFill(s); s.Test = "EY" }), seq)
 	f.Fuzz(func(t *testing.T, payload []byte, seq uint64) {
 		cfg := crashConfig(t.TempDir())
 		cfg.Follower = true
@@ -554,6 +561,9 @@ func FuzzReplicatedSnapshot(f *testing.F) {
 			}
 			if len(ts) > 0 && core.Sustainable(test) && !test.Schedulable(ts) {
 				t.Fatalf("installed core %d fails %s", k, test.Name())
+			}
+			if !core.Sustainable(test) && ey.FoldQuick(ts).Verdict() < 0 {
+				t.Fatalf("installed core %d has LO or HI utilization over 1 under %s", k, test.Name())
 			}
 		}
 	})

@@ -17,6 +17,7 @@ package admission
 import (
 	"fmt"
 
+	"mcsched/internal/analysis/ey"
 	"mcsched/internal/core"
 	"mcsched/internal/journal"
 	"mcsched/internal/mcs"
@@ -87,15 +88,25 @@ func (c *Controller) describedTest(id, named, test string) (core.Test, error) {
 // checkSnapshot is the one rule a snapshot passes, in recovery and on a
 // follower, before anything is built from it: it decodes (which refuses a
 // task on two cores), is the snapshot of id covering exactly 1..seq, names
-// a registered test, and, when that test is core.Sustainable, has every
-// non-empty core passing it run cold (core.VerifyCores). Any refusal is
+// a registered test, and has every core pass a per-core check. Under a
+// core.Sustainable test that check is the test run cold
+// (core.VerifyCores); under EY and ECDF, which are not sustainable, it is
+// the filter in front of both shapers (ey.QuickState.Verdict), which
+// caps the summed LO utilization of the core and the summed HI
+// utilization of its high-criticality tasks at 1. Any refusal is
 // ErrReplayDivergence.
 //
 // The rule refuses nothing replay would accept. Replay admits a task only
 // if core ∪ {t} passes the test, so under a sustainable test every state a
 // journal reaches, releases included, passes a cold per-core test. EY and
 // ECDF are not sustainable: a release is never re-analysed (apply), and a
-// cold rerun may refuse the core it leaves, so their cores are not run.
+// cold rerun may refuse the core it leaves, so their shapers are not run.
+// Their analyzers run the filter first, though, so every core they admit
+// passes it, and it survives a release: the filter folds non-negative
+// terms in core order (the order a snapshot records), so a release only
+// drops terms, and floating-point addition is monotone in each operand,
+// so no partial sum grows. TestUnsustainablePassQuickFilter checks that
+// the stateless EY and ECDF accept nothing the filter refuses.
 // Nor is there a coverage gate: a constrained task under an implicit-only
 // test passes validate at replay and is judged here by the same analysis.
 // The test runs cold, not on the tenant's analyzers, so the restored
@@ -113,6 +124,13 @@ func checkSnapshot(id string, seq uint64, payload []byte) (snap mcsio.SnapshotJS
 		err = fmt.Errorf("unknown schedulability test %q", snap.Test)
 	case core.Sustainable(test):
 		err = core.VerifyCores(part, test)
+	default:
+		for k, coreSet := range part.Cores {
+			if ey.FoldQuick(coreSet).Verdict() < 0 {
+				err = fmt.Errorf("core %d has LO or HI utilization over 1, which %s never admits", k, test.Name())
+				break
+			}
+		}
 	}
 	if err != nil {
 		err = fmt.Errorf("%w: snapshot of %q covering 1..%d: %w", ErrReplayDivergence, id, seq, err)

@@ -5,8 +5,8 @@ package journal
 // still get unique contiguous sequence numbers, a replayable history
 // holding exactly the acknowledged records, fewer flushes than records and
 // fail-stop poisoning on I/O errors — under the race detector at any
-// GOMAXPROCS (the CI journal-commit job runs this package at 1, 2 and
-// NumCPU).
+// GOMAXPROCS (CI runs the whole suite with -race at 1, 2 and the runner's
+// default).
 
 import (
 	"errors"

@@ -23,10 +23,11 @@
 // applies nothing. Every record is then re-verified against the local
 // placement before it commits to the local journal (verify → append →
 // apply). A snapshot passes the rule recovery applies to one: it must name
-// the frame's tenant and sequence, and, when the tenant's test is
-// sustainable under removal, every core must pass it. So a tampered
-// stream cannot poison the replica's durable state, through records or
-// snapshot frames, beyond what the tenant's test can judge. Redelivered records and snapshots are
+// the frame's tenant and sequence, and every core must pass the tenant's
+// test or, under EY and ECDF, which are not sustainable under removal, the
+// utilization filter in front of them. So a tampered stream cannot poison
+// the replica's durable state, through records or snapshot frames, beyond
+// what that per-core check can judge. Redelivered records and snapshots are
 // idempotent; every acknowledgement carries the next sequence the follower
 // expects, which is all the leader needs to resynchronize its cursor after
 // either side restarts.

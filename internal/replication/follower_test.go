@@ -200,8 +200,8 @@ func (fx *failClosedFixture) resync(t *testing.T, frame []byte, next uint64) {
 }
 
 // snapshotAs re-stamps the leader's snapshot as system's, covering 1..seq,
-// in the records' codec; edit, if not nil, then rewrites its partition.
-func (fx *failClosedFixture) snapshotAs(t *testing.T, system string, seq uint64, edit func(*mcsio.PartitionJSON)) []byte {
+// in the records' codec; edit, if not nil, then rewrites it.
+func (fx *failClosedFixture) snapshotAs(t *testing.T, system string, seq uint64, edit func(*mcsio.SnapshotJSON)) []byte {
 	t.Helper()
 	s, _, err := mcsio.DecodeSnapshot(fx.snap)
 	if err != nil {
@@ -209,7 +209,7 @@ func (fx *failClosedFixture) snapshotAs(t *testing.T, system string, seq uint64,
 	}
 	s.System, s.Seq = system, seq
 	if edit != nil {
-		edit(&s.Partition)
+		edit(&s)
 	}
 	encode := mcsio.EncodeSnapshot
 	if fx.journal == mcsio.CodecBinary {
@@ -220,6 +220,19 @@ func (fx *failClosedFixture) snapshotAs(t *testing.T, system string, seq uint64,
 		t.Fatal(err)
 	}
 	return b
+}
+
+// overFull grows each of a snapshot's tasks to u = 0.6 and moves them all
+// onto core 0.
+func overFull(s *mcsio.SnapshotJSON) {
+	p := &s.Partition
+	var all []int
+	for i := range p.Tasks {
+		p.Tasks[i].CLo, p.Tasks[i].CHi = 600, 600
+		p.Tasks[i].ULo, p.Tasks[i].UHi = 0, 0
+		all = append(all, p.Tasks[i].ID)
+	}
+	p.Cores = [][]int{all, {}}
 }
 
 func (fx *failClosedFixture) unchanged(t *testing.T) {
@@ -366,17 +379,15 @@ func runFailClosed(t *testing.T, fx *failClosedFixture) {
 			// The leader's tasks, each grown to u = 0.6 and all on core 0:
 			// EDF-VD fails that core. Above the tail the install would run;
 			// at or below it the idempotent skip would answer ok.
-			overFull := func(p *mcsio.PartitionJSON) {
-				var all []int
-				for i := range p.Tasks {
-					p.Tasks[i].CLo, p.Tasks[i].CHi = 600, 600
-					p.Tasks[i].ULo, p.Tasks[i].UHi = 0, 0
-					all = append(all, p.Tasks[i].ID)
-				}
-				p.Cores = [][]int{all, {}}
-			}
 			fx.refused(t, snapshotFrame(t, "t", snapSeq, fx.snapshotAs(t, "t", snapSeq, overFull)))
 			fx.refused(t, snapshotFrame(t, "t", fx.baseNext-1, fx.snapshotAs(t, "t", fx.baseNext-1, overFull)))
+		}},
+		{"over-full EY snapshot", func(t *testing.T, fx *failClosedFixture) {
+			// The same core under EY, which is not run on a snapshot: its
+			// LO utilization of 2.4 fails the filter in front of EY.
+			overFullEY := func(s *mcsio.SnapshotJSON) { overFull(s); s.Test = "EY" }
+			fx.refused(t, snapshotFrame(t, "t", snapSeq, fx.snapshotAs(t, "t", snapSeq, overFullEY)))
+			fx.refused(t, snapshotFrame(t, "t", fx.baseNext-1, fx.snapshotAs(t, "t", fx.baseNext-1, overFullEY)))
 		}},
 		{"JSON frame needs an upgraded leader", func(t *testing.T, fx *failClosedFixture) {
 			body := fx.ack(t, []byte(`{"v":1,"kind":"remove","tenant":"t"}`), streamAckBad)
