@@ -332,8 +332,8 @@ func BenchmarkGenerate(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 // admitTasks draws a stream of distinct small tasks for admission benches.
-func admitTasks(b *testing.B, n int) TaskSet {
-	b.Helper()
+func admitTasks(tb testing.TB, n int) TaskSet {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(2024))
 	out := make(TaskSet, 0, n)
 	for i := 0; i < n; i++ {
@@ -352,142 +352,181 @@ func admitTasks(b *testing.B, n int) TaskSet {
 	return out
 }
 
-// reportCounters attaches the controller's analyzer counters, accumulated
-// over the whole run (set-up and warm-up included), as custom metrics whose
-// units are cmd/mcbench's JSON keys.
-func reportCounters(b *testing.B, ctrl *AdmissionController) {
-	st := ctrl.Stats()
-	b.ReportMetric(float64(st.TestsRun), "tests_run")
-	b.ReportMetric(float64(st.FastAccepts), "fast_accepts")
-	b.ReportMetric(float64(st.FastRejects), "fast_rejects")
-	b.ReportMetric(float64(st.IncrementalHits), "incremental_hits")
-	b.ReportMetric(float64(st.ExactRuns), "exact_runs")
-	b.ReportMetric(float64(st.WarmStarts), "warm_starts")
+// workCounters are the analyzer counters a benchmark reports, under
+// cmd/mcbench's JSON keys: deterministic at a fixed iteration count, so
+// TestBenchCountersGolden pins them.
+type workCounters struct {
+	TestsRun, FastAccepts, FastRejects, IncrementalHits, ExactRuns, WarmStarts uint64
 }
 
-// benchAdmitSingle measures one admit+release cycle (or one probe) against
-// an 8-core tenant of ctrl loaded with half of the admit stream. warm runs
-// the measured cycle once before the timer starts, so the per-core
-// analyzers have seen every candidate set already; cold starts the timer on
-// the freshly loaded tenant.
-func benchAdmitSingle(b *testing.B, ctrl *AdmissionController, test Test, warm, probe bool) {
+// controllerCounters reads the controller's analyzer counters, accumulated
+// over the whole run (set-up and warm-up included).
+func controllerCounters(ctrl *AdmissionController) workCounters {
+	st := ctrl.Stats()
+	return workCounters{st.TestsRun, st.FastAccepts, st.FastRejects, st.IncrementalHits, st.ExactRuns, st.WarmStarts}
+}
+
+// analyzerCounters reads one analyzer's counters.
+func analyzerCounters(c *kernel.Counters) workCounters {
+	return workCounters{c.Total(), c.FastAccepts, c.FastRejects, c.IncrementalHits, c.ExactRuns, c.WarmStarts}
+}
+
+// reportCounters attaches the counters as custom metrics whose units are
+// cmd/mcbench's JSON keys.
+func reportCounters(b *testing.B, c workCounters) {
+	b.ReportMetric(float64(c.TestsRun), "tests_run")
+	b.ReportMetric(float64(c.FastAccepts), "fast_accepts")
+	b.ReportMetric(float64(c.FastRejects), "fast_rejects")
+	b.ReportMetric(float64(c.IncrementalHits), "incremental_hits")
+	b.ReportMetric(float64(c.ExactRuns), "exact_runs")
+	b.ReportMetric(float64(c.WarmStarts), "warm_starts")
+}
+
+// loop runs op n times. Under a benchmark only the loop is timed and its
+// allocations reported; TestBenchCountersGolden calls the same bodies with
+// a fixed n.
+func loop(tb testing.TB, n int, op func(i int)) {
+	if b, ok := tb.(*testing.B); ok {
+		b.ReportAllocs()
+		b.ResetTimer()
+		defer b.StopTimer()
+	}
+	for i := 0; i < n; i++ {
+		op(i)
+	}
+}
+
+// admitSingle runs n admit+release cycles (or n probes) against an 8-core
+// tenant of ctrl loaded with half of the admit stream, and returns the
+// controller's counters. warm runs the measured cycle once before the
+// loop, so the per-core analyzers have seen every candidate set already;
+// cold starts the loop on the freshly loaded tenant.
+func admitSingle(tb testing.TB, ctrl *AdmissionController, test Test, warm, probe bool, n int) workCounters {
 	sys, err := ctrl.CreateSystem("bench", 8, test)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	stream := admitTasks(b, 256)
+	stream := admitTasks(tb, 256)
 	// Pre-load half the stream so admits land on non-trivial cores.
 	for _, t := range stream[:128] {
 		if _, err := sys.Admit(t); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	cycle := func(task Task) {
+	cycle := func(i int) {
+		task := stream[128+i%128]
 		if probe {
 			if _, err := sys.Probe(task); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			return
 		}
 		res, err := sys.Admit(task)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if res.Admitted {
 			if _, err := sys.Release(task.ID); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
 	if warm {
-		for _, task := range stream[128:] {
-			cycle(task)
+		for i := 0; i < 128; i++ {
+			cycle(i)
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle(stream[128+i%128])
-	}
-	b.StopTimer()
-	reportCounters(b, ctrl)
+	loop(tb, n, cycle)
+	return controllerCounters(ctrl)
 }
 
-// BenchmarkAdmitSingle measures the single-task admit hot path: cold from
-// a freshly loaded tenant, warm with the analyzers' memoized state in place
-// (the steady state of service traffic) under EDF-VD, EY and ECDF, warm
-// with a live metrics registry (the observability layer must keep it at
-// 0 allocs/op), and warm probes.
+// admitSingleCases are BenchmarkAdmitSingle's rows: cold from a freshly
+// loaded tenant, warm with the analyzers' memoized state in place (the
+// steady state of service traffic) under EDF-VD, EY and ECDF, warm with a
+// live metrics registry (the observability layer must keep it at 0
+// allocs/op), and warm probes.
+var admitSingleCases = []struct {
+	name                      string
+	test                      Test
+	warm, probe, instrumented bool
+}{
+	{"cold", EDFVD(), false, false, false},
+	{"warm", EDFVD(), true, false, false},
+	{"warm-instrumented", EDFVD(), true, false, true},
+	{"warm-ey", EY(), true, false, false},
+	{"warm-ecdf", ECDF(), true, false, false},
+	{"probe-warm", EDFVD(), true, true, false},
+}
+
+// BenchmarkAdmitSingle measures the single-task admit hot path
+// (admitSingleCases).
 func BenchmarkAdmitSingle(b *testing.B) {
-	for _, c := range []struct {
-		name                      string
-		test                      Test
-		warm, probe, instrumented bool
-	}{
-		{"cold", EDFVD(), false, false, false},
-		{"warm", EDFVD(), true, false, false},
-		{"warm-instrumented", EDFVD(), true, false, true},
-		{"warm-ey", EY(), true, false, false},
-		{"warm-ecdf", ECDF(), true, false, false},
-		{"probe-warm", EDFVD(), true, true, false},
-	} {
+	for _, c := range admitSingleCases {
 		b.Run(c.name, func(b *testing.B) {
 			ctrl := NewAdmissionController(DefaultAdmissionConfig())
 			if c.instrumented {
 				ctrl.EnableMetrics(NewMetricsRegistry())
 			}
-			benchAdmitSingle(b, ctrl, c.test, c.warm, c.probe)
+			reportCounters(b, admitSingle(b, ctrl, c.test, c.warm, c.probe, b.N))
 		})
 	}
 }
 
+// admitBatch64Cases are BenchmarkAdmitBatch64's rows: every test family
+// with the default UDP placement, and EDF-VD with each other registry
+// placement.
+var admitBatch64Cases = []struct {
+	name, placement string
+	test            Test
+}{
+	{"edfvd-cold", "", EDFVD()},
+	{"ey-cold", "", EY()},
+	{"ecdf-cold", "", ECDF()},
+	{"edf-cold", "", PlainEDF(true)},
+	{"amc-cold", "", AMC()},
+	{"edfvd-ff", "ff", EDFVD()},
+	{"edfvd-nf", "nf", EDFVD()},
+	{"edfvd-bf-total", "bf-total", EDFVD()},
+	{"edfvd-wf-total", "wf-total", EDFVD()},
+	{"edfvd-prm-ll", "prm-ll", EDFVD()},
+}
+
+// admitBatch64 runs n all-or-nothing 64-task batch admits (each admitted
+// batch released again) against a fresh 8-core tenant and returns the
+// controller's counters.
+func admitBatch64(tb testing.TB, placement string, test Test, n int) workCounters {
+	ctrl := NewAdmissionController(DefaultAdmissionConfig())
+	sys, err := ctrl.CreateSystemWithPlacement("bench", 8, test, placement)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	batch := admitTasks(tb, 64)
+	ids := make([]int, len(batch))
+	for i, t := range batch {
+		ids[i] = t.ID
+	}
+	loop(tb, n, func(int) {
+		res, err := sys.AdmitBatch(batch)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if res.Admitted {
+			if _, err := sys.Release(ids...); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	})
+	return controllerCounters(ctrl)
+}
+
 // BenchmarkAdmitBatch64 measures an all-or-nothing 64-task batch admit
-// (plus the release that resets the tenant between iterations) under every
-// test family with the default UDP placement, and under EDF-VD with each
-// other registry placement: the per-heuristic cost of the placement
-// registry.
+// (plus the release that resets the tenant between iterations) for each of
+// admitBatch64Cases: the per-family cost, and the per-heuristic cost of
+// the placement registry.
 func BenchmarkAdmitBatch64(b *testing.B) {
-	for _, c := range []struct {
-		name, placement string
-		test            Test
-	}{
-		{"edfvd-cold", "", EDFVD()},
-		{"ey-cold", "", EY()},
-		{"ecdf-cold", "", ECDF()},
-		{"edf-cold", "", PlainEDF(true)},
-		{"amc-cold", "", AMC()},
-		{"edfvd-ff", "ff", EDFVD()},
-		{"edfvd-nf", "nf", EDFVD()},
-		{"edfvd-bf-total", "bf-total", EDFVD()},
-		{"edfvd-wf-total", "wf-total", EDFVD()},
-		{"edfvd-prm-ll", "prm-ll", EDFVD()},
-	} {
+	for _, c := range admitBatch64Cases {
 		b.Run(c.name, func(b *testing.B) {
-			ctrl := NewAdmissionController(DefaultAdmissionConfig())
-			sys, err := ctrl.CreateSystemWithPlacement("bench", 8, c.test, c.placement)
-			if err != nil {
-				b.Fatal(err)
-			}
-			batch := admitTasks(b, 64)
-			ids := make([]int, len(batch))
-			for i, t := range batch {
-				ids[i] = t.ID
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := sys.AdmitBatch(batch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Admitted {
-					if _, err := sys.Release(ids...); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			b.StopTimer()
-			reportCounters(b, ctrl)
+			reportCounters(b, admitBatch64(b, c.placement, c.test, b.N))
 		})
 	}
 }
@@ -500,6 +539,12 @@ func BenchmarkAdmitBatch64(b *testing.B) {
 // admitted batch is released again; the measured cycle has run once before
 // the timer starts.
 func BenchmarkAdmitBatch16FullTenant(b *testing.B) {
+	reportCounters(b, admitBatch16FullTenant(b, b.N))
+}
+
+// admitBatch16FullTenant is BenchmarkAdmitBatch16FullTenant's body: n
+// measured cycles, returning the controller's counters.
+func admitBatch16FullTenant(tb testing.TB, n int) workCounters {
 	rng := rand.New(rand.NewSource(2017))
 	cfg := DefaultGenConfig(1, 0.55, 0.25, 0.35)
 	cfg.NMin, cfg.NMax = 16, 16
@@ -522,13 +567,13 @@ func BenchmarkAdmitBatch16FullTenant(b *testing.B) {
 	ctrl := NewAdmissionController(DefaultAdmissionConfig())
 	sys, err := ctrl.CreateSystem("bench", 8, ECDF())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for refused := 0; refused < 3; {
 		batch, _ := draw()
 		res, err := sys.AdmitBatch(batch)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if !res.Admitted {
 			refused++
@@ -542,60 +587,62 @@ func BenchmarkAdmitBatch16FullTenant(b *testing.B) {
 	cycle := func(i int) {
 		res, err := sys.AdmitBatch(batches[i%pool])
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if res.Admitted {
 			if _, err := sys.Release(ids[i%pool]...); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
 	for i := 0; i < pool; i++ {
 		cycle(i)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle(i)
-	}
-	b.StopTimer()
-	reportCounters(b, ctrl)
+	loop(tb, n, cycle)
+	return controllerCounters(ctrl)
+}
+
+// analysisColdCases are BenchmarkAnalysisCold's two fixed single-core
+// sets. They have the size the m = 8 constrained sweep puts on a core,
+// each at the 90th percentile of its kind's cost among 4000 drawn:
+// ey-shape-m8 passes EY after 58 shaping steps; ecdf-exact-reject passes
+// the LO test at d = D and fails the EY pass and all five ECDF restarts.
+var analysisColdCases = []struct {
+	name string
+	test Test
+	ts   TaskSet
+	want bool
+}{
+	{"ey-shape-m8", EY(), TaskSet{
+		NewLCTaskD(3, 5, 33, 23), NewHCTaskD(2, 1, 4, 11, 9), NewLCTaskD(5, 1, 10, 4),
+		NewHCTaskD(0, 37, 57, 294, 259), NewLCTaskD(4, 4, 13, 5), NewHCTaskD(1, 23, 63, 438, 395),
+	}, true},
+	{"ecdf-exact-reject", ECDF(), TaskSet{
+		NewHCTaskD(0, 32, 157, 218, 182), NewLCTaskD(3, 3, 11, 5), NewHCTaskD(1, 1, 2, 29, 20),
+		NewHCTaskD(2, 1, 2, 15, 6), NewLCTaskD(4, 2, 33, 32), NewLCTaskD(5, 1, 24, 22),
+	}, false},
+}
+
+// analysisCold runs n cold exact analyses of ts on one analyzer of test,
+// its memo dropped before each, and returns the analyzer's counters.
+func analysisCold(tb testing.TB, test Test, ts TaskSet, want bool, n int) workCounters {
+	an := test.(kernel.Incremental).NewAnalyzer()
+	loop(tb, n, func(int) {
+		an.Invalidate()
+		if an.Schedulable(ts) != want {
+			tb.Fatalf("%s verdict is not %v", test.Name(), want)
+		}
+	})
+	return analyzerCounters(an.Counters())
 }
 
 // BenchmarkAnalysisCold is one cold exact analysis per op on the family's
-// per-core analyzer, its memo dropped before every op: a whole shaping run
-// with no admission or placement around it. The two fixed single-core sets
-// have the size the m = 8 constrained sweep puts on a core, each at the
-// 90th percentile of its kind's cost among 4000 drawn: ey-shape-m8 passes
-// EY after 58 shaping steps; ecdf-exact-reject passes the LO test at d = D
-// and fails the EY pass and all five ECDF restarts.
+// per-core analyzer (analysisColdCases), its memo dropped before every op:
+// a whole shaping run with no admission or placement around it.
 func BenchmarkAnalysisCold(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		test Test
-		ts   TaskSet
-		want bool
-	}{
-		{"ey-shape-m8", EY(), TaskSet{
-			NewLCTaskD(3, 5, 33, 23), NewHCTaskD(2, 1, 4, 11, 9), NewLCTaskD(5, 1, 10, 4),
-			NewHCTaskD(0, 37, 57, 294, 259), NewLCTaskD(4, 4, 13, 5), NewHCTaskD(1, 23, 63, 438, 395),
-		}, true},
-		{"ecdf-exact-reject", ECDF(), TaskSet{
-			NewHCTaskD(0, 32, 157, 218, 182), NewLCTaskD(3, 3, 11, 5), NewHCTaskD(1, 1, 2, 29, 20),
-			NewHCTaskD(2, 1, 2, 15, 6), NewLCTaskD(4, 2, 33, 32), NewLCTaskD(5, 1, 24, 22),
-		}, false},
-	} {
+	for _, c := range analysisColdCases {
 		b.Run(c.name, func(b *testing.B) {
-			an := c.test.(kernel.Incremental).NewAnalyzer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				an.Invalidate()
-				if an.Schedulable(c.ts) != c.want {
-					b.Fatalf("%s verdict is not %v", c.test.Name(), c.want)
-				}
-			}
-			b.ReportMetric(float64(an.Counters().Total()), "tests_run")
-			b.ReportMetric(float64(an.Counters().ExactRuns), "exact_runs")
+			reportCounters(b, analysisCold(b, c.test, c.ts, c.want, b.N))
 		})
 	}
 }
@@ -708,6 +755,21 @@ func BenchmarkSweepFig3(b *testing.B) {
 	})
 }
 
+// BenchmarkSweepFig5 is one Figure 5 panel (m = 8, constrained deadlines:
+// CU-UDP and CA-UDP under ECDF and AMC against the EY baselines) at 40
+// task sets per UB bucket, a sixth of what the offline-sweep load
+// workload runs: there the exact demand-bound shaping runs own the time.
+func BenchmarkSweepFig5(b *testing.B) {
+	b.Run("m8-40", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Figure5(8, 40, 2017); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkPartitionAMC measures one full offline partitioning run of
 // CU-UDP-AMC on 8 cores — the offline counterpart of the admit-path
 // benchmarks.
@@ -743,20 +805,24 @@ func BenchmarkSpeedupSurvey(b *testing.B) {
 // Write-ahead journal: admit hot path with journaling on/off, recovery
 // ---------------------------------------------------------------------------
 
-// benchJournalAdmit measures BenchmarkAdmitSingle's cold cycle under a
-// journaling policy: off (in-memory), on (page-cache durability), or on
-// with fsync (power-loss durability). The delta between the modes is the
-// price of the durability guarantee on the hot path.
-func benchJournalAdmit(b *testing.B, journaled, fsync bool) {
+// journalAdmit runs admitSingle's cold cycle under a journaling policy:
+// off (in-memory), on (page-cache durability), or on with fsync
+// (power-loss durability). The delta between the modes is the price of
+// the durability guarantee on the hot path.
+func journalAdmit(tb testing.TB, journaled, fsync bool, n int) workCounters {
 	cfg := DefaultAdmissionConfig()
 	cfg.SnapshotEvery = -1 // isolate append cost from snapshot cost
 	if journaled {
-		cfg.DataDir = b.TempDir()
+		cfg.DataDir = tb.TempDir()
 		cfg.Fsync = fsync
 	}
 	ctrl := NewAdmissionController(cfg)
 	defer ctrl.Close()
-	benchAdmitSingle(b, ctrl, EDFVD(), false, false)
+	return admitSingle(tb, ctrl, EDFVD(), false, false, n)
+}
+
+func benchJournalAdmit(b *testing.B, journaled, fsync bool) {
+	reportCounters(b, journalAdmit(b, journaled, fsync, b.N))
 }
 
 // BenchmarkJournalAdmitOff is the in-memory baseline of the journal pair.
@@ -1045,3 +1111,93 @@ func BenchmarkSimulateHyperperiodSmall(b *testing.B) { benchSimulateSystem(b, 2,
 // BenchmarkSimulateHyperperiod1k: a 64-core, 1024-task tenant over one
 // hyperperiod — the full-system scale the daemon serves.
 func BenchmarkSimulateHyperperiod1k(b *testing.B) { benchSimulateSystem(b, 64, 16) }
+
+// TestBenchCountersGolden pins the analyzer counters every
+// counter-reporting benchmark body produces at a fixed iteration count.
+// They count analyzer calls and how each was resolved (filters, memo,
+// warm starts, exact runs), so a change that moves one changed what the
+// analyses do — a lost warm start, another shaping trajectory — even
+// where every verdict differential still passes. A change that moves one
+// on purpose re-records the table and says why.
+//
+// Left out by name: BenchmarkJournalAdmitGroupCommit
+// (journal/admit-groupcommit-*) and BenchmarkReplicationStreamBatch64
+// (repl/stream-batch64). They report no analyzer counters; their one work
+// figure, records per flush, depends on how writers interleave with
+// flushes, which is timing.
+func TestBenchCountersGolden(t *testing.T) {
+	type run struct {
+		name string
+		n    int
+		body func(tb testing.TB, n int) workCounters
+	}
+	var runs []run
+	for _, c := range admitSingleCases {
+		runs = append(runs, run{"AdmitSingle/" + c.name, 512, func(tb testing.TB, n int) workCounters {
+			ctrl := NewAdmissionController(DefaultAdmissionConfig())
+			if c.instrumented {
+				ctrl.EnableMetrics(NewMetricsRegistry())
+			}
+			return admitSingle(tb, ctrl, c.test, c.warm, c.probe, n)
+		}})
+	}
+	for _, c := range admitBatch64Cases {
+		runs = append(runs, run{"AdmitBatch64/" + c.name, 40, func(tb testing.TB, n int) workCounters {
+			return admitBatch64(tb, c.placement, c.test, n)
+		}})
+	}
+	runs = append(runs, run{"AdmitBatch16FullTenant", 40, admitBatch16FullTenant})
+	for _, c := range analysisColdCases {
+		runs = append(runs, run{"AnalysisCold/" + c.name, 20, func(tb testing.TB, n int) workCounters {
+			return analysisCold(tb, c.test, c.ts, c.want, n)
+		}})
+	}
+	for _, j := range []struct {
+		name             string
+		journaled, fsync bool
+	}{{"JournalAdmitOff", false, false}, {"JournalAdmitOn", true, false}, {"JournalAdmitOnFsync", true, true}} {
+		runs = append(runs, run{j.name, 64, func(tb testing.TB, n int) workCounters {
+			return journalAdmit(tb, j.journaled, j.fsync, n)
+		}})
+	}
+	// tests_run, fast_accepts, fast_rejects, incremental_hits, exact_runs, warm_starts
+	want := map[string]workCounters{
+		"AdmitSingle/cold":               {4509, 8, 0, 4501, 0, 4501},
+		"AdmitSingle/warm":               {5512, 8, 0, 5504, 0, 5504},
+		"AdmitSingle/warm-instrumented":  {5512, 8, 0, 5504, 0, 5504},
+		"AdmitSingle/warm-ey":            {4610, 0, 4115, 0, 495, 487},
+		"AdmitSingle/warm-ecdf":          {4641, 0, 4183, 0, 458, 450},
+		"AdmitSingle/probe-warm":         {5512, 8, 0, 5504, 0, 5504},
+		"AdmitBatch64/edfvd-cold":        {4040, 8, 0, 4032, 0, 4032},
+		"AdmitBatch64/ey-cold":           {3600, 0, 1040, 0, 2560, 2552},
+		"AdmitBatch64/ecdf-cold":         {3600, 0, 1040, 0, 2560, 2552},
+		"AdmitBatch64/edf-cold":          {5000, 2560, 2440, 0, 0, 0},
+		"AdmitBatch64/amc-cold":          {4000, 3120, 0, 2032, 1968, 15450},
+		"AdmitBatch64/edfvd-ff":          {12760, 7, 0, 12753, 0, 12753},
+		"AdmitBatch64/edfvd-nf":          {2840, 8, 0, 2832, 0, 2832},
+		"AdmitBatch64/edfvd-bf-total":    {12560, 7, 0, 12553, 0, 12553},
+		"AdmitBatch64/edfvd-wf-total":    {2560, 8, 0, 2552, 0, 2552},
+		"AdmitBatch64/edfvd-prm-ll":      {1520, 8, 0, 1512, 0, 1512},
+		"AdmitBatch16FullTenant":         {1048, 0, 356, 202, 490, 684},
+		"AnalysisCold/ey-shape-m8":       {20, 0, 0, 0, 20, 0},
+		"AnalysisCold/ecdf-exact-reject": {20, 0, 0, 0, 20, 0},
+		"JournalAdmitOff":                {1002, 8, 0, 994, 0, 994},
+		"JournalAdmitOn":                 {1002, 8, 0, 994, 0, 994},
+		"JournalAdmitOnFsync":            {1002, 8, 0, 994, 0, 994},
+	}
+	for _, r := range runs {
+		got := r.body(t, r.n)
+		w, ok := want[r.name]
+		if !ok {
+			t.Errorf("%s: no golden entry; at %d iterations it counts\n\t%q: {%d, %d, %d, %d, %d, %d},", r.name, r.n,
+				r.name, got.TestsRun, got.FastAccepts, got.FastRejects, got.IncrementalHits, got.ExactRuns, got.WarmStarts)
+			continue
+		}
+		if got != w {
+			t.Errorf("%s at %d iterations: counters %+v, golden %+v", r.name, r.n, got, w)
+		}
+	}
+	if len(want) != len(runs) {
+		t.Errorf("golden has %d entries for %d bodies", len(want), len(runs))
+	}
+}

@@ -1,9 +1,10 @@
 // Command mcbench records the repository's tracked benchmarks. Each row of
 // its table is a `go test` benchmark: the admission hot path, cold EY/ECDF
-// shaping runs, offline partitioning, task-set generation, a Figure 3
-// sweep, simulation, the journal and replication. mcbench builds each
-// package's test binary once, runs every selected row alone at -test.cpu
-// equal to its own GOMAXPROCS, and writes JSON: ns/op, bytes/op, allocs/op
+// shaping runs, offline partitioning, task-set generation, Figure 3 and
+// Figure 5 sweeps, simulation, the journal and replication. mcbench builds
+// each package's test binary once, runs every selected row alone at
+// -test.cpu equal to its own GOMAXPROCS, and writes JSON: ns/op, bytes/op,
+// allocs/op
 // and the analyzer counters (fast accepts/rejects, incremental decisions,
 // warm-started fixed points) the benchmark reports as custom metrics. It
 // resolves packages by import path, so it runs anywhere inside the module,
@@ -85,6 +86,7 @@ var rows = []row{
 	{"taskgen/capped-exhausted", root, "BenchmarkCappedDraw/exhausted", nil},
 	{"taskgen/capped-accepted", root, "BenchmarkCappedDraw/accepted", nil},
 	{"sweep/fig3-m8-100", root, "BenchmarkSweepFig3/m8-100", nil},
+	{"sweep/fig5-m8-40", root, "BenchmarkSweepFig5/m8-40", nil},
 	{"simulate/hyperperiod-small", root, "BenchmarkSimulateHyperperiodSmall", nil},
 	{"simulate/hyperperiod-1k", root, "BenchmarkSimulateHyperperiod1k", nil},
 	{"journal/admit-groupcommit-1w", root, "BenchmarkJournalAdmitGroupCommit/1w/group", nil},

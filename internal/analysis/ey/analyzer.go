@@ -40,7 +40,10 @@ import (
 // dbf.QPAResume), which returns the witness the full walk would, and each
 // LO-mode walk of a tuneStep visits only the windows its one deadline move
 // raised demand on (Shaper.loProved, dbf.QPAWindows), which returns the
-// verdict the full walk would. Removals
+// verdict the full walk would. A run of moves the greedy would repeat
+// exactly is applied in one go, each counted against the iteration budget
+// as one step (Shaper.fastForward): k horizon sums and one windowed LO
+// walk instead of k HI walks, scans and LO walks. Removals
 // refold over the order-preservingly compacted set, reproducing the
 // cold folds bit-for-bit.
 type Analyzer struct {

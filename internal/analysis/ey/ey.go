@@ -15,9 +15,12 @@
 // The test has one search, the Shaper's: the demand curves live in
 // positional arrays and are mutated in place as deadlines move. Analyze
 // runs it cold on a fresh Shaper; the admission hot path holds one Shaper
-// per core through the Analyzer and reuses it across probes. The
-// stateless map-keyed search it replaced is package oracle's EY, which
-// the tests check it against.
+// per core through the Analyzer and reuses it across probes. Within a
+// run, a move that the greedy would repeat — same witness, same task,
+// same shrink — is applied as often as the loop would repeat it, in one
+// go (Shaper.fastForward), so the run ends on the loop's deadlines with
+// a fraction of its walks. The stateless map-keyed search it replaced is
+// package oracle's EY, which the tests check it against move by move.
 package ey
 
 import "mcsched/internal/mcs"

@@ -18,10 +18,11 @@ import (
 // curves the oracle rebuilds are exactly the ones the Shaper maintains (in
 // slice order, HC tasks only for the sawtooths) and Shape/tuneStep below
 // visit candidates in the same order, compare gains with the same strict
-// inequality, and probe the same LO-feasibility boundary. (The
-// equivalence leans on task IDs being unique within a set, which every
-// producer in this repo guarantees; an ID-keyed map would alias
-// duplicate IDs where positional arrays would not.)
+// inequality, and probe the same LO-feasibility boundary; where the loop
+// would repeat a move, fastForward applies in one go only repeats the
+// loop would make itself. (The equivalence leans on task IDs being unique
+// within a set, which every producer in this repo guarantees; an ID-keyed
+// map would alias duplicate IDs where positional arrays would not.)
 //
 // The zero value is ready to use; a Shaper is not safe for concurrent
 // use.
@@ -291,14 +292,9 @@ func (s *Shaper) loHorizon() (L mcs.Ticks, ok bool) {
 	return dbf.Horizon(s.looseLO.U, off, maxD, s.looseLO.Hyper, s.looseLO.HyperOK)
 }
 
-// HIFeasible runs the HI-mode QPA test under the current virtual
-// deadlines, returning a violation witness and the demand there when it
-// fails. The horizon is assembled like loHorizon's, matching a full
-// dbf.HIAccum fold bit for bit; the walk resumes from hiFree.
-func (s *Shaper) HIFeasible() (witness, demand mcs.Ticks, ok bool) {
-	if len(s.saws) == 0 {
-		return -1, 0, true
-	}
+// hiHorizon assembles the HI-mode QPA horizon of the current curves like
+// loHorizon does, matching a full dbf.HIAccum fold over them bit for bit.
+func (s *Shaper) hiHorizon() (L mcs.Ticks, ok bool) {
 	var off float64
 	var maxOff mcs.Ticks
 	for j := range s.saws {
@@ -307,7 +303,17 @@ func (s *Shaper) HIFeasible() (witness, demand mcs.Ticks, ok bool) {
 			maxOff = o
 		}
 	}
-	L, ok := dbf.Horizon(s.looseHI.U, off, maxOff, s.looseHI.Hyper, s.looseHI.HyperOK)
+	return dbf.Horizon(s.looseHI.U, off, maxOff, s.looseHI.Hyper, s.looseHI.HyperOK)
+}
+
+// HIFeasible runs the HI-mode QPA test under the current virtual
+// deadlines, returning a violation witness and the demand there when it
+// fails. The walk runs over hiHorizon's horizon and resumes from hiFree.
+func (s *Shaper) HIFeasible() (witness, demand mcs.Ticks, ok bool) {
+	if len(s.saws) == 0 {
+		return -1, 0, true
+	}
+	L, ok := s.hiHorizon()
 	if !ok {
 		return 0, dbf.SawSum(s.saws).Value(0), false
 	}
@@ -316,54 +322,171 @@ func (s *Shaper) HIFeasible() (witness, demand mcs.Ticks, ok bool) {
 }
 
 // Shape runs the failure-guided tuning loop from the current assignment,
-// starting with a fresh frozen set.
+// starting with a fresh frozen set: iteration zero's HI-mode check, then
+// ShapeResume on its witness.
 func (s *Shaper) Shape(maxIter int) bool {
+	if maxIter < 1 {
+		return false
+	}
+	w, demand, ok := s.HIFeasible()
+	return ok || s.ShapeResume(w, demand, maxIter)
+}
+
+// ShapeResume is the shaping loop for a caller that already ran iteration
+// zero's HI-mode check on the current curves (via HIFeasible) and holds
+// its violation witness and the demand there: the loop continues with
+// tuneStep on them, so the overall run is step-for-step Shape's, and
+// starts with a fresh frozen set. Each iteration is one tuneStep; after
+// one whose first try moved a deadline, fastForward applies the identical
+// moves the next iterations would make, each counted as one of them, so
+// the run ends on the deadlines and the verdict the plain loop ends on.
+func (s *Shaper) ShapeResume(w, demand mcs.Ticks, maxIter int) bool {
 	for j := range s.frozen {
 		s.frozen[j] = false
 	}
 	for iters := 0; iters < maxIter; iters++ {
-		w, demand, ok := s.HIFeasible()
-		if ok {
-			return true
+		if iters > 0 {
+			var ok bool
+			if w, demand, ok = s.HIFeasible(); ok {
+				return true
+			}
 		}
-		if !s.tuneStep(w, demand) {
+		first, more := s.tuneStep(w, demand)
+		if !more {
 			return false
+		}
+		if first >= 0 {
+			iters += s.fastForward(first, w, demand, maxIter-iters-1)
 		}
 	}
 	return false
 }
 
-// ShapeResume is Shape for a caller that already ran iteration zero's
-// HI-mode check (at the loosest assignment, via HIFeasible) and holds
-// its violation witness and the demand there: the trajectory continues
-// with tuneStep on them, so the overall run is step-for-step the same loop.
-func (s *Shaper) ShapeResume(w, demand mcs.Ticks, maxIter int) bool {
-	for j := range s.frozen {
-		s.frozen[j] = false
-	}
-	if maxIter < 1 {
-		return false
-	}
-	if !s.tuneStep(w, demand) {
-		return false
-	}
-	for iters := 1; iters < maxIter; iters++ {
-		w, demand, ok := s.HIFeasible()
-		if ok {
-			return true
+// fastForward applies, after a tuneStep whose first try lowered saw j's
+// virtual deadline by needed = demand − w (w the HI-mode witness, demand
+// = dbf_HI(w) the walk's W), the largest number k ≤ budget of further
+// moves under the five conditions below, and returns k. Each of them is
+// the move the loop's next iteration would make: its HI walk returns
+// (w, W) again, its scan picks j again, and its first try lowers VD_j by
+// needed again and passes. So k moves here end where k iterations of the
+// loop end, on the same deadlines; only what they walk is saved — k HI
+// walks, k scans and k LO walks become k horizon sums and one LO walk.
+//
+// Write A for the curves the walk that found w ran on, VD_j + needed
+// being j's deadline there, and S_i for VD_j − i·needed. That walk ran
+// over L₀ = hiFree.Hi and left hiFree = (W, L₀]; its witness did not sit
+// at its start (that case has W > L₀, excluded by the horizon condition),
+// so by dbf.QPAResume's start-independence argument W is tight under A,
+// demand is W on [w, W] and w = PrevKink(W). Demand only falls as VD_j
+// does, so (W, L₀] stays violation-free for every S_i. The conditions:
+//
+//   - Value. Saw j's value at w under S_{k−1} equals its value under A. A
+//     sawtooth's value at a fixed point only falls with its deadline, so
+//     it is the same under every S_i, i < k, and so is dbf_HI(w) = W. HI
+//     demand sits between dbf_HI(w) and demand under A, so it is W on
+//     [w, W] under S_i too, and W is tight. Every candidate's gain — j's
+//     is its value at w minus a fixed one, the others' curves did not move
+//     — is the one the scan saw, so it picks j with the same needed. And
+//     PrevKink(W) = w under S_i. Under A some curve has a kink at w and
+//     none has one in (w, W). That kink is not j's: the check also makes
+//     j flat on [w − needed, w] under A, j is flat on [w, W], and a
+//     sawtooth with positive gain has no kink with flat stretches on both
+//     sides. So the curve that has it did not move, and neither did the
+//     others; j, flat on [w, W] under S_i, has no kink inside it.
+//   - Horizon. The HI horizon under each S_i, i < k, lies in [W, L₀],
+//     assembled by hiHorizon, the code HIFeasible walks over, so it is
+//     bit for bit the horizon the loop's walk would use. Then (W, L] has
+//     no violation, W is tight and [w, W) violates, so by
+//     start-independence the walk from L — with any valid certificate —
+//     returns PrevKink(W) = w and demand W.
+//   - No clamp. S_k ≥ C^L_j, so every move's target S_{i+1} is unclamped
+//     and j stays a candidate (S_i > C^L_j).
+//   - LO. The LO test passes under S_k. LO demand only rises as VD_j
+//     falls, so it passes under every S_i, i ≤ k: each first try passes.
+//     S_0 was proved by tuneStep's walk, so one windowed walk over what
+//     the k moves opened decides S_k (dbf.QPAWindows). If it fails, a
+//     binary search over the count finds the largest passing one; the
+//     loop's next iteration then makes the failing try and its binary
+//     search exactly as before.
+//   - Budget. k is at most the iterations left, so a run that spends
+//     them ends on the deadlines and the false the loop ends on.
+//
+// (With no valid horizon HIFeasible's witness is 0 and its demand is
+// dbf_HI(0), which can be 0; the horizon condition then fails at once,
+// and under every S_i, since whether a horizon exists does not depend on
+// the deadlines.) hiFree, proved for the higher demand of A, stays valid;
+// loFree is what the last successful LO walk proved, as after a tuneStep.
+func (s *Shaper) fastForward(j int, w, demand mcs.Ticks, budget int) int {
+	needed := demand - w
+	vd, cl := s.saws[j].VD, s.saws[j].CL
+	probe := s.saws[j]
+	probe.VD += needed // A's deadline, unless the first move was clamped: then the clamp check stops at k = 0
+	before := probe.Value(w)
+	k := 0
+	for ; k < budget; k++ {
+		d := vd - mcs.Ticks(k)*needed
+		if d-needed < cl {
+			break
 		}
-		if !s.tuneStep(w, demand) {
-			return false
+		if probe.VD = d; probe.Value(w) != before {
+			break
+		}
+		s.setHC(j, d)
+		if L, ok := s.hiHorizon(); !ok || L < demand || L > s.hiFree.Hi {
+			break
 		}
 	}
+	s.setHC(j, vd)
+	if k == 0 {
+		return 0
+	}
+	var tried dbf.Free
+	if s.lower(j, vd-mcs.Ticks(k)*needed, &tried) {
+		return k
+	}
+	pass, fail := 0, k
+	for fail-pass > 1 {
+		mid := (pass + fail) / 2
+		if s.lower(j, vd-mcs.Ticks(mid)*needed, &tried) {
+			pass = mid
+		} else {
+			fail = mid
+		}
+	}
+	return pass
+}
+
+// lower is one try of the shaping search: it lowers saw j's virtual
+// deadline to d and keeps the move if the LO test still passes, else
+// restores the deadline. Every try lowers one deadline of curves that are
+// LO-feasible — the step's own, or those a successful try left — so while
+// loProved holds its walk visits only the windows [d + kT, old + kT) the
+// move opened, up to the try's own horizon. A failed walk's certificate
+// goes to *tried, which serves every later try of the same search: each
+// has a larger d than every failed one, hence lower LO demand.
+func (s *Shaper) lower(j int, d mcs.Ticks, tried *dbf.Free) bool {
+	old := s.saws[j].VD
+	var rose dbf.Windows
+	if s.loProved {
+		rose = dbf.Windows{Start: d, Width: old - d, T: s.saws[j].T}
+	}
+	s.setHC(j, d)
+	proved, ok := s.loWalk(*tried, rose)
+	if ok {
+		s.loFree, s.loProved = proved, true
+		return true
+	}
+	*tried = proved
+	s.setHC(j, old)
 	return false
 }
 
 // tuneStep shrinks the virtual deadline of the unfrozen HC task with the
 // largest demand reduction at the HI-mode violation witness w (demand is
 // the HI demand there, as the walk that found w summed it), while keeping
-// the LO test passing. It returns false when no move is possible.
-func (s *Shaper) tuneStep(w, demand mcs.Ticks) bool {
+// the LO test passing. It returns false when no move is possible, and
+// first, the saw its first try moved, or -1 when that try failed.
+func (s *Shaper) tuneStep(w, demand mcs.Ticks) (first int, ok bool) {
 	needed := demand - w
 	if needed <= 0 {
 		needed = 1
@@ -390,7 +513,7 @@ func (s *Shaper) tuneStep(w, demand mcs.Ticks) bool {
 		}
 	}
 	if best < 0 {
-		return false
+		return -1, false
 	}
 
 	hi, lo := s.saws[best].VD, s.saws[best].CL
@@ -398,37 +521,15 @@ func (s *Shaper) tuneStep(w, demand mcs.Ticks) bool {
 	if target < lo {
 		target = lo
 	}
-	// Every try lowers one deadline of curves that are LO-feasible — the
-	// step's own, or those a successful try left — so while loProved holds
-	// its walk visits only the windows [d + kT, old + kT) the move opened,
-	// up to the try's own horizon. And every later try has a larger d than
-	// every failed one, hence lower LO demand: a failed walk's certificate
-	// serves the rest of the search on top of the windows.
 	var tried dbf.Free
-	try := func(d mcs.Ticks) bool {
-		old := s.saws[best].VD
-		var rose dbf.Windows
-		if s.loProved {
-			rose = dbf.Windows{Start: d, Width: old - d, T: s.saws[best].T}
-		}
-		s.setHC(best, d)
-		proved, ok := s.loWalk(tried, rose)
-		if ok {
-			s.loFree, s.loProved = proved, true
-			return true
-		}
-		tried = proved
-		s.setHC(best, old)
-		return false
-	}
-	if try(target) {
-		return true
+	if s.lower(best, target, &tried) {
+		return best, true
 	}
 	loBound, hiBound := target+1, hi-1
 	moved := false
 	for loBound <= hiBound {
 		mid := (loBound + hiBound) / 2
-		if try(mid) {
+		if s.lower(best, mid, &tried) {
 			moved = true
 			hiBound = mid - 1 // try to shrink further
 		} else {
@@ -441,10 +542,10 @@ func (s *Shaper) tuneStep(w, demand mcs.Ticks) bool {
 		// progress only if any unfrozen candidate remains.
 		for j := range s.saws {
 			if !s.frozen[j] && s.saws[j].VD > s.saws[j].CL {
-				return true
+				return -1, true
 			}
 		}
-		return false
+		return -1, false
 	}
-	return true
+	return -1, true
 }
