@@ -60,7 +60,7 @@ func TestLiveAdmitRefusesUncoveredTask(t *testing.T) {
 	}
 
 	ctrl := NewController(Config{})
-	sys, err := ctrl.CreateSystem("c", 1, ecdf.Test{Opts: ecdf.DefaultOptions()})
+	sys, err := ctrl.CreateSystem("c", 1, ecdf.Test{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,10 @@ type SimOutcome struct {
 // analysis-to-runtime contract of the paper: EDF-VD cores run
 // virtual-deadline EDF with deadlines scaled by the certified x; EY and
 // ECDF cores run it with the per-task virtual deadlines their analysis
-// assigns under the test's own options; AMC cores run fixed-priority with
-// the order the test's variant and priority policy certify. Every other
-// test — the plain-EDF baselines, a test of the caller's own, nil — runs
-// EDF on real deadlines, which is exactly what an uncertified core would
-// run.
+// assigns; AMC cores run fixed-priority with the order the test's variant
+// and priority policy certify. Every other test — the plain-EDF
+// baselines, a test of the caller's own, nil — runs EDF on real
+// deadlines, which is exactly what an uncertified core would run.
 //
 // Each variant degrades safely when the analysis no longer accepts the
 // core (possible only for a partition assembled outside admission): the
@@ -61,11 +60,11 @@ func RuntimeForCore(test core.Test, ts mcs.TaskSet) sim.CoreRuntime {
 			return sim.CoreRuntime{Policy: sim.VirtualDeadlineEDF, VD: sim.VDFromX(ts, r.X)}
 		}
 	case ey.Test:
-		if r := ey.Analyze(ts, t.Opts); r.Schedulable {
+		if r := ey.Analyze(ts); r.Schedulable {
 			return sim.CoreRuntime{Policy: sim.VirtualDeadlineEDF, VD: r.VD}
 		}
 	case ecdf.Test:
-		if r := ecdf.Analyze(ts, t.Opts); r.Schedulable {
+		if r := ecdf.Analyze(ts); r.Schedulable {
 			return sim.CoreRuntime{Policy: sim.VirtualDeadlineEDF, VD: r.VD}
 		}
 	case amc.Test:

@@ -33,7 +33,7 @@ func TestRuntimeForCoreContract(t *testing.T) {
 	}
 
 	// EY and ECDF carry their per-task virtual deadline assignment.
-	for _, test := range []core.Test{ey.Test{Opts: ey.DefaultOptions()}, ecdf.Test{Opts: ecdf.DefaultOptions()}} {
+	for _, test := range []core.Test{ey.Test{}, ecdf.Test{}} {
 		rt := RuntimeForCore(test, ts)
 		if rt.Policy != sim.VirtualDeadlineEDF || len(rt.VD) == 0 {
 			t.Errorf("%s runtime: %+v", test.Name(), rt)

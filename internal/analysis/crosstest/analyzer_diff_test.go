@@ -23,8 +23,8 @@ import (
 func analyzerFamilies() []kernel.Incremental {
 	return []kernel.Incremental{
 		edfvd.Test{},
-		ey.Test{Opts: ey.DefaultOptions()},
-		ecdf.Test{Opts: ecdf.DefaultOptions()},
+		ey.Test{},
+		ecdf.Test{},
 		amc.Test{Opts: amc.DefaultOptions()},
 		amc.Test{Opts: amc.Options{Variant: amc.RTB, Policy: amc.Audsley}},
 		amc.Test{Opts: amc.Options{Variant: amc.Max, Policy: amc.DeadlineMonotonic}},
@@ -40,13 +40,9 @@ func oracleOf(test kernel.Test) func(mcs.TaskSet) bool {
 	case edfvd.Test:
 		return func(ts mcs.TaskSet) bool { return oracle.EDFVD(ts).Schedulable }
 	case ey.Test:
-		return func(ts mcs.TaskSet) bool { return oracle.EY(ts, t.Opts.MaxIter).Schedulable }
+		return func(ts mcs.TaskSet) bool { return oracle.EY(ts, 256).Schedulable }
 	case ecdf.Test:
-		o := t.Opts
-		if len(o.Lambdas) == 0 {
-			o = ecdf.DefaultOptions()
-		}
-		return func(ts mcs.TaskSet) bool { return oracle.ECDF(ts, o.EY.MaxIter, o.Lambdas).Schedulable }
+		return func(ts mcs.TaskSet) bool { return oracle.ECDF(ts, 256, oracle.DefaultLambdas()).Schedulable }
 	case amc.Test:
 		o := amcOracleOptions(t.Opts)
 		return func(ts mcs.TaskSet) bool { return oracle.AMC(ts, o).Schedulable }
@@ -354,13 +350,13 @@ func TestAnalyzerWarmStartsFire(t *testing.T) {
 			// HC tasks keep the density fast-accept off; utilizations stay
 			// under 1 so the exact demand analysis runs on every probe.
 			name:  "EY",
-			test:  ey.Test{Opts: ey.DefaultOptions()},
+			test:  ey.Test{},
 			task:  func(i int) mcs.Task { return mcs.NewHC(i, 2, 4, 40) },
 			steps: 9,
 		},
 		{
 			name:  "ECDF",
-			test:  ecdf.Test{Opts: ecdf.DefaultOptions()},
+			test:  ecdf.Test{},
 			task:  func(i int) mcs.Task { return mcs.NewHC(i, 2, 4, 40) },
 			steps: 9,
 		},
@@ -419,8 +415,8 @@ func TestAnalyzerWarmStartsSurviveRelease(t *testing.T) {
 		task func(i int) mcs.Task
 	}{
 		{"EDF-VD", edfvd.Test{}, func(i int) mcs.Task { return mcs.NewHC(i, 1, 2, 100) }},
-		{"EY", ey.Test{Opts: ey.DefaultOptions()}, func(i int) mcs.Task { return mcs.NewHC(i, 2, 4, 40) }},
-		{"ECDF", ecdf.Test{Opts: ecdf.DefaultOptions()}, func(i int) mcs.Task { return mcs.NewHC(i, 2, 4, 40) }},
+		{"EY", ey.Test{}, func(i int) mcs.Task { return mcs.NewHC(i, 2, 4, 40) }},
+		{"ECDF", ecdf.Test{}, func(i int) mcs.Task { return mcs.NewHC(i, 2, 4, 40) }},
 	}
 	for _, tc := range streams {
 		tc := tc

@@ -37,7 +37,7 @@ func checkAssignment(t *testing.T, name string, ts mcs.TaskSet, vd map[int]mcs.T
 func TestEYAssignmentContract(t *testing.T) {
 	checked := 0
 	for _, ts := range drawSets(t, 80, true) {
-		r := ey.Analyze(ts, ey.DefaultOptions())
+		r := ey.Analyze(ts)
 		if !r.Schedulable {
 			continue
 		}
@@ -61,7 +61,7 @@ func TestEYAssignmentContract(t *testing.T) {
 func TestECDFAssignmentContract(t *testing.T) {
 	checked, restarted := 0, 0
 	for _, ts := range drawSets(t, 120, true) {
-		r := ecdf.Analyze(ts, ecdf.DefaultOptions())
+		r := ecdf.Analyze(ts)
 		if !r.Schedulable {
 			continue
 		}
@@ -88,10 +88,10 @@ func TestECDFAssignmentContract(t *testing.T) {
 // contracts hold (virtual deadlines may equal the period).
 func TestImplicitDeadlineAssignments(t *testing.T) {
 	for _, ts := range drawSets(t, 40, false) {
-		if r := ey.Analyze(ts, ey.DefaultOptions()); r.Schedulable {
+		if r := ey.Analyze(ts); r.Schedulable {
 			checkAssignment(t, "EY", ts, r.VD)
 		}
-		if r := ecdf.Analyze(ts, ecdf.DefaultOptions()); r.Schedulable {
+		if r := ecdf.Analyze(ts); r.Schedulable {
 			checkAssignment(t, "ECDF", ts, r.VD)
 		}
 	}

@@ -29,12 +29,12 @@ func TestCertificatesMatchOracle(t *testing.T) {
 	for _, constrained := range []bool{false, true} {
 		accepted := map[string]int{}
 		for _, ts := range drawSets(t, 600, constrained) {
-			eyGot, eyWant := ey.Analyze(ts, ey.DefaultOptions()), oracle.EY(ts, 0)
+			eyGot, eyWant := ey.Analyze(ts), oracle.EY(ts, 256)
 			if eyGot.Schedulable != eyWant.Schedulable || !maps.Equal(eyGot.VD, eyWant.VD) {
 				t.Fatalf("constrained=%v: EY gives (%v, %v), the oracle (%v, %v) for\n%v",
 					constrained, eyGot.Schedulable, eyGot.VD, eyWant.Schedulable, eyWant.VD, ts)
 			}
-			ecdfGot, ecdfWant := ecdf.Analyze(ts, ecdf.DefaultOptions()), oracle.ECDF(ts, 0, nil)
+			ecdfGot, ecdfWant := ecdf.Analyze(ts), oracle.ECDF(ts, 256, oracle.DefaultLambdas())
 			if ecdfGot.Schedulable != ecdfWant.Schedulable || !maps.Equal(ecdfGot.VD, ecdfWant.VD) {
 				t.Fatalf("constrained=%v: ECDF gives (%v, %v), the oracle (%v, %v) for\n%v",
 					constrained, ecdfGot.Schedulable, ecdfGot.VD, ecdfWant.Schedulable, ecdfWant.VD, ts)

@@ -188,7 +188,7 @@ func TestECDFCertifiedDeadlinesSurviveSimulation(t *testing.T) {
 	}
 	checked := 0
 	for _, ts := range drawSets(t, 60, true) {
-		res := ecdf.Analyze(ts, ecdf.DefaultOptions())
+		res := ecdf.Analyze(ts)
 		if !res.Schedulable {
 			continue
 		}

@@ -18,20 +18,19 @@ import (
 // stateless ECDF, which walks the full horizon every time. (ey's shaping differential
 // compares the runs witness by witness; this one adds the relaxation,
 // whose upward moves are what must drop the certificate, and the order of
-// the restarts.) One analyzer serves every set, so whatever a search
+// the restarts.) One Shaper serves every set, so whatever a search
 // leaves behind meets the next one. Underneath, every LO-mode walk of the
 // search — the loosest check, each relaxation round (resumed from the
 // failed round before it), each try of each tuneStep (windowed) — must
 // give the verdict of the stateless LO test under the same deadlines.
 func TestSearchMatchesAnalyze(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
-	opts := DefaultOptions()
-	an := Test{}.NewAnalyzer().(*Analyzer)
+	var sh ey.Shaper
 	var accepts, restartWins, relaxed, exhausted int
 	var ts mcs.TaskSet
 	var windowed, resumedRounds int
-	an.sh.SetLOWalkHook(func(known dbf.Free, rose dbf.Windows, ok bool) {
-		if want := oracle.LOFeasible(ts, shaperVDs(&an.sh, ts)); ok != want {
+	sh.SetLOWalkHook(func(known dbf.Free, rose dbf.Windows, ok bool) {
+		if want := oracle.LOFeasible(ts, shaperVDs(&sh, ts)); ok != want {
 			t.Fatalf("LO walk via %+v and %+v says %v, the stateless test %v, for\n%v", known, rose, ok, want, ts)
 		}
 		switch {
@@ -50,9 +49,9 @@ func TestSearchMatchesAnalyze(t *testing.T) {
 			continue
 		}
 		sets++
-		want := oracle.ECDF(ts, opts.EY.MaxIter, opts.Lambdas)
-		an.sh.Reset(ts)
-		got, _ := search(&an.sh, an.opts)
+		want := oracle.ECDF(ts, 256, oracle.DefaultLambdas())
+		sh.Reset(ts)
+		got, _ := search(&sh)
 		if got != want.Schedulable {
 			t.Fatalf("analyzer search=%v oracle=%v for\n%v", got, want.Schedulable, ts)
 		}
@@ -72,13 +71,13 @@ func TestSearchMatchesAnalyze(t *testing.T) {
 			if !task.IsHC() {
 				continue
 			}
-			if d := an.sh.HCVD(j); d != want.VD[task.ID] {
+			if d := sh.HCVD(j); d != want.VD[task.ID] {
 				t.Fatalf("task %d ends at virtual deadline %d, the oracle at %d (restart %d) for\n%v",
 					task.ID, d, want.VD[task.ID], want.Restarts, ts)
 			}
 			j++
 		}
-		for _, lambda := range opts.Lambdas[:want.Restarts] {
+		for _, lambda := range oracle.DefaultLambdas()[:want.Restarts] {
 			if !oracle.LOFeasible(ts, oracle.ScaledAssignment(ts, lambda)) {
 				relaxed++
 				break
@@ -177,11 +176,11 @@ func TestRelaxationKeepsLOCertificate(t *testing.T) {
 	}
 
 	// The same through the relaxation itself, from ECDF's tightest restart.
-	an := Test{}.NewAnalyzer().(*Analyzer)
-	an.sh.Reset(ts)
-	an.sh.Scale(0.05)
-	record(&an.sh)
-	if !relaxUntilLOFeasible(&an.sh) {
+	var relaxed ey.Shaper
+	relaxed.Reset(ts)
+	relaxed.Scale(0.05)
+	record(&relaxed)
+	if !relaxUntilLOFeasible(&relaxed) {
 		t.Fatal("relaxation gave up")
 	}
 	if len(known) < 2 || known[0] != (dbf.Free{}) {

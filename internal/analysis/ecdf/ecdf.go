@@ -13,57 +13,36 @@
 // by package ey is accepted here, matching the paper's characterization of
 // EY as "identical … but relatively less efficient in terms of
 // schedulability".
+//
+// ECDF is package ey's Analyzer running this package's search on ey's
+// Shaper: the filters, memo, warm path and counters are ey's, and only
+// the search differs (Test.NewAnalyzer). Every shaping run has EY's
+// iteration budget, and the restarts use a fixed set of scale factors.
 package ecdf
 
 import (
 	"mcsched/internal/analysis/ey"
+	"mcsched/internal/analysis/kernel"
 	"mcsched/internal/mcs"
 )
 
-// Options tunes the search.
-type Options struct {
-	// EY configures the embedded shaping passes.
-	EY ey.Options
-	// Lambdas are the scale factors for restart assignments
-	// d = C^L + λ(D − C^L). Defaults to {0.8, 0.6, 0.4, 0.2, 0.05}.
-	Lambdas []float64
-}
+// budget bounds the deadline adjustments of every shaping run: the EY
+// pass's and each restart's, the same 256 as package ey's.
+const budget = 256
 
-// DefaultOptions returns the defaults used by the experiments.
-func DefaultOptions() Options {
-	return Options{
-		EY:      ey.DefaultOptions(),
-		Lambdas: []float64{0.8, 0.6, 0.4, 0.2, 0.05},
-	}
-}
-
-// Result is the ECDF verdict with the accepted virtual-deadline assignment.
-type Result struct {
-	Schedulable bool
-	VD          map[int]mcs.Ticks
-}
-
-// normalized fills in the defaults of unset options: the default scale
-// factors for no Lambdas, the default EY options for a zero EY budget.
-func (o Options) normalized() Options {
-	if len(o.Lambdas) == 0 {
-		o.Lambdas = DefaultOptions().Lambdas
-	}
-	if o.EY.MaxIter == 0 {
-		o.EY = ey.DefaultOptions()
-	}
-	return o
-}
+// lambdas are the scale factors of the restart assignments
+// d = C^L + λ(D − C^L), tried in this order.
+var lambdas = [...]float64{0.8, 0.6, 0.4, 0.2, 0.05}
 
 // Analyze runs the ECDF search on a fresh Shaper — the analyzer's cold
 // exact run — and reads the accepted assignment off its curves.
-func Analyze(ts mcs.TaskSet, opts Options) Result {
+func Analyze(ts mcs.TaskSet) ey.Result {
 	var s ey.Shaper
 	s.Reset(ts)
-	if ok, _ := search(&s, opts.normalized()); !ok {
-		return Result{}
+	if ok, _ := search(&s); !ok {
+		return ey.Result{}
 	}
-	return Result{Schedulable: true, VD: s.VDs(ts)}
+	return ey.Result{Schedulable: true, VD: s.VDs(ts)}
 }
 
 // search is the ECDF search on the curves s holds, which must be at the
@@ -74,17 +53,16 @@ func Analyze(ts mcs.TaskSet, opts Options) Result {
 // there. deep reports whether any shaping or restart work ran (vs a
 // zero-iteration decision straight off the loosest curves). The Shaper is
 // left at the assignment the search ended on.
-func search(s *ey.Shaper, o Options) (ok, deep bool) {
-	maxIter := o.EY.EffectiveMaxIter()
-	if ok, shaped := ey.Exact(s, maxIter); ok || !shaped {
+func search(s *ey.Shaper) (ok, deep bool) {
+	if ok, shaped := ey.Exact(s, budget); ok || !shaped {
 		return ok, shaped
 	}
-	for _, lambda := range o.Lambdas {
+	for _, lambda := range lambdas {
 		s.Scale(lambda)
 		if !relaxUntilLOFeasible(s) {
 			continue
 		}
-		if s.Shape(maxIter) {
+		if s.Shape(budget) {
 			return true, true
 		}
 	}
@@ -121,18 +99,14 @@ func relaxUntilLOFeasible(s *ey.Shaper) bool {
 }
 
 // Test is the partitioning-test adapter for ECDF.
-type Test struct {
-	Opts Options
-}
+type Test struct{}
 
 // Name implements the test interface.
 func (Test) Name() string { return "ECDF" }
 
 // Schedulable implements the test interface.
-func (t Test) Schedulable(ts mcs.TaskSet) bool {
-	o := t.Opts
-	if len(o.Lambdas) == 0 {
-		o = DefaultOptions()
-	}
-	return Analyze(ts, o).Schedulable
-}
+func (Test) Schedulable(ts mcs.TaskSet) bool { return Analyze(ts).Schedulable }
+
+// NewAnalyzer implements kernel.Incremental for Test: ey's analyzer
+// running search.
+func (Test) NewAnalyzer() kernel.Analyzer { return ey.NewAnalyzer(search) }

@@ -70,7 +70,7 @@ func TestResultSelfConsistent(t *testing.T) {
 	restartWins := 0
 	for i := 0; i < 400; i++ {
 		ts := randomSet(rng, 2+rng.Intn(5))
-		r := Analyze(ts, DefaultOptions())
+		r := Analyze(ts)
 		if !r.Schedulable {
 			continue
 		}
@@ -147,6 +147,6 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Analyze(sets[i%len(sets)], DefaultOptions())
+		Analyze(sets[i%len(sets)])
 	}
 }

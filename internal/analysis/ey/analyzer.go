@@ -5,12 +5,16 @@ import (
 	"mcsched/internal/mcs"
 )
 
-// Analyzer is the reusable per-core Ekberg–Yi engine: a Shaper holding
-// the demand curves in positional arrays, two-sided filters in front of
-// the exact analysis, and a Memo that makes prefix-extension probes
-// incremental.
+// Analyzer is the reusable per-core demand-bound engine of EY and ECDF: a
+// Shaper holding the demand curves in positional arrays, two-sided
+// filters in front of the search, and a memo that makes prefix-extension
+// probes incremental. Its one parameter is the search it runs on the
+// Shaper — Exact at the fixed budget for EY, ECDF's EY pass plus λ
+// restarts for ECDF — and everything around the search is shared.
 //
-// The filters preserve bit-identical verdicts:
+// The filters preserve bit-identical verdicts for either search, because
+// each drives the identical LO/HI QPA machinery and succeeds only where
+// some assignment passes it:
 //
 //   - necessary rejects recompute the very utilization sums the horizon
 //     folds (dbf.LOAccum, dbf.HIAccum) reject on (same values, same
@@ -23,7 +27,8 @@ import (
 //   - the sufficient accept fires only for sets without HC tasks whose
 //     LO density Σ C^L/D stays below 1 with a float-safety margin: the
 //     HI test is then vacuously true and the density bound implies the
-//     exact QPA — which is exact, not approximate — returns true.
+//     exact QPA — which is exact, not approximate — returns true (the EY
+//     pass accepts, and ECDF returns that without a restart).
 //
 // The warm path rests on the same left-fold identities the EDF-VD and EDF
 // analyzers use: every input of the test — the filter sums, the loosest
@@ -47,31 +52,34 @@ import (
 // refold over the order-preservingly compacted set, reproducing the
 // cold folds bit-for-bit.
 type Analyzer struct {
-	opts Options
-	ctr  kernel.Counters
-	sh   Shaper
-	memo Memo
+	search func(*Shaper) (ok, deep bool)
+	ctr    kernel.Counters
+	sh     Shaper
+	memo   memo
 	// curvesOK gates the Shaper-as-cache tier: it holds while sh's arrays
-	// describe memo.Mem under the loosest assignment.
+	// describe memo.mem under the loosest assignment.
 	curvesOK bool
 }
 
-// NewAnalyzer implements kernel.Incremental for Test.
-func (t Test) NewAnalyzer() kernel.Analyzer {
-	o := t.Opts
-	if o.MaxIter == 0 {
-		o = DefaultOptions()
-	}
-	return &Analyzer{opts: o}
+// NewAnalyzer returns an analyzer that decides by search. The search is
+// handed the Shaper at the loosest assignment of the probed set and may
+// leave it anywhere; deep reports whether it went past a zero-iteration
+// decision straight off the loosest curves (counted as an exact run, not
+// an incremental hit, on the warm path).
+func NewAnalyzer(search func(*Shaper) (ok, deep bool)) *Analyzer {
+	return &Analyzer{search: search}
 }
 
+// NewAnalyzer implements kernel.Incremental for Test.
+func (Test) NewAnalyzer() kernel.Analyzer { return NewAnalyzer(exact) }
+
 // QuickState is the fold state of the fast-path filters shared by EY and
-// ECDF (package ecdf imports it): the same filters front both tests
-// because ECDF's search can only succeed where some assignment passes the
-// identical LO/HI QPA machinery. It is exported so the EY/ECDF memos can
-// extend it one task at a time: every component is a left fold (or an
-// order-independent AND/count) over the task slice, so Extend on a saved
-// state reproduces the cold fold bit-for-bit.
+// ECDF: the same filters front both searches because ECDF's can only
+// succeed where some assignment passes the identical LO/HI QPA machinery.
+// The memo extends it one task at a time: every component is a left fold
+// (or an order-independent AND/count) over the task slice, so Extend on a
+// saved state reproduces the cold fold bit-for-bit. Package admission
+// folds it too, to judge the cores of an EY or ECDF snapshot.
 type QuickState struct {
 	ULO, UHI, DensLO float64
 	HC               int
@@ -114,43 +122,43 @@ func (q QuickState) Verdict() int {
 	return 0
 }
 
-// Memo is the shared EY/ECDF per-core memo: the last accepted set and its
-// filter-sum fold. Package ecdf embeds one in its analyzer too.
-type Memo struct {
-	Valid bool
-	Mem   []mcs.Task // last accepted set, slice order
-	Quick QuickState // FoldQuick over Mem, in Mem order
+// memo is the analyzer's per-core memo: the last accepted set and its
+// filter-sum fold.
+type memo struct {
+	valid bool
+	mem   []mcs.Task // last accepted set, slice order
+	quick QuickState // FoldQuick over mem, in mem order
 }
 
-// Extends reports whether ts is a one-task extension of the memoized set.
-func (m *Memo) Extends(ts mcs.TaskSet) bool {
-	return m.Valid && kernel.PrefixExtends(ts, m.Mem)
+// extends reports whether ts is a one-task extension of the memoized set.
+func (m *memo) extends(ts mcs.TaskSet) bool {
+	return m.valid && kernel.PrefixExtends(ts, m.mem)
 }
 
-// PromoteWarm appends the accepted newcomer; q must be the extended fold.
-func (m *Memo) PromoteWarm(x mcs.Task, q QuickState) {
-	m.Mem = append(m.Mem, x)
-	m.Quick = q
-	m.Valid = true
+// promoteWarm appends the accepted newcomer; q must be the extended fold.
+func (m *memo) promoteWarm(x mcs.Task, q QuickState) {
+	m.mem = append(m.mem, x)
+	m.quick = q
+	m.valid = true
 }
 
-// PromoteCold records a full accepted set; q must be FoldQuick(ts).
-func (m *Memo) PromoteCold(ts mcs.TaskSet, q QuickState) {
-	m.Mem = append(m.Mem[:0], ts...)
-	m.Quick = q
-	m.Valid = true
+// promoteCold records a full accepted set; q must be FoldQuick(ts).
+func (m *memo) promoteCold(ts mcs.TaskSet, q QuickState) {
+	m.mem = append(m.mem[:0], ts...)
+	m.quick = q
+	m.valid = true
 }
 
-// Forget removes a task by ID and refolds the filter sums over the
+// forget removes a task by ID and refolds the filter sums over the
 // compacted order (the cold fold of the set the Assigner probes
 // next). It reports whether anything was removed.
-func (m *Memo) Forget(id int) bool {
-	if !m.Valid {
+func (m *memo) forget(id int) bool {
+	if !m.valid {
 		return false
 	}
 	j := -1
-	for i := range m.Mem {
-		if m.Mem[i].ID == id {
+	for i := range m.mem {
+		if m.mem[i].ID == id {
 			j = i
 			break
 		}
@@ -158,21 +166,18 @@ func (m *Memo) Forget(id int) bool {
 	if j < 0 {
 		return false
 	}
-	m.Mem = append(m.Mem[:j], m.Mem[j+1:]...)
-	m.Quick = FoldQuick(mcs.TaskSet(m.Mem))
+	m.mem = append(m.mem[:j], m.mem[j+1:]...)
+	m.quick = FoldQuick(mcs.TaskSet(m.mem))
 	return true
 }
 
-// Invalidate drops the memo.
-func (m *Memo) Invalidate() { m.Valid = false }
-
 // Schedulable implements kernel.Analyzer; the verdict is bit-identical to
-// Test.Schedulable.
+// a cold run of the search on a fresh Shaper (Analyze, ecdf.Analyze).
 func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {
-	warm := a.memo.Extends(ts)
+	warm := a.memo.extends(ts)
 	var q QuickState
 	if warm {
-		q = a.memo.Quick.Extend(ts[len(ts)-1])
+		q = a.memo.quick.Extend(ts[len(ts)-1])
 	} else {
 		q = FoldQuick(ts)
 	}
@@ -187,19 +192,19 @@ func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {
 	}
 
 	if warm && a.curvesOK {
-		// Seeded exact run: the Shaper already holds memo.Mem's loosest
+		// Seeded exact run: the Shaper already holds memo.mem's loosest
 		// curves and horizon folds; append the newcomer and decide.
 		x := ts[len(ts)-1]
 		undo := a.sh.Extend(x)
-		ok, shaped := Exact(&a.sh, a.opts.maxIter())
+		ok, deep := a.search(&a.sh)
 		a.ctr.WarmStarts++
-		if shaped {
+		if deep {
 			a.ctr.ExactRuns++
 		} else {
 			a.ctr.IncrementalHits++
 		}
 		if ok {
-			a.memo.PromoteWarm(x, q)
+			a.memo.promoteWarm(x, q)
 			a.sh.RestoreLoosest()
 		} else {
 			a.sh.Truncate(undo)
@@ -210,13 +215,13 @@ func (a *Analyzer) Schedulable(ts mcs.TaskSet) bool {
 
 	a.ctr.ExactRuns++
 	a.sh.Reset(ts)
-	ok, _ := Exact(&a.sh, a.opts.maxIter())
+	ok, _ := a.search(&a.sh)
 	if ok {
-		a.memo.PromoteCold(ts, q)
+		a.memo.promoteCold(ts, q)
 		a.sh.RestoreLoosest()
 		a.curvesOK = true
 	} else {
-		// The arrays describe the rejected ts, not memo.Mem.
+		// The arrays describe the rejected ts, not memo.mem.
 		a.curvesOK = false
 	}
 	return ok
@@ -230,11 +235,11 @@ func (a *Analyzer) promoteFiltered(ts mcs.TaskSet, warm bool, q QuickState) {
 		if a.curvesOK {
 			a.sh.Extend(x)
 		}
-		a.memo.PromoteWarm(x, q)
+		a.memo.promoteWarm(x, q)
 		return
 	}
 	a.curvesOK = false
-	a.memo.PromoteCold(ts, q)
+	a.memo.promoteCold(ts, q)
 }
 
 // Forget implements kernel.Analyzer: the removed task leaves the memo,
@@ -242,17 +247,17 @@ func (a *Analyzer) promoteFiltered(ts mcs.TaskSet, warm bool, q QuickState) {
 // compacted set — all folds match the cold ones on the next probe,
 // so the memo stays valid across releases.
 func (a *Analyzer) Forget(id int) {
-	if !a.memo.Forget(id) {
+	if !a.memo.forget(id) {
 		return
 	}
 	if a.curvesOK {
-		a.sh.Reset(mcs.TaskSet(a.memo.Mem))
+		a.sh.Reset(mcs.TaskSet(a.memo.mem))
 	}
 }
 
 // Invalidate implements kernel.Analyzer.
 func (a *Analyzer) Invalidate() {
-	a.memo.Invalidate()
+	a.memo.valid = false
 	a.curvesOK = false
 }
 

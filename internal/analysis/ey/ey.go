@@ -9,8 +9,7 @@
 //
 // The demand bounds follow the published worst-case alignment; the shaping
 // loop is a documented reconstruction (the original's tuning order is
-// heuristic as well). Package ecdf builds a stronger search on top of the
-// same machinery.
+// heuristic as well).
 //
 // The test has one search, the Shaper's: the demand curves live in
 // positional arrays and are mutated in place as deadlines move. Analyze
@@ -21,29 +20,17 @@
 // go (Shaper.fastForward), so the run ends on the loop's deadlines with
 // a fraction of its walks. The stateless map-keyed search it replaced is
 // package oracle's EY, which the tests check it against move by move.
+//
+// Package ecdf builds a stronger search on the same machinery, and ECDF is
+// this package's Analyzer running that search: NewAnalyzer takes the
+// search as its one parameter, and Test's analyzer runs Exact at the
+// fixed iteration budget.
 package ey
 
 import "mcsched/internal/mcs"
 
-// Options tunes the shaping loop.
-type Options struct {
-	// MaxIter bounds the number of deadline adjustments (default 256).
-	MaxIter int
-}
-
-// DefaultOptions returns the defaults used by the experiments.
-func DefaultOptions() Options { return Options{MaxIter: 256} }
-
-func (o Options) maxIter() int {
-	if o.MaxIter <= 0 {
-		return 256
-	}
-	return o.MaxIter
-}
-
-// EffectiveMaxIter exposes the default coercion (MaxIter ≤ 0 → 256) for
-// package ecdf, whose restarts run the same shaping loop.
-func (o Options) EffectiveMaxIter() int { return o.maxIter() }
+// budget bounds the deadline adjustments of one shaping run.
+const budget = 256
 
 // Result reports the verdict and, when schedulable, the virtual-deadline
 // assignment (task ID → LO-mode relative deadline for HC tasks).
@@ -60,10 +47,10 @@ type Result struct {
 // time, checking that the LO test still holds after each move. It is the
 // analyzer's cold exact run; the accepted assignment is read off the
 // Shaper's curves.
-func Analyze(ts mcs.TaskSet, opts Options) Result {
+func Analyze(ts mcs.TaskSet) Result {
 	var s Shaper
 	s.Reset(ts)
-	if ok, _ := Exact(&s, opts.maxIter()); !ok {
+	if ok, _ := exact(&s); !ok {
 		return Result{}
 	}
 	return Result{Schedulable: true, VD: s.VDs(ts)}
@@ -86,13 +73,14 @@ func Exact(s *Shaper, maxIter int) (ok, shaped bool) {
 	return s.ShapeResume(w, demand, maxIter), true
 }
 
+// exact is EY's search: Exact at the fixed budget.
+func exact(s *Shaper) (ok, shaped bool) { return Exact(s, budget) }
+
 // Test is the partitioning-test adapter for EY.
-type Test struct {
-	Opts Options
-}
+type Test struct{}
 
 // Name implements the test interface.
 func (Test) Name() string { return "EY" }
 
 // Schedulable implements the test interface.
-func (t Test) Schedulable(ts mcs.TaskSet) bool { return Analyze(ts, t.Opts).Schedulable }
+func (Test) Schedulable(ts mcs.TaskSet) bool { return Analyze(ts).Schedulable }

@@ -13,7 +13,7 @@ import (
 func TestSingleTaskAccepted(t *testing.T) {
 	// One HC task always fits alone (C^H ≤ D is a model invariant).
 	ts := mcs.TaskSet{mcs.NewHC(0, 1, 2, 4)}
-	r := Analyze(ts, DefaultOptions())
+	r := Analyze(ts)
 	if !r.Schedulable {
 		t.Fatalf("single HC task rejected: %+v", r)
 	}
@@ -34,7 +34,7 @@ func TestTightPairNeedsShaping(t *testing.T) {
 	// Two C^L=C^H=2, T=D=4 tasks: plain EDF feasible (U=1), but the HI
 	// carry-over analysis with d=D fails; shaping must shrink one deadline.
 	ts := mcs.TaskSet{mcs.NewHC(0, 2, 2, 4), mcs.NewHC(1, 2, 2, 4)}
-	r := Analyze(ts, DefaultOptions())
+	r := Analyze(ts)
 	if !r.Schedulable {
 		t.Fatalf("tight degenerate pair rejected: %+v", r)
 	}
@@ -55,7 +55,7 @@ func TestOverloadRejected(t *testing.T) {
 
 func TestLCOnly(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewLC(0, 1, 4), mcs.NewLC(1, 2, 4)}
-	r := Analyze(ts, DefaultOptions())
+	r := Analyze(ts)
 	if !r.Schedulable {
 		t.Error("feasible LC-only set rejected")
 	}
@@ -78,7 +78,7 @@ func TestResultSelfConsistent(t *testing.T) {
 	accepted := 0
 	for i := 0; i < 300; i++ {
 		ts := randomSet(rng, 1+rng.Intn(5))
-		r := Analyze(ts, DefaultOptions())
+		r := Analyze(ts)
 		if !r.Schedulable {
 			continue
 		}
@@ -178,7 +178,7 @@ func TestGeneratedConstrained(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := Analyze(ts, DefaultOptions())
+		r := Analyze(ts)
 		if r.Schedulable {
 			accepted++
 			if !oracle.LOFeasible(ts, r.VD) {
@@ -212,7 +212,7 @@ func TestShapeFromDoesNotMutate(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewHC(0, 2, 2, 4), mcs.NewHC(1, 2, 2, 4)}
 	a := oracle.InitialAssignment(ts)
 	before := a.Clone()
-	oracle.ShapeFrom(ts, a, DefaultOptions().MaxIter)
+	oracle.ShapeFrom(ts, a, budget)
 	for id, d := range before {
 		if a[id] != d {
 			t.Fatalf("ShapeFrom mutated input assignment at task %d", id)
@@ -270,6 +270,6 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Analyze(sets[i%len(sets)], DefaultOptions())
+		Analyze(sets[i%len(sets)])
 	}
 }

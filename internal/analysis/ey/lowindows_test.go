@@ -166,6 +166,6 @@ func FuzzLOWindows(f *testing.F) {
 		if err != nil {
 			return // infeasible generator draw
 		}
-		diffShapingRuns(t, ts, DefaultOptions().maxIter(), &runStats{})
+		diffShapingRuns(t, ts, budget, &runStats{})
 	})
 }

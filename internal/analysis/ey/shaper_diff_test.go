@@ -293,7 +293,7 @@ func TestShaperMatchesEngineStepByStep(t *testing.T) {
 			continue
 		}
 		sets++
-		steps += diffShapingRuns(t, ts, DefaultOptions().maxIter(), &st)
+		steps += diffShapingRuns(t, ts, budget, &st)
 	}
 	if steps < 1000 {
 		t.Fatalf("only %d tuneSteps over %d sets: corpus too tame", steps, sets)
@@ -354,7 +354,7 @@ func TestShaperGrowingHorizon(t *testing.T) {
 		if err := ts.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		diffShapingRuns(t, ts, DefaultOptions().maxIter(), &st)
+		diffShapingRuns(t, ts, budget, &st)
 	}
 	if st.stops[stopHorizon] == 0 {
 		t.Fatalf("no fast-forward stopped on the horizon (stops %v)", st.stops)
@@ -364,7 +364,8 @@ func TestShaperGrowingHorizon(t *testing.T) {
 // FuzzShaperFastForward checks the shaping loops the analyzers call, fast
 // forwards included, against package oracle on small constrained sets
 // drawn from the fuzzed generator parameters and iteration budget (0
-// means the default): Analyze against oracle.EY, and Shape and
+// means the analyzers' 256, budgetOr): Exact on a fresh Shaper — the
+// analyzer's cold run — against oracle.EY, and Shape and
 // ShapeResume from the loosest and from a λ-scaled assignment against the
 // oracle Engine's loop (the one oracle.ShapeFrom runs) from the same one,
 // on the verdict and on the deadlines the run ends on, accepted or not.
@@ -375,7 +376,7 @@ func FuzzShaperFastForward(f *testing.F) {
 	f.Add(int64(1626), uint8(81), uint8(44), uint8(30), uint16(200), uint8(7), uint8(9), uint8(80))
 	f.Add(int64(239), uint8(79), uint8(19), uint8(38), uint16(60), uint8(0), uint8(3), uint8(20))
 	f.Add(int64(793), uint8(91), uint8(50), uint8(16), uint16(500), uint8(8), uint8(40), uint8(5))
-	f.Fuzz(func(t *testing.T, seed int64, uhh, ulh, ull uint8, tmax uint16, n, budget, lambda uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, uhh, ulh, ull uint8, tmax uint16, n, iters, lambda uint8) {
 		hh := float64(uhh%100) / 100
 		lh := float64(ulh%100) / 100
 		if lh > hh {
@@ -390,11 +391,14 @@ func FuzzShaperFastForward(f *testing.F) {
 		if err != nil {
 			return // infeasible generator draw
 		}
-		maxIter := Options{MaxIter: int(budget)}.maxIter()
+		maxIter := budgetOr(int(iters))
 
-		got, want := Analyze(ts, Options{MaxIter: maxIter}), oracle.EY(ts, maxIter)
-		if got.Schedulable != want.Schedulable || got.Schedulable && !sameAssignment(got.VD, want.VD) {
-			t.Fatalf("Analyze=%v %v, oracle.EY=%v %v for\n%v", got.Schedulable, got.VD, want.Schedulable, want.VD, ts)
+		var cold Shaper
+		cold.Reset(ts)
+		got, _ := Exact(&cold, maxIter)
+		want := oracle.EY(ts, maxIter)
+		if gotVD := cold.VDs(ts); got != want.Schedulable || got && !sameAssignment(gotVD, want.VD) {
+			t.Fatalf("Exact=%v %v, oracle.EY=%v %v for\n%v", got, gotVD, want.Schedulable, want.VD, ts)
 		}
 		for _, a := range []oracle.Assignment{oracle.InitialAssignment(ts), oracle.ScaledAssignment(ts, float64(lambda%101)/100)} {
 			wantA := a.Clone()
@@ -420,4 +424,13 @@ func FuzzShaperFastForward(f *testing.F) {
 			}
 		}
 	})
+}
+
+// budgetOr reads a fuzzed iteration budget: b ≤ 0 means the analyzers'
+// fixed budget of 256.
+func budgetOr(b int) int {
+	if b <= 0 {
+		return budget
+	}
+	return b
 }

@@ -343,24 +343,28 @@ func BenchmarkCUUDPPartition(b *testing.B) {
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// TestStrategySchedulableAllocs holds Algorithm.Schedulable under EDF-VD,
-// on BenchmarkCUUDPPartition's sets, to one allocation per call for every
-// strategy: the clone its task sequence is sorted in. The recycled
-// assigner, the placers' core orders and the probes allocate nothing.
+// TestStrategySchedulableAllocs holds Algorithm.Schedulable under every
+// registered test, on BenchmarkCUUDPPartition's sets, to one allocation
+// per call for every strategy: the clone its task sequence is sorted in.
+// The recycled assigner — its analyzers included, which needs every
+// registered test to be a comparable value (sameTest) — the placers' core
+// orders and the probes allocate nothing.
 func TestStrategySchedulableAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector")
 	}
 	sets := benchSets(t)
-	for _, s := range Strategies() {
-		alg := Algorithm{Strategy: s, Test: edfvd.Test{}}
-		i := 0
-		got := testing.AllocsPerRun(10*len(sets), func() {
-			alg.Schedulable(sets[i%len(sets)], 8)
-			i++
-		})
-		if got > 1 {
-			t.Errorf("%s: %.0f allocs per Schedulable, want at most 1", s.Name(), got)
+	for _, test := range allTests() {
+		for _, s := range Strategies() {
+			alg := Algorithm{Strategy: s, Test: test}
+			i := 0
+			got := testing.AllocsPerRun(10*len(sets), func() {
+				alg.Schedulable(sets[i%len(sets)], 8)
+				i++
+			})
+			if got > 1 {
+				t.Errorf("%s-%s: %.0f allocs per Schedulable, want at most 1", s.Name(), test.Name(), got)
+			}
 		}
 	}
 }

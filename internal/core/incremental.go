@@ -91,11 +91,9 @@ func (a *Assigner) Reset(m int, test Test) {
 
 // sameTest reports whether two tests are the same configuration of the
 // same family, so analyzers built for one serve the other. Tests that
-// cannot be compared are never the same — and that includes ecdf.Test,
-// whose Options hold the Lambdas slice: an ECDF assigner is rebuilt on
-// every Reset, Algorithm.Schedulable's recycling never applies to it.
-// (Comparing it with reflect.DeepEqual instead was measured while sizing
-// PR 22 and moves Figure5(8, 240, 2017) by nothing; not worth the rule.)
+// cannot be compared are never the same: every registered test is a
+// comparable value, but a caller's own test may hold a slice or a map,
+// and comparing two of those would panic.
 func sameTest(x, y Test) bool {
 	if x == nil || y == nil {
 		return false

@@ -30,8 +30,8 @@ type uncomparableTest struct {
 func TestSchedulableRecycledMatchesPartition(t *testing.T) {
 	tests := []Test{
 		edfvd.Test{},
-		ecdf.Test{Opts: ecdf.DefaultOptions()},
-		ey.Test{Opts: ey.DefaultOptions()},
+		ecdf.Test{},
+		ey.Test{},
 		amc.Test{Opts: amc.DefaultOptions()},
 		uncomparableTest{pad: []int{1}},
 	}

@@ -16,8 +16,8 @@ import (
 func Tests() []Test {
 	return []Test{
 		edfvd.Test{},
-		ecdf.Test{Opts: ecdf.DefaultOptions()},
-		ey.Test{Opts: ey.DefaultOptions()},
+		ecdf.Test{},
+		ey.Test{},
 		amc.Test{Opts: amc.DefaultOptions()},
 	}
 }

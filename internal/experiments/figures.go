@@ -14,10 +14,10 @@ import (
 func EDFVDTest() core.Test { return edfvd.Test{} }
 
 // ECDFTest returns the demand-bound ECDF test.
-func ECDFTest() core.Test { return ecdf.Test{Opts: ecdf.DefaultOptions()} }
+func ECDFTest() core.Test { return ecdf.Test{} }
 
 // EYTest returns the Ekberg–Yi demand-bound test used by the baselines.
-func EYTest() core.Test { return ey.Test{Opts: ey.DefaultOptions()} }
+func EYTest() core.Test { return ey.Test{} }
 
 // AMCTest returns the fixed-priority AMC-max test with Audsley priority
 // assignment, the variant the paper evaluates.

@@ -12,7 +12,7 @@ type ECDFResult struct {
 	Restarts int
 }
 
-// DefaultLambdas returns ecdf.DefaultOptions' restart scale factors.
+// DefaultLambdas returns the restart scale factors package ecdf uses.
 func DefaultLambdas() []float64 { return []float64{0.8, 0.6, 0.4, 0.2, 0.05} }
 
 // ECDF runs the stateless ECDF search: the EY pass from the loosest

@@ -15,8 +15,8 @@ type EYResult struct {
 	Iterations int
 }
 
-// maxIterOr coerces a non-positive iteration budget to the default 256,
-// as ey.Options does.
+// maxIterOr coerces a non-positive iteration budget to 256, the fixed
+// budget of packages ey and ecdf.
 func maxIterOr(maxIter int) int {
 	if maxIter <= 0 {
 		return 256

@@ -130,11 +130,11 @@ func AnalyzeEDFVD(ts TaskSet) EDFVDAnalysis { return edfvd.Analyze(ts) }
 // ECDF returns the demand-bound-function test with per-task virtual
 // deadlines and tightened carry-over accounting (Easwaran, RTSS 2013). It
 // handles implicit and constrained deadlines and dominates EY.
-func ECDF() Test { return ecdf.Test{Opts: ecdf.DefaultOptions()} }
+func ECDF() Test { return ecdf.Test{} }
 
 // EY returns the Ekberg–Yi demand-bound test (ECRTS 2012), used by the
 // baseline algorithms ECA-Wu-F-EY and CA-F-F-EY.
-func EY() Test { return ey.Test{Opts: ey.DefaultOptions()} }
+func EY() Test { return ey.Test{} }
 
 // AMC returns the fixed-priority AMC-max response-time test of Baruah,
 // Burns and Davis (RTSS 2011) with Audsley optimal priority assignment —
