@@ -335,6 +335,8 @@ func TestRemoveSystemAndStats(t *testing.T) {
 	if got := c.SystemIDs(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("SystemIDs: %v", got)
 	}
+	var removed []string
+	c.SetHooks(Hooks{Removed: func(id string) { removed = append(removed, id) }})
 	if err := c.RemoveSystem("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -343,6 +345,14 @@ func TestRemoveSystemAndStats(t *testing.T) {
 	}
 	if st := c.Stats(); st.Systems != 1 {
 		t.Errorf("stats after remove: %+v", st)
+	}
+	if len(removed) != 1 || removed[0] != "a" {
+		t.Errorf("Removed hook saw %v, want [a]", removed)
+	}
+	// Hooks without a Removed callback: a removal must not call it.
+	c.SetHooks(Hooks{})
+	if err := c.RemoveSystem("b"); err != nil {
+		t.Fatal(err)
 	}
 }
 

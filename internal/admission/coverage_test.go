@@ -126,3 +126,33 @@ func TestReplayKeepsUncoveredAdmit(t *testing.T) {
 		t.Fatalf("follower diverged:\n got %s\nwant %s", got, want)
 	}
 }
+
+// TestFollowerApplyRefusals: a controller that is not a follower applies no
+// replicated record, and a follower refuses a record past its local tail.
+func TestFollowerApplyRefusals(t *testing.T) {
+	tj := mcsio.TaskToJSON(hc(1, 1, 2, 100))
+	encode := func(e mcsio.EventJSON) [][]byte {
+		b, err := mcsio.EncodeEventBinary(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return [][]byte{b}
+	}
+	create := encode(mcsio.EventJSON{Seq: 1, Kind: mcsio.EventCreateSystem, System: "t", Processors: 1, Test: edfvd.Test{}.Name()})
+	leader := NewController(crashConfig(t.TempDir()))
+	defer leader.Close()
+	if _, applied, err := leader.ApplyReplicatedRecords("t", 1, create); !errors.Is(err, ErrNotFollower) || applied != 0 {
+		t.Errorf("leader applied %d records: %v", applied, err)
+	}
+	fcfg := crashConfig(t.TempDir())
+	fcfg.Follower = true
+	follower := NewController(fcfg)
+	defer follower.Close()
+	if _, _, err := follower.ApplyReplicatedRecords("t", 1, create); err != nil {
+		t.Fatal(err)
+	}
+	gap := encode(mcsio.EventJSON{Seq: 3, Kind: mcsio.EventAdmit, Task: &tj, Core: 0})
+	if _, applied, err := follower.ApplyReplicatedRecords("t", 3, gap); !errors.Is(err, ErrReplicationGap) || applied != 0 {
+		t.Errorf("record 3 after record 1: applied %d, %v", applied, err)
+	}
+}

@@ -72,14 +72,10 @@ func (c *Controller) TenantNext(tenant string) uint64 {
 // leader's own tail for lag computation.
 func (c *Controller) ReplicationProgress() map[string]uint64 {
 	out := make(map[string]uint64)
-	for _, id := range c.SystemIDs() {
-		sys, err := c.System(id)
-		if err != nil {
-			continue
-		}
+	for _, sys := range c.allSystems() {
 		sys.mu.Lock()
 		if sys.log != nil {
-			out[id] = sys.log.NextSeq()
+			out[sys.id] = sys.log.NextSeq()
 		}
 		sys.mu.Unlock()
 	}

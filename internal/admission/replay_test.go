@@ -11,11 +11,15 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"mcsched/internal/analysis/amc"
 	"mcsched/internal/analysis/ey"
 	"mcsched/internal/core"
+	"mcsched/internal/journal"
 	"mcsched/internal/mcs"
 	"mcsched/internal/mcsio"
 	"mcsched/internal/taskgen"
@@ -353,8 +357,31 @@ func TestRecoverFailsClosed(t *testing.T) {
 		}
 		live.Close()
 		rec := NewController(cfg)
-		if _, err := rec.Recover(); err == nil {
-			t.Fatal("journal with unresolvable test recovered without error")
+		if _, err := rec.Recover(); err == nil || !strings.Contains(err.Error(), unregistered.Name()) {
+			t.Fatalf("journal with unresolvable test: %v, want an error naming %s", err, unregistered.Name())
+		}
+	})
+	t.Run("torn snapshot", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.DataDir, cfg.SnapshotEvery = t.TempDir(), 1
+		live := NewController(cfg)
+		if _, err := mustSystem(t, live, "d", 1).Admit(mcs.NewLC(1, 1, 10)); err != nil {
+			t.Fatal(err)
+		}
+		live.Close()
+		snaps, err := filepath.Glob(filepath.Join(cfg.DataDir, "*", "snap-*"))
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("snapshots %v, %v", snaps, err)
+		}
+		b, err := os.ReadFile(snaps[0])
+		if err == nil {
+			err = os.WriteFile(snaps[0], b[:len(b)-1], 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewController(cfg).Recover(); !errors.Is(err, journal.ErrCorrupt) {
+			t.Fatalf("torn snapshot recovered: %v", err)
 		}
 	})
 	// A rewritten snapshot, CRC intact, must pass the rule a snapshot frame
@@ -567,4 +594,34 @@ func FuzzReplicatedSnapshot(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestAutoSnapshotFailuresCounted: an automatic snapshot that cannot be
+// written is counted and is not fatal, since the record that crossed the
+// cadence is already durable; a written one counts nothing. A directory
+// where a snapshot's temporary file would go makes its write fail.
+func TestAutoSnapshotFailuresCounted(t *testing.T) {
+	c := NewController(Config{DataDir: t.TempDir(), SnapshotEvery: 2})
+	sys := mustSystem(t, c, "t", 1)
+	admit := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if r, err := sys.Admit(hc(i, 1, 2, 100)); err != nil || !r.Admitted {
+				t.Fatalf("admit %d: %+v %v", i, r, err)
+			}
+		}
+	}
+	admit(0, 4)
+	if js := c.Stats().Journal; js.Snapshots == 0 || js.SnapshotFailures != 0 {
+		t.Fatalf("after written snapshots: %+v", js)
+	}
+	for seq := 1; seq <= 20; seq++ {
+		if err := os.Mkdir(filepath.Join(c.tenantDir("t"), fmt.Sprintf("snap-%d.tmp", seq)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	admit(4, 8)
+	if js := c.Stats().Journal; js.SnapshotFailures == 0 {
+		t.Errorf("failed snapshots not counted: %+v", js)
+	}
 }

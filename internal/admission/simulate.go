@@ -1,8 +1,9 @@
 package admission
 
 // Read-only what-if simulation of a live tenant. Simulate snapshots the
-// tenant's partition (the only step that takes the system lock), derives
-// the runtime configuration the tenant's schedulability test certifies —
+// tenant's partition and each core's certified set (the only step that
+// takes the system lock), derives the runtime configuration the tenant's
+// schedulability test certifies —
 // virtual deadlines for the EDF family, fixed priorities for AMC — and
 // executes the whole partition in the discrete-event engine. The engine
 // run happens entirely outside the lock, so a long simulation never blocks
@@ -11,6 +12,7 @@ package admission
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mcsched/internal/analysis/amc"
@@ -47,11 +49,15 @@ type SimOutcome struct {
 // baselines, a test of the caller's own, nil — runs EDF on real
 // deadlines, which is exactly what an uncertified core would run.
 //
-// Each variant degrades safely when the analysis no longer accepts the
-// core (possible only for a partition assembled outside admission): the
-// runtime falls back to real deadlines or deadline-monotonic priorities
-// rather than failing, so the simulation still executes something
-// well-defined.
+// Simulate passes the set the core's last accept certified, which a release
+// leaves a superset of the tasks the core runs (keepCertificate says why
+// its certificate still holds for them); the engine looks VDs and
+// priorities up by task ID, so the extra entries are inert. A core restored
+// from a snapshot has no kept set and falls back to its current one, which
+// the analysis may refuse cold under EY and ECDF. Each variant then
+// degrades safely: the runtime falls back to real deadlines or
+// deadline-monotonic priorities rather than failing, so the simulation
+// still executes something well-defined.
 func RuntimeForCore(test core.Test, ts mcs.TaskSet) sim.CoreRuntime {
 	switch t := test.(type) {
 	case edfvd.Test:
@@ -86,8 +92,9 @@ func RuntimeForPartition(test core.Test, cores []mcs.TaskSet) []sim.CoreRuntime 
 	return rt
 }
 
-// Simulate executes the tenant's current partition under the spec. It is a
-// pure read: the tenant lock is held only while snapshotting the partition,
+// Simulate executes the tenant's current partition under the spec, each
+// core under the runtime its last accept certified. It is a pure read: the
+// tenant lock is held only while snapshotting the partition,
 // and no tenant or controller state changes beyond the simulation counters.
 // The result is deterministic for a fixed (partition, spec) pair.
 func (s *System) Simulate(spec sim.Spec) (SimOutcome, error) {
@@ -99,10 +106,10 @@ func (s *System) Simulate(spec sim.Spec) (SimOutcome, error) {
 	if m != nil {
 		start = time.Now()
 	}
-	p := s.Snapshot()
+	p, certified := s.certified()
 	name := s.TestName()
 	test, _ := core.TestByName(name)
-	res, err := sim.SimulateSystem(p.Cores, RuntimeForPartition(test, p.Cores), spec)
+	res, err := sim.SimulateSystem(p.Cores, RuntimeForPartition(test, certified), spec)
 	if err != nil {
 		return SimOutcome{}, fmt.Errorf("%w: %v", ErrBadScenario, err)
 	}
@@ -111,6 +118,22 @@ func (s *System) Simulate(spec sim.Spec) (SimOutcome, error) {
 		m.simulateSeconds.Observe(time.Since(start))
 	}
 	return SimOutcome{System: s.id, Test: name, Tasks: p.NumTasks(), Result: res}, nil
+}
+
+// certified copies, under one hold of the tenant lock, the partition and
+// the set each core's runtime is derived from: the core's kept certificate,
+// or its current set when it has none.
+func (s *System) certified() (core.Partition, []mcs.TaskSet) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p := s.asn.Snapshot()
+	certified := slices.Clone(p.Cores)
+	for k, c := range s.certs {
+		if len(c) > 0 {
+			certified[k] = c.Clone()
+		}
+	}
+	return p, certified
 }
 
 // Simulate resolves the tenant and executes Simulate on it.

@@ -160,3 +160,80 @@ func TestSimulateEmptyTenant(t *testing.T) {
 		t.Errorf("empty tenant result: %+v", out.Result)
 	}
 }
+
+// TestReleaseKeepsCertificate: a release leaves each core running under the
+// certificate of the set its last accept certified. ECDF is not sustainable:
+// after these nine tasks lose task 1, a cold rerun refuses the rest
+// (TestSustainableUnderRemoval), and the real-deadline fallback lets task 3
+// miss deadline 51 in HI mode.
+func TestReleaseKeepsCertificate(t *testing.T) {
+	c := newTestController()
+	sys, err := c.CreateSystem("t", 1, ecdf.Test{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nine := mcs.TaskSet{
+		mcs.NewHCConstrained(1, 2, 3, 80, 68),
+		mcs.NewHCConstrained(2, 13, 24, 45, 42),
+		mcs.NewHCConstrained(3, 1, 17, 72, 51),
+		mcs.NewLCConstrained(5, 1, 18, 11),
+		mcs.NewLCConstrained(6, 3, 33, 17),
+		mcs.NewLCConstrained(7, 2, 14, 10),
+		mcs.NewLCConstrained(8, 5, 99, 60),
+		mcs.NewLCConstrained(9, 3, 21, 10),
+		mcs.NewLCConstrained(10, 7, 84, 75),
+	}
+	for _, task := range nine {
+		if r, err := sys.Admit(task); err != nil || !r.Admitted {
+			t.Fatalf("admit %d: %+v %v", task.ID, r, err)
+		}
+	}
+	if _, err := sys.Release(1); err != nil {
+		t.Fatal(err)
+	}
+	if ecdf.Analyze(nine[1:]).Schedulable {
+		t.Fatal("the released set passes ECDF cold; the fixture no longer needs the certificate")
+	}
+	out, err := sys.Simulate(sim.Spec{Horizon: 200000, Scenario: sim.SpecHiStorm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Result.OK() {
+		t.Fatalf("%d misses after the release, first %+v", out.Result.Misses, out.Result.Cores[0].FirstMiss)
+	}
+}
+
+// TestCertificateLifecycle: the first release after an accept keeps the
+// accepted set, a second release and a rolled-back batch leave it alone, and
+// the next accept on the core drops it.
+func TestCertificateLifecycle(t *testing.T) {
+	c := newTestController()
+	sys := mustSystem(t, c, "t", 1)
+	for _, task := range []mcs.Task{hc(1, 1, 2, 10), lc(2, 1, 10), lc(3, 1, 10)} {
+		if r, err := sys.Admit(task); err != nil || !r.Admitted {
+			t.Fatalf("admit %d: %+v %v", task.ID, r, err)
+		}
+	}
+	accepted := sys.Snapshot().Cores[0]
+	kept := func(when string, want mcs.TaskSet) {
+		t.Helper()
+		if _, certs := sys.certified(); !reflect.DeepEqual(certs[0], want) {
+			t.Errorf("%s: runtime derived from %v, want %v", when, certs[0], want)
+		}
+	}
+	kept("after admits", accepted)
+	for _, id := range []int{2, 3} {
+		if _, err := sys.Release(id); err != nil {
+			t.Fatal(err)
+		}
+		kept("after a release", accepted)
+	}
+	if r, err := sys.AdmitBatch(mcs.TaskSet{lc(4, 5, 10), lc(5, 5, 10)}); err != nil || r.Admitted {
+		t.Fatalf("batch with a misfit: %+v %v", r, err)
+	}
+	kept("after a rolled-back batch", accepted)
+	if r, err := sys.Admit(lc(6, 1, 10)); err != nil || !r.Admitted {
+		t.Fatalf("admit: %+v %v", r, err)
+	}
+	kept("after an accept", sys.Snapshot().Cores[0])
+}

@@ -234,7 +234,8 @@ func (s *System) replay(e mcsio.EventJSON, stage func() (func() error, error)) (
 //     placement. A misfit, a divergence or a probe rolls back.
 //  3. stage: the record goes to the journal. A failure rolls back — the
 //     transition never happened.
-//  4. mutate: admits keep their placements, releases remove their tasks.
+//  4. mutate: admits keep their placements, releases remove their tasks;
+//     each core keeps the set its last accept certified (keepCertificate).
 //  5. count: the tenant's lifetime counters and the controller-wide ones,
 //     under the tenant lock and before the durability wait. A transition
 //     whose flush later fails is therefore counted although its caller sees
@@ -299,10 +300,18 @@ func (s *System) apply(tr *transition, stage func() (func() error, error)) (func
 		return nil, err
 	}
 
-	// Removal is never re-analysed: the remaining tasks keep the schedule
-	// the test certified for the larger set (see checkSnapshot for EY and
-	// ECDF, whose cold rerun may still refuse the core).
+	// An accept certifies its core's set as it now stands. Removal is never
+	// re-analysed: the remaining tasks keep the schedule the test certified
+	// for the larger set, which the core keeps until its next accept.
+	for i := range placed {
+		if tr.replayed {
+			s.dropCertificate(tr.cores[i])
+		} else {
+			s.dropCertificate(tr.results[i].Core)
+		}
+	}
 	for _, id := range tr.ids {
+		s.keepCertificate(id)
 		s.asn.Remove(id)
 		delete(s.resident, id)
 	}
@@ -379,4 +388,45 @@ func (s *System) rollback(cursor int, placed mcs.TaskSet) {
 		delete(s.resident, t.ID)
 	}
 	s.asn.SetLastCore(cursor)
+}
+
+// keepCertificate is called before task id leaves its core. On the first
+// release from the core since its last accept, it copies the core's set —
+// the one that accept certified — into the core's reused buffer. Deriving
+// the runtime from that set (RuntimeForCore) keeps it certified for every
+// subset a release leaves:
+//   - EY and ECDF: at fixed virtual deadlines, each task's LO and HI
+//     demand-bound terms depend on that task alone, and the test bounds
+//     their sum at every point, so dropping a task drops only terms;
+//   - AMC: under a fixed priority order, a release only removes
+//     interference from every remaining task's response time;
+//   - EDF-VD: both of its inequalities are monotone in utilization at a
+//     fixed x.
+//
+// A cold rerun on the subset has no such guarantee under EY and ECDF,
+// which are not sustainable (TestSustainableUnderRemoval pins a set of
+// each whose rerun refuses what a release leaves).
+func (s *System) keepCertificate(id int) {
+	for k := 0; k < s.asn.NumCores(); k++ {
+		for _, t := range s.asn.Core(k) {
+			if t.ID != id {
+				continue
+			}
+			if s.certs == nil {
+				s.certs = make([]mcs.TaskSet, s.asn.NumCores())
+			}
+			if len(s.certs[k]) == 0 {
+				s.certs[k] = append(s.certs[k], s.asn.Core(k)...)
+			}
+			return
+		}
+	}
+}
+
+// dropCertificate forgets core k's kept set: an accept just certified the
+// core's current set.
+func (s *System) dropCertificate(k int) {
+	if k < len(s.certs) {
+		s.certs[k] = s.certs[k][:0]
+	}
 }

@@ -90,6 +90,16 @@ type System struct {
 	oneCore    [1]int
 	oneResult  [1]AdmitResult
 	relScratch []int
+
+	// certs holds, per core, the task set the core's last accept certified,
+	// once a release has left the core with a strict subset of it; it is
+	// empty while the current set is itself the certified one. The first
+	// release after an accept copies the set into the core's reused buffer
+	// and the next accept on the core drops it (apply). Probes and
+	// rolled-back placements never touch it, and a snapshot restore starts
+	// without one. Simulate derives each core's runtime from it. Guarded by
+	// mu.
+	certs []mcs.TaskSet
 }
 
 // ID returns the tenant identifier.
@@ -180,24 +190,6 @@ func (s *System) AnalyzerCounters() kernel.Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.asn.AnalyzerCounters()
-}
-
-// place runs the online placement decision for one task without
-// committing anything: the tenant's placer ranks (and may prune) the
-// candidate cores — worst-fit by utilization difference for HC tasks and
-// first-fit for LC tasks under the default UDP heuristic — and only the
-// candidate core's task set is re-analyzed. Caller holds s.mu.
-func (s *System) place(t mcs.Task) AdmitResult {
-	res := AdmitResult{TaskID: t.ID, Core: -1}
-	if k := s.asn.FirstFitting(t, s.placer.Order(s.asn, t)); k >= 0 {
-		res.Admitted = true
-		res.Core = k
-		return res
-	}
-	// The reason is precomputed (the rejected ID is already in TaskID), so
-	// a rejecting decision is as allocation-free as an accepting one.
-	res.Reason = s.rejectReason
-	return res
 }
 
 // applyLive runs one live transition through apply: the stage encodes the
@@ -320,8 +312,9 @@ func (s *System) decideBatch(ts mcs.TaskSet, commit bool) (BatchResult, error) {
 // Release removes the tasks with the given IDs and returns how many tasks
 // it released (repeated IDs count once). It is transactional: when any ID
 // is unknown, nothing is released. Removal never needs re-analysis — the
-// remaining tasks keep the schedule the test certified for the larger set
-// — so a release is O(n) bookkeeping.
+// remaining tasks keep the schedule the test certified for the larger set,
+// whose tasks the core keeps (keepCertificate) — so a release is O(n)
+// bookkeeping.
 func (s *System) Release(ids ...int) (int, error) {
 	m, start := s.timed()
 	s.mu.Lock()

@@ -89,28 +89,36 @@ type traceRecorder struct {
 
 func (tr *traceRecorder) recordProbe(ct CoreTrace) { tr.cores = append(tr.cores, ct) }
 
-// placeTraced is place with per-probe recording: the same scan over the
-// same placement order, recording each probe's outcome. With rec == nil it
-// delegates to the plain placement path — the single branch is all the hot
-// path pays for explainability. Caller holds s.mu.
+// placeTraced runs the online placement decision for one task without
+// committing anything: the tenant's placer ranks (and may prune) the
+// candidate cores — worst-fit by utilization difference for HC tasks and
+// first-fit for LC tasks under the default UDP heuristic — and only the
+// candidate core's task set is re-analyzed. A non-nil rec also records each
+// probe's outcome; with rec == nil the scan pays two branches per probe
+// for explainability. Caller holds s.mu.
 func (s *System) placeTraced(t mcs.Task, rec probeRecorder) AdmitResult {
-	if rec == nil {
-		return s.place(t)
-	}
 	res := AdmitResult{TaskID: t.ID, Core: -1}
 	for _, k := range s.placer.Order(s.asn, t) {
-		ct := CoreTrace{Core: k, Tasks: len(s.asn.Core(k)),
-			UtilDiff: s.asn.UtilDiff(k), Score: s.placer.Score(s.asn, t, k)}
-		before := s.asn.CoreCounters(k)
-		ct.Fits = s.asn.Fits(t, k)
-		ct.Via, ct.WarmStart = classifyProbe(before, s.asn.CoreCounters(k))
-		rec.recordProbe(ct)
-		if ct.Fits {
-			res.Admitted = true
-			res.Core = k
+		var ct CoreTrace
+		var before kernel.Counters
+		if rec != nil {
+			ct = CoreTrace{Core: k, Tasks: len(s.asn.Core(k)),
+				UtilDiff: s.asn.UtilDiff(k), Score: s.placer.Score(s.asn, t, k)}
+			before = s.asn.CoreCounters(k)
+		}
+		fits := s.asn.Fits(t, k)
+		if rec != nil {
+			ct.Fits = fits
+			ct.Via, ct.WarmStart = classifyProbe(before, s.asn.CoreCounters(k))
+			rec.recordProbe(ct)
+		}
+		if fits {
+			res.Admitted, res.Core = true, k
 			return res
 		}
 	}
+	// The reason is precomputed (the rejected ID is already in TaskID), so
+	// a rejecting decision is as allocation-free as an accepting one.
 	res.Reason = s.rejectReason
 	return res
 }

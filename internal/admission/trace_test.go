@@ -161,9 +161,10 @@ func TestExplainMatchesPlainDecision(t *testing.T) {
 
 // TestStatsMatchMetricsExposition proves the one-source-of-truth property:
 // after traffic, the counters in Stats() and the series rendered on
-// /metrics are the same numbers.
+// /metrics are the same numbers. The controller journals, so the journal
+// instruments register too.
 func TestStatsMatchMetricsExposition(t *testing.T) {
-	c := newTestController()
+	c := NewController(Config{DataDir: t.TempDir()})
 	reg := obs.NewRegistry()
 	c.EnableMetrics(reg)
 	sys := mustSystem(t, c, "t", 2)
@@ -192,6 +193,7 @@ func TestStatsMatchMetricsExposition(t *testing.T) {
 		{"mcsched_admission_releases_total", st.Releases},
 		{"mcsched_admission_tests_run_total", st.TestsRun},
 		{"mcsched_analyzer_exact_runs_total", st.ExactRuns},
+		{"mcsched_admission_follower", 0}, // a leader
 	} {
 		line := fmtSeries(want.series, want.value)
 		if !strings.Contains(exposition, line) {
@@ -207,6 +209,12 @@ func TestStatsMatchMetricsExposition(t *testing.T) {
 	}
 	if !strings.Contains(exposition, "mcsched_admission_release_duration_seconds_count 1") {
 		t.Errorf("release histogram did not observe:\n%s", exposition)
+	}
+	// The admit's clock started at the admit: its duration is far below a
+	// minute.
+	_, sum, _ := strings.Cut(exposition, "mcsched_admission_admit_duration_seconds_sum ")
+	if secs, err := strconv.ParseFloat(strings.Fields(sum)[0], 64); err != nil || secs >= 60 {
+		t.Errorf("admit histogram sum %q: %v", strings.Fields(sum)[0], err)
 	}
 }
 

@@ -69,29 +69,6 @@ func TestRejectOverload(t *testing.T) {
 
 // AMC-max dominates AMC-rtb (Baruah/Burns/Davis): anything rtb accepts,
 // max accepts.
-func TestMaxDominatesRTB(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	rtbAcc, maxAcc := 0, 0
-	for i := 0; i < 500; i++ {
-		ts := randomSet(rng, 2+rng.Intn(5))
-		rtb := oracle.AMC(ts, oracle.AMCOptions{}).Schedulable
-		mx := oracle.AMC(ts, oracle.AMCOptions{Max: true}).Schedulable
-		if rtb {
-			rtbAcc++
-			if !mx {
-				t.Fatalf("rtb accepted, max rejected: %v", ts)
-			}
-		}
-		if mx {
-			maxAcc++
-		}
-	}
-	if maxAcc <= rtbAcc {
-		t.Logf("warning: max %d vs rtb %d — dominance strict nowhere in sample", maxAcc, rtbAcc)
-	}
-	t.Logf("rtb %d, max %d of 500", rtbAcc, maxAcc)
-}
-
 // Audsley dominates deadline-monotonic for OPA-compatible tests.
 func TestAudsleyDominatesDM(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
@@ -284,5 +261,45 @@ func TestDeadlineMonotonicPriorities(t *testing.T) {
 	p := DeadlineMonotonicPriorities(ts)
 	if p[13] != 0 || p[11] != 1 || p[12] != 2 || p[10] != 3 {
 		t.Fatalf("unexpected priority order: %v", p)
+	}
+}
+
+// TestMemoHoldsFixedPoints: after every accepted prefix extension, the
+// analyzer's memo under both priority policies stores at each priority
+// position the response times a cold analysis of that task under the tasks
+// above it gives. Warm starts read these values as lower bounds.
+func TestMemoHoldsFixedPoints(t *testing.T) {
+	for _, opts := range []Options{DefaultOptions(), {Variant: Max, Policy: DeadlineMonotonic}} {
+		rng := rand.New(rand.NewSource(5))
+		for trial := 0; trial < 40; trial++ {
+			a := Test{Opts: opts}.NewAnalyzer().(*Analyzer)
+			var ts mcs.TaskSet
+			for i := 0; i < 12; i++ {
+				period := mcs.Ticks(10 + rng.Intn(90))
+				c := 1 + mcs.Ticks(rng.Intn(int(period)/6+1))
+				task := mcs.NewLC(i, c, period)
+				if rng.Intn(2) == 0 {
+					task = mcs.NewHC(i, c, c+mcs.Ticks(rng.Intn(int(c)+1)), period)
+				}
+				if !a.Schedulable(append(ts.Clone(), task)) {
+					continue
+				}
+				ts = append(ts, task)
+				if !a.seedOK || len(a.posLO) != len(a.pos) || len(a.posHI) != len(a.pos) {
+					t.Fatalf("%+v: memo of %d positions holds %d/%d response times (seeds valid: %v)",
+						opts, len(a.pos), len(a.posLO), len(a.posHI), a.seedOK)
+				}
+				var hp mcs.TaskSet
+				for p, idx := range a.pos {
+					task := a.mem[idx]
+					rlo, rhi, ok := (&Analyzer{opts: opts}).taskFeasibleW(task, hp, 0, 0)
+					if !ok || a.posLO[p] != rlo || task.IsHC() && a.posHI[p] != rhi && rhi != 0 {
+						t.Fatalf("%+v: position %d (task %d) memoizes (%d, %d), cold (%d, %d, %v)",
+							opts, p, task.ID, a.posLO[p], a.posHI[p], rlo, rhi, ok)
+					}
+					hp = append(hp, task)
+				}
+			}
+		}
 	}
 }

@@ -253,19 +253,52 @@ func TestAnalyzerDifferentialReleaseHeavy(t *testing.T) {
 }
 
 // TestAnalyzerForgetUnknownID: pruning an ID the analyzer never saw must be
-// a no-op, and Invalidate must leave the analyzer functional.
+// a no-op, and Invalidate must leave the analyzer functional and cold. Of
+// three analyzers that accepted the same set, one forgets an unknown ID and
+// one is invalidated before all three probe an extension of it: the first
+// must take the plain analyzer's path, counter for counter, and the second
+// no warm or incremental one.
 func TestAnalyzerForgetUnknownID(t *testing.T) {
+	ts := mcs.TaskSet{mcs.NewHC(1, 1, 2, 10), mcs.NewLC(2, 1, 12)}
+	for _, test := range analyzerFamilies() {
+		want := oracleOf(test)(ts)
+		plain, forgot, invalid := test.NewAnalyzer(), test.NewAnalyzer(), test.NewAnalyzer()
+		for _, an := range []kernel.Analyzer{plain, forgot, invalid} {
+			if !an.Schedulable(ts[:1]) {
+				t.Fatalf("%s refuses %v", test.Name(), ts[:1])
+			}
+		}
+		forgot.Forget(99)
+		invalid.Invalidate()
+		for _, an := range []kernel.Analyzer{plain, forgot, invalid} {
+			if got := an.Schedulable(ts); got != want {
+				t.Fatalf("%s: analyzer=%v oracle=%v", test.Name(), got, want)
+			}
+		}
+		if *forgot.Counters() != *plain.Counters() {
+			t.Errorf("%s: forgetting an unknown ID changed the next probe (counters %+v, plain %+v)",
+				test.Name(), *forgot.Counters(), *plain.Counters())
+		}
+		if c := *invalid.Counters(); c.WarmStarts != 0 || c.IncrementalHits != 0 {
+			t.Errorf("%s: the probe after Invalidate ran warm (counters %+v)", test.Name(), c)
+		}
+	}
+}
+
+// TestAnalyzerColdAcceptDropsCurves: an exact run leaves curves of a heavy
+// set cached; a filter accepts an unrelated light set cold; the next probe
+// extends the light set and must be decided on its own curves, not on the
+// heavy set's with the newcomer added.
+func TestAnalyzerColdAcceptDropsCurves(t *testing.T) {
+	heavy := mcs.TaskSet{mcs.NewHC(1, 4, 8, 10)}
+	light := mcs.TaskSet{mcs.NewLC(2, 1, 100)}
+	grown := append(light.Clone(), mcs.NewHC(3, 2, 5, 10))
 	for _, test := range analyzerFamilies() {
 		an := test.NewAnalyzer()
-		ts := mcs.TaskSet{mcs.NewHC(1, 1, 2, 10), mcs.NewLC(2, 1, 12)}
-		want := oracleOf(test)(ts)
-		if got := an.Schedulable(ts); got != want {
-			t.Fatalf("%s: analyzer=%v oracle=%v", test.Name(), got, want)
-		}
-		an.Forget(99)
-		an.Invalidate()
-		if got := an.Schedulable(ts); got != want {
-			t.Fatalf("%s after Invalidate: analyzer=%v oracle=%v", test.Name(), got, want)
+		for _, ts := range []mcs.TaskSet{heavy, light, grown} {
+			if got, want := an.Schedulable(ts), oracleOf(test)(ts); got != want {
+				t.Errorf("%s: %v: analyzer=%v oracle=%v", test.Name(), ts, got, want)
+			}
 		}
 	}
 }

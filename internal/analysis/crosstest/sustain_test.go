@@ -4,9 +4,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"mcsched/internal/admission"
 	"mcsched/internal/analysis/ey"
 	"mcsched/internal/core"
 	"mcsched/internal/mcs"
+	"mcsched/internal/sim"
 )
 
 // TestSustainableUnderRemoval checks core.Sustainable against every
@@ -87,6 +89,49 @@ func TestUnsustainablePassQuickFilter(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no registered test is unsustainable; the property checks nothing")
+	}
+}
+
+// TestReleasedRuntimeNeverMisses checks, for every registered test, that a
+// release leaves a core its runtime still serves: after every release, the
+// runtime derived from the last set the test accepted (what a live tenant
+// runs, admission.RuntimeForCore) executes the remaining tasks with no miss
+// under a HI storm and under a single overrun of each HC task's first two
+// jobs. A cold rerun on the remaining tasks gives no such guarantee under EY
+// and ECDF (TestSustainableUnderRemoval).
+func TestReleasedRuntimeNeverMisses(t *testing.T) {
+	const horizon = 2000
+	for _, name := range core.TestNames() {
+		test, _ := core.TestByName(name)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			var accepted mcs.TaskSet
+			randomChurn(test, func(trial, op int, resident mcs.TaskSet, released bool) {
+				if !released {
+					accepted = resident
+					return
+				}
+				rt := []sim.CoreRuntime{admission.RuntimeForCore(test, accepted)}
+				specs := []sim.Spec{{Horizon: horizon, Scenario: sim.SpecHiStorm}}
+				for _, task := range resident {
+					if task.IsHC() && task.CHi() > task.CLo() {
+						for job := range 2 {
+							specs = append(specs, sim.Spec{Horizon: horizon, Scenario: sim.SpecSingleOverrun, OverrunTask: task.ID, OverrunJob: job})
+						}
+					}
+				}
+				for _, spec := range specs {
+					res, err := sim.SimulateSystem([]mcs.TaskSet{resident}, rt, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.OK() {
+						t.Fatalf("trial %d op %d: %s's runtime for\n%v\nmisses after a release leaves\n%v\nunder %+v: %+v",
+							trial, op, name, accepted, resident, spec, res.Cores[0].FirstMiss)
+					}
+				}
+			})
+		})
 	}
 }
 

@@ -36,6 +36,9 @@ func TestStepPrevKink(t *testing.T) {
 			t.Errorf("PrevKink(%d) = %d, want %d", c.l, got, c.want)
 		}
 	}
+	if got := (StepSum{s}).PrevKink(10); got != -1 {
+		t.Errorf("sum's PrevKink(10) = %d, want -1", got)
+	}
 }
 
 func TestSawtoothValue(t *testing.T) {
@@ -75,6 +78,9 @@ func TestSawtoothPrevKink(t *testing.T) {
 		if got := s.PrevKink(c.l); got != c.want {
 			t.Errorf("PrevKink(%d) = %d, want %d", c.l, got, c.want)
 		}
+	}
+	if got := (SawSum{s}).PrevKink(4); got != -1 {
+		t.Errorf("sum's PrevKink(4) = %d, want -1", got)
 	}
 }
 
@@ -265,6 +271,13 @@ func TestHorizonLO(t *testing.T) {
 	}
 	if _, ok := HorizonLO([]Step{{C: 10, D: 10, T: 10}, {C: 1, D: 2, T: 10}}); ok {
 		t.Error("over-utilized step set got a horizon")
+	}
+	// At utilization 1 only the periodic bound applies, and only up to a
+	// hyperperiod of 2^22 ticks.
+	for _, p := range []mcs.Ticks{1 << 22, 1<<22 + 1} {
+		if _, ok := HorizonLO([]Step{{C: p, D: p, T: p}}); ok != (p == 1<<22) {
+			t.Errorf("utilization-1 step of period %d: horizon found %v", p, ok)
+		}
 	}
 }
 

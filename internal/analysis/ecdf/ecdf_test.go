@@ -21,32 +21,6 @@ func TestBasicAcceptReject(t *testing.T) {
 	}
 }
 
-// The headline relationship the paper relies on: ECDF dominates EY per set
-// (EY is "identical … but relatively less efficient"). Our construction
-// guarantees it: pass 1 of ECDF is exactly the EY test.
-func TestDominatesEY(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	eyAcc, ecdfAcc := 0, 0
-	for i := 0; i < 400; i++ {
-		ts := randomSet(rng, 1+rng.Intn(6))
-		e := oracle.EY(ts, 0).Schedulable
-		c := oracle.ECDF(ts, 0, nil).Schedulable
-		if e {
-			eyAcc++
-			if !c {
-				t.Fatalf("EY accepted but ECDF rejected: %v", ts)
-			}
-		}
-		if c {
-			ecdfAcc++
-		}
-	}
-	if ecdfAcc < eyAcc {
-		t.Fatalf("ECDF accepted %d < EY %d", ecdfAcc, eyAcc)
-	}
-	t.Logf("EY %d, ECDF %d of 400", eyAcc, ecdfAcc)
-}
-
 func randomSet(rng *rand.Rand, n int) mcs.TaskSet {
 	var ts mcs.TaskSet
 	for i := 0; i < n; i++ {
@@ -110,15 +84,33 @@ func TestRestartsAddValue(t *testing.T) {
 	t.Logf("ECDF rescued %d/300 sets EY rejected", extra)
 }
 
-func TestLOInfeasibleShortCircuit(t *testing.T) {
-	// ΣC^L/T > 1: no assignment can help; must reject quickly.
-	ts := mcs.TaskSet{mcs.NewHC(0, 3, 3, 4), mcs.NewHC(1, 2, 2, 4)}
-	r := oracle.ECDF(ts, 0, nil)
-	if r.Schedulable {
-		t.Error("LO-overloaded set accepted")
-	}
-	if r.Restarts != 0 {
-		t.Errorf("restarts attempted on LO-infeasible set: %d", r.Restarts)
+// TestRelaxationRescues pins two sets ECDF accepts only through a restart's
+// relaxation: the first needs every one of the NumTasks+1 rounds before the
+// LO test passes, the second a round that moves a deadline by its last
+// tick back to D.
+func TestRelaxationRescues(t *testing.T) {
+	for _, ts := range []mcs.TaskSet{{
+		mcs.NewHCConstrained(0, 3, 7, 46, 32),
+		mcs.NewLCConstrained(7, 1, 21, 20),
+		mcs.NewHCConstrained(1, 3, 5, 240, 143),
+		mcs.NewHCConstrained(2, 1, 1, 27, 18),
+		mcs.NewLCConstrained(8, 11, 290, 151),
+		mcs.NewLCConstrained(5, 1, 25, 8),
+		mcs.NewHCConstrained(3, 3, 4, 17, 14),
+		mcs.NewLCConstrained(6, 106, 450, 194),
+		mcs.NewHCConstrained(4, 1, 1, 37, 11),
+	}, {
+		mcs.NewLCConstrained(6, 1, 17, 3),
+		mcs.NewHCConstrained(1, 4, 4, 42, 6),
+		mcs.NewHCConstrained(3, 2, 2, 22, 17),
+		mcs.NewLCConstrained(5, 1, 20, 13),
+		mcs.NewHCConstrained(2, 12, 16, 476, 250),
+		mcs.NewLCConstrained(4, 2, 202, 131),
+		mcs.NewHCConstrained(0, 1, 2, 13, 6),
+	}} {
+		if !Analyze(ts).Schedulable || !oracle.ECDF(ts, budget, oracle.DefaultLambdas()).Schedulable {
+			t.Errorf("ECDF refuses a set its relaxation rescues:\n%v", ts)
+		}
 	}
 }
 
@@ -129,6 +121,11 @@ func TestTestAdapter(t *testing.T) {
 	}
 	if !tst.Schedulable(mcs.TaskSet{mcs.NewHC(0, 1, 2, 10)}) {
 		t.Error("adapter rejected trivial set")
+	}
+	// No generated set comes near the shaping budget, so the differentials
+	// against the oracle, which run it at 256, cannot tell a drifted copy.
+	if budget != 256 {
+		t.Errorf("budget %d, the oracle differentials run 256", budget)
 	}
 }
 

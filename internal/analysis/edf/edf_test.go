@@ -2,6 +2,7 @@ package edf
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mcsched/internal/mcs"
@@ -71,5 +72,36 @@ func TestAdapter(t *testing.T) {
 	ts = append(ts, mcs.NewLC(2, 1, 10))
 	if util.Schedulable(ts) {
 		t.Error("util adapter accepted reservation overload")
+	}
+}
+
+// TestForgetRefoldsMemo: a released task leaves the memo, first position
+// included, and the folds match a cold analyzer's over what remains, so the
+// next prefix-extending probe takes the warm path.
+func TestForgetRefoldsMemo(t *testing.T) {
+	ts := mcs.TaskSet{
+		mcs.NewHCConstrained(0, 1, 2, 40, 9),
+		mcs.NewLCConstrained(1, 3, 30, 12),
+		mcs.NewHCConstrained(2, 2, 3, 50, 20),
+		mcs.NewLC(3, 4, 25),
+	}
+	for _, demand := range []bool{false, true} {
+		a := Test{Demand: demand}.NewAnalyzer().(*Analyzer)
+		for n := 1; n <= len(ts); n++ {
+			if !a.Schedulable(ts[:n]) {
+				t.Fatalf("demand=%v: prefix of %d refused", demand, n)
+			}
+		}
+		rest := ts.Clone()
+		for _, i := range []int{0, 1} { // the first task, then a middle one
+			a.Forget(rest[i].ID)
+			rest = append(rest[:i], rest[i+1:]...)
+			cold := Test{Demand: demand}.NewAnalyzer().(*Analyzer)
+			cold.Schedulable(rest)
+			if !slices.Equal(a.mem, cold.mem) || a.util != cold.util || a.density != cold.density {
+				t.Fatalf("demand=%v: memo after a release holds %v (%v, %v), a cold fold %v (%v, %v)",
+					demand, a.mem, a.util, a.density, cold.mem, cold.util, cold.density)
+			}
+		}
 	}
 }

@@ -61,10 +61,9 @@ func decide(a, b, c float64) Result {
 	if a+b <= 1+eps && a < 1 {
 		x := b / (1 - a)
 		// float64 rounds the product, so no ISA fuses it into the add.
+		// x > 0 here: b == 0 means no HC task, so c == 0 and a + c ≤ 1 + eps
+		// has already returned unless a > 1 + eps, which fails a + b.
 		if float64(x*a)+c <= 1+eps {
-			if x <= 0 { // no HC tasks: b == 0 handled by a+c above, but be safe
-				x = 1
-			}
 			return Result{Schedulable: true, X: x}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mcsched/internal/analysis/kernel"
 	"mcsched/internal/mcs"
 	"mcsched/internal/taskgen"
 )
@@ -57,6 +58,27 @@ func TestReject(t *testing.T) {
 	r = Analyze(set([2]float64{0.7, 0.7}, [2]float64{0.4, 0.45}))
 	if r.Schedulable {
 		t.Errorf("accepted LO-overloaded set: %+v", r)
+	}
+}
+
+// TestAnalyzerCountsPaths: a cold probe ticks the counter of the path that
+// decided it. Plain EDF is a fast accept, a level overloaded past 1 a fast
+// reject, and a set that needs x, accepted or not, an exact run.
+func TestAnalyzerCountsPaths(t *testing.T) {
+	for _, tc := range []struct {
+		ts   mcs.TaskSet
+		want kernel.Counters
+	}{
+		{set([2]float64{0.4, 0.4}, [2]float64{0.2, 0.5}), kernel.Counters{FastAccepts: 1}},
+		{set([2]float64{0.4, 0.4}, [2]float64{0.3, 0.7}), kernel.Counters{ExactRuns: 1}},
+		{set([2]float64{0.5, 0.5}, [2]float64{0.4, 0.8}), kernel.Counters{ExactRuns: 1}},
+		{set([2]float64{0.1, 0.6}, [2]float64{0.1, 0.6}), kernel.Counters{FastRejects: 1}},
+	} {
+		an := Test{}.NewAnalyzer()
+		an.Schedulable(tc.ts)
+		if got := *an.Counters(); got != tc.want {
+			t.Errorf("%v: counters %+v, want %+v", tc.ts, got, tc.want)
+		}
 	}
 }
 

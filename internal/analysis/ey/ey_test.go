@@ -253,6 +253,11 @@ func TestTestAdapter(t *testing.T) {
 	if !tst.Schedulable(mcs.TaskSet{mcs.NewHC(0, 1, 2, 10)}) {
 		t.Error("adapter rejected trivial set")
 	}
+	// No generated set comes near the shaping budget, so the differentials
+	// against the oracle, which run it at 256, cannot tell a drifted copy.
+	if budget != 256 {
+		t.Errorf("budget %d, the oracle differentials run 256", budget)
+	}
 }
 
 func BenchmarkAnalyze(b *testing.B) {

@@ -368,3 +368,39 @@ func TestStrategySchedulableAllocs(t *testing.T) {
 		}
 	}
 }
+
+// countingTest is a decorator shaped like cmd/mcload's tracing wrapper: it
+// counts the probes routed through Memoize and unwraps to its family.
+type countingTest struct {
+	Test
+	calls *int
+}
+
+func (c countingTest) Unwrap() Test { return c.Test }
+
+func (c countingTest) Memoize(ts mcs.TaskSet, compute func(mcs.TaskSet) bool) bool {
+	*c.calls++
+	return compute(ts)
+}
+
+// TestMemoizerSeesEveryProbe: a Memoizer test stands around every probe,
+// once per probe, and the family's analyzers underneath decide as they do
+// unwrapped.
+func TestMemoizerSeesEveryProbe(t *testing.T) {
+	calls := 0
+	plain, traced := NewAssigner(2, edfvd.Test{}), NewAssigner(2, countingTest{Test: edfvd.Test{}, calls: &calls})
+	for i := range 12 {
+		task := mcs.NewHC(i, 1+mcs.Ticks(i%3), 3+mcs.Ticks(i%4), 20)
+		k := plain.FirstFitting(task, []int{0, 1})
+		if got := traced.FirstFitting(task, []int{0, 1}); got != k {
+			t.Fatalf("task %d: traced assigner picks core %d, plain %d", i, got, k)
+		}
+		if k >= 0 {
+			plain.Commit(task, k)
+			traced.Commit(task, k)
+		}
+	}
+	if calls == 0 || uint64(calls) != traced.Probes() {
+		t.Errorf("Memoize saw %d of %d probes", calls, traced.Probes())
+	}
+}

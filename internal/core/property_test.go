@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -118,47 +117,6 @@ func TestRejectAllFailsOnFirstTask(t *testing.T) {
 		var fe FailError
 		if !errors.As(err, &fe) {
 			t.Errorf("%s: error %v is not a FailError", s.Name(), err)
-		}
-	}
-}
-
-// TestPartitionDeterminism: identical inputs produce identical partitions
-// for every strategy (the strategies use stable sorts and deterministic
-// tie-breaks).
-func TestPartitionDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	ts, err := taskgen.Generate(rng, taskgen.DefaultConfig(4, 0.4, 0.25, 0.3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range Strategies() {
-		a, errA := s.Partition(ts, 4, edfvd.Test{})
-		b, errB := s.Partition(ts, 4, edfvd.Test{})
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("%s: nondeterministic verdict", s.Name())
-		}
-		if errA != nil {
-			continue
-		}
-		if !reflect.DeepEqual(a.Cores, b.Cores) {
-			t.Fatalf("%s: nondeterministic partition", s.Name())
-		}
-	}
-}
-
-// TestInputNotMutated: strategies must not reorder or modify the caller's
-// task set (they sort copies).
-func TestInputNotMutated(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	ts, err := taskgen.Generate(rng, taskgen.DefaultConfig(2, 0.4, 0.2, 0.3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := ts.Clone()
-	for _, s := range Strategies() {
-		_, _ = s.Partition(ts, 2, edfvd.Test{})
-		if !reflect.DeepEqual(orig, ts) {
-			t.Fatalf("%s mutated its input", s.Name())
 		}
 	}
 }

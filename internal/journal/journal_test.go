@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+
+	"mcsched/internal/obs"
 )
 
 // collect replays the whole log into a slice of (seq, payload).
@@ -72,7 +75,10 @@ func TestJournalAppendReopenReplay(t *testing.T) {
 
 func TestJournalSegmentRoll(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 64})
+	// Four 18-byte frames fill a segment exactly, and a full segment rolls:
+	// 30 records take eight segments.
+	const segBytes = 4 * (frameHeader + int64(len("payload-00")))
+	l, err := Open(dir, Options{SegmentBytes: segBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +88,12 @@ func TestJournalSegmentRoll(t *testing.T) {
 		}
 	}
 	st := l.Stats()
-	if st.Segments < 3 {
-		t.Fatalf("expected several segments, got %d", st.Segments)
+	if st.Segments != 8 {
+		t.Fatalf("30 records in segments of 4: %d segments, want 8", st.Segments)
 	}
 	l.Close()
 
-	l2, err := Open(dir, Options{SegmentBytes: 64})
+	l2, err := Open(dir, Options{SegmentBytes: segBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +297,10 @@ func TestJournalSnapshotMustCoverTail(t *testing.T) {
 }
 
 func TestJournalFsyncPolicy(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Fsync: true})
+	reg := obs.NewRegistry()
+	hist := func(name string) *obs.Histogram { return reg.NewHistogram(name, name, obs.LatencyBuckets) }
+	m := &Metrics{AppendSeconds: hist("append"), FsyncSeconds: hist("fsync"), SnapshotSeconds: hist("snapshot"), BatchRecords: hist("batch")}
+	l, err := Open(t.TempDir(), Options{Fsync: true, Metrics: m})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,6 +312,16 @@ func TestJournalFsyncPolicy(t *testing.T) {
 	}
 	if st := l.Stats(); st.Fsyncs < 3 {
 		t.Fatalf("fsync policy on but only %d fsyncs for 3 appends", st.Fsyncs)
+	}
+	// Each fsync's clock started at the sync: three of them sum to far
+	// below a minute.
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	_, sum, _ := strings.Cut(b.String(), "fsync_sum ")
+	if secs, err := strconv.ParseFloat(strings.Fields(sum)[0], 64); err != nil || secs >= 60 || m.FsyncSeconds.Count() != 3 {
+		t.Errorf("fsync histogram: %d observations summing to %q (%v)", m.FsyncSeconds.Count(), strings.Fields(sum)[0], err)
 	}
 }
 

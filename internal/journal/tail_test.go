@@ -24,6 +24,9 @@ func TestReadFromCursor(t *testing.T) {
 		}
 		want = append(want, p)
 	}
+	if recs, next, err := l.ReadFrom(1, 0); len(recs) != 0 || next != 1 || err != nil {
+		t.Fatalf("ReadFrom(1,0) = %d records, next %d, %v; want none at 1", len(recs), next, err)
+	}
 	for _, batch := range []int{1, 3, 7, n, n + 100} {
 		var got []string
 		cursor := uint64(1)

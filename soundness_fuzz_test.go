@@ -7,19 +7,21 @@ package mcsched
 // EDF family, fixed priorities for AMC), must never observe a HI-criticality
 // deadline miss, under any behaviour the sporadic dual-criticality model
 // allows. The fuzzer drives the generator with arbitrary (seed, family,
-// load, constrained) tuples; each accepted partition is then attacked with
-// an adversarial scenario battery: steady LO load, a HI storm (earliest
-// possible switches, with and without idle resets), randomized demand and
-// release jitter, and — the sharpest probes — single- and minimal-overrun
-// scenarios sweeping the mode-switch instant across every HC job in the
-// window, including the criticality-at-boundary demand C^L+1. The family
-// byte indexes TestNames(), so every registered test is attacked; a test
-// that does not cover the drawn set's deadline model must refuse it with an
-// UncoveredError instead of partitioning it.
+// load, constrained) tuples and plays the drawn set against a live 2-core
+// tenant: each step admits the next task or, about one step in three,
+// releases a random resident one. After every release and at the end, the
+// tenant's partition is attacked with an adversarial scenario battery under
+// the runtime its last accepts certified: steady LO load, a HI storm
+// (earliest possible switches, with and without idle resets), randomized
+// demand and release jitter, and — the sharpest probes — single- and
+// minimal-overrun scenarios sweeping the mode-switch instant across every
+// HC job in the window, including the criticality-at-boundary demand
+// C^L+1. The family byte indexes TestNames(), so every registered test is
+// attacked; a test that does not cover a task's deadline model must refuse
+// it with an UncoveredError instead of placing it.
 //
-// A failure is minimized greedily (drop tasks while the reduced partition
-// stays analysis-accepted and still misses) and reported as a reproducible
-// f.Add seed line plus the minimized task set, scenario and first miss.
+// A failure is reported as a reproducible f.Add seed line plus the steps
+// played, the partition, scenario and first miss.
 //
 // Under plain `go test` the seed corpus below — mirroring the fixed sweeps
 // in soundness_test.go — runs as a regression suite; under `go test
@@ -27,6 +29,7 @@ package mcsched
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -78,45 +81,6 @@ func adversarialSpecs(p Partition, seed int64) []SimSpec {
 	return specs
 }
 
-// acceptedByTest reports whether every non-empty core of the partition
-// still passes the family's uniprocessor test.
-func acceptedByTest(test Test, p Partition) bool {
-	for _, ts := range p.Cores {
-		if len(ts) > 0 && !test.Schedulable(ts) {
-			return false
-		}
-	}
-	return true
-}
-
-// minimizeCounterexample greedily drops tasks from a missing partition
-// while it remains analysis-accepted and still misses under the spec. The
-// result is a (usually much smaller) witness of the same soundness
-// violation.
-func minimizeCounterexample(test Test, p Partition, spec SimSpec) Partition {
-	for changed := true; changed; {
-		changed = false
-		for k := range p.Cores {
-			for i := range p.Cores[k] {
-				q := p.Clone()
-				q.Cores[k] = append(q.Cores[k][:i], q.Cores[k][i+1:]...)
-				if !acceptedByTest(test, q) {
-					continue
-				}
-				res, err := SimulateAdmitted(test.Name(), q, spec)
-				if err == nil && !res.OK() {
-					p, changed = q, true
-					break
-				}
-			}
-			if changed {
-				break
-			}
-		}
-	}
-	return p
-}
-
 func FuzzAdmittedNeverMisses(f *testing.F) {
 	// Seed corpus mirroring the fixed sweeps of soundness_test.go, plus EY
 	// and AMC-rtb coverage those sweeps lack.
@@ -131,8 +95,8 @@ func FuzzAdmittedNeverMisses(f *testing.F) {
 		f.Add(seed, uint8(1), uint8(1), true)  // ECDF
 		f.Add(seed, uint8(2), uint8(2), false) // EY
 	}
-	// Constrained sets under the implicit-only tests: refused, never
-	// partitioned (an admitted partition of either misses in simulation).
+	// Constrained sets under the implicit-only tests: each constrained task
+	// is refused, never placed (an admitted one could miss in simulation).
 	f.Add(int64(1), uint8(0), uint8(0), true) // EDF-VD
 	f.Add(int64(1), uint8(6), uint8(1), true) // EDF-util
 
@@ -150,51 +114,59 @@ func FuzzAdmittedNeverMisses(f *testing.F) {
 			return // infeasible generator draw: nothing to admit
 		}
 
-		// Admission: partition the set under the family's test. A rejection
-		// says nothing about soundness.
-		strategy := mustStrategy("CU-UDP")
-		if constrained {
-			strategy = mustStrategy("CA-UDP")
-		}
-		p, err := Algorithm{Strategy: strategy, Test: test}.Partition(ts, 2)
-		covered := true
-		for _, task := range ts {
-			covered = covered && Covers(test, task)
-		}
-		if !covered {
-			var uerr UncoveredError
-			if !errors.As(err, &uerr) || uerr.Test != name || Covers(test, uerr.Task) {
-				t.Fatalf("%s: set it does not cover gave err=%v, want an UncoveredError naming an uncovered task\n"+
-					"reproduce: f.Add(int64(%d), uint8(%d), uint8(%d), %t)", name, err, seed, fam, load, constrained)
-			}
-			return
-		}
+		sys, err := NewAdmissionController(AdmissionConfig{}).CreateSystem("fuzz", 2, test)
 		if err != nil {
-			return
+			t.Fatal(err)
 		}
-
-		// The oracle: every adversarial scenario must run miss-free under
-		// the certified runtime configuration.
-		for _, spec := range adversarialSpecs(p, seed) {
-			res, err := SimulateAdmitted(name, p, spec)
-			if err != nil {
-				t.Fatalf("%s: simulate %+v: %v", name, spec, err)
+		reproduce := fmt.Sprintf("reproduce: f.Add(int64(%d), uint8(%d), uint8(%d), %t)", seed, fam, load, constrained)
+		var steps []string
+		// attack runs the battery on the tenant as it stands.
+		attack := func() {
+			p := sys.Snapshot()
+			for _, spec := range adversarialSpecs(p, seed) {
+				out, err := sys.Simulate(spec)
+				if err != nil {
+					t.Fatalf("%s: simulate %+v: %v", name, spec, err)
+				}
+				if res := out.Result; !res.OK() {
+					t.Fatalf("SOUNDNESS VIOLATION: %s-admitted partition misses a deadline\n%s\n"+
+						"steps: %v\nscenario: %+v\npartition: %v\nwitness: %+v",
+						name, reproduce, steps, spec, p.Cores, res.Witness)
+				}
 			}
-			if res.OK() {
+		}
+		rng := rand.New(rand.NewSource(seed))
+		var resident []int
+		for next := 0; next < len(ts); {
+			if len(resident) > 0 && rng.Intn(3) == 0 {
+				j := rng.Intn(len(resident))
+				if _, err := sys.Release(resident[j]); err != nil {
+					t.Fatal(err)
+				}
+				steps = append(steps, fmt.Sprintf("release %d", resident[j]))
+				resident = append(resident[:j], resident[j+1:]...)
+				attack()
 				continue
 			}
-			min := minimizeCounterexample(test, p, spec)
-			mres, _ := SimulateAdmitted(name, min, spec)
-			w := mres.Witness
-			if w == nil { // minimization raced the witness away; re-run full
-				mres = res
-				min = p
-				w = res.Witness
+			task := ts[next]
+			next++
+			r, err := sys.Admit(task)
+			if !Covers(test, task) {
+				var uerr UncoveredError
+				if !errors.As(err, &uerr) || uerr.Test != name || uerr.Task.ID != task.ID {
+					t.Fatalf("%s: admitting task %d it does not cover gave err=%v, want an UncoveredError naming it\n%s",
+						name, task.ID, err, reproduce)
+				}
+				continue
 			}
-			t.Fatalf("SOUNDNESS VIOLATION: %s-admitted partition misses a deadline\n"+
-				"reproduce: f.Add(int64(%d), uint8(%d), uint8(%d), %t)\n"+
-				"scenario: %+v\nminimized partition: %v\nfirst miss: %+v\nwitness:\n%s",
-				name, seed, fam, load, constrained, spec, min.Cores, w.Miss, w.Gantt)
+			if err != nil {
+				t.Fatalf("%s: admit %d: %v", name, task.ID, err)
+			}
+			if r.Admitted {
+				steps = append(steps, fmt.Sprintf("admit %d", task.ID))
+				resident = append(resident, task.ID)
+			}
 		}
+		attack()
 	})
 }
