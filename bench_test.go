@@ -717,15 +717,16 @@ func BenchmarkCappedDraw(b *testing.B) {
 // Task-set-level parallelism of the experiment sweeps
 // ---------------------------------------------------------------------------
 
-// benchSweep runs one reduced acceptance-ratio sweep (the paper's Fig. 3
-// shape) with the given task-set parallelism.
-func benchSweep(b *testing.B, workers int) {
-	b.Helper()
+// BenchmarkSweep runs one reduced acceptance-ratio sweep (the paper's
+// Fig. 3 shape, CU-UDP-EDF-VD on m = 4). The sweep is GOMAXPROCS wide, so
+// -cpu sets its width: `-cpu 1,2` gives the serial time and the parallel
+// one, and the curves are identical at both.
+func BenchmarkSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, err := RunExperiment(ExperimentConfig{
 			M: 4, PH: 0.5, SetsPerUB: benchSets, Seed: 2017,
-			UBMin: 0.5, UBMax: 0.99, Workers: workers,
+			UBMin: 0.5, UBMax: 0.99,
 			Algorithms: []Algorithm{{Strategy: mustStrategy("CU-UDP"), Test: EDFVD()}},
 		})
 		if err != nil {
@@ -733,13 +734,6 @@ func benchSweep(b *testing.B, workers int) {
 		}
 	}
 }
-
-// BenchmarkSweepSerial measures the acceptance-ratio sweep on one worker.
-func BenchmarkSweepSerial(b *testing.B) { benchSweep(b, 1) }
-
-// BenchmarkSweepParallel measures the same sweep fanned over GOMAXPROCS
-// workers; curves are identical to serial.
-func BenchmarkSweepParallel(b *testing.B) { benchSweep(b, 0) }
 
 // BenchmarkSweepFig3 is one Figure 3 panel (m = 8, EDF-VD, three
 // algorithms) at 100 task sets per UB bucket: generation, partitioning and

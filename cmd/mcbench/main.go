@@ -358,9 +358,7 @@ func readFile(path string) (*File, error) {
 func markdownTable(f File, base *File) []byte {
 	byName := map[string]Result{}
 	if base != nil {
-		for _, r := range base.Benchmarks {
-			byName[r.Name] = r
-		}
+		byName = baselineRows(*base, f.GOMAXPROCS)
 	}
 	haveBase := len(byName) > 0
 	var b strings.Builder
@@ -398,10 +396,7 @@ func markdownTable(f File, base *File) []byte {
 // baseline row that -run matches but the run lacks fails as well, so a
 // deleted or renamed row cannot pass unnoticed.
 func compare(w io.Writer, f, base File, only *regexp.Regexp, maxRegress, maxAllocRegress float64) bool {
-	byName := map[string]Result{}
-	for _, r := range base.Benchmarks {
-		byName[r.Name] = r
-	}
+	byName := baselineRows(base, f.GOMAXPROCS)
 	failed := false
 	ran := map[string]bool{}
 	for _, r := range f.Benchmarks {
@@ -438,6 +433,19 @@ func compare(w io.Writer, f, base File, only *regexp.Regexp, maxRegress, maxAllo
 		}
 	}
 	return failed
+}
+
+// baselineRows maps each row name to its baseline entry. A row recorded at
+// several GOMAXPROCS values (the sweep's scaling pair) maps to the entry
+// recorded at procs, or to its first entry when none was.
+func baselineRows(base File, procs int) map[string]Result {
+	byName := map[string]Result{}
+	for _, r := range base.Benchmarks {
+		if prev, ok := byName[r.Name]; !ok || r.GOMAXPROCS == procs && prev.GOMAXPROCS != procs {
+			byName[r.Name] = r
+		}
+	}
+	return byName
 }
 
 func round2(v float64) float64 { return float64(int(v*100+0.5)) / 100 }

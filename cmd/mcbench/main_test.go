@@ -107,3 +107,25 @@ func TestCompare(t *testing.T) {
 		})
 	}
 }
+
+// TestCompareMatchesGOMAXPROCS: a row recorded at GOMAXPROCS 1 and 2 is
+// gated against the entry of the run's GOMAXPROCS, and against its first
+// entry at any other.
+func TestCompareMatchesGOMAXPROCS(t *testing.T) {
+	base := File{Benchmarks: []Result{
+		{Name: "sweep", NsPerOp: 100, GOMAXPROCS: 1},
+		{Name: "sweep", NsPerOp: 60, GOMAXPROCS: 2},
+	}}
+	all := regexp.MustCompile("")
+	for _, c := range []struct {
+		procs int
+		ns    float64
+		fail  bool
+	}{{1, 150, false}, {2, 150, true}, {2, 110, false}, {4, 150, false}, {4, 201, true}} {
+		var w strings.Builder
+		run := File{GOMAXPROCS: c.procs, Benchmarks: []Result{{Name: "sweep", NsPerOp: c.ns, GOMAXPROCS: c.procs}}}
+		if failed := compare(&w, run, base, all, 2, 0); failed != c.fail {
+			t.Errorf("GOMAXPROCS %d at %g ns/op: failed=%v, want %v; report:\n%s", c.procs, c.ns, failed, c.fail, w.String())
+		}
+	}
+}

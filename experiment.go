@@ -44,7 +44,9 @@ type PlacementExperimentResult = experiments.PlacementResult
 // per-UB acceptance curve.
 type PlacementScore = experiments.PlacementScore
 
-// RunExperiment executes an acceptance-ratio sweep.
+// RunExperiment executes an acceptance-ratio sweep over
+// runtime.GOMAXPROCS(0) workers (as do the placement and WAR sweeps); the
+// curves do not depend on the width.
 func RunExperiment(cfg ExperimentConfig) (ExperimentResult, error) {
 	return experiments.Run(cfg)
 }

@@ -59,9 +59,10 @@ type Analyzer struct {
 	ctr  kernel.Counters
 
 	// Memo of the last certified-schedulable set. valid gates the
-	// incremental paths; seedOK additionally gates warm starts (response
-	// times stop being fixed points when a task leaves, but the certified
-	// order itself survives removals by sustainability).
+	// incremental paths; seedOK additionally gates warm starts and every
+	// read of pos, posLO and posHI (response times stop being fixed points
+	// when a task leaves, but the certified set itself survives removals
+	// by sustainability).
 	valid  bool
 	seedOK bool
 	mem    []mcs.Task  // certified set, analysis (slice) order
@@ -91,10 +92,14 @@ func (a *Analyzer) Counters() *kernel.Counters { return &a.ctr }
 // Invalidate implements kernel.Analyzer.
 func (a *Analyzer) Invalidate() { a.valid, a.seedOK = false, false }
 
-// Forget implements kernel.Analyzer: the removed task leaves the memo, the
-// certified order survives (every remaining hp set shrank, and the analyses
-// are sustainable under removal), the warm-start seeds do not (the stored
-// response times are now upper bounds, not fixed points).
+// Forget implements kernel.Analyzer: the removed task leaves the memo,
+// which stays certified (every remaining hp set shrank, and the analyses
+// are sustainable under removal); the warm-start seeds do not survive (the
+// stored response times are now upper bounds, not fixed points). Every
+// read of pos, posLO and posHI is gated by seedOK, and the next promote
+// rebuilds them, so they are emptied rather than compacted — emptied, not
+// left as they are, because bottomInsert appends to them while seedOK is
+// false.
 func (a *Analyzer) Forget(id int) {
 	if !a.valid {
 		return
@@ -110,27 +115,7 @@ func (a *Analyzer) Forget(id int) {
 		return
 	}
 	a.mem = append(a.mem[:j], a.mem[j+1:]...)
-	w := 0
-	for p, idx := range a.pos {
-		if idx == j {
-			continue
-		}
-		if idx > j {
-			idx--
-		}
-		// Compact the response-time arrays in step with pos, so position p
-		// keeps describing the same task. The values are still demoted to
-		// non-seeds below (hp sets shrank, so they are upper bounds, not
-		// fixed points), but alignment must survive for the next full run's
-		// promote to rebuild from a consistent state.
-		a.pos[w] = idx
-		a.posLO[w] = a.posLO[p]
-		a.posHI[w] = a.posHI[p]
-		w++
-	}
-	a.pos = a.pos[:w]
-	a.posLO = a.posLO[:w]
-	a.posHI = a.posHI[:w]
+	a.pos, a.posLO, a.posHI = a.pos[:0], a.posLO[:0], a.posHI[:0]
 	a.seedOK = false
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"mcsched/internal/mcs"
 )
@@ -26,26 +25,11 @@ func (a Algorithm) Partition(ts mcs.TaskSet, m int) (Partition, error) {
 	return a.Strategy.Partition(ts, m, a.Test)
 }
 
-// scratchAssigners recycles the Assigners Schedulable runs on.
-var scratchAssigners = sync.Pool{New: func() any { return new(Assigner) }}
-
 // Schedulable reports whether the task set can be partitioned on m
-// processors. It keeps no Partition, so the built-in strategies run on a
-// recycled Assigner (buffers, and analyzers when the test is the same as
-// last time) — the verdict is the one Partition gives.
+// processors: Allocate on a fresh Assigner. Callers that judge many sets
+// keep one Assigner per algorithm and call its Allocate instead.
 func (a Algorithm) Schedulable(ts mcs.TaskSet, m int) bool {
-	s, ok := a.Strategy.(strategy)
-	if !ok {
-		_, err := a.Partition(ts, m)
-		return err == nil
-	}
-	if validateInput(ts, m, a.Test) != nil {
-		return false
-	}
-	st := scratchAssigners.Get().(*Assigner)
-	defer scratchAssigners.Put(st)
-	st.Reset(m, a.Test)
-	return s.allocate(st, ts) == nil
+	return m > 0 && NewAssigner(m, a.Test).Allocate(a.Strategy, ts) == nil
 }
 
 // Verify re-checks a finished partition: every task placed exactly once and

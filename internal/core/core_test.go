@@ -332,38 +332,31 @@ func benchSets(tb testing.TB) []mcs.TaskSet {
 
 func BenchmarkCUUDPPartition(b *testing.B) {
 	sets := benchSets(b)
-	alg := Algorithm{Strategy: CUUDP(), Test: edfvd.Test{}}
+	st := NewAssigner(8, edfvd.Test{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		alg.Schedulable(sets[i%len(sets)], 8)
+		st.Allocate(CUUDP(), sets[i%len(sets)])
 	}
 }
 
-// raceEnabled is set by race_test.go in -race builds.
-var raceEnabled bool
-
-// TestStrategySchedulableAllocs holds Algorithm.Schedulable under every
-// registered test, on BenchmarkCUUDPPartition's sets, to one allocation
-// per call for every strategy: the clone its task sequence is sorted in.
-// The recycled assigner — its analyzers included, which needs every
-// registered test to be a comparable value (sameTest) — the placers' core
-// orders and the probes allocate nothing.
+// TestStrategySchedulableAllocs holds Allocate on a caller-owned assigner,
+// under every registered test, on BenchmarkCUUDPPartition's sets, to one
+// allocation per call for every strategy: the clone its task sequence is
+// sorted in. The reset assigner — its analyzers included — the placers'
+// core orders and the probes allocate nothing.
 func TestStrategySchedulableAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops puts under the race detector")
-	}
 	sets := benchSets(t)
 	for _, test := range allTests() {
 		for _, s := range Strategies() {
-			alg := Algorithm{Strategy: s, Test: test}
+			st := NewAssigner(8, test)
 			i := 0
 			got := testing.AllocsPerRun(10*len(sets), func() {
-				alg.Schedulable(sets[i%len(sets)], 8)
+				st.Allocate(s, sets[i%len(sets)])
 				i++
 			})
 			if got > 1 {
-				t.Errorf("%s-%s: %.0f allocs per Schedulable, want at most 1", s.Name(), test.Name(), got)
+				t.Errorf("%s-%s: %.0f allocs per Allocate, want at most 1", s.Name(), test.Name(), got)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"sort"
 
 	"mcsched/internal/analysis/kernel"
@@ -10,9 +9,10 @@ import (
 
 // Assigner tracks a partial task-to-core assignment together with the
 // per-core aggregates (ULH, UHH) the UDP strategies steer by. The offline
-// strategies drive it for the duration of one Partition call; the online
-// admission controller keeps one alive per tenant and grows/shrinks it one
-// task at a time.
+// strategies drive it for the duration of one Partition call, a sweep
+// worker keeps one per algorithm and Allocates every task set on it, and
+// the online admission controller keeps one alive per tenant and
+// grows/shrinks it one task at a time.
 //
 // Every placement consults the configured Test on the candidate core only,
 // so the cost of an incremental admit is a single uniprocessor analysis
@@ -50,32 +50,11 @@ type Assigner struct {
 	probes uint64
 }
 
-// NewAssigner returns an empty assignment over m cores gated by test.
+// NewAssigner returns an empty assignment over m cores gated by test. An
+// assigner is bound to its core count and test for life: Reset empties it
+// for the next run on the same ones.
 func NewAssigner(m int, test Test) *Assigner {
-	a := new(Assigner)
-	a.Reset(m, test)
-	return a
-}
-
-// Reset empties the assigner for a new run over m cores gated by test. An
-// assigner that last ran the same shape keeps its buffers and its per-core
-// analyzers, invalidated — an analyzer's verdicts do not depend on what it
-// has memoized, so a recycled assigner decides like a new one. Anything
-// else (including the zero value) is built from scratch. The caller must
-// hold no Partition of the previous run: the core slices are reused.
-func (a *Assigner) Reset(m int, test Test) {
-	if len(a.cores) == m && sameTest(a.test, test) {
-		for k := range a.cores {
-			a.cores[k] = a.cores[k][:0]
-			a.ulh[k], a.uhh[k], a.ull[k] = 0, 0, 0
-			if an := a.analyzers[k]; an != nil {
-				an.Invalidate()
-			}
-		}
-		a.lastCore, a.probes = -1, 0
-		return
-	}
-	*a = Assigner{
+	a := &Assigner{
 		cores:      make([]mcs.TaskSet, m),
 		ulh:        make([]float64, m),
 		uhh:        make([]float64, m),
@@ -87,19 +66,42 @@ func (a *Assigner) Reset(m int, test Test) {
 		lastCore:   -1,
 	}
 	a.memo, _ = test.(Memoizer)
+	return a
 }
 
-// sameTest reports whether two tests are the same configuration of the
-// same family, so analyzers built for one serve the other. Tests that
-// cannot be compared are never the same: every registered test is a
-// comparable value, but a caller's own test may hold a slice or a map,
-// and comparing two of those would panic.
-func sameTest(x, y Test) bool {
-	if x == nil || y == nil {
-		return false
+// Reset empties the assigner for a new run. It keeps its buffers and its
+// per-core analyzers, invalidated — an analyzer's verdicts do not depend
+// on what it has memoized, so a reset assigner decides like a new one. The
+// caller must hold no Partition of the previous run: the core slices are
+// reused.
+func (a *Assigner) Reset() {
+	for k := range a.cores {
+		a.cores[k] = a.cores[k][:0]
+		a.ulh[k], a.uhh[k], a.ull[k] = 0, 0, 0
+		if an := a.analyzers[k]; an != nil {
+			an.Invalidate()
+		}
 	}
-	vx, vy := reflect.ValueOf(x), reflect.ValueOf(y)
-	return vx.Type() == vy.Type() && vx.Comparable() && vy.Comparable() && x == y
+	a.lastCore, a.probes = -1, 0
+}
+
+// Allocate resets the assigner and partitions ts onto its cores with
+// strategy s under its test, leaving the assignment it reached; the error
+// is the one s.Partition would return. A built-in strategy runs on the
+// assigner itself, so a sweep worker that owns one assigner per algorithm
+// judges task set after task set on warm buffers and analyzers; any other
+// strategy runs its own Partition and leaves the assigner untouched.
+func (a *Assigner) Allocate(s Strategy, ts mcs.TaskSet) error {
+	bs, ok := s.(strategy)
+	if !ok {
+		_, err := s.Partition(ts, len(a.cores), a.test)
+		return err
+	}
+	if err := validateInput(ts, len(a.cores), a.test); err != nil {
+		return err
+	}
+	a.Reset()
+	return bs.allocate(a, ts)
 }
 
 // NumCores returns the number of processors.

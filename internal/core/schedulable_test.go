@@ -1,9 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"mcsched/internal/analysis/amc"
@@ -14,66 +14,61 @@ import (
 	"mcsched/internal/taskgen"
 )
 
-// uncomparableTest carries a slice, so two of them can never be compared:
-// a recycled assigner must rebuild for it rather than panic.
-type uncomparableTest struct {
-	edfvd.Test
-	pad []int
-}
-
-// TestSchedulableRecycledMatchesPartition holds Algorithm.Schedulable —
-// which runs on recycled assigners — to the verdict of Partition on fresh
-// ones, for every strategy, while the pool is handed back assigners of
-// other core counts and other tests in between, from several goroutines
-// at once. It also checks the other direction of the contract: a Partition
-// handed out earlier is never written to by a later Schedulable.
+// TestSchedulableRecycledMatchesPartition holds Allocate on a reused
+// assigner — one per (core count, test), the way a sweep worker keeps one
+// per algorithm — and Algorithm.Schedulable to the verdict of Partition on
+// a fresh assigner, for every strategy, while each assigner judges sets of
+// other strategies in between. It also checks the other direction of the
+// contract: a Partition handed out earlier is never written to by a later
+// Allocate.
 func TestSchedulableRecycledMatchesPartition(t *testing.T) {
 	tests := []Test{
 		edfvd.Test{},
 		ecdf.Test{},
 		ey.Test{},
 		amc.Test{Opts: amc.DefaultOptions()},
-		uncomparableTest{pad: []int{1}},
 	}
 	strategies := Strategies()
-
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(100 + g)))
-			var kept []Partition
-			var keptCopies []Partition
-			for i := 0; i < 150; i++ {
-				m := []int{2, 4, 8}[rng.Intn(3)]
-				cfg := taskgen.DefaultConfig(m, 0.3+0.1*float64(rng.Intn(5)), 0.25, 0.15+0.1*float64(rng.Intn(5)))
-				cfg.Constrained = rng.Intn(2) == 0
-				ts, err := taskgen.Generate(rng, cfg)
-				if err != nil {
-					continue
-				}
-				algo := Algorithm{Strategy: strategies[rng.Intn(len(strategies))], Test: tests[rng.Intn(len(tests))]}
-				p, err := algo.Partition(ts, m)
-				if got := algo.Schedulable(ts, m); got != (err == nil) {
-					t.Errorf("goroutine %d draw %d: %s on m=%d: Schedulable=%v, Partition err=%v", g, i, algo.Name(), m, got, err)
-					return
-				}
-				if err == nil {
-					kept = append(kept, p)
-					keptCopies = append(keptCopies, p.Clone())
-				}
-			}
-			for i, p := range kept {
-				for k, c := range p.Cores {
-					if !slices.Equal(c, keptCopies[i].Cores[k]) {
-						t.Errorf("goroutine %d: core %d of partition %d changed after later Schedulable calls", g, k, i)
-					}
-				}
-			}
-		}(g)
+	ms := []int{2, 4, 8}
+	owned := make([][]*Assigner, len(ms))
+	for mi, m := range ms {
+		for _, test := range tests {
+			owned[mi] = append(owned[mi], NewAssigner(m, test))
+		}
 	}
-	wg.Wait()
+
+	rng := rand.New(rand.NewSource(100))
+	var kept, keptCopies []Partition
+	for i := 0; i < 600; i++ {
+		mi := rng.Intn(len(ms))
+		m := ms[mi]
+		cfg := taskgen.DefaultConfig(m, 0.3+0.1*float64(rng.Intn(5)), 0.25, 0.15+0.1*float64(rng.Intn(5)))
+		cfg.Constrained = rng.Intn(2) == 0
+		ts, err := taskgen.Generate(rng, cfg)
+		if err != nil {
+			continue
+		}
+		ti := rng.Intn(len(tests))
+		algo := Algorithm{Strategy: strategies[rng.Intn(len(strategies))], Test: tests[ti]}
+		p, err := algo.Partition(ts, m)
+		if got := owned[mi][ti].Allocate(algo.Strategy, ts); fmt.Sprint(got) != fmt.Sprint(err) {
+			t.Fatalf("draw %d: %s on m=%d: reused Allocate err=%v, Partition err=%v", i, algo.Name(), m, got, err)
+		}
+		if got := algo.Schedulable(ts, m); got != (err == nil) {
+			t.Fatalf("draw %d: %s on m=%d: Schedulable=%v, Partition err=%v", i, algo.Name(), m, got, err)
+		}
+		if err == nil {
+			kept = append(kept, p)
+			keptCopies = append(keptCopies, p.Clone())
+		}
+	}
+	for i, p := range kept {
+		for k, c := range p.Cores {
+			if !slices.Equal(c, keptCopies[i].Cores[k]) {
+				t.Errorf("core %d of partition %d changed after later Allocate calls", k, i)
+			}
+		}
+	}
 
 	// Degenerate inputs take the same answers as Partition.
 	algo := Algorithm{Strategy: CUUDP(), Test: edfvd.Test{}}

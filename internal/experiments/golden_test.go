@@ -5,14 +5,15 @@ package experiments
 // (PR 13). They are the first step of ROADMAP's "pin the science": the
 // counts are a function of (figure, m, sets per bucket, seed) alone, so a
 // refactor that moves one of them changed which task sets are judged, or
-// how, and must say so. The worker count must not matter. Figures 3 and 5
-// at m = 8 are the original pins; Figure 4, and every figure at m = 2 and 4,
-// were recorded before the built-in strategies became rows of one table.
+// how, and must say so. The worker count must not matter: a sweep is
+// GOMAXPROCS wide, and CI runs these at GOMAXPROCS 1, 2 and the runner's
+// default. Figures 3 and 5 at m = 8 are the original pins; Figure 4, and
+// every figure at m = 2 and 4, were recorded before the built-in strategies
+// became rows of one table.
 
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"testing"
 )
 
@@ -26,24 +27,14 @@ type goldenCurve struct {
 var goldenUBs = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.99}
 
 // checkGoldenFigure runs the figure on m processors at seed 2017 through
-// its own entry point (default width), then repeats the same Config at
-// Workers 1, 2 and GOMAXPROCS, and holds every run to the golden curves.
+// its own entry point and holds the run to the golden curves.
 func checkGoldenFigure(t *testing.T, fig func(m, setsPerUB int, seed int64) (Result, error), m, setsPerUB int, want []goldenCurve) {
 	t.Helper()
 	res, err := fig(m, setsPerUB, 2017)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGoldenResult(t, fmt.Sprintf("m=%d default workers", m), res, setsPerUB, want)
-	for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-		cfg := res.Config
-		cfg.Workers = w
-		again, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkGoldenResult(t, fmt.Sprintf("m=%d workers=%d", m, w), again, setsPerUB, want)
-	}
+	checkGoldenResult(t, fmt.Sprintf("m=%d", m), res, setsPerUB, want)
 }
 
 func checkGoldenResult(t *testing.T, label string, res Result, setsPerUB int, want []goldenCurve) {

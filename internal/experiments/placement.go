@@ -19,6 +19,8 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -41,8 +43,6 @@ type PlacementConfig struct {
 	Constrained bool
 	// Seed is the base seed; every task set derives its own RNG from it.
 	Seed int64
-	// Workers bounds the parallelism; 0 means GOMAXPROCS.
-	Workers int
 	// UBMin and UBMax clip the UB buckets swept (0,0 means full grid).
 	UBMin, UBMax float64
 	// Test is the uniprocessor schedulability test gating every admit;
@@ -181,11 +181,11 @@ type placementTally struct {
 // generated order and are admitted first-fitting along the placer's
 // candidate order (exactly the admission controller's placement step),
 // then every second admitted task is released — a deterministic churn —
-// and the leftover capacity's fragmentation is measured.
-func (s *sampler) evalPlacement(p core.Placer, test core.Test, m int, ts mcs.TaskSet) placementTally {
+// and the leftover capacity's fragmentation is measured. asn is the
+// worker's Assigner of the placer's slot.
+func evalPlacement(p core.Placer, asn *core.Assigner, ts mcs.TaskSet) placementTally {
 	t := placementTally{offered: len(ts)}
-	asn := &s.asn
-	asn.Reset(m, test)
+	asn.Reset()
 	var admitted []int
 	for _, task := range ts {
 		if k := asn.FirstFitting(task, p.Order(asn, task)); k >= 0 {
@@ -235,9 +235,9 @@ type placementCell struct {
 
 // RunPlacement executes the placement sweep. Heuristics are evaluated on
 // identical task sets in identical arrival order (paired comparison), and
-// task sets fan out over parallelMap: each
-// (bucket, set) index is an independent job with a fixed result slot, so
-// scores are identical for every worker count.
+// task sets fan out over parallelMap, GOMAXPROCS wide: each (bucket, set)
+// index is an independent job with a fixed result slot, so scores are
+// identical for every worker count.
 func RunPlacement(cfg PlacementConfig) (PlacementResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return PlacementResult{}, err
@@ -258,18 +258,16 @@ func RunPlacement(cfg PlacementConfig) (PlacementResult, error) {
 	// Config reuses the exact seeding scheme of the acceptance sweeps.
 	genCfg := Config{M: cfg.M, PH: cfg.PH, Seed: cfg.Seed, Constrained: cfg.Constrained, SetsPerUB: cfg.SetsPerUB}
 
-	workers := Config{Workers: cfg.Workers}.workers()
-	cells := parallelMap(workers, len(buckets)*cfg.SetsPerUB, func(j int) placementCell {
+	scratch := func() *sampler { return newSampler(cfg.M, slices.Repeat([]core.Test{test}, len(placers))...) }
+	cells := parallelMap(runtime.GOMAXPROCS(0), len(buckets)*cfg.SetsPerUB, scratch, func(smp *sampler, j int) placementCell {
 		bi, si := j/cfg.SetsPerUB, j%cfg.SetsPerUB
-		smp := samplers.Get().(*sampler)
-		defer samplers.Put(smp)
 		ts, ok := smp.drawSet(genCfg, buckets[bi], bi, si)
 		if !ok {
 			return placementCell{}
 		}
 		c := placementCell{drawn: true, tallies: make([]placementTally, len(placers))}
 		for pi, p := range placers {
-			c.tallies[pi] = smp.evalPlacement(p, test, cfg.M, ts)
+			c.tallies[pi] = evalPlacement(p, smp.asn[pi], ts)
 		}
 		return c
 	})

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mcsched/internal/core"
@@ -65,14 +66,17 @@ func TestPlacementDeterministic(t *testing.T) {
 	}
 }
 
+// TestPlacementWorkerIndependence runs the sweep one and four workers wide
+// (a sweep is GOMAXPROCS wide) and wants the same scores from both.
 func TestPlacementWorkerIndependence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cfg := tinyPlacementConfig()
-	cfg.Workers = 1
+	runtime.GOMAXPROCS(1)
 	serial, err := RunPlacement(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Workers = 4
+	runtime.GOMAXPROCS(4)
 	fanned, err := RunPlacement(cfg)
 	if err != nil {
 		t.Fatal(err)

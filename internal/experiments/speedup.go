@@ -50,19 +50,29 @@ func SpeedScaled(ts mcs.TaskSet, s float64) mcs.TaskSet {
 // heuristics can in principle flip on reordering ties, so MinSpeed is a
 // measurement tool (used by the speed-up survey below), not a certificate.
 func MinSpeed(algo core.Algorithm, ts mcs.TaskSet, m int, maxSpeed, tol float64) (float64, bool) {
+	if m <= 0 {
+		return 0, false
+	}
+	return minSpeed(algo.Strategy, core.NewAssigner(m, algo.Test), ts, maxSpeed, tol)
+}
+
+// minSpeed is MinSpeed on an Assigner bound to the algorithm's core count
+// and test, which every probe of the search reuses.
+func minSpeed(strat core.Strategy, st *core.Assigner, ts mcs.TaskSet, maxSpeed, tol float64) (float64, bool) {
 	if tol <= 0 {
 		tol = 1e-3
 	}
-	if algo.Schedulable(ts, m) {
+	accepts := func(s float64) bool { return st.Allocate(strat, SpeedScaled(ts, s)) == nil }
+	if accepts(1) {
 		return 1, true
 	}
-	if !algo.Schedulable(SpeedScaled(ts, maxSpeed), m) {
+	if !accepts(maxSpeed) {
 		return 0, false
 	}
 	lo, hi := 1.0, maxSpeed
 	for hi-lo > tol {
 		mid := (lo + hi) / 2
-		if algo.Schedulable(SpeedScaled(ts, mid), m) {
+		if accepts(mid) {
 			hi = mid
 		} else {
 			lo = mid
@@ -134,8 +144,7 @@ func RunSpeedupSurvey(algo core.Algorithm, m, sets int, ubCap float64, seed int6
 	if len(buckets) == 0 {
 		return SpeedupSurvey{}, fmt.Errorf("experiments: ubCap %g selects no buckets", ubCap)
 	}
-	smp := samplers.Get().(*sampler)
-	defer samplers.Put(smp)
+	smp := newSampler(m, algo.Test)
 	for i := 0; i < sets; i++ {
 		b := buckets[i%len(buckets)]
 		combo := b.Combos[(i/len(buckets))%len(b.Combos)]
@@ -146,7 +155,7 @@ func RunSpeedupSurvey(algo core.Algorithm, m, sets int, ubCap float64, seed int6
 		if ts.Bound(m) > ubCap+1e-9 {
 			continue // ceiling inflation pushed it past the cap
 		}
-		speed, ok := MinSpeed(algo, ts, m, maxSpeed, 1e-3)
+		speed, ok := minSpeed(algo.Strategy, smp.asn[0], ts, maxSpeed, 1e-3)
 		if !ok {
 			out.Unresolved++
 			continue

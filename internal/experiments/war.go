@@ -42,8 +42,6 @@ type WARConfig struct {
 	Constrained bool
 	// Seed is the base seed.
 	Seed int64
-	// Workers bounds the parallelism; 0 means GOMAXPROCS.
-	Workers int
 	// Algorithms are evaluated on the same task sets.
 	Algorithms []core.Algorithm
 }
@@ -95,7 +93,6 @@ func RunWAR(cfg WARConfig) (WARResult, error) {
 				SetsPerUB:   cfg.SetsPerUB,
 				Constrained: cfg.Constrained,
 				Seed:        deriveSeed(cfg.Seed, mi*1000+pi, 0),
-				Workers:     cfg.Workers,
 				Algorithms:  cfg.Algorithms,
 			})
 			if err != nil {
