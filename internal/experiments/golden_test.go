@@ -9,10 +9,12 @@ package experiments
 // GOMAXPROCS wide, and CI runs these at GOMAXPROCS 1, 2 and the runner's
 // default. Figures 3 and 5 at m = 8 are the original pins; Figure 4, and
 // every figure at m = 2 and 4, were recorded before the built-in strategies
-// became rows of one table.
+// became rows of one table. The placement harness's tallies were recorded
+// before it shared the acceptance sweep's draw-and-count path.
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 )
@@ -146,5 +148,66 @@ func TestGoldenFigure5Acceptance(t *testing.T) {
 		},
 	} {
 		checkGoldenFigure(t, Figure5, m, 10, want)
+	}
+}
+
+// goldenPlacement is one heuristic's integer tallies over the placement
+// sweep, with its fragmentation sum as float bits and its full-set count
+// per UB bucket.
+type goldenPlacement struct {
+	name                                string
+	offered, admitted, probes, fullSets int
+	fragBits                            uint64
+	full                                []int
+}
+
+// TestGoldenPlacement pins the placement harness: every registry
+// heuristic at m = 4, 8 sets per bucket, seed 2017, PH 0.5, under EDF-VD.
+// The fields are assigned one by one so the pin reads the same whichever
+// struct declares them.
+func TestGoldenPlacement(t *testing.T) {
+	var cfg PlacementConfig
+	cfg.M, cfg.PH, cfg.SetsPerUB, cfg.Seed = 4, 0.5, 8, 2017
+	res, err := RunPlacement(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []goldenPlacement{
+		{"udp-ca", 1030, 1001, 1431, 59, 0x404832c15f9e96ce, []int{8, 8, 8, 8, 8, 8, 7, 4, 0, 0}},
+		{"ff", 1030, 1007, 1737, 63, 0x40477eb497063cca, []int{8, 8, 8, 8, 8, 8, 8, 7, 0, 0}},
+		{"nf", 1030, 1007, 1309, 62, 0x4047c26980eca9f3, []int{8, 8, 8, 8, 8, 8, 8, 6, 0, 0}},
+		{"bf-lo", 1030, 1007, 1768, 63, 0x40477cc9cdda027e, []int{8, 8, 8, 8, 8, 8, 8, 7, 0, 0}},
+		{"bf-hi", 1030, 1008, 1665, 63, 0x40477b1863a7bbbd, []int{8, 8, 8, 8, 8, 8, 8, 7, 0, 0}},
+		{"bf-total", 1030, 1008, 1790, 63, 0x40478a639b756ac1, []int{8, 8, 8, 8, 8, 8, 8, 7, 0, 0}},
+		{"wf-lo", 1030, 995, 1178, 53, 0x404889056fbb15c3, []int{8, 8, 8, 8, 7, 7, 6, 1, 0, 0}},
+		{"wf-hi", 1030, 997, 1341, 55, 0x404898b1c6d3f6b5, []int{8, 8, 8, 8, 7, 7, 7, 2, 0, 0}},
+		{"wf-total", 1030, 993, 1154, 53, 0x40485edc40360ac8, []int{8, 8, 8, 8, 7, 7, 6, 1, 0, 0}},
+		{"prm-ll", 1030, 919, 919, 42, 0x40495c1c3e83bcfd, []int{8, 8, 8, 8, 6, 3, 0, 1, 0, 0}},
+	}
+	if res.GenFailures != 0 {
+		t.Errorf("%d generation failures, golden 0", res.GenFailures)
+	}
+	if len(res.Scores) != len(want) {
+		t.Fatalf("%d scores, golden %d", len(res.Scores), len(want))
+	}
+	for i, s := range res.Scores {
+		got := goldenPlacement{s.Name, s.Offered, s.Admitted, s.Probes, s.FullSets, math.Float64bits(s.FragSum), nil}
+		var ubs []float64
+		for _, p := range s.Series.Points {
+			got.full = append(got.full, p.Accepted)
+			ubs = append(ubs, p.UB)
+			if p.Total != cfg.SetsPerUB {
+				t.Errorf("%s judged %d sets at UB %.2f, golden %d", s.Name, p.Total, p.UB, cfg.SetsPerUB)
+			}
+		}
+		if s.Sets != 80 {
+			t.Errorf("%s judged %d sets, golden 80", s.Name, s.Sets)
+		}
+		if !reflect.DeepEqual(ubs, goldenUBs) {
+			t.Errorf("%s has buckets %v, golden %v", s.Name, ubs, goldenUBs)
+		}
+		if !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("score %d is %+v, golden %+v", i, got, want[i])
+		}
 	}
 }
