@@ -95,10 +95,10 @@ func BenchmarkFig6a(b *testing.B) {
 // a custom metric. Metric units must be whitespace-free.
 func reportMidWARs(b *testing.B, res WARResult) {
 	b.Helper()
-	for _, s := range res.Series {
-		if len(s.Points) > 0 {
-			unit := fmt.Sprintf("war@PH=0.5/%s,m=%d", s.Name, s.M)
-			b.ReportMetric(s.Points[len(s.Points)/2].WAR, unit)
+	mid := len(res.Config.PHs) / 2
+	for mi, m := range res.Config.Ms {
+		for _, s := range res.Runs[mi][mid].Series {
+			b.ReportMetric(s.WAR(), fmt.Sprintf("war@PH=0.5/%s,m=%d", s.Name, m))
 		}
 	}
 }
@@ -131,8 +131,8 @@ func ablationSweep(b *testing.B, m int, algos []Algorithm) {
 	var last ExperimentResult
 	for i := 0; i < b.N; i++ {
 		res, err := RunExperiment(ExperimentConfig{
-			M: m, PH: 0.5, SetsPerUB: benchSets, Seed: 99,
-			UBMin: 0.5, UBMax: 0.99, Algorithms: algos,
+			Population: ExperimentPopulation{M: m, PH: 0.5, SetsPerUB: benchSets, Seed: 99, UBMin: 0.5, UBMax: 0.99},
+			Algorithms: algos,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -177,8 +177,8 @@ func BenchmarkAblationOrdering(b *testing.B) {
 	var last ExperimentResult
 	for i := 0; i < b.N; i++ {
 		res, err := RunExperiment(ExperimentConfig{
-			M: 4, PH: 0.9, SetsPerUB: benchSets, Seed: 7,
-			UBMin: 0.5, UBMax: 0.99, Algorithms: algos,
+			Population: ExperimentPopulation{M: 4, PH: 0.9, SetsPerUB: benchSets, Seed: 7, UBMin: 0.5, UBMax: 0.99},
+			Algorithms: algos,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -725,8 +725,7 @@ func BenchmarkSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, err := RunExperiment(ExperimentConfig{
-			M: 4, PH: 0.5, SetsPerUB: benchSets, Seed: 2017,
-			UBMin: 0.5, UBMax: 0.99,
+			Population: ExperimentPopulation{M: 4, PH: 0.5, SetsPerUB: benchSets, Seed: 2017, UBMin: 0.5, UBMax: 0.99},
 			Algorithms: []Algorithm{{Strategy: mustStrategy("CU-UDP"), Test: EDFVD()}},
 		})
 		if err != nil {

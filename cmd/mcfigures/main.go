@@ -131,10 +131,7 @@ func run(fig string, sets int, seed int64, outDir string, ascii, svg, csv bool, 
 // acceptance chart.
 func placementFigure(m, sets int, seed int64, outDir string, ascii, svg, csv bool) error {
 	res, err := mcsched.RunPlacementExperiment(mcsched.PlacementExperimentConfig{
-		M:         m,
-		PH:        0.5,
-		SetsPerUB: sets,
-		Seed:      seed,
+		Population: mcsched.ExperimentPopulation{M: m, PH: 0.5, SetsPerUB: sets, Seed: seed},
 	})
 	if err != nil {
 		return fmt.Errorf("placement m=%d: %w", m, err)
@@ -226,10 +223,10 @@ func warFigure(fig string, sets int, seed int64, outDir string,
 	if err := emit(chart, base, ascii, svg, csv); err != nil {
 		return err
 	}
-	for _, s := range res.Series {
-		fmt.Printf("%-28s", s.Label())
-		for _, p := range s.Points {
-			fmt.Printf("  PH=%.1f:%5.1f%%", p.PH, p.WAR*100)
+	for _, s := range chart.Series {
+		fmt.Printf("%-28s", s.Name)
+		for i, ph := range s.X {
+			fmt.Printf("  PH=%.1f:%5.1f%%", ph, s.Y[i]*100)
 		}
 		fmt.Println()
 	}

@@ -9,9 +9,13 @@ import (
 // Experiments: the paper's evaluation protocol
 // ---------------------------------------------------------------------------
 
+// ExperimentPopulation is the task-set population a sweep draws: one
+// platform size, deadline model and PH, SetsPerUB sets per UB bucket.
+// ExperimentConfig and PlacementExperimentConfig embed it.
+type ExperimentPopulation = experiments.Population
+
 // ExperimentConfig describes one acceptance-ratio sweep (Figs. 3–5 of the
-// paper): one platform size, deadline model and PH, with a set of
-// algorithms evaluated on identical task sets.
+// paper): a population and the algorithms evaluated on its task sets.
 type ExperimentConfig = experiments.Config
 
 // ExperimentResult holds one acceptance-ratio curve per algorithm.
@@ -23,7 +27,8 @@ type ExperimentSeries = experiments.Series
 // WARConfig describes a weighted-acceptance-ratio sweep over PH (Fig. 6).
 type WARConfig = experiments.WARConfig
 
-// WARResult holds one WAR curve per (algorithm, m).
+// WARResult holds the acceptance sweep of every (m, PH) point of a WAR
+// sweep, whose counts each WAR is read off.
 type WARResult = experiments.WARResult
 
 // Improvement summarizes one algorithm's gain over a baseline in the style
@@ -32,8 +37,8 @@ type Improvement = experiments.Improvement
 
 // PlacementExperimentConfig describes a multi-criteria sweep of the online
 // placement heuristics: every named (or, by default, every registered)
-// placer is scored on identical task sets along acceptance, fragmentation
-// and analysis-cost axes.
+// placer is scored on a population's task sets along acceptance,
+// fragmentation and analysis-cost axes.
 type PlacementExperimentConfig = experiments.PlacementConfig
 
 // PlacementExperimentResult holds one PlacementScore per heuristic.
@@ -143,7 +148,7 @@ type ChartSeries = plot.Series
 
 // ChartFromExperiment converts a sweep into an acceptance-ratio chart.
 func ChartFromExperiment(r ExperimentResult, title string) Chart {
-	return plot.FromSweep(r, title)
+	return plot.FromSweep(r.Series, title, "acceptance ratio")
 }
 
 // ChartFromWAR converts a WAR sweep into a chart with PH on the x axis.
@@ -152,7 +157,11 @@ func ChartFromWAR(r WARResult, title string) Chart { return plot.FromWAR(r, titl
 // ChartFromPlacement converts a placement sweep into a chart of full-set
 // acceptance over UB, one series per heuristic.
 func ChartFromPlacement(r PlacementExperimentResult, title string) Chart {
-	return plot.FromPlacement(r, title)
+	curves := make([]ExperimentSeries, len(r.Scores))
+	for i, s := range r.Scores {
+		curves[i] = s.Series
+	}
+	return plot.FromSweep(curves, title, "full-set acceptance ratio")
 }
 
 // RenderASCII renders a chart as a width×height text canvas.

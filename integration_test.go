@@ -72,8 +72,7 @@ func TestCUUDPDominatesBaselineAggregate(t *testing.T) {
 		t.Skip("medium sweep")
 	}
 	res, err := RunExperiment(ExperimentConfig{
-		M: 4, PH: 0.5, SetsPerUB: 40, Seed: 31,
-		UBMin: 0.6, UBMax: 0.9,
+		Population: ExperimentPopulation{M: 4, PH: 0.5, SetsPerUB: 40, Seed: 31, UBMin: 0.6, UBMax: 0.9},
 		Algorithms: Figure3Algorithms(),
 	})
 	if err != nil {
@@ -106,8 +105,7 @@ func TestConstrainedECDFBeatsEYBaseline(t *testing.T) {
 		t.Skip("medium sweep")
 	}
 	res, err := RunExperiment(ExperimentConfig{
-		M: 2, PH: 0.5, SetsPerUB: 20, Seed: 77, Constrained: true,
-		UBMin: 0.5, UBMax: 0.9,
+		Population: ExperimentPopulation{M: 2, PH: 0.5, SetsPerUB: 20, Seed: 77, Constrained: true, UBMin: 0.5, UBMax: 0.9},
 		Algorithms: Figure45Algorithms(),
 	})
 	if err != nil {
@@ -150,8 +148,8 @@ func TestGeneratorTargetsRealized(t *testing.T) {
 // three backends from one small sweep.
 func TestFacadeChartPipelines(t *testing.T) {
 	res, err := RunExperiment(ExperimentConfig{
-		M: 2, PH: 0.5, SetsPerUB: 3, Seed: 5,
-		UBMin: 0.5, UBMax: 0.8, Algorithms: Figure3Algorithms(),
+		Population: ExperimentPopulation{M: 2, PH: 0.5, SetsPerUB: 3, Seed: 5, UBMin: 0.5, UBMax: 0.8},
+		Algorithms: Figure3Algorithms(),
 	})
 	if err != nil {
 		t.Fatal(err)

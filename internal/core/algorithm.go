@@ -29,7 +29,7 @@ func (a Algorithm) Partition(ts mcs.TaskSet, m int) (Partition, error) {
 // processors: Allocate on a fresh Assigner. Callers that judge many sets
 // keep one Assigner per algorithm and call its Allocate instead.
 func (a Algorithm) Schedulable(ts mcs.TaskSet, m int) bool {
-	return m > 0 && NewAssigner(m, a.Test).Allocate(a.Strategy, ts) == nil
+	return m > 0 && NewAssigner(m, a.Test).Allocate(a.Strategy, ts)
 }
 
 // Verify re-checks a finished partition: every task placed exactly once and

@@ -86,22 +86,24 @@ func (a *Assigner) Reset() {
 }
 
 // Allocate resets the assigner and partitions ts onto its cores with
-// strategy s under its test, leaving the assignment it reached; the error
-// is the one s.Partition would return. A built-in strategy runs on the
-// assigner itself, so a sweep worker that owns one assigner per algorithm
-// judges task set after task set on warm buffers and analyzers; any other
-// strategy runs its own Partition and leaves the assigner untouched.
-func (a *Assigner) Allocate(s Strategy, ts mcs.TaskSet) error {
+// strategy s under its test, leaving the assignment it reached, and
+// reports whether s.Partition would succeed. Which task failed, and why,
+// is Partition's to say. A built-in strategy runs on the assigner itself,
+// so a sweep worker that owns one assigner per algorithm judges task set
+// after task set on warm buffers and analyzers; any other strategy runs
+// its own Partition and leaves the assigner untouched.
+func (a *Assigner) Allocate(s Strategy, ts mcs.TaskSet) bool {
 	bs, ok := s.(strategy)
 	if !ok {
 		_, err := s.Partition(ts, len(a.cores), a.test)
-		return err
+		return err == nil
 	}
-	if err := validateInput(ts, len(a.cores), a.test); err != nil {
-		return err
+	if validateInput(ts, len(a.cores), a.test) != nil {
+		return false
 	}
 	a.Reset()
-	return bs.allocate(a, ts)
+	_, ok = bs.allocate(a, ts)
+	return ok
 }
 
 // NumCores returns the number of processors.

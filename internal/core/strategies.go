@@ -94,15 +94,16 @@ func (s strategy) Partition(ts mcs.TaskSet, m int, test Test) (Partition, error)
 		return Partition{}, err
 	}
 	st := NewAssigner(m, test)
-	if err := s.allocate(st, ts); err != nil {
-		return Partition{}, err
+	if t, ok := s.allocate(st, ts); !ok {
+		return Partition{}, FailError{Task: t}
 	}
 	return st.Partition(), nil
 }
 
-// allocate places every task of ts on st, or returns the FailError of the
-// first task that fits nowhere.
-func (s strategy) allocate(st *Assigner, ts mcs.TaskSet) error {
+// allocate places every task of ts on st, or stops at the first task that
+// fits nowhere and returns it with ok=false. It builds no error, so a
+// rejection costs a sweep nothing beyond the probes.
+func (s strategy) allocate(st *Assigner, ts mcs.TaskSet) (failed mcs.Task, ok bool) {
 	for _, t := range s.seq.of(ts) {
 		p := s.lc
 		if t.IsHC() {
@@ -110,11 +111,11 @@ func (s strategy) allocate(st *Assigner, ts mcs.TaskSet) error {
 		}
 		k := st.FirstFitting(t, p.Order(st, t))
 		if k < 0 {
-			return FailError{Task: t}
+			return t, false
 		}
 		st.Commit(t, k)
 	}
-	return nil
+	return mcs.Task{}, true
 }
 
 // CAUDP returns the criticality-aware UDP strategy of Algorithm 1.

@@ -22,10 +22,12 @@ import (
 	"mcsched/internal/taskgen"
 )
 
-// Config describes one acceptance-ratio sweep: one platform size, one
-// deadline model, one PH, a set of algorithms evaluated on the same task
-// sets.
-type Config struct {
+// Population is the task-set population a sweep draws: SetsPerUB sets in
+// every UB bucket of the paper's generator grid, on one platform size,
+// deadline model and PH. Config and PlacementConfig embed it, so the
+// acceptance and placement sweeps declare, validate, bucket and draw it
+// the same way.
+type Population struct {
 	// M is the number of processors.
 	M int
 	// PH is the fraction of HC tasks (paper default 0.5).
@@ -38,30 +40,67 @@ type Config struct {
 	Seed int64
 	// UBMin and UBMax clip the UB buckets swept (0,0 means full grid).
 	UBMin, UBMax float64
+}
+
+// validate rejects a structurally broken population, and constrained
+// deadlines paired with one of the judging tests that covers implicit
+// deadlines only, whose every set would be refused and plot as zero
+// acceptance.
+func (p Population) validate(tests []core.Test) error {
+	switch {
+	case p.M <= 0:
+		return fmt.Errorf("experiments: M=%d must be positive", p.M)
+	case !(p.PH >= 0 && p.PH <= 1): // NaN too
+		return fmt.Errorf("experiments: PH=%g outside [0,1]", p.PH)
+	case p.SetsPerUB <= 0:
+		return fmt.Errorf("experiments: SetsPerUB=%d must be positive", p.SetsPerUB)
+	}
+	for _, test := range tests {
+		if p.Constrained && core.ImplicitOnly(test) {
+			return fmt.Errorf("experiments: %s covers implicit deadlines only, not Constrained", test.Name())
+		}
+	}
+	return nil
+}
+
+// buckets returns the UB buckets of the generator grid that the window
+// [UBMin, UBMax] selects.
+func (p Population) buckets() ([]taskgen.Bucket, error) {
+	buckets := taskgen.BucketByUB(taskgen.DefaultGrid())
+	if p.UBMin != 0 || p.UBMax != 0 {
+		buckets = taskgen.FilterBuckets(buckets, p.UBMin, p.UBMax)
+	}
+	if len(buckets) == 0 {
+		return nil, fmt.Errorf("experiments: UB window [%g,%g] selects no buckets", p.UBMin, p.UBMax)
+	}
+	return buckets, nil
+}
+
+// Config describes one acceptance-ratio sweep: a population and the
+// algorithms evaluated on its task sets.
+type Config struct {
+	Population
 	// Algorithms are evaluated on the same task sets, in order.
 	Algorithms []core.Algorithm
 }
 
-// Validate rejects structurally broken configurations, and constrained
-// deadlines paired with a test that covers implicit deadlines only, whose
-// every set would be refused and plot as zero acceptance.
+// Validate rejects an empty algorithm list, a broken population, and
+// constrained deadlines under an algorithm whose test covers implicit
+// deadlines only.
 func (c Config) Validate() error {
-	switch {
-	case c.M <= 0:
-		return fmt.Errorf("experiments: M=%d must be positive", c.M)
-	case c.PH < 0 || c.PH > 1:
-		return fmt.Errorf("experiments: PH=%g outside [0,1]", c.PH)
-	case c.SetsPerUB <= 0:
-		return fmt.Errorf("experiments: SetsPerUB=%d must be positive", c.SetsPerUB)
-	case len(c.Algorithms) == 0:
+	if len(c.Algorithms) == 0 {
 		return fmt.Errorf("experiments: no algorithms")
 	}
-	for _, a := range c.Algorithms {
-		if c.Constrained && core.ImplicitOnly(a.Test) {
-			return fmt.Errorf("experiments: %s covers implicit deadlines only, not Constrained", a.Name())
-		}
+	return c.validate(c.tests())
+}
+
+// tests returns the test of each algorithm, in order.
+func (c Config) tests() []core.Test {
+	tests := make([]core.Test, len(c.Algorithms))
+	for ai, algo := range c.Algorithms {
+		tests[ai] = algo.Test
 	}
-	return nil
+	return tests
 }
 
 // Point is one (UB, acceptance) sample of a sweep for one algorithm.
@@ -190,15 +229,16 @@ func (s *sampler) draw(seed int64, gc taskgen.Config) (mcs.TaskSet, error) {
 	return s.gen.Generate(s.rng, gc)
 }
 
-// drawSet generates one task set for a bucket, cycling through the bucket's
-// grid combos and retrying infeasible draws with perturbed seeds.
-func (s *sampler) drawSet(cfg Config, b taskgen.Bucket, bucketIdx, setIdx int) (mcs.TaskSet, bool) {
+// drawSet generates one task set of population p for a bucket, cycling
+// through the bucket's grid combos and retrying infeasible draws with
+// perturbed seeds.
+func (s *sampler) drawSet(p Population, b taskgen.Bucket, bucketIdx, setIdx int) (mcs.TaskSet, bool) {
 	combo := b.Combos[setIdx%len(b.Combos)]
 	for try := 0; try < genRetries; try++ {
-		gc := taskgen.DefaultConfig(cfg.M, combo.UHH, combo.ULH, combo.ULL)
-		gc.PH = cfg.PH
-		gc.Constrained = cfg.Constrained
-		ts, err := s.draw(deriveSeed(cfg.Seed, bucketIdx, setIdx*genRetries+try), gc)
+		gc := taskgen.DefaultConfig(p.M, combo.UHH, combo.ULH, combo.ULL)
+		gc.PH = p.PH
+		gc.Constrained = p.Constrained
+		ts, err := s.draw(deriveSeed(p.Seed, bucketIdx, setIdx*genRetries+try), gc)
 		if err == nil {
 			return ts, true
 		}
@@ -208,90 +248,80 @@ func (s *sampler) drawSet(cfg Config, b taskgen.Bucket, bucketIdx, setIdx int) (
 	return nil, false
 }
 
-// cell is the outcome of one unit of sweep work: a single task set drawn
-// and evaluated by every algorithm. drawn=false records a generation
-// failure.
-type cell struct {
-	drawn    bool
-	accepted []bool
-}
-
-// judge records in accepted whether each algorithm partitions ts, each on
-// the sampler's Assigner of its slot.
-func (s *sampler) judge(algos []core.Algorithm, ts mcs.TaskSet, accepted []bool) {
-	for ai, algo := range algos {
-		accepted[ai] = s.asn[ai].Allocate(algo.Strategy, ts) == nil
+// sweep draws every (bucket, set) of the population once and hands each
+// drawn set to judge once per slot, with the worker sampler's Assigner of
+// that slot; the slots' Assigners are bound to tests in order. The draws
+// are spread over parallelMap, GOMAXPROCS wide: each (bucket, set) index
+// is an independent job whose result lands at a fixed index, so what a
+// sweep counts is identical for every worker count. It returns the
+// population's buckets and each set's outcomes in (bucket, set) order, nil
+// for a failed draw.
+func sweep[T any](p Population, tests []core.Test, judge func(slot int, asn *core.Assigner, ts mcs.TaskSet) T) ([]taskgen.Bucket, [][]T, error) {
+	buckets, err := p.buckets()
+	if err != nil {
+		return nil, nil, err
 	}
+	scratch := func() *sampler { return newSampler(p.M, tests...) }
+	cells := parallelMap(runtime.GOMAXPROCS(0), len(buckets)*p.SetsPerUB, scratch, func(smp *sampler, j int) []T {
+		bi, si := j/p.SetsPerUB, j%p.SetsPerUB
+		ts, ok := smp.drawSet(p, buckets[bi], bi, si)
+		if !ok {
+			return nil
+		}
+		out := make([]T, len(tests))
+		for slot, asn := range smp.asn {
+			out[slot] = judge(slot, asn, ts)
+		}
+		return out
+	})
+	return buckets, cells, nil
 }
 
-// Run executes the sweep. Algorithms are evaluated on identical task sets
-// (paired comparison), and task sets are spread over parallelMap with
-// GOMAXPROCS workers: each (bucket, set) index is an independent job whose
-// result lands at a fixed index, so the aggregated curves are identical
-// for every worker count.
+// countSeries reduces a sweep's outcomes to one Series per slot, named by
+// names: in each bucket, the drawn sets whose outcome pass accepts, out
+// of the sets drawn. It also returns the number of failed draws.
+func countSeries[T any](names []string, buckets []taskgen.Bucket, cells [][]T, pass func(T) bool) ([]Series, int) {
+	series := make([]Series, len(names))
+	for slot, name := range names {
+		series[slot] = Series{Name: name, Points: make([]Point, len(buckets))}
+		for bi, b := range buckets {
+			series[slot].Points[bi].UB = b.UB
+		}
+	}
+	perBucket, genFailures := len(cells)/len(buckets), 0
+	for j, out := range cells {
+		if out == nil {
+			genFailures++
+			continue
+		}
+		for slot, o := range out {
+			pt := &series[slot].Points[j/perBucket]
+			pt.Total++
+			if pass(o) {
+				pt.Accepted++
+			}
+		}
+	}
+	return series, genFailures
+}
+
+// Run executes the sweep: every algorithm judges the identical task sets
+// (paired comparison) on the sweep's shared draw-and-count path.
 func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
 	start := time.Now()
-
-	buckets := taskgen.BucketByUB(taskgen.DefaultGrid())
-	if cfg.UBMin != 0 || cfg.UBMax != 0 {
-		buckets = taskgen.FilterBuckets(buckets, cfg.UBMin, cfg.UBMax)
-	}
-	if len(buckets) == 0 {
-		return Result{}, fmt.Errorf("experiments: UB window [%g,%g] selects no buckets", cfg.UBMin, cfg.UBMax)
-	}
-
-	tests := make([]core.Test, len(cfg.Algorithms))
-	for ai, algo := range cfg.Algorithms {
-		tests[ai] = algo.Test
-	}
-	scratch := func() *sampler { return newSampler(cfg.M, tests...) }
-	cells := parallelMap(runtime.GOMAXPROCS(0), len(buckets)*cfg.SetsPerUB, scratch, func(smp *sampler, j int) cell {
-		bi, si := j/cfg.SetsPerUB, j%cfg.SetsPerUB
-		ts, ok := smp.drawSet(cfg, buckets[bi], bi, si)
-		if !ok {
-			return cell{}
-		}
-		c := cell{drawn: true, accepted: make([]bool, len(cfg.Algorithms))}
-		smp.judge(cfg.Algorithms, ts, c.accepted)
-		return c
+	buckets, cells, err := sweep(cfg.Population, cfg.tests(), func(ai int, asn *core.Assigner, ts mcs.TaskSet) bool {
+		return asn.Allocate(cfg.Algorithms[ai].Strategy, ts)
 	})
-
-	// Reduce the cells serially; accepted[bucket][algo] counts accepted
-	// sets, totals[bucket] evaluated sets.
-	accepted := make([][]int, len(buckets))
-	for i := range accepted {
-		accepted[i] = make([]int, len(cfg.Algorithms))
+	if err != nil {
+		return Result{}, err
 	}
-	totals := make([]int, len(buckets))
-	genFailures := 0
-	for j, c := range cells {
-		bi := j / cfg.SetsPerUB
-		if !c.drawn {
-			genFailures++
-			continue
-		}
-		totals[bi]++
-		for ai, ok := range c.accepted {
-			if ok {
-				accepted[bi][ai]++
-			}
-		}
-	}
-
-	res := Result{Config: cfg, GenFailures: genFailures, Elapsed: time.Since(start)}
+	names := make([]string, len(cfg.Algorithms))
 	for ai, algo := range cfg.Algorithms {
-		s := Series{Name: algo.Name()}
-		for bi, b := range buckets {
-			s.Points = append(s.Points, Point{
-				UB:       b.UB,
-				Accepted: accepted[bi][ai],
-				Total:    totals[bi],
-			})
-		}
-		res.Series = append(res.Series, s)
+		names[ai] = algo.Name()
 	}
-	return res, nil
+	series, genFailures := countSeries(names, buckets, cells, func(ok bool) bool { return ok })
+	return Result{Config: cfg, Series: series, GenFailures: genFailures, Elapsed: time.Since(start)}, nil
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"mcsched/internal/core"
@@ -13,25 +15,22 @@ import (
 // fastConfig returns a small sweep that runs in well under a second.
 func fastConfig(m int, algos []core.Algorithm) Config {
 	return Config{
-		M:          m,
-		PH:         0.5,
-		SetsPerUB:  8,
-		Seed:       1,
-		UBMin:      0.4,
-		UBMax:      0.8,
+		Population: Population{M: m, PH: 0.5, SetsPerUB: 8, Seed: 1, UBMin: 0.4, UBMax: 0.8},
 		Algorithms: algos,
 	}
 }
 
 func TestRunValidation(t *testing.T) {
+	algos := Figure3Algorithms()
 	cases := []Config{
 		{},
-		{M: 2, PH: 0.5, SetsPerUB: 1}, // no algorithms
-		{M: 0, PH: 0.5, SetsPerUB: 1, Algorithms: Figure3Algorithms()},  // m=0
-		{M: 2, PH: -0.1, SetsPerUB: 1, Algorithms: Figure3Algorithms()}, // PH<0
-		{M: 2, PH: 0.5, SetsPerUB: 0, Algorithms: Figure3Algorithms()},  // sets=0
+		{Population: Population{M: 2, PH: 0.5, SetsPerUB: 1}},                           // no algorithms
+		{Population: Population{M: 0, PH: 0.5, SetsPerUB: 1}, Algorithms: algos},        // m=0
+		{Population: Population{M: 2, PH: -0.1, SetsPerUB: 1}, Algorithms: algos},       // PH<0
+		{Population: Population{M: 2, PH: math.NaN(), SetsPerUB: 1}, Algorithms: algos}, // PH NaN
+		{Population: Population{M: 2, PH: 0.5, SetsPerUB: 0}, Algorithms: algos},        // sets=0
 		// Figure 3's EDF-VD covers implicit deadlines only.
-		{M: 2, PH: 0.5, SetsPerUB: 1, Constrained: true, Algorithms: Figure3Algorithms()},
+		{Population: Population{M: 2, PH: 0.5, SetsPerUB: 1, Constrained: true}, Algorithms: algos},
 	}
 	for i, cfg := range cases {
 		if _, err := Run(cfg); err == nil {
@@ -107,12 +106,7 @@ func TestAcceptanceMonotoneTrend(t *testing.T) {
 	// highest: low-utilization sets are easier. (Not necessarily monotone
 	// point-to-point because buckets use different grid combos.)
 	cfg := Config{
-		M:          2,
-		PH:         0.5,
-		SetsPerUB:  12,
-		Seed:       7,
-		UBMin:      0.3,
-		UBMax:      0.99,
+		Population: Population{M: 2, PH: 0.5, SetsPerUB: 12, Seed: 7, UBMin: 0.3, UBMax: 0.99},
 		Algorithms: Figure3Algorithms(),
 	}
 	res, err := Run(cfg)
@@ -132,12 +126,7 @@ func TestUDPBeatsBaselineFig3(t *testing.T) {
 	// The paper's headline: UDP strategies dominate CA(nosort)-F-F with
 	// EDF-VD in aggregate. Verified on a reduced sweep at m=4.
 	cfg := Config{
-		M:          4,
-		PH:         0.5,
-		SetsPerUB:  10,
-		Seed:       42,
-		UBMin:      0.5,
-		UBMax:      0.9,
+		Population: Population{M: 4, PH: 0.5, SetsPerUB: 10, Seed: 42, UBMin: 0.5, UBMax: 0.9},
 		Algorithms: Figure3Algorithms(),
 	}
 	res, err := Run(cfg)
@@ -181,9 +170,12 @@ func TestWARFormula(t *testing.T) {
 	}
 }
 
-func TestRunWARShape(t *testing.T) {
+// TestRunWARKeepsRuns holds each (m, PH) point that RunWAR keeps to a
+// direct Run at the point's derived seed, bucket by bucket, and its WARs
+// to the bits RunWAR reported before it kept the runs.
+func TestRunWARKeepsRuns(t *testing.T) {
 	cfg := WARConfig{
-		Ms:         []int{2},
+		Ms:         []int{2, 4},
 		PHs:        []float64{0.3, 0.7},
 		SetsPerUB:  4,
 		Seed:       3,
@@ -193,24 +185,57 @@ func TestRunWARShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(cfg.Ms) * len(cfg.Algorithms); len(res.Series) != want {
-		t.Fatalf("got %d series, want %d", len(res.Series), want)
+	// wantWAR[mi][ai][pi], as RunWAR reported it per (algorithm, m) curve.
+	wantWAR := [][][]uint64{
+		{ // m = 2
+			{0x3fe59105211b8308, 0x3fe59105211b8308},
+			{0x3fe79b47582192e2, 0x3fe9105211b8307e},
+			{0x3fe64b8a7de6d1d5, 0x3fe7c095377d6f72},
+		},
+		{ // m = 4
+			{0x3fe5211b8307ed59, 0x3fe131e4f457aa33},
+			{0x3fe5211b8307ed59, 0x3fe8eb04325c53ee},
+			{0x3fe2a6efadee47cf, 0x3fe3f6ac882908dc},
+		},
 	}
-	for _, s := range res.Series {
-		if len(s.Points) != len(cfg.PHs) {
-			t.Fatalf("series %s: %d points, want %d", s.Label(), len(s.Points), len(cfg.PHs))
+	if len(res.Runs) != len(cfg.Ms) {
+		t.Fatalf("%d rows of runs, want one per m (%d)", len(res.Runs), len(cfg.Ms))
+	}
+	genFailures := 0
+	for mi, m := range cfg.Ms {
+		if len(res.Runs[mi]) != len(cfg.PHs) {
+			t.Fatalf("m=%d: %d runs, want one per PH (%d)", m, len(res.Runs[mi]), len(cfg.PHs))
 		}
-		for i, p := range s.Points {
-			if p.PH != cfg.PHs[i] {
-				t.Fatalf("series %s: PH[%d]=%g want %g", s.Label(), i, p.PH, cfg.PHs[i])
+		for pi, ph := range cfg.PHs {
+			kept := res.Runs[mi][pi]
+			if kept.Config.M != m || kept.Config.PH != ph {
+				t.Fatalf("Runs[%d][%d] is the run at m=%d PH=%g, want m=%d PH=%g", mi, pi, kept.Config.M, kept.Config.PH, m, ph)
 			}
-			if p.WAR < 0 || p.WAR > 1 {
-				t.Fatalf("series %s: WAR %g outside [0,1]", s.Label(), p.WAR)
+			for _, p := range kept.Series[0].Points {
+				if p.Total == 0 {
+					t.Errorf("m=%d PH=%g: no sets judged at UB %.2f", m, ph, p.UB)
+				}
 			}
-			if p.Sets <= 0 {
-				t.Fatalf("series %s: no sets at PH=%g", s.Label(), p.PH)
+			direct, err := Run(Config{
+				Population: Population{M: m, PH: ph, SetsPerUB: cfg.SetsPerUB, Seed: deriveSeed(cfg.Seed, mi*1000+pi, 0)},
+				Algorithms: cfg.Algorithms,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(kept.Series, direct.Series) || kept.GenFailures != direct.GenFailures {
+				t.Errorf("m=%d PH=%g: kept run %+v differs from a direct Run %+v", m, ph, kept.Series, direct.Series)
+			}
+			genFailures += kept.GenFailures
+			for ai, s := range kept.Series {
+				if got := math.Float64bits(s.WAR()); got != wantWAR[mi][ai][pi] {
+					t.Errorf("m=%d PH=%g %s: WAR bits %#x, want %#x", m, ph, s.Name, got, wantWAR[mi][ai][pi])
+				}
 			}
 		}
+	}
+	if res.GenFailures != genFailures {
+		t.Errorf("GenFailures %d, the runs' sum is %d", res.GenFailures, genFailures)
 	}
 }
 
@@ -220,6 +245,7 @@ func TestRunWARValidation(t *testing.T) {
 		{Ms: []int{2}, PHs: []float64{0.5}}, // no algos
 		{Ms: []int{2}, PHs: []float64{0.5}, Algorithms: Figure3Algorithms()}, // sets=0
 		{Ms: nil, PHs: []float64{0.5}, SetsPerUB: 1, Algorithms: Figure3Algorithms()},
+		{Ms: []int{2}, PHs: []float64{math.NaN()}, SetsPerUB: 1, Algorithms: Figure3Algorithms()},
 	}
 	for i, cfg := range bad {
 		if _, err := RunWAR(cfg); err == nil {
@@ -341,10 +367,14 @@ func TestSeriesRatioAt(t *testing.T) {
 // TestSweepRoundAllocs holds one round of Figures 4 and 5's six algorithms
 // on one worker's sampler — every algorithm judging the same set on the
 // Assigner of its slot — to one allocation per algorithm: the clone its
-// strategy sorts the set in. The 32 sets are core's benchSets (m = 8, UHH
-// 0.6, ULH 0.3, ULL 0.3, seed 4). A slot builds each core's analyzer on
-// the first probe of that core, so one pass over the sets comes first;
-// from then on the analyzers serve every set, whichever test ran before.
+// strategy sorts the set in. A rejection reports its verdict and builds no
+// error. The 32 sets are core's benchSets (m = 8, UHH 0.6, ULH 0.3, ULL
+// 0.3, seed 4), and some algorithm rejects some of them. Each set is
+// measured on its own, since AllocsPerRun truncates its mean: averaged
+// over all 32, a rejection's extra allocation would not show. A slot
+// builds each core's analyzer on the first probe of that core, so one
+// pass over the sets comes first; from then on the analyzers serve every
+// set, whichever test ran before.
 func TestSweepRoundAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	sets := make([]mcs.TaskSet, 32)
@@ -362,15 +392,26 @@ func TestSweepRoundAllocs(t *testing.T) {
 	}
 	smp := newSampler(8, tests...)
 	accepted := make([]bool, len(algos))
-	for _, ts := range sets {
-		smp.judge(algos, ts, accepted)
+	round := func(ts mcs.TaskSet) {
+		for ai, algo := range algos {
+			accepted[ai] = smp.asn[ai].Allocate(algo.Strategy, ts)
+		}
 	}
-	i := 0
-	got := testing.AllocsPerRun(10*len(sets), func() {
-		smp.judge(algos, sets[i%len(sets)], accepted)
-		i++
-	})
-	if got > float64(len(algos)) {
-		t.Errorf("%.0f allocs per round of %d algorithms, want at most %d", got, len(algos), len(algos))
+	for _, ts := range sets {
+		round(ts)
+	}
+	rejecting := 0
+	for si, ts := range sets {
+		got := testing.AllocsPerRun(10, func() { round(ts) })
+		if slices.Contains(accepted, false) {
+			rejecting++
+		}
+		if got > float64(len(algos)) {
+			t.Errorf("set %d (accepted %v): %.0f allocs per round of %d algorithms, want at most %d",
+				si, accepted, got, len(algos), len(algos))
+		}
+	}
+	if rejecting == 0 {
+		t.Fatal("no algorithm rejects any set: the round measures no rejection")
 	}
 }

@@ -64,40 +64,29 @@ func Figure6aAlgorithms() []core.Algorithm { return Figure3Algorithms() }
 // Figure6bAlgorithms are the constrained-deadline algorithms of Fig. 6b.
 func Figure6bAlgorithms() []core.Algorithm { return Figure45Algorithms() }
 
+// panel runs one panel of Figs. 3–5: PH=0.5 on m processors.
+func panel(m, setsPerUB int, seed int64, constrained bool, algos []core.Algorithm) (Result, error) {
+	return Run(Config{
+		Population: Population{M: m, PH: 0.5, SetsPerUB: setsPerUB, Constrained: constrained, Seed: seed},
+		Algorithms: algos,
+	})
+}
+
 // Figure3 runs one panel of Fig. 3 (implicit deadlines, PH=0.5) for the
 // given processor count.
 func Figure3(m, setsPerUB int, seed int64) (Result, error) {
-	return Run(Config{
-		M:          m,
-		PH:         0.5,
-		SetsPerUB:  setsPerUB,
-		Seed:       seed,
-		Algorithms: Figure3Algorithms(),
-	})
+	return panel(m, setsPerUB, seed, false, Figure3Algorithms())
 }
 
 // Figure4 runs one panel of Fig. 4 (implicit deadlines, PH=0.5, ECDF/AMC vs
 // EY baselines).
 func Figure4(m, setsPerUB int, seed int64) (Result, error) {
-	return Run(Config{
-		M:          m,
-		PH:         0.5,
-		SetsPerUB:  setsPerUB,
-		Seed:       seed,
-		Algorithms: Figure45Algorithms(),
-	})
+	return panel(m, setsPerUB, seed, false, Figure45Algorithms())
 }
 
 // Figure5 runs one panel of Fig. 5 (constrained deadlines, PH=0.5).
 func Figure5(m, setsPerUB int, seed int64) (Result, error) {
-	return Run(Config{
-		M:           m,
-		PH:          0.5,
-		SetsPerUB:   setsPerUB,
-		Constrained: true,
-		Seed:        seed,
-		Algorithms:  Figure45Algorithms(),
-	})
+	return panel(m, setsPerUB, seed, true, Figure45Algorithms())
 }
 
 // PanelMs are the processor counts of the three panels of Figs. 3–5.

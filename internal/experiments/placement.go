@@ -19,32 +19,19 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
 
 	"mcsched/internal/core"
 	"mcsched/internal/mcs"
-	"mcsched/internal/taskgen"
 )
 
-// PlacementConfig describes one placement-heuristic sweep. The task-set
-// grid, seeding and determinism guarantees match Config: every heuristic
-// sees the identical task sets in the identical arrival order.
+// PlacementConfig describes one placement-heuristic sweep: a population
+// and the heuristics scored on it. Every heuristic sees the identical task
+// sets in the identical arrival order.
 type PlacementConfig struct {
-	// M is the number of processors.
-	M int
-	// PH is the fraction of HC tasks (paper default 0.5).
-	PH float64
-	// SetsPerUB is the number of task sets per UB bucket.
-	SetsPerUB int
-	// Constrained selects constrained deadlines; otherwise implicit.
-	Constrained bool
-	// Seed is the base seed; every task set derives its own RNG from it.
-	Seed int64
-	// UBMin and UBMax clip the UB buckets swept (0,0 means full grid).
-	UBMin, UBMax float64
+	Population
 	// Test is the uniprocessor schedulability test gating every admit;
 	// nil selects EDF-VD.
 	Test core.Test
@@ -53,18 +40,11 @@ type PlacementConfig struct {
 	Placements []string
 }
 
-// Validate rejects structurally broken configurations, and constrained
-// deadlines paired with a test that covers implicit deadlines only.
+// Validate rejects a broken population, constrained deadlines under an
+// implicit-only test, and unknown heuristic names.
 func (c PlacementConfig) Validate() error {
-	switch {
-	case c.M <= 0:
-		return fmt.Errorf("experiments: M=%d must be positive", c.M)
-	case c.PH < 0 || c.PH > 1:
-		return fmt.Errorf("experiments: PH=%g outside [0,1]", c.PH)
-	case c.SetsPerUB <= 0:
-		return fmt.Errorf("experiments: SetsPerUB=%d must be positive", c.SetsPerUB)
-	case c.Constrained && core.ImplicitOnly(c.test()):
-		return fmt.Errorf("experiments: %s covers implicit deadlines only, not Constrained", c.test().Name())
+	if err := c.validate([]core.Test{c.test()}); err != nil {
+		return err
 	}
 	for _, name := range c.Placements {
 		if _, ok := core.PlacerByName(name); !ok {
@@ -227,67 +207,34 @@ func fragmentation(a *core.Assigner) float64 {
 	return (total - max) / total
 }
 
-// placementCell is one task set evaluated by every heuristic.
-type placementCell struct {
-	drawn   bool
-	tallies []placementTally
-}
-
-// RunPlacement executes the placement sweep. Heuristics are evaluated on
-// identical task sets in identical arrival order (paired comparison), and
-// task sets fan out over parallelMap, GOMAXPROCS wide: each (bucket, set)
-// index is an independent job with a fixed result slot, so scores are
-// identical for every worker count.
+// RunPlacement executes the placement sweep: every heuristic is evaluated
+// on the identical task sets in identical arrival order (paired
+// comparison), on the sweep's shared draw-and-count path.
 func RunPlacement(cfg PlacementConfig) (PlacementResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return PlacementResult{}, err
 	}
 	start := time.Now()
-
-	buckets := taskgen.BucketByUB(taskgen.DefaultGrid())
-	if cfg.UBMin != 0 || cfg.UBMax != 0 {
-		buckets = taskgen.FilterBuckets(buckets, cfg.UBMin, cfg.UBMax)
-	}
-	if len(buckets) == 0 {
-		return PlacementResult{}, fmt.Errorf("experiments: UB window [%g,%g] selects no buckets", cfg.UBMin, cfg.UBMax)
-	}
-
 	placers := cfg.placements()
-	test := cfg.test()
-	// drawSet only consumes the generator-relevant fields, so the shim
-	// Config reuses the exact seeding scheme of the acceptance sweeps.
-	genCfg := Config{M: cfg.M, PH: cfg.PH, Seed: cfg.Seed, Constrained: cfg.Constrained, SetsPerUB: cfg.SetsPerUB}
-
-	scratch := func() *sampler { return newSampler(cfg.M, slices.Repeat([]core.Test{test}, len(placers))...) }
-	cells := parallelMap(runtime.GOMAXPROCS(0), len(buckets)*cfg.SetsPerUB, scratch, func(smp *sampler, j int) placementCell {
-		bi, si := j/cfg.SetsPerUB, j%cfg.SetsPerUB
-		ts, ok := smp.drawSet(genCfg, buckets[bi], bi, si)
-		if !ok {
-			return placementCell{}
-		}
-		c := placementCell{drawn: true, tallies: make([]placementTally, len(placers))}
-		for pi, p := range placers {
-			c.tallies[pi] = evalPlacement(p, smp.asn[pi], ts)
-		}
-		return c
+	tests := slices.Repeat([]core.Test{cfg.test()}, len(placers))
+	buckets, cells, err := sweep(cfg.Population, tests, func(pi int, asn *core.Assigner, ts mcs.TaskSet) placementTally {
+		return evalPlacement(placers[pi], asn, ts)
 	})
+	if err != nil {
+		return PlacementResult{}, err
+	}
+	names := make([]string, len(placers))
+	for pi, p := range placers {
+		names[pi] = p.Name()
+	}
+	series, genFailures := countSeries(names, buckets, cells, func(t placementTally) bool { return t.full })
 
 	scores := make([]PlacementScore, len(placers))
-	fullSets := make([][]int, len(placers))
-	totals := make([]int, len(buckets))
-	for pi, p := range placers {
-		scores[pi].Name = p.Name()
-		fullSets[pi] = make([]int, len(buckets))
+	for pi := range scores {
+		scores[pi].Name, scores[pi].Series = names[pi], series[pi]
 	}
-	genFailures := 0
-	for j, c := range cells {
-		bi := j / cfg.SetsPerUB
-		if !c.drawn {
-			genFailures++
-			continue
-		}
-		totals[bi]++
-		for pi, t := range c.tallies {
+	for _, tallies := range cells {
+		for pi, t := range tallies {
 			s := &scores[pi]
 			s.Offered += t.offered
 			s.Admitted += t.admitted
@@ -296,23 +243,9 @@ func RunPlacement(cfg PlacementConfig) (PlacementResult, error) {
 			s.Sets++
 			if t.full {
 				s.FullSets++
-				fullSets[pi][bi]++
 			}
 		}
 	}
-
-	for pi := range scores {
-		s := &scores[pi]
-		s.Series = Series{Name: s.Name}
-		for bi, b := range buckets {
-			s.Series.Points = append(s.Series.Points, Point{
-				UB:       b.UB,
-				Accepted: fullSets[pi][bi],
-				Total:    totals[bi],
-			})
-		}
-	}
-
 	return PlacementResult{
 		Config:      cfg,
 		Scores:      scores,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -11,24 +12,18 @@ import (
 // tinyPlacementConfig keeps the sweep small enough for -race CI while still
 // crossing several UB buckets.
 func tinyPlacementConfig() PlacementConfig {
-	return PlacementConfig{
-		M:         2,
-		PH:        0.5,
-		SetsPerUB: 2,
-		Seed:      7,
-		UBMin:     0.4,
-		UBMax:     0.7,
-	}
+	return PlacementConfig{Population: Population{M: 2, PH: 0.5, SetsPerUB: 2, Seed: 7, UBMin: 0.4, UBMax: 0.7}}
 }
 
 func TestPlacementValidate(t *testing.T) {
 	bad := []PlacementConfig{
-		{M: 0, PH: 0.5, SetsPerUB: 1},
-		{M: 2, PH: -0.1, SetsPerUB: 1},
-		{M: 2, PH: 0.5, SetsPerUB: 0},
-		{M: 2, PH: 0.5, SetsPerUB: 1, Placements: []string{"nosuch"}},
-		{M: 2, PH: 0.5, SetsPerUB: 1, Placements: []string{"ff@9"}},
-		{M: 2, PH: 0.5, SetsPerUB: 1, Constrained: true}, // EDF-VD by default
+		{Population: Population{M: 0, PH: 0.5, SetsPerUB: 1}},
+		{Population: Population{M: 2, PH: -0.1, SetsPerUB: 1}},
+		{Population: Population{M: 2, PH: math.NaN(), SetsPerUB: 1}},
+		{Population: Population{M: 2, PH: 0.5, SetsPerUB: 0}},
+		{Population: Population{M: 2, PH: 0.5, SetsPerUB: 1}, Placements: []string{"nosuch"}},
+		{Population: Population{M: 2, PH: 0.5, SetsPerUB: 1}, Placements: []string{"ff@9"}},
+		{Population: Population{M: 2, PH: 0.5, SetsPerUB: 1, Constrained: true}}, // EDF-VD by default
 	}
 	for _, cfg := range bad {
 		if _, err := RunPlacement(cfg); err == nil {

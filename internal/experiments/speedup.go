@@ -62,7 +62,7 @@ func minSpeed(strat core.Strategy, st *core.Assigner, ts mcs.TaskSet, maxSpeed, 
 	if tol <= 0 {
 		tol = 1e-3
 	}
-	accepts := func(s float64) bool { return st.Allocate(strat, SpeedScaled(ts, s)) == nil }
+	accepts := func(s float64) bool { return st.Allocate(strat, SpeedScaled(ts, s)) }
 	if accepts(1) {
 		return 1, true
 	}

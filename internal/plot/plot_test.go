@@ -162,8 +162,8 @@ func TestFromSweep(t *testing.T) {
 			{UB: 0.6, Accepted: 2, Total: 2},
 		}},
 	}}
-	c := FromSweep(r, "t")
-	if len(c.Series) != 1 || c.Series[0].Name != "A" {
+	c := FromSweep(r.Series, "t", "acceptance ratio")
+	if len(c.Series) != 1 || c.Series[0].Name != "A" || c.YLabel != "acceptance ratio" {
 		t.Fatalf("bad chart %+v", c)
 	}
 	if c.Series[0].Y[0] != 0.5 || c.Series[0].Y[1] != 1 {
@@ -175,11 +175,15 @@ func TestFromSweep(t *testing.T) {
 }
 
 func TestFromWAR(t *testing.T) {
-	r := experiments.WARResult{Series: []experiments.WARSeries{
-		{Name: "A", M: 2, Points: []experiments.WARPoint{{PH: 0.1, WAR: 0.9}}},
-	}}
+	algos := experiments.Figure3Algorithms()[:1]
+	r := experiments.WARResult{
+		Config: experiments.WARConfig{Ms: []int{2}, PHs: []float64{0.1}, Algorithms: algos},
+		Runs: [][]experiments.Result{{{Series: []experiments.Series{
+			{Name: algos[0].Name(), Points: []experiments.Point{{UB: 1, Accepted: 9, Total: 10}}},
+		}}}},
+	}
 	c := FromWAR(r, "t")
-	if len(c.Series) != 1 || c.Series[0].Name != "A (m=2)" {
+	if len(c.Series) != 1 || c.Series[0].Name != "CA-UDP-EDF-VD (m=2)" {
 		t.Fatalf("bad chart %+v", c)
 	}
 	if c.Series[0].X[0] != 0.1 || c.Series[0].Y[0] != 0.9 {

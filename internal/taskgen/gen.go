@@ -55,7 +55,7 @@ func (c Config) Validate() error {
 	switch {
 	case c.M <= 0:
 		return fmt.Errorf("taskgen: M=%d must be positive", c.M)
-	case c.PH < 0 || c.PH > 1:
+	case !(c.PH >= 0 && c.PH <= 1): // NaN too
 		return fmt.Errorf("taskgen: PH=%g outside [0,1]", c.PH)
 	case c.UHH < 0 || c.ULH < 0 || c.ULL < 0:
 		return fmt.Errorf("taskgen: negative normalized utilization")

@@ -402,7 +402,8 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{},                                    // M = 0
 		{M: 2, PH: 1.5, UMin: 0.1, UMax: 0.9}, // PH out of range
-		{M: 2, PH: 0.5, UHH: 0.2, ULH: 0.5, UMin: 0.1, UMax: 0.9, NMin: 1, NMax: 2, TMin: 1, TMax: 2}, // ULH>UHH
+		{M: 2, PH: 0.5, UHH: 0.2, ULH: 0.5, UMin: 0.1, UMax: 0.9, NMin: 1, NMax: 2, TMin: 1, TMax: 2},                         // ULH>UHH
+		{M: 2, PH: math.NaN(), UHH: 0.5, ULH: 0.3, ULL: 0.2, UMin: 0.001, UMax: 0.99, NMin: 3, NMax: 10, TMin: 10, TMax: 500}, // PH NaN, all else valid
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

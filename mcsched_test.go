@@ -200,12 +200,7 @@ func TestPublicIORoundTrip(t *testing.T) {
 
 func TestPublicExperimentAndCharts(t *testing.T) {
 	res, err := RunExperiment(ExperimentConfig{
-		M:          2,
-		PH:         0.5,
-		SetsPerUB:  4,
-		Seed:       2,
-		UBMin:      0.5,
-		UBMax:      0.7,
+		Population: ExperimentPopulation{M: 2, PH: 0.5, SetsPerUB: 4, Seed: 2, UBMin: 0.5, UBMax: 0.7},
 		Algorithms: Figure3Algorithms(),
 	})
 	if err != nil {
