@@ -302,9 +302,8 @@ func BenchmarkPartition(b *testing.B) {
 func BenchmarkSimulateCore(b *testing.B) {
 	ts := benchSet(b, 1, false)
 	cfg := SimConfig{
-		Horizon:  100000,
-		Policy:   PolicyVirtualDeadlineEDF,
-		Scenario: ScenarioRandom(5, 0.2, 0.5),
+		Spec:        SimSpec{Horizon: 100000, Scenario: SimRandom, Seed: 5, OverrunProb: 0.2, Jitter: 0.5},
+		CoreRuntime: SimCoreRuntime{Policy: PolicyVirtualDeadlineEDF},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

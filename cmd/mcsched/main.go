@@ -258,19 +258,19 @@ func cmdSimulate(args []string) error {
 		return err
 	}
 
-	var sc mcsched.Scenario
-	switch strings.ToLower(*scenario) {
-	case "losteady":
-		sc = mcsched.ScenarioLoSteady()
-	case "historm":
-		sc = mcsched.ScenarioHiStorm()
-	case "random":
-		sc = mcsched.ScenarioRandom(*seed, *overrunProb, *jitter)
-	case "overrun":
-		sc = mcsched.ScenarioSingleOverrun(0, 0)
-	default:
+	// Only the random kind reads the seed, probability and jitter; the
+	// overrun spelling overruns job 0 of task 0.
+	kind, ok := map[string]string{
+		"losteady": mcsched.SimLoSteady,
+		"historm":  mcsched.SimHiStorm,
+		"random":   mcsched.SimRandom,
+		"overrun":  mcsched.SimSingleOverrun,
+	}[strings.ToLower(*scenario)]
+	if !ok {
 		return fmt.Errorf("unknown scenario %q", *scenario)
 	}
+	spec := mcsched.SimSpec{Horizon: mcsched.Ticks(*horizon), Scenario: kind,
+		Seed: *seed, OverrunProb: *overrunProb, Jitter: *jitter}
 
 	miss, err := mcsched.ValidatePartitionBySimulation(p, *testName, mcsched.Ticks(*horizon), *seed)
 	if err != nil {
@@ -282,9 +282,7 @@ func cmdSimulate(args []string) error {
 	test, _ := mcsched.TestByName(*testName)
 	window := min(mcsched.Ticks(*trace), mcsched.Ticks(*horizon))
 	for k, ts := range p.Cores {
-		rt := mcsched.RuntimeForCore(test, ts)
-		cfg := mcsched.SimConfig{Horizon: mcsched.Ticks(*horizon), Policy: rt.Policy,
-			VD: rt.VD, Priorities: rt.Priorities, Scenario: sc}
+		cfg := mcsched.SimConfig{Spec: spec, CoreRuntime: mcsched.RuntimeForCore(test, ts)}
 		var rec *mcsched.TraceRecorder
 		if *trace > 0 {
 			rec = &mcsched.TraceRecorder{}

@@ -107,11 +107,10 @@ func main() {
 			log.Fatalf("core %d fails EDF-VD — partition invariant broken", k)
 		}
 		r := mcsched.SimulateCore(c, mcsched.SimConfig{
-			Horizon:     1000000,
-			Policy:      mcsched.PolicyVirtualDeadlineEDF,
-			VD:          mcsched.VirtualDeadlinesFromX(c, x),
-			Scenario:    mcsched.ScenarioRandom(2024, 0.15, 0.3),
-			ResetOnIdle: true,
+			Spec: mcsched.SimSpec{Horizon: 1000000, Scenario: mcsched.SimRandom,
+				Seed: 2024, OverrunProb: 0.15, Jitter: 0.3, ResetOnIdle: true},
+			CoreRuntime: mcsched.SimCoreRuntime{Policy: mcsched.PolicyVirtualDeadlineEDF,
+				VD: mcsched.VirtualDeadlinesFromX(c, x)},
 		})
 		fmt.Printf("  core %d: released=%d completed=%d switches=%d resets=%d droppedLC=%d misses=%d\n",
 			k, r.Released, r.Completed, len(r.Switches), len(r.Resets), r.DroppedJobs, len(r.Misses))

@@ -102,11 +102,10 @@ func main() {
 	for k, c := range p.Cores {
 		res := mcsched.AnalyzeAMC(c)
 		r := mcsched.SimulateCore(c, mcsched.SimConfig{
-			Horizon:     20000,
-			Policy:      mcsched.PolicyFixedPriority,
-			Priorities:  res.Priority,
-			Scenario:    mcsched.ScenarioSingleOverrun(1, 3),
-			ResetOnIdle: true,
+			Spec: mcsched.SimSpec{Horizon: 20000, Scenario: mcsched.SimSingleOverrun,
+				OverrunTask: 1, OverrunJob: 3, ResetOnIdle: true},
+			CoreRuntime: mcsched.SimCoreRuntime{Policy: mcsched.PolicyFixedPriority,
+				Priorities: res.Priority},
 		})
 		fmt.Printf("  core %d: switches=%d droppedLCjobs=%d misses=%d resets=%d\n",
 			k, len(r.Switches), r.DroppedJobs, len(r.Misses), len(r.Resets))

@@ -36,12 +36,11 @@ func main() {
 	// Job #2 of τ0 (released at t=24) runs to its full HI budget.
 	rec := &mcsched.TraceRecorder{}
 	r := mcsched.SimulateCore(ts, mcsched.SimConfig{
-		Horizon:     72,
-		Policy:      mcsched.PolicyVirtualDeadlineEDF,
-		VD:          mcsched.VirtualDeadlinesFromX(ts, res.X),
-		Scenario:    mcsched.ScenarioSingleOverrun(0, 2),
-		ResetOnIdle: true,
-		Tracer:      rec,
+		Spec: mcsched.SimSpec{Horizon: 72, Scenario: mcsched.SimSingleOverrun,
+			OverrunTask: 0, OverrunJob: 2, ResetOnIdle: true},
+		CoreRuntime: mcsched.SimCoreRuntime{Policy: mcsched.PolicyVirtualDeadlineEDF,
+			VD: mcsched.VirtualDeadlinesFromX(ts, res.X)},
+		Tracer: rec,
 	})
 	if !r.OK() {
 		log.Fatalf("unexpected deadline miss: %v", r.Misses)

@@ -193,15 +193,13 @@ func TestECDFCertifiedDeadlinesSurviveSimulation(t *testing.T) {
 			continue
 		}
 		checked++
-		for _, sc := range []sim.Scenario{sim.LoSteady{}, sim.HiStorm{}} {
+		for _, sc := range []string{sim.SpecLoSteady, sim.SpecHiStorm} {
 			r := sim.SimulateCore(ts, sim.Config{
-				Horizon:  60000,
-				Policy:   sim.VirtualDeadlineEDF,
-				VD:       res.VD,
-				Scenario: sc,
+				Spec:        sim.Spec{Horizon: 60000, Scenario: sc},
+				CoreRuntime: sim.CoreRuntime{Policy: sim.VirtualDeadlineEDF, VD: res.VD},
 			})
 			if !r.OK() {
-				t.Fatalf("ECDF-certified set missed under %T: %v\nVD=%v\n%v",
+				t.Fatalf("ECDF-certified set missed under %s: %v\nVD=%v\n%v",
 					sc, r.Misses[0], res.VD, ts)
 			}
 		}
@@ -225,15 +223,13 @@ func TestAMCCertifiedPrioritiesSurviveSimulation(t *testing.T) {
 			continue
 		}
 		checked++
-		for _, sc := range []sim.Scenario{sim.LoSteady{}, sim.HiStorm{}} {
+		for _, sc := range []string{sim.SpecLoSteady, sim.SpecHiStorm} {
 			r := sim.SimulateCore(ts, sim.Config{
-				Horizon:    60000,
-				Policy:     sim.FixedPriority,
-				Priorities: res.Priority,
-				Scenario:   sc,
+				Spec:        sim.Spec{Horizon: 60000, Scenario: sc},
+				CoreRuntime: sim.CoreRuntime{Policy: sim.FixedPriority, Priorities: res.Priority},
 			})
 			if !r.OK() {
-				t.Fatalf("AMC-certified set missed under %T: %v\nprio=%v\n%v",
+				t.Fatalf("AMC-certified set missed under %s: %v\nprio=%v\n%v",
 					sc, r.Misses[0], res.Priority, ts)
 			}
 		}
@@ -256,15 +252,13 @@ func TestEDFVDXSurvivesSimulation(t *testing.T) {
 			continue
 		}
 		checked++
-		for _, sc := range []sim.Scenario{sim.LoSteady{}, sim.HiStorm{}} {
+		for _, sc := range []string{sim.SpecLoSteady, sim.SpecHiStorm} {
 			r := sim.SimulateCore(ts, sim.Config{
-				Horizon:  60000,
-				Policy:   sim.VirtualDeadlineEDF,
-				VD:       sim.VDFromX(ts, res.X),
-				Scenario: sc,
+				Spec:        sim.Spec{Horizon: 60000, Scenario: sc},
+				CoreRuntime: sim.CoreRuntime{Policy: sim.VirtualDeadlineEDF, VD: sim.VDFromX(ts, res.X)},
 			})
 			if !r.OK() {
-				t.Fatalf("EDF-VD-certified set missed under %T (x=%.3f): %v\n%v",
+				t.Fatalf("EDF-VD-certified set missed under %s (x=%.3f): %v\n%v",
 					sc, res.X, r.Misses[0], ts)
 			}
 		}

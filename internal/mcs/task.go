@@ -34,16 +34,34 @@ const (
 	numLevels
 )
 
+var levelNames = [numLevels]string{LO: "LO", HI: "HI"}
+
 // String returns "LO" or "HI".
 func (l Level) String() string {
-	switch l {
-	case LO:
-		return "LO"
-	case HI:
-		return "HI"
-	default:
-		return fmt.Sprintf("Level(%d)", uint8(l))
+	if l < numLevels {
+		return levelNames[l]
 	}
+	return fmt.Sprintf("Level(%d)", uint8(l))
+}
+
+// MarshalText encodes the level as its String name and refuses any other
+// value.
+func (l Level) MarshalText() ([]byte, error) {
+	if l < numLevels {
+		return []byte(levelNames[l]), nil
+	}
+	return nil, fmt.Errorf("mcs: unknown criticality level %d", uint8(l))
+}
+
+// UnmarshalText decodes "LO" or "HI" and refuses any other name.
+func (l *Level) UnmarshalText(b []byte) error {
+	for lv, name := range levelNames {
+		if string(b) == name {
+			*l = Level(lv)
+			return nil
+		}
+	}
+	return fmt.Errorf("mcs: unknown criticality level %q", b)
 }
 
 // Task is a dual-criticality sporadic task

@@ -61,6 +61,30 @@ func TestLevelString(t *testing.T) {
 	}
 }
 
+// TestLevelText: a level encodes and decodes as its String name, and any
+// other value or name is refused.
+func TestLevelText(t *testing.T) {
+	for _, l := range []Level{LO, HI} {
+		b, err := l.MarshalText()
+		if err != nil || string(b) != l.String() {
+			t.Errorf("%v: MarshalText = %q, %v", l, b, err)
+		}
+		var got Level
+		if err := got.UnmarshalText(b); err != nil || got != l {
+			t.Errorf("%q: UnmarshalText = %v, %v", b, got, err)
+		}
+	}
+	if _, err := Level(2).MarshalText(); err == nil {
+		t.Error("Level(2) encoded")
+	}
+	for _, name := range []string{"", "lo", "MID", "Level(2)"} {
+		var l Level
+		if err := l.UnmarshalText([]byte(name)); err == nil {
+			t.Errorf("%q decoded", name)
+		}
+	}
+}
+
 func TestValidateErrors(t *testing.T) {
 	cases := []struct {
 		name string

@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"mcsched/internal/mcs"
-	"mcsched/internal/sim"
 )
 
 func FuzzDecodeEvent(f *testing.F) {
@@ -196,21 +195,24 @@ func FuzzDecodeSimScenario(f *testing.F) {
 		if err != nil {
 			return // rejected is fine; panicking is not
 		}
-		// Anything the decoder accepts must be runnable by the engine.
+		// Anything the decoder accepts is the valid spec it embeds.
+		if spec != scn.Spec {
+			t.Fatalf("decoded spec %+v is not the embedded %+v", spec, scn.Spec)
+		}
 		if err := spec.Validate(); err != nil {
 			t.Fatalf("accepted scenario has invalid spec: %s: %v", b, err)
 		}
-		if _, err := spec.Build(); err != nil {
-			t.Fatalf("accepted scenario does not build: %s: %v", b, err)
-		}
-		// Accepted scenarios must reach a canonical fixpoint.
+		// Accepted scenarios must reach a canonical fixpoint, spec included.
 		b2, err := EncodeSimScenario(scn)
 		if err != nil {
 			t.Fatalf("decoded scenario does not re-encode: %+v: %v", scn, err)
 		}
-		scn2, _, err := DecodeSimScenario(b2)
+		scn2, spec2, err := DecodeSimScenario(b2)
 		if err != nil {
 			t.Fatalf("canonical scenario does not decode: %s: %v", b2, err)
+		}
+		if spec2 != spec {
+			t.Fatalf("spec changed across a round trip: %+v vs %+v", spec, spec2)
 		}
 		b3, err := EncodeSimScenario(scn2)
 		if err != nil {
@@ -218,67 +220,6 @@ func FuzzDecodeSimScenario(f *testing.F) {
 		}
 		if !bytes.Equal(b2, b3) {
 			t.Fatalf("scenario encoding not canonical:\n%s\n%s", b2, b3)
-		}
-	})
-}
-
-func FuzzDecodeSimResult(f *testing.F) {
-	// Real engine outputs as valid seeds: a sound run and an overloaded run
-	// with a witness attached.
-	cores := []mcs.TaskSet{
-		{mcs.NewHC(0, 2, 4, 20)},
-		{mcs.NewLC(1, 7, 10), mcs.NewLC(2, 7, 10)},
-	}
-	for _, scn := range []SimScenarioJSON{
-		{Version: 1, Horizon: 200, Scenario: "hi-storm"},
-		{Version: 1, Horizon: 200, Scenario: "lo-steady", Witness: true},
-	} {
-		res, err := sim.SimulateSystem(cores, nil, scn.Spec())
-		if err != nil {
-			f.Fatal(err)
-		}
-		b, err := EncodeSimResult(SimResultToJSON("s1", "EDF-VD", scn, res))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(b)
-	}
-	// Adversarial seeds: inconsistent totals, forged soundness, smuggled
-	// witnesses, torn JSON.
-	f.Add([]byte(``))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"v":1,"system":"s1","test":"EDF-VD","scenario":{"v":1,"horizon":10,"scenario":"lo-steady"},"ok":true,"cores":[],"released":1,"completed":0,"dropped":0,"preemptions":0,"misses":0,"switches":0}`))
-	f.Add([]byte(`{"v":1,"system":"s1","test":"EDF-VD","scenario":{"v":1,"horizon":10,"scenario":"lo-steady"},"ok":true,"cores":[{"core":0,"tasks":1,"released":1,"completed":0,"dropped":0,"preemptions":0,"misses":1,"switches":0,"resets":0,"busy":1,"finished_mode":"LO","first_miss":{"task":0,"release":0,"deadline":5,"mode":"LO"}},{"core":1,"tasks":0,"released":0,"completed":0,"dropped":0,"preemptions":0,"misses":0,"switches":0,"resets":0,"busy":0,"finished_mode":"LO"}],"released":1,"completed":0,"dropped":0,"preemptions":0,"misses":1,"switches":0}`))
-	f.Add([]byte(`{"v":1,"system":"s1","test":"EDF-VD","scenario":{"v":1,"horizon":10,"scenario":"lo-steady"},"ok":true,"cores":[{"core":0,"tasks":0,"released":0,"completed":0,"dropped":0,"preemptions":0,"misses":0,"switches":0,"resets":0,"busy":0,"finished_mode":"LO"}],"released":0,"completed":0,"dropped":0,"preemptions":0,"misses":0,"switches":0,"witness":{"core":0,"miss":{"task":0,"release":0,"deadline":5,"mode":"LO"},"events":[]}}`))
-	f.Add([]byte(`{"v":1,"system":"s1","test":"EDF-VD","scenario":{"v":1,"horizon":10,"sc`))
-
-	f.Fuzz(func(t *testing.T, b []byte) {
-		r, err := DecodeSimResult(b)
-		if err != nil {
-			return // rejected is fine; panicking is not
-		}
-		// Accepted results must reach a canonical fixpoint.
-		b2, err := EncodeSimResult(r)
-		if err != nil {
-			t.Fatalf("decoded result does not re-encode: %+v: %v", r, err)
-		}
-		r2, err := DecodeSimResult(b2)
-		if err != nil {
-			t.Fatalf("canonical result does not decode: %s: %v", b2, err)
-		}
-		b3, err := EncodeSimResult(r2)
-		if err != nil {
-			t.Fatalf("canonical re-encode failed: %v", err)
-		}
-		if !bytes.Equal(b2, b3) {
-			t.Fatalf("result encoding not canonical:\n%s\n%s", b2, b3)
-		}
-		// The soundness bit cannot be forged past validation.
-		if r.OK != (r.Misses == 0) {
-			t.Fatalf("accepted result with forged ok bit: %+v", r)
-		}
-		if r.OK && r.Witness != nil {
-			t.Fatalf("accepted sound result carrying a witness: %+v", r)
 		}
 	})
 }

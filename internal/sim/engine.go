@@ -28,15 +28,12 @@ type job struct {
 func (j *job) complete() bool { return j.done >= j.demand }
 
 // SimulateCore runs one core to the horizon. Tasks release synchronously at
-// time zero (the critical instant), then per the scenario's gaps.
+// time zero (the critical instant), then per the scenario's gaps. The spec
+// is not validated here; its zero kind runs lo-steady.
 func SimulateCore(ts mcs.TaskSet, cfg Config) CoreResult {
 	var res CoreResult
 	if len(ts) == 0 || cfg.Horizon <= 0 {
 		return res
-	}
-	scn := cfg.Scenario
-	if scn == nil {
-		scn = LoSteady{}
 	}
 	trace := func(e Event) {
 		if cfg.Tracer != nil {
@@ -88,7 +85,7 @@ func SimulateCore(ts mcs.TaskSet, cfg Config) CoreResult {
 				rel := nextRel[i]
 				k := jobIdx[i]
 				jobIdx[i]++
-				gap := scn.Gap(t, k)
+				gap := cfg.gap(t, k)
 				if gap < t.Period {
 					gap = t.Period
 				}
@@ -106,7 +103,7 @@ func SimulateCore(ts mcs.TaskSet, cfg Config) CoreResult {
 					release:  rel,
 					deadline: rel + t.Deadline,
 					prio:     prioOf(t),
-					demand:   clampDemand(t, scn.ExecTime(t, k)),
+					demand:   clampDemand(t, cfg.demand(t, k)),
 					seq:      seq,
 				}
 				seq++

@@ -15,10 +15,8 @@ func TestMissingPriorityRunsLowest(t *testing.T) {
 		mcs.NewLC(1, 4, 10), // undeclared
 	}
 	r := SimulateCore(ts, Config{
-		Horizon:    100,
-		Policy:     FixedPriority,
-		Priorities: map[int]int{0: 0},
-		Scenario:   LoSteady{},
+		Spec:        Spec{Horizon: 100, Scenario: SpecLoSteady},
+		CoreRuntime: CoreRuntime{Policy: FixedPriority, Priorities: map[int]int{0: 0}},
 	})
 	if len(r.Misses) != 0 {
 		t.Fatalf("u=0.8 pair missed under partial priorities: %v", r.Misses)
@@ -34,10 +32,8 @@ func TestVDOutOfRangeIgnored(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewHC(0, 2, 4, 10)}
 	for _, bad := range []mcs.Ticks{0, -3, 11, 1000} {
 		r := SimulateCore(ts, Config{
-			Horizon:  200,
-			Policy:   VirtualDeadlineEDF,
-			VD:       map[int]mcs.Ticks{0: bad},
-			Scenario: HiStorm{},
+			Spec:        Spec{Horizon: 200, Scenario: SpecHiStorm},
+			CoreRuntime: CoreRuntime{Policy: VirtualDeadlineEDF, VD: map[int]mcs.Ticks{0: bad}},
 		})
 		if len(r.Misses) != 0 {
 			t.Fatalf("VD=%d: single light task missed: %v", bad, r.Misses)
@@ -52,11 +48,11 @@ func TestStopOnMissAborts(t *testing.T) {
 		mcs.NewLC(0, 7, 10),
 		mcs.NewLC(1, 7, 10),
 	}
-	stop := SimulateCore(over, Config{Horizon: 1000, Scenario: LoSteady{}, StopOnMiss: true})
+	stop := SimulateCore(over, Config{Spec: Spec{Horizon: 1000, Scenario: SpecLoSteady}, StopOnMiss: true})
 	if len(stop.Misses) != 1 {
 		t.Fatalf("StopOnMiss produced %d misses", len(stop.Misses))
 	}
-	full := SimulateCore(over, Config{Horizon: 1000, Scenario: LoSteady{}})
+	full := SimulateCore(over, Config{Spec: Spec{Horizon: 1000, Scenario: SpecLoSteady}})
 	if len(full.Misses) <= 1 {
 		t.Fatalf("full run produced %d misses; expected a stream", len(full.Misses))
 	}
@@ -70,9 +66,8 @@ func TestNoResetWithoutFlag(t *testing.T) {
 		mcs.NewLC(1, 2, 20),
 	}
 	r := SimulateCore(ts, Config{
-		Horizon:  1000,
-		Policy:   VirtualDeadlineEDF,
-		Scenario: SingleOverrun{OverrunTask: 0, OverrunJob: 0},
+		Spec:        Spec{Horizon: 1000, Scenario: SpecSingleOverrun, OverrunTask: 0, OverrunJob: 0},
+		CoreRuntime: CoreRuntime{Policy: VirtualDeadlineEDF},
 	})
 	if len(r.Switches) != 1 {
 		t.Fatalf("want exactly one switch, got %v", r.Switches)
@@ -96,10 +91,8 @@ func TestResetRestoresLCService(t *testing.T) {
 		mcs.NewLC(1, 2, 20),
 	}
 	r := SimulateCore(ts, Config{
-		Horizon:     1000,
-		Policy:      VirtualDeadlineEDF,
-		Scenario:    SingleOverrun{OverrunTask: 0, OverrunJob: 0},
-		ResetOnIdle: true,
+		Spec:        Spec{Horizon: 1000, Scenario: SpecSingleOverrun, OverrunTask: 0, OverrunJob: 0, ResetOnIdle: true},
+		CoreRuntime: CoreRuntime{Policy: VirtualDeadlineEDF},
 	})
 	if len(r.Resets) != 1 {
 		t.Fatalf("want one reset, got %v", r.Resets)
@@ -118,10 +111,14 @@ func TestResetRestoresLCService(t *testing.T) {
 // scenario (their demand clamps to C^L).
 func TestLCOnlyNeverSwitches(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewLC(0, 3, 10), mcs.NewLC(1, 4, 15)}
-	for _, sc := range []Scenario{LoSteady{}, HiStorm{}, Random{Seed: 3, OverrunProb: 1, Jitter: 1}} {
-		r := SimulateCore(ts, Config{Horizon: 2000, Scenario: sc})
+	for _, sp := range []Spec{
+		{Horizon: 2000, Scenario: SpecLoSteady},
+		{Horizon: 2000, Scenario: SpecHiStorm},
+		{Horizon: 2000, Scenario: SpecRandom, Seed: 3, OverrunProb: 1, Jitter: 1},
+	} {
+		r := SimulateCore(ts, Config{Spec: sp})
 		if len(r.Switches) != 0 {
-			t.Fatalf("%T switched an LC-only core", sc)
+			t.Fatalf("%s switched an LC-only core", sp.Scenario)
 		}
 	}
 }
@@ -133,30 +130,30 @@ func TestBusyBookkeeping(t *testing.T) {
 		mcs.NewHC(0, 3, 6, 12),
 		mcs.NewLC(1, 4, 16),
 	}
-	for _, sc := range []Scenario{LoSteady{}, HiStorm{}, Random{Seed: 7, OverrunProb: 0.5, Jitter: 0.8}} {
-		r := SimulateCore(ts, Config{Horizon: 5000, Scenario: sc, ResetOnIdle: true})
+	for _, sp := range []Spec{
+		{Horizon: 5000, Scenario: SpecLoSteady, ResetOnIdle: true},
+		{Horizon: 5000, Scenario: SpecHiStorm, ResetOnIdle: true},
+		{Horizon: 5000, Scenario: SpecRandom, Seed: 7, OverrunProb: 0.5, Jitter: 0.8, ResetOnIdle: true},
+	} {
+		r := SimulateCore(ts, Config{Spec: sp})
 		if r.Busy > 5000 {
-			t.Fatalf("%T: busy %d > horizon", sc, r.Busy)
+			t.Fatalf("%s: busy %d > horizon", sp.Scenario, r.Busy)
 		}
 		if r.Completed > r.Released {
-			t.Fatalf("%T: completed %d > released %d", sc, r.Completed, r.Released)
+			t.Fatalf("%s: completed %d > released %d", sp.Scenario, r.Completed, r.Released)
 		}
 	}
 }
 
-// zeroDemand is a pathological scenario claiming every job needs zero
-// execution time.
-type zeroDemand struct{}
-
-func (zeroDemand) ExecTime(t mcs.Task, k int) mcs.Ticks { return 0 }
-func (zeroDemand) Gap(t mcs.Task, k int) mcs.Ticks      { return t.Period }
-
-// TestZeroWCETJobsClamp: zero-demand jobs clamp to one tick instead of
-// wedging the engine in a zero-progress loop; HC demand clamped below C^L
-// can never trigger a switch.
+// TestZeroWCETJobsClamp: jobs of a task with C^L = 0 (a set Validate
+// refuses, run unvalidated under lo-steady) clamp to one tick instead of
+// wedging the engine in a zero-progress loop; an HC job of one tick
+// completes before its overrun check, so it never switches.
 func TestZeroWCETJobsClamp(t *testing.T) {
-	ts := mcs.TaskSet{mcs.NewLC(0, 3, 10), mcs.NewHC(1, 2, 4, 10)}
-	r := SimulateCore(ts, Config{Horizon: 100, Scenario: zeroDemand{}})
+	lc, hc := mcs.NewLC(0, 3, 10), mcs.NewHC(1, 2, 4, 10)
+	lc.WCET = [2]mcs.Ticks{0, 0}
+	hc.WCET[mcs.LO] = 0
+	r := SimulateCore(mcs.TaskSet{lc, hc}, Config{Spec: Spec{Horizon: 100, Scenario: SpecLoSteady}})
 	if r.Released != 20 || r.Completed != 20 {
 		t.Fatalf("released %d completed %d, want 20/20", r.Released, r.Completed)
 	}
@@ -173,7 +170,7 @@ func TestZeroWCETJobsClamp(t *testing.T) {
 // and the release train stays back-to-back.
 func TestCompletionAtDeadlineBoundary(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewLC(0, 10, 10)}
-	r := SimulateCore(ts, Config{Horizon: 100, Scenario: LoSteady{}})
+	r := SimulateCore(ts, Config{Spec: Spec{Horizon: 100, Scenario: SpecLoSteady}})
 	if len(r.Misses) != 0 {
 		t.Fatalf("completion at the deadline counted as a miss: %v", r.Misses)
 	}
@@ -192,10 +189,8 @@ func TestSwitchExactlyAtDeadlineTick(t *testing.T) {
 		mcs.NewLCConstrained(1, 3, 50, 5), // deadline exactly at t=5
 	}
 	r := SimulateCore(ts, Config{
-		Horizon:    20,
-		Policy:     FixedPriority,
-		Priorities: map[int]int{0: 0, 1: 1},
-		Scenario:   SingleOverrun{OverrunTask: 0, OverrunJob: 0},
+		Spec:        Spec{Horizon: 20, Scenario: SpecSingleOverrun, OverrunTask: 0, OverrunJob: 0},
+		CoreRuntime: CoreRuntime{Policy: FixedPriority, Priorities: map[int]int{0: 0, 1: 1}},
 	})
 	if len(r.Switches) != 1 || r.Switches[0] != 5 {
 		t.Fatalf("switch instants: %v, want [5]", r.Switches)
@@ -217,11 +212,9 @@ func TestReleaseAtSwitchInstantDropped(t *testing.T) {
 	}
 	rec := &Recorder{Cap: 128}
 	r := SimulateCore(ts, Config{
-		Horizon:    20,
-		Policy:     FixedPriority,
-		Priorities: map[int]int{0: 0, 1: 1},
-		Scenario:   SingleOverrun{OverrunTask: 0, OverrunJob: 0},
-		Tracer:     rec,
+		Spec:        Spec{Horizon: 20, Scenario: SpecSingleOverrun, OverrunTask: 0, OverrunJob: 0},
+		CoreRuntime: CoreRuntime{Policy: FixedPriority, Priorities: map[int]int{0: 0, 1: 1}},
+		Tracer:      rec,
 	})
 	if len(r.Switches) != 1 || r.Switches[0] != 5 {
 		t.Fatalf("switch instants: %v, want [5]", r.Switches)
@@ -247,14 +240,14 @@ func TestReleaseAtSwitchInstantDropped(t *testing.T) {
 // TestZeroHorizonAndEmptySet: degenerate configurations return zero-valued
 // results.
 func TestZeroHorizonAndEmptySet(t *testing.T) {
-	if r := SimulateCore(nil, Config{Horizon: 100}); r.Released != 0 {
+	if r := SimulateCore(nil, Config{Spec: Spec{Horizon: 100}}); r.Released != 0 {
 		t.Fatal("empty set released jobs")
 	}
 	ts := mcs.TaskSet{mcs.NewLC(0, 1, 10)}
-	if r := SimulateCore(ts, Config{Horizon: 0}); r.Released != 0 {
+	if r := SimulateCore(ts, Config{Spec: Spec{Horizon: 0}}); r.Released != 0 {
 		t.Fatal("zero horizon released jobs")
 	}
-	if r := SimulateCore(ts, Config{Horizon: -5}); r.Released != 0 {
+	if r := SimulateCore(ts, Config{Spec: Spec{Horizon: -5}}); r.Released != 0 {
 		t.Fatal("negative horizon released jobs")
 	}
 }

@@ -24,12 +24,12 @@ type PolicyKind int
 
 const (
 	// VirtualDeadlineEDF is preemptive EDF on virtual deadlines in LO mode
-	// (per-task relative deadlines from Config.VD), switching to real
+	// (per-task relative deadlines from CoreRuntime.VD), switching to real
 	// deadlines and dropping LC jobs on a mode switch. This is the runtime
 	// of EDF-VD, EY and ECDF.
 	VirtualDeadlineEDF PolicyKind = iota
 	// FixedPriority is preemptive fixed-priority scheduling per
-	// Config.Priorities (0 = highest), dropping LC jobs on a mode switch.
+	// CoreRuntime.Priorities (0 = highest), dropping LC jobs on a mode switch.
 	// This is the AMC runtime.
 	FixedPriority
 )
@@ -42,23 +42,12 @@ func (p PolicyKind) String() string {
 	return "virtual-deadline-EDF"
 }
 
-// Config parameterizes a core simulation.
+// Config parameterizes a core simulation: the spec says what runs (horizon,
+// scenario kind and its parameters, mode recovery), the core runtime how
+// the core dispatches.
 type Config struct {
-	// Horizon is the simulated duration in ticks.
-	Horizon mcs.Ticks
-	// Policy selects the runtime algorithm.
-	Policy PolicyKind
-	// VD maps HC task IDs to relative virtual deadlines (VirtualDeadlineEDF
-	// only). Tasks absent from the map use their real deadline.
-	VD map[int]mcs.Ticks
-	// Priorities maps task IDs to fixed priorities (FixedPriority only;
-	// 0 = highest). Every task on the core must appear.
-	Priorities map[int]int
-	// Scenario drives job behaviour; nil defaults to LoSteady.
-	Scenario Scenario
-	// ResetOnIdle returns the core to LO mode at its first idle instant
-	// after a mode switch (the standard mode-recovery assumption).
-	ResetOnIdle bool
+	Spec
+	CoreRuntime
 	// StopOnMiss aborts the core simulation at the first required-deadline
 	// miss (the first-miss witness rebuild uses this).
 	StopOnMiss bool
@@ -68,13 +57,29 @@ type Config struct {
 	Tracer Tracer
 }
 
+// CoreRuntime binds one core's runtime algorithm and its certified
+// parameters: the virtual deadlines of the EDF-VD/EY/ECDF runtime, or the
+// fixed priorities of the AMC runtime. A zero value is plain EDF on real
+// deadlines.
+type CoreRuntime struct {
+	// Policy selects the dispatch rule.
+	Policy PolicyKind
+	// VD maps HC task IDs to LO-mode relative virtual deadlines
+	// (VirtualDeadlineEDF only); tasks absent from the map, and a nil map,
+	// run on their real deadlines.
+	VD map[int]mcs.Ticks
+	// Priorities maps task IDs to fixed priorities (FixedPriority only,
+	// 0 = highest); an undeclared task runs at the lowest priority.
+	Priorities map[int]int
+}
+
 // Miss records a required deadline miss.
 type Miss struct {
-	TaskID   int
-	Release  mcs.Ticks
-	Deadline mcs.Ticks
+	TaskID   int       `json:"task"`
+	Release  mcs.Ticks `json:"release"`
+	Deadline mcs.Ticks `json:"deadline"`
 	// Mode is the core mode at the instant of the miss.
-	Mode mcs.Level
+	Mode mcs.Level `json:"mode"`
 }
 
 // String formats the miss.

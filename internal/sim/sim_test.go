@@ -7,7 +7,7 @@ import (
 )
 
 func TestEmptyAndTrivial(t *testing.T) {
-	if r := SimulateCore(nil, Config{Horizon: 100}); r.Released != 0 || !r.OK() {
+	if r := SimulateCore(nil, Config{Spec: Spec{Horizon: 100}}); r.Released != 0 || !r.OK() {
 		t.Errorf("empty core: %+v", r)
 	}
 	if r := SimulateCore(mcs.TaskSet{mcs.NewLC(0, 1, 10)}, Config{}); r.Released != 0 {
@@ -19,7 +19,7 @@ func TestSingleTaskExactSchedule(t *testing.T) {
 	// One LC task (C=3, T=10) over 100 ticks: 10 jobs, 30 busy ticks, no
 	// misses, no switches.
 	ts := mcs.TaskSet{mcs.NewLC(0, 3, 10)}
-	r := SimulateCore(ts, Config{Horizon: 100, Scenario: LoSteady{}})
+	r := SimulateCore(ts, Config{Spec: Spec{Horizon: 100, Scenario: SpecLoSteady}})
 	if r.Released != 10 || r.Completed != 10 {
 		t.Errorf("released=%d completed=%d, want 10/10", r.Released, r.Completed)
 	}
@@ -35,7 +35,7 @@ func TestDeadlineMissDetected(t *testing.T) {
 	// Two LC tasks each C=6, T=D=10: LO demand 12 > 10 ⇒ one must miss at
 	// its deadline, detected exactly at tick 10.
 	ts := mcs.TaskSet{mcs.NewLC(0, 6, 10), mcs.NewLC(1, 6, 10)}
-	r := SimulateCore(ts, Config{Horizon: 50, Scenario: LoSteady{}})
+	r := SimulateCore(ts, Config{Spec: Spec{Horizon: 50, Scenario: SpecLoSteady}})
 	if r.OK() {
 		t.Fatal("overload produced no miss")
 	}
@@ -43,7 +43,7 @@ func TestDeadlineMissDetected(t *testing.T) {
 		t.Errorf("first miss at %d, want deadline 10", r.Misses[0].Deadline)
 	}
 	// StopOnMiss aborts at the first one.
-	r = SimulateCore(ts, Config{Horizon: 50, Scenario: LoSteady{}, StopOnMiss: true})
+	r = SimulateCore(ts, Config{Spec: Spec{Horizon: 50, Scenario: SpecLoSteady}, StopOnMiss: true})
 	if len(r.Misses) != 1 {
 		t.Errorf("StopOnMiss recorded %d misses", len(r.Misses))
 	}
@@ -55,9 +55,8 @@ func TestModeSwitchDropsLC(t *testing.T) {
 	// releases resume only after an idle reset.
 	ts := mcs.TaskSet{mcs.NewHC(0, 2, 6, 10), mcs.NewLC(1, 3, 10)}
 	cfg := Config{
-		Horizon:  40,
-		Scenario: SingleOverrun{OverrunTask: 0, OverrunJob: 0},
-		VD:       map[int]mcs.Ticks{0: 5},
+		Spec:        Spec{Horizon: 40, Scenario: SpecSingleOverrun, OverrunTask: 0, OverrunJob: 0},
+		CoreRuntime: CoreRuntime{VD: map[int]mcs.Ticks{0: 5}},
 	}
 	r := SimulateCore(ts, cfg)
 	if len(r.Switches) != 1 || r.Switches[0] != 2 {
@@ -95,7 +94,7 @@ func TestVirtualDeadlineOrdersLOMode(t *testing.T) {
 	// completion order: τ0 completes at 4 with VD, τ1 completes at 4
 	// without (both complete either way; check preemptions = 0).
 	ts := mcs.TaskSet{mcs.NewHC(0, 4, 8, 20), mcs.NewLC(1, 4, 20)}
-	r := SimulateCore(ts, Config{Horizon: 20, Scenario: LoSteady{}, VD: map[int]mcs.Ticks{0: 5}})
+	r := SimulateCore(ts, Config{Spec: Spec{Horizon: 20, Scenario: SpecLoSteady}, CoreRuntime: CoreRuntime{VD: map[int]mcs.Ticks{0: 5}}})
 	if !r.OK() || r.Completed != 2 {
 		t.Fatalf("unexpected result: %+v", r)
 	}
@@ -109,10 +108,8 @@ func TestFixedPriorityRespected(t *testing.T) {
 	// τ1 preempts τ0's job at t=5.
 	ts := mcs.TaskSet{mcs.NewLC(0, 5, 10), mcs.NewLCConstrained(1, 2, 5, 5)}
 	r := SimulateCore(ts, Config{
-		Horizon:    20,
-		Policy:     FixedPriority,
-		Priorities: map[int]int{0: 1, 1: 0},
-		Scenario:   LoSteady{},
+		Spec:        Spec{Horizon: 20, Scenario: SpecLoSteady},
+		CoreRuntime: CoreRuntime{Policy: FixedPriority, Priorities: map[int]int{0: 1, 1: 0}},
 	})
 	if !r.OK() {
 		t.Fatalf("misses: %v", r.Misses)
@@ -149,7 +146,7 @@ func TestPartitionedIsolation(t *testing.T) {
 
 func TestRandomScenarioDeterminism(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewHC(0, 2, 6, 10), mcs.NewLC(1, 3, 12)}
-	cfg := Config{Horizon: 500, Scenario: Random{Seed: 7, OverrunProb: 0.3, Jitter: 0.2}}
+	cfg := Config{Spec: Spec{Horizon: 500, Scenario: SpecRandom, Seed: 7, OverrunProb: 0.3, Jitter: 0.2}}
 	a := SimulateCore(ts, cfg)
 	b := SimulateCore(ts, cfg)
 	if a.Released != b.Released || a.Busy != b.Busy || len(a.Switches) != len(b.Switches) {
@@ -158,26 +155,34 @@ func TestRandomScenarioDeterminism(t *testing.T) {
 }
 
 func TestScenarioClamping(t *testing.T) {
-	// Scenario returning absurd values must be clamped into [1, budget].
-	ts := mcs.TaskSet{mcs.NewLC(0, 3, 10)}
-	r := SimulateCore(ts, Config{Horizon: 30, Scenario: crazyScenario{}})
+	// An LC job's demand clamps to C^L: hi-storm asks C^H of every job,
+	// and this unvalidated LC task declares C^H far above its C^L.
+	lc := mcs.NewLC(0, 3, 10)
+	lc.WCET[mcs.HI] = 1 << 40
+	r := SimulateCore(mcs.TaskSet{lc}, Config{Spec: Spec{Horizon: 30, Scenario: SpecHiStorm}})
 	if !r.OK() {
 		t.Errorf("clamped scenario missed: %v", r.Misses)
 	}
 	if r.Busy != 9 { // 3 jobs at the LC budget 3
 		t.Errorf("busy = %d, want 9 (clamped to C^L)", r.Busy)
 	}
+	// A release gap clamps to at least the period: a jitter this large
+	// overflows the tick conversion and wraps the drawn gap negative, yet
+	// the spec is valid (finite, ≥ 0).
+	sp := Spec{Horizon: 30, Scenario: SpecRandom, Seed: 1, Jitter: 1e300}
+	if err := sp.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	r = SimulateCore(mcs.TaskSet{mcs.NewLC(0, 3, 10)}, Config{Spec: sp})
+	if r.Released != 3 || !r.OK() {
+		t.Errorf("released %d (misses %v), want 3 periodic releases", r.Released, r.Misses)
+	}
 }
-
-type crazyScenario struct{}
-
-func (crazyScenario) ExecTime(t mcs.Task, _ int) mcs.Ticks { return 1 << 40 }
-func (crazyScenario) Gap(t mcs.Task, _ int) mcs.Ticks      { return -5 }
 
 func TestJitterStretchesGaps(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewLC(0, 1, 10)}
-	noJitter := SimulateCore(ts, Config{Horizon: 1000, Scenario: Random{Seed: 1}})
-	jitter := SimulateCore(ts, Config{Horizon: 1000, Scenario: Random{Seed: 1, Jitter: 0.5}})
+	noJitter := SimulateCore(ts, Config{Spec: Spec{Horizon: 1000, Scenario: SpecRandom, Seed: 1}})
+	jitter := SimulateCore(ts, Config{Spec: Spec{Horizon: 1000, Scenario: SpecRandom, Seed: 1, Jitter: 0.5}})
 	if jitter.Released >= noJitter.Released {
 		t.Errorf("jitter did not slow releases: %d vs %d", jitter.Released, noJitter.Released)
 	}
@@ -200,7 +205,7 @@ func TestVDFromX(t *testing.T) {
 
 func TestHiStormSwitchesEveryBusyPeriod(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewHC(0, 2, 4, 10)}
-	r := SimulateCore(ts, Config{Horizon: 100, Scenario: HiStorm{}, ResetOnIdle: true, VD: map[int]mcs.Ticks{0: 6}})
+	r := SimulateCore(ts, Config{Spec: Spec{Horizon: 100, Scenario: SpecHiStorm, ResetOnIdle: true}, CoreRuntime: CoreRuntime{VD: map[int]mcs.Ticks{0: 6}}})
 	if len(r.Switches) < 5 {
 		t.Errorf("switches = %d, want one per job burst", len(r.Switches))
 	}

@@ -17,127 +17,10 @@ package sim
 // is replayable from its spec alone.
 
 import (
-	"fmt"
-	"math"
 	"sync"
 
 	"mcsched/internal/mcs"
 )
-
-// Scenario kinds accepted by Spec.Scenario. They mirror the concrete
-// Scenario implementations in scenario.go one-to-one.
-const (
-	// SpecLoSteady: every job completes at exactly C^L, strictly periodic
-	// releases — no mode switch ever occurs.
-	SpecLoSteady = "lo-steady"
-	// SpecHiStorm: every job runs to its full HI budget — each core
-	// switches as early as possible and stays saturated.
-	SpecHiStorm = "hi-storm"
-	// SpecRandom: per-job demands and release jitter drawn deterministically
-	// from (Seed, task, job); HC jobs overrun with probability OverrunProb.
-	SpecRandom = "random"
-	// SpecSingleOverrun: job OverrunJob of task OverrunTask runs to C^H,
-	// everything else behaves like lo-steady — isolates one mode switch.
-	SpecSingleOverrun = "single-overrun"
-	// SpecMinimalOverrun: like single-overrun but the chosen job exceeds
-	// its LO budget by exactly one tick (C^L+1) — the switch fires at the
-	// last possible instant of that job, the criticality-at-boundary case.
-	SpecMinimalOverrun = "minimal-overrun"
-)
-
-// SpecKinds lists every accepted Spec.Scenario value in a stable order.
-func SpecKinds() []string {
-	return []string{SpecLoSteady, SpecHiStorm, SpecRandom, SpecSingleOverrun, SpecMinimalOverrun}
-}
-
-// Spec is a declarative simulation scenario: everything a run depends on
-// besides the partition and its runtime configuration. It is a pure value —
-// two runs of the same partition under the same spec are bit-identical —
-// and it is the payload of the daemon's /simulate endpoint (via
-// mcsio.SimScenarioJSON).
-type Spec struct {
-	// Horizon is the simulated duration in ticks; must be positive.
-	Horizon mcs.Ticks
-	// Scenario selects the job-behaviour model (one of the Spec* kinds).
-	Scenario string
-	// Seed drives the deterministic per-job draws of the random scenario.
-	Seed int64
-	// OverrunProb is the per-HC-job overrun probability of the random
-	// scenario, in [0, 1].
-	OverrunProb float64
-	// Jitter stretches sporadic release gaps of the random scenario
-	// uniformly into [T, T·(1+Jitter)]; must be ≥ 0.
-	Jitter float64
-	// OverrunTask and OverrunJob select the overrunning job of the
-	// single-overrun and minimal-overrun scenarios.
-	OverrunTask int
-	OverrunJob  int
-	// ResetOnIdle returns each core to LO mode at its first idle instant
-	// after a mode switch.
-	ResetOnIdle bool
-}
-
-// Validate checks the spec's structural invariants, mirroring the strict
-// wire-side validation in mcsio.
-func (sp Spec) Validate() error {
-	if sp.Horizon <= 0 {
-		return fmt.Errorf("sim: spec horizon %d must be positive", sp.Horizon)
-	}
-	if bad(sp.OverrunProb) || sp.OverrunProb < 0 || sp.OverrunProb > 1 {
-		return fmt.Errorf("sim: spec overrun probability %v outside [0, 1]", sp.OverrunProb)
-	}
-	if bad(sp.Jitter) || sp.Jitter < 0 {
-		return fmt.Errorf("sim: spec jitter %v must be finite and ≥ 0", sp.Jitter)
-	}
-	switch sp.Scenario {
-	case SpecLoSteady, SpecHiStorm, SpecRandom:
-	case SpecSingleOverrun, SpecMinimalOverrun:
-		if sp.OverrunJob < 0 {
-			return fmt.Errorf("sim: spec overrun job %d must be ≥ 0", sp.OverrunJob)
-		}
-	default:
-		return fmt.Errorf("sim: unknown scenario kind %q", sp.Scenario)
-	}
-	return nil
-}
-
-func bad(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
-
-// Build materializes the scenario the spec describes.
-func (sp Spec) Build() (Scenario, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	switch sp.Scenario {
-	case SpecLoSteady:
-		return LoSteady{}, nil
-	case SpecHiStorm:
-		return HiStorm{}, nil
-	case SpecRandom:
-		return Random{Seed: sp.Seed, OverrunProb: sp.OverrunProb, Jitter: sp.Jitter}, nil
-	case SpecSingleOverrun:
-		return SingleOverrun{OverrunTask: sp.OverrunTask, OverrunJob: sp.OverrunJob}, nil
-	case SpecMinimalOverrun:
-		return MinimalOverrun{OverrunTask: sp.OverrunTask, OverrunJob: sp.OverrunJob}, nil
-	default: // unreachable after Validate
-		return nil, fmt.Errorf("sim: unknown scenario kind %q", sp.Scenario)
-	}
-}
-
-// CoreRuntime binds one core's runtime algorithm and its certified
-// parameters: the virtual deadlines of the EDF-VD/EY/ECDF runtime, or the
-// fixed priorities of the AMC runtime. A zero value is plain EDF on real
-// deadlines.
-type CoreRuntime struct {
-	// Policy selects the dispatch rule.
-	Policy PolicyKind
-	// VD maps HC task IDs to LO-mode relative virtual deadlines
-	// (VirtualDeadlineEDF only); nil runs on real deadlines.
-	VD map[int]mcs.Ticks
-	// Priorities maps task IDs to fixed priorities (FixedPriority only,
-	// 0 = highest).
-	Priorities map[int]int
-}
 
 // CoreSummary is the compact per-core account of a system run.
 type CoreSummary struct {
@@ -180,7 +63,9 @@ type Witness struct {
 // cross-core totals, and — when any required deadline was missed — the
 // first-miss witness.
 type SystemResult struct {
-	Horizon mcs.Ticks     `json:"horizon"`
+	// Horizon is the simulated duration; the wire form echoes it in its
+	// scenario instead.
+	Horizon mcs.Ticks     `json:"-"`
 	Cores   []CoreSummary `json:"cores"`
 	// Totals across cores.
 	Released    int `json:"released"`
@@ -216,22 +101,15 @@ const witnessGanttSpan = 64
 // lowest index) is deterministically re-simulated with a bounded trace
 // recorder to reconstruct the first-miss witness.
 func SimulateSystem(cores []mcs.TaskSet, rt []CoreRuntime, spec Spec) (SystemResult, error) {
-	scn, err := spec.Build()
-	if err != nil {
+	if err := spec.Validate(); err != nil {
 		return SystemResult{}, err
 	}
 	res := SystemResult{Horizon: spec.Horizon, Cores: make([]CoreSummary, len(cores))}
 
 	cfgOf := func(k int) Config {
-		cfg := Config{
-			Horizon:     spec.Horizon,
-			Scenario:    scn,
-			ResetOnIdle: spec.ResetOnIdle,
-		}
+		cfg := Config{Spec: spec}
 		if k < len(rt) {
-			cfg.Policy = rt[k].Policy
-			cfg.VD = rt[k].VD
-			cfg.Priorities = rt[k].Priorities
+			cfg.CoreRuntime = rt[k]
 		}
 		return cfg
 	}

@@ -30,51 +30,61 @@ func TestSpecValidate(t *testing.T) {
 		if err := sp.Validate(); err == nil {
 			t.Errorf("bad spec %d (%+v) accepted", i, sp)
 		}
-		if _, err := sp.Build(); err == nil {
-			t.Errorf("bad spec %d (%+v) built", i, sp)
+		if _, err := SimulateSystem(nil, nil, sp); err == nil {
+			t.Errorf("bad spec %d (%+v) simulated", i, sp)
 		}
 	}
 }
 
-// TestSpecBuildKinds: every declared kind builds its scenario type with the
-// spec's parameters applied.
+// TestSpecBuildKinds: every declared kind, and the zero kind, maps to its
+// job behaviour with the spec's parameters applied.
 func TestSpecBuildKinds(t *testing.T) {
-	for _, kind := range SpecKinds() {
-		sp := Spec{Horizon: 50, Scenario: kind, OverrunTask: 1, OverrunJob: 2}
-		if kind == SpecRandom {
-			sp = Spec{Horizon: 50, Scenario: kind, Seed: 7, OverrunProb: 0.3, Jitter: 0.5}
+	hc, lc := mcs.NewHC(1, 2, 6, 10), mcs.NewLC(3, 4, 20)
+	type want struct{ hc, hcChosen, lc mcs.Ticks } // demands of job 0, of job 2, of the LC job
+	for kind, w := range map[string]want{
+		"":                 {2, 2, 4},
+		SpecLoSteady:       {2, 2, 4},
+		SpecHiStorm:        {6, 6, 4},
+		SpecSingleOverrun:  {2, 6, 4},
+		SpecMinimalOverrun: {2, 3, 4},
+	} {
+		sp := Spec{Horizon: 50, Scenario: kind, OverrunTask: 1, OverrunJob: 2, Seed: 7, OverrunProb: 1, Jitter: 0.5}
+		if got := (want{sp.demand(hc, 0), sp.demand(hc, 2), sp.demand(lc, 2)}); got != w {
+			t.Errorf("%q: demands %+v, want %+v", kind, got, w)
 		}
-		if kind == SpecLoSteady || kind == SpecHiStorm {
-			sp = Spec{Horizon: 50, Scenario: kind}
+		if g := sp.gap(hc, 2); g != hc.Period {
+			t.Errorf("%q: gap %d, want the period", kind, g)
 		}
-		scn, err := sp.Build()
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
+	}
+
+	sp := Spec{Horizon: 50, Scenario: SpecRandom, Seed: 7, OverrunProb: 1, Jitter: 0.5}
+	stretched, seeded := false, false
+	for job := 0; job < 50; job++ {
+		if d := sp.demand(hc, job); d <= hc.CLo() || d > hc.CHi() {
+			t.Fatalf("random, OverrunProb 1: HC job %d demands %d, want (C^L, C^H]", job, d)
 		}
-		switch kind {
-		case SpecLoSteady:
-			if _, ok := scn.(LoSteady); !ok {
-				t.Fatalf("%s built %T", kind, scn)
-			}
-		case SpecHiStorm:
-			if _, ok := scn.(HiStorm); !ok {
-				t.Fatalf("%s built %T", kind, scn)
-			}
-		case SpecRandom:
-			r, ok := scn.(Random)
-			if !ok || r.Seed != 7 || r.OverrunProb != 0.3 || r.Jitter != 0.5 {
-				t.Fatalf("%s built %#v", kind, scn)
-			}
-		case SpecSingleOverrun:
-			so, ok := scn.(SingleOverrun)
-			if !ok || so.OverrunTask != 1 || so.OverrunJob != 2 {
-				t.Fatalf("%s built %#v", kind, scn)
-			}
-		case SpecMinimalOverrun:
-			mo, ok := scn.(MinimalOverrun)
-			if !ok || mo.OverrunTask != 1 || mo.OverrunJob != 2 {
-				t.Fatalf("%s built %#v", kind, scn)
-			}
+		if d := sp.demand(lc, job); d < 1 || d > lc.CLo() {
+			t.Fatalf("random: LC job %d demands %d, want [1, C^L]", job, d)
+		}
+		g := sp.gap(hc, job)
+		if g < hc.Period || g > hc.Period+5 {
+			t.Fatalf("random, Jitter 0.5: gap %d outside [T, 1.5·T]", g)
+		}
+		stretched = stretched || g > hc.Period
+		if sp.demand(hc, job) != sp.demand(hc, job) || sp.gap(hc, job) != g {
+			t.Fatalf("random: job %d is not a pure function of (seed, task, job)", job)
+		}
+		reseeded := sp
+		reseeded.Seed++
+		seeded = seeded || reseeded.gap(hc, job) != g || reseeded.demand(lc, job) != sp.demand(lc, job)
+	}
+	if !stretched || !seeded {
+		t.Errorf("random, Jitter 0.5: some gap stretched %t, the seed moved a draw %t", stretched, seeded)
+	}
+	sp.OverrunProb = 0
+	for job := 0; job < 50; job++ {
+		if d := sp.demand(hc, job); d < 1 || d > hc.CLo() {
+			t.Fatalf("random, OverrunProb 0: HC job %d demands %d, want [1, C^L]", job, d)
 		}
 	}
 }
@@ -86,9 +96,8 @@ func TestSpecBuildKinds(t *testing.T) {
 func TestMinimalOverrunBoundary(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewHC(0, 2, 4, 20), mcs.NewLC(1, 2, 20)}
 	r := SimulateCore(ts, Config{
-		Horizon:  200,
-		Policy:   VirtualDeadlineEDF,
-		Scenario: MinimalOverrun{OverrunTask: 0, OverrunJob: 0},
+		Spec:        Spec{Horizon: 200, Scenario: SpecMinimalOverrun, OverrunTask: 0, OverrunJob: 0},
+		CoreRuntime: CoreRuntime{Policy: VirtualDeadlineEDF},
 	})
 	if len(r.Switches) != 1 {
 		t.Fatalf("want one switch, got %v", r.Switches)
@@ -103,23 +112,59 @@ func TestMinimalOverrunBoundary(t *testing.T) {
 	}
 
 	lc := SimulateCore(ts, Config{
-		Horizon:  200,
-		Scenario: MinimalOverrun{OverrunTask: 1, OverrunJob: 0}, // LC target
+		Spec: Spec{Horizon: 200, Scenario: SpecMinimalOverrun, OverrunTask: 1, OverrunJob: 0},
 	})
 	if len(lc.Switches) != 0 {
 		t.Fatalf("LC target switched: %v", lc.Switches)
 	}
 	flat := SimulateCore(mcs.TaskSet{mcs.NewHC(0, 3, 3, 20)}, Config{
-		Horizon:  200,
-		Scenario: MinimalOverrun{OverrunTask: 0, OverrunJob: 0}, // C^H == C^L
+		Spec: Spec{Horizon: 200, Scenario: SpecMinimalOverrun, OverrunTask: 0, OverrunJob: 0},
 	})
 	if len(flat.Switches) != 0 {
 		t.Fatalf("C^H=C^L task switched: %v", flat.Switches)
 	}
 }
 
+// checkSystemInvariants holds a system result to what the engine
+// guarantees of every run: totals are the per-core sums, OK means no miss,
+// a core has a first miss exactly when it missed, busy time fits the
+// horizon, summaries sit at their core's index, and a witness names a core
+// that exists.
+func checkSystemInvariants(t *testing.T, res SystemResult, horizon mcs.Ticks) {
+	t.Helper()
+	var sum SystemResult
+	for k, c := range res.Cores {
+		if c.Core != k {
+			t.Errorf("summary %d claims core %d", k, c.Core)
+		}
+		if c.Busy < 0 || c.Busy > horizon {
+			t.Errorf("core %d busy %d outside [0, %d]", k, c.Busy, horizon)
+		}
+		if (c.FirstMiss != nil) != (c.Misses > 0) {
+			t.Errorf("core %d: %d misses, first miss %v", k, c.Misses, c.FirstMiss)
+		}
+		sum.Released += c.Released
+		sum.Completed += c.Completed
+		sum.Dropped += c.Dropped
+		sum.Preemptions += c.Preemptions
+		sum.Misses += c.Misses
+		sum.Switches += c.Switches
+	}
+	if got := [6]int{res.Released, res.Completed, res.Dropped, res.Preemptions, res.Misses, res.Switches}; got !=
+		[6]int{sum.Released, sum.Completed, sum.Dropped, sum.Preemptions, sum.Misses, sum.Switches} {
+		t.Errorf("totals %v disagree with the per-core sums %+v", got, sum)
+	}
+	if res.OK() != (res.Misses == 0) {
+		t.Errorf("OK() = %t with %d misses", res.OK(), res.Misses)
+	}
+	if w := res.Witness; w != nil && (w.Core < 0 || w.Core >= len(res.Cores)) {
+		t.Errorf("witness names core %d of %d", w.Core, len(res.Cores))
+	}
+}
+
 // TestSimulateSystemAggregates: per-core summaries land in index order,
-// totals equal the per-core sums, and empty cores stay zero.
+// totals equal the per-core sums, and empty cores stay zero — on a clean
+// run and on one that misses.
 func TestSimulateSystemAggregates(t *testing.T) {
 	cores := []mcs.TaskSet{
 		{mcs.NewHC(0, 2, 4, 10)},
@@ -133,18 +178,7 @@ func TestSimulateSystemAggregates(t *testing.T) {
 	if len(res.Cores) != 3 {
 		t.Fatalf("%d core summaries", len(res.Cores))
 	}
-	sumReleased, sumSwitches := 0, 0
-	for k, c := range res.Cores {
-		if c.Core != k {
-			t.Fatalf("summary %d claims core %d", k, c.Core)
-		}
-		sumReleased += c.Released
-		sumSwitches += c.Switches
-	}
-	if res.Released != sumReleased || res.Switches != sumSwitches {
-		t.Fatalf("totals %d/%d disagree with sums %d/%d",
-			res.Released, res.Switches, sumReleased, sumSwitches)
-	}
+	checkSystemInvariants(t, res, 1000)
 	if res.Cores[2].Released != 0 || res.Cores[2].Tasks != 0 {
 		t.Fatalf("empty core ran: %+v", res.Cores[2])
 	}
@@ -153,6 +187,21 @@ func TestSimulateSystemAggregates(t *testing.T) {
 	}
 	if res.Cores[0].Switches == 0 {
 		t.Fatal("HI storm never switched the HC core")
+	}
+
+	// Core 1 overloads in HI mode, with preemptions, drops and a reset.
+	cores = append(cores, mcs.TaskSet{mcs.NewHC(2, 2, 6, 10), mcs.NewHC(3, 1, 5, 7), mcs.NewLC(4, 1, 5)})
+	cores[1], cores[3] = cores[3], cores[1]
+	res, err = SimulateSystem(cores, nil, Spec{Horizon: 1000, Scenario: SpecRandom, Seed: 3, OverrunProb: 0.5, Jitter: 0.3, ResetOnIdle: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSystemInvariants(t, res, 1000)
+	if res.OK() || res.Witness == nil || res.Witness.Core != 1 {
+		t.Fatalf("overloaded core 1 did not miss with a witness: %+v", res)
+	}
+	if c := res.Cores[1]; c.Preemptions == 0 || c.Dropped == 0 || c.Switches == 0 {
+		t.Fatalf("core 1 ran no preemption, drop or switch: %+v", c)
 	}
 }
 
@@ -244,12 +293,9 @@ func TestGoldenTraceDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := renderSystem(res)
-		scn, _ := spec.Build()
 		for k := range cores {
 			rec := &Recorder{}
-			cfg := Config{Horizon: spec.Horizon, Scenario: scn, ResetOnIdle: spec.ResetOnIdle,
-				Policy: rt[k].Policy, VD: rt[k].VD, Priorities: rt[k].Priorities, Tracer: rec}
-			SimulateCore(cores[k], cfg)
+			SimulateCore(cores[k], Config{Spec: spec, CoreRuntime: rt[k], Tracer: rec})
 			out += fmt.Sprintf("--- core %d trace (%d events)\n", k, len(rec.Events))
 			for _, e := range rec.Events {
 				out += e.String() + "\n"

@@ -32,41 +32,56 @@ const (
 	EvMiss
 )
 
+var eventKindNames = [...]string{
+	EvRelease:  "release",
+	EvExec:     "exec",
+	EvComplete: "complete",
+	EvPreempt:  "preempt",
+	EvSwitch:   "switch",
+	EvReset:    "reset",
+	EvDrop:     "drop",
+	EvMiss:     "miss",
+}
+
 // String names the event kind.
 func (k EventKind) String() string {
-	switch k {
-	case EvRelease:
-		return "release"
-	case EvExec:
-		return "exec"
-	case EvComplete:
-		return "complete"
-	case EvPreempt:
-		return "preempt"
-	case EvSwitch:
-		return "switch"
-	case EvReset:
-		return "reset"
-	case EvDrop:
-		return "drop"
-	case EvMiss:
-		return "miss"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
+	if k >= 0 && int(k) < len(eventKindNames) {
+		return eventKindNames[k]
 	}
+	return fmt.Sprintf("EventKind(%d)", int(k))
+}
+
+// MarshalText encodes the kind as its String name and refuses any other
+// value.
+func (k EventKind) MarshalText() ([]byte, error) {
+	if k >= 0 && int(k) < len(eventKindNames) {
+		return []byte(eventKindNames[k]), nil
+	}
+	return nil, fmt.Errorf("sim: unknown event kind %d", int(k))
+}
+
+// UnmarshalText decodes a String name and refuses any other.
+func (k *EventKind) UnmarshalText(b []byte) error {
+	for i, name := range eventKindNames {
+		if string(b) == name {
+			*k = EventKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("sim: unknown event kind %q", b)
 }
 
 // Event is one engine occurrence. TaskID and Job are -1 for core-level
 // events (switch, reset).
 type Event struct {
-	Time mcs.Ticks
-	Kind EventKind
+	Time mcs.Ticks `json:"time"`
+	Kind EventKind `json:"kind"`
 	// TaskID is the task concerned; -1 for core events.
-	TaskID int
+	TaskID int `json:"task"`
 	// Job is the per-task job index (0-based); -1 for core events.
-	Job int
+	Job int `json:"job"`
 	// Dur is the chunk length for EvExec events, 0 otherwise.
-	Dur mcs.Ticks
+	Dur mcs.Ticks `json:"dur,omitempty"`
 }
 
 // String formats the event compactly.

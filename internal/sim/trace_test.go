@@ -20,7 +20,7 @@ func TestTraceTimeOrdered(t *testing.T) {
 		mcs.NewHC(0, 2, 4, 10),
 		mcs.NewLC(1, 3, 12),
 	}
-	rec, _ := tracedRun(t, ts, Config{Horizon: 500, Scenario: HiStorm{}, ResetOnIdle: true})
+	rec, _ := tracedRun(t, ts, Config{Spec: Spec{Horizon: 500, Scenario: SpecHiStorm, ResetOnIdle: true}})
 	if len(rec.Events) == 0 {
 		t.Fatal("no events recorded")
 	}
@@ -38,7 +38,7 @@ func TestTraceExecMatchesBusy(t *testing.T) {
 		mcs.NewHC(0, 2, 5, 11),
 		mcs.NewLC(1, 4, 17),
 	}
-	rec, res := tracedRun(t, ts, Config{Horizon: 2000, Scenario: Random{Seed: 5, OverrunProb: 0.4, Jitter: 0.4}, ResetOnIdle: true})
+	rec, res := tracedRun(t, ts, Config{Spec: Spec{Horizon: 2000, Scenario: SpecRandom, Seed: 5, OverrunProb: 0.4, Jitter: 0.4, ResetOnIdle: true}})
 	var total mcs.Ticks
 	for _, d := range rec.ExecTotal() {
 		total += d
@@ -53,7 +53,7 @@ func TestTraceCountsMatchResult(t *testing.T) {
 		mcs.NewHC(0, 2, 4, 10),
 		mcs.NewLC(1, 2, 10),
 	}
-	rec, res := tracedRun(t, ts, Config{Horizon: 1000, Scenario: SingleOverrun{OverrunTask: 0, OverrunJob: 1}, ResetOnIdle: true})
+	rec, res := tracedRun(t, ts, Config{Spec: Spec{Horizon: 1000, Scenario: SpecSingleOverrun, OverrunTask: 0, OverrunJob: 1, ResetOnIdle: true}})
 	count := func(k EventKind) int {
 		n := 0
 		for _, e := range rec.Events {
@@ -104,7 +104,7 @@ func TestGanttRenders(t *testing.T) {
 		mcs.NewHC(0, 2, 4, 10),
 		mcs.NewLC(1, 3, 12),
 	}
-	rec, _ := tracedRun(t, ts, Config{Horizon: 60, Scenario: SingleOverrun{OverrunTask: 0, OverrunJob: 1}, ResetOnIdle: true})
+	rec, _ := tracedRun(t, ts, Config{Spec: Spec{Horizon: 60, Scenario: SpecSingleOverrun, OverrunTask: 0, OverrunJob: 1, ResetOnIdle: true}})
 	g := rec.Gantt(ts, 0, 60, 60)
 	if g == "" {
 		t.Fatal("empty gantt")
@@ -125,7 +125,7 @@ func TestGanttRenders(t *testing.T) {
 
 func TestGanttWideWindowBuckets(t *testing.T) {
 	ts := mcs.TaskSet{mcs.NewLC(0, 3, 10)}
-	rec, _ := tracedRun(t, ts, Config{Horizon: 1000, Scenario: LoSteady{}})
+	rec, _ := tracedRun(t, ts, Config{Spec: Spec{Horizon: 1000, Scenario: SpecLoSteady}})
 	g := rec.Gantt(ts, 0, 1000, 50)
 	if !strings.Contains(g, "tick(s)/column") || !strings.Contains(g, "#") {
 		t.Fatalf("bucketed gantt malformed:\n%s", g)
@@ -159,6 +159,32 @@ func TestEventStrings(t *testing.T) {
 	}
 }
 
+// TestEventKindText: every kind encodes and decodes as its String name,
+// and any other value or name is refused.
+func TestEventKindText(t *testing.T) {
+	for k := EvRelease; k <= EvMiss; k++ {
+		b, err := k.MarshalText()
+		if err != nil || string(b) != k.String() {
+			t.Errorf("%v: MarshalText = %q, %v", k, b, err)
+		}
+		var got EventKind
+		if err := got.UnmarshalText(b); err != nil || got != k {
+			t.Errorf("%q: UnmarshalText = %v, %v", b, got, err)
+		}
+	}
+	for _, k := range []EventKind{-1, EvMiss + 1} {
+		if _, err := k.MarshalText(); err == nil {
+			t.Errorf("kind %d encoded", int(k))
+		}
+	}
+	for _, name := range []string{"", "Miss", "explode", "EventKind(9)"} {
+		var k EventKind
+		if err := k.UnmarshalText([]byte(name)); err == nil {
+			t.Errorf("%q decoded", name)
+		}
+	}
+}
+
 // TestTracerNilSafe: a nil tracer must not change behaviour (the default
 // path) — compare counters with and without tracing.
 func TestTracerNilSafe(t *testing.T) {
@@ -166,7 +192,7 @@ func TestTracerNilSafe(t *testing.T) {
 		mcs.NewHC(0, 2, 5, 13),
 		mcs.NewLC(1, 3, 14),
 	}
-	cfg := Config{Horizon: 3000, Scenario: Random{Seed: 11, OverrunProb: 0.3, Jitter: 0.5}, ResetOnIdle: true}
+	cfg := Config{Spec: Spec{Horizon: 3000, Scenario: SpecRandom, Seed: 11, OverrunProb: 0.3, Jitter: 0.5, ResetOnIdle: true}}
 	plain := SimulateCore(ts, cfg)
 	rec := &Recorder{}
 	cfg.Tracer = rec

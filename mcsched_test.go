@@ -148,20 +148,19 @@ func TestPublicSimulateScenarios(t *testing.T) {
 		NewHCTask(0, 2, 4, 10),
 		NewLCTask(1, 3, 12),
 	}
-	for _, sc := range []Scenario{
-		ScenarioLoSteady(),
-		ScenarioHiStorm(),
-		ScenarioRandom(9, 0.3, 0.5),
-		ScenarioSingleOverrun(0, 2),
+	for _, spec := range []SimSpec{
+		{Horizon: 5000, Scenario: SimLoSteady},
+		{Horizon: 5000, Scenario: SimHiStorm},
+		{Horizon: 5000, Scenario: SimRandom, Seed: 9, OverrunProb: 0.3, Jitter: 0.5},
+		{Horizon: 5000, Scenario: SimSingleOverrun, OverrunTask: 0, OverrunJob: 2},
 	} {
 		res := SimulateCore(ts, SimConfig{
-			Horizon:  5000,
-			Policy:   PolicyVirtualDeadlineEDF,
-			VD:       VirtualDeadlinesFromX(ts, AnalyzeEDFVD(ts).X),
-			Scenario: sc,
+			Spec: spec,
+			CoreRuntime: SimCoreRuntime{Policy: PolicyVirtualDeadlineEDF,
+				VD: VirtualDeadlinesFromX(ts, AnalyzeEDFVD(ts).X)},
 		})
 		if !res.OK() {
-			t.Errorf("scenario %T: misses %v", sc, res.Misses)
+			t.Errorf("scenario %s: misses %v", spec.Scenario, res.Misses)
 		}
 	}
 }

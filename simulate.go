@@ -11,8 +11,9 @@ import (
 // Runtime simulation
 // ---------------------------------------------------------------------------
 
-// SimConfig parameterizes a runtime simulation (horizon, policy, virtual
-// deadlines or priorities, execution scenario).
+// SimConfig parameterizes a single-core simulation: a SimSpec (horizon,
+// scenario kind and its parameters), a SimCoreRuntime (policy, virtual
+// deadlines or priorities), StopOnMiss and an optional Tracer.
 type SimConfig = sim.Config
 
 // CoreSimResult is one core's run: deadline misses, mode switches,
@@ -22,9 +23,6 @@ type CoreSimResult = sim.CoreResult
 // DeadlineMiss records one required deadline miss observed in simulation.
 type DeadlineMiss = sim.Miss
 
-// Scenario drives per-job execution times and release gaps in simulation.
-type Scenario = sim.Scenario
-
 // TraceEvent is one engine occurrence (release, exec chunk, completion,
 // preemption, mode switch, reset, drop, miss).
 type TraceEvent = sim.Event
@@ -33,7 +31,7 @@ type TraceEvent = sim.Event
 // its Gantt method to render an ASCII timeline of the run.
 type TraceRecorder = sim.Recorder
 
-// Runtime policies for SimConfig.Policy.
+// Runtime policies for SimCoreRuntime.Policy.
 const (
 	// PolicyVirtualDeadlineEDF is preemptive EDF on virtual deadlines in LO
 	// mode (the EDF-VD/EY/ECDF runtime).
@@ -43,34 +41,13 @@ const (
 	PolicyFixedPriority = sim.FixedPriority
 )
 
-// ScenarioLoSteady has every job run for exactly its LO budget: the system
-// stays in LO mode forever.
-func ScenarioLoSteady() Scenario { return sim.LoSteady{} }
-
-// ScenarioHiStorm has every job run for its HI budget: each core mode-
-// switches as early as possible and stays loaded — the HI-mode stress case.
-func ScenarioHiStorm() Scenario { return sim.HiStorm{} }
-
-// ScenarioRandom draws per-job execution pseudo-randomly: HC jobs overrun
-// their LO budget with the given probability, and sporadic release gaps
-// stretch up to (1+jitter)·T. Deterministic per (seed, task, job index).
-func ScenarioRandom(seed int64, overrunProb, jitter float64) Scenario {
-	return sim.Random{Seed: seed, OverrunProb: overrunProb, Jitter: jitter}
-}
-
-// ScenarioSingleOverrun makes exactly one job of one task overrun to its HI
-// budget: the minimal mode-switch trigger, used to observe recovery.
-func ScenarioSingleOverrun(taskID, jobIdx int) Scenario {
-	return sim.SingleOverrun{OverrunTask: taskID, OverrunJob: jobIdx}
-}
-
 // SimulateCore runs a single core.
 func SimulateCore(ts TaskSet, cfg SimConfig) CoreSimResult {
 	return sim.SimulateCore(ts, cfg)
 }
 
 // VirtualDeadlinesFromX converts an EDF-VD scaling factor x into the
-// per-task virtual deadline map SimConfig.VD expects.
+// per-task virtual deadline map SimCoreRuntime.VD expects.
 func VirtualDeadlinesFromX(ts TaskSet, x float64) map[int]Ticks {
 	return sim.VDFromX(ts, x)
 }

@@ -109,9 +109,8 @@ func TestAcceptedPartitionsNeverMissECDF(t *testing.T) {
 				continue
 			}
 			res := SimulateCore(ts, SimConfig{
-				Horizon:  50000,
-				Policy:   PolicyVirtualDeadlineEDF,
-				Scenario: ScenarioLoSteady(),
+				Spec:        SimSpec{Horizon: 50000, Scenario: SimLoSteady},
+				CoreRuntime: SimCoreRuntime{Policy: PolicyVirtualDeadlineEDF},
 			})
 			if !res.OK() {
 				t.Fatalf("seed %d: ECDF-accepted core missed in LO steady state: %v", seed, res.Misses)
