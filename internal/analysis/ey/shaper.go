@@ -498,7 +498,7 @@ func (s *Shaper) tuneStep(w, demand mcs.Ticks) (first int, ok bool) {
 		if s.frozen[j] {
 			continue
 		}
-		sw := s.saws[j]
+		sw := &s.saws[j]
 		if sw.VD <= sw.CL {
 			continue
 		}
