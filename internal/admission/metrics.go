@@ -57,27 +57,10 @@ func (c *Controller) EnableMetrics(r *obs.Registry) {
 			return 0
 		})
 
-	// Analyzer fast-path breakdown (PR 4's kernel.Counters), aggregated over
-	// live tenants at scrape time — a removed tenant takes its tallies with
-	// it, exactly as in Stats().
-	analyzer := func(f func(kernel.Counters) uint64) func() uint64 {
-		return func() uint64 { return f(c.analyzerTotals()) }
-	}
-	r.CounterFunc("mcsched_analyzer_fast_accepts_total",
-		"Analyses answered by a sufficient condition without the exact kernel.",
-		analyzer(func(kc kernel.Counters) uint64 { return kc.FastAccepts }))
-	r.CounterFunc("mcsched_analyzer_fast_rejects_total",
-		"Analyses answered by a necessary-condition reject.",
-		analyzer(func(kc kernel.Counters) uint64 { return kc.FastRejects }))
-	r.CounterFunc("mcsched_analyzer_incremental_hits_total",
-		"Analyses resolved from memoized per-core state.",
-		analyzer(func(kc kernel.Counters) uint64 { return kc.IncrementalHits }))
-	r.CounterFunc("mcsched_analyzer_exact_runs_total",
-		"Full cold kernel runs.",
-		analyzer(func(kc kernel.Counters) uint64 { return kc.ExactRuns }))
-	r.CounterFunc("mcsched_analyzer_warm_starts_total",
-		"Exact analyses seeded from memoized state (converged response times, cached demand curves).",
-		analyzer(func(kc kernel.Counters) uint64 { return kc.WarmStarts }))
+	// Analyzer fast-path breakdown (kernel.Counters), aggregated over live
+	// tenants at scrape time — a removed tenant takes its tallies with it,
+	// exactly as in Stats().
+	registerAnalyzerSeries(r, c.analyzerTotals)
 
 	// Per-family breakdown of the same five counters, labelled by the test
 	// family gating each tenant. The label set is open-ended (a family
@@ -177,23 +160,38 @@ func (c *Controller) registerFamilySeries(name string) {
 		c.famSeen = make(map[string]bool)
 	}
 	c.famSeen[name] = true
-	lbl := obs.L("family", name)
-	byFam := func(f func(kernel.Counters) uint64) func() uint64 {
-		return func() uint64 { return f(c.analyzerTotalsByFamily()[name]) }
-	}
-	r.CounterFunc("mcsched_analyzer_fast_accepts_total",
+	registerAnalyzerSeries(r, func() kernel.Counters { return c.analyzerTotalsByFamily()[name] },
+		obs.L("family", name))
+}
+
+// analyzerSeries names the five analyzer counters, their help text and the
+// kernel.Counters field each reads.
+var analyzerSeries = [...]struct {
+	name, help string
+	field      func(kernel.Counters) uint64
+}{
+	{"mcsched_analyzer_fast_accepts_total",
 		"Analyses answered by a sufficient condition without the exact kernel.",
-		byFam(func(kc kernel.Counters) uint64 { return kc.FastAccepts }), lbl)
-	r.CounterFunc("mcsched_analyzer_fast_rejects_total",
+		func(kc kernel.Counters) uint64 { return kc.FastAccepts }},
+	{"mcsched_analyzer_fast_rejects_total",
 		"Analyses answered by a necessary-condition reject.",
-		byFam(func(kc kernel.Counters) uint64 { return kc.FastRejects }), lbl)
-	r.CounterFunc("mcsched_analyzer_incremental_hits_total",
+		func(kc kernel.Counters) uint64 { return kc.FastRejects }},
+	{"mcsched_analyzer_incremental_hits_total",
 		"Analyses resolved from memoized per-core state.",
-		byFam(func(kc kernel.Counters) uint64 { return kc.IncrementalHits }), lbl)
-	r.CounterFunc("mcsched_analyzer_exact_runs_total",
+		func(kc kernel.Counters) uint64 { return kc.IncrementalHits }},
+	{"mcsched_analyzer_exact_runs_total",
 		"Full cold kernel runs.",
-		byFam(func(kc kernel.Counters) uint64 { return kc.ExactRuns }), lbl)
-	r.CounterFunc("mcsched_analyzer_warm_starts_total",
+		func(kc kernel.Counters) uint64 { return kc.ExactRuns }},
+	{"mcsched_analyzer_warm_starts_total",
 		"Exact analyses seeded from memoized state (converged response times, cached demand curves).",
-		byFam(func(kc kernel.Counters) uint64 { return kc.WarmStarts }), lbl)
+		func(kc kernel.Counters) uint64 { return kc.WarmStarts }},
+}
+
+// registerAnalyzerSeries registers the five analyzer counters on r, each
+// reading its field of totals() at scrape time.
+func registerAnalyzerSeries(r *obs.Registry, totals func() kernel.Counters, labels ...obs.Label) {
+	for _, s := range analyzerSeries {
+		field := s.field
+		r.CounterFunc(s.name, s.help, func() uint64 { return field(totals()) }, labels...)
+	}
 }
