@@ -191,7 +191,6 @@ var analyzerSeries = [...]struct {
 // reading its field of totals() at scrape time.
 func registerAnalyzerSeries(r *obs.Registry, totals func() kernel.Counters, labels ...obs.Label) {
 	for _, s := range analyzerSeries {
-		field := s.field
-		r.CounterFunc(s.name, s.help, func() uint64 { return field(totals()) }, labels...)
+		r.CounterFunc(s.name, s.help, func() uint64 { return s.field(totals()) }, labels...)
 	}
 }
