@@ -428,7 +428,7 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("read request: %w", err))
 		return
 	}
-	scn, spec, err := mcsio.DecodeSimScenario(body)
+	scn, err := mcsio.DecodeSimScenario(body)
 	if err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
@@ -436,7 +436,7 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if wantWitness(r) {
 		scn.Witness = true
 	}
-	out, err := sys.Simulate(spec)
+	out, err := sys.Simulate(scn.Spec)
 	if err != nil {
 		s.fail(w, r, statusOf(err), err)
 		return

@@ -52,23 +52,23 @@ func EncodeSimScenario(j SimScenarioJSON) ([]byte, error) {
 	return json.Marshal(j)
 }
 
-// DecodeSimScenario strictly parses and validates one wire scenario,
-// returning both the wire form and the engine spec. Malformed records fail
-// closed; they never panic and never yield a partially-valid scenario.
-func DecodeSimScenario(b []byte) (SimScenarioJSON, sim.Spec, error) {
+// DecodeSimScenario strictly parses and validates one wire scenario; its
+// embedded Spec is what the engine runs. Malformed records fail closed;
+// they never panic and never yield a partially-valid scenario.
+func DecodeSimScenario(b []byte) (SimScenarioJSON, error) {
 	var j SimScenarioJSON
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&j); err != nil {
-		return SimScenarioJSON{}, sim.Spec{}, fmt.Errorf("mcsio: decode sim scenario: %w", err)
+		return SimScenarioJSON{}, fmt.Errorf("mcsio: decode sim scenario: %w", err)
 	}
 	if dec.More() {
-		return SimScenarioJSON{}, sim.Spec{}, fmt.Errorf("mcsio: decode sim scenario: trailing data")
+		return SimScenarioJSON{}, fmt.Errorf("mcsio: decode sim scenario: trailing data")
 	}
 	if err := validateSimScenario(j); err != nil {
-		return SimScenarioJSON{}, sim.Spec{}, err
+		return SimScenarioJSON{}, err
 	}
-	return j, j.Spec, nil
+	return j, nil
 }
 
 // validateSimScenario enforces the wire bounds, the engine spec's semantic

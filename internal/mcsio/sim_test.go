@@ -21,23 +21,20 @@ func validSimScenarios() []SimScenarioJSON {
 	}
 }
 
-// TestSimScenarioRoundTrip: every kind encodes, decodes to an equal wire
-// form, and hands the engine the spec it embeds.
+// TestSimScenarioRoundTrip: every kind encodes and decodes to an equal wire
+// form, embedded spec included.
 func TestSimScenarioRoundTrip(t *testing.T) {
 	for _, scn := range validSimScenarios() {
 		b, err := EncodeSimScenario(scn)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", scn.Scenario, err)
 		}
-		got, spec, err := DecodeSimScenario(b)
+		got, err := DecodeSimScenario(b)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", scn.Scenario, err)
 		}
 		if got != scn {
 			t.Fatalf("%s: round trip changed the record:\n%+v\n%+v", scn.Scenario, scn, got)
-		}
-		if spec != scn.Spec {
-			t.Fatalf("%s: spec diverged from wire form: %+v vs %+v", scn.Scenario, spec, scn.Spec)
 		}
 	}
 }
@@ -52,7 +49,7 @@ func TestSimScenarioVersionDefaults(t *testing.T) {
 	if !strings.Contains(string(b), `"v":1`) {
 		t.Fatalf("version not defaulted: %s", b)
 	}
-	if _, _, err := DecodeSimScenario([]byte(`{"horizon":10,"scenario":"lo-steady"}`)); err == nil {
+	if _, err := DecodeSimScenario([]byte(`{"horizon":10,"scenario":"lo-steady"}`)); err == nil {
 		t.Fatal("decoded a scenario without a version")
 	}
 }
@@ -80,7 +77,7 @@ func TestSimScenarioRejects(t *testing.T) {
 		"empty":               ``,
 	}
 	for name, raw := range cases {
-		if _, _, err := DecodeSimScenario([]byte(raw)); err == nil {
+		if _, err := DecodeSimScenario([]byte(raw)); err == nil {
 			t.Errorf("%s accepted: %s", name, raw)
 		}
 	}
